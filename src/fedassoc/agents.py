@@ -31,7 +31,6 @@ from .nn import (
     DenseNet,
     LrSchedule,
     backward,
-    clip_global_norm,
     clone,
     copy_into_target,
     forward,
@@ -39,7 +38,7 @@ from .nn import (
     load_net,
     lr_at,
     save_net,
-    sgd_apply,
+    sgd_step,
 )
 from .replay import Batch, ReplayBuffer
 
@@ -84,6 +83,8 @@ class TrainerConfig:
             raise ValueError("target_sync must be >= 1")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
+        if not self.grad_clip > 0.0:
+            raise ValueError("grad_clip must be > 0 (inf disables clipping)")
         if self.share_mode not in ("vector", "scalar"):
             raise ValueError("share_mode must be 'vector' or 'scalar'")
         LrSchedule(self.lr_start, self.lr_end, self.lr_decay_episodes)
@@ -247,49 +248,78 @@ class FederatedTrainer:
         best = joint.max(axis=1)
         return batch.reward + self.cfg.discount * best * (1.0 - batch.done)
 
-    def _side_grads(self, batch: Batch, targets: np.ndarray, lead_side: bool):
-        """Loss and gradients of one side's update; peer inputs are constants."""
+    def _side_grads(self, batch: Batch, targets: np.ndarray, lead_side: bool, follow_fwd=None):
+        """Loss and gradients of one side's update; peer inputs are constants.
+
+        The joint head evaluates only the output the loss reads, the taken
+        joint action. `follow_fwd` is `forward(self.pair.follow,
+        batch.obs_follow)` of the current follower net; it is computed here
+        when not given.
+        """
         a = self.num_actions
         n = len(targets)
+        if follow_fwd is None:
+            follow_fwd = forward(self.pair.follow, batch.obs_follow)
         if lead_side:
-            own_net, own_obs, own_act = self.pair.lead, batch.obs_lead, batch.act_lead
-            peer_net, peer_obs, peer_act = self.pair.follow, batch.obs_follow, batch.act_follow
+            own_net, own_act, peer_act = self.pair.lead, batch.act_lead, batch.act_follow
+            q_own, cache_own = forward(own_net, batch.obs_lead)
+            q_peer = follow_fwd[0]
         else:
-            own_net, own_obs, own_act = self.pair.follow, batch.obs_follow, batch.act_follow
-            peer_net, peer_obs, peer_act = self.pair.lead, batch.obs_lead, batch.act_lead
-        q_own, cache_own = forward(own_net, own_obs)
-        q_peer, _ = forward(peer_net, peer_obs)
+            own_net, own_act, peer_act = self.pair.follow, batch.act_follow, batch.act_lead
+            q_own, cache_own = follow_fwd
+            q_peer, _ = forward(self.pair.lead, batch.obs_lead)
         if self.cfg.share_mode == "vector":
             peer_in = self._share(q_peer)
-            idx = own_act * a + peer_act
+            cols = own_act * a + peer_act
         else:
             peer_in = self._share(q_peer[np.arange(n), peer_act])[:, None]
-            idx = own_act
-        joint, cache_mlp = forward(self.pair.mlp, np.hstack([q_own, peer_in]))
-        pred = joint[np.arange(n), idx]
+            cols = own_act
+        pred, cache_mlp = forward(self.pair.mlp, np.hstack([q_own, peer_in]), cols)
         err = pred - targets
         loss = float(np.mean(err * err))
         if not np.isfinite(loss):
             raise RuntimeError("non-finite training loss")
-        d_joint = np.zeros_like(joint)
-        d_joint[np.arange(n), idx] = 2.0 * err / n
-        g_mlp, d_in = backward(self.pair.mlp, cache_mlp, d_joint)
+        g_mlp, d_in = backward(self.pair.mlp, cache_mlp, 2.0 * err / n, cols)
         g_own, _ = backward(own_net, cache_own, d_in[:, :a])
         return loss, g_own, g_mlp
 
-    def train_step_lead(self, batch: Batch, targets: np.ndarray, lr: float) -> float:
-        loss, g_lead, g_mlp = self._side_grads(batch, targets, lead_side=True)
-        clip_global_norm([g_lead, g_mlp], self.cfg.grad_clip)
-        sgd_apply(self.pair.lead, g_lead, lr)
-        sgd_apply(self.pair.mlp, g_mlp, lr)
+    def train_step_lead(
+        self, batch: Batch, targets: np.ndarray, lr: float, follow_fwd=None
+    ) -> float:
+        loss, g_lead, g_mlp = self._side_grads(
+            batch, targets, lead_side=True, follow_fwd=follow_fwd
+        )
+        sgd_step([(self.pair.lead, g_lead), (self.pair.mlp, g_mlp)], lr, self.cfg.grad_clip)
         return loss
 
-    def train_step_follow(self, batch: Batch, targets: np.ndarray, lr: float) -> float:
-        loss, g_follow, g_mlp = self._side_grads(batch, targets, lead_side=False)
-        clip_global_norm([g_follow, g_mlp], self.cfg.grad_clip)
-        sgd_apply(self.pair.follow, g_follow, lr)
-        sgd_apply(self.pair.mlp, g_mlp, lr)
+    def train_step_follow(
+        self, batch: Batch, targets: np.ndarray, lr: float, follow_fwd=None
+    ) -> float:
+        loss, g_follow, g_mlp = self._side_grads(
+            batch, targets, lead_side=False, follow_fwd=follow_fwd
+        )
+        sgd_step([(self.pair.follow, g_follow), (self.pair.mlp, g_mlp)], lr, self.cfg.grad_clip)
         return loss
+
+    def train_step(
+        self,
+        batch: Batch,
+        targets: np.ndarray,
+        lr: float,
+        step_hook: Optional[StepHook] = None,
+    ) -> tuple[float, float]:
+        """The lead update, then the follower update, on one batch.
+
+        The lead update leaves the follower net unchanged, so the follower's
+        forward pass on `batch.obs_follow` is run once and serves both sides.
+        Returns the (lead, follower) losses.
+        """
+        follow_fwd = forward(self.pair.follow, batch.obs_follow)
+        loss_lead = self.train_step_lead(batch, targets, lr, follow_fwd)
+        if step_hook is not None:
+            step_hook("after_lead", self)
+        loss_follow = self.train_step_follow(batch, targets, lr, follow_fwd)
+        return loss_lead, loss_follow
 
     def sync_targets(self) -> None:
         copy_into_target(self.pair.lead, self.pair.lead_target)
@@ -329,10 +359,7 @@ class FederatedTrainer:
                     targets = self.compute_targets(batch)
                     if step_hook is not None:
                         step_hook("before_updates", self)
-                    self.train_step_lead(batch, targets, lr)
-                    if step_hook is not None:
-                        step_hook("after_lead", self)
-                    self.train_step_follow(batch, targets, lr)
+                    self.train_step(batch, targets, lr, step_hook)
                     if step_hook is not None:
                         step_hook("after_follow", self)
                     self.train_steps += 1

@@ -17,13 +17,12 @@ from .metrics import EpisodeRecord, MetricAccumulator
 from .nn import (
     DenseNet,
     backward,
-    clip_global_norm,
     clone,
     copy_into_target,
     forward,
     init_net,
     lr_at,
-    sgd_apply,
+    sgd_step,
 )
 from .replay import Batch, ReplayBuffer
 
@@ -83,18 +82,14 @@ class _DdqnHead:
         lr: float,
     ) -> float:
         targets = ddqn_target(rewards, next_obs, self.net, self.target, self.cfg.discount, done)
-        q, cache = forward(self.net, obs)
         n = len(actions)
-        pred = q[np.arange(n), actions]
+        pred, cache = forward(self.net, obs, actions)
         err = pred - targets
         loss = float(np.mean(err * err))
         if not np.isfinite(loss):
             raise RuntimeError("non-finite training loss")
-        d_q = np.zeros_like(q)
-        d_q[np.arange(n), actions] = 2.0 * err / n
-        grads, _ = backward(self.net, cache, d_q)
-        clip_global_norm([grads], self.cfg.grad_clip)
-        sgd_apply(self.net, grads, lr)
+        grads, _ = backward(self.net, cache, 2.0 * err / n, actions)
+        sgd_step([(self.net, grads)], lr, self.cfg.grad_clip)
         return loss
 
     def sync(self) -> None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedassoc.agents as agents_mod
 from fedassoc.agents import (
     FederatedTrainer,
     TrainerConfig,
@@ -180,6 +181,16 @@ def test_trainer_rejects_bad_config():
         FederatedTrainer(small_env(), small_cfg(batch_size=0), seed=0)
 
 
+@pytest.mark.parametrize("grad_clip", [-1.0, 0.0, float("nan")])
+def test_trainer_rejects_bad_grad_clip(grad_clip):
+    with pytest.raises(ValueError, match="grad_clip"):
+        small_cfg(grad_clip=grad_clip).validate()
+
+
+def test_infinite_grad_clip_is_accepted():
+    small_cfg(grad_clip=float("inf")).validate()
+
+
 def test_epsilon_schedule():
     cfg = small_cfg()
     assert epsilon_at(cfg, 1) == epsilon_at(cfg, 500) == 0.1
@@ -335,6 +346,70 @@ def test_update_isolation_across_sides():
     trainer.train_step_follow(batch, targets, lr=0.01)
     assert net_fingerprint(trainer.pair.lead) == lead_after_own_update
     assert net_fingerprint(trainer.pair.follow) != follow_before
+
+
+def five_fingerprints(trainer):
+    p = trainer.pair
+    return [net_fingerprint(n) for n in (p.lead, p.lead_target, p.follow, p.mlp, p.mlp_target)]
+
+
+@pytest.mark.parametrize("share_mode", ["vector", "scalar"])
+def test_train_step_equals_lead_then_follow(share_mode):
+    fused = FederatedTrainer(small_env(), small_cfg(share_mode=share_mode), seed=15)
+    split = FederatedTrainer(small_env(), small_cfg(share_mode=share_mode), seed=15)
+    rng = np.random.default_rng(16)
+    for _ in range(3):
+        batch = make_batch(rng, 8, 14, 16)
+        targets = rng.random(8)
+        losses = fused.train_step(batch, targets, lr=0.05)
+        assert losses == (split.train_step_lead(batch, targets, lr=0.05),
+                          split.train_step_follow(batch, targets, lr=0.05))
+        assert five_fingerprints(fused) == five_fingerprints(split)
+        assert fused.rng_noise.bit_generator.state == split.rng_noise.bit_generator.state
+
+
+def test_non_finite_gradient_leaves_every_net_unchanged(monkeypatch):
+    trainer = FederatedTrainer(small_env(), small_cfg(), seed=17)
+    rng = np.random.default_rng(18)
+    batch = make_batch(rng, 8, 14, 16)
+    targets = rng.random(8)
+    real_backward = agents_mod.backward
+
+    def poisoned(net, cache, output_gradient, cols=None):
+        grads, d_in = real_backward(net, cache, output_gradient, cols)
+        if net is trainer.pair.mlp:
+            grads.d_biases[-1][0] = np.nan
+        return grads, d_in
+
+    monkeypatch.setattr(agents_mod, "backward", poisoned)
+    before = five_fingerprints(trainer)
+    for step in (trainer.train_step, trainer.train_step_lead, trainer.train_step_follow):
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            step(batch, targets, lr=0.05)
+        assert five_fingerprints(trainer) == before
+
+
+@pytest.mark.parametrize("share_mode", ["vector", "scalar"])
+def test_shared_q_values_per_step(share_mode, monkeypatch):
+    shared = []
+    real_encrypt = agents_mod.encrypt_q
+
+    def counting(q, sigma, rng):
+        shared.append(np.size(q))
+        return real_encrypt(q, sigma, rng)
+
+    monkeypatch.setattr(agents_mod, "encrypt_q", counting)
+    env = small_env(seed=19)
+    cfg = small_cfg(share_mode=share_mode, episodes=2)
+    trainer = FederatedTrainer(env, cfg, seed=20)
+    trainer.run()
+    ts = cfg.episodes * env.cfg.horizon
+    steps = ts - (cfg.batch_size - 1)
+    assert trainer.train_steps == steps
+    width = env.num_actions if share_mode == "vector" else 1
+    # One share per action selection; targets, lead and follower side per step.
+    assert sum(shared) == ts * width + steps * 3 * cfg.batch_size * width
+    assert len(shared) == ts + 3 * steps
 
 
 # -- full runs -----------------------------------------------------------------------------

@@ -14,7 +14,16 @@ from fedassoc.baselines import (
 )
 from fedassoc.agents import TrainerConfig
 from fedassoc.env import EdgeAssocEnv, EnvConfig
-from fedassoc.nn import clone, forward, init_net, net_fingerprint
+from fedassoc.nn import (
+    GATHER_MIN_OUTPUTS,
+    backward,
+    clip_global_norm,
+    clone,
+    forward,
+    init_net,
+    net_fingerprint,
+    sgd_apply,
+)
 from toy_env import ToyEnv, separable_table, toy_trainer_cfg
 
 
@@ -176,6 +185,31 @@ def test_head_update_touches_only_its_own_net():
     assert net_fingerprint(h1.net) == fp1_net
     assert net_fingerprint(h1.target) == fp1_target
     assert net_fingerprint(h0.target) == fp0_target  # targets move only on sync()
+
+
+@pytest.mark.parametrize("grad_clip", [0.05, np.inf])
+@pytest.mark.parametrize("width", [9, GATHER_MIN_OUTPUTS])
+def test_head_update_matches_dense_reference(grad_clip, width):
+    rng = np.random.default_rng(6)
+    head = _DdqnHead((6, 8, width), rng, small_cfg(grad_clip=grad_clip))
+    head.sync()
+    obs, next_obs = rng.random((8, 6)), rng.random((8, 6))
+    actions = np.array([0, 4, 4, 8, 1, 4, 0, 2])  # repeated actions share rows
+    rewards, done = rng.random(8), np.zeros(8)
+    ref = clone(head.net)
+    targets = ddqn_target(rewards, next_obs, ref, head.target, head.cfg.discount, done)
+    q, cache = forward(ref, obs)
+    rows = np.arange(8)
+    d_q = np.zeros_like(q)
+    d_q[rows, actions] = 2.0 * (q[rows, actions] - targets) / 8
+    grads, _ = backward(ref, cache, d_q)
+    clip_global_norm([grads], grad_clip)
+    sgd_apply(ref, grads, 0.1)
+
+    loss = head.update(obs, actions, rewards, next_obs, done, lr=0.1)
+    assert loss == pytest.approx(np.mean((q[rows, actions] - targets) ** 2), rel=1e-12)
+    for got, want in zip(head.net.weights + head.net.biases, ref.weights + ref.biases):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_fedavg_trainer_with_infinite_period_is_independent():

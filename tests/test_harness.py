@@ -263,6 +263,13 @@ def test_cli_reports_errors(tmp_path, capsys):
     assert "weight_rate" in capsys.readouterr().err
 
 
+def test_cli_rejects_negative_grad_clip(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"grad_clip": -1.0}))
+    assert cli_main(["--config", str(bad)]) == 2
+    assert "grad_clip" in capsys.readouterr().err
+
+
 def test_cli_sweep_requires_values(tmp_path):
     rc = cli_main(["--config", str(cli_config(tmp_path)), "--sweep", "rsus"])
     assert rc == 2

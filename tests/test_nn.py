@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedassoc.nn import (
+    GATHER_MIN_OUTPUTS,
     DenseNet,
     GradientSet,
     LrSchedule,
@@ -18,6 +21,7 @@ from fedassoc.nn import (
     net_fingerprint,
     save_net,
     sgd_apply,
+    sgd_step,
 )
 
 
@@ -184,6 +188,91 @@ def test_backward_input_gradient_matches_finite_differences():
         assert d_in[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+# -- selected-output pass ---------------------------------------------------------
+
+def assert_close(got, want, rtol=1e-12):
+    """Equal within `rtol` of the array's largest magnitude (summation order differs)."""
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * scale
+
+
+@st.composite
+def selected_cases(draw):
+    depth = draw(st.integers(1, 4))
+    dims = [draw(st.integers(1, 12)) for _ in range(depth)]
+    # Output widths on both sides of the gather threshold.
+    wide = st.integers(GATHER_MIN_OUTPUTS, GATHER_MIN_OUTPUTS + 16)
+    dims.append(draw(st.one_of(st.integers(1, 12), wide)))
+    activation = draw(st.sampled_from(["relu", "tanh", "linear"]))
+    batch = draw(st.integers(1, 64))
+    # Few distinct columns make repeated columns within a batch likely.
+    distinct = draw(st.integers(1, dims[-1]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return dims, activation, batch, distinct, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(selected_cases())
+def test_selected_pass_matches_dense_pass(case):
+    dims, activation, batch, distinct, seed = case
+    rng = np.random.default_rng(seed)
+    net = init_net(dims, rng, activation=activation)
+    for b in net.biases:
+        b[...] = rng.standard_normal(b.shape)
+    x = rng.standard_normal((batch, dims[0]))
+    cols = rng.choice(dims[-1], distinct, replace=False)[rng.integers(0, distinct, batch)]
+    d_sel = rng.standard_normal(batch)
+
+    dense, cache_dense = forward(net, x)
+    sel, cache_sel = forward(net, x, cols)
+    rows = np.arange(batch)
+    assert_close(sel, dense[rows, cols])
+
+    d_dense = np.zeros_like(dense)
+    d_dense[rows, cols] = d_sel
+    g_dense, din_dense = backward(net, cache_dense, d_dense)
+    g_sel, din_sel = backward(net, cache_sel, d_sel, cols)
+    for got, want in zip(g_sel.d_weights + g_sel.d_biases, g_dense.d_weights + g_dense.d_biases):
+        assert_close(got, want)
+    assert_close(din_sel, din_dense)
+
+
+def test_selected_output_loss_matches_finite_differences():
+    rng = np.random.default_rng(404)
+    cases = (("relu", 7), ("tanh", 7), ("linear", 7), ("relu", GATHER_MIN_OUTPUTS))
+    for activation, width in cases:
+        net = init_net((4, 6, 5, width), rng, activation=activation)
+        for b in net.biases:  # nonzero, so no sample sits on the relu kink
+            b[...] = rng.standard_normal(b.shape)
+        x = rng.standard_normal((9, 4))
+        cols = np.array([0, 3, 3, 6, 1, 3, 0, 2, 6])
+        target = rng.standard_normal(9)
+
+        def loss_fn():
+            pred, _ = forward(net, x, cols)
+            return float(np.mean((pred - target) ** 2))
+
+        pred, cache = forward(net, x, cols)
+        analytic, _ = backward(net, cache, 2.0 * (pred - target) / len(cols), cols)
+        assert_grads_close(analytic, finite_difference_grads(loss_fn, net))
+
+
+def test_selected_pass_rejects_bad_cols():
+    net = init_net((3, 4, 5), 0)
+    x = np.ones((2, 3))
+    for cols in ([0, 5], [-1, 0], [0], [0.0, 1.0]):
+        with pytest.raises(ValueError):
+            forward(net, x, np.array(cols))
+    with pytest.raises(ValueError):
+        forward(net, np.ones(3), np.array([0]))
+    _, cache = forward(net, x, np.array([0, 4]))
+    with pytest.raises(ValueError):
+        backward(net, cache, np.ones(3), np.array([0, 4]))
+    with pytest.raises(ValueError):
+        backward(net, cache, np.ones(2), np.array([0, 5]))
+
+
 # -- updates -----------------------------------------------------------------------
 
 def test_sgd_scalar_case():
@@ -232,6 +321,68 @@ def test_clip_global_norm():
     g2 = GradientSet([np.array([[0.3, 0.4]])], [np.zeros(1)])
     clip_global_norm([g2], np.inf)
     assert g2.global_norm() == pytest.approx(0.5)
+
+
+def test_sgd_apply_rejects_shallow_gradient_without_writing():
+    net = init_net((3, 4, 2), 0)
+    before = net_fingerprint(net)
+    grads = GradientSet([np.ones((4, 3))], [np.ones(4)])
+    with pytest.raises(ValueError):
+        sgd_apply(net, grads, 0.1)
+    assert net_fingerprint(net) == before
+
+
+def test_sgd_apply_rejects_late_shape_mismatch_without_writing():
+    net = init_net((3, 4, 2), 0)
+    before = net_fingerprint(net)
+    grads = GradientSet([np.ones((4, 3)), np.ones((3, 4))], [np.ones(4), np.ones(2)])
+    with pytest.raises(ValueError):
+        sgd_apply(net, grads, 0.1)
+    assert net_fingerprint(net) == before
+
+
+def test_sgd_step_matches_clip_then_apply():
+    rng = np.random.default_rng(7)
+    nets = [init_net((3, 5, 2), 1), init_net((4, 6), 2)]
+    for max_norm in (0.1, 1e6, np.inf):
+        grads = [
+            GradientSet([rng.standard_normal(w.shape) for w in n.weights],
+                        [rng.standard_normal(b.shape) for b in n.biases])
+            for n in nets
+        ]
+        ref = [clone(n) for n in nets]
+        ref_grads = [GradientSet([w.copy() for w in g.d_weights], [b.copy() for b in g.d_biases])
+                     for g in grads]
+        ref_norm = clip_global_norm(ref_grads, max_norm)
+        for n, g in zip(ref, ref_grads):
+            sgd_apply(n, g, 0.05)
+        norm = sgd_step(list(zip(nets, grads)), 0.05, max_norm)
+        assert norm == pytest.approx(ref_norm, rel=1e-12)
+        for n, r in zip(nets, ref):
+            for got, want in zip(n.weights + n.biases, r.weights + r.biases):
+                assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+def test_sgd_step_checks_every_net_before_writing():
+    first, second = init_net((2, 3), 0), init_net((3, 2), 1)
+    before = [net_fingerprint(first), net_fingerprint(second)]
+    ok = GradientSet([np.ones((3, 2))], [np.ones(3)])
+    bad = GradientSet([np.ones((2, 3))], [np.array([0.0, np.inf])])
+    with pytest.raises(ValueError):
+        sgd_step([(first, ok), (second, bad)], 0.1, 10.0)
+    assert [net_fingerprint(first), net_fingerprint(second)] == before
+
+
+@pytest.mark.parametrize("max_norm", [-1.0, 0.0, np.nan])
+def test_clipping_rejects_non_positive_bound(max_norm):
+    net = DenseNet(weights=[np.array([[1.0, 1.0]])], biases=[np.array([0.0])])
+    g = GradientSet([np.array([[3.0, 4.0]])], [np.zeros(1)])
+    with pytest.raises(ValueError):
+        sgd_step([(net, g)], 0.1, max_norm)
+    with pytest.raises(ValueError):
+        clip_global_norm([g], max_norm)
+    assert np.array_equal(g.d_weights[0], [[3.0, 4.0]])
+    assert np.array_equal(net.weights[0], [[1.0, 1.0]])
 
 
 # -- target copies --------------------------------------------------------------------
