@@ -1,68 +1,13 @@
 """Simulator and training framework for privacy-aware joint RSU association
 and transmit-power control on a two-lane freeway."""
 
-from .agents import (
-    FederatedAgentPair,
-    FederatedTrainer,
-    TrainerConfig,
-    compose_joint,
-    decompose_joint,
-    encrypt_q,
-    epsilon_greedy,
-    joint_q,
-    train_federated,
-)
-from .baselines import (
-    ddqn_target,
-    fedavg,
-    train_centralized,
-    train_fedavg,
-    train_independent,
-)
-from .env import (
-    AgentAction,
-    EdgeAssocEnv,
-    EnvConfig,
-    Observation,
-    RsuLayout,
-    StepResult,
-    Violations,
-    WorldState,
-    achievable_rate,
-    build_rsu_layout,
-    check_constraints,
-    handover_indicator,
-    mean_channel_gain,
-    path_loss_db,
-    sample_channel_gain,
-    utility,
-)
-from .harness import (
-    ExperimentConfig,
-    WindowStats,
-    load_config,
-    run_experiment,
-    run_single,
-    sweep,
-    window_stats,
-)
-from .metrics import EpisodeRecord, read_metrics_csv, write_metrics_csv
-from .nn import (
-    DenseNet,
-    GradientSet,
-    LrSchedule,
-    backward,
-    clip_global_norm,
-    clone,
-    copy_into_target,
-    forward,
-    init_net,
-    load_net,
-    lr_at,
-    net_fingerprint,
-    save_net,
-    sgd_apply,
-)
-from .replay import Batch, ReplayBuffer
+from .agents import TrainerConfig
+from .env import EnvConfig
+
+# The harness imports every module but the CLI, so importing the package loads
+# them all for tools that patch module-level names (perfbench's tracer). It
+# comes last: imported first, it nests every other module's import inside its
+# own, which raised peak memory by 0.8 MB when bytecode is compiled at import.
+from . import harness  # noqa: E402,F401
 
 __version__ = "0.1.0"

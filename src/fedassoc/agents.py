@@ -20,9 +20,10 @@ follower's action fixed to its own pick.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,8 +53,7 @@ class TrainerConfig:
     epsilon_end: Optional[float] = None      # None keeps epsilon constant
     epsilon_decay_episodes: int = 1
     batch_size: int = 32
-    share_noise_std: float = 1.0             # sigma of the sharing noise
-    encrypt: bool = True                     # False skips the noise path entirely
+    share_noise_std: float = 1.0             # sigma of the sharing noise; 0 is noiseless
     replay_capacity: int = 20000
     target_sync: int = 200                   # training steps between target copies
     episodes: int = 500
@@ -64,9 +64,12 @@ class TrainerConfig:
     lr_decay_episodes: int = 250
     grad_clip: float = 10.0
     share_mode: str = "vector"               # "vector" or "scalar"
-    clear_replay_per_episode: bool = False
 
     def validate(self) -> None:
+        require_integers(self, (
+            "epsilon_decay_episodes", "batch_size", "replay_capacity", "target_sync",
+            "episodes", "lr_decay_episodes",
+        ))
         if not 0.0 <= self.discount <= 1.0:
             raise ValueError("discount must be in [0, 1]")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -91,6 +94,27 @@ class TrainerConfig:
 
     def lr_schedule(self) -> LrSchedule:
         return LrSchedule(self.lr_start, self.lr_end, self.lr_decay_episodes)
+
+
+# Options earlier versions accepted, with what takes their place.
+REMOVED_OPTIONS = {
+    "encrypt": "was removed; share_noise_std: 0 is the noiseless setting",
+    "clear_replay_per_episode": "was removed; the replay buffer persists across episodes",
+}
+
+
+def require_integers(obj, names) -> None:
+    """Reject fields of `obj` that are not integers, bools and 2.0 included."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def reject_removed_options(keys) -> None:
+    for key in keys:
+        if key in REMOVED_OPTIONS:
+            raise ValueError(f"option {key!r} {REMOVED_OPTIONS[key]}")
 
 
 def epsilon_at(cfg: TrainerConfig, episode: int) -> float:
@@ -142,7 +166,103 @@ def joint_q(mlp: DenseNet, own_q: np.ndarray, peer_q: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# The agent pair and its trainer
+# The episode protocol shared by every algorithm
+# --------------------------------------------------------------------------
+
+class Trainer:
+    """The episode loop every algorithm runs, so their results compare fairly.
+
+    Each TS: epsilon-greedy actions, one environment step, one replay row
+    holding both vehicles' views and, once the buffer holds a batch, one
+    sampled `update` and a target sync every `target_sync` updates. Epsilon
+    and the learning rate follow their episode schedules. Subclasses define
+    `init_nets`, `select_actions`, `update` and `sync_targets`, and may hook
+    `end_episode`.
+
+    The seed spawns four streams: network init, exploration, replay sampling
+    and sharing noise (drawn only by the federated pair).
+    """
+
+    def __init__(self, env, cfg: TrainerConfig, seed: int):
+        cfg.validate()
+        if env.num_agents != 2:
+            raise ValueError(f"{type(self).__name__} drives exactly two agents")
+        self.env = env
+        self.cfg = cfg
+        self.num_actions = env.num_actions
+        init_ss, explore_ss, sample_ss, noise_ss = np.random.SeedSequence(seed).spawn(4)
+        self.rng_explore = np.random.default_rng(explore_ss)
+        self.rng_sample = np.random.default_rng(sample_ss)
+        self.rng_noise = np.random.default_rng(noise_ss)
+        self.init_nets(np.random.default_rng(init_ss))
+        self.buffer = ReplayBuffer(cfg.replay_capacity, env.obs_dim)
+        self.train_steps = 0
+        self.episode = 0
+
+    def init_nets(self, rng_init: np.random.Generator) -> None:
+        raise NotImplementedError
+
+    def select_actions(self, obs_vecs, eps: float) -> tuple[int, int]:
+        raise NotImplementedError
+
+    def update(self, batch: Batch, lr: float) -> None:
+        raise NotImplementedError
+
+    def sync_targets(self) -> None:
+        raise NotImplementedError
+
+    def end_episode(self) -> None:
+        """Runs after every training episode."""
+
+    def run(
+        self, episodes: Optional[int] = None, ts_rows: Optional[list] = None
+    ) -> list[EpisodeRecord]:
+        episodes = self.cfg.episodes if episodes is None else episodes
+        acc = MetricAccumulator(self.env.num_agents, self.env.cfg.penalty, ts_rows)
+        records = []
+        for _ in range(episodes):
+            self.episode += 1
+            eps = epsilon_at(self.cfg, self.episode)
+            lr = lr_at(self.cfg.lr_schedule(), self.episode)
+            obs = self.env.reset()
+            done = False
+            while not done:
+                act_lead, act_follow = self.select_actions(obs, eps)
+                step = self.env.step([act_lead, act_follow])
+                self.buffer.add(
+                    obs[0], act_lead, step.reward, step.observations[0],
+                    obs[1], act_follow, step.observations[1], step.done,
+                )
+                obs = step.observations
+                done = step.done
+                acc.add(step, self.episode)
+                if len(self.buffer) >= self.cfg.batch_size:
+                    self.update(self.buffer.sample(self.cfg.batch_size, self.rng_sample), lr)
+                    self.train_steps += 1
+                    if self.train_steps % self.cfg.target_sync == 0:
+                        self.sync_targets()
+            self.end_episode()
+            records.append(acc.finalize(self.episode, eps, lr))
+        return records
+
+    def evaluate(self, episodes: int, ts_rows: Optional[list] = None) -> list[EpisodeRecord]:
+        """Greedy rollouts without learning; the federated pair still adds noise."""
+        acc = MetricAccumulator(self.env.num_agents, self.env.cfg.penalty, ts_rows)
+        records = []
+        for ep in range(1, episodes + 1):
+            obs = self.env.reset()
+            done = False
+            while not done:
+                step = self.env.step(self.select_actions(obs, 0.0))
+                obs = step.observations
+                done = step.done
+                acc.add(step, ep)
+            records.append(acc.finalize(ep, 0.0, 0.0))
+        return records
+
+
+# --------------------------------------------------------------------------
+# The federated agent pair
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -156,11 +276,8 @@ class FederatedAgentPair:
     mlp_target: DenseNet
 
 
-StepHook = Callable[[str, "FederatedTrainer"], None]
-
-
-class FederatedTrainer:
-    """Runs the full training loop of the federated agent pair.
+class FederatedTrainer(Trainer):
+    """The federated agent pair on the shared episode loop.
 
     The per-TS update order is fixed: targets are computed on the lead side
     with the target networks, the lead's local net and the joint head update
@@ -169,24 +286,11 @@ class FederatedTrainer:
     the peer's noisy Q-input is a constant in each side's loss.
     """
 
-    def __init__(self, env, cfg: TrainerConfig, seed: int):
-        cfg.validate()
-        if env.num_agents != 2:
-            raise ValueError("the federated trainer drives exactly one agent pair")
-        self.env = env
-        self.cfg = cfg
-        self.num_actions = env.num_actions
+    def init_nets(self, rng_init: np.random.Generator) -> None:
         a = self.num_actions
-        peer_width = a if cfg.share_mode == "vector" else 1
-        joint_out = a * a if cfg.share_mode == "vector" else a
-        ss = np.random.SeedSequence(seed)
-        init_ss, explore_ss, sample_ss, noise_ss = ss.spawn(4)
-        rng_init = np.random.default_rng(init_ss)
-        self.rng_explore = np.random.default_rng(explore_ss)
-        self.rng_sample = np.random.default_rng(sample_ss)
-        self.rng_noise = np.random.default_rng(noise_ss)
-        local_dims = (env.obs_dim, *cfg.local_hidden, a)
-        mlp_dims = (a + peer_width, *cfg.mlp_hidden, joint_out)
+        vector = self.cfg.share_mode == "vector"
+        local_dims = (self.env.obs_dim, *self.cfg.local_hidden, a)
+        mlp_dims = (a + (a if vector else 1), *self.cfg.mlp_hidden, a * a if vector else a)
         lead = init_net(local_dims, rng_init)
         follow = init_net(local_dims, rng_init)
         mlp = init_net(mlp_dims, rng_init)
@@ -197,15 +301,8 @@ class FederatedTrainer:
             mlp=mlp,
             mlp_target=clone(mlp),
         )
-        self.buffer = ReplayBuffer(cfg.replay_capacity, env.obs_dim)
-        self.train_steps = 0
-        self.episode = 0
-
-    # -- noise ----------------------------------------------------------------
 
     def _share(self, q: np.ndarray) -> np.ndarray:
-        if not self.cfg.encrypt:
-            return q.copy()
         return encrypt_q(q, self.cfg.share_noise_std, self.rng_noise)
 
     # -- action selection -------------------------------------------------------
@@ -225,10 +322,6 @@ class FederatedTrainer:
         values = joint_q(self.pair.mlp, q_lead, shared)
         act_lead = epsilon_greedy(values, eps, self.rng_explore)
         return act_lead, act_follow
-
-    def act_greedy(self, obs_vecs) -> tuple[int, int]:
-        """Execution-time policy: greedy, sharing noise still applied."""
-        return self.select_actions(obs_vecs, 0.0)
 
     # -- training mathematics ----------------------------------------------------
 
@@ -301,13 +394,7 @@ class FederatedTrainer:
         sgd_step([(self.pair.follow, g_follow), (self.pair.mlp, g_mlp)], lr, self.cfg.grad_clip)
         return loss
 
-    def train_step(
-        self,
-        batch: Batch,
-        targets: np.ndarray,
-        lr: float,
-        step_hook: Optional[StepHook] = None,
-    ) -> tuple[float, float]:
+    def train_step(self, batch: Batch, targets: np.ndarray, lr: float) -> tuple[float, float]:
         """The lead update, then the follower update, on one batch.
 
         The lead update leaves the follower net unchanged, so the follower's
@@ -316,72 +403,15 @@ class FederatedTrainer:
         """
         follow_fwd = forward(self.pair.follow, batch.obs_follow)
         loss_lead = self.train_step_lead(batch, targets, lr, follow_fwd)
-        if step_hook is not None:
-            step_hook("after_lead", self)
         loss_follow = self.train_step_follow(batch, targets, lr, follow_fwd)
         return loss_lead, loss_follow
+
+    def update(self, batch: Batch, lr: float) -> None:
+        self.train_step(batch, self.compute_targets(batch), lr)
 
     def sync_targets(self) -> None:
         copy_into_target(self.pair.lead, self.pair.lead_target)
         copy_into_target(self.pair.mlp, self.pair.mlp_target)
-
-    # -- episode loop --------------------------------------------------------------
-
-    def run(
-        self,
-        episodes: Optional[int] = None,
-        step_hook: Optional[StepHook] = None,
-        ts_rows: Optional[list] = None,
-    ) -> list[EpisodeRecord]:
-        episodes = self.cfg.episodes if episodes is None else episodes
-        acc = MetricAccumulator(self.env.num_agents, self.env.cfg.penalty, ts_rows)
-        records = []
-        for _ in range(episodes):
-            self.episode += 1
-            eps = epsilon_at(self.cfg, self.episode)
-            lr = lr_at(self.cfg.lr_schedule(), self.episode)
-            if self.cfg.clear_replay_per_episode:
-                self.buffer.clear()
-            obs = self.env.reset()
-            done = False
-            while not done:
-                act_lead, act_follow = self.select_actions(obs, eps)
-                step = self.env.step([act_lead, act_follow])
-                self.buffer.add(
-                    obs[0], act_lead, step.reward, step.observations[0],
-                    obs[1], act_follow, step.observations[1], step.done,
-                )
-                obs = step.observations
-                done = step.done
-                acc.add(step, self.episode)
-                if len(self.buffer) >= self.cfg.batch_size:
-                    batch = self.buffer.sample(self.cfg.batch_size, self.rng_sample)
-                    targets = self.compute_targets(batch)
-                    if step_hook is not None:
-                        step_hook("before_updates", self)
-                    self.train_step(batch, targets, lr, step_hook)
-                    if step_hook is not None:
-                        step_hook("after_follow", self)
-                    self.train_steps += 1
-                    if self.train_steps % self.cfg.target_sync == 0:
-                        self.sync_targets()
-            records.append(acc.finalize(self.episode, eps, lr))
-        return records
-
-    def evaluate(self, episodes: int, ts_rows: Optional[list] = None) -> list[EpisodeRecord]:
-        """Greedy rollouts without learning; sharing noise stays on."""
-        acc = MetricAccumulator(self.env.num_agents, self.env.cfg.penalty, ts_rows)
-        records = []
-        for ep in range(1, episodes + 1):
-            obs = self.env.reset()
-            done = False
-            while not done:
-                step = self.env.step(list(self.act_greedy(obs)))
-                obs = step.observations
-                done = step.done
-                acc.add(step, ep)
-            records.append(acc.finalize(ep, 0.0, 0.0))
-        return records
 
     # -- checkpointing ---------------------------------------------------------------
 
@@ -413,36 +443,29 @@ class FederatedTrainer:
 
     @classmethod
     def load(cls, directory, env) -> "FederatedTrainer":
+        """Restore a saved trainer; a malformed `state.json` raises ValueError."""
         directory = Path(directory)
-        with open(directory / "state.json") as fh:
-            state = json.load(fh)
-        cfg_dict = dict(state["cfg"])
-        for key in ("local_hidden", "mlp_hidden"):
-            cfg_dict[key] = tuple(cfg_dict[key])
-        cfg = TrainerConfig(**cfg_dict)
-        trainer = cls(env, cfg, seed=0)
+        path = directory / "state.json"
+        try:
+            state = json.loads(path.read_text())
+            cfg_dict = dict(state["cfg"])
+            reject_removed_options(cfg_dict)
+            for key in ("local_hidden", "mlp_hidden"):
+                cfg_dict[key] = tuple(cfg_dict[key])
+            trainer = cls(env, TrainerConfig(**cfg_dict), seed=0)
+            trainer.episode = int(state["episode"])
+            trainer.train_steps = int(state["train_steps"])
+            for name in ("rng_explore", "rng_sample", "rng_noise"):
+                getattr(trainer, name).bit_generator.state = state[name]
+            env_state = state["env_state"]
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         for attr, fname in cls._NET_FILES.items():
             setattr(trainer.pair, attr, load_net(directory / fname))
         with np.load(directory / "replay.npz") as data:
             trainer.buffer = ReplayBuffer.from_state_arrays(dict(data))
-        trainer.episode = int(state["episode"])
-        trainer.train_steps = int(state["train_steps"])
-        trainer.rng_explore.bit_generator.state = state["rng_explore"]
-        trainer.rng_sample.bit_generator.state = state["rng_sample"]
-        trainer.rng_noise.bit_generator.state = state["rng_noise"]
-        if state["env_state"] is not None and hasattr(env, "set_state"):
-            env.set_state(state["env_state"])
+        if env_state is not None and hasattr(env, "set_state"):
+            env.set_state(env_state)
         return trainer
-
-
-def train_federated(
-    env,
-    cfg: TrainerConfig,
-    seed: int,
-    step_hook: Optional[StepHook] = None,
-    ts_rows: Optional[list] = None,
-) -> tuple[FederatedTrainer, list[EpisodeRecord]]:
-    """Train one agent pair from scratch; returns the trainer and its metrics."""
-    trainer = FederatedTrainer(env, cfg, seed)
-    records = trainer.run(step_hook=step_hook, ts_rows=ts_rows)
-    return trainer, records

@@ -116,13 +116,13 @@ def dbm_to_watt(p_dbm: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
 PATH_LOSS_FLOOR_M = 1.0  # distances are clamped here to keep the log finite
 
 
-def path_loss_db(distance_km: float) -> float:
+def path_loss_db(distance_km: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Distance-dependent path loss in dB; distance clamped below at 1 m."""
-    d = max(distance_km, PATH_LOSS_FLOOR_M / 1000.0)
-    return 128.1 + 37.6 * math.log10(d)
+    d = np.maximum(distance_km, PATH_LOSS_FLOOR_M / 1000.0)
+    return 128.1 + 37.6 * np.log10(d)
 
 
-def mean_channel_gain(distance_km: float) -> float:
+def mean_channel_gain(distance_km: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Expected linear channel gain at a given distance (fading averaged out)."""
     return 10.0 ** (-path_loss_db(distance_km) / 10.0)
 
@@ -214,31 +214,6 @@ class WorldState:
             x=self.x.copy(), speed=self.speed.copy(), lane=self.lane.copy(),
             prev_assoc=self.prev_assoc.copy(), t=self.t,
         )
-
-
-def ring_distance(x1: float, x2: float, road_length: float) -> float:
-    """Along-road separation on the ring."""
-    dx = abs(x1 - x2) % road_length
-    return min(dx, road_length - dx)
-
-
-def observable_rsus(
-    world: WorldState, layout: RsuLayout, cfg: EnvConfig, vehicle: int
-) -> list[tuple[int, float]]:
-    """RSUs within coverage of one vehicle as (rsu_id, distance), nearest first.
-
-    Ties break toward the lower id; the list is truncated to the slot budget.
-    """
-    vx = float(world.x[vehicle])
-    vy = float(world.lane_y()[vehicle])
-    entries = []
-    for rid in range(layout.count):
-        dx = ring_distance(vx, float(layout.xs[rid]), cfg.road_length)
-        dist = math.hypot(dx, vy - float(layout.ys[rid]))
-        if dist <= cfg.coverage_radius:
-            entries.append((rid, dist))
-    entries.sort(key=lambda e: (e[1], e[0]))
-    return entries[: cfg.visible_rsus]
 
 
 # --------------------------------------------------------------------------
@@ -420,10 +395,8 @@ class EdgeAssocEnv:
 
     def _sample_gains(self) -> None:
         self._compute_distances()
-        dist_km = np.maximum(self._dist, PATH_LOSS_FLOOR_M) / 1000.0
-        pl = 128.1 + 37.6 * np.log10(dist_km)
         fading = self._rng_fading.exponential(size=self._dist.shape)
-        self.gain_table = 10.0 ** (-pl / 10.0) * fading
+        self.gain_table = mean_channel_gain(self._dist / 1000.0) * fading
 
     def _observe(self, vehicle: int) -> Observation:
         cfg = self.cfg
@@ -509,9 +482,7 @@ class EdgeAssocEnv:
             ho_flags[k] = handover_indicator(prev if prev >= 0 else None, rid)
             if winners.get(rid) == k:
                 tx_powers[k] = chosen_power_w[k]
-                rates[k] = math.log2(
-                    1.0 + tx_powers[k] * self.gain_table[k, rid] / noise_w
-                )
+                rates[k] = achievable_rate(tx_powers[k], self.gain_table[k, rid], noise_w)
 
         utilities = np.array(
             [

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .agents import TrainerConfig, train_federated
-from .baselines import train_centralized, train_fedavg, train_independent
+from .agents import FederatedTrainer, TrainerConfig, reject_removed_options, require_integers
+from .baselines import CentralizedTrainer, IndependentTrainer
 from .env import EdgeAssocEnv, EnvConfig
 from .metrics import EpisodeRecord, write_metrics_csv, write_ts_log_csv
 
@@ -54,8 +54,14 @@ class ExperimentConfig:
     per_ts_log: bool = False
 
     def validate(self) -> None:
+        require_integers(
+            self.env, ("num_vehicles", "num_rsus", "visible_rsus", "power_levels", "horizon")
+        )
         self.env.validate()
+        if self.env.num_vehicles != 2:
+            raise ValueError("num_vehicles must be 2: every algorithm drives one vehicle pair")
         self.trainer.validate()
+        require_integers(self, ("eval_window", "fedavg_period"))
         if not self.seeds:
             raise ValueError("at least one seed is required")
         for algo in self.algos:
@@ -100,6 +106,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def config_from_dict(data: dict) -> ExperimentConfig:
     mapping = _field_map()
     sections: dict[str, dict] = {"env": {}, "trainer": {}, "run": {}}
+    reject_removed_options(data)
     for key, value in data.items():
         if key not in mapping:
             raise ValueError(f"unknown config key {key!r}")
@@ -159,24 +166,26 @@ def run_single(
     per_ts_log: bool = False,
     checkpoint_dir=None,
 ) -> tuple[list[EpisodeRecord], Optional[list]]:
-    """Train one (algorithm, seed) pair; returns records and optional TS rows."""
+    """Train one (algorithm, seed) pair; returns records and optional TS rows.
+
+    Only the proposed method writes a checkpoint.
+    """
     env_seed, algo_seed = derive_seeds(seed)
     env = EdgeAssocEnv(env_cfg, env_seed)
-    ts_rows: Optional[list] = [] if per_ts_log else None
     if algo == "proposed":
-        trainer, records = train_federated(env, trainer_cfg, algo_seed, ts_rows=ts_rows)
-        if checkpoint_dir is not None:
-            trainer.save(checkpoint_dir)
+        trainer = FederatedTrainer(env, trainer_cfg, algo_seed)
     elif algo == "cdrl":
-        _, records = train_centralized(env, trainer_cfg, algo_seed, ts_rows=ts_rows)
+        trainer = CentralizedTrainer(env, trainer_cfg, algo_seed)
     elif algo == "imarl":
-        _, records = train_independent(env, trainer_cfg, algo_seed, ts_rows=ts_rows)
+        trainer = IndependentTrainer(env, trainer_cfg, algo_seed)
     elif algo == "fmarl-avg":
-        _, records = train_fedavg(
-            env, trainer_cfg, algo_seed, avg_period=fedavg_period, ts_rows=ts_rows
-        )
+        trainer = IndependentTrainer(env, trainer_cfg, algo_seed, avg_period=fedavg_period)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
+    ts_rows: Optional[list] = [] if per_ts_log else None
+    records = trainer.run(ts_rows=ts_rows)
+    if algo == "proposed" and checkpoint_dir is not None:
+        trainer.save(checkpoint_dir)
     return records, ts_rows
 
 

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from fedassoc.baselines import (
+    CentralizedTrainer,
+    IndependentTrainer,
     _DdqnHead,
-    _joint_to_parts,
     ddqn_target,
     fedavg,
-    train_centralized,
-    train_fedavg,
-    train_independent,
 )
 from fedassoc.agents import TrainerConfig
+from fedassoc.replay import Batch
 from fedassoc.env import EdgeAssocEnv, EnvConfig
 from fedassoc.nn import (
     GATHER_MIN_OUTPUTS,
@@ -130,14 +129,6 @@ def test_fedavg_rejects_mismatch():
         fedavg([])
 
 
-# -- joint index digits --------------------------------------------------------------
-
-def test_joint_to_parts_two_agents():
-    assert _joint_to_parts(0, 16, 2) == [0, 0]
-    assert _joint_to_parts(255, 16, 2) == [15, 15]
-    assert _joint_to_parts(5 * 16 + 9, 16, 2) == [5, 9]
-
-
 # -- trainers on the real environment ----------------------------------------------------
 
 def small_cfg(**overrides):
@@ -154,23 +145,60 @@ def small_env(seed=3):
 
 
 def test_centralized_architecture():
-    head, records = train_centralized(small_env(), small_cfg(), seed=1)
-    assert head.net.dims == (28, 12, 256)
+    trainer = CentralizedTrainer(small_env(), small_cfg(), seed=1)
+    records = trainer.run()
+    assert trainer.head.net.dims == (28, 12, 256)
     assert len(records) == 3
 
 
 def test_centralized_deterministic():
-    a = train_centralized(small_env(), small_cfg(), seed=2)[1]
-    b = train_centralized(small_env(), small_cfg(), seed=2)[1]
+    a = CentralizedTrainer(small_env(), small_cfg(), seed=2).run()
+    b = CentralizedTrainer(small_env(), small_cfg(), seed=2).run()
     assert a == b
 
 
+def test_centralized_splits_and_composes_joint_actions():
+    trainer = CentralizedTrainer(small_env(), small_cfg(), seed=1)
+    a = trainer.num_actions
+    obs = trainer.env.reset()
+    joint = int(np.argmax(trainer.head.values(np.concatenate(obs))))
+    assert trainer.select_actions(obs, 0.0) == (joint // a, joint % a)
+    # The replay holds each vehicle's own action; the update sees the joint one.
+    seen = []
+    trainer.head.update = lambda obs, actions, *rest: seen.append(actions)
+    zeros = np.zeros((3, trainer.env.obs_dim))
+    batch = Batch(
+        obs_lead=zeros, act_lead=np.array([0, 3, a - 1]), reward=np.zeros(3),
+        next_obs_lead=zeros, obs_follow=zeros, act_follow=np.array([1, 0, a - 1]),
+        next_obs_follow=zeros, done=np.zeros(3),
+    )
+    trainer.update(batch, lr=0.01)
+    assert list(seen[0]) == [1, 3 * a, a * a - 1]
+
+
 def test_independent_architecture_and_determinism():
-    heads, records = train_independent(small_env(), small_cfg(), seed=3)
-    assert [h.net.dims for h in heads] == [(14, 12, 16), (14, 12, 16)]
+    trainer = IndependentTrainer(small_env(), small_cfg(), seed=3)
+    records = trainer.run()
+    assert [h.net.dims for h in trainer.heads] == [(14, 12, 16), (14, 12, 16)]
     assert len(records) == 3
-    again = train_independent(small_env(), small_cfg(), seed=3)[1]
+    again = IndependentTrainer(small_env(), small_cfg(), seed=3).run()
     assert records == again
+
+
+@pytest.mark.parametrize("algo", ["cdrl", "imarl"])
+def test_baseline_evaluation_is_greedy_and_does_not_learn(algo):
+    cls = CentralizedTrainer if algo == "cdrl" else IndependentTrainer
+    trainer = cls(small_env(seed=4), small_cfg(), seed=5)
+    trainer.run()
+    heads = [trainer.head] if algo == "cdrl" else trainer.heads
+    before = [net_fingerprint(n) for h in heads for n in (h.net, h.target)]
+    explore, steps = trainer.rng_explore.bit_generator.state, trainer.train_steps
+    records = trainer.evaluate(episodes=2)
+    assert [r.episode for r in records] == [1, 2]
+    assert all(r.epsilon == 0.0 and r.lr == 0.0 for r in records)
+    assert [net_fingerprint(n) for h in heads for n in (h.net, h.target)] == before
+    assert trainer.rng_explore.bit_generator.state == explore
+    assert trainer.train_steps == steps
 
 
 def test_head_update_touches_only_its_own_net():
@@ -213,29 +241,28 @@ def test_head_update_matches_dense_reference(grad_clip, width):
 
 
 def test_fedavg_trainer_with_infinite_period_is_independent():
-    a = train_independent(small_env(seed=7), small_cfg(), seed=4)[1]
-    b = _no_avg_records()
+    # A period longer than the run never averages.
+    cfg = small_cfg()
+    a = IndependentTrainer(small_env(seed=7), cfg, seed=4).run()
+    b = IndependentTrainer(small_env(seed=7), cfg, seed=4, avg_period=cfg.episodes + 1).run()
     assert a == b
 
 
-def _no_avg_records():
-    from fedassoc.baselines import _train_independent_core
-
-    return _train_independent_core(small_env(seed=7), small_cfg(), seed=4, avg_period=None)[1]
-
-
 def test_agents_equal_right_after_averaging():
-    heads, _ = train_fedavg(small_env(seed=9), small_cfg(episodes=2), seed=5, avg_period=1)
+    trainer = IndependentTrainer(small_env(seed=9), small_cfg(episodes=2), seed=5, avg_period=1)
+    trainer.run()
+    heads = trainer.heads
     assert net_fingerprint(heads[0].net) == net_fingerprint(heads[1].net)
     assert net_fingerprint(heads[0].target) == net_fingerprint(heads[1].target)
 
 
 def test_fedavg_trainer_deterministic_and_validates_period():
-    a = train_fedavg(small_env(seed=11), small_cfg(), seed=6, avg_period=2)[1]
-    b = train_fedavg(small_env(seed=11), small_cfg(), seed=6, avg_period=2)[1]
+    a = IndependentTrainer(small_env(seed=11), small_cfg(), seed=6, avg_period=2).run()
+    b = IndependentTrainer(small_env(seed=11), small_cfg(), seed=6, avg_period=2).run()
     assert a == b
-    with pytest.raises(ValueError):
-        train_fedavg(small_env(), small_cfg(), seed=6, avg_period=0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="avg_period"):
+            IndependentTrainer(small_env(), small_cfg(), seed=6, avg_period=bad)
 
 
 # -- toy convergence --------------------------------------------------------------------------
@@ -243,15 +270,14 @@ def test_fedavg_trainer_deterministic_and_validates_period():
 def test_toy_convergence_centralized():
     table = separable_table(4, seed=33)
     env = ToyEnv(table, obs_dim=4, seed=33)
-    head, _ = train_centralized(env, toy_trainer_cfg(), seed=41)
-    state = np.concatenate(env.reset())
-    assert int(np.argmax(head.values(state))) == int(np.argmax(table))
+    trainer = CentralizedTrainer(env, toy_trainer_cfg(), seed=41)
+    trainer.run()
+    assert trainer.select_actions(env.reset(), 0.0) == env.best_joint()
 
 
 def test_toy_convergence_independent():
     table = separable_table(4, seed=35)
     env = ToyEnv(table, obs_dim=4, seed=35)
-    heads, _ = train_independent(env, toy_trainer_cfg(), seed=43)
-    obs = env.reset()
-    picked = (int(np.argmax(heads[0].values(obs[0]))), int(np.argmax(heads[1].values(obs[1]))))
-    assert picked == env.best_joint()
+    trainer = IndependentTrainer(env, toy_trainer_cfg(), seed=43)
+    trainer.run()
+    assert trainer.select_actions(env.reset(), 0.0) == env.best_joint()

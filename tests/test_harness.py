@@ -115,14 +115,20 @@ def test_run_experiment_bookkeeping(tmp_path):
 
 
 def test_run_experiment_is_byte_identical(tmp_path):
-    cfg_a = tiny_config(tmp_path / "a")
-    cfg_b = tiny_config(tmp_path / "b")
-    run_experiment(cfg_a)
-    run_experiment(cfg_b)
-    for seed in (1, 2, 3):
-        fa = (tmp_path / "a" / f"metrics_proposed_seed{seed}.csv").read_bytes()
-        fb = (tmp_path / "b" / f"metrics_proposed_seed{seed}.csv").read_bytes()
-        assert fa == fb
+    algos = ("proposed", "cdrl", "imarl", "fmarl-avg")
+    for name in ("a", "b"):
+        run_experiment(
+            tiny_config(tmp_path / name, algos=algos, per_ts_log=True, fedavg_period=2)
+        )
+    for algo in algos:
+        for seed in (1, 2, 3):
+            for prefix in ("metrics", "ts_log"):
+                fa = (tmp_path / "a" / f"{prefix}_{algo}_seed{seed}.csv").read_bytes()
+                fb = (tmp_path / "b" / f"{prefix}_{algo}_seed{seed}.csv").read_bytes()
+                assert fa == fb
+    assert (tmp_path / "a" / "summary.txt").read_bytes() == (
+        tmp_path / "b" / "summary.txt"
+    ).read_bytes()
 
 
 def test_summary_matches_recomputation_from_file(tmp_path):
@@ -257,10 +263,60 @@ def test_cli_eval_from_checkpoint(tmp_path):
 
 def test_cli_reports_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"weight_rate": 2.0}))
-    rc = cli_main(["--config", str(bad)])
+    cases = [
+        ({"weight_rate": 2.0}, "weight_rate"),
+        ({"episodes": 2.5}, "episodes must be an integer"),
+        ({"batch_size": 4.0}, "batch_size must be an integer"),
+        ({"num_rsus": 12.0}, "num_rsus must be an integer"),
+        ({"eval_window": 1.5}, "eval_window must be an integer"),
+        ({"num_vehicles": 3}, "num_vehicles must be 2"),
+    ]
+    for data, message in cases:
+        data["out_dir"] = str(tmp_path / "runs")
+        bad.write_text(json.dumps(data))
+        rc = cli_main(["--config", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("key", ["encrypt", "clear_replay_per_episode"])
+def test_cli_names_removed_options(tmp_path, capsys, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({key: False}))
+    assert cli_main(["--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}' was removed" in err and err.count("\n") == 1
+    if key == "encrypt":
+        assert "share_noise_std: 0" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda state: state.pop("train_steps"), "missing key 'train_steps'"),
+        (lambda state: state["cfg"].update(encrypt=True), "share_noise_std: 0"),
+        (lambda state: state["cfg"].update(batch_size=4.5), "batch_size must be an integer"),
+    ],
+    ids=["missing-key", "removed-option", "bad-value"],
+)
+def test_cli_eval_rejects_bad_checkpoint_state(tmp_path, capsys, edit, message):
+    cfg_path = cli_config(tmp_path)
+    assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+    state = json.loads((ckpt / "state.json").read_text())
+    edit(state)
+    (ckpt / "state.json").write_text(json.dumps(state))
+    capsys.readouterr()
+    rc = cli_main([
+        "--config", str(tmp_path / "runs" / "config.json"),
+        "--eval", str(ckpt), "--episodes", "2", "--out", str(tmp_path / "eval"),
+    ])
     assert rc == 2
-    assert "weight_rate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(ckpt / "state.json") in err and message in err
 
 
 def test_cli_rejects_negative_grad_clip(tmp_path, capsys):

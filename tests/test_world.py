@@ -14,7 +14,6 @@ from fedassoc.env import (
     RsuLayout,
     WorldState,
     build_rsu_layout,
-    observable_rsus,
 )
 
 
@@ -88,6 +87,27 @@ def test_mean_speeds_respect_config():
 
 # -- observations --------------------------------------------------------------
 
+def ring_distance(x1, x2, road_length):
+    """Along-road separation on the ring."""
+    dx = abs(x1 - x2) % road_length
+    return min(dx, road_length - dx)
+
+
+def observable_rsus(world, layout, cfg, vehicle):
+    """Reference slot list: RSUs in coverage as (rsu_id, distance), nearest
+    first, ties toward the lower id, truncated to the slot budget."""
+    vx = float(world.x[vehicle])
+    vy = float(world.lane_y()[vehicle])
+    entries = []
+    for rid in range(layout.count):
+        dx = ring_distance(vx, float(layout.xs[rid]), cfg.road_length)
+        dist = math.hypot(dx, vy - float(layout.ys[rid]))
+        if dist <= cfg.coverage_radius:
+            entries.append((rid, dist))
+    entries.sort(key=lambda e: (e[1], e[0]))
+    return entries[: cfg.visible_rsus]
+
+
 def brute_force_slots(env, vehicle):
     cfg = env.cfg
     vx = env.world.x[vehicle]
@@ -117,10 +137,13 @@ def test_mid_road_vehicle_sees_full_slots():
     env = make_env()
     env.reset()
     env.world.x[:] = 500.0
+    env._sample_gains()
+    env._refresh_observations()
     slots = observable_rsus(env.world, env.layout, env.cfg, 0)
     assert len(slots) == 4
     dists = [d for _, d in slots]
     assert dists == sorted(dists)
+    assert list(env.observations[0].slot_map) == [rid for rid, _ in slots]
 
 
 def test_no_rsus_in_range_gives_empty_list():
@@ -150,6 +173,11 @@ def test_equidistant_tie_breaks_to_lower_id():
     slots = observable_rsus(world, layout, cfg, 0)
     assert [rid for rid, _ in slots] == [0, 1]
     assert slots[0][1] == slots[1][1]
+    env = EdgeAssocEnv(cfg, seed=0)
+    env.layout, env.world = layout, world
+    env._sample_gains()
+    env._refresh_observations()
+    assert list(env.observations[0].slot_map) == [0, 1]
 
 
 def test_observation_vector_layout():
