@@ -20,13 +20,13 @@ follower's action fixed to its own pick.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .checks import require_finite, require_integers
 from .metrics import EpisodeRecord, MetricAccumulator
 from .nn import (
     DenseNet,
@@ -70,6 +70,9 @@ class TrainerConfig:
             "epsilon_decay_episodes", "batch_size", "replay_capacity", "target_sync",
             "episodes", "lr_decay_episodes",
         ))
+        require_finite(self, (
+            "discount", "epsilon", "epsilon_end", "share_noise_std", "lr_start", "lr_end",
+        ))
         if not 0.0 <= self.discount <= 1.0:
             raise ValueError("discount must be in [0, 1]")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -101,14 +104,6 @@ REMOVED_OPTIONS = {
     "encrypt": "was removed; share_noise_std: 0 is the noiseless setting",
     "clear_replay_per_episode": "was removed; the replay buffer persists across episodes",
 }
-
-
-def require_integers(obj, names) -> None:
-    """Reject fields of `obj` that are not integers, bools and 2.0 included."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def reject_removed_options(keys) -> None:
@@ -458,6 +453,8 @@ class FederatedTrainer(Trainer):
             for name in ("rng_explore", "rng_sample", "rng_noise"):
                 getattr(trainer, name).bit_generator.state = state[name]
             env_state = state["env_state"]
+            if env_state is not None and hasattr(env, "set_state"):
+                env.set_state(env_state)
         except KeyError as exc:
             raise ValueError(f"{path}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -466,6 +463,4 @@ class FederatedTrainer(Trainer):
             setattr(trainer.pair, attr, load_net(directory / fname))
         with np.load(directory / "replay.npz") as data:
             trainer.buffer = ReplayBuffer.from_state_arrays(dict(data))
-        if env_state is not None and hasattr(env, "set_state"):
-            env.set_state(env_state)
         return trainer

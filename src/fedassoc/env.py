@@ -15,6 +15,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .checks import require_finite
+
 # Geometry of the two-lane freeway (m). Lanes carry the vehicles, the RSU rows
 # sit beyond the outer shoulders.
 LANE_Y = (0.0, 4.0)
@@ -56,6 +58,12 @@ class EnvConfig:
     y_scale: float = 20.0
 
     def validate(self) -> None:
+        require_finite(self, (
+            "road_length", "coverage_radius", "power_min_dbm", "power_max_dbm", "min_rate",
+            "noise_dbm", "weight_rate", "weight_handover", "weight_power", "penalty",
+            "ts_duration", "mean_speed_low", "mean_speed_high", "speed_std", "speed_memory",
+            "gain_db_low", "gain_db_high", "y_scale",
+        ))
         if self.num_vehicles < 1:
             raise ValueError("num_vehicles must be >= 1")
         if self.num_rsus < self.num_vehicles:
@@ -84,10 +92,17 @@ class EnvConfig:
             raise ValueError("ts_duration must be > 0")
         if self.mean_speed_low <= 0 or self.mean_speed_high < self.mean_speed_low:
             raise ValueError("mean speed range must satisfy 0 < low <= high")
-        if self.mean_speeds is not None and len(self.mean_speeds) != self.num_vehicles:
-            raise ValueError("mean_speeds must have one entry per vehicle")
+        if self.mean_speeds is not None:
+            if len(self.mean_speeds) != self.num_vehicles:
+                raise ValueError("mean_speeds must have one entry per vehicle")
+            if not all(math.isfinite(v) and v > 0 for v in self.mean_speeds):
+                raise ValueError(f"mean_speeds must be finite and > 0, got {list(self.mean_speeds)}")
         if self.speed_std < 0:
             raise ValueError("speed_std must be >= 0")
+        if self.gain_db_low >= self.gain_db_high:
+            raise ValueError("gain_db_low must be < gain_db_high")
+        if self.y_scale <= 0:
+            raise ValueError("y_scale must be > 0")
 
     @property
     def actions_per_agent(self) -> int:
@@ -146,12 +161,17 @@ def achievable_rate(tx_power_w: float, gain: float, noise_w: float) -> float:
 # --------------------------------------------------------------------------
 
 def gauss_markov_speed(
-    speed: float, mean_speed: float, std: float, memory: float, noise: float
-) -> float:
+    speed: Union[float, np.ndarray],
+    mean_speed: Union[float, np.ndarray],
+    std: float,
+    memory: float,
+    noise: Union[float, np.ndarray],
+) -> Union[float, np.ndarray]:
     """One autoregressive speed update with memory depth in [0, 1].
 
     `noise` is a standard normal draw. The stationary distribution has mean
-    `mean_speed` and standard deviation `std` for any memory < 1.
+    `mean_speed` and standard deviation `std` for any memory < 1. Speeds,
+    means and noise may be floats or arrays of one shape.
     """
     return (
         memory * speed
@@ -233,19 +253,6 @@ class Observation:
     prev_location: np.ndarray  # (2,) raw coordinates or NO_RSU_LOCATION
     slot_map: np.ndarray       # (visible_rsus,) RSU ids, -1 for padded slots
 
-    def to_vector(self, cfg: EnvConfig) -> np.ndarray:
-        """Normalized learner input: gains in dB mapped to ~[0,1], scaled x/y."""
-        lo, hi = cfg.gain_db_low, cfg.gain_db_high
-        gains_db = np.full(len(self.gains), lo)
-        positive = self.gains > 0.0
-        gains_db[positive] = 10.0 * np.log10(self.gains[positive])
-        gains_norm = (np.clip(gains_db, lo, hi) - lo) / (hi - lo)
-        locs = np.concatenate([self.locations.ravel(), self.prev_location])
-        locs_norm = np.empty_like(locs)
-        locs_norm[0::2] = locs[0::2] / cfg.road_length
-        locs_norm[1::2] = locs[1::2] / cfg.y_scale
-        return np.concatenate([gains_norm, locs_norm])
-
 
 @dataclass(frozen=True)
 class AgentAction:
@@ -269,8 +276,16 @@ def handover_indicator(prev_assoc: Optional[int], cur_assoc: int) -> int:
     return int(prev_assoc != cur_assoc)
 
 
-def utility(rate: float, ho: int, tx_power_w: float, cfg: EnvConfig) -> float:
-    """Normalized trade-off of rate benefit against handover and power cost."""
+def utility(
+    rate: Union[float, np.ndarray],
+    ho: Union[int, np.ndarray],
+    tx_power_w: Union[float, np.ndarray],
+    cfg: EnvConfig,
+) -> Union[float, np.ndarray]:
+    """Normalized trade-off of rate benefit against handover and power cost.
+
+    Takes floats or arrays of one shape (one entry per vehicle).
+    """
     p_max_w = float(dbm_to_watt(cfg.power_max_dbm))
     return (
         cfg.weight_rate * rate / cfg.min_rate
@@ -329,6 +344,14 @@ class StepResult:
 # Environment
 # --------------------------------------------------------------------------
 
+def _state_array(value, shape: tuple, name: str, dtype=float) -> np.ndarray:
+    """A restored state array, checked against the shape this world needs."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.shape != shape:
+        raise ValueError(f"env state {name} has shape {arr.shape}, this world needs {shape}")
+    return arr
+
+
 class EdgeAssocEnv:
     """Discrete-time joint association / power environment.
 
@@ -336,6 +359,17 @@ class EdgeAssocEnv:
     use a dedicated random stream spawned from it. `reset()` starts a new
     episode while consuming those streams in order, so repeated episodes under
     one seed are reproducible as a whole sequence.
+
+    Mobility and fading do not depend on the actions, so `reset()` draws the
+    episode's world at once: one mobility row per TS transition and one fading
+    table per TS through TS `horizon + 1`, the same numbers in the same amount
+    as drawing them TS by TS. From them it derives each TS's positions,
+    speeds, gain table, slot map and learner input vector, all but the
+    previous-association columns. `step` does the action-dependent rest.
+    Past the drawn rows (beyond the horizon, or after restoring a state that
+    carries none) each step draws one TS from the current world. Rows drawn
+    but not used (a reset before the horizon, vehicles moved by hand) feed
+    the next draws, and a mid-episode `get_state` carries them.
     """
 
     def __init__(self, cfg: EnvConfig, seed: int):
@@ -353,9 +387,21 @@ class EdgeAssocEnv:
             self.mean_speeds = self._rng_init.uniform(
                 cfg.mean_speed_low, cfg.mean_speed_high, cfg.num_vehicles
             )
+        self._power_w = cfg.power_levels_w().tolist()
+        self._noise_w = float(dbm_to_watt(cfg.noise_dbm))
         self.world: Optional[WorldState] = None
         self.gain_table: Optional[np.ndarray] = None  # (K, R) gains of this TS
-        self.observations: list[Observation] = []
+        # Drawn rows, one per TS, set by `_plan`; row `_row` is the current TS.
+        self._row = 0
+        self._xs = self._speeds = None  # (n, K)
+        self._gains = None              # (n, K, R)
+        self._slots = None              # (n, K, visible_rsus) RSU ids, -1 padded
+        self._obs = None                # (n, K, obs_dim) learner input vectors
+        self._prev_location = None      # (R + 1, 2) normalized; row -1 is NO_RSU_LOCATION
+        # The draws behind rows 1..n-1. Those after `_row` are drawn but not yet
+        # used, and every later draw takes them first.
+        self._noise = np.empty((0, cfg.num_vehicles))                  # (n - 1, K)
+        self._fading = np.empty((0, cfg.num_vehicles, cfg.num_rsus))   # (n - 1, K, R)
 
     # -- episode control ----------------------------------------------------
 
@@ -382,47 +428,116 @@ class EdgeAssocEnv:
             t=1,
         )
         self._sample_gains()
-        self._refresh_observations()
-        return [o.to_vector(cfg) for o in self.observations]
-
-    def _compute_distances(self) -> None:
-        cfg = self.cfg
-        world = self.world
-        dx = np.abs(world.x[:, None] - self.layout.xs[None, :]) % cfg.road_length
-        dx = np.minimum(dx, cfg.road_length - dx)
-        dy = world.lane_y()[:, None] - self.layout.ys[None, :]
-        self._dist = np.hypot(dx, dy)  # (K, R), ring metric along the road
+        return list(self._obs[0])
 
     def _sample_gains(self) -> None:
-        self._compute_distances()
-        fading = self._rng_fading.exponential(size=self._dist.shape)
-        self.gain_table = mean_channel_gain(self._dist / 1000.0) * fading
+        """Draw the current TS's fading and the world through TS horizon + 1.
 
-    def _observe(self, vehicle: int) -> Observation:
+        Plans from the current world, so it also serves after moving vehicles.
+        Rows drawn earlier and not yet used come first, so each stream yields
+        the same numbers as when every TS drew its own.
+        """
+        noise, fading = self._noise[self._row:], self._fading[self._row:]
+        ahead = max(self.cfg.horizon + 1 - self.world.t, len(noise))
+        k, r = self.cfg.num_vehicles, self.layout.count
+        self._plan(
+            np.concatenate([noise, self._rng_mobility.standard_normal((ahead - len(noise), k))]),
+            np.concatenate([
+                fading, self._rng_fading.exponential(size=(ahead + 1 - len(fading), k, r)),
+            ]),
+        )
+
+    def _trajectory(self, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and speeds (n + 1, K) of the current TS and one TS per noise row.
+
+        The recursion runs per vehicle on Python floats, which round like
+        numpy's float64 and are several times faster on K=2 rows.
+        """
         cfg = self.cfg
-        dist = self._dist[vehicle]
-        order = np.argsort(dist, kind="stable")  # stable sort: ties keep lower id
-        in_range = order[dist[order] <= cfg.coverage_radius][: cfg.visible_rsus]
-        gains = np.zeros(cfg.visible_rsus)
-        locations = np.tile(np.asarray(NO_RSU_LOCATION), (cfg.visible_rsus, 1))
-        slot_map = np.full(cfg.visible_rsus, -1, dtype=int)
-        n = len(in_range)
-        gains[:n] = self.gain_table[vehicle, in_range]
-        locations[:n, 0] = self.layout.xs[in_range]
-        locations[:n, 1] = self.layout.ys[in_range]
-        slot_map[:n] = in_range
-        prev = int(self.world.prev_assoc[vehicle])
-        prev_loc = (
-            np.asarray(self.layout.position(prev))
-            if prev >= 0
-            else np.asarray(NO_RSU_LOCATION)
-        )
-        return Observation(
-            gains=gains, locations=locations, prev_location=prev_loc, slot_map=slot_map
-        )
+        std, memory, dt, road = cfg.speed_std, cfg.speed_memory, cfg.ts_duration, cfg.road_length
+        xs, speeds = [], []
+        for x, speed, mean, draws in zip(
+            self.world.x.tolist(), self.world.speed.tolist(), self.mean_speeds.tolist(),
+            noise.T.tolist(),
+        ):
+            xk, vk = [x], [speed]
+            for w in draws:
+                speed = gauss_markov_speed(speed, mean, std, memory, w)
+                x = (x + speed * dt) % road
+                xk.append(x)
+                vk.append(speed)
+            xs.append(xk)
+            speeds.append(vk)
+        return np.array(xs).T.copy(), np.array(speeds).T.copy()
 
-    def _refresh_observations(self) -> None:
-        self.observations = [self._observe(k) for k in range(self.cfg.num_vehicles)]
+    def _plan(self, noise: np.ndarray, fading: np.ndarray) -> None:
+        """Derive the rows of the current TS and of one TS per mobility row.
+
+        `fading` holds one table per TS ahead, led by one for the current TS
+        unless the current `gain_table` is kept.
+        """
+        cfg, layout = self.cfg, self.layout
+        xs, speeds = self._trajectory(noise)
+        dx = np.abs(xs[:, :, None] - layout.xs) % cfg.road_length
+        dx = np.minimum(dx, cfg.road_length - dx)
+        dist = np.hypot(dx, self.world.lane_y()[:, None] - layout.ys)  # (n, K, R) ring metric
+        gains = mean_channel_gain(dist[len(xs) - len(fading):] / 1000.0) * fading
+        if len(fading) < len(xs):
+            gains = np.concatenate([self.gain_table[None], gains])
+
+        # Slots: RSUs in coverage, nearest first; the stable sort keeps ties
+        # in id order. In-range RSUs are a prefix of the sorted row.
+        order = np.argsort(dist, axis=-1, kind="stable")[..., : cfg.visible_rsus]
+        padded = np.take_along_axis(dist, order, -1) > cfg.coverage_radius
+        slots = np.where(padded, -1, order)
+        slot_gains = np.take_along_axis(gains, order, -1)
+        slot_gains[padded] = 0.0
+
+        # Learner input: gains in dB mapped to ~[0, 1], x and y scaled.
+        lo, hi = cfg.gain_db_low, cfg.gain_db_high
+        gains_db = np.full(slot_gains.shape, lo)
+        positive = slot_gains > 0.0
+        gains_db[positive] = 10.0 * np.log10(slot_gains[positive])
+        v = cfg.visible_rsus
+        obs = np.empty((len(xs), cfg.num_vehicles, cfg.obs_dim))
+        obs[..., :v] = (np.clip(gains_db, lo, hi) - lo) / (hi - lo)
+        no_x, no_y = NO_RSU_LOCATION
+        obs[..., v:3 * v:2] = np.where(padded, no_x, layout.xs[order]) / cfg.road_length
+        obs[..., v + 1:3 * v:2] = np.where(padded, no_y, layout.ys[order]) / cfg.y_scale
+        self._prev_location = np.stack([
+            np.append(layout.xs, no_x) / cfg.road_length,
+            np.append(layout.ys, no_y) / cfg.y_scale,
+        ], axis=1)
+        obs[0, :, -2:] = self._prev_location[self.world.prev_assoc]
+
+        self._row = 0
+        self._xs, self._speeds, self._gains = xs, speeds, gains
+        self._slots, self._obs = slots, obs
+        self._noise, self._fading = noise, fading[len(fading) - len(noise):]
+        self.gain_table = gains[0]
+
+    @property
+    def observations(self) -> list[Observation]:
+        """Per-vehicle views of the current TS, built on each access."""
+        if self.world is None:
+            return []
+        layout = self.layout
+        views = []
+        for k, slot_map in enumerate(self._slots[self._row]):
+            padded = slot_map < 0
+            prev = int(self.world.prev_assoc[k])
+            views.append(Observation(
+                gains=np.where(padded, 0.0, self.gain_table[k, slot_map]),
+                locations=np.where(
+                    padded[:, None], NO_RSU_LOCATION,
+                    np.stack([layout.xs[slot_map], layout.ys[slot_map]], axis=1),
+                ),
+                prev_location=np.asarray(
+                    layout.position(prev) if prev >= 0 else NO_RSU_LOCATION
+                ),
+                slot_map=slot_map.copy(),
+            ))
+        return views
 
     # -- stepping -------------------------------------------------------------
 
@@ -435,35 +550,30 @@ class EdgeAssocEnv:
         structurally invalid action index raises ValueError.
         """
         cfg = self.cfg
-        if self.world is None:
+        world = self.world
+        if world is None:
             raise RuntimeError("call reset() before step()")
         if len(actions) != cfg.num_vehicles:
             raise ValueError("one action per vehicle required")
 
-        decoded = []
-        for a in actions:
+        slot_maps = self._slots[self._row].tolist()
+        chosen_rsu: list[Optional[int]] = []
+        levels = []
+        for k, a in enumerate(actions):
             if isinstance(a, AgentAction):
-                act = a
+                if not (0 <= a.rsu_slot < cfg.visible_rsus and 0 <= a.power_level < cfg.power_levels):
+                    raise ValueError(f"malformed action {a}")
+                slot, level = a.rsu_slot, a.power_level
             else:
                 idx = int(a)
                 if not 0 <= idx < cfg.actions_per_agent:
                     raise ValueError(f"action index {idx} out of range")
-                act = AgentAction.from_index(idx, cfg.power_levels)
-            if not (0 <= act.rsu_slot < cfg.visible_rsus and 0 <= act.power_level < cfg.power_levels):
-                raise ValueError(f"malformed action {act}")
-            decoded.append(act)
-
-        power_w = cfg.power_levels_w()
-        chosen_rsu: list[Optional[int]] = []
-        chosen_power_w = np.zeros(cfg.num_vehicles)
-        for k, act in enumerate(decoded):
-            slot_map = self.observations[k].slot_map
-            slot = act.rsu_slot
-            if slot_map[slot] < 0:
-                slot = 0  # padded slot: fall back to the nearest RSU
-            rid = int(slot_map[slot])
+                slot, level = divmod(idx, cfg.power_levels)
+            rid = slot_maps[k][slot]
+            if rid < 0:
+                rid = slot_maps[k][0]  # padded slot: fall back to the nearest RSU
             chosen_rsu.append(rid if rid >= 0 else None)
-            chosen_power_w[k] = power_w[act.power_level]
+            levels.append(level)
 
         # Lowest vehicle index wins a contested RSU; losers are muted this TS.
         winners: dict[int, int] = {}
@@ -471,48 +581,42 @@ class EdgeAssocEnv:
             if rid is not None and rid not in winners:
                 winners[rid] = k
 
-        rates = np.zeros(cfg.num_vehicles)
-        tx_powers = np.zeros(cfg.num_vehicles)
-        ho_flags = np.zeros(cfg.num_vehicles, dtype=int)
-        noise_w = float(dbm_to_watt(cfg.noise_dbm))
+        rates = [0.0] * cfg.num_vehicles
+        tx_powers = [0.0] * cfg.num_vehicles
+        ho_flags = [0] * cfg.num_vehicles
+        prev_assoc = world.prev_assoc.tolist()
         for k, rid in enumerate(chosen_rsu):
-            prev = int(self.world.prev_assoc[k])
             if rid is None:
                 continue
-            ho_flags[k] = handover_indicator(prev if prev >= 0 else None, rid)
-            if winners.get(rid) == k:
-                tx_powers[k] = chosen_power_w[k]
-                rates[k] = achievable_rate(tx_powers[k], self.gain_table[k, rid], noise_w)
+            ho_flags[k] = handover_indicator(prev_assoc[k], rid)
+            if winners[rid] == k:
+                tx_powers[k] = self._power_w[levels[k]]
+                rates[k] = achievable_rate(tx_powers[k], self.gain_table[k, rid], self._noise_w)
 
-        utilities = np.array(
-            [
-                utility(float(rates[k]), int(ho_flags[k]), float(tx_powers[k]), cfg)
-                for k in range(cfg.num_vehicles)
-            ]
-        )
         violations = check_constraints(chosen_rsu, rates, cfg.min_rate)
+        rates, tx_powers, ho_flags = np.array(rates), np.array(tx_powers), np.array(ho_flags)
+        utilities = utility(rates, ho_flags, tx_powers, cfg)
         reward = float(np.mean(utilities)) + (cfg.penalty if violations else 0.0)
 
         assoc = np.array([rid if rid is not None else -1 for rid in chosen_rsu])
-        done = self.world.t >= cfg.horizon
+        done = world.t >= cfg.horizon
 
         # Advance world: new associations become history, mobility moves on.
-        self.world.prev_assoc = assoc.copy()
-        noise = self._rng_mobility.standard_normal(cfg.num_vehicles)
-        for k in range(cfg.num_vehicles):
-            self.world.speed[k] = gauss_markov_speed(
-                float(self.world.speed[k]),
-                float(self.mean_speeds[k]),
-                cfg.speed_std,
-                cfg.speed_memory,
-                float(noise[k]),
+        row = self._row + 1
+        if row == len(self._xs):
+            k, r = cfg.num_vehicles, self.layout.count
+            self._plan(
+                self._rng_mobility.standard_normal((1, k)),
+                self._rng_fading.exponential(size=(1, k, r)),
             )
-        self.world.x = np.mod(
-            self.world.x + self.world.speed * cfg.ts_duration, cfg.road_length
-        )
-        self.world.t += 1
-        self._sample_gains()
-        self._refresh_observations()
+            row = 1
+        self._row = row
+        world.prev_assoc = assoc.copy()
+        world.x, world.speed = self._xs[row], self._speeds[row]
+        world.t += 1
+        self.gain_table = self._gains[row]
+        obs = self._obs[row]
+        obs[:, -2:] = self._prev_location[assoc]
 
         return StepResult(
             reward=reward,
@@ -522,14 +626,14 @@ class EdgeAssocEnv:
             tx_powers_w=tx_powers,
             assoc_rsus=assoc,
             violations=violations,
-            observations=[o.to_vector(cfg) for o in self.observations],
+            observations=list(obs),
             done=done,
         )
 
     # -- state capture (checkpoint support) ----------------------------------
 
     def get_state(self) -> dict:
-        return {
+        state = {
             "world": None if self.world is None else {
                 "x": self.world.x.tolist(),
                 "speed": self.world.speed.tolist(),
@@ -544,25 +648,45 @@ class EdgeAssocEnv:
             "rng_mobility": self._rng_mobility.bit_generator.state,
             "rng_fading": self._rng_fading.bit_generator.state,
         }
+        if self.world is not None and self._row < len(self._noise):
+            # Mid-episode the streams are past the rows drawn ahead; they go along too.
+            state["drawn_ahead"] = {
+                "mobility": self._noise[self._row:].tolist(),
+                "fading": self._fading[self._row:].tolist(),
+            }
+        return state
 
     def set_state(self, state: dict) -> None:
-        self.mean_speeds = np.asarray(state["mean_speeds"], dtype=float)
+        """Restore a `get_state()`; a state of another world raises ValueError."""
+        k, r = self.cfg.num_vehicles, self.layout.count
+        mean_speeds = _state_array(state["mean_speeds"], (k,), "mean_speeds")
+        drawn = state.get("drawn_ahead") or {"mobility": np.empty((0, k)), "fading": np.empty((0, k, r))}
+        n = len(drawn["mobility"])
+        noise = _state_array(drawn["mobility"], (n, k), "drawn mobility rows")
+        fading = _state_array(drawn["fading"], (n, k, r), "drawn fading rows")
+        w = state["world"]
+        if w is not None:
+            world = WorldState(
+                x=_state_array(w["x"], (k,), "world x"),
+                speed=_state_array(w["speed"], (k,), "world speed"),
+                lane=_state_array(w["lane"], (k,), "world lane", int),
+                prev_assoc=_state_array(w["prev_assoc"], (k,), "world prev_assoc", int),
+                t=int(w["t"]),
+            )
+            gain_table = _state_array(state["gain_table"], (k, r), "gain_table")
+            if not np.all((world.prev_assoc >= -1) & (world.prev_assoc < r)):
+                raise ValueError(f"env state prev_assoc {world.prev_assoc.tolist()} names no RSU of {r}")
+            if not np.all((world.lane >= 0) & (world.lane < len(LANE_Y))):
+                raise ValueError(f"env state lane {world.lane.tolist()} names no lane")
+        self.mean_speeds = mean_speeds
         self._rng_init.bit_generator.state = state["rng_init"]
         self._rng_mobility.bit_generator.state = state["rng_mobility"]
         self._rng_fading.bit_generator.state = state["rng_fading"]
-        w = state["world"]
         if w is None:
             self.world = None
             self.gain_table = None
-            self.observations = []
+            self._row, self._noise, self._fading = 0, noise, fading
         else:
-            self.world = WorldState(
-                x=np.asarray(w["x"], dtype=float),
-                speed=np.asarray(w["speed"], dtype=float),
-                lane=np.asarray(w["lane"], dtype=int),
-                prev_assoc=np.asarray(w["prev_assoc"], dtype=int),
-                t=int(w["t"]),
-            )
-            self._compute_distances()
-            self.gain_table = np.asarray(state["gain_table"], dtype=float)
-            self._refresh_observations()
+            self.world = world
+            self.gain_table = gain_table
+            self._plan(noise, fading)

@@ -19,8 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .agents import FederatedTrainer, TrainerConfig, reject_removed_options, require_integers
+from .agents import FederatedTrainer, TrainerConfig, reject_removed_options
 from .baselines import CentralizedTrainer, IndependentTrainer
+from .checks import require_integers
 from .env import EdgeAssocEnv, EnvConfig
 from .metrics import EpisodeRecord, write_metrics_csv, write_ts_log_csv
 

@@ -84,10 +84,6 @@ class ReplayBuffer:
             done=self._done[idx],
         )
 
-    def clear(self) -> None:
-        self.size = 0
-        self.cursor = 0
-
     # -- checkpoint support --------------------------------------------------
 
     def state_arrays(self) -> dict:

@@ -184,6 +184,10 @@ def test_trainer_rejects_bad_config():
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 small_cfg(**{name: value}).validate()
     small_cfg(batch_size=np.int64(8)).validate()
+    for name in ("discount", "epsilon", "epsilon_end", "share_noise_std", "lr_start", "lr_end"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                small_cfg(**{name: value}).validate()
 
 
 @pytest.mark.parametrize("grad_clip", [-1.0, 0.0, float("nan")])

@@ -270,6 +270,12 @@ def test_cli_reports_errors(tmp_path, capsys):
         ({"num_rsus": 12.0}, "num_rsus must be an integer"),
         ({"eval_window": 1.5}, "eval_window must be an integer"),
         ({"num_vehicles": 3}, "num_vehicles must be 2"),
+        ({"share_noise_std": float("nan")}, "share_noise_std must be finite"),
+        ({"discount": float("inf")}, "discount must be finite"),
+        ({"coverage_radius": float("nan")}, "coverage_radius must be finite"),
+        ({"noise_dbm": float("-inf")}, "noise_dbm must be finite"),
+        ({"mean_speeds": [-5.0, 7.0]}, "mean_speeds must be finite and > 0"),
+        ({"mean_speeds": [float("nan"), 7.0]}, "mean_speeds must be finite and > 0"),
     ]
     for data, message in cases:
         data["out_dir"] = str(tmp_path / "runs")
@@ -317,6 +323,24 @@ def test_cli_eval_rejects_bad_checkpoint_state(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert str(ckpt / "state.json") in err and message in err
+
+
+@pytest.mark.parametrize("num_rsus", [16, 8])
+def test_cli_eval_rejects_checkpoint_of_another_world(tmp_path, capsys, num_rsus):
+    cfg_path = cli_config(tmp_path)
+    assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+    capsys.readouterr()
+    rc = cli_main([
+        "--config", str(tmp_path / "runs" / "config.json"), "--num-rsus", str(num_rsus),
+        "--eval", str(ckpt), "--episodes", "2", "--out", str(tmp_path / "eval"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(ckpt / "state.json") in err
+    assert f"gain_table has shape (2, 12), this world needs (2, {num_rsus})" in err
+    assert not (tmp_path / "eval" / "eval_metrics.csv").exists()
 
 
 def test_cli_rejects_negative_grad_clip(tmp_path, capsys):

@@ -59,12 +59,6 @@ def test_state_round_trip():
     assert np.array_equal(a.reward, b.reward)
 
 
-def test_clear_resets_cursor():
-    buf = filled_buffer(capacity=8, inserts=5)
-    buf.clear()
-    assert len(buf) == 0 and buf.cursor == 0
-
-
 def test_invalid_capacity():
     with pytest.raises(ValueError):
         ReplayBuffer(0, 3)

@@ -1,9 +1,14 @@
 """World construction, observations and the joint step contract."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_env import PerTsEnv, observable_rsus
 
 from fedassoc.env import (
     LANE_Y,
@@ -14,6 +19,8 @@ from fedassoc.env import (
     RsuLayout,
     WorldState,
     build_rsu_layout,
+    gauss_markov_speed,
+    utility,
 )
 
 
@@ -57,6 +64,13 @@ def test_invalid_configs_rejected():
         dict(min_rate=0.0),
         dict(speed_memory=1.2),
         dict(mean_speeds=(5.0,)),
+        dict(mean_speeds=(-5.0, 7.0)),
+        dict(mean_speeds=(float("inf"), 7.0)),
+        dict(coverage_radius=float("nan")),
+        dict(road_length=float("inf")),
+        dict(noise_dbm=float("-inf")),
+        dict(y_scale=0.0),
+        dict(gain_db_low=-40.0),
     ):
         with pytest.raises(ValueError):
             EdgeAssocEnv(EnvConfig(**bad), seed=0)
@@ -86,27 +100,6 @@ def test_mean_speeds_respect_config():
 
 
 # -- observations --------------------------------------------------------------
-
-def ring_distance(x1, x2, road_length):
-    """Along-road separation on the ring."""
-    dx = abs(x1 - x2) % road_length
-    return min(dx, road_length - dx)
-
-
-def observable_rsus(world, layout, cfg, vehicle):
-    """Reference slot list: RSUs in coverage as (rsu_id, distance), nearest
-    first, ties toward the lower id, truncated to the slot budget."""
-    vx = float(world.x[vehicle])
-    vy = float(world.lane_y()[vehicle])
-    entries = []
-    for rid in range(layout.count):
-        dx = ring_distance(vx, float(layout.xs[rid]), cfg.road_length)
-        dist = math.hypot(dx, vy - float(layout.ys[rid]))
-        if dist <= cfg.coverage_radius:
-            entries.append((rid, dist))
-    entries.sort(key=lambda e: (e[1], e[0]))
-    return entries[: cfg.visible_rsus]
-
 
 def brute_force_slots(env, vehicle):
     cfg = env.cfg
@@ -138,7 +131,6 @@ def test_mid_road_vehicle_sees_full_slots():
     env.reset()
     env.world.x[:] = 500.0
     env._sample_gains()
-    env._refresh_observations()
     slots = observable_rsus(env.world, env.layout, env.cfg, 0)
     assert len(slots) == 4
     dists = [d for _, d in slots]
@@ -151,7 +143,6 @@ def test_no_rsus_in_range_gives_empty_list():
     env.reset()
     env.world.x[:] = 0.0  # far from every RSU x position
     env._sample_gains()
-    env._refresh_observations()
     assert observable_rsus(env.world, env.layout, env.cfg, 0) == []
     obs = env.observations[0]
     assert np.all(obs.slot_map == -1)
@@ -176,7 +167,6 @@ def test_equidistant_tie_breaks_to_lower_id():
     env = EdgeAssocEnv(cfg, seed=0)
     env.layout, env.world = layout, world
     env._sample_gains()
-    env._refresh_observations()
     assert list(env.observations[0].slot_map) == [0, 1]
 
 
@@ -198,7 +188,6 @@ def test_padded_slots_after_shrinking_coverage():
     env.reset()
     env.world.x[:] = 83.0  # right next to the first RSU column
     env._sample_gains()
-    env._refresh_observations()
     obs = env.observations[0]
     n = int((obs.slot_map >= 0).sum())
     assert 1 <= n < 4
@@ -256,7 +245,6 @@ def test_conflict_resolution_lowest_index_wins():
     # Drive both vehicles to the same spot so their nearest RSU coincides.
     env.world.x[:] = 500.0
     env._sample_gains()
-    env._refresh_observations()
     rid0 = int(env.observations[0].slot_map[0])
     slot1 = int(np.where(env.observations[1].slot_map == rid0)[0][0])
     act0 = AgentAction(0, 3)
@@ -384,3 +372,197 @@ def test_scripted_episode_matches_oracle():
         total_oracle += sum(utils) / 2.0 + (-1.0 if violated else 0.0)
 
     assert abs(total_env - total_oracle) < 1e-9
+
+
+# -- the planned env against the per-TS reference ----------------------------------
+
+STREAMS = ("_rng_init", "_rng_mobility", "_rng_fading")
+
+
+def bits(value):
+    """Dtype, shape and bytes: equal only for bit-identical arrays."""
+    a = np.asarray(value)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def assert_same_step(a, b):
+    assert a.reward.hex() == b.reward.hex()
+    for name in ("utilities", "rates", "ho_flags", "tx_powers_w", "assoc_rsus"):
+        assert bits(getattr(a, name)) == bits(getattr(b, name)), name
+    assert a.violations == b.violations and a.done == b.done
+    assert [bits(v) for v in a.observations] == [bits(v) for v in b.observations]
+
+
+def assert_same_world(env, ref):
+    for name in ("x", "speed", "lane", "prev_assoc"):
+        assert bits(getattr(env.world, name)) == bits(getattr(ref.world, name)), name
+    assert env.world.t == ref.world.t
+    assert bits(env.gain_table) == bits(ref.gain_table)
+    for got, want in zip(env.observations, ref.observations, strict=True):
+        for name in ("gains", "locations", "prev_location", "slot_map"):
+            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+
+
+def assert_same_streams(env, ref):
+    for name in STREAMS:
+        assert getattr(env, name).bit_generator.state == getattr(ref, name).bit_generator.state
+
+
+def random_actions(rng, cfg):
+    """Two random actions, each an index or an AgentAction."""
+    idx = [int(i) for i in rng.integers(0, cfg.actions_per_agent, size=2)]
+    return [
+        AgentAction.from_index(i, cfg.power_levels) if rng.random() < 0.5 else i for i in idx
+    ]
+
+
+def step_both(env, ref, rng, steps):
+    for _ in range(steps):
+        actions = random_actions(rng, env.cfg)
+        assert_same_step(env.step(actions), ref.step(actions))
+        assert_same_world(env, ref)
+
+
+def run_episodes(env, ref, rng, episodes, past_horizon=0):
+    """Reset both, step to the horizon and `past_horizon` TS beyond, compare all."""
+    for _ in range(episodes):
+        assert [bits(v) for v in env.reset()] == [bits(v) for v in ref.reset()]
+        assert_same_world(env, ref)
+        step_both(env, ref, rng, env.cfg.horizon - 1)
+        actions = random_actions(rng, env.cfg)
+        last = env.step(actions)
+        assert last.done
+        assert_same_step(last, ref.step(actions))
+        assert_same_streams(env, ref)
+        step_both(env, ref, rng, past_horizon)
+        assert_same_streams(env, ref)
+
+
+def twin_pair(cfg, seed):
+    return EdgeAssocEnv(cfg, seed), PerTsEnv(cfg, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    coverage_radius=st.floats(5.0, 600.0),
+    horizon=st.sampled_from([1, 2, 7, 100]),
+    num_rsus=st.sampled_from([2, 4, 8, 12, 16]),
+    data=st.data(),
+)
+def test_planned_env_matches_per_ts_reference(seed, coverage_radius, horizon, num_rsus, data):
+    cfg = EnvConfig(
+        num_rsus=num_rsus,
+        visible_rsus=data.draw(st.integers(1, num_rsus)),
+        coverage_radius=coverage_radius,
+        horizon=horizon,
+    )
+    env, ref = twin_pair(cfg, seed)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    run_episodes(env, ref, rng, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)))
+
+
+def test_planned_env_matches_reference_over_many_episodes():
+    env, ref = twin_pair(EnvConfig(coverage_radius=150.0), 43)
+    run_episodes(env, ref, np.random.default_rng(5), episodes=25)
+
+
+def test_mid_episode_state_resumes_in_twin():
+    cfg = EnvConfig(horizon=30)
+    env, ref = twin_pair(cfg, 47)
+    rng = np.random.default_rng(6)
+    env.reset()
+    ref.reset()
+    step_both(env, ref, rng, 11)
+    state = json.loads(json.dumps(env.get_state()))
+    assert len(state["drawn_ahead"]["mobility"]) == cfg.horizon - 11
+    twin = EdgeAssocEnv(cfg, seed=999)
+    twin.reset()
+    twin.set_state(state)
+    assert_same_world(twin, ref)
+    step_both(twin, ref, rng, cfg.horizon - 11 + 2)
+    run_episodes(twin, ref, rng, episodes=2)
+
+
+@pytest.mark.parametrize("steps", [4, 30, 32], ids=["mid-episode", "boundary", "past-horizon"])
+def test_state_without_drawn_rows_resumes(steps):
+    # The reference writes the earlier format: no drawn-ahead rows. The
+    # planned env draws each TS on demand until its next reset.
+    cfg = EnvConfig(horizon=30)
+    env, ref = twin_pair(cfg, 53)
+    rng = np.random.default_rng(7)
+    ref.reset()
+    for _ in range(steps):
+        ref.step(random_actions(rng, cfg))
+    state = json.loads(json.dumps(ref.get_state()))
+    env.set_state(state)
+    assert_same_world(env, ref)
+    step_both(env, ref, rng, 5)
+    run_episodes(env, ref, rng, episodes=2)
+
+
+def test_boundary_state_matches_reference_format():
+    cfg = EnvConfig(horizon=20)
+    env, ref = twin_pair(cfg, 59)
+    run_episodes(env, ref, np.random.default_rng(8), episodes=2)
+    assert json.dumps(env.get_state()) == json.dumps(ref.get_state())
+
+
+def test_moved_world_then_sample_gains_matches_reference():
+    env, ref = twin_pair(EnvConfig(horizon=25), 61)
+    rng = np.random.default_rng(9)
+    env.reset()
+    ref.reset()
+    step_both(env, ref, rng, 6)
+    for e in (env, ref):
+        e.world.x[:] = [500.0, 17.0]
+        e._sample_gains()
+    ref._refresh_observations()
+    assert_same_world(env, ref)
+    step_both(env, ref, rng, 25)
+    run_episodes(env, ref, rng, episodes=1)
+
+
+def test_reset_before_the_horizon_matches_reference():
+    env, ref = twin_pair(EnvConfig(horizon=40), 71)
+    rng = np.random.default_rng(11)
+    for steps in (3, 17, 39):
+        env.reset()
+        ref.reset()
+        step_both(env, ref, rng, steps)
+    run_episodes(env, ref, rng, episodes=2)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: s.update(gain_table=[[1.0] * 8] * 2), "gain_table has shape (2, 8)"),
+        (lambda s: s["world"].update(x=[1.0]), "world x has shape (1,)"),
+        (lambda s: s.update(mean_speeds=[5.0, 6.0, 7.0]), "mean_speeds has shape (3,)"),
+        (lambda s: s["world"].update(prev_assoc=[12, 0]), "prev_assoc [12, 0] names no RSU"),
+        (lambda s: s["world"].update(lane=[0, 2]), "lane [0, 2] names no lane"),
+        (lambda s: s["drawn_ahead"]["fading"].pop(), "drawn fading rows has shape (8, 2, 12)"),
+    ],
+    ids=["gain-table", "world", "mean-speeds", "prev-assoc", "lane", "drawn-rows"],
+)
+def test_set_state_rejects_another_world(edit, message):
+    env = make_env(seed=67, horizon=10)
+    env.reset()
+    env.step([0, 0])
+    state = json.loads(json.dumps(env.get_state()))
+    edit(state)
+    twin = make_env(seed=67, horizon=10)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        twin.set_state(state)
+    assert twin.world is None and twin.get_state() == make_env(seed=67, horizon=10).get_state()
+
+
+def test_array_helpers_match_scalar_calls():
+    rng = np.random.default_rng(10)
+    speed, mean, noise = rng.uniform(0, 20, 5), rng.uniform(5, 10, 5), rng.standard_normal(5)
+    got = gauss_markov_speed(speed, mean, 0.3, 0.2, noise)
+    assert bits(got) == bits([gauss_markov_speed(*v, 0.3, 0.2, w) for *v, w in zip(speed, mean, noise)])
+    cfg = EnvConfig()
+    rate, ho, tx = rng.uniform(0, 30, 5), rng.integers(0, 2, 5), rng.uniform(0, 3, 5)
+    got = utility(rate, ho, tx, cfg)
+    assert bits(got) == bits([utility(float(r), int(h), float(p), cfg) for r, h, p in zip(rate, ho, tx)])
