@@ -20,24 +20,24 @@ follower's action fixed to its own pick.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .checks import require_finite, require_integers
+from .checks import config_from_json, require_finite, require_integer_list, require_integers
 from .metrics import EpisodeRecord, MetricAccumulator
 from .nn import (
     DenseNet,
-    LrSchedule,
     backward,
     clone,
     copy_into_target,
     forward,
     init_net,
+    linear_schedule,
     load_net,
-    lr_at,
     save_net,
     sgd_step,
 )
@@ -73,6 +73,8 @@ class TrainerConfig:
         require_finite(self, (
             "discount", "epsilon", "epsilon_end", "share_noise_std", "lr_start", "lr_end",
         ))
+        require_integer_list(self, "local_hidden", 1)
+        require_integer_list(self, "mlp_hidden", 1)
         if not 0.0 <= self.discount <= 1.0:
             raise ValueError("discount must be in [0, 1]")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -93,32 +95,10 @@ class TrainerConfig:
             raise ValueError("grad_clip must be > 0 (inf disables clipping)")
         if self.share_mode not in ("vector", "scalar"):
             raise ValueError("share_mode must be 'vector' or 'scalar'")
-        LrSchedule(self.lr_start, self.lr_end, self.lr_decay_episodes)
-
-    def lr_schedule(self) -> LrSchedule:
-        return LrSchedule(self.lr_start, self.lr_end, self.lr_decay_episodes)
-
-
-# Options earlier versions accepted, with what takes their place.
-REMOVED_OPTIONS = {
-    "encrypt": "was removed; share_noise_std: 0 is the noiseless setting",
-    "clear_replay_per_episode": "was removed; the replay buffer persists across episodes",
-}
-
-
-def reject_removed_options(keys) -> None:
-    for key in keys:
-        if key in REMOVED_OPTIONS:
-            raise ValueError(f"option {key!r} {REMOVED_OPTIONS[key]}")
-
-
-def epsilon_at(cfg: TrainerConfig, episode: int) -> float:
-    if cfg.epsilon_end is None:
-        return cfg.epsilon
-    if cfg.epsilon_decay_episodes <= 1:
-        return cfg.epsilon if episode <= 1 else cfg.epsilon_end
-    frac = min(1.0, (episode - 1) / (cfg.epsilon_decay_episodes - 1))
-    return cfg.epsilon + (cfg.epsilon_end - cfg.epsilon) * frac
+        if not self.lr_start >= self.lr_end > 0:
+            raise ValueError("need lr_start >= lr_end > 0")
+        if self.lr_decay_episodes < 1:
+            raise ValueError("lr_decay_episodes must be >= 1")
 
 
 # --------------------------------------------------------------------------
@@ -212,29 +192,33 @@ class Trainer:
     def run(
         self, episodes: Optional[int] = None, ts_rows: Optional[list] = None
     ) -> list[EpisodeRecord]:
-        episodes = self.cfg.episodes if episodes is None else episodes
+        cfg = self.cfg
+        episodes = cfg.episodes if episodes is None else episodes
         acc = MetricAccumulator(self.env.num_agents, self.env.cfg.penalty, ts_rows)
         records = []
         for _ in range(episodes):
             self.episode += 1
-            eps = epsilon_at(self.cfg, self.episode)
-            lr = lr_at(self.cfg.lr_schedule(), self.episode)
+            eps = cfg.epsilon if cfg.epsilon_end is None else linear_schedule(
+                cfg.epsilon, cfg.epsilon_end, cfg.epsilon_decay_episodes, self.episode
+            )
+            lr = linear_schedule(cfg.lr_start, cfg.lr_end, cfg.lr_decay_episodes, self.episode)
             obs = self.env.reset()
             done = False
             while not done:
                 act_lead, act_follow = self.select_actions(obs, eps)
                 step = self.env.step([act_lead, act_follow])
                 self.buffer.add(
-                    obs[0], act_lead, step.reward, step.observations[0],
-                    obs[1], act_follow, step.observations[1], step.done,
+                    obs_lead=obs[0], act_lead=act_lead, reward=step.reward,
+                    next_obs_lead=step.observations[0], obs_follow=obs[1],
+                    act_follow=act_follow, next_obs_follow=step.observations[1], done=step.done,
                 )
                 obs = step.observations
                 done = step.done
                 acc.add(step, self.episode)
-                if len(self.buffer) >= self.cfg.batch_size:
-                    self.update(self.buffer.sample(self.cfg.batch_size, self.rng_sample), lr)
+                if len(self.buffer) >= cfg.batch_size:
+                    self.update(self.buffer.sample(cfg.batch_size, self.rng_sample), lr)
                     self.train_steps += 1
-                    if self.train_steps % self.cfg.target_sync == 0:
+                    if self.train_steps % cfg.target_sync == 0:
                         self.sync_targets()
             self.end_episode()
             records.append(acc.finalize(self.episode, eps, lr))
@@ -443,11 +427,7 @@ class FederatedTrainer(Trainer):
         path = directory / "state.json"
         try:
             state = json.loads(path.read_text())
-            cfg_dict = dict(state["cfg"])
-            reject_removed_options(cfg_dict)
-            for key in ("local_hidden", "mlp_hidden"):
-                cfg_dict[key] = tuple(cfg_dict[key])
-            trainer = cls(env, TrainerConfig(**cfg_dict), seed=0)
+            trainer = cls(env, config_from_json(TrainerConfig, state["cfg"]), seed=0)
             trainer.episode = int(state["episode"])
             trainer.train_steps = int(state["train_steps"])
             for name in ("rng_explore", "rng_sample", "rng_noise"):
@@ -461,6 +441,12 @@ class FederatedTrainer(Trainer):
             raise ValueError(f"{path}: {exc}") from exc
         for attr, fname in cls._NET_FILES.items():
             setattr(trainer.pair, attr, load_net(directory / fname))
-        with np.load(directory / "replay.npz") as data:
-            trainer.buffer = ReplayBuffer.from_state_arrays(dict(data))
+        replay_path = directory / "replay.npz"
+        try:
+            with np.load(replay_path) as data:
+                trainer.buffer = ReplayBuffer.from_state_arrays(dict(data))
+        except KeyError as exc:
+            raise ValueError(f"{replay_path}: missing array {exc}") from exc
+        except (ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{replay_path}: {exc}") from exc
         return trainer

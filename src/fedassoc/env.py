@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .checks import require_finite
+from .checks import require_finite, require_integers
 
 # Geometry of the two-lane freeway (m). Lanes carry the vehicles, the RSU rows
 # sit beyond the outer shoulders.
@@ -58,6 +58,9 @@ class EnvConfig:
     y_scale: float = 20.0
 
     def validate(self) -> None:
+        require_integers(
+            self, ("num_vehicles", "num_rsus", "visible_rsus", "power_levels", "horizon")
+        )
         require_finite(self, (
             "road_length", "coverage_radius", "power_min_dbm", "power_max_dbm", "min_rate",
             "noise_dbm", "weight_rate", "weight_handover", "weight_power", "penalty",
@@ -229,12 +232,6 @@ class WorldState:
     def lane_y(self) -> np.ndarray:
         return np.asarray(LANE_Y)[self.lane]
 
-    def copy(self) -> "WorldState":
-        return WorldState(
-            x=self.x.copy(), speed=self.speed.copy(), lane=self.lane.copy(),
-            prev_assoc=self.prev_assoc.copy(), t=self.t,
-        )
-
 
 # --------------------------------------------------------------------------
 # Observations and actions
@@ -260,9 +257,6 @@ class AgentAction:
 
     rsu_slot: int
     power_level: int
-
-    def to_index(self, power_levels: int) -> int:
-        return self.rsu_slot * power_levels + self.power_level
 
     @staticmethod
     def from_index(index: int, power_levels: int) -> "AgentAction":

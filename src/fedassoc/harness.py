@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .agents import FederatedTrainer, TrainerConfig, reject_removed_options
+from .agents import FederatedTrainer, TrainerConfig
 from .baselines import CentralizedTrainer, IndependentTrainer
-from .checks import require_integers
+from .checks import config_from_json, require_integer_list, require_integers
 from .env import EdgeAssocEnv, EnvConfig
 from .metrics import EpisodeRecord, write_metrics_csv, write_ts_log_csv
 
@@ -55,9 +55,6 @@ class ExperimentConfig:
     per_ts_log: bool = False
 
     def validate(self) -> None:
-        require_integers(
-            self.env, ("num_vehicles", "num_rsus", "visible_rsus", "power_levels", "horizon")
-        )
         self.env.validate()
         if self.env.num_vehicles != 2:
             raise ValueError("num_vehicles must be 2: every algorithm drives one vehicle pair")
@@ -65,60 +62,40 @@ class ExperimentConfig:
         require_integers(self, ("eval_window", "fedavg_period"))
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        require_integer_list(self, "seeds", 0, distinct=True)
         for algo in self.algos:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
         if not self.algos:
             raise ValueError("at least one algorithm is required")
+        if len(set(self.algos)) != len(self.algos):
+            raise ValueError(f"algos must be distinct, got {list(self.algos)}")
         if not 1 <= self.eval_window <= self.trainer.episodes:
             raise ValueError("eval_window must be in [1, episodes]")
         if self.fedavg_period < 1:
             raise ValueError("fedavg_period must be >= 1")
 
 
-_RUN_FIELDS = ("algos", "seeds", "out_dir", "eval_window", "fedavg_period", "per_ts_log")
-_TUPLE_FIELDS = {"mean_speeds", "local_hidden", "mlp_hidden", "algos", "seeds"}
-
-
-def _field_map() -> dict[str, str]:
-    mapping = {}
-    for f in dataclasses.fields(EnvConfig):
-        mapping[f.name] = "env"
-    for f in dataclasses.fields(TrainerConfig):
-        mapping[f.name] = "trainer"
-    for name in _RUN_FIELDS:
-        mapping[name] = "run"
-    return mapping
+# The nested sections of ExperimentConfig; their keys sit at the top level of
+# the JSON object, next to the run-level fields.
+_SECTIONS = {"env": EnvConfig, "trainer": TrainerConfig}
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Flatten to the JSON key set accepted by load_config."""
-    flat = {}
-    flat.update(dataclasses.asdict(cfg.env))
-    flat.update(dataclasses.asdict(cfg.trainer))
-    for name in _RUN_FIELDS:
-        flat[name] = getattr(cfg, name)
-    for key in _TUPLE_FIELDS:
-        if flat.get(key) is not None:
-            flat[key] = list(flat[key])
-    return flat
+    flat = dataclasses.asdict(cfg)
+    for section in _SECTIONS:
+        flat.update(flat.pop(section))
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in flat.items()}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    mapping = _field_map()
-    sections: dict[str, dict] = {"env": {}, "trainer": {}, "run": {}}
-    reject_removed_options(data)
-    for key, value in data.items():
-        if key not in mapping:
-            raise ValueError(f"unknown config key {key!r}")
-        if key in _TUPLE_FIELDS and value is not None:
-            value = tuple(value)
-        sections[mapping[key]][key] = value
-    cfg = ExperimentConfig(
-        env=EnvConfig(**sections["env"]),
-        trainer=TrainerConfig(**sections["trainer"]),
-        **sections["run"],
-    )
+    run = dict(data)
+    sections = {}
+    for section, cls in _SECTIONS.items():
+        keys = {f.name for f in dataclasses.fields(cls)}
+        sections[section] = config_from_json(cls, {k: run.pop(k) for k in data if k in keys})
+    cfg = config_from_json(ExperimentConfig, run, **sections)
     cfg.validate()
     return cfg
 

@@ -295,31 +295,17 @@ def net_fingerprint(net: DenseNet) -> str:
 
 
 # --------------------------------------------------------------------------
-# Learning-rate schedule
+# Episode schedules
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LrSchedule:
-    """Linear decay from lr_start (episode 1) to lr_end (decay_episodes)."""
-
-    lr_start: float = 0.01
-    lr_end: float = 0.001
-    decay_episodes: int = 250
-
-    def __post_init__(self) -> None:
-        if not self.lr_start >= self.lr_end > 0:
-            raise ValueError("need lr_start >= lr_end > 0")
-        if self.decay_episodes < 1:
-            raise ValueError("decay_episodes must be >= 1")
-
-
-def lr_at(schedule: LrSchedule, episode: int) -> float:
+def linear_schedule(start: float, end: float, length: int, episode: int) -> float:
+    """Linear decay from `start` at episode 1 to `end` at episode `length`, then flat."""
     if episode < 1:
         raise ValueError("episode is 1-based")
-    if schedule.decay_episodes <= 1:
-        return schedule.lr_end if episode > 1 else schedule.lr_start
-    frac = min(1.0, (episode - 1) / (schedule.decay_episodes - 1))
-    return schedule.lr_start + (schedule.lr_end - schedule.lr_start) * frac
+    if length <= 1:
+        return end if episode > 1 else start
+    frac = min(1.0, (episode - 1) / (length - 1))
+    return start + (end - start) * frac
 
 
 # --------------------------------------------------------------------------

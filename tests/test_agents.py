@@ -12,12 +12,11 @@ from fedassoc.agents import (
     compose_joint,
     decompose_joint,
     encrypt_q,
-    epsilon_at,
     epsilon_greedy,
     joint_q,
 )
 from fedassoc.env import EdgeAssocEnv, EnvConfig
-from fedassoc.nn import forward, init_net, net_fingerprint
+from fedassoc.nn import forward, init_net, linear_schedule, net_fingerprint
 from fedassoc.replay import Batch
 from toy_env import ToyEnv, separable_table, toy_trainer_cfg
 
@@ -201,13 +200,17 @@ def test_infinite_grad_clip_is_accepted():
 
 
 def test_epsilon_schedule():
-    cfg = small_cfg()
-    assert epsilon_at(cfg, 1) == epsilon_at(cfg, 500) == 0.1
-    annealed = small_cfg(epsilon=0.5, epsilon_end=0.0, epsilon_decay_episodes=11)
-    assert epsilon_at(annealed, 1) == 0.5
-    assert epsilon_at(annealed, 6) == pytest.approx(0.25)
-    assert epsilon_at(annealed, 11) == 0.0
-    assert epsilon_at(annealed, 100) == 0.0
+    # epsilon_end None keeps epsilon constant: read it from episodes 1 and 500.
+    trainer = FederatedTrainer(ToyEnv(separable_table(3, 0)), small_cfg(), seed=0)
+    first = trainer.run(episodes=1)[0]
+    trainer.episode = 499
+    last = trainer.run(episodes=1)[0]
+    assert (first.episode, last.episode) == (1, 500)
+    assert first.epsilon == last.epsilon == 0.1
+    assert linear_schedule(0.5, 0.0, 11, 1) == 0.5
+    assert linear_schedule(0.5, 0.0, 11, 6) == pytest.approx(0.25)
+    assert linear_schedule(0.5, 0.0, 11, 11) == 0.0
+    assert linear_schedule(0.5, 0.0, 11, 100) == 0.0
 
 
 # -- target computation -----------------------------------------------------------------
@@ -497,6 +500,45 @@ def test_checkpoint_round_trip(tmp_path):
     more_a = trainer.run(episodes=2)
     more_b = loaded.run(episodes=2)
     assert more_a == more_b
+
+
+def test_checkpoint_keeps_only_filled_replay_rows(tmp_path):
+    cfg = small_cfg(episodes=1, replay_capacity=TrainerConfig().replay_capacity)
+    trainer = FederatedTrainer(EdgeAssocEnv(EnvConfig(), seed=3), cfg, seed=4)
+    trainer.run()
+    trainer.save(tmp_path / "ckpt")
+    horizon = EnvConfig().horizon
+    path = tmp_path / "ckpt" / "replay.npz"
+    with np.load(path) as data:
+        rows = {name: len(data[name]) for name in data.files if name != "meta"}
+        assert list(data["meta"]) == [horizon, horizon, trainer.cfg.replay_capacity]
+    assert set(rows.values()) == {horizon}
+    row_bytes = sum(column[:1].nbytes for column in trainer.buffer.columns.values())
+    assert path.stat().st_size < 2 * horizon * row_bytes
+
+
+def test_checkpoint_with_all_replay_rows_resumes_identically(tmp_path):
+    """Checkpoints of earlier versions hold all `capacity` rows of each column."""
+    trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
+    trainer.run()
+    trainer.save(tmp_path / "filled")
+    trainer.save(tmp_path / "all")
+    arrays = {name: column.copy() for name, column in trainer.buffer.columns.items()}
+    arrays["meta"] = np.array([len(trainer.buffer), trainer.buffer.cursor,
+                               trainer.buffer.capacity], dtype=np.int64)
+    assert len(trainer.buffer) < trainer.buffer.capacity
+    np.savez(tmp_path / "all" / "replay.npz", **arrays)
+    resumed = [FederatedTrainer.load(tmp_path / d, small_env(seed=1)) for d in ("filled", "all")]
+    for name, column in trainer.buffer.columns.items():
+        for other in resumed:
+            assert other.buffer.columns[name].tobytes() == column.tobytes()
+    runs = [t.run(episodes=2) for t in (trainer, *resumed)]
+    assert runs[0] == runs[1] == runs[2]
+    fingerprints = [
+        [net_fingerprint(getattr(t.pair, f)) for f in ("lead", "lead_target", "follow", "mlp")]
+        for t in (trainer, *resumed)
+    ]
+    assert fingerprints[0] == fingerprints[1] == fingerprints[2]
 
 
 def test_greedy_evaluation_runs_without_learning(tmp_path):

@@ -65,6 +65,10 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text(json.dumps({"num_vehicle": 2}))
     with pytest.raises(ValueError, match="num_vehicle"):
         load_config(path)
+    # Section names are not keys: their fields sit at the top level.
+    path.write_text(json.dumps({"env": {"num_rsus": 8}}))
+    with pytest.raises(ValueError, match="unknown config key 'env'"):
+        load_config(path)
 
 
 def test_out_of_range_value_rejected(tmp_path):
@@ -276,6 +280,15 @@ def test_cli_reports_errors(tmp_path, capsys):
         ({"noise_dbm": float("-inf")}, "noise_dbm must be finite"),
         ({"mean_speeds": [-5.0, 7.0]}, "mean_speeds must be finite and > 0"),
         ({"mean_speeds": [float("nan"), 7.0]}, "mean_speeds must be finite and > 0"),
+        ({"seeds": [1.5]}, "seeds must be a list of distinct integers >= 0, got [1.5]"),
+        ({"seeds": [True]}, "seeds must be a list of distinct integers >= 0, got [True]"),
+        ({"seeds": [1, 1]}, "seeds must be a list of distinct integers >= 0, got [1, 1]"),
+        ({"seeds": [-1]}, "seeds must be a list of distinct integers >= 0, got [-1]"),
+        ({"seeds": 1}, "seeds must be a list of distinct integers >= 0, got 1"),
+        ({"algos": ["imarl", "imarl"]}, "algos must be distinct"),
+        ({"local_hidden": [80, 0]}, "local_hidden must be a list of integers >= 1, got [80, 0]"),
+        ({"local_hidden": [80.7]}, "local_hidden must be a list of integers >= 1, got [80.7]"),
+        ({"mlp_hidden": [True]}, "mlp_hidden must be a list of integers >= 1, got [True]"),
     ]
     for data, message in cases:
         data["out_dir"] = str(tmp_path / "runs")
@@ -323,6 +336,40 @@ def test_cli_eval_rejects_bad_checkpoint_state(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert str(ckpt / "state.json") in err and message in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda arrays: arrays.update(obs_lead=arrays["obs_lead"][:5]),
+         "'obs_lead' has shape (5, 14)"),
+        (lambda arrays: arrays.pop("done"), "missing array 'done'"),
+        (None, "File is not a zip file"),
+    ],
+    ids=["truncated", "missing", "cut-file"],
+)
+def test_cli_eval_rejects_bad_replay_arrays(tmp_path, capsys, edit, message):
+    cfg_path = cli_config(tmp_path)
+    assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+    path = ckpt / "replay.npz"
+    if edit is None:
+        path.write_bytes(path.read_bytes()[:300])
+    else:
+        with np.load(path) as data:
+            arrays = dict(data)
+        edit(arrays)
+        np.savez(path, **arrays)
+    capsys.readouterr()
+    rc = cli_main([
+        "--config", str(tmp_path / "runs" / "config.json"),
+        "--eval", str(ckpt), "--episodes", "2", "--out", str(tmp_path / "eval"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(ckpt / "replay.npz") in err and message in err
+    assert not (tmp_path / "eval" / "eval_metrics.csv").exists()
 
 
 @pytest.mark.parametrize("num_rsus", [16, 8])

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedassoc.agents import TrainerConfig
 from fedassoc.nn import (
     GATHER_MIN_OUTPUTS,
     DenseNet,
     GradientSet,
-    LrSchedule,
     backward,
     clip_global_norm,
     clone,
     copy_into_target,
     forward,
     init_net,
+    linear_schedule,
     load_net,
-    lr_at,
     net_fingerprint,
     save_net,
     sgd_apply,
@@ -424,19 +424,22 @@ def test_copy_rejects_mismatch():
 # -- learning-rate schedule --------------------------------------------------------------
 
 def test_lr_schedule_endpoints_and_midpoint():
-    sched = LrSchedule(0.01, 0.001, 250)
-    assert lr_at(sched, 1) == 0.01
-    assert lr_at(sched, 250) == pytest.approx(0.001)
-    assert lr_at(sched, 10_000) == pytest.approx(0.001)
-    odd = LrSchedule(0.01, 0.001, 11)
-    assert lr_at(odd, 6) == pytest.approx(0.0055)
+    assert linear_schedule(0.01, 0.001, 250, 1) == 0.01
+    assert linear_schedule(0.01, 0.001, 250, 250) == pytest.approx(0.001)
+    assert linear_schedule(0.01, 0.001, 250, 10_000) == pytest.approx(0.001)
+    assert linear_schedule(0.01, 0.001, 11, 6) == pytest.approx(0.0055)
+    # A length of 1 steps from start straight to end.
+    assert linear_schedule(0.01, 0.001, 1, 1) == 0.01
+    assert linear_schedule(0.01, 0.001, 1, 2) == 0.001
 
 
 def test_lr_schedule_validation():
-    with pytest.raises(ValueError):
-        LrSchedule(0.001, 0.01, 10)
-    with pytest.raises(ValueError):
-        lr_at(LrSchedule(), 0)
+    with pytest.raises(ValueError, match="lr_start >= lr_end > 0"):
+        TrainerConfig(lr_start=0.001, lr_end=0.01, lr_decay_episodes=10).validate()
+    with pytest.raises(ValueError, match="decay_episodes must be >= 1"):
+        TrainerConfig(lr_decay_episodes=0).validate()
+    with pytest.raises(ValueError, match="1-based"):
+        linear_schedule(0.01, 0.001, 250, 0)
 
 
 # -- checkpoint format ---------------------------------------------------------------------

@@ -1,16 +1,25 @@
 """Ring-buffer semantics of the pair replay store."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fedassoc.replay import ReplayBuffer
+from fedassoc.replay import Batch, ReplayBuffer
+
+
+def row(i, obs_dim=3):
+    v = np.full(obs_dim, float(i))
+    return dict(
+        obs_lead=v, act_lead=i, reward=float(i), next_obs_lead=v,
+        obs_follow=v, act_follow=i, next_obs_follow=v, done=False,
+    )
 
 
 def filled_buffer(capacity, inserts, obs_dim=3):
     buf = ReplayBuffer(capacity, obs_dim)
     for i in range(inserts):
-        v = np.full(obs_dim, float(i))
-        buf.add(v, i, float(i), v, v, i, v, done=False)
+        buf.add(**row(i, obs_dim))
     return buf
 
 
@@ -62,3 +71,42 @@ def test_state_round_trip():
 def test_invalid_capacity():
     with pytest.raises(ValueError):
         ReplayBuffer(0, 3)
+
+
+def test_row_fields_are_declared_once_by_batch():
+    names = [f.name for f in dataclasses.fields(Batch)]
+    buf = filled_buffer(capacity=8, inserts=3)
+    assert list(buf.columns) == names
+    assert list(buf.state_arrays()) == names + ["meta"]
+    assert list(vars(buf.sample(2, np.random.default_rng(0)))) == names
+    bad = row(0)
+    del bad["done"]
+    with pytest.raises(ValueError, match="done"):
+        buf.add(**bad)
+    with pytest.raises(ValueError, match="extra"):
+        buf.add(**row(0), extra=1.0)
+    assert len(buf) == 3
+
+
+def test_state_keeps_filled_rows_and_loads_full_columns():
+    buf = filled_buffer(capacity=8, inserts=5)
+    arrays = buf.state_arrays()
+    assert all(len(arrays[name]) == 5 for name in buf.columns)
+    # Columns of `capacity` rows, as earlier versions wrote them, load too.
+    full = {name: column.copy() for name, column in buf.columns.items()}
+    full["meta"] = arrays["meta"]
+    for state in (arrays, full):
+        clone = ReplayBuffer.from_state_arrays(state)
+        for name, column in buf.columns.items():
+            assert column.dtype == clone.columns[name].dtype
+            assert np.array_equal(column, clone.columns[name])
+    # A wrapped buffer is full: every row is kept.
+    wrapped = filled_buffer(capacity=8, inserts=11)
+    assert len(wrapped.state_arrays()["reward"]) == 8
+
+
+def test_state_rejects_other_row_counts():
+    arrays = filled_buffer(capacity=8, inserts=5).state_arrays()
+    arrays["reward"] = arrays["reward"][:3]
+    with pytest.raises(ValueError, match="'reward' has shape"):
+        ReplayBuffer.from_state_arrays(arrays)
