@@ -135,8 +135,8 @@ def decompose_joint(joint: int, num_actions: int) -> tuple[int, int]:
 
 
 def joint_q(mlp: DenseNet, own_q: np.ndarray, peer_q: np.ndarray) -> np.ndarray:
-    """Score joint actions from the concatenated [own || peer] Q inputs."""
-    out, _ = forward(mlp, np.concatenate([np.atleast_1d(own_q), np.atleast_1d(peer_q)]))
+    """Score joint actions from the concatenated [own || peer] Q vectors."""
+    out, _ = forward(mlp, np.concatenate((own_q, peer_q)))
     return out
 
 
@@ -440,11 +440,17 @@ class FederatedTrainer(Trainer):
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
         for attr, fname in cls._NET_FILES.items():
-            setattr(trainer.pair, attr, load_net(directory / fname))
+            net, built = load_net(directory / fname), getattr(trainer.pair, attr)
+            if (net.dims, net.activation) != (built.dims, built.activation):
+                raise ValueError(
+                    f"{directory / fname}: a {net.activation} net of dims {net.dims}, but "
+                    f"the checkpoint's config builds a {built.activation} net of dims {built.dims}"
+                )
+            setattr(trainer.pair, attr, net)
         replay_path = directory / "replay.npz"
         try:
             with np.load(replay_path) as data:
-                trainer.buffer = ReplayBuffer.from_state_arrays(dict(data))
+                trainer.buffer.load_state_arrays(dict(data))
         except KeyError as exc:
             raise ValueError(f"{replay_path}: missing array {exc}") from exc
         except (ValueError, zipfile.BadZipFile) as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import typing
@@ -22,7 +23,7 @@ def config_from_json(cls, data: dict, **built):
     """
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs = dict(built)
     for key, value in data.items():
         if key in REMOVED_OPTIONS:
@@ -33,6 +34,12 @@ def config_from_json(cls, data: dict, **built):
             value = tuple(value)
         kwargs[key] = value
     return cls(**kwargs)
+
+
+@functools.cache
+def _type_hints(cls) -> dict:
+    """`typing.get_type_hints`, evaluated once per config class."""
+    return typing.get_type_hints(cls)
 
 
 def _is_tuple_type(hint) -> bool:
@@ -65,6 +72,18 @@ def require_integer_list(obj, name, minimum: int, distinct: bool = False) -> Non
         kind = "distinct integers" if distinct else "integers"
         shown = list(values) if isinstance(values, tuple) else values
         raise ValueError(f"{name} must be a list of {kind} >= {minimum}, got {shown!r}")
+
+
+def require_positive_list(obj, name) -> None:
+    """Reject a field of `obj` that is not a list of finite numbers > 0, bools included."""
+    values = getattr(obj, name)
+    if not isinstance(values, (tuple, list)) or any(
+        isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values
+    ):
+        shown = list(values) if isinstance(values, tuple) else values
+        raise ValueError(f"{name} must be a list of numbers, got {shown!r}")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValueError(f"{name} must be finite and > 0, got {list(values)!r}")
 
 
 def require_finite(obj, names) -> None:

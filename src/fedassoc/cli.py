@@ -32,7 +32,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, action="append", help="run seed, repeatable"
     )
     parser.add_argument("--episodes", type=int, help="training episodes per run")
-    parser.add_argument("--sigma", type=float, help="sharing-noise standard deviation")
+    parser.add_argument(
+        "--sigma", type=float,
+        help="sharing-noise standard deviation for training; --eval keeps the checkpoint's",
+    )
     parser.add_argument("--num-rsus", type=int, help="number of roadside units")
     parser.add_argument("--out", type=Path, help="output directory")
     parser.add_argument("--sweep", choices=SWEEP_AXES, help="sweep one axis")
@@ -81,6 +84,10 @@ def _evaluate_checkpoint(cfg: ExperimentConfig, checkpoint: Path, episodes: int)
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.eval and args.sigma is not None:
+            raise ValueError(
+                "--sigma does not apply to --eval: the checkpoint's share_noise_std applies"
+            )
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         cfg = _apply_overrides(cfg, args)
         if args.eval:

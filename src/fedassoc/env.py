@@ -9,13 +9,14 @@ rates and trade-off utilities, and returns a shared scalar reward.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .checks import require_finite, require_integers
+from .checks import require_finite, require_integers, require_positive_list
 
 # Geometry of the two-lane freeway (m). Lanes carry the vehicles, the RSU rows
 # sit beyond the outer shoulders.
@@ -96,10 +97,9 @@ class EnvConfig:
         if self.mean_speed_low <= 0 or self.mean_speed_high < self.mean_speed_low:
             raise ValueError("mean speed range must satisfy 0 < low <= high")
         if self.mean_speeds is not None:
+            require_positive_list(self, "mean_speeds")
             if len(self.mean_speeds) != self.num_vehicles:
                 raise ValueError("mean_speeds must have one entry per vehicle")
-            if not all(math.isfinite(v) and v > 0 for v in self.mean_speeds):
-                raise ValueError(f"mean_speeds must be finite and > 0, got {list(self.mean_speeds)}")
         if self.speed_std < 0:
             raise ValueError("speed_std must be >= 0")
         if self.gain_db_low >= self.gain_db_high:
@@ -125,6 +125,25 @@ class EnvConfig:
 
 def dbm_to_watt(p_dbm: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     return 10.0 ** ((np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _max_power_w(power_max_dbm: float) -> float:
+    return float(dbm_to_watt(power_max_dbm))
+
+
+def list_mean(values: Sequence[float]) -> float:
+    """`np.mean` of a list of floats, bit for bit, without building an array.
+
+    numpy adds fewer than 8 values one by one, left to right from 0.0; longer
+    lists take its pairwise sum.
+    """
+    if len(values) >= 8:
+        return float(np.mean(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +299,7 @@ def utility(
 
     Takes floats or arrays of one shape (one entry per vehicle).
     """
-    p_max_w = float(dbm_to_watt(cfg.power_max_dbm))
+    p_max_w = _max_power_w(cfg.power_max_dbm)
     return (
         cfg.weight_rate * rate / cfg.min_rate
         - cfg.weight_handover * ho
@@ -588,10 +607,8 @@ class EdgeAssocEnv:
                 rates[k] = achievable_rate(tx_powers[k], self.gain_table[k, rid], self._noise_w)
 
         violations = check_constraints(chosen_rsu, rates, cfg.min_rate)
-        rates, tx_powers, ho_flags = np.array(rates), np.array(tx_powers), np.array(ho_flags)
-        utilities = utility(rates, ho_flags, tx_powers, cfg)
-        reward = float(np.mean(utilities)) + (cfg.penalty if violations else 0.0)
-
+        utilities = [utility(*v, cfg) for v in zip(rates, ho_flags, tx_powers)]
+        reward = list_mean(utilities) + (cfg.penalty if violations else 0.0)
         assoc = np.array([rid if rid is not None else -1 for rid in chosen_rsu])
         done = world.t >= cfg.horizon
 
@@ -614,10 +631,10 @@ class EdgeAssocEnv:
 
         return StepResult(
             reward=reward,
-            utilities=utilities,
-            rates=rates,
-            ho_flags=ho_flags,
-            tx_powers_w=tx_powers,
+            utilities=np.array(utilities),
+            rates=np.array(rates),
+            ho_flags=np.array(ho_flags),
+            tx_powers_w=np.array(tx_powers),
             assoc_rsus=assoc,
             violations=violations,
             observations=list(obs),

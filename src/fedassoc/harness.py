@@ -63,6 +63,8 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("at least one seed is required")
         require_integer_list(self, "seeds", 0, distinct=True)
+        if not isinstance(self.algos, (tuple, list)):
+            raise ValueError(f"algos must be a list of algorithm names, got {self.algos!r}")
         for algo in self.algos:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")

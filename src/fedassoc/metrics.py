@@ -12,6 +12,8 @@ import csv
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
+from .env import list_mean
+
 CSV_COLUMNS = (
     "episode",
     "mean_utility",
@@ -59,13 +61,14 @@ class MetricAccumulator:
         self._violations = 0
 
     def add(self, step, episode: int) -> None:
+        """Take one TS; the means are `np.mean`'s, summed on Python floats."""
         self._t += 1
-        mean_u = float(step.utilities.mean())
+        mean_u = list_mean(step.utilities.tolist())
         self._utility_sum += mean_u
         self._reward_sum += step.reward
-        self._rate_sum += float(step.rates.mean())
-        self._ho_sum += float(step.ho_flags.sum()) / self._k
-        self._power_sum += float(step.tx_powers_w.mean())
+        self._rate_sum += list_mean(step.rates.tolist())
+        self._ho_sum += sum(step.ho_flags.tolist()) / self._k
+        self._power_sum += list_mean(step.tx_powers_w.tolist())
         self._violations += step.violations.count()
         if self._ts_rows is not None:
             penalty = self._penalty if step.violations else 0.0

@@ -19,6 +19,7 @@ Checkpoint file layout (little endian), version 1:
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -79,21 +80,26 @@ def init_net(dims: Sequence[int], seed_or_rng, activation: str = "relu") -> Dens
     return DenseNet(weights=weights, biases=biases, activation=activation)
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """Apply the hidden activation to `z` in place."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "tanh":
-        return np.tanh(z)
+        np.maximum(z, 0.0, out=z)
+    elif kind == "tanh":
+        np.tanh(z, out=z)
     return z
 
 
-def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
+def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """Derivative of the activation, from its output `a`.
+
+    relu's a > 0 holds exactly where z > 0, and tanh's 1 - a*a is the form
+    taken from z, so both are bit-equal to the derivative taken from z.
+    """
     if kind == "relu":
-        return (z > 0.0).astype(z.dtype)
+        return (a > 0.0).astype(a.dtype)
     if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return np.ones_like(z)
+        return 1.0 - a * a
+    return np.ones_like(a)
 
 
 # Narrower last layers evaluate a selected-output pass densely and then gather:
@@ -116,39 +122,41 @@ def forward(net: DenseNet, x: np.ndarray, cols=None) -> tuple[np.ndarray, list]:
     """Run the network; returns (output, cache) with cache feeding backward.
 
     Accepts a single input vector or a (batch, in) matrix; the output matches
-    the input's leading shape. With `cols`, one output index per row of a
-    batch, the last layer computes only the selected outputs and the result
-    is y[i] = out[i, cols[i]], shape (batch,). Training losses that read one
-    output per sample use it; the dense pass is the reference.
+    the input's leading shape. A vector runs as matrix-vector products, which
+    give the same bits as a one-row batch at a fraction of its call overhead
+    (action selection runs one vector per agent and TS). The cache holds each
+    layer's input: `x`, then every hidden activation. With `cols`, one output
+    index per row of a batch, the last layer computes only the selected
+    outputs and the result is y[i] = out[i, cols[i]], shape (batch,). Training
+    losses that read one output per sample use it; the dense pass is the
+    reference.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    a = x.reshape(1, -1) if single else x
-    if a.shape[1] != net.weights[0].shape[1]:
+    if x.shape[-1] != net.weights[0].shape[1]:
         raise ValueError(
-            f"input dim {a.shape[1]} does not match net input {net.weights[0].shape[1]}"
+            f"input dim {x.shape[-1]} does not match net input {net.weights[0].shape[1]}"
         )
-    cache = []
+    cache = [x]
+    a = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = a @ w.T
-        z += b
-        cache.append((a, z))
-        a = _act(z, net.activation)
+        a = w @ a if single else a @ w.T
+        a += b
+        cache.append(_activate(a, net.activation))
     w, b = net.weights[-1], net.biases[-1]
     if cols is not None:
         if single:
             raise ValueError("cols needs a batch input")
         cols = _check_cols(cols, a.shape[0], w.shape[0])
     if cols is None or w.shape[0] < GATHER_MIN_OUTPUTS:
-        z = a @ w.T
+        z = w @ a if single else a @ w.T
         z += b
         if cols is not None:
             z = z[np.arange(len(cols)), cols]
     else:
         z = np.einsum("ij,ij->i", a, w[cols])
         z += b[cols]
-    cache.append((a, z))
-    return (z[0] if single else z), cache
+    return z, cache
 
 
 def backward(
@@ -159,12 +167,15 @@ def backward(
     `output_gradient` carries dL/dy per sample; parameter gradients come back
     summed over the batch, the input gradient per sample. With `cols`, as
     given to `forward`, it holds one value per row: dL/dy[i] of the selected
-    output out[i, cols[i]].
+    output out[i, cols[i]]. The cache of a single input vector serves as a
+    one-row batch.
     """
     dout = np.asarray(output_gradient, dtype=float)
     if len(cache) != len(net.weights):
         raise ValueError("cache does not match network depth")
-    a_in = cache[-1][0]
+    if cache[0].ndim == 1:
+        cache = [a.reshape(1, -1) for a in cache]
+    a_in = cache[-1]
     w = net.weights[-1]
     fan_out, fan_in = w.shape
     if cols is not None:
@@ -194,9 +205,8 @@ def backward(
     d_weights = [None] * (len(net.weights) - 1) + [d_w]
     d_biases = [None] * (len(net.weights) - 1) + [d_b]
     for i in range(len(net.weights) - 2, -1, -1):
-        a_in, z = cache[i]
-        dz = da * _act_grad(z, net.activation)
-        d_weights[i] = dz.T @ a_in
+        dz = da * _act_grad(cache[i + 1], net.activation)
+        d_weights[i] = dz.T @ cache[i]
         d_biases[i] = dz.sum(axis=0)
         da = dz @ net.weights[i]
     grads = GradientSet(d_weights=d_weights, d_biases=d_biases)
@@ -328,16 +338,39 @@ def save_net(path, net: DenseNet) -> None:
 
 
 def load_net(path) -> DenseNet:
+    """Read a `save_net` file; malformed content raises ValueError naming the file.
+
+    The activation code, the dims, the exact file length and the finiteness
+    of every parameter are checked before a net is built. Parameters are read
+    straight into their arrays.
+    """
+    head = len(_MAGIC) + 12
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(head)
+        if len(header) < head or header[: len(_MAGIC)] != _MAGIC:
             raise ValueError(f"{path}: not a DNET checkpoint")
-        version, act_code, ndims = struct.unpack("<III", fh.read(12))
+        version, act_code, ndims = struct.unpack_from("<III", header, len(_MAGIC))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        dims = np.frombuffer(fh.read(8 * ndims), dtype="<i8")
+        if act_code >= len(_ACTIVATIONS):
+            raise ValueError(f"{path}: unknown activation code {act_code}")
+        if not 2 <= ndims <= (size - head) // 8:
+            raise ValueError(f"{path}: {ndims} layer dims do not fit a {size}-byte file")
+        dims = np.frombuffer(fh.read(8 * ndims), "<i8").tolist()
+        if min(dims) < 1:
+            raise ValueError(f"{path}: layer dims {dims} must be >= 1")
+        need = head + 8 * ndims + 8 * sum(o * (i + 1) for i, o in zip(dims, dims[1:]))
+        if size != need:
+            raise ValueError(f"{path}: holds {size} bytes, layer dims {dims} need {need}")
         weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w = np.frombuffer(fh.read(8 * fan_in * fan_out), dtype="<f8")
-            weights.append(w.reshape(fan_out, fan_in).copy())
-            biases.append(np.frombuffer(fh.read(8 * fan_out), dtype="<f8").copy())
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            w, b = np.empty((fan_out, fan_in), "<f8"), np.empty(fan_out, "<f8")
+            for arr in (w, b):
+                if fh.readinto(arr) != arr.nbytes:
+                    raise ValueError(f"{path}: file ended early")
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{path}: non-finite parameters")
+            weights.append(w)
+            biases.append(b)
     return DenseNet(weights=weights, biases=biases, activation=_ACTIVATIONS[act_code])

@@ -75,13 +75,19 @@ class ReplayBuffer:
         arrays["meta"] = np.array([self.size, self.cursor, self.capacity], dtype=np.int64)
         return arrays
 
-    @classmethod
-    def from_state_arrays(cls, arrays: dict) -> "ReplayBuffer":
-        """Restore from `state_arrays`; each column may hold `size` or `capacity` rows."""
+    def load_state_arrays(self, arrays: dict) -> None:
+        """Restore `state_arrays` into this buffer, which keeps its own columns.
+
+        Each column may hold `size` or `capacity` rows, and `meta` must name this
+        buffer's capacity. Every array is checked before the first write. Rows
+        past `size` are never read, so they are left as they are.
+        """
         size, cursor, capacity = (int(v) for v in arrays["meta"])
-        obs_dim = next(arrays[f.name].shape[-1] for f in fields(Batch) if f.metadata["obs"])
-        buf = cls(capacity, obs_dim)
-        for name, column in buf.columns.items():
+        if capacity != self.capacity:
+            raise ValueError(
+                f"replay capacity {capacity} does not match this buffer's {self.capacity}"
+            )
+        for name, column in self.columns.items():
             array = arrays[name]
             rows = array.shape[0] if array.ndim else -1
             if rows not in (size, capacity) or array.shape[1:] != column.shape[1:]:
@@ -89,7 +95,7 @@ class ReplayBuffer:
                     f"replay array {name!r} has shape {array.shape}, expected "
                     f"{size} (filled) or {capacity} (all) rows of shape {column.shape[1:]}"
                 )
-            column[:rows] = array
-        buf.size = size
-        buf.cursor = cursor
-        return buf
+        for name, column in self.columns.items():
+            column[: len(arrays[name])] = arrays[name]
+        self.size = size
+        self.cursor = cursor

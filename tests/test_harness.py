@@ -289,11 +289,16 @@ def test_cli_reports_errors(tmp_path, capsys):
         ({"local_hidden": [80, 0]}, "local_hidden must be a list of integers >= 1, got [80, 0]"),
         ({"local_hidden": [80.7]}, "local_hidden must be a list of integers >= 1, got [80.7]"),
         ({"mlp_hidden": [True]}, "mlp_hidden must be a list of integers >= 1, got [True]"),
+        ({"mean_speeds": 5}, "mean_speeds must be a list of numbers, got 5"),
+        ({"mean_speeds": ["5", 7.0]}, "mean_speeds must be a list of numbers, got ['5', 7.0]"),
+        ({"algos": "proposed"}, "algos must be a list of algorithm names, got 'proposed'"),
+        ({}, "the checkpoint's share_noise_std applies",
+         "--eval", str(tmp_path / "ckpt"), "--sigma", "5"),
     ]
-    for data, message in cases:
+    for data, message, *flags in cases:
         data["out_dir"] = str(tmp_path / "runs")
         bad.write_text(json.dumps(data))
-        rc = cli_main(["--config", str(bad)])
+        rc = cli_main(["--config", str(bad), *flags])
         assert rc == 2
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
@@ -344,9 +349,11 @@ def test_cli_eval_rejects_bad_checkpoint_state(tmp_path, capsys, edit, message):
         (lambda arrays: arrays.update(obs_lead=arrays["obs_lead"][:5]),
          "'obs_lead' has shape (5, 14)"),
         (lambda arrays: arrays.pop("done"), "missing array 'done'"),
+        (lambda arrays: arrays["meta"].__setitem__(2, 999),
+         "replay capacity 999 does not match this buffer's 32"),
         (None, "File is not a zip file"),
     ],
-    ids=["truncated", "missing", "cut-file"],
+    ids=["truncated", "missing", "capacity", "cut-file"],
 )
 def test_cli_eval_rejects_bad_replay_arrays(tmp_path, capsys, edit, message):
     cfg_path = cli_config(tmp_path)
@@ -370,6 +377,47 @@ def test_cli_eval_rejects_bad_replay_arrays(tmp_path, capsys, edit, message):
     assert err.count("\n") == 1
     assert str(ckpt / "replay.npz") in err and message in err
     assert not (tmp_path / "eval" / "eval_metrics.csv").exists()
+
+
+def _set_activation_code(path):
+    data = bytearray(path.read_bytes())
+    data[8:12] = b"\xff\xff\xff\xff"
+    path.write_bytes(bytes(data))
+
+
+def _set_nan_weight(path):
+    data = bytearray(path.read_bytes())
+    data[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_activation_code, "unknown activation code 4294967295"),
+        (lambda path: path.write_bytes(path.read_bytes()[:-5]), "bytes, layer dims"),
+        (lambda path: path.write_bytes(path.read_bytes()[:10]), "not a DNET checkpoint"),
+        (_set_nan_weight, "non-finite parameters"),
+        (lambda path: path.write_bytes((path.parent / "mlp.net").read_bytes()),
+         "the checkpoint's config builds a relu net of dims (14, 8, 16)"),
+    ],
+    ids=["activation", "truncated", "cut-header", "nan", "mlp-over-lead"],
+)
+def test_cli_eval_rejects_bad_net_files(tmp_path, capsys, edit, message):
+    cfg_path = cli_config(tmp_path)
+    assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+    edit(ckpt / "lead.net")
+    capsys.readouterr()
+    rc = cli_main([
+        "--config", str(tmp_path / "runs" / "config.json"),
+        "--eval", str(ckpt), "--episodes", "2", "--out", str(tmp_path / "eval"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(ckpt / "lead.net") in err and message in err
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("num_rsus", [16, 8])

@@ -1,0 +1,85 @@
+"""Episode metrics: the float-list means and the accumulator against np.mean."""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedassoc.env import StepResult, Violations, list_mean
+from fedassoc.metrics import EpisodeRecord, MetricAccumulator
+
+
+def random_values(rng, n):
+    """Signed floats over many magnitudes, with zeros, so summation order shows."""
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    values[rng.random(n) < 0.2] = 0.0
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_list_mean_is_np_mean_bit_for_bit(n, seed):
+    values = random_values(np.random.default_rng(seed), n)
+    assert repr(list_mean(values.tolist())) == repr(float(np.mean(values)))
+
+
+def random_step(rng, k):
+    return StepResult(
+        reward=float(rng.standard_normal()),
+        utilities=random_values(rng, k),
+        rates=np.abs(random_values(rng, k)),
+        ho_flags=rng.integers(0, 2, k),
+        tx_powers_w=rng.uniform(0.0, 3.2, k),
+        assoc_rsus=rng.integers(-1, 12, k),
+        violations=Violations(
+            conflicts=[0] * int(rng.integers(0, 2)), rate_below_min=[0] * int(rng.integers(0, 3))
+        ),
+        observations=[],
+        done=False,
+    )
+
+
+def reference_record(steps, k, penalty, episode, ts_rows):
+    """The record and TS rows by np.mean and np.sum on each step's arrays."""
+    sums = [0.0] * 5
+    violations = 0
+    for t, step in enumerate(steps, start=1):
+        mean_u = float(step.utilities.mean())
+        sums[0] += mean_u
+        sums[1] += step.reward
+        sums[2] += float(step.rates.mean())
+        sums[3] += float(step.ho_flags.sum()) / k
+        sums[4] += float(step.tx_powers_w.mean())
+        violations += step.violations.count()
+        if ts_rows is not None:
+            ts_rows.append((episode, t, mean_u, penalty if step.violations else 0.0, step.reward))
+    t = len(steps)
+    return EpisodeRecord(
+        episode=episode,
+        mean_utility=sums[0] / t,
+        mean_reward=sums[1] / t,
+        mean_rate=sums[2] / t,
+        handovers_per_user=sums[3],
+        mean_power_w=sums[4] / t,
+        violations=violations,
+        epsilon=0.5,
+        lr=0.01,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 30), st.booleans(), st.integers(0, 2**32 - 1))
+def test_accumulator_matches_np_mean_reference(k, steps, log_ts, seed):
+    rng = np.random.default_rng(seed)
+    episodes = [[random_step(rng, k) for _ in range(steps)] for _ in range(2)]
+    got_rows = [] if log_ts else None
+    want_rows = [] if log_ts else None
+    acc = MetricAccumulator(k, -1.0, got_rows)
+    for episode, stream in enumerate(episodes, start=1):
+        for step in stream:
+            acc.add(step, episode)
+        got = acc.finalize(episode, 0.5, 0.01)
+        want = reference_record(stream, k, -1.0, episode, want_rows)
+        assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
+    assert repr(got_rows) == repr(want_rows)

@@ -1,5 +1,7 @@
 """Dense-net engine: shapes, exact values, finite-difference gradient checks."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,6 +240,30 @@ def test_selected_pass_matches_dense_pass(case):
     assert_close(din_sel, din_dense)
 
 
+@settings(max_examples=150, deadline=None)
+@given(selected_cases())
+def test_vector_pass_matches_one_row_batch(case):
+    dims, activation, _, _, seed = case
+    rng = np.random.default_rng(seed)
+    net = init_net(dims, rng, activation=activation)
+    for b in net.biases:
+        b[...] = rng.standard_normal(b.shape)
+    x = rng.standard_normal(dims[0])
+    d_out = rng.standard_normal(dims[-1])
+
+    out, cache = forward(net, x)
+    out_batch, cache_batch = forward(net, x[None])
+    assert out.shape == (dims[-1],)
+    assert_close(out, out_batch[0])
+
+    g, d_in = backward(net, cache, d_out)
+    g_batch, d_in_batch = backward(net, cache_batch, d_out[None])
+    for got, want in zip(g.d_weights + g.d_biases, g_batch.d_weights + g_batch.d_biases):
+        assert_close(got, want)
+    assert d_in.shape == (dims[0],)
+    assert_close(d_in, d_in_batch[0])
+
+
 def test_selected_output_loss_matches_finite_differences():
     rng = np.random.default_rng(404)
     cases = (("relu", 7), ("tanh", 7), ("linear", 7), ("relu", GATHER_MIN_OUTPUTS))
@@ -459,3 +485,36 @@ def test_load_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPEnope")
     with pytest.raises(ValueError):
         load_net(path)
+
+
+def _edit_header(offset, fmt, value):
+    def edit(data):
+        struct.pack_into(fmt, data, offset, value)
+        return data
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_edit_header(4, "<I", 2), "unsupported version 2"),
+        (_edit_header(8, "<I", 3), "unknown activation code 3"),
+        (_edit_header(12, "<I", 1), "1 layer dims do not fit"),
+        (_edit_header(12, "<I", 0xFFFFFFFF), "4294967295 layer dims do not fit"),
+        (_edit_header(16, "<q", -7), "layer dims [-7, 5, 9] must be >= 1"),
+        (_edit_header(16, "<q", 2**62), "layer dims [4611686018427387904, 5, 9] need"),
+        (lambda data: data + b"\0", "holds 793 bytes, layer dims [7, 5, 9] need 792"),
+        (lambda data: data[:-1], "holds 791 bytes"),
+        (lambda data: data[:15], "not a DNET checkpoint"),
+        (_edit_header(424, "<d", np.inf), "non-finite parameters"),
+    ],
+    ids=["version", "activation", "one-dim", "dim-count", "negative-dim", "huge-dim",
+         "extra-byte", "cut-byte", "cut-header", "inf"],
+)
+def test_load_rejects_malformed_files_naming_them(tmp_path, edit, message):
+    path = tmp_path / "net.bin"
+    save_net(path, init_net((7, 5, 9), 77, activation="tanh"))
+    path.write_bytes(bytes(edit(bytearray(path.read_bytes()))))
+    with pytest.raises(ValueError) as info:
+        load_net(path)
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)

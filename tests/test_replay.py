@@ -60,7 +60,8 @@ def test_batch_fields_stay_time_aligned():
 
 def test_state_round_trip():
     buf = filled_buffer(capacity=8, inserts=11)
-    clone = ReplayBuffer.from_state_arrays(buf.state_arrays())
+    clone = ReplayBuffer(8, 3)
+    clone.load_state_arrays(buf.state_arrays())
     assert len(clone) == len(buf) and clone.cursor == buf.cursor
     a = buf.sample(16, np.random.default_rng(7))
     b = clone.sample(16, np.random.default_rng(7))
@@ -96,7 +97,8 @@ def test_state_keeps_filled_rows_and_loads_full_columns():
     full = {name: column.copy() for name, column in buf.columns.items()}
     full["meta"] = arrays["meta"]
     for state in (arrays, full):
-        clone = ReplayBuffer.from_state_arrays(state)
+        clone = ReplayBuffer(8, 3)
+        clone.load_state_arrays(state)
         for name, column in buf.columns.items():
             assert column.dtype == clone.columns[name].dtype
             assert np.array_equal(column, clone.columns[name])
@@ -108,5 +110,12 @@ def test_state_keeps_filled_rows_and_loads_full_columns():
 def test_state_rejects_other_row_counts():
     arrays = filled_buffer(capacity=8, inserts=5).state_arrays()
     arrays["reward"] = arrays["reward"][:3]
+    clone = filled_buffer(capacity=8, inserts=2)
+    before = {name: column.copy() for name, column in clone.columns.items()}
     with pytest.raises(ValueError, match="'reward' has shape"):
-        ReplayBuffer.from_state_arrays(arrays)
+        clone.load_state_arrays(arrays)
+    # Every array is checked before the first write: the buffer keeps its own rows.
+    assert len(clone) == 2
+    assert all(np.array_equal(before[name], column) for name, column in clone.columns.items())
+    with pytest.raises(ValueError, match="replay capacity 8 does not match this buffer's 16"):
+        ReplayBuffer(16, 3).load_state_arrays(filled_buffer(capacity=8, inserts=5).state_arrays())
