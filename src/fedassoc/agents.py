@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import zipfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -422,10 +423,14 @@ class FederatedTrainer(Trainer):
 
     @classmethod
     def load(cls, directory, env) -> "FederatedTrainer":
-        """Restore a saved trainer; a malformed `state.json` raises ValueError."""
+        """Restore a saved trainer; a malformed file raises ValueError naming it.
+
+        `env` takes the checkpoint's env state last, once every file has been
+        read and checked, so a failed load leaves it unchanged.
+        """
         directory = Path(directory)
         path = directory / "state.json"
-        try:
+        with _errors_name(path):
             state = json.loads(path.read_text())
             trainer = cls(env, config_from_json(TrainerConfig, state["cfg"]), seed=0)
             trainer.episode = int(state["episode"])
@@ -433,12 +438,6 @@ class FederatedTrainer(Trainer):
             for name in ("rng_explore", "rng_sample", "rng_noise"):
                 getattr(trainer, name).bit_generator.state = state[name]
             env_state = state["env_state"]
-            if env_state is not None and hasattr(env, "set_state"):
-                env.set_state(env_state)
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
         for attr, fname in cls._NET_FILES.items():
             net, built = load_net(directory / fname), getattr(trainer.pair, attr)
             if (net.dims, net.activation) != (built.dims, built.activation):
@@ -455,4 +454,18 @@ class FederatedTrainer(Trainer):
             raise ValueError(f"{replay_path}: missing array {exc}") from exc
         except (ValueError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{replay_path}: {exc}") from exc
+        if env_state is not None and hasattr(env, "set_state"):
+            with _errors_name(path):
+                env.set_state(env_state)
         return trainer
+
+
+@contextmanager
+def _errors_name(path: Path):
+    """Re-raise a bad key, type or value read from `path` as one ValueError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

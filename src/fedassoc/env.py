@@ -9,9 +9,11 @@ rates and trade-off utilities, and returns a shared scalar reward.
 
 from __future__ import annotations
 
+import copy
 import functools
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -164,15 +166,6 @@ def mean_channel_gain(distance_km: Union[float, np.ndarray]) -> Union[float, np.
     return 10.0 ** (-path_loss_db(distance_km) / 10.0)
 
 
-def sample_channel_gain(distance_km: float, rng: np.random.Generator) -> float:
-    """Draw one linear channel gain: path loss times a fading power factor.
-
-    The fading factor is the squared magnitude of unit-variance complex
-    fading, i.e. exponentially distributed with mean 1.
-    """
-    return mean_channel_gain(distance_km) * rng.exponential()
-
-
 def achievable_rate(tx_power_w: float, gain: float, noise_w: float) -> float:
     """Downlink spectral efficiency log2(1 + P*G/N) in bit/s/Hz."""
     return math.log2(1.0 + tx_power_w * gain / noise_w)
@@ -218,9 +211,6 @@ class RsuLayout:
     def count(self) -> int:
         return len(self.xs)
 
-    def position(self, rsu_id: int) -> tuple[float, float]:
-        return float(self.xs[rsu_id]), float(self.ys[rsu_id])
-
 
 def build_rsu_layout(cfg: EnvConfig) -> RsuLayout:
     per_side = cfg.num_rsus // 2
@@ -253,34 +243,8 @@ class WorldState:
 
 
 # --------------------------------------------------------------------------
-# Observations and actions
+# Reward and constraints
 # --------------------------------------------------------------------------
-
-@dataclass
-class Observation:
-    """Per-vehicle local view: slot gains, slot locations, last RSU location.
-
-    `slot_map` holds the global RSU id behind each slot (-1 for padding); it
-    is environment bookkeeping and never enters the learner input vector.
-    """
-
-    gains: np.ndarray          # (visible_rsus,) linear gains, 0 for padded slots
-    locations: np.ndarray      # (visible_rsus, 2) raw coordinates
-    prev_location: np.ndarray  # (2,) raw coordinates or NO_RSU_LOCATION
-    slot_map: np.ndarray       # (visible_rsus,) RSU ids, -1 for padded slots
-
-
-@dataclass(frozen=True)
-class AgentAction:
-    """One association slot pick plus one transmit power level."""
-
-    rsu_slot: int
-    power_level: int
-
-    @staticmethod
-    def from_index(index: int, power_levels: int) -> "AgentAction":
-        return AgentAction(index // power_levels, index % power_levels)
-
 
 def handover_indicator(prev_assoc: Optional[int], cur_assoc: int) -> int:
     """1 iff a previous association exists and differs from the current one."""
@@ -357,12 +321,7 @@ class StepResult:
 # Environment
 # --------------------------------------------------------------------------
 
-def _state_array(value, shape: tuple, name: str, dtype=float) -> np.ndarray:
-    """A restored state array, checked against the shape this world needs."""
-    arr = np.asarray(value, dtype=dtype)
-    if arr.shape != shape:
-        raise ValueError(f"env state {name} has shape {arr.shape}, this world needs {shape}")
-    return arr
+_STREAMS = ("rng_init", "rng_mobility", "rng_fading")
 
 
 class EdgeAssocEnv:
@@ -378,11 +337,8 @@ class EdgeAssocEnv:
     table per TS through TS `horizon + 1`, the same numbers in the same amount
     as drawing them TS by TS. From them it derives each TS's positions,
     speeds, gain table, slot map and learner input vector, all but the
-    previous-association columns. `step` does the action-dependent rest.
-    Past the drawn rows (beyond the horizon, or after restoring a state that
-    carries none) each step draws one TS from the current world. Rows drawn
-    but not used (a reset before the horizon, vehicles moved by hand) feed
-    the next draws, and a mid-episode `get_state` carries them.
+    previous-association columns. `step` does the action-dependent rest, up
+    to the horizon; stepping a done episode raises.
     """
 
     def __init__(self, cfg: EnvConfig, seed: int):
@@ -402,19 +358,19 @@ class EdgeAssocEnv:
             )
         self._power_w = cfg.power_levels_w().tolist()
         self._noise_w = float(dbm_to_watt(cfg.noise_dbm))
+        no_x, no_y = NO_RSU_LOCATION
+        # Normalized location per RSU id; row -1 is NO_RSU_LOCATION.
+        self._prev_location = np.stack([
+            np.append(self.layout.xs, no_x) / cfg.road_length,
+            np.append(self.layout.ys, no_y) / cfg.y_scale,
+        ], axis=1)
         self.world: Optional[WorldState] = None
         self.gain_table: Optional[np.ndarray] = None  # (K, R) gains of this TS
-        # Drawn rows, one per TS, set by `_plan`; row `_row` is the current TS.
-        self._row = 0
+        # The episode's rows, one per TS from 1 to horizon + 1; row t - 1 is TS t.
         self._xs = self._speeds = None  # (n, K)
         self._gains = None              # (n, K, R)
         self._slots = None              # (n, K, visible_rsus) RSU ids, -1 padded
         self._obs = None                # (n, K, obs_dim) learner input vectors
-        self._prev_location = None      # (R + 1, 2) normalized; row -1 is NO_RSU_LOCATION
-        # The draws behind rows 1..n-1. Those after `_row` are drawn but not yet
-        # used, and every later draw takes them first.
-        self._noise = np.empty((0, cfg.num_vehicles))                  # (n - 1, K)
-        self._fading = np.empty((0, cfg.num_vehicles, cfg.num_rsus))   # (n - 1, K, R)
 
     # -- episode control ----------------------------------------------------
 
@@ -440,25 +396,8 @@ class EdgeAssocEnv:
             prev_assoc=np.full(k, -1, dtype=int),
             t=1,
         )
-        self._sample_gains()
+        self._draw_episode()
         return list(self._obs[0])
-
-    def _sample_gains(self) -> None:
-        """Draw the current TS's fading and the world through TS horizon + 1.
-
-        Plans from the current world, so it also serves after moving vehicles.
-        Rows drawn earlier and not yet used come first, so each stream yields
-        the same numbers as when every TS drew its own.
-        """
-        noise, fading = self._noise[self._row:], self._fading[self._row:]
-        ahead = max(self.cfg.horizon + 1 - self.world.t, len(noise))
-        k, r = self.cfg.num_vehicles, self.layout.count
-        self._plan(
-            np.concatenate([noise, self._rng_mobility.standard_normal((ahead - len(noise), k))]),
-            np.concatenate([
-                fading, self._rng_fading.exponential(size=(ahead + 1 - len(fading), k, r)),
-            ]),
-        )
 
     def _trajectory(self, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions and speeds (n + 1, K) of the current TS and one TS per noise row.
@@ -483,20 +422,18 @@ class EdgeAssocEnv:
             speeds.append(vk)
         return np.array(xs).T.copy(), np.array(speeds).T.copy()
 
-    def _plan(self, noise: np.ndarray, fading: np.ndarray) -> None:
-        """Derive the rows of the current TS and of one TS per mobility row.
-
-        `fading` holds one table per TS ahead, led by one for the current TS
-        unless the current `gain_table` is kept.
-        """
+    def _draw_episode(self) -> None:
+        """Draw mobility and fading for the whole episode from the current
+        world at TS 1, and derive the rows of every TS through horizon + 1."""
         cfg, layout = self.cfg, self.layout
+        k, r = cfg.num_vehicles, layout.count
+        noise = self._rng_mobility.standard_normal((cfg.horizon, k))
+        fading = self._rng_fading.exponential(size=(cfg.horizon + 1, k, r))
         xs, speeds = self._trajectory(noise)
         dx = np.abs(xs[:, :, None] - layout.xs) % cfg.road_length
         dx = np.minimum(dx, cfg.road_length - dx)
         dist = np.hypot(dx, self.world.lane_y()[:, None] - layout.ys)  # (n, K, R) ring metric
-        gains = mean_channel_gain(dist[len(xs) - len(fading):] / 1000.0) * fading
-        if len(fading) < len(xs):
-            gains = np.concatenate([self.gain_table[None], gains])
+        gains = mean_channel_gain(dist / 1000.0) * fading
 
         # Slots: RSUs in coverage, nearest first; the stable sort keeps ties
         # in id order. In-range RSUs are a prefix of the sorted row.
@@ -512,76 +449,46 @@ class EdgeAssocEnv:
         positive = slot_gains > 0.0
         gains_db[positive] = 10.0 * np.log10(slot_gains[positive])
         v = cfg.visible_rsus
-        obs = np.empty((len(xs), cfg.num_vehicles, cfg.obs_dim))
+        obs = np.empty((len(xs), k, cfg.obs_dim))
         obs[..., :v] = (np.clip(gains_db, lo, hi) - lo) / (hi - lo)
         no_x, no_y = NO_RSU_LOCATION
         obs[..., v:3 * v:2] = np.where(padded, no_x, layout.xs[order]) / cfg.road_length
         obs[..., v + 1:3 * v:2] = np.where(padded, no_y, layout.ys[order]) / cfg.y_scale
-        self._prev_location = np.stack([
-            np.append(layout.xs, no_x) / cfg.road_length,
-            np.append(layout.ys, no_y) / cfg.y_scale,
-        ], axis=1)
         obs[0, :, -2:] = self._prev_location[self.world.prev_assoc]
 
-        self._row = 0
         self._xs, self._speeds, self._gains = xs, speeds, gains
         self._slots, self._obs = slots, obs
-        self._noise, self._fading = noise, fading[len(fading) - len(noise):]
         self.gain_table = gains[0]
-
-    @property
-    def observations(self) -> list[Observation]:
-        """Per-vehicle views of the current TS, built on each access."""
-        if self.world is None:
-            return []
-        layout = self.layout
-        views = []
-        for k, slot_map in enumerate(self._slots[self._row]):
-            padded = slot_map < 0
-            prev = int(self.world.prev_assoc[k])
-            views.append(Observation(
-                gains=np.where(padded, 0.0, self.gain_table[k, slot_map]),
-                locations=np.where(
-                    padded[:, None], NO_RSU_LOCATION,
-                    np.stack([layout.xs[slot_map], layout.ys[slot_map]], axis=1),
-                ),
-                prev_location=np.asarray(
-                    layout.position(prev) if prev >= 0 else NO_RSU_LOCATION
-                ),
-                slot_map=slot_map.copy(),
-            ))
-        return views
 
     # -- stepping -------------------------------------------------------------
 
-    def step(self, actions: Sequence[Union[int, AgentAction]]) -> StepResult:
+    def step(self, actions: Sequence[int]) -> StepResult:
         """Apply one joint action, advance the world one TS.
 
         Conflicting picks of the same RSU are resolved in favor of the lowest
         vehicle index; losers transmit nothing that TS. Selecting a padded
         slot falls back to the nearest available RSU without a penalty. A
-        structurally invalid action index raises ValueError.
+        structurally invalid action index raises ValueError; stepping before
+        `reset()` or after the episode is done raises RuntimeError.
         """
         cfg = self.cfg
         world = self.world
         if world is None:
             raise RuntimeError("call reset() before step()")
+        if world.t > cfg.horizon:
+            raise RuntimeError("the episode is done; call reset() before step()")
         if len(actions) != cfg.num_vehicles:
             raise ValueError("one action per vehicle required")
 
-        slot_maps = self._slots[self._row].tolist()
+        row = world.t - 1
+        slot_maps = self._slots[row].tolist()
         chosen_rsu: list[Optional[int]] = []
         levels = []
         for k, a in enumerate(actions):
-            if isinstance(a, AgentAction):
-                if not (0 <= a.rsu_slot < cfg.visible_rsus and 0 <= a.power_level < cfg.power_levels):
-                    raise ValueError(f"malformed action {a}")
-                slot, level = a.rsu_slot, a.power_level
-            else:
-                idx = int(a)
-                if not 0 <= idx < cfg.actions_per_agent:
-                    raise ValueError(f"action index {idx} out of range")
-                slot, level = divmod(idx, cfg.power_levels)
+            idx = int(a)
+            if not 0 <= idx < cfg.actions_per_agent:
+                raise ValueError(f"action index {idx} out of range")
+            slot, level = divmod(idx, cfg.power_levels)
             rid = slot_maps[k][slot]
             if rid < 0:
                 rid = slot_maps[k][0]  # padded slot: fall back to the nearest RSU
@@ -613,15 +520,7 @@ class EdgeAssocEnv:
         done = world.t >= cfg.horizon
 
         # Advance world: new associations become history, mobility moves on.
-        row = self._row + 1
-        if row == len(self._xs):
-            k, r = cfg.num_vehicles, self.layout.count
-            self._plan(
-                self._rng_mobility.standard_normal((1, k)),
-                self._rng_fading.exponential(size=(1, k, r)),
-            )
-            row = 1
-        self._row = row
+        row += 1
         world.prev_assoc = assoc.copy()
         world.x, world.speed = self._xs[row], self._speeds[row]
         world.t += 1
@@ -644,60 +543,42 @@ class EdgeAssocEnv:
     # -- state capture (checkpoint support) ----------------------------------
 
     def get_state(self) -> dict:
-        state = {
-            "world": None if self.world is None else {
-                "x": self.world.x.tolist(),
-                "speed": self.world.speed.tolist(),
-                "lane": self.world.lane.tolist(),
-                "prev_assoc": self.world.prev_assoc.tolist(),
-                "t": self.world.t,
-            },
-            # Already-drawn gains go along so restoring never replays the stream.
-            "gain_table": None if self.gain_table is None else self.gain_table.tolist(),
-            "mean_speeds": self.mean_speeds.tolist(),
-            "rng_init": self._rng_init.bit_generator.state,
-            "rng_mobility": self._rng_mobility.bit_generator.state,
-            "rng_fading": self._rng_fading.bit_generator.state,
-        }
-        if self.world is not None and self._row < len(self._noise):
-            # Mid-episode the streams are past the rows drawn ahead; they go along too.
-            state["drawn_ahead"] = {
-                "mobility": self._noise[self._row:].tolist(),
-                "fading": self._fading[self._row:].tolist(),
-            }
+        """What the next `reset()` needs: this world's config, the mean speeds
+        and the streams. Taken mid-episode, it restores to the next episode."""
+        state = {"cfg": asdict(self.cfg), "mean_speeds": self.mean_speeds.tolist()}
+        for name in _STREAMS:
+            state[name] = getattr(self, f"_{name}").bit_generator.state
         return state
 
     def set_state(self, state: dict) -> None:
-        """Restore a `get_state()`; a state of another world raises ValueError."""
-        k, r = self.cfg.num_vehicles, self.layout.count
-        mean_speeds = _state_array(state["mean_speeds"], (k,), "mean_speeds")
-        drawn = state.get("drawn_ahead") or {"mobility": np.empty((0, k)), "fading": np.empty((0, k, r))}
-        n = len(drawn["mobility"])
-        noise = _state_array(drawn["mobility"], (n, k), "drawn mobility rows")
-        fading = _state_array(drawn["fading"], (n, k, r), "drawn fading rows")
-        w = state["world"]
-        if w is not None:
-            world = WorldState(
-                x=_state_array(w["x"], (k,), "world x"),
-                speed=_state_array(w["speed"], (k,), "world speed"),
-                lane=_state_array(w["lane"], (k,), "world lane", int),
-                prev_assoc=_state_array(w["prev_assoc"], (k,), "world prev_assoc", int),
-                t=int(w["t"]),
+        """Restore a `get_state()`; the next episode starts at `reset()`.
+
+        A state of another world, or a malformed one, raises ValueError and
+        leaves the env unchanged.
+        """
+        missing = [key for key in ("cfg", "mean_speeds", *_STREAMS) if key not in state]
+        if missing:
+            raise ValueError(f"env state has no {missing[0]!r}")
+        ours, theirs = json.loads(json.dumps(asdict(self.cfg))), state["cfg"]
+        if not isinstance(theirs, dict):
+            raise ValueError("env state cfg is not a JSON object")
+        for name in [*ours, *theirs]:
+            if theirs.get(name) != ours.get(name):
+                raise ValueError(
+                    f"env state is of another world: its {name} is {theirs.get(name)!r}, "
+                    f"this world's is {ours.get(name)!r}"
+                )
+        mean_speeds = np.asarray(state["mean_speeds"], dtype=float)
+        if mean_speeds.shape != self.mean_speeds.shape:
+            raise ValueError(
+                f"env state mean_speeds has shape {mean_speeds.shape}, "
+                f"this world needs {self.mean_speeds.shape}"
             )
-            gain_table = _state_array(state["gain_table"], (k, r), "gain_table")
-            if not np.all((world.prev_assoc >= -1) & (world.prev_assoc < r)):
-                raise ValueError(f"env state prev_assoc {world.prev_assoc.tolist()} names no RSU of {r}")
-            if not np.all((world.lane >= 0) & (world.lane < len(LANE_Y))):
-                raise ValueError(f"env state lane {world.lane.tolist()} names no lane")
+        streams = {name: copy.deepcopy(getattr(self, f"_{name}")) for name in _STREAMS}
+        for name, rng in streams.items():
+            rng.bit_generator.state = state[name]
         self.mean_speeds = mean_speeds
-        self._rng_init.bit_generator.state = state["rng_init"]
-        self._rng_mobility.bit_generator.state = state["rng_mobility"]
-        self._rng_fading.bit_generator.state = state["rng_fading"]
-        if w is None:
-            self.world = None
-            self.gain_table = None
-            self._row, self._noise, self._fading = 0, noise, fading
-        else:
-            self.world = world
-            self.gain_table = gain_table
-            self._plan(noise, fading)
+        for name, rng in streams.items():
+            setattr(self, f"_{name}", rng)
+        self.world = None
+        self.gain_table = None

@@ -41,9 +41,6 @@ class DenseNet:
     def dims(self) -> tuple[int, ...]:
         return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
 
-    def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 @dataclass
 class GradientSet:

@@ -1,4 +1,5 @@
-"""Test-only references: the per-TS environment and the slot list.
+"""Test-only references: the per-TS environment, the slot list and the
+per-vehicle observation view.
 
 `PerTsEnv` is the environment's earlier per-TS implementation, kept as the
 reference the planned `fedassoc.env.EdgeAssocEnv` is checked against.
@@ -7,16 +8,16 @@ reference the planned `fedassoc.env.EdgeAssocEnv` is checked against.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from fedassoc.env import (
     LANE_Y,
     NO_RSU_LOCATION,
-    AgentAction,
     EnvConfig,
-    Observation,
+    RsuLayout,
     StepResult,
     WorldState,
     achievable_rate,
@@ -28,6 +29,45 @@ from fedassoc.env import (
     mean_channel_gain,
     utility,
 )
+
+
+@dataclass
+class Observation:
+    """Per-vehicle local view: slot gains, slot locations, last RSU location.
+
+    `slot_map` holds the global RSU id behind each slot (-1 for padding); it
+    is environment bookkeeping and never enters the learner input vector.
+    """
+
+    gains: np.ndarray          # (visible_rsus,) linear gains, 0 for padded slots
+    locations: np.ndarray      # (visible_rsus, 2) raw coordinates
+    prev_location: np.ndarray  # (2,) raw coordinates or NO_RSU_LOCATION
+    slot_map: np.ndarray       # (visible_rsus,) RSU ids, -1 for padded slots
+
+
+def rsu_position(layout: RsuLayout, rsu_id: int) -> tuple[float, float]:
+    return float(layout.xs[rsu_id]), float(layout.ys[rsu_id])
+
+
+def observations(env) -> list[Observation]:
+    """Per-vehicle views of an `EdgeAssocEnv`'s current TS, from its drawn rows."""
+    layout = env.layout
+    views = []
+    for k, slot_map in enumerate(env._slots[env.world.t - 1]):
+        padded = slot_map < 0
+        prev = int(env.world.prev_assoc[k])
+        views.append(Observation(
+            gains=np.where(padded, 0.0, env.gain_table[k, slot_map]),
+            locations=np.where(
+                padded[:, None], NO_RSU_LOCATION,
+                np.stack([layout.xs[slot_map], layout.ys[slot_map]], axis=1),
+            ),
+            prev_location=np.asarray(
+                rsu_position(layout, prev) if prev >= 0 else NO_RSU_LOCATION
+            ),
+            slot_map=slot_map.copy(),
+        ))
+    return views
 
 
 def ring_distance(x1, x2, road_length):
@@ -147,7 +187,7 @@ class PerTsEnv:
         slot_map[:n] = in_range
         prev = int(self.world.prev_assoc[vehicle])
         prev_loc = (
-            np.asarray(self.layout.position(prev))
+            np.asarray(rsu_position(self.layout, prev))
             if prev >= 0
             else np.asarray(NO_RSU_LOCATION)
         )
@@ -160,7 +200,7 @@ class PerTsEnv:
 
     # -- stepping -------------------------------------------------------------
 
-    def step(self, actions: Sequence[Union[int, AgentAction]]) -> StepResult:
+    def step(self, actions: Sequence[int]) -> StepResult:
         """Apply one joint action, advance the world one TS.
 
         Conflicting picks of the same RSU are resolved in favor of the lowest
@@ -176,28 +216,21 @@ class PerTsEnv:
 
         decoded = []
         for a in actions:
-            if isinstance(a, AgentAction):
-                act = a
-            else:
-                idx = int(a)
-                if not 0 <= idx < cfg.actions_per_agent:
-                    raise ValueError(f"action index {idx} out of range")
-                act = AgentAction.from_index(idx, cfg.power_levels)
-            if not (0 <= act.rsu_slot < cfg.visible_rsus and 0 <= act.power_level < cfg.power_levels):
-                raise ValueError(f"malformed action {act}")
-            decoded.append(act)
+            idx = int(a)
+            if not 0 <= idx < cfg.actions_per_agent:
+                raise ValueError(f"action index {idx} out of range")
+            decoded.append(divmod(idx, cfg.power_levels))
 
         power_w = cfg.power_levels_w()
         chosen_rsu: list[Optional[int]] = []
         chosen_power_w = np.zeros(cfg.num_vehicles)
-        for k, act in enumerate(decoded):
+        for k, (slot, level) in enumerate(decoded):
             slot_map = self.observations[k].slot_map
-            slot = act.rsu_slot
             if slot_map[slot] < 0:
                 slot = 0  # padded slot: fall back to the nearest RSU
             rid = int(slot_map[slot])
             chosen_rsu.append(rid if rid >= 0 else None)
-            chosen_power_w[k] = power_w[act.power_level]
+            chosen_power_w[k] = power_w[level]
 
         # Lowest vehicle index wins a contested RSU; losers are muted this TS.
         winners: dict[int, int] = {}
@@ -264,39 +297,9 @@ class PerTsEnv:
 
     def get_state(self) -> dict:
         return {
-            "world": None if self.world is None else {
-                "x": self.world.x.tolist(),
-                "speed": self.world.speed.tolist(),
-                "lane": self.world.lane.tolist(),
-                "prev_assoc": self.world.prev_assoc.tolist(),
-                "t": self.world.t,
-            },
-            # Already-drawn gains go along so restoring never replays the stream.
-            "gain_table": None if self.gain_table is None else self.gain_table.tolist(),
+            "cfg": asdict(self.cfg),
             "mean_speeds": self.mean_speeds.tolist(),
             "rng_init": self._rng_init.bit_generator.state,
             "rng_mobility": self._rng_mobility.bit_generator.state,
             "rng_fading": self._rng_fading.bit_generator.state,
         }
-
-    def set_state(self, state: dict) -> None:
-        self.mean_speeds = np.asarray(state["mean_speeds"], dtype=float)
-        self._rng_init.bit_generator.state = state["rng_init"]
-        self._rng_mobility.bit_generator.state = state["rng_mobility"]
-        self._rng_fading.bit_generator.state = state["rng_fading"]
-        w = state["world"]
-        if w is None:
-            self.world = None
-            self.gain_table = None
-            self.observations = []
-        else:
-            self.world = WorldState(
-                x=np.asarray(w["x"], dtype=float),
-                speed=np.asarray(w["speed"], dtype=float),
-                lane=np.asarray(w["lane"], dtype=int),
-                prev_assoc=np.asarray(w["prev_assoc"], dtype=int),
-                t=int(w["t"]),
-            )
-            self._compute_distances()
-            self.gain_table = np.asarray(state["gain_table"], dtype=float)
-            self._refresh_observations()

@@ -1,5 +1,7 @@
 """Sharing primitives, joint-action math and the federated trainer."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,14 +67,17 @@ def test_greedy_tie_breaks_low_index():
 
 
 def test_full_exploration_is_uniform():
-    rng = np.random.default_rng(0)
+    # At eps 1 each call draws random(), always below 1, then a uniform
+    # index, so its actions are exactly a twin generator's integers(16).
+    rng, twin = np.random.default_rng(0), np.random.default_rng(0)
     values = np.zeros(16)
-    counts = np.zeros(16)
-    n = 1_000_000
-    for _ in range(n):
-        counts[epsilon_greedy(values, 1.0, rng)] += 1
-    freq = counts / n
-    assert np.all(np.abs(freq - 1.0 / 16.0) / (1.0 / 16.0) < 0.01)
+    actions = []
+    for _ in range(10_000):
+        actions.append(epsilon_greedy(values, 1.0, rng))
+        twin.random()
+        assert actions[-1] == twin.integers(16)
+    counts = np.bincount(actions, minlength=16)
+    assert len(counts) == 16 and np.all(np.abs(counts - 625) < 0.15 * 625)
 
 
 @given(
@@ -539,6 +544,22 @@ def test_checkpoint_with_all_replay_rows_resumes_identically(tmp_path):
         for t in (trainer, *resumed)
     ]
     assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+
+
+@pytest.mark.parametrize("name", ["lead.net", "replay.npz"])
+def test_failed_load_leaves_env_unchanged(tmp_path, name):
+    trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
+    trainer.run()
+    trainer.save(tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / name
+    path.write_bytes(path.read_bytes()[:-3])
+    env = small_env(seed=1)
+    env.reset()
+    env.step([0, 0])
+    before, world = env.get_state(), env.world
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        FederatedTrainer.load(tmp_path / "ckpt", env)
+    assert env.get_state() == before and env.world is world
 
 
 def test_greedy_evaluation_runs_without_learning(tmp_path):

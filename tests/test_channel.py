@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedassoc.env import (
+    EdgeAssocEnv,
     EnvConfig,
     achievable_rate,
     check_constraints,
@@ -13,7 +14,6 @@ from fedassoc.env import (
     handover_indicator,
     mean_channel_gain,
     path_loss_db,
-    sample_channel_gain,
     utility,
 )
 
@@ -41,12 +41,20 @@ def test_gain_with_fading_disabled():
 
 
 def test_gain_monte_carlo_mean():
-    rng = np.random.default_rng(42)
-    d = 0.15
-    draws = np.array([sample_channel_gain(d, rng) for _ in range(100_000)])
-    expected = 10.0 ** (-path_loss_db(d) / 10.0)
-    assert abs(draws.mean() - expected) / expected < 0.02
-    assert (draws >= 0.0).all()
+    # The env's gain is path loss times a fading power factor: the squared
+    # magnitude of unit-variance complex fading, exponential with mean 1.
+    env = EdgeAssocEnv(EnvConfig(horizon=1), seed=42)
+    cfg, layout = env.cfg, env.layout
+    factors = []
+    while len(factors) < 100_000:
+        env.reset()
+        dx = np.abs(env.world.x[:, None] - layout.xs) % cfg.road_length
+        dx = np.minimum(dx, cfg.road_length - dx)
+        dist_km = np.hypot(dx, env.world.lane_y()[:, None] - layout.ys) / 1000.0
+        factors.extend((env.gain_table / mean_channel_gain(dist_km)).ravel())
+    factors = np.array(factors)
+    assert abs(factors.mean() - 1.0) < 0.02
+    assert (factors >= 0.0).all()
 
 
 def test_rate_trivial_points():

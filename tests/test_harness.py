@@ -420,21 +420,31 @@ def test_cli_eval_rejects_bad_net_files(tmp_path, capsys, edit, message):
     assert not (tmp_path / "eval").exists()
 
 
-@pytest.mark.parametrize("num_rsus", [16, 8])
-def test_cli_eval_rejects_checkpoint_of_another_world(tmp_path, capsys, num_rsus):
+@pytest.mark.parametrize(
+    "flags, edit, message",
+    [
+        (["--num-rsus", "16"], {}, "its num_rsus is 12, this world's is 16"),
+        (["--num-rsus", "8"], {}, "its num_rsus is 12, this world's is 8"),
+        ([], {"coverage_radius": 50.0}, "its coverage_radius is 200.0, this world's is 50.0"),
+    ],
+    ids=["16", "8", "coverage-radius"],
+)
+def test_cli_eval_rejects_checkpoint_of_another_world(tmp_path, capsys, flags, edit, message):
     cfg_path = cli_config(tmp_path)
     assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
     ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+    config = tmp_path / "runs" / "config.json"
+    config.write_text(json.dumps({**json.loads(config.read_text()), **edit}))
     capsys.readouterr()
     rc = cli_main([
-        "--config", str(tmp_path / "runs" / "config.json"), "--num-rsus", str(num_rsus),
+        "--config", str(config), *flags,
         "--eval", str(ckpt), "--episodes", "2", "--out", str(tmp_path / "eval"),
     ])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert str(ckpt / "state.json") in err
-    assert f"gain_table has shape (2, 12), this world needs (2, {num_rsus})" in err
+    assert f"env state is of another world: {message}" in err
     assert not (tmp_path / "eval" / "eval_metrics.csv").exists()
 
 

@@ -35,8 +35,10 @@ def test_env_positions_follow_speeds():
     env.reset()
     for _ in range(200):
         x_before = env.world.x.copy()
-        env.step([0, 0])
+        step = env.step([0, 0])
         expected = np.mod(x_before + env.world.speed * cfg.ts_duration, cfg.road_length)
         assert np.array_equal(env.world.x, expected)
         assert (env.world.x >= 0).all() and (env.world.x < cfg.road_length).all()
         assert np.array_equal(env.world.lane, np.array([0, 1]))
+        if step.done:
+            env.reset()

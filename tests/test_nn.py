@@ -60,8 +60,9 @@ def test_init_shapes_and_param_count():
     net = init_net((14, 80, 80, 80, 16), seed_or_rng=0)
     assert net.dims == (14, 80, 80, 80, 16)
     assert len(net.weights) == 4
-    assert net.num_params() == 14 * 80 + 80 + 80 * 80 + 80 + 80 * 80 + 80 + 80 * 16 + 16
-    assert net.num_params() == 15456
+    num_params = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+    assert num_params == 14 * 80 + 80 + 80 * 80 + 80 + 80 * 80 + 80 + 80 * 16 + 16
+    assert num_params == 15456
 
 
 def test_init_deterministic_and_zero_bias():

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_env import PerTsEnv, observable_rsus
+from reference_env import PerTsEnv, observable_rsus, observations
 
 from fedassoc.env import (
     LANE_Y,
     NO_RSU_LOCATION,
-    AgentAction,
     EdgeAssocEnv,
     EnvConfig,
     RsuLayout,
@@ -123,28 +122,28 @@ def test_observable_rsus_matches_brute_force():
         for k in range(2):
             got = [rid for rid, _ in observable_rsus(env.world, env.layout, env.cfg, k)]
             assert got == brute_force_slots(env, k)
-            assert np.array_equal(env.observations[k].slot_map[: len(got)], got)
+            assert np.array_equal(observations(env)[k].slot_map[: len(got)], got)
 
 
 def test_mid_road_vehicle_sees_full_slots():
     env = make_env()
     env.reset()
     env.world.x[:] = 500.0
-    env._sample_gains()
+    env._draw_episode()
     slots = observable_rsus(env.world, env.layout, env.cfg, 0)
     assert len(slots) == 4
     dists = [d for _, d in slots]
     assert dists == sorted(dists)
-    assert list(env.observations[0].slot_map) == [rid for rid, _ in slots]
+    assert list(observations(env)[0].slot_map) == [rid for rid, _ in slots]
 
 
 def test_no_rsus_in_range_gives_empty_list():
     env = make_env(coverage_radius=5.0)
     env.reset()
     env.world.x[:] = 0.0  # far from every RSU x position
-    env._sample_gains()
+    env._draw_episode()
     assert observable_rsus(env.world, env.layout, env.cfg, 0) == []
-    obs = env.observations[0]
+    obs = observations(env)[0]
     assert np.all(obs.slot_map == -1)
     assert np.all(obs.gains == 0.0)
     step = env.step([0, 0])
@@ -166,15 +165,15 @@ def test_equidistant_tie_breaks_to_lower_id():
     assert slots[0][1] == slots[1][1]
     env = EdgeAssocEnv(cfg, seed=0)
     env.layout, env.world = layout, world
-    env._sample_gains()
-    assert list(env.observations[0].slot_map) == [0, 1]
+    env._draw_episode()
+    assert list(observations(env)[0].slot_map) == [0, 1]
 
 
 def test_observation_vector_layout():
     env = make_env()
     vecs = env.reset()
     assert vecs[0].shape == (14,)
-    obs = env.observations[0]
+    obs = observations(env)[0]
     # First TS: no previous association, raw sentinel scaled into the vector.
     assert np.array_equal(obs.prev_location, NO_RSU_LOCATION)
     assert vecs[0][12] == pytest.approx(-1.0 / 1000.0)
@@ -187,8 +186,8 @@ def test_padded_slots_after_shrinking_coverage():
     env = make_env(coverage_radius=100.0)
     env.reset()
     env.world.x[:] = 83.0  # right next to the first RSU column
-    env._sample_gains()
-    obs = env.observations[0]
+    env._draw_episode()
+    obs = observations(env)[0]
     n = int((obs.slot_map >= 0).sum())
     assert 1 <= n < 4
     assert np.all(obs.gains[n:] == 0.0)
@@ -244,12 +243,11 @@ def test_conflict_resolution_lowest_index_wins():
     env.reset()
     # Drive both vehicles to the same spot so their nearest RSU coincides.
     env.world.x[:] = 500.0
-    env._sample_gains()
-    rid0 = int(env.observations[0].slot_map[0])
-    slot1 = int(np.where(env.observations[1].slot_map == rid0)[0][0])
-    act0 = AgentAction(0, 3)
-    act1 = AgentAction(slot1, 3)
-    step = env.step([act0, act1])
+    env._draw_episode()
+    views = observations(env)
+    rid0 = int(views[0].slot_map[0])
+    slot1 = int(np.where(views[1].slot_map == rid0)[0][0])
+    step = env.step([0 * 4 + 3, slot1 * 4 + 3])  # slot * power_levels + level
     assert step.violations.conflicts == [rid0]
     assert step.assoc_rsus[0] == rid0 and step.assoc_rsus[1] == rid0
     assert step.rates[0] > 0.0 and step.rates[1] == 0.0
@@ -265,22 +263,7 @@ def test_malformed_action_rejected():
     with pytest.raises(ValueError):
         env.step([-1, 0])
     with pytest.raises(ValueError):
-        env.step([AgentAction(4, 0), 0])
-    with pytest.raises(ValueError):
         env.step([0])
-
-
-def test_action_index_and_object_agree():
-    a, b = make_env(seed=31), make_env(seed=31)
-    a.reset()
-    b.reset()
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        idx = [int(i) for i in rng.integers(0, 16, size=2)]
-        acts = [AgentAction.from_index(i, 4) for i in idx]
-        sa, sb = a.step(idx), b.step(acts)
-        assert sa.reward == sb.reward
-        assert np.array_equal(sa.rates, sb.rates)
 
 
 def test_episode_terminates_at_horizon():
@@ -289,6 +272,11 @@ def test_episode_terminates_at_horizon():
     for t in range(1, 8):
         step = env.step([0, 0])
         assert step.done == (t == 7)
+    with pytest.raises(RuntimeError, match="episode is done"):
+        env.step([0, 0])
+    assert env.world.t == 8
+    env.reset()
+    assert not env.step([0, 0]).done
 
 
 def test_identical_seeds_identical_trajectories():
@@ -308,19 +296,28 @@ def test_identical_seeds_identical_trajectories():
 
 
 def test_state_round_trip():
-    env = make_env(seed=41)
+    # A state taken mid-episode restores the streams; the twin's episodes
+    # start at its next reset(), as the source's do.
+    env = make_env(seed=41, horizon=30)
     env.reset()
     env.step([3, 7])
-    state = env.get_state()
-    twin = make_env(seed=999)
+    state = json.loads(json.dumps(env.get_state()))
+    twin = make_env(seed=999, horizon=30)
     twin.reset()
     twin.set_state(state)
+    assert twin.world is None and twin.gain_table is None
+    with pytest.raises(RuntimeError, match="reset"):
+        twin.step([0, 0])
     rng = np.random.default_rng(4)
-    for _ in range(30):
-        idx = list(rng.integers(0, 16, size=2))
-        sa, sb = env.step(idx), twin.step(idx)
-        assert sa.reward == sb.reward
-        assert np.array_equal(sa.observations[1], sb.observations[1])
+    for _ in range(2):
+        assert [bits(v) for v in env.reset()] == [bits(v) for v in twin.reset()]
+        done = False
+        while not done:
+            idx = random_actions(rng, env.cfg)
+            sa, sb = env.step(idx), twin.step(idx)
+            assert_same_step(sa, sb)
+            done = sa.done
+    assert twin.get_state() == env.get_state()
 
 
 # -- scripted episode against a straight-line reimplementation -------------------
@@ -339,22 +336,21 @@ def test_scripted_episode_matches_oracle():
     total_env = 0.0
     total_oracle = 0.0
     for t in range(10):
-        slot_maps = [env.observations[k].slot_map.copy() for k in range(2)]
+        slot_maps = [observations(env)[k].slot_map.copy() for k in range(2)]
         gains = env.gain_table.copy()
-        actions = [AgentAction(t % 4, 3), AgentAction((t + 1) % 4, t % 4)]
-        step = env.step(actions)
+        actions = [(t % 4, 3), ((t + 1) % 4, t % 4)]  # (slot, power level)
+        step = env.step([slot * 4 + level for slot, level in actions])
         total_env += step.reward
 
         # Straight-line recomputation from primitive quantities.
         chosen = []
         powers = []
-        for k, act in enumerate(actions):
-            slot = act.rsu_slot
+        for k, (slot, level) in enumerate(actions):
             if slot_maps[k][slot] < 0:
                 slot = 0
             rid = int(slot_maps[k][slot])
             chosen.append(rid if rid >= 0 else None)
-            powers.append(watt(power_dbm[act.power_level]))
+            powers.append(watt(power_dbm[level]))
         rates, utils = [], []
         for k in range(2):
             rid = chosen[k]
@@ -398,7 +394,7 @@ def assert_same_world(env, ref):
         assert bits(getattr(env.world, name)) == bits(getattr(ref.world, name)), name
     assert env.world.t == ref.world.t
     assert bits(env.gain_table) == bits(ref.gain_table)
-    for got, want in zip(env.observations, ref.observations, strict=True):
+    for got, want in zip(observations(env), ref.observations, strict=True):
         for name in ("gains", "locations", "prev_location", "slot_map"):
             assert bits(getattr(got, name)) == bits(getattr(want, name)), name
 
@@ -409,11 +405,7 @@ def assert_same_streams(env, ref):
 
 
 def random_actions(rng, cfg):
-    """Two random actions, each an index or an AgentAction."""
-    idx = [int(i) for i in rng.integers(0, cfg.actions_per_agent, size=2)]
-    return [
-        AgentAction.from_index(i, cfg.power_levels) if rng.random() < 0.5 else i for i in idx
-    ]
+    return [int(i) for i in rng.integers(0, cfg.actions_per_agent, size=2)]
 
 
 def step_both(env, ref, rng, steps):
@@ -423,8 +415,8 @@ def step_both(env, ref, rng, steps):
         assert_same_world(env, ref)
 
 
-def run_episodes(env, ref, rng, episodes, past_horizon=0):
-    """Reset both, step to the horizon and `past_horizon` TS beyond, compare all."""
+def run_episodes(env, ref, rng, episodes):
+    """Reset both, step both to the horizon, compare all."""
     for _ in range(episodes):
         assert [bits(v) for v in env.reset()] == [bits(v) for v in ref.reset()]
         assert_same_world(env, ref)
@@ -433,8 +425,7 @@ def run_episodes(env, ref, rng, episodes, past_horizon=0):
         last = env.step(actions)
         assert last.done
         assert_same_step(last, ref.step(actions))
-        assert_same_streams(env, ref)
-        step_both(env, ref, rng, past_horizon)
+        assert_same_world(env, ref)
         assert_same_streams(env, ref)
 
 
@@ -459,7 +450,7 @@ def test_planned_env_matches_per_ts_reference(seed, coverage_radius, horizon, nu
     )
     env, ref = twin_pair(cfg, seed)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    run_episodes(env, ref, rng, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)))
+    run_episodes(env, ref, rng, data.draw(st.integers(1, 3)))
 
 
 def test_planned_env_matches_reference_over_many_episodes():
@@ -467,37 +458,18 @@ def test_planned_env_matches_reference_over_many_episodes():
     run_episodes(env, ref, np.random.default_rng(5), episodes=25)
 
 
-def test_mid_episode_state_resumes_in_twin():
-    cfg = EnvConfig(horizon=30)
-    env, ref = twin_pair(cfg, 47)
-    rng = np.random.default_rng(6)
-    env.reset()
-    ref.reset()
-    step_both(env, ref, rng, 11)
-    state = json.loads(json.dumps(env.get_state()))
-    assert len(state["drawn_ahead"]["mobility"]) == cfg.horizon - 11
-    twin = EdgeAssocEnv(cfg, seed=999)
-    twin.reset()
-    twin.set_state(state)
-    assert_same_world(twin, ref)
-    step_both(twin, ref, rng, cfg.horizon - 11 + 2)
-    run_episodes(twin, ref, rng, episodes=2)
-
-
 @pytest.mark.parametrize("steps", [4, 30, 32], ids=["mid-episode", "boundary", "past-horizon"])
 def test_state_without_drawn_rows_resumes(steps):
-    # The reference writes the earlier format: no drawn-ahead rows. The
-    # planned env draws each TS on demand until its next reset.
+    # A state the per-TS reference writes after any number of TS, within its
+    # episode or past the horizon, restores into the planned env, whose
+    # episodes from the next reset() match the reference's.
     cfg = EnvConfig(horizon=30)
     env, ref = twin_pair(cfg, 53)
     rng = np.random.default_rng(7)
     ref.reset()
     for _ in range(steps):
         ref.step(random_actions(rng, cfg))
-    state = json.loads(json.dumps(ref.get_state()))
-    env.set_state(state)
-    assert_same_world(env, ref)
-    step_both(env, ref, rng, 5)
+    env.set_state(json.loads(json.dumps(ref.get_state())))
     run_episodes(env, ref, rng, episodes=2)
 
 
@@ -508,42 +480,27 @@ def test_boundary_state_matches_reference_format():
     assert json.dumps(env.get_state()) == json.dumps(ref.get_state())
 
 
-def test_moved_world_then_sample_gains_matches_reference():
-    env, ref = twin_pair(EnvConfig(horizon=25), 61)
-    rng = np.random.default_rng(9)
-    env.reset()
-    ref.reset()
-    step_both(env, ref, rng, 6)
-    for e in (env, ref):
-        e.world.x[:] = [500.0, 17.0]
-        e._sample_gains()
-    ref._refresh_observations()
-    assert_same_world(env, ref)
-    step_both(env, ref, rng, 25)
-    run_episodes(env, ref, rng, episodes=1)
+def _set_cfg(**fields):
+    return lambda state: state["cfg"].update(fields)
 
 
-def test_reset_before_the_horizon_matches_reference():
-    env, ref = twin_pair(EnvConfig(horizon=40), 71)
-    rng = np.random.default_rng(11)
-    for steps in (3, 17, 39):
-        env.reset()
-        ref.reset()
-        step_both(env, ref, rng, steps)
-    run_episodes(env, ref, rng, episodes=2)
+def _malformed_stream(state):
+    state["rng_fading"]["bit_generator"] = "MT19937"
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda s: s.update(gain_table=[[1.0] * 8] * 2), "gain_table has shape (2, 8)"),
-        (lambda s: s["world"].update(x=[1.0]), "world x has shape (1,)"),
+        (_set_cfg(num_rsus=8), "its num_rsus is 8, this world's is 12"),
+        (_set_cfg(num_vehicles=1), "its num_vehicles is 1, this world's is 2"),
+        (_set_cfg(coverage_radius=50.0), "its coverage_radius is 50.0, this world's is 200.0"),
+        (_set_cfg(mean_speeds=[6.0, 9.0]), "its mean_speeds is [6.0, 9.0], this world's is None"),
         (lambda s: s.update(mean_speeds=[5.0, 6.0, 7.0]), "mean_speeds has shape (3,)"),
-        (lambda s: s["world"].update(prev_assoc=[12, 0]), "prev_assoc [12, 0] names no RSU"),
-        (lambda s: s["world"].update(lane=[0, 2]), "lane [0, 2] names no lane"),
-        (lambda s: s["drawn_ahead"]["fading"].pop(), "drawn fading rows has shape (8, 2, 12)"),
+        (lambda s: s.pop("cfg"), "env state has no 'cfg'"),
+        (_malformed_stream, "PCG64"),
     ],
-    ids=["gain-table", "world", "mean-speeds", "prev-assoc", "lane", "drawn-rows"],
+    ids=["num-rsus", "num-vehicles", "coverage-radius", "cfg-mean-speeds", "mean-speeds",
+         "missing-cfg", "stream"],
 )
 def test_set_state_rejects_another_world(edit, message):
     env = make_env(seed=67, horizon=10)
@@ -551,10 +508,12 @@ def test_set_state_rejects_another_world(edit, message):
     env.step([0, 0])
     state = json.loads(json.dumps(env.get_state()))
     edit(state)
-    twin = make_env(seed=67, horizon=10)
+    twin = make_env(seed=5, horizon=10)
+    twin.reset()
+    before, world = twin.get_state(), twin.world
     with pytest.raises(ValueError, match=re.escape(message)):
         twin.set_state(state)
-    assert twin.world is None and twin.get_state() == make_env(seed=67, horizon=10).get_state()
+    assert twin.get_state() == before and twin.world is world and world.t == 1
 
 
 def test_array_helpers_match_scalar_calls():
