@@ -22,13 +22,13 @@ from __future__ import annotations
 import json
 import zipfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .checks import config_from_json, require_finite, require_integer_list, require_integers
+from .checks import check_fields, config_from_json, is_integer
 from .metrics import EpisodeRecord, MetricAccumulator
 from .nn import (
     DenseNet,
@@ -67,39 +67,29 @@ class TrainerConfig:
     share_mode: str = "vector"               # "vector" or "scalar"
 
     def validate(self) -> None:
-        require_integers(self, (
-            "epsilon_decay_episodes", "batch_size", "replay_capacity", "target_sync",
-            "episodes", "lr_decay_episodes",
-        ))
-        require_finite(self, (
-            "discount", "epsilon", "epsilon_end", "share_noise_std", "lr_start", "lr_end",
-        ))
-        require_integer_list(self, "local_hidden", 1)
-        require_integer_list(self, "mlp_hidden", 1)
-        if not 0.0 <= self.discount <= 1.0:
-            raise ValueError("discount must be in [0, 1]")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        if self.epsilon_end is not None and not 0.0 <= self.epsilon_end <= 1.0:
-            raise ValueError("epsilon_end must be in [0, 1]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_fields(self, infinite=("grad_clip",))
+        for name in ("local_hidden", "mlp_hidden"):
+            widths = list(getattr(self, name))
+            if min(widths, default=1) < 1:
+                raise ValueError(f"{name} must be a list of integers >= 1, got {widths}")
+        for name in ("discount", "epsilon", "epsilon_end"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        for name in ("batch_size", "target_sync", "episodes", "epsilon_decay_episodes",
+                     "lr_decay_episodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.share_noise_std < 0.0:
             raise ValueError("share_noise_std must be >= 0")
         if self.replay_capacity < self.batch_size:
             raise ValueError("replay_capacity must be >= batch_size")
-        if self.target_sync < 1:
-            raise ValueError("target_sync must be >= 1")
-        if self.episodes < 1:
-            raise ValueError("episodes must be >= 1")
         if not self.grad_clip > 0.0:
             raise ValueError("grad_clip must be > 0 (inf disables clipping)")
         if self.share_mode not in ("vector", "scalar"):
             raise ValueError("share_mode must be 'vector' or 'scalar'")
         if not self.lr_start >= self.lr_end > 0:
             raise ValueError("need lr_start >= lr_end > 0")
-        if self.lr_decay_episodes < 1:
-            raise ValueError("lr_decay_episodes must be >= 1")
 
 
 # --------------------------------------------------------------------------
@@ -256,6 +246,10 @@ class FederatedAgentPair:
     mlp_target: DenseNet
 
 
+# A checkpoint holds each network of the pair as `<field>.net`.
+_NET_NAMES = tuple(f.name for f in fields(FederatedAgentPair))
+
+
 class FederatedTrainer(Trainer):
     """The federated agent pair on the shared episode loop.
 
@@ -395,19 +389,11 @@ class FederatedTrainer(Trainer):
 
     # -- checkpointing ---------------------------------------------------------------
 
-    _NET_FILES = {
-        "lead": "lead.net",
-        "lead_target": "lead_target.net",
-        "follow": "follow.net",
-        "mlp": "mlp.net",
-        "mlp_target": "mlp_target.net",
-    }
-
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        for attr, fname in self._NET_FILES.items():
-            save_net(directory / fname, getattr(self.pair, attr))
+        for name in _NET_NAMES:
+            save_net(directory / f"{name}.net", getattr(self.pair, name))
         np.savez(directory / "replay.npz", **self.buffer.state_arrays())
         state = {
             "cfg": asdict(self.cfg),
@@ -416,7 +402,7 @@ class FederatedTrainer(Trainer):
             "rng_explore": self.rng_explore.bit_generator.state,
             "rng_sample": self.rng_sample.bit_generator.state,
             "rng_noise": self.rng_noise.bit_generator.state,
-            "env_state": self.env.get_state() if hasattr(self.env, "get_state") else None,
+            "env_state": self.env.get_state(),
         }
         with open(directory / "state.json", "w") as fh:
             json.dump(state, fh, indent=1)
@@ -425,27 +411,32 @@ class FederatedTrainer(Trainer):
     def load(cls, directory, env) -> "FederatedTrainer":
         """Restore a saved trainer; a malformed file raises ValueError naming it.
 
-        `env` takes the checkpoint's env state last, once every file has been
-        read and checked, so a failed load leaves it unchanged.
+        The checkpoint's world is compared with `env`'s before any net is
+        built or read. `env` takes the checkpoint's env state last, once every
+        file has been read and checked, so a failed load leaves it unchanged.
         """
         directory = Path(directory)
         path = directory / "state.json"
         with _errors_name(path):
             state = json.loads(path.read_text())
+            env_state = state["env_state"]
+            env.check_state(env_state)
             trainer = cls(env, config_from_json(TrainerConfig, state["cfg"]), seed=0)
-            trainer.episode = int(state["episode"])
-            trainer.train_steps = int(state["train_steps"])
+            for name in ("episode", "train_steps"):
+                if not is_integer(state[name]) or state[name] < 0:
+                    raise ValueError(f"{name} must be an integer >= 0, got {state[name]!r}")
+                setattr(trainer, name, state[name])
             for name in ("rng_explore", "rng_sample", "rng_noise"):
                 getattr(trainer, name).bit_generator.state = state[name]
-            env_state = state["env_state"]
-        for attr, fname in cls._NET_FILES.items():
-            net, built = load_net(directory / fname), getattr(trainer.pair, attr)
+        for name in _NET_NAMES:
+            net_path = directory / f"{name}.net"
+            net, built = load_net(net_path), getattr(trainer.pair, name)
             if (net.dims, net.activation) != (built.dims, built.activation):
                 raise ValueError(
-                    f"{directory / fname}: a {net.activation} net of dims {net.dims}, but "
+                    f"{net_path}: a {net.activation} net of dims {net.dims}, but "
                     f"the checkpoint's config builds a {built.activation} net of dims {built.dims}"
                 )
-            setattr(trainer.pair, attr, net)
+            setattr(trainer.pair, name, net)
         replay_path = directory / "replay.npz"
         try:
             with np.load(replay_path) as data:
@@ -454,9 +445,8 @@ class FederatedTrainer(Trainer):
             raise ValueError(f"{replay_path}: missing array {exc}") from exc
         except (ValueError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{replay_path}: {exc}") from exc
-        if env_state is not None and hasattr(env, "set_state"):
-            with _errors_name(path):
-                env.set_state(env_state)
+        with _errors_name(path):
+            env.set_state(env_state)
         return trainer
 
 

@@ -17,9 +17,9 @@ REMOVED_OPTIONS = {
 def config_from_json(cls, data: dict, **built):
     """Build config dataclass `cls` from the JSON object `data`.
 
-    Removed and unknown keys are rejected, and JSON lists become tuples for
-    tuple-typed fields. `built` passes fields that are already objects (the
-    sections of a nested config); `data` may not name them.
+    Removed and unknown keys are rejected, and JSON lists become tuples.
+    `built` passes fields that are already objects (the sections of a nested
+    config); `data` may not name them.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
@@ -30,7 +30,7 @@ def config_from_json(cls, data: dict, **built):
             raise ValueError(f"option {key!r} {REMOVED_OPTIONS[key]}")
         if key not in hints or key in built:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(value, list) and _is_tuple_type(hints[key]):
+        if isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
     return cls(**kwargs)
@@ -42,53 +42,53 @@ def _type_hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def _is_tuple_type(hint) -> bool:
-    """True for tuple[...] and Optional[tuple[...]]."""
-    return tuple in (typing.get_origin(hint), *map(typing.get_origin, typing.get_args(hint)))
-
-
 def is_integer(value) -> bool:
     """True for integers (numpy's too); False for bools and for floats such as 2.0."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def require_integers(obj, names) -> None:
-    """Reject fields of `obj` that are not integers, bools and 2.0 included."""
-    for name in names:
+# What a field annotated with each scalar type takes, and how errors name one
+# value and a list of them.
+_SCALARS = {
+    int: (is_integer, "an integer", "integers"),
+    float: (
+        lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number", "numbers"
+    ),
+    str: (lambda v: isinstance(v, str), "a string", "strings"),
+    bool: (lambda v: isinstance(v, bool), "true or false", "booleans"),
+}
+
+
+def check_fields(obj, infinite: tuple[str, ...] = ()) -> None:
+    """Check every field of config dataclass `obj` against its annotation.
+
+    int takes integers but not bools or 2.0; float takes real numbers but not
+    bools, finite unless the field is named in `infinite`; str and bool take
+    exactly that type; tuple[T, ...] takes a list of T; Optional[T] takes None
+    or T; a nested config takes an instance of its class. A mismatch raises
+    ValueError naming the field and the value.
+    """
+    for name, hint in _type_hints(type(obj)).items():
         value = getattr(obj, name)
-        if not is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def require_integer_list(obj, name, minimum: int, distinct: bool = False) -> None:
-    """Reject a field of `obj` that is not a list of integers >= `minimum`."""
-    values = getattr(obj, name)
-    ok = isinstance(values, (tuple, list)) and all(
-        is_integer(v) and v >= minimum for v in values
-    )
-    if ok and distinct:
-        ok = len(set(values)) == len(values)
-    if not ok:
-        kind = "distinct integers" if distinct else "integers"
-        shown = list(values) if isinstance(values, tuple) else values
-        raise ValueError(f"{name} must be a list of {kind} >= {minimum}, got {shown!r}")
-
-
-def require_positive_list(obj, name) -> None:
-    """Reject a field of `obj` that is not a list of finite numbers > 0, bools included."""
-    values = getattr(obj, name)
-    if not isinstance(values, (tuple, list)) or any(
-        isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values
-    ):
-        shown = list(values) if isinstance(values, tuple) else values
-        raise ValueError(f"{name} must be a list of numbers, got {shown!r}")
-    if not all(math.isfinite(v) and v > 0 for v in values):
-        raise ValueError(f"{name} must be finite and > 0, got {list(values)!r}")
-
-
-def require_finite(obj, names) -> None:
-    """Reject float fields of `obj` that are NaN or infinite; None passes."""
-    for name in names:
-        value = getattr(obj, name)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        if type(None) in typing.get_args(hint):
+            if value is None:
+                continue
+            hint = typing.get_args(hint)[0]
+        shown = list(value) if isinstance(value, tuple) else value
+        if typing.get_origin(hint) is tuple:
+            hint = typing.get_args(hint)[0]
+            accepts, _, kinds = _SCALARS[hint]
+            values, kind = value, f"a list of {kinds}"
+            ok = isinstance(value, (tuple, list)) and all(map(accepts, value))
+        elif hint in _SCALARS:
+            accepts, kind, _ = _SCALARS[hint]
+            values, ok = (value,), accepts(value)
+        else:
+            values, kind, ok = (), f"a {hint.__name__}", isinstance(value, hint)
+        if not ok:
+            raise ValueError(f"{name} must be {kind}, got {shown!r}")
+        if hint is float and not all(
+            math.isfinite(v) or (name in infinite and not math.isnan(v)) for v in values
+        ):
+            bound = "a number, not NaN" if name in infinite else "finite"
+            raise ValueError(f"{name} must be {bound}, got {shown!r}")

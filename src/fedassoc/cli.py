@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -13,6 +13,8 @@ from .harness import (
     ALGORITHMS,
     SWEEP_AXES,
     ExperimentConfig,
+    config_from_dict,
+    config_to_dict,
     derive_seeds,
     load_config,
     run_experiment,
@@ -52,21 +54,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if args.algo:
-        cfg.algos = (args.algo,)
-    if args.seed:
-        cfg.seeds = tuple(args.seed)
-    if args.episodes:
-        cfg.trainer = dataclasses.replace(cfg.trainer, episodes=args.episodes)
-        cfg.eval_window = min(cfg.eval_window, args.episodes)
-    if args.sigma is not None:
-        cfg.trainer = dataclasses.replace(cfg.trainer, share_noise_std=args.sigma)
-    if args.num_rsus:
-        cfg.env = dataclasses.replace(cfg.env, num_rsus=args.num_rsus)
-    if args.out:
-        cfg.out_dir = str(args.out)
-    cfg.validate()
-    return cfg
+    """Apply the given flags as key/value overrides, checked like a config file's."""
+    flags = {
+        "algos": None if args.algo is None else [args.algo],
+        "seeds": args.seed,
+        "episodes": args.episodes,
+        "share_noise_std": args.sigma,
+        "num_rsus": args.num_rsus,
+        "out_dir": None if args.out is None else str(args.out),
+    }
+    data = config_to_dict(cfg)
+    data.update((key, value) for key, value in flags.items() if value is not None)
+    if args.episodes is not None:
+        data["eval_window"] = min(cfg.eval_window, args.episodes)
+    return config_from_dict(data)
 
 
 def _evaluate_checkpoint(cfg: ExperimentConfig, checkpoint: Path, episodes: int) -> Path:
@@ -91,14 +92,23 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         cfg = _apply_overrides(cfg, args)
         if args.eval:
-            episodes = args.episodes or cfg.eval_window
+            episodes = cfg.eval_window if args.episodes is None else args.episodes
             path = _evaluate_checkpoint(cfg, args.eval, episodes)
             print(f"wrote {path}")
             return 0
         if args.sweep:
             if not args.values:
                 raise ValueError("--sweep requires --values")
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            # Items parse as JSON and are checked as their config key's value;
+            # sigma is a float key, so its integers parse as floats.
+            parse_int = float if args.sweep == "sigma" else int
+            items = [v for v in args.values.split(",") if v.strip()]
+            try:
+                values = [json.loads(v, parse_int=parse_int) for v in items]
+            except ValueError:
+                raise ValueError(
+                    f"--values must be comma-separated numbers, got {args.values!r}"
+                ) from None
             sweep(cfg, args.sweep, values)
             print(f"wrote {Path(cfg.out_dir) / f'sweep_{args.sweep}'}")
             return 0

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .checks import require_finite, require_integers, require_positive_list
+from .checks import check_fields
 
 # Geometry of the two-lane freeway (m). Lanes carry the vehicles, the RSU rows
 # sit beyond the outer shoulders.
@@ -61,17 +61,10 @@ class EnvConfig:
     y_scale: float = 20.0
 
     def validate(self) -> None:
-        require_integers(
-            self, ("num_vehicles", "num_rsus", "visible_rsus", "power_levels", "horizon")
-        )
-        require_finite(self, (
-            "road_length", "coverage_radius", "power_min_dbm", "power_max_dbm", "min_rate",
-            "noise_dbm", "weight_rate", "weight_handover", "weight_power", "penalty",
-            "ts_duration", "mean_speed_low", "mean_speed_high", "speed_std", "speed_memory",
-            "gain_db_low", "gain_db_high", "y_scale",
-        ))
-        if self.num_vehicles < 1:
-            raise ValueError("num_vehicles must be >= 1")
+        check_fields(self)
+        for name in ("num_vehicles", "horizon"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.num_rsus < self.num_vehicles:
             raise ValueError("num_rsus must be >= num_vehicles")
         if self.num_rsus % 2 != 0:
@@ -82,32 +75,25 @@ class EnvConfig:
             raise ValueError("power_levels must be >= 2")
         if self.power_min_dbm >= self.power_max_dbm:
             raise ValueError("power_min_dbm must be < power_max_dbm")
-        if self.min_rate <= 0:
-            raise ValueError("min_rate must be > 0")
-        if self.road_length <= 0 or self.coverage_radius <= 0:
-            raise ValueError("road_length and coverage_radius must be > 0")
-        for name in ("weight_rate", "weight_handover", "weight_power"):
-            w = getattr(self, name)
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {w}")
-        if not 0.0 <= self.speed_memory <= 1.0:
-            raise ValueError("speed_memory must be in [0, 1]")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.ts_duration <= 0:
-            raise ValueError("ts_duration must be > 0")
+        for name in ("road_length", "coverage_radius", "min_rate", "ts_duration", "y_scale"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("weight_rate", "weight_handover", "weight_power", "speed_memory"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.mean_speed_low <= 0 or self.mean_speed_high < self.mean_speed_low:
             raise ValueError("mean speed range must satisfy 0 < low <= high")
         if self.mean_speeds is not None:
-            require_positive_list(self, "mean_speeds")
+            if not all(v > 0 for v in self.mean_speeds):
+                shown = list(self.mean_speeds)
+                raise ValueError(f"mean_speeds must be finite and > 0, got {shown!r}")
             if len(self.mean_speeds) != self.num_vehicles:
                 raise ValueError("mean_speeds must have one entry per vehicle")
         if self.speed_std < 0:
             raise ValueError("speed_std must be >= 0")
         if self.gain_db_low >= self.gain_db_high:
             raise ValueError("gain_db_low must be < gain_db_high")
-        if self.y_scale <= 0:
-            raise ValueError("y_scale must be > 0")
 
     @property
     def actions_per_agent(self) -> int:
@@ -550,12 +536,9 @@ class EdgeAssocEnv:
             state[name] = getattr(self, f"_{name}").bit_generator.state
         return state
 
-    def set_state(self, state: dict) -> None:
-        """Restore a `get_state()`; the next episode starts at `reset()`.
-
-        A state of another world, or a malformed one, raises ValueError and
-        leaves the env unchanged.
-        """
+    def check_state(self, state: dict) -> None:
+        """Raise ValueError, naming the first differing `EnvConfig` field, if
+        `state` lacks a key or is of another world."""
         missing = [key for key in ("cfg", "mean_speeds", *_STREAMS) if key not in state]
         if missing:
             raise ValueError(f"env state has no {missing[0]!r}")
@@ -574,6 +557,15 @@ class EdgeAssocEnv:
                 f"env state mean_speeds has shape {mean_speeds.shape}, "
                 f"this world needs {self.mean_speeds.shape}"
             )
+
+    def set_state(self, state: dict) -> None:
+        """Restore a `get_state()`; the next episode starts at `reset()`.
+
+        A state of another world, or a malformed one, raises ValueError and
+        leaves the env unchanged.
+        """
+        self.check_state(state)
+        mean_speeds = np.asarray(state["mean_speeds"], dtype=float)
         streams = {name: copy.deepcopy(getattr(self, f"_{name}")) for name in _STREAMS}
         for name, rng in streams.items():
             rng.bit_generator.state = state[name]

@@ -21,12 +21,13 @@ import numpy as np
 
 from .agents import FederatedTrainer, TrainerConfig
 from .baselines import CentralizedTrainer, IndependentTrainer
-from .checks import config_from_json, require_integer_list, require_integers
+from .checks import check_fields, config_from_json
 from .env import EdgeAssocEnv, EnvConfig
 from .metrics import EpisodeRecord, write_metrics_csv, write_ts_log_csv
 
 ALGORITHMS = ("proposed", "cdrl", "imarl", "fmarl-avg")
-SWEEP_AXES = ("rsus", "sigma")
+# The config key each sweep axis varies.
+SWEEP_AXES = {"rsus": "num_rsus", "sigma": "share_noise_std"}
 
 SWEEP_COLUMNS = (
     "axis",
@@ -55,16 +56,17 @@ class ExperimentConfig:
     per_ts_log: bool = False
 
     def validate(self) -> None:
+        check_fields(self)
         self.env.validate()
         if self.env.num_vehicles != 2:
             raise ValueError("num_vehicles must be 2: every algorithm drives one vehicle pair")
         self.trainer.validate()
-        require_integers(self, ("eval_window", "fedavg_period"))
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        require_integer_list(self, "seeds", 0, distinct=True)
-        if not isinstance(self.algos, (tuple, list)):
-            raise ValueError(f"algos must be a list of algorithm names, got {self.algos!r}")
+        if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(
+                f"seeds must be a list of distinct integers >= 0, got {list(self.seeds)!r}"
+            )
         for algo in self.algos:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
@@ -105,12 +107,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file; missing keys fall back to defaults."""
     text = Path(path).read_text().strip()
-    data = json.loads(text) if text else {}
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
     try:
+        data = json.loads(text) if text else {}
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         return config_from_dict(data)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -303,26 +305,30 @@ def sweep(
 
     axis "rsus" varies the RSU count for every configured algorithm; axis
     "sigma" varies the sharing-noise level and runs the proposed method only.
+    Each value overrides its config key and is checked like a config file's,
+    and values whose output directories coincide (8 and 8, or 0.1 and
+    0.10000001) are rejected, all before anything is written.
     """
     if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}")
+        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    cfg.validate()
+    base = config_to_dict(cfg)
+    if axis == "sigma":
+        base["algos"] = ["proposed"]
     base_dir = Path(cfg.out_dir) / f"sweep_{axis}"
-    all_stats: list[tuple[float, WindowStats]] = []
+    runs: dict[str, tuple[float, ExperimentConfig]] = {}
     for value in values:
-        sub = dataclasses.replace(cfg)
-        if axis == "rsus":
-            sub.env = dataclasses.replace(cfg.env, num_rsus=int(value))
-            label = f"rsus_{int(value)}"
-        else:
-            sub.trainer = dataclasses.replace(cfg.trainer, share_noise_std=float(value))
-            sub.algos = ("proposed",)
-            label = f"sigma_{value:g}"
+        sub = config_from_dict({**base, SWEEP_AXES[axis]: value})
+        label = f"{axis}_{value:g}"
+        if label in runs:
+            raise ValueError(f"sweep values {runs[label][0]!r} and {value!r} both write {label}")
         sub.out_dir = str(base_dir / label)
+        runs[label] = (value, sub)
+    all_stats: list[tuple[float, WindowStats]] = []
+    for value, sub in runs.values():
         result = run_experiment(sub, workers=workers)
-        all_stats.extend((float(value), s) for s in result.stats)
+        all_stats.extend((value, s) for s in result.stats)
 
     table_path = base_dir / f"sweep_{axis}.csv"
     with open(table_path, "w") as fh:

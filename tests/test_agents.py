@@ -182,6 +182,8 @@ def test_trainer_rejects_bad_config():
         FederatedTrainer(small_env(), small_cfg(share_mode="tabular"), seed=0)
     with pytest.raises(ValueError):
         FederatedTrainer(small_env(), small_cfg(batch_size=0), seed=0)
+    with pytest.raises(ValueError, match="epsilon_decay_episodes must be >= 1"):
+        small_cfg(epsilon_decay_episodes=0).validate()
     for name in ("epsilon_decay_episodes", "batch_size", "replay_capacity", "target_sync",
                  "episodes", "lr_decay_episodes"):
         for value in (8.0, True):
@@ -546,14 +548,21 @@ def test_checkpoint_with_all_replay_rows_resumes_identically(tmp_path):
     assert fingerprints[0] == fingerprints[1] == fingerprints[2]
 
 
-@pytest.mark.parametrize("name", ["lead.net", "replay.npz"])
-def test_failed_load_leaves_env_unchanged(tmp_path, name):
+@pytest.mark.parametrize(
+    "name, other_world",
+    [("lead.net", {}), ("replay.npz", {}), ("state.json", {"visible_rsus": 3})],
+    ids=["lead.net", "replay.npz", "visible-rsus"],
+)
+def test_failed_load_leaves_env_unchanged(tmp_path, name, other_world):
     trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
     trainer.run()
     trainer.save(tmp_path / "ckpt")
     path = tmp_path / "ckpt" / name
-    path.write_bytes(path.read_bytes()[:-3])
-    env = small_env(seed=1)
+    if not other_world:
+        path.write_bytes(path.read_bytes()[:-3])
+    # A checkpoint of another world is named by its differing field, before
+    # any net of the wrong dims is read.
+    env = small_env(seed=1, **other_world)
     env.reset()
     env.step([0, 0])
     before, world = env.get_state(), env.world

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,9 @@ def test_out_of_range_value_rejected(tmp_path):
         load_config(path)
     path.write_text("[1, 2]")
     with pytest.raises(ValueError):
+        load_config(path)
+    path.write_text('{"episodes": }')
+    with pytest.raises(ValueError, match=re.escape(f"{path}: Expecting value")):
         load_config(path)
 
 
@@ -279,21 +283,41 @@ def test_cli_reports_errors(tmp_path, capsys):
         ({"coverage_radius": float("nan")}, "coverage_radius must be finite"),
         ({"noise_dbm": float("-inf")}, "noise_dbm must be finite"),
         ({"mean_speeds": [-5.0, 7.0]}, "mean_speeds must be finite and > 0"),
-        ({"mean_speeds": [float("nan"), 7.0]}, "mean_speeds must be finite and > 0"),
-        ({"seeds": [1.5]}, "seeds must be a list of distinct integers >= 0, got [1.5]"),
-        ({"seeds": [True]}, "seeds must be a list of distinct integers >= 0, got [True]"),
+        ({"mean_speeds": [float("nan"), 7.0]}, "mean_speeds must be finite, got [nan, 7.0]"),
+        ({"seeds": [1.5]}, "seeds must be a list of integers, got [1.5]"),
+        ({"seeds": [True]}, "seeds must be a list of integers, got [True]"),
         ({"seeds": [1, 1]}, "seeds must be a list of distinct integers >= 0, got [1, 1]"),
         ({"seeds": [-1]}, "seeds must be a list of distinct integers >= 0, got [-1]"),
-        ({"seeds": 1}, "seeds must be a list of distinct integers >= 0, got 1"),
+        ({"seeds": 1}, "seeds must be a list of integers, got 1"),
         ({"algos": ["imarl", "imarl"]}, "algos must be distinct"),
         ({"local_hidden": [80, 0]}, "local_hidden must be a list of integers >= 1, got [80, 0]"),
-        ({"local_hidden": [80.7]}, "local_hidden must be a list of integers >= 1, got [80.7]"),
-        ({"mlp_hidden": [True]}, "mlp_hidden must be a list of integers >= 1, got [True]"),
+        ({"local_hidden": [80.7]}, "local_hidden must be a list of integers, got [80.7]"),
+        ({"mlp_hidden": [True]}, "mlp_hidden must be a list of integers, got [True]"),
         ({"mean_speeds": 5}, "mean_speeds must be a list of numbers, got 5"),
         ({"mean_speeds": ["5", 7.0]}, "mean_speeds must be a list of numbers, got ['5', 7.0]"),
-        ({"algos": "proposed"}, "algos must be a list of algorithm names, got 'proposed'"),
+        ({"algos": "proposed"}, "algos must be a list of strings, got 'proposed'"),
         ({}, "the checkpoint's share_noise_std applies",
          "--eval", str(tmp_path / "ckpt"), "--sigma", "5"),
+        # Each field's annotation is its type: bools are not numbers, and
+        # strings are not numbers or booleans.
+        ({"penalty": True}, "penalty must be a number, got True"),
+        ({"grad_clip": True}, "grad_clip must be a number, got True"),
+        ({"share_noise_std": True}, "share_noise_std must be a number, got True"),
+        ({"weight_rate": False}, "weight_rate must be a number, got False"),
+        ({"per_ts_log": "yes"}, "per_ts_log must be true or false, got 'yes'"),
+        ({"road_length": "abc"}, "road_length must be a number, got 'abc'"),
+        ({"epsilon_end": "0.1"}, "epsilon_end must be a number, got '0.1'"),
+        ({"grad_clip": "x"}, "grad_clip must be a number, got 'x'"),
+        ({"grad_clip": float("nan")}, "grad_clip must be a number, not NaN, got nan"),
+        # Flags and sweep values are overrides, checked like the file's keys.
+        ({}, "episodes must be >= 1", "--episodes", "0"),
+        ({}, "num_rsus must be >= num_vehicles", "--num-rsus", "0"),
+        ({}, "num_rsus must be an integer, got 8.5", "--sweep", "rsus", "--values", "8.5,8"),
+        ({}, "--values must be comma-separated numbers, got 'abc'",
+         "--sweep", "rsus", "--values", "abc"),
+        ({}, "sweep values 8 and 8 both write rsus_8", "--sweep", "rsus", "--values", "8,8"),
+        ({}, "sweep values 0.1 and 0.10000001 both write sigma_0.1",
+         "--sweep", "sigma", "--values", "0.1,0.10000001"),
     ]
     for data, message, *flags in cases:
         data["out_dir"] = str(tmp_path / "runs")
@@ -303,6 +327,15 @@ def test_cli_reports_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
     assert not (tmp_path / "runs").exists()
+
+
+def test_cli_rejects_non_string_out_dir(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps({"out_dir": 5}))
+    assert cli_main(["--config", "bad.json"]) == 2
+    err = capsys.readouterr().err
+    assert "out_dir must be a string, got 5" in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 @pytest.mark.parametrize("key", ["encrypt", "clear_replay_per_episode"])
@@ -322,8 +355,11 @@ def test_cli_names_removed_options(tmp_path, capsys, key):
         (lambda state: state.pop("train_steps"), "missing key 'train_steps'"),
         (lambda state: state["cfg"].update(encrypt=True), "share_noise_std: 0"),
         (lambda state: state["cfg"].update(batch_size=4.5), "batch_size must be an integer"),
+        (lambda state: state.update(episode=2.7), "episode must be an integer >= 0, got 2.7"),
+        (lambda state: state.update(train_steps=True),
+         "train_steps must be an integer >= 0, got True"),
     ],
-    ids=["missing-key", "removed-option", "bad-value"],
+    ids=["missing-key", "removed-option", "bad-value", "fractional-episode", "bool-steps"],
 )
 def test_cli_eval_rejects_bad_checkpoint_state(tmp_path, capsys, edit, message):
     cfg_path = cli_config(tmp_path)
@@ -426,8 +462,11 @@ def test_cli_eval_rejects_bad_net_files(tmp_path, capsys, edit, message):
         (["--num-rsus", "16"], {}, "its num_rsus is 12, this world's is 16"),
         (["--num-rsus", "8"], {}, "its num_rsus is 12, this world's is 8"),
         ([], {"coverage_radius": 50.0}, "its coverage_radius is 200.0, this world's is 50.0"),
+        # Nets of other dims: the differing field is named before any net is read.
+        ([], {"visible_rsus": 3}, "its visible_rsus is 4, this world's is 3"),
+        ([], {"power_levels": 3}, "its power_levels is 4, this world's is 3"),
     ],
-    ids=["16", "8", "coverage-radius"],
+    ids=["16", "8", "coverage-radius", "visible-rsus", "power-levels"],
 )
 def test_cli_eval_rejects_checkpoint_of_another_world(tmp_path, capsys, flags, edit, message):
     cfg_path = cli_config(tmp_path)
