@@ -41,6 +41,7 @@ from .nn import (
     load_net,
     save_net,
     sgd_step,
+    zero_grads,
 )
 from .replay import Batch, ReplayBuffer
 
@@ -275,6 +276,11 @@ class FederatedTrainer(Trainer):
             mlp=mlp,
             mlp_target=clone(mlp),
         )
+        # One gradient buffer per trained net, rewritten by each of its
+        # backward passes; `load` puts in nets of the same dims.
+        self.grads = {
+            "lead": zero_grads(lead), "follow": zero_grads(follow), "mlp": zero_grads(mlp)
+        }
 
     def _share(self, q: np.ndarray) -> np.ndarray:
         return encrypt_q(q, self.cfg.share_noise_std, self.rng_noise)
@@ -328,11 +334,11 @@ class FederatedTrainer(Trainer):
         if follow_fwd is None:
             follow_fwd = forward(self.pair.follow, batch.obs_follow)
         if lead_side:
-            own_net, own_act, peer_act = self.pair.lead, batch.act_lead, batch.act_follow
-            q_own, cache_own = forward(own_net, batch.obs_lead)
+            own, own_act, peer_act = "lead", batch.act_lead, batch.act_follow
+            q_own, cache_own = forward(self.pair.lead, batch.obs_lead)
             q_peer = follow_fwd[0]
         else:
-            own_net, own_act, peer_act = self.pair.follow, batch.act_follow, batch.act_lead
+            own, own_act, peer_act = "follow", batch.act_follow, batch.act_lead
             q_own, cache_own = follow_fwd
             q_peer, _ = forward(self.pair.lead, batch.obs_lead)
         if self.cfg.share_mode == "vector":
@@ -346,8 +352,10 @@ class FederatedTrainer(Trainer):
         loss = float(np.mean(err * err))
         if not np.isfinite(loss):
             raise RuntimeError("non-finite training loss")
-        g_mlp, d_in = backward(self.pair.mlp, cache_mlp, 2.0 * err / n, cols)
-        g_own, _ = backward(own_net, cache_own, d_in[:, :a])
+        g_mlp, d_in = backward(
+            self.pair.mlp, cache_mlp, 2.0 * err / n, cols, grads=self.grads["mlp"]
+        )
+        g_own, _ = backward(getattr(self.pair, own), cache_own, d_in[:, :a], grads=self.grads[own])
         return loss, g_own, g_mlp
 
     def train_step_lead(

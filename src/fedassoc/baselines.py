@@ -12,7 +12,16 @@ from typing import Optional
 import numpy as np
 
 from .agents import Trainer, TrainerConfig, compose_joint, decompose_joint, epsilon_greedy
-from .nn import DenseNet, backward, clone, copy_into_target, forward, init_net, sgd_step
+from .nn import (
+    DenseNet,
+    backward,
+    clone,
+    copy_into_target,
+    forward,
+    init_net,
+    sgd_step,
+    zero_grads,
+)
 from .replay import Batch
 
 
@@ -56,6 +65,8 @@ class _DdqnHead:
         self.cfg = cfg
         self.net = init_net(dims, rng_init)
         self.target = clone(self.net)
+        # Rewritten by every update; fedavg puts in nets of the same dims.
+        self.grads = zero_grads(self.net)
 
     def values(self, obs: np.ndarray) -> np.ndarray:
         out, _ = forward(self.net, obs)
@@ -77,7 +88,7 @@ class _DdqnHead:
         loss = float(np.mean(err * err))
         if not np.isfinite(loss):
             raise RuntimeError("non-finite training loss")
-        grads, _ = backward(self.net, cache, 2.0 * err / n, actions)
+        grads, _ = backward(self.net, cache, 2.0 * err / n, actions, grads=self.grads)
         sgd_step([(self.net, grads)], lr, self.cfg.grad_clip)
         return loss
 

@@ -59,13 +59,22 @@ _SCALARS = {
 }
 
 
+def _as_float(value) -> float:
+    """`float(value)`; an integer too large for a float reads as the infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def check_fields(obj, infinite: tuple[str, ...] = ()) -> None:
     """Check every field of config dataclass `obj` against its annotation.
 
     int takes integers but not bools or 2.0; float takes real numbers but not
-    bools, finite unless the field is named in `infinite`; str and bool take
-    exactly that type; tuple[T, ...] takes a list of T; Optional[T] takes None
-    or T; a nested config takes an instance of its class. A mismatch raises
+    bools, finite unless the field is named in `infinite` (an integer too
+    large for a float counts as infinite); str and bool take exactly that
+    type; tuple[T, ...] takes a list of T; Optional[T] takes None or T; a
+    nested config takes an instance of its class. A mismatch raises
     ValueError naming the field and the value.
     """
     for name, hint in _type_hints(type(obj)).items():
@@ -88,7 +97,8 @@ def check_fields(obj, infinite: tuple[str, ...] = ()) -> None:
         if not ok:
             raise ValueError(f"{name} must be {kind}, got {shown!r}")
         if hint is float and not all(
-            math.isfinite(v) or (name in infinite and not math.isnan(v)) for v in values
+            math.isfinite(f) or (name in infinite and not math.isnan(f))
+            for f in map(_as_float, values)
         ):
             bound = "a number, not NaN" if name in infinite else "finite"
             raise ValueError(f"{name} must be {bound}, got {shown!r}")

@@ -22,7 +22,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +44,12 @@ class DenseNet:
 
 @dataclass
 class GradientSet:
-    """Parameter gradients shaped exactly like their network."""
+    """Parameter gradients shaped exactly like their network.
+
+    `backward` writes into a given set in place, so a trainer keeps one set
+    per trained net (`zero_grads`) and reuses it every step; each backward of
+    that net overwrites what the previous one returned.
+    """
 
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
@@ -55,6 +60,14 @@ class GradientSet:
             flat = arr.ravel()
             total += float(np.dot(flat, flat))
         return float(np.sqrt(total))
+
+
+def zero_grads(net: DenseNet) -> GradientSet:
+    """A zero gradient per parameter of `net`, for `backward` to write into."""
+    return GradientSet(
+        d_weights=[np.zeros(w.shape) for w in net.weights],
+        d_biases=[np.zeros(b.shape) for b in net.biases],
+    )
 
 
 def init_net(dims: Sequence[int], seed_or_rng, activation: str = "relu") -> DenseNet:
@@ -156,8 +169,20 @@ def forward(net: DenseNet, x: np.ndarray, cols=None) -> tuple[np.ndarray, list]:
     return z, cache
 
 
+def _check_depth_and_shapes(net: DenseNet, grads: GradientSet) -> None:
+    if not (len(grads.d_weights) == len(grads.d_biases) == len(net.weights)):
+        raise ValueError("gradient depth does not match the network")
+    for w, b, dw, db in zip(net.weights, net.biases, grads.d_weights, grads.d_biases):
+        if w.shape != dw.shape or b.shape != db.shape:
+            raise ValueError("gradient shape mismatch")
+
+
 def backward(
-    net: DenseNet, cache: list, output_gradient: np.ndarray, cols=None
+    net: DenseNet,
+    cache: list,
+    output_gradient: np.ndarray,
+    cols=None,
+    grads: Optional[GradientSet] = None,
 ) -> tuple[GradientSet, np.ndarray]:
     """Exact reverse-mode gradients plus the gradient w.r.t. the input.
 
@@ -166,10 +191,28 @@ def backward(
     given to `forward`, it holds one value per row: dL/dy[i] of the selected
     output out[i, cols[i]]. The cache of a single input vector serves as a
     one-row batch.
+
+    The parameter gradients are written into `grads`, which must hold
+    C-contiguous float64 arrays shaped like the net's parameters, and `grads`
+    itself is returned; without it a fresh `zero_grads(net)` is written. A
+    trainer passes the one set it keeps per net, so a step allocates no
+    gradient arrays: a fresh weight gradient of the 256-wide joint head
+    (164 KB) lies above glibc's mmap threshold and would be page-faulted in
+    on every step.
     """
     dout = np.asarray(output_gradient, dtype=float)
     if len(cache) != len(net.weights):
         raise ValueError("cache does not match network depth")
+    if grads is None:
+        grads = zero_grads(net)
+    else:
+        _check_depth_and_shapes(net, grads)
+        if not all(
+            arr.dtype == np.float64 and arr.flags.c_contiguous
+            for arr in grads.d_weights + grads.d_biases
+        ):
+            raise ValueError("gradient arrays must be C-contiguous float64")
+    d_weights, d_biases = grads.d_weights, grads.d_biases
     if cache[0].ndim == 1:
         cache = [a.reshape(1, -1) for a in cache]
     a_in = cache[-1]
@@ -188,33 +231,35 @@ def backward(
         dz = dout.reshape(1, -1) if single else dout
         if dz.shape != (a_in.shape[0], fan_out):
             raise ValueError("output gradient shape mismatch")
-        d_w = dz.T @ a_in
-        d_b = dz.sum(axis=0)
+        np.matmul(dz.T, a_in, out=d_weights[-1])
+        dz.sum(axis=0, out=d_biases[-1])
         da = dz @ w
     else:
         single = False
-        # bincount sums the rows of repeated columns.
+        # add.at sums the rows of repeated columns, in row order.
         flat = (cols[:, None] * fan_in + np.arange(fan_in)).ravel()
-        d_w = np.bincount(flat, (dout[:, None] * a_in).ravel(), fan_out * fan_in)
-        d_w = d_w.reshape(fan_out, fan_in)
-        d_b = np.bincount(cols, dout, fan_out)
+        d_weights[-1].fill(0.0)
+        np.add.at(d_weights[-1].reshape(-1), flat, (dout[:, None] * a_in).ravel())
+        d_biases[-1].fill(0.0)
+        np.add.at(d_biases[-1], cols, dout)
         da = dout[:, None] * w[cols]
-    d_weights = [None] * (len(net.weights) - 1) + [d_w]
-    d_biases = [None] * (len(net.weights) - 1) + [d_b]
     for i in range(len(net.weights) - 2, -1, -1):
         dz = da * _act_grad(cache[i + 1], net.activation)
-        d_weights[i] = dz.T @ cache[i]
-        d_biases[i] = dz.sum(axis=0)
+        np.matmul(dz.T, cache[i], out=d_weights[i])
+        dz.sum(axis=0, out=d_biases[i])
         da = dz @ net.weights[i]
-    grads = GradientSet(d_weights=d_weights, d_biases=d_biases)
     return grads, (da[0] if single else da)
 
 
 def _clip_scale(norm: float, max_norm: float) -> float:
-    """Factor that brings `norm` down to `max_norm`; an infinite bound never clips."""
+    """Factor that brings `norm` down to `max_norm`; an infinite bound never clips.
+
+    `max_norm` may be a Python integer of any size, as a config may hold one
+    (`np.isfinite` rejects those above int64): `>` compares it exactly.
+    """
     if not max_norm > 0.0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
-    if np.isfinite(max_norm) and norm > max_norm:
+    if norm > max_norm:
         return max_norm / norm
     return 1.0
 
@@ -232,11 +277,8 @@ def sgd_step(
     """
     total = 0.0
     for net, grads in updates:
-        if not (len(grads.d_weights) == len(grads.d_biases) == len(net.weights)):
-            raise ValueError("gradient depth does not match the network")
-        for w, b, dw, db in zip(net.weights, net.biases, grads.d_weights, grads.d_biases):
-            if w.shape != dw.shape or b.shape != db.shape:
-                raise ValueError("gradient shape mismatch")
+        _check_depth_and_shapes(net, grads)
+        for dw, db in zip(grads.d_weights, grads.d_biases):
             for arr in (dw.ravel(), db):
                 total += float(np.dot(arr, arr))
     norm = float(np.sqrt(total))

@@ -18,7 +18,7 @@ from fedassoc.agents import (
     joint_q,
 )
 from fedassoc.env import EdgeAssocEnv, EnvConfig
-from fedassoc.nn import forward, init_net, linear_schedule, net_fingerprint
+from fedassoc.nn import GradientSet, forward, init_net, linear_schedule, net_fingerprint
 from fedassoc.replay import Batch
 from toy_env import ToyEnv, separable_table, toy_trainer_cfg
 
@@ -203,7 +203,9 @@ def test_trainer_rejects_bad_grad_clip(grad_clip):
 
 
 def test_infinite_grad_clip_is_accepted():
-    small_cfg(grad_clip=float("inf")).validate()
+    # Integers above int64 pass, and one too large for a float counts as infinite.
+    for grad_clip in (float("inf"), 2**70, 10**400):
+        small_cfg(grad_clip=grad_clip).validate()
 
 
 def test_epsilon_schedule():
@@ -272,6 +274,14 @@ def test_targets_zero_discount():
 
 # -- composed-loss gradients -----------------------------------------------------------------
 
+def copied_grads(side_grads):
+    """`_side_grads`' (loss, own, joint head) with both gradient sets copied."""
+    loss, *sets = side_grads
+    return loss, *(
+        GradientSet([w.copy() for w in g.d_weights], [b.copy() for b in g.d_biases]) for g in sets
+    )
+
+
 def composed_fd_check(share_mode):
     env = ToyEnv(separable_table(2, seed=4), obs_dim=3)
     cfg = TrainerConfig(
@@ -285,7 +295,8 @@ def composed_fd_check(share_mode):
     h = 1e-5
     for lead_side in (True, False):
         own = trainer.pair.lead if lead_side else trainer.pair.follow
-        loss0, g_own, g_mlp = trainer._side_grads(batch, targets, lead_side)
+        # Copied, since the perturbed passes below overwrite the trainer's buffers.
+        loss0, g_own, g_mlp = copied_grads(trainer._side_grads(batch, targets, lead_side))
         for net, grads in ((own, g_own), (trainer.pair.mlp, g_mlp)):
             for arrs, garrs in ((net.weights, grads.d_weights), (net.biases, grads.d_biases)):
                 for arr, garr in zip(arrs, garrs):
@@ -343,8 +354,9 @@ def test_side_symmetry_with_identical_inputs():
     batch.next_obs_follow = batch.next_obs_lead.copy()
     batch.act_follow = batch.act_lead.copy()
     targets = rng.random(4)
-    _, g_lead, g_mlp_lead = trainer._side_grads(batch, targets, lead_side=True)
-    _, g_follow, g_mlp_follow = trainer._side_grads(batch, targets, lead_side=False)
+    # Each side's gradients are copied: the next backward of a net overwrites them.
+    _, g_lead, g_mlp_lead = copied_grads(trainer._side_grads(batch, targets, lead_side=True))
+    _, g_follow, g_mlp_follow = copied_grads(trainer._side_grads(batch, targets, lead_side=False))
     for a, b in zip(g_mlp_lead.d_weights + g_mlp_lead.d_biases,
                     g_mlp_follow.d_weights + g_mlp_follow.d_biases):
         assert np.array_equal(a, b)
@@ -394,8 +406,8 @@ def test_non_finite_gradient_leaves_every_net_unchanged(monkeypatch):
     targets = rng.random(8)
     real_backward = agents_mod.backward
 
-    def poisoned(net, cache, output_gradient, cols=None):
-        grads, d_in = real_backward(net, cache, output_gradient, cols)
+    def poisoned(net, cache, output_gradient, cols=None, grads=None):
+        grads, d_in = real_backward(net, cache, output_gradient, cols, grads)
         if net is trainer.pair.mlp:
             grads.d_biases[-1][0] = np.nan
         return grads, d_in

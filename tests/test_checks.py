@@ -59,3 +59,31 @@ def test_defaults_and_wider_numeric_types_pass():
         cls().validate()
     EnvConfig(road_length=1000, mean_speeds=[5, np.float64(7.0)]).validate()
     TrainerConfig(batch_size=np.int64(8), grad_clip=math.inf, epsilon_end=None).validate()
+
+
+# An integer too large for a float: math.isfinite raises OverflowError on it.
+HUGE = 10**400
+
+
+def float_fields():
+    for cls in CONFIGS:
+        for f in dataclasses.fields(cls):
+            hint = typing.get_type_hints(cls)[f.name]
+            args = typing.get_args(hint)
+            if float in args or hint is float:
+                yield pytest.param(cls, f.name, f.name in MAY_BE_INFINITE,
+                                   id=f"{cls.__name__}.{f.name}")
+
+
+@pytest.mark.parametrize("cls, name, may_be_infinite", float_fields())
+def test_integer_too_large_for_a_float_is_not_finite(cls, name, may_be_infinite):
+    is_list = typing.get_origin(typing.get_type_hints(cls)[name]) is tuple
+    for value in (HUGE, -HUGE):
+        cfg = dataclasses.replace(cls(), **{name: [value] if is_list else value})
+        if may_be_infinite and value > 0:
+            cfg.validate()
+            continue
+        with pytest.raises(ValueError) as info:
+            cfg.validate()
+        message = f"{name} must be > 0" if may_be_infinite else f"{name} must be finite"
+        assert str(info.value).startswith(message)

@@ -309,6 +309,9 @@ def test_cli_reports_errors(tmp_path, capsys):
         ({"epsilon_end": "0.1"}, "epsilon_end must be a number, got '0.1'"),
         ({"grad_clip": "x"}, "grad_clip must be a number, got 'x'"),
         ({"grad_clip": float("nan")}, "grad_clip must be a number, not NaN, got nan"),
+        # Integers too large for a float are not finite.
+        ({"road_length": 10**400}, "road_length must be finite"),
+        ({"epsilon": 10**400}, "epsilon must be finite"),
         # Flags and sweep values are overrides, checked like the file's keys.
         ({}, "episodes must be >= 1", "--episodes", "0"),
         ({}, "num_rsus must be >= num_vehicles", "--num-rsus", "0"),

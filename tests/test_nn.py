@@ -24,6 +24,7 @@ from fedassoc.nn import (
     save_net,
     sgd_apply,
     sgd_step,
+    zero_grads,
 )
 
 
@@ -265,6 +266,45 @@ def test_vector_pass_matches_one_row_batch(case):
     assert_close(d_in, d_in_batch[0])
 
 
+@settings(max_examples=150, deadline=None)
+@given(selected_cases())
+def test_backward_overwrites_given_grads(case):
+    dims, activation, batch, distinct, seed = case
+    rng = np.random.default_rng(seed)
+    net = init_net(dims, rng, activation=activation)
+    for b in net.biases:
+        b[...] = rng.standard_normal(b.shape)
+    x = rng.standard_normal((batch, dims[0]))
+    cols = rng.choice(dims[-1], distinct, replace=False)[rng.integers(0, distinct, batch)]
+    for sel in (None, cols):
+        out, cache = forward(net, x, sel)
+        d_out = rng.standard_normal(out.shape)
+        given_grads = zero_grads(net)
+        arrays = given_grads.d_weights + given_grads.d_biases
+        for arr in arrays:
+            arr.fill(np.nan)
+        got, d_in = backward(net, cache, d_out, sel, grads=given_grads)
+        fresh, d_in_fresh = backward(net, cache, d_out, sel)
+        assert got is given_grads
+        assert all(a is b for a, b in zip(got.d_weights + got.d_biases, arrays))
+        for a, b in zip(arrays, fresh.d_weights + fresh.d_biases):
+            assert a.tobytes() == b.tobytes()
+        assert d_in.tobytes() == d_in_fresh.tobytes()
+        for other_dims in (dims[:-1] + [dims[-1] + 1], [dims[0] + 1] + dims[1:], dims + [3]):
+            with pytest.raises(ValueError, match="gradient (shape|depth)"):
+                backward(net, cache, d_out, sel, grads=zero_grads(init_net(other_dims, 0)))
+
+
+def test_backward_rejects_grads_of_another_layout():
+    net = init_net((3, 4, 5), 0)
+    _, cache = forward(net, np.ones((2, 3)))
+    for convert in (lambda a: a.astype(np.float32), np.asfortranarray):
+        grads = zero_grads(net)
+        grads.d_weights[-1] = convert(np.zeros((5, 4)))
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            backward(net, cache, np.ones((2, 5)), grads=grads)
+
+
 def test_selected_output_loss_matches_finite_differences():
     rng = np.random.default_rng(404)
     cases = (("relu", 7), ("tanh", 7), ("linear", 7), ("relu", GATHER_MIN_OUTPUTS))
@@ -371,7 +411,9 @@ def test_sgd_apply_rejects_late_shape_mismatch_without_writing():
 def test_sgd_step_matches_clip_then_apply():
     rng = np.random.default_rng(7)
     nets = [init_net((3, 5, 2), 1), init_net((4, 6), 2)]
-    for max_norm in (0.1, 1e6, np.inf):
+    # Python integers above int64 (2**70) and above any float (10**400), as a config may
+    # hold them, compare exactly; neither clips these norms, like inf.
+    for max_norm in (0.1, 1e6, np.inf, 2**70, 10**400):
         grads = [
             GradientSet([rng.standard_normal(w.shape) for w in n.weights],
                         [rng.standard_normal(b.shape) for b in n.biases])
