@@ -538,7 +538,8 @@ class EdgeAssocEnv:
 
     def check_state(self, state: dict) -> None:
         """Raise ValueError, naming the first differing `EnvConfig` field, if
-        `state` lacks a key or is of another world."""
+        `state` lacks a key or is of another world, or naming `mean_speeds` if
+        they are not finite and > 0."""
         missing = [key for key in ("cfg", "mean_speeds", *_STREAMS) if key not in state]
         if missing:
             raise ValueError(f"env state has no {missing[0]!r}")
@@ -556,6 +557,10 @@ class EdgeAssocEnv:
             raise ValueError(
                 f"env state mean_speeds has shape {mean_speeds.shape}, "
                 f"this world needs {self.mean_speeds.shape}"
+            )
+        if not np.all(np.isfinite(mean_speeds) & (mean_speeds > 0)):
+            raise ValueError(
+                f"env state mean_speeds must be finite and > 0, got {mean_speeds.tolist()}"
             )
 
     def set_state(self, state: dict) -> None:

@@ -23,25 +23,11 @@ from .agents import FederatedTrainer, TrainerConfig
 from .baselines import CentralizedTrainer, IndependentTrainer
 from .checks import check_fields, config_from_json
 from .env import EdgeAssocEnv, EnvConfig
-from .metrics import EpisodeRecord, write_metrics_csv, write_ts_log_csv
+from .metrics import EpisodeRecord, record_cells, write_metrics_csv, write_ts_log_csv
 
 ALGORITHMS = ("proposed", "cdrl", "imarl", "fmarl-avg")
 # The config key each sweep axis varies.
 SWEEP_AXES = {"rsus": "num_rsus", "sigma": "share_noise_std"}
-
-SWEEP_COLUMNS = (
-    "axis",
-    "value",
-    "algo",
-    "seed",
-    "utility_mean",
-    "utility_median",
-    "utility_iqr",
-    "reward_mean",
-    "rate_mean",
-    "handovers_mean",
-    "power_w_mean",
-)
 
 
 @dataclass
@@ -150,7 +136,7 @@ def run_single(
 ) -> tuple[list[EpisodeRecord], Optional[list]]:
     """Train one (algorithm, seed) pair; returns records and optional TS rows.
 
-    Only the proposed method writes a checkpoint.
+    Only the proposed method writes a checkpoint, to `checkpoint_dir` if given.
     """
     env_seed, algo_seed = derive_seeds(seed)
     env = EdgeAssocEnv(env_cfg, env_seed)
@@ -169,14 +155,6 @@ def run_single(
     if algo == "proposed" and checkpoint_dir is not None:
         trainer.save(checkpoint_dir)
     return records, ts_rows
-
-
-def _run_task(args) -> tuple[str, int, list[EpisodeRecord], Optional[list]]:
-    env_cfg, trainer_cfg, algo, seed, fedavg_period, per_ts_log, checkpoint_dir = args
-    records, ts_rows = run_single(
-        env_cfg, trainer_cfg, algo, seed, fedavg_period, per_ts_log, checkpoint_dir
-    )
-    return algo, seed, records, ts_rows
 
 
 # --------------------------------------------------------------------------
@@ -198,16 +176,20 @@ class WindowStats:
     power_w_mean: float
 
 
+SWEEP_COLUMNS = ("axis", "value", *(f.name for f in dataclasses.fields(WindowStats)))
+
+
+def _spread(values) -> tuple[float, float, float]:
+    """The mean, median and interquartile range of `values`."""
+    values = np.array(values)
+    q25, q75 = np.percentile(values, [25.0, 75.0])
+    return float(values.mean()), float(np.median(values)), float(q75 - q25)
+
+
 def window_stats(algo: str, seed: int, records: Sequence[EpisodeRecord], window: int) -> WindowStats:
     tail = records[-window:]
-    utilities = np.array([r.mean_utility for r in tail])
-    q25, q75 = np.percentile(utilities, [25.0, 75.0])
     return WindowStats(
-        algo=algo,
-        seed=seed,
-        utility_mean=float(utilities.mean()),
-        utility_median=float(np.median(utilities)),
-        utility_iqr=float(q75 - q25),
+        algo, seed, *_spread([r.mean_utility for r in tail]),
         reward_mean=float(np.mean([r.mean_reward for r in tail])),
         rate_mean=float(np.mean([r.mean_rate for r in tail])),
         handovers_mean=float(np.mean([r.handovers_per_user for r in tail])),
@@ -215,41 +197,24 @@ def window_stats(algo: str, seed: int, records: Sequence[EpisodeRecord], window:
     )
 
 
-def _stats_line(prefix: str, stats: WindowStats) -> str:
-    values = " ".join(
-        f"{name}={repr(getattr(stats, name))}"
-        for name in (
-            "utility_mean",
-            "utility_median",
-            "utility_iqr",
-            "reward_mean",
-            "rate_mean",
-            "handovers_mean",
-            "power_w_mean",
-        )
-    )
-    return f"{prefix} {values}"
-
-
-def write_summary(
-    path, cfg: ExperimentConfig, per_run: list[WindowStats]
-) -> None:
+def write_summary(path, cfg: ExperimentConfig, per_run: list[WindowStats]) -> None:
+    """Write `summary.txt`: one `name=cell` line per run of its `WindowStats`
+    fields and `record_cells`, then per algorithm the mean, median and IQR
+    across seeds of the runs' `utility_mean`."""
     lines = [
         f"# window statistics over the final {cfg.eval_window} of "
         f"{cfg.trainer.episodes} episodes",
     ]
     for stats in per_run:
-        lines.append(_stats_line(f"algo={stats.algo} seed={stats.seed}", stats))
+        cells = zip(SWEEP_COLUMNS[2:], record_cells(stats))
+        lines.append(" ".join(f"{name}={cell}" for name, cell in cells))
     for algo in cfg.algos:
         rows = [s for s in per_run if s.algo == algo]
-        means = np.array([s.utility_mean for s in rows])
-        q25, q75 = np.percentile(means, [25.0, 75.0])
+        mean, median, iqr = _spread([s.utility_mean for s in rows])
         seeds = ",".join(str(s.seed) for s in rows)
         lines.append(
             f"algo={algo} seeds={seeds} "
-            f"utility_mean={repr(float(means.mean()))} "
-            f"utility_median={repr(float(np.median(means)))} "
-            f"utility_iqr={repr(float(q75 - q25))}"
+            f"utility_mean={mean!r} utility_median={median!r} utility_iqr={iqr!r}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -271,24 +236,21 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, out_dir)
-    tasks = []
-    for algo in cfg.algos:
-        for seed in cfg.seeds:
-            checkpoint_dir = (
-                out_dir / "checkpoints" / f"{algo}_seed{seed}" if algo == "proposed" else None
-            )
-            tasks.append(
-                (cfg.env, cfg.trainer, algo, seed, cfg.fedavg_period, cfg.per_ts_log, checkpoint_dir)
-            )
+    tasks = [
+        (cfg.env, cfg.trainer, algo, seed, cfg.fedavg_period, cfg.per_ts_log,
+         out_dir / "checkpoints" / f"{algo}_seed{seed}")
+        for algo in cfg.algos
+        for seed in cfg.seeds
+    ]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_task, tasks))
+            outcomes = list(pool.map(run_single, *zip(*tasks)))
     else:
-        outcomes = [_run_task(t) for t in tasks]
+        outcomes = [run_single(*task) for task in tasks]
 
     records: dict[tuple[str, int], list[EpisodeRecord]] = {}
     stats: list[WindowStats] = []
-    for algo, seed, recs, ts_rows in outcomes:
+    for (_, _, algo, seed, *_), (recs, ts_rows) in zip(tasks, outcomes):
         records[(algo, seed)] = recs
         write_metrics_csv(out_dir / f"metrics_{algo}_seed{seed}.csv", recs)
         if ts_rows is not None:
@@ -325,19 +287,11 @@ def sweep(
             raise ValueError(f"sweep values {runs[label][0]!r} and {value!r} both write {label}")
         sub.out_dir = str(base_dir / label)
         runs[label] = (value, sub)
-    all_stats: list[tuple[float, WindowStats]] = []
+    all_stats: list[WindowStats] = []
+    lines = [",".join(SWEEP_COLUMNS)]
     for value, sub in runs.values():
-        result = run_experiment(sub, workers=workers)
-        all_stats.extend((value, s) for s in result.stats)
-
-    table_path = base_dir / f"sweep_{axis}.csv"
-    with open(table_path, "w") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for value, s in all_stats:
-            fh.write(
-                f"{axis},{value:g},{s.algo},{s.seed},"
-                f"{repr(s.utility_mean)},{repr(s.utility_median)},{repr(s.utility_iqr)},"
-                f"{repr(s.reward_mean)},{repr(s.rate_mean)},{repr(s.handovers_mean)},"
-                f"{repr(s.power_w_mean)}\n"
-            )
-    return [s for _, s in all_stats]
+        for s in run_experiment(sub, workers=workers).stats:
+            all_stats.append(s)
+            lines.append(",".join(map(str, [axis, f"{value:g}", *record_cells(s)])))
+    (base_dir / f"sweep_{axis}.csv").write_text("\n".join(lines) + "\n")
+    return all_stats

@@ -14,18 +14,6 @@ from typing import Iterable, Sequence
 
 from .env import list_mean
 
-CSV_COLUMNS = (
-    "episode",
-    "mean_utility",
-    "mean_reward",
-    "mean_rate",
-    "handovers_per_user",
-    "mean_power_w",
-    "violations",
-    "epsilon",
-    "lr",
-)
-
 TS_LOG_COLUMNS = ("episode", "t", "mean_utility", "penalty", "reward")
 
 
@@ -40,6 +28,22 @@ class EpisodeRecord:
     violations: int
     epsilon: float
     lr: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(EpisodeRecord))
+
+
+def record_cells(record) -> list:
+    """The fields of dataclass `record` in declaration order, as table cells.
+
+    A field declared `float` is written as `repr(float(value))`, whatever the
+    value's runtime type, so an integer in it (a JSON `0`) reads `0.0` and
+    every float re-parses exactly. Every other field is returned as it is.
+    """
+    return [
+        repr(float(getattr(record, f.name))) if f.type == "float" else getattr(record, f.name)
+        for f in fields(record)
+    ]
 
 
 class MetricAccumulator:
@@ -92,30 +96,20 @@ class MetricAccumulator:
 
 
 def write_metrics_csv(path, records: Sequence[EpisodeRecord]) -> None:
+    """Write one row of `record_cells` per record under `CSV_COLUMNS`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.episode]
-                + [repr(float(getattr(r, c))) for c in CSV_COLUMNS[1:6]]
-                + [r.violations, repr(float(r.epsilon)), repr(float(r.lr))]
-            )
+        writer.writerows(map(record_cells, records))
 
 
 def read_metrics_csv(path) -> list[EpisodeRecord]:
-    records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected metric columns {reader.fieldnames}")
-        for row in reader:
-            kwargs = {}
-            for f in fields(EpisodeRecord):
-                raw = row[f.name]
-                kwargs[f.name] = int(raw) if f.type == "int" else float(raw)
-            records.append(EpisodeRecord(**kwargs))
-    return records
+        parse = {f.name: int if f.type == "int" else float for f in fields(EpisodeRecord)}
+        return [EpisodeRecord(**{k: parse[k](row[k]) for k in parse}) for row in reader]
 
 
 def write_ts_log_csv(path, rows: Iterable[tuple]) -> None:

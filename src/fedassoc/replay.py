@@ -78,14 +78,21 @@ class ReplayBuffer:
     def load_state_arrays(self, arrays: dict) -> None:
         """Restore `state_arrays` into this buffer, which keeps its own columns.
 
-        Each column may hold `size` or `capacity` rows, and `meta` must name this
-        buffer's capacity. Every array is checked before the first write. Rows
-        past `size` are never read, so they are left as they are.
+        Each column may hold `size` or `capacity` rows. `meta` must name this
+        buffer's capacity, a size in [0, capacity] and a cursor in
+        [0, capacity) that equals the size until the buffer fills. Every array
+        is checked before the first write. Rows past `size` are never read, so
+        they are left as they are.
         """
         size, cursor, capacity = (int(v) for v in arrays["meta"])
         if capacity != self.capacity:
             raise ValueError(
                 f"replay capacity {capacity} does not match this buffer's {self.capacity}"
+            )
+        if not 0 <= cursor < capacity or size not in (cursor, capacity):
+            raise ValueError(
+                f"replay size {size} and cursor {cursor} do not fit capacity {capacity}: the "
+                f"cursor must be in [0, {capacity}) and equal the size until the buffer is full"
             )
         for name, column in self.columns.items():
             array = arrays[name]

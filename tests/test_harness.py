@@ -10,6 +10,7 @@ import pytest
 from fedassoc.cli import main as cli_main
 from fedassoc.harness import (
     ExperimentConfig,
+    WindowStats,
     config_from_dict,
     config_to_dict,
     echo_config,
@@ -17,10 +18,11 @@ from fedassoc.harness import (
     run_experiment,
     sweep,
     window_stats,
+    write_summary,
 )
 from fedassoc.agents import TrainerConfig
 from fedassoc.env import EnvConfig
-from fedassoc.metrics import EpisodeRecord, read_metrics_csv, write_metrics_csv
+from fedassoc.metrics import EpisodeRecord, read_metrics_csv, record_cells, write_metrics_csv
 
 
 def tiny_config(out_dir, **run_overrides):
@@ -108,6 +110,47 @@ def test_metrics_csv_round_trip(tmp_path):
     assert read_metrics_csv(path) == records
 
 
+def test_metrics_csv_text_is_the_records_fields(tmp_path):
+    # Integers in float fields (a JSON `"epsilon": 0`) are written as floats.
+    records = [
+        EpisodeRecord(1, 0.1 + 0.2, 0.4, 20, 3.5, 2.1, 4, 0, 0.01),
+        EpisodeRecord(2, -0.25, -0.3, 19.0, 0.0, 2.0, 0, 0.1, 1e-05),
+    ]
+    assert record_cells(records[0]) == [
+        1, "0.30000000000000004", "0.4", "20.0", "3.5", "2.1", 4, "0.0", "0.01"
+    ]
+    path = tmp_path / "m.csv"
+    write_metrics_csv(path, records)
+    assert path.read_bytes() == (
+        b"episode,mean_utility,mean_reward,mean_rate,handovers_per_user,mean_power_w,"
+        b"violations,epsilon,lr\r\n"
+        b"1,0.30000000000000004,0.4,20.0,3.5,2.1,4,0.0,0.01\r\n"
+        b"2,-0.25,-0.3,19.0,0.0,2.0,0,0.1,1e-05\r\n"
+    )
+
+
+def test_summary_text_is_the_window_stats_fields(tmp_path):
+    cfg = tiny_config(tmp_path, algos=("proposed", "cdrl"))
+    per_run = [
+        WindowStats("proposed", 1, 1, 0.5, 0.25, 0, 20.0, 0.1 + 0.2, 2.5),
+        WindowStats("proposed", 2, 2.0, 2.0, 0.0, 1.0, 21.5, 3.0, 1e-05),
+        WindowStats("cdrl", 1, 0.25, 0.25, 0.0, 0.5, 19.0, 4.0, 1.0),
+    ]
+    path = tmp_path / "summary.txt"
+    write_summary(path, cfg, per_run)
+    assert path.read_text() == (
+        "# window statistics over the final 2 of 3 episodes\n"
+        "algo=proposed seed=1 utility_mean=1.0 utility_median=0.5 utility_iqr=0.25 "
+        "reward_mean=0.0 rate_mean=20.0 handovers_mean=0.30000000000000004 power_w_mean=2.5\n"
+        "algo=proposed seed=2 utility_mean=2.0 utility_median=2.0 utility_iqr=0.0 "
+        "reward_mean=1.0 rate_mean=21.5 handovers_mean=3.0 power_w_mean=1e-05\n"
+        "algo=cdrl seed=1 utility_mean=0.25 utility_median=0.25 utility_iqr=0.0 "
+        "reward_mean=0.5 rate_mean=19.0 handovers_mean=4.0 power_w_mean=1.0\n"
+        "algo=proposed seeds=1,2 utility_mean=1.5 utility_median=1.5 utility_iqr=0.5\n"
+        "algo=cdrl seeds=1 utility_mean=0.25 utility_median=0.25 utility_iqr=0.0\n"
+    )
+
+
 # -- experiments ------------------------------------------------------------------
 
 def test_run_experiment_bookkeeping(tmp_path):
@@ -123,10 +166,13 @@ def test_run_experiment_bookkeeping(tmp_path):
 
 
 def test_run_experiment_is_byte_identical(tmp_path):
+    """Runs in process ("a", "b") and in a pool of two workers ("pool") write
+    the same bytes."""
     algos = ("proposed", "cdrl", "imarl", "fmarl-avg")
-    for name in ("a", "b"):
+    for name, workers in (("a", 1), ("b", 1), ("pool", 2)):
         run_experiment(
-            tiny_config(tmp_path / name, algos=algos, per_ts_log=True, fedavg_period=2)
+            tiny_config(tmp_path / name, algos=algos, per_ts_log=True, fedavg_period=2),
+            workers=workers,
         )
     for algo in algos:
         for seed in (1, 2, 3):
@@ -137,6 +183,15 @@ def test_run_experiment_is_byte_identical(tmp_path):
     assert (tmp_path / "a" / "summary.txt").read_bytes() == (
         tmp_path / "b" / "summary.txt"
     ).read_bytes()
+    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*.*"))
+    # Only the proposed method checkpoints.
+    checkpoints = {rel.parts[1] for rel in files if rel.parts[0] == "checkpoints"}
+    assert checkpoints == {"proposed_seed1", "proposed_seed2", "proposed_seed3"}
+    pool = tmp_path / "pool"
+    assert files == sorted(p.relative_to(pool) for p in pool.rglob("*.*"))
+    for rel in files:
+        if rel.name != "config.json":  # it names its own out_dir
+            assert (tmp_path / "a" / rel).read_bytes() == (pool / rel).read_bytes(), rel
 
 
 def test_summary_matches_recomputation_from_file(tmp_path):
@@ -191,6 +246,14 @@ def test_rsu_sweep_layout_and_rows(tmp_path):
     assert len(stats) == 2 * 2 * 2
     table = (tmp_path / "runs" / "sweep_rsus" / "sweep_rsus.csv").read_text().splitlines()
     assert len(table) == 1 + 8
+    assert table[0] == (
+        "axis,value,algo,seed,utility_mean,utility_median,utility_iqr,"
+        "reward_mean,rate_mean,handovers_mean,power_w_mean"
+    )
+    values = [8] * 4 + [12] * 4
+    assert table[1:] == [
+        ",".join(map(str, ["rsus", value, *record_cells(s)])) for value, s in zip(values, stats)
+    ]
     assert (tmp_path / "runs" / "sweep_rsus" / "rsus_8" / "metrics_imarl_seed2.csv").exists()
 
 
@@ -361,8 +424,17 @@ def test_cli_names_removed_options(tmp_path, capsys, key):
         (lambda state: state.update(episode=2.7), "episode must be an integer >= 0, got 2.7"),
         (lambda state: state.update(train_steps=True),
          "train_steps must be an integer >= 0, got True"),
+        (lambda state: state["env_state"].update(mean_speeds=[float("nan"), 7.0]),
+         "mean_speeds must be finite and > 0, got [nan, 7.0]"),
+        (lambda state: state["env_state"].update(mean_speeds=[float("inf"), 7.0]),
+         "mean_speeds must be finite and > 0, got [inf, 7.0]"),
+        (lambda state: state["env_state"].update(mean_speeds=[-6.0, 7.0]),
+         "mean_speeds must be finite and > 0, got [-6.0, 7.0]"),
     ],
-    ids=["missing-key", "removed-option", "bad-value", "fractional-episode", "bool-steps"],
+    ids=[
+        "missing-key", "removed-option", "bad-value", "fractional-episode", "bool-steps",
+        "nan-speed", "infinite-speed", "negative-speed",
+    ],
 )
 def test_cli_eval_rejects_bad_checkpoint_state(tmp_path, capsys, edit, message):
     cfg_path = cli_config(tmp_path)
@@ -382,6 +454,18 @@ def test_cli_eval_rejects_bad_checkpoint_state(tmp_path, capsys, edit, message):
     assert str(ckpt / "state.json") in err and message in err
 
 
+def _set_meta(size, cursor):
+    """An edit that writes all 32 rows of every column, as earlier versions
+    did, and sets the meta size and cursor."""
+    def edit(arrays):
+        for name, array in arrays.items():
+            if name != "meta":
+                pad = np.zeros((32 - len(array), *array.shape[1:]), array.dtype)
+                arrays[name] = np.concatenate([array, pad])
+        arrays["meta"][:2] = size, cursor
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -391,8 +475,17 @@ def test_cli_eval_rejects_bad_checkpoint_state(tmp_path, capsys, edit, message):
         (lambda arrays: arrays["meta"].__setitem__(2, 999),
          "replay capacity 999 does not match this buffer's 32"),
         (None, "File is not a zip file"),
+        (_set_meta(60, 12), "replay size 60 and cursor 12 do not fit capacity 32"),
+        (_set_meta(-3, 12), "replay size -3 and cursor 12 do not fit capacity 32"),
+        (_set_meta(12, 999), "replay size 12 and cursor 999 do not fit capacity 32"),
+        (_set_meta(12, -1), "replay size 12 and cursor -1 do not fit capacity 32"),
+        (_set_meta(10, 3), "replay size 10 and cursor 3 do not fit capacity 32"),
     ],
-    ids=["truncated", "missing", "capacity", "cut-file"],
+    ids=[
+        "truncated", "missing", "capacity", "cut-file",
+        "size-past-capacity", "negative-size", "cursor-past-capacity", "negative-cursor",
+        "cursor-not-size",
+    ],
 )
 def test_cli_eval_rejects_bad_replay_arrays(tmp_path, capsys, edit, message):
     cfg_path = cli_config(tmp_path)
