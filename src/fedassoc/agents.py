@@ -186,7 +186,7 @@ class Trainer:
     ) -> list[EpisodeRecord]:
         cfg = self.cfg
         episodes = cfg.episodes if episodes is None else episodes
-        acc = MetricAccumulator(self.env.num_agents, self.env.cfg.penalty, ts_rows)
+        acc = MetricAccumulator(ts_rows)
         records = []
         for _ in range(episodes):
             self.episode += 1
@@ -218,7 +218,7 @@ class Trainer:
 
     def evaluate(self, episodes: int, ts_rows: Optional[list] = None) -> list[EpisodeRecord]:
         """Greedy rollouts without learning; the federated pair still adds noise."""
-        acc = MetricAccumulator(self.env.num_agents, self.env.cfg.penalty, ts_rows)
+        acc = MetricAccumulator(ts_rows)
         records = []
         for ep in range(1, episodes + 1):
             obs = self.env.reset()
@@ -343,7 +343,7 @@ class FederatedTrainer(Trainer):
             q_peer, _ = forward(self.pair.lead, batch.obs_lead)
         if self.cfg.share_mode == "vector":
             peer_in = self._share(q_peer)
-            cols = own_act * a + peer_act
+            cols = compose_joint(own_act, peer_act, a)
         else:
             peer_in = self._share(q_peer[np.arange(n), peer_act])[:, None]
             cols = own_act

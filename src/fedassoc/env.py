@@ -13,7 +13,7 @@ import copy
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -191,7 +191,6 @@ class RsuLayout:
 
     xs: np.ndarray     # (R,)
     ys: np.ndarray     # (R,)
-    sides: tuple[str, ...]
 
     @property
     def count(self) -> int:
@@ -210,8 +209,7 @@ def build_rsu_layout(cfg: EnvConfig) -> RsuLayout:
     ys = np.concatenate(
         [np.full(per_side, RSU_ROW_Y[0]), np.full(per_side, RSU_ROW_Y[1])]
     )
-    sides = ("south",) * per_side + ("north",) * per_side
-    return RsuLayout(xs=xs, ys=ys, sides=sides)
+    return RsuLayout(xs=xs, ys=ys)
 
 
 @dataclass
@@ -229,7 +227,7 @@ class WorldState:
 
 
 # --------------------------------------------------------------------------
-# Reward and constraints
+# Reward
 # --------------------------------------------------------------------------
 
 def handover_indicator(prev_assoc: Optional[int], cur_assoc: int) -> int:
@@ -258,47 +256,17 @@ def utility(
 
 
 @dataclass
-class Violations:
-    """Constraint violations of one joint step."""
-
-    conflicts: list[int] = field(default_factory=list)        # contested RSU ids
-    rate_below_min: list[int] = field(default_factory=list)   # vehicle indices
-
-    def __bool__(self) -> bool:
-        return bool(self.conflicts or self.rate_below_min)
-
-    def count(self) -> int:
-        return len(self.conflicts) + len(self.rate_below_min)
-
-
-def check_constraints(
-    chosen_rsus: Sequence[Optional[int]], rates: Sequence[float], min_rate: float
-) -> Violations:
-    """Flag RSUs picked by more than one vehicle and rates under the minimum."""
-    seen: dict[int, int] = {}
-    conflicts = []
-    for rid in chosen_rsus:
-        if rid is None:
-            continue
-        seen[rid] = seen.get(rid, 0) + 1
-    for rid, n in seen.items():
-        if n > 1:
-            conflicts.append(rid)
-    rate_low = [k for k, r in enumerate(rates) if r < min_rate]
-    return Violations(conflicts=sorted(conflicts), rate_below_min=rate_low)
-
-
-@dataclass
 class StepResult:
-    """Outcome of one joint TS."""
+    """Outcome of one joint TS; per-vehicle values are lists in vehicle order."""
 
-    reward: float
-    utilities: np.ndarray      # (K,)
-    rates: np.ndarray          # (K,) bit/s/Hz
-    ho_flags: np.ndarray       # (K,) {0,1}
-    tx_powers_w: np.ndarray    # (K,) actual transmit power, 0 for unserved
-    assoc_rsus: np.ndarray     # (K,) chosen RSU id, -1 when none available
-    violations: Violations
+    reward: float              # mean utility plus penalty
+    utilities: list[float]
+    rates: list[float]         # bit/s/Hz
+    ho_flags: list[int]        # {0,1}
+    tx_powers_w: list[float]   # actual transmit power, 0 for unserved
+    assoc_rsus: list[int]      # chosen RSU id, -1 when none available
+    violations: int            # contested RSUs plus vehicles under min_rate
+    penalty: float             # cfg.penalty when violations > 0, else 0.0
     observations: list[np.ndarray]  # next normalized observation vectors
     done: bool
 
@@ -452,10 +420,12 @@ class EdgeAssocEnv:
         """Apply one joint action, advance the world one TS.
 
         Conflicting picks of the same RSU are resolved in favor of the lowest
-        vehicle index; losers transmit nothing that TS. Selecting a padded
-        slot falls back to the nearest available RSU without a penalty. A
-        structurally invalid action index raises ValueError; stepping before
-        `reset()` or after the episode is done raises RuntimeError.
+        vehicle index; losers transmit nothing that TS. The reward is the
+        mean utility plus `cfg.penalty` when any RSU is contested or any rate
+        is under `min_rate`. Selecting a padded slot falls back to the
+        nearest available RSU without a penalty. A structurally invalid
+        action index raises ValueError; stepping before `reset()` or after
+        the episode is done raises RuntimeError.
         """
         cfg = self.cfg
         world = self.world
@@ -468,7 +438,7 @@ class EdgeAssocEnv:
 
         row = world.t - 1
         slot_maps = self._slots[row].tolist()
-        chosen_rsu: list[Optional[int]] = []
+        assoc = []
         levels = []
         for k, a in enumerate(actions):
             idx = int(a)
@@ -478,50 +448,50 @@ class EdgeAssocEnv:
             rid = slot_maps[k][slot]
             if rid < 0:
                 rid = slot_maps[k][0]  # padded slot: fall back to the nearest RSU
-            chosen_rsu.append(rid if rid >= 0 else None)
+            assoc.append(rid)
             levels.append(level)
-
-        # Lowest vehicle index wins a contested RSU; losers are muted this TS.
-        winners: dict[int, int] = {}
-        for k, rid in enumerate(chosen_rsu):
-            if rid is not None and rid not in winners:
-                winners[rid] = k
 
         rates = [0.0] * cfg.num_vehicles
         tx_powers = [0.0] * cfg.num_vehicles
         ho_flags = [0] * cfg.num_vehicles
+        won, contested = set(), set()
         prev_assoc = world.prev_assoc.tolist()
-        for k, rid in enumerate(chosen_rsu):
-            if rid is None:
+        # Lowest vehicle index wins a contested RSU; losers are muted this TS.
+        for k, rid in enumerate(assoc):
+            if rid < 0:
                 continue
             ho_flags[k] = handover_indicator(prev_assoc[k], rid)
-            if winners[rid] == k:
+            if rid in won:
+                contested.add(rid)
+            else:
+                won.add(rid)
                 tx_powers[k] = self._power_w[levels[k]]
                 rates[k] = achievable_rate(tx_powers[k], self.gain_table[k, rid], self._noise_w)
 
-        violations = check_constraints(chosen_rsu, rates, cfg.min_rate)
+        # One violation per contested RSU and per vehicle under the minimum rate.
+        violations = len(contested) + sum(r < cfg.min_rate for r in rates)
+        penalty = cfg.penalty if violations else 0.0
         utilities = [utility(*v, cfg) for v in zip(rates, ho_flags, tx_powers)]
-        reward = list_mean(utilities) + (cfg.penalty if violations else 0.0)
-        assoc = np.array([rid if rid is not None else -1 for rid in chosen_rsu])
         done = world.t >= cfg.horizon
 
         # Advance world: new associations become history, mobility moves on.
         row += 1
-        world.prev_assoc = assoc.copy()
+        world.prev_assoc = np.array(assoc)
         world.x, world.speed = self._xs[row], self._speeds[row]
         world.t += 1
         self.gain_table = self._gains[row]
         obs = self._obs[row]
-        obs[:, -2:] = self._prev_location[assoc]
+        obs[:, -2:] = self._prev_location[world.prev_assoc]
 
         return StepResult(
-            reward=reward,
-            utilities=np.array(utilities),
-            rates=np.array(rates),
-            ho_flags=np.array(ho_flags),
-            tx_powers_w=np.array(tx_powers),
+            reward=list_mean(utilities) + penalty,
+            utilities=utilities,
+            rates=rates,
+            ho_flags=ho_flags,
+            tx_powers_w=tx_powers,
             assoc_rsus=assoc,
             violations=violations,
+            penalty=penalty,
             observations=list(obs),
             done=done,
         )
@@ -539,7 +509,7 @@ class EdgeAssocEnv:
     def check_state(self, state: dict) -> None:
         """Raise ValueError, naming the first differing `EnvConfig` field, if
         `state` lacks a key or is of another world, or naming `mean_speeds` if
-        they are not finite and > 0."""
+        they break the config rule for `mean_speeds`."""
         missing = [key for key in ("cfg", "mean_speeds", *_STREAMS) if key not in state]
         if missing:
             raise ValueError(f"env state has no {missing[0]!r}")
@@ -552,16 +522,7 @@ class EdgeAssocEnv:
                     f"env state is of another world: its {name} is {theirs.get(name)!r}, "
                     f"this world's is {ours.get(name)!r}"
                 )
-        mean_speeds = np.asarray(state["mean_speeds"], dtype=float)
-        if mean_speeds.shape != self.mean_speeds.shape:
-            raise ValueError(
-                f"env state mean_speeds has shape {mean_speeds.shape}, "
-                f"this world needs {self.mean_speeds.shape}"
-            )
-        if not np.all(np.isfinite(mean_speeds) & (mean_speeds > 0)):
-            raise ValueError(
-                f"env state mean_speeds must be finite and > 0, got {mean_speeds.tolist()}"
-            )
+        replace(self.cfg, mean_speeds=state["mean_speeds"]).validate()
 
     def set_state(self, state: dict) -> None:
         """Restore a `get_state()`; the next episode starts at `reset()`.
@@ -570,11 +531,10 @@ class EdgeAssocEnv:
         leaves the env unchanged.
         """
         self.check_state(state)
-        mean_speeds = np.asarray(state["mean_speeds"], dtype=float)
         streams = {name: copy.deepcopy(getattr(self, f"_{name}")) for name in _STREAMS}
         for name, rng in streams.items():
             rng.bit_generator.state = state[name]
-        self.mean_speeds = mean_speeds
+        self.mean_speeds = np.asarray(state["mean_speeds"], dtype=float)
         for name, rng in streams.items():
             setattr(self, f"_{name}", rng)
         self.world = None

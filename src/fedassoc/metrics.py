@@ -49,9 +49,7 @@ def record_cells(record) -> list:
 class MetricAccumulator:
     """Accumulates StepResult streams into one EpisodeRecord per episode."""
 
-    def __init__(self, num_vehicles: int, penalty: float, ts_rows: list | None = None):
-        self._k = num_vehicles
-        self._penalty = penalty
+    def __init__(self, ts_rows: list | None = None):
         self._ts_rows = ts_rows
         self.reset()
 
@@ -67,16 +65,15 @@ class MetricAccumulator:
     def add(self, step, episode: int) -> None:
         """Take one TS; the means are `np.mean`'s, summed on Python floats."""
         self._t += 1
-        mean_u = list_mean(step.utilities.tolist())
+        mean_u = list_mean(step.utilities)
         self._utility_sum += mean_u
         self._reward_sum += step.reward
-        self._rate_sum += list_mean(step.rates.tolist())
-        self._ho_sum += sum(step.ho_flags.tolist()) / self._k
-        self._power_sum += list_mean(step.tx_powers_w.tolist())
-        self._violations += step.violations.count()
+        self._rate_sum += list_mean(step.rates)
+        self._ho_sum += sum(step.ho_flags) / len(step.ho_flags)
+        self._power_sum += list_mean(step.tx_powers_w)
+        self._violations += step.violations
         if self._ts_rows is not None:
-            penalty = self._penalty if step.violations else 0.0
-            self._ts_rows.append((episode, self._t, mean_u, penalty, step.reward))
+            self._ts_rows.append((episode, self._t, mean_u, step.penalty, step.reward))
 
     def finalize(self, episode: int, epsilon: float, lr: float) -> EpisodeRecord:
         t = max(self._t, 1)

@@ -8,6 +8,7 @@ shape declared there.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -32,6 +33,17 @@ class Batch:
     done: np.ndarray = _column(np.float64)                       # (N,) 0/1
 
 
+def _zeroed(shape, dtype) -> np.ndarray:
+    """A zeroed array on its own anonymous mapping.
+
+    The OS supplies the zero pages as rows are first written, so unfilled
+    rows take no memory. `np.zeros` may instead take freed heap memory and
+    clear it in full, making every row resident at once.
+    """
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
+
+
 class ReplayBuffer:
     """Fixed-capacity ring buffer with uniform with-replacement sampling."""
 
@@ -40,8 +52,8 @@ class ReplayBuffer:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.columns = {
-            f.name: np.zeros(
-                (capacity, obs_dim) if f.metadata["obs"] else capacity, dtype=f.metadata["dtype"]
+            f.name: _zeroed(
+                (capacity, obs_dim) if f.metadata["obs"] else capacity, f.metadata["dtype"]
             )
             for f in fields(Batch)
         }

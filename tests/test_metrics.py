@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedassoc.env import StepResult, Violations, list_mean
+from fedassoc.env import StepResult, list_mean
 from fedassoc.metrics import EpisodeRecord, MetricAccumulator
 
 
@@ -25,35 +25,35 @@ def test_list_mean_is_np_mean_bit_for_bit(n, seed):
 
 
 def random_step(rng, k):
+    violations = int(rng.integers(0, 4))
     return StepResult(
         reward=float(rng.standard_normal()),
-        utilities=random_values(rng, k),
-        rates=np.abs(random_values(rng, k)),
-        ho_flags=rng.integers(0, 2, k),
-        tx_powers_w=rng.uniform(0.0, 3.2, k),
-        assoc_rsus=rng.integers(-1, 12, k),
-        violations=Violations(
-            conflicts=[0] * int(rng.integers(0, 2)), rate_below_min=[0] * int(rng.integers(0, 3))
-        ),
+        utilities=random_values(rng, k).tolist(),
+        rates=np.abs(random_values(rng, k)).tolist(),
+        ho_flags=rng.integers(0, 2, k).tolist(),
+        tx_powers_w=rng.uniform(0.0, 3.2, k).tolist(),
+        assoc_rsus=rng.integers(-1, 12, k).tolist(),
+        violations=violations,
+        penalty=-1.0 if violations else 0.0,
         observations=[],
         done=False,
     )
 
 
-def reference_record(steps, k, penalty, episode, ts_rows):
+def reference_record(steps, episode, ts_rows):
     """The record and TS rows by np.mean and np.sum on each step's arrays."""
     sums = [0.0] * 5
     violations = 0
     for t, step in enumerate(steps, start=1):
-        mean_u = float(step.utilities.mean())
+        mean_u = float(np.mean(step.utilities))
         sums[0] += mean_u
         sums[1] += step.reward
-        sums[2] += float(step.rates.mean())
-        sums[3] += float(step.ho_flags.sum()) / k
-        sums[4] += float(step.tx_powers_w.mean())
-        violations += step.violations.count()
+        sums[2] += float(np.mean(step.rates))
+        sums[3] += float(np.sum(step.ho_flags)) / len(step.ho_flags)
+        sums[4] += float(np.mean(step.tx_powers_w))
+        violations += step.violations
         if ts_rows is not None:
-            ts_rows.append((episode, t, mean_u, penalty if step.violations else 0.0, step.reward))
+            ts_rows.append((episode, t, mean_u, step.penalty, step.reward))
     t = len(steps)
     return EpisodeRecord(
         episode=episode,
@@ -75,11 +75,11 @@ def test_accumulator_matches_np_mean_reference(k, steps, log_ts, seed):
     episodes = [[random_step(rng, k) for _ in range(steps)] for _ in range(2)]
     got_rows = [] if log_ts else None
     want_rows = [] if log_ts else None
-    acc = MetricAccumulator(k, -1.0, got_rows)
+    acc = MetricAccumulator(got_rows)
     for episode, stream in enumerate(episodes, start=1):
         for step in stream:
             acc.add(step, episode)
         got = acc.finalize(episode, 0.5, 0.01)
-        want = reference_record(stream, k, -1.0, episode, want_rows)
+        want = reference_record(stream, episode, want_rows)
         assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
     assert repr(got_rows) == repr(want_rows)

@@ -13,6 +13,7 @@ from reference_env import PerTsEnv, observable_rsus, observations
 from fedassoc.env import (
     LANE_Y,
     NO_RSU_LOCATION,
+    RSU_ROW_Y,
     EdgeAssocEnv,
     EnvConfig,
     RsuLayout,
@@ -35,9 +36,8 @@ def test_layout_even_spacing_default():
     assert np.allclose(layout.xs[:6], expected)
     # North row interleaves: offset by half the per-side spacing, on the ring.
     assert np.allclose(layout.xs[6:], [(x + 1000.0 / 12.0) % 1000.0 for x in expected])
-    assert set(layout.sides) == {"south", "north"}
-    assert layout.sides.count("south") == layout.sides.count("north") == 6
-    assert np.all(layout.ys[:6] == -10.0) and np.all(layout.ys[6:] == 14.0)
+    # Ids 0-5 form the south row, 6-11 the north row.
+    assert layout.ys.tolist() == [RSU_ROW_Y[0]] * 6 + [RSU_ROW_Y[1]] * 6
 
 
 @pytest.mark.parametrize("num_rsus", [8, 12, 16])
@@ -152,9 +152,7 @@ def test_no_rsus_in_range_gives_empty_list():
 
 
 def test_equidistant_tie_breaks_to_lower_id():
-    layout = RsuLayout(
-        xs=np.array([400.0, 600.0]), ys=np.array([-10.0, -10.0]), sides=("south", "south")
-    )
+    layout = RsuLayout(xs=np.array([400.0, 600.0]), ys=np.array([-10.0, -10.0]))
     world = WorldState(
         x=np.array([500.0]), speed=np.array([7.0]), lane=np.array([0]),
         prev_assoc=np.array([-1]), t=1,
@@ -203,10 +201,8 @@ def test_reward_identity_over_random_actions():
     env.reset()
     for _ in range(1000):
         step = env.step(list(rng.integers(0, 16, size=2)))
-        expected = float(np.mean(step.utilities)) + (
-            env.cfg.penalty if step.violations else 0.0
-        )
-        assert step.reward == expected
+        assert step.penalty == (env.cfg.penalty if step.violations else 0.0)
+        assert step.reward == float(np.mean(step.utilities)) + step.penalty
         if step.done:
             env.reset()
 
@@ -235,7 +231,7 @@ def test_first_ts_has_no_handover():
     for _ in range(20):
         env.reset()
         step = env.step([5, 9])
-        assert np.all(step.ho_flags == 0)
+        assert step.ho_flags == [0, 0]
 
 
 def test_conflict_resolution_lowest_index_wins():
@@ -248,10 +244,12 @@ def test_conflict_resolution_lowest_index_wins():
     rid0 = int(views[0].slot_map[0])
     slot1 = int(np.where(views[1].slot_map == rid0)[0][0])
     step = env.step([0 * 4 + 3, slot1 * 4 + 3])  # slot * power_levels + level
-    assert step.violations.conflicts == [rid0]
-    assert step.assoc_rsus[0] == rid0 and step.assoc_rsus[1] == rid0
-    assert step.rates[0] > 0.0 and step.rates[1] == 0.0
+    assert step.assoc_rsus == [rid0, rid0]
+    assert step.rates[0] >= env.cfg.min_rate and step.rates[1] == 0.0
     assert step.tx_powers_w[1] == 0.0
+    # One contested RSU plus the muted vehicle's rate under the minimum.
+    assert step.violations == 2
+    assert step.penalty == env.cfg.penalty
     assert step.reward == pytest.approx(float(np.mean(step.utilities)) + env.cfg.penalty)
 
 
@@ -383,8 +381,9 @@ def bits(value):
 
 def assert_same_step(a, b):
     assert a.reward.hex() == b.reward.hex()
-    for name in ("utilities", "rates", "ho_flags", "tx_powers_w", "assoc_rsus"):
-        assert bits(getattr(a, name)) == bits(getattr(b, name)), name
+    # repr tells types apart and prints every float exactly.
+    for name in ("utilities", "rates", "ho_flags", "tx_powers_w", "assoc_rsus", "penalty"):
+        assert repr(getattr(a, name)) == repr(getattr(b, name)), name
     assert a.violations == b.violations and a.done == b.done
     assert [bits(v) for v in a.observations] == [bits(v) for v in b.observations]
 
@@ -405,7 +404,7 @@ def assert_same_streams(env, ref):
 
 
 def random_actions(rng, cfg):
-    return [int(i) for i in rng.integers(0, cfg.actions_per_agent, size=2)]
+    return [int(i) for i in rng.integers(0, cfg.actions_per_agent, size=cfg.num_vehicles)]
 
 
 def step_both(env, ref, rng, steps):
@@ -443,6 +442,7 @@ def twin_pair(cfg, seed):
 )
 def test_planned_env_matches_per_ts_reference(seed, coverage_radius, horizon, num_rsus, data):
     cfg = EnvConfig(
+        num_vehicles=data.draw(st.integers(1, min(4, num_rsus))),
         num_rsus=num_rsus,
         visible_rsus=data.draw(st.integers(1, num_rsus)),
         coverage_radius=coverage_radius,
@@ -495,7 +495,8 @@ def _malformed_stream(state):
         (_set_cfg(num_vehicles=1), "its num_vehicles is 1, this world's is 2"),
         (_set_cfg(coverage_radius=50.0), "its coverage_radius is 50.0, this world's is 200.0"),
         (_set_cfg(mean_speeds=[6.0, 9.0]), "its mean_speeds is [6.0, 9.0], this world's is None"),
-        (lambda s: s.update(mean_speeds=[5.0, 6.0, 7.0]), "mean_speeds has shape (3,)"),
+        (lambda s: s.update(mean_speeds=[5.0, 6.0, 7.0]),
+         "mean_speeds must have one entry per vehicle"),
         (lambda s: s.pop("cfg"), "env state has no 'cfg'"),
         (_malformed_stream, "PCG64"),
     ],

@@ -8,11 +8,7 @@ known by enumeration.
 import numpy as np
 
 from fedassoc.agents import TrainerConfig
-from fedassoc.env import StepResult, Violations
-
-
-class _ToyCfg:
-    penalty = 0.0
+from fedassoc.env import StepResult
 
 
 class ToyEnv:
@@ -25,7 +21,6 @@ class ToyEnv:
         self.obs_dim = obs_dim
         rng = np.random.default_rng(seed)
         self._obs = [rng.random(obs_dim), rng.random(obs_dim)]
-        self.cfg = _ToyCfg()
 
     def best_joint(self) -> tuple[int, int]:
         flat = int(np.argmax(self.table))
@@ -39,12 +34,13 @@ class ToyEnv:
         r = float(self.table[a0, a1])
         return StepResult(
             reward=r,
-            utilities=np.array([r, r]),
-            rates=np.zeros(2),
-            ho_flags=np.zeros(2, dtype=int),
-            tx_powers_w=np.zeros(2),
-            assoc_rsus=np.array([-1, -1]),
-            violations=Violations(),
+            utilities=[r, r],
+            rates=[0.0, 0.0],
+            ho_flags=[0, 0],
+            tx_powers_w=[0.0, 0.0],
+            assoc_rsus=[-1, -1],
+            violations=0,
+            penalty=0.0,
             observations=[o.copy() for o in self._obs],
             done=True,
         )
