@@ -14,6 +14,7 @@ import numpy as np
 from .agents import Trainer, TrainerConfig, compose_joint, decompose_joint, epsilon_greedy
 from .nn import (
     DenseNet,
+    GradientSet,
     backward,
     clone,
     copy_into_target,
@@ -65,11 +66,13 @@ class _DdqnHead:
         self.cfg = cfg
         self.net = init_net(dims, rng_init)
         self.target = clone(self.net)
-        # Rewritten by every update; fedavg puts in nets of the same dims.
-        self.grads = zero_grads(self.net)
+        # Made at the first update and rewritten by every later one; fedavg
+        # puts in nets of the same dims.
+        self.grads: Optional[GradientSet] = None
 
     def values(self, obs: np.ndarray) -> np.ndarray:
-        out, _ = forward(self.net, obs)
+        """Q-values of one observation vector or of a stack of them, one per row."""
+        out, _ = forward(self.net, obs, stack=True)
         return out
 
     def update(
@@ -88,6 +91,8 @@ class _DdqnHead:
         loss = float(np.mean(err * err))
         if not np.isfinite(loss):
             raise RuntimeError("non-finite training loss")
+        if self.grads is None:
+            self.grads = zero_grads(self.net)
         grads, _ = backward(self.net, cache, 2.0 * err / n, actions, grads=self.grads)
         sgd_step([(self.net, grads)], lr, self.cfg.grad_clip)
         return loss
@@ -107,8 +112,8 @@ class CentralizedTrainer(Trainer):
         dims = (2 * self.env.obs_dim, *self.cfg.local_hidden, a * a)
         self.head = _DdqnHead(dims, rng_init, self.cfg)
 
-    def select_actions(self, obs_vecs, eps: float) -> tuple[int, int]:
-        values = self.head.values(np.concatenate(obs_vecs))
+    def select_actions(self, obs_vecs, eps: float, noise=None):
+        values = self.head.values(np.concatenate(obs_vecs, axis=-1))
         return decompose_joint(epsilon_greedy(values, eps, self.rng_explore), self.num_actions)
 
     def update(self, batch: Batch, lr: float) -> None:
@@ -143,7 +148,7 @@ class IndependentTrainer(Trainer):
         dims = (self.env.obs_dim, *self.cfg.local_hidden, self.num_actions)
         self.heads = [_DdqnHead(dims, rng_init, self.cfg) for _ in range(2)]
 
-    def select_actions(self, obs_vecs, eps: float) -> tuple[int, int]:
+    def select_actions(self, obs_vecs, eps: float, noise=None):
         return tuple(
             epsilon_greedy(head.values(obs), eps, self.rng_explore)
             for head, obs in zip(self.heads, obs_vecs)

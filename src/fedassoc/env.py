@@ -340,6 +340,10 @@ class EdgeAssocEnv:
     def obs_dim(self) -> int:
         return self.cfg.obs_dim
 
+    @property
+    def horizon(self) -> int:
+        return self.cfg.horizon
+
     def reset(self) -> list[np.ndarray]:
         cfg = self.cfg
         k = cfg.num_vehicles

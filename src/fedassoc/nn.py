@@ -128,21 +128,34 @@ def _check_cols(cols, rows: int, width: int) -> np.ndarray:
     return cols
 
 
-def forward(net: DenseNet, x: np.ndarray, cols=None) -> tuple[np.ndarray, list]:
+def _matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """w times the vector `a`, or times each row of a stack `a`.
+
+    numpy runs a stack as one gemv call per row, the call that a single
+    vector gets, so each row of the result has that vector's bits.
+    """
+    return np.matmul(w, a[..., None])[..., 0]
+
+
+def forward(
+    net: DenseNet, x: np.ndarray, cols=None, stack: bool = False
+) -> tuple[np.ndarray, list]:
     """Run the network; returns (output, cache) with cache feeding backward.
 
     Accepts a single input vector or a (batch, in) matrix; the output matches
     the input's leading shape. A vector runs as matrix-vector products, which
     give the same bits as a one-row batch at a fraction of its call overhead
-    (action selection runs one vector per agent and TS). The cache holds each
-    layer's input: `x`, then every hidden activation. With `cols`, one output
-    index per row of a batch, the last layer computes only the selected
-    outputs and the result is y[i] = out[i, cols[i]], shape (batch,). Training
-    losses that read one output per sample use it; the dense pass is the
-    reference.
+    (action selection runs one vector per agent and TS). With `stack`, each
+    row of a (n, in) input runs as such a vector, so row i of the output has
+    the bits of `forward(net, x[i])`: greedy evaluation advances n episodes
+    with one call per layer. The cache holds each layer's input: `x`, then
+    every hidden activation. With `cols`, one output index per row of a
+    batch, the last layer computes only the selected outputs and the result
+    is y[i] = out[i, cols[i]], shape (batch,). Training losses that read one
+    output per sample use it; the dense pass is the reference.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
+    vectors = stack or x.ndim == 1
     if x.shape[-1] != net.weights[0].shape[1]:
         raise ValueError(
             f"input dim {x.shape[-1]} does not match net input {net.weights[0].shape[1]}"
@@ -150,16 +163,16 @@ def forward(net: DenseNet, x: np.ndarray, cols=None) -> tuple[np.ndarray, list]:
     cache = [x]
     a = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = w @ a if single else a @ w.T
+        a = _matvec(w, a) if vectors else a @ w.T
         a += b
         cache.append(_activate(a, net.activation))
     w, b = net.weights[-1], net.biases[-1]
     if cols is not None:
-        if single:
+        if vectors:
             raise ValueError("cols needs a batch input")
         cols = _check_cols(cols, a.shape[0], w.shape[0])
     if cols is None or w.shape[0] < GATHER_MIN_OUTPUTS:
-        z = w @ a if single else a @ w.T
+        z = _matvec(w, a) if vectors else a @ w.T
         z += b
         if cols is not None:
             z = z[np.arange(len(cols)), cols]

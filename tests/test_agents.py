@@ -594,6 +594,26 @@ def test_greedy_evaluation_runs_without_learning(tmp_path):
             net_fingerprint(trainer.pair.mlp)] == fp
 
 
+def test_gradient_buffers_are_made_at_the_first_update(tmp_path):
+    trainer = FederatedTrainer(small_env(seed=2), small_cfg(), seed=4)
+    trainer.save(tmp_path / "ckpt")
+    loaded = FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=2))
+    loaded.evaluate(2)
+    assert trainer.grads == {} and loaded.grads == {}
+    # Horizon 5 and batch 8: the first update comes in the second episode.
+    loaded.run(episodes=1)
+    assert loaded.train_steps == 0 and loaded.grads == {}
+    loaded.run(episodes=1)
+    assert loaded.train_steps > 0
+    buffers = dict(loaded.grads)
+    assert sorted(buffers) == ["follow", "lead", "mlp"]
+    for name, grads in buffers.items():
+        net = getattr(loaded.pair, name)
+        assert [g.shape for g in grads.d_weights] == [w.shape for w in net.weights]
+    loaded.run(episodes=1)
+    assert all(loaded.grads[name] is grads for name, grads in buffers.items())
+
+
 # -- toy convergence ---------------------------------------------------------------------
 
 def test_toy_convergence_vector_mode():

@@ -186,6 +186,22 @@ def test_independent_architecture_and_determinism():
 
 
 @pytest.mark.parametrize("algo", ["cdrl", "imarl"])
+def test_baseline_gradient_buffers_are_made_at_the_first_update(algo):
+    cls = CentralizedTrainer if algo == "cdrl" else IndependentTrainer
+    trainer = cls(small_env(seed=4), small_cfg(), seed=5)
+    heads = [trainer.head] if algo == "cdrl" else trainer.heads
+    trainer.evaluate(episodes=2)
+    # Horizon 5 and batch 8: the first update comes in the second episode.
+    trainer.run(episodes=1)
+    assert [h.grads for h in heads] == [None] * len(heads)
+    trainer.run(episodes=1)
+    buffers = [h.grads for h in heads]
+    assert all(g is not None for g in buffers)
+    trainer.run(episodes=1)
+    assert all(h.grads is g for h, g in zip(heads, buffers))
+
+
+@pytest.mark.parametrize("algo", ["cdrl", "imarl"])
 def test_baseline_evaluation_is_greedy_and_does_not_learn(algo):
     cls = CentralizedTrainer if algo == "cdrl" else IndependentTrainer
     trainer = cls(small_env(seed=4), small_cfg(), seed=5)

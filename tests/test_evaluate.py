@@ -1,0 +1,168 @@
+"""Lockstep greedy evaluation against one episode at a time.
+
+`Trainer.evaluate` advances blocks of episodes together. `sequential_evaluate`
+below is the one-episode-at-a-time loop it replaced: each TS selects on one
+observation vector per agent and draws its sharing noise as it goes. Both
+must give the same records, TS rows and random-stream end states, bit for bit.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import fedassoc.agents as agents_mod
+from fedassoc.agents import FederatedTrainer, TrainerConfig
+from fedassoc.baselines import CentralizedTrainer, IndependentTrainer
+from fedassoc.env import EdgeAssocEnv, EnvConfig
+from fedassoc.metrics import MetricAccumulator
+from toy_env import ToyEnv, separable_table
+
+ALGOS = ("proposed", "cdrl", "imarl", "fmarl-avg")
+
+
+def sequential_evaluate(trainer, episodes, ts_rows=None):
+    """Greedy rollouts one episode at a time, drawing noise TS by TS."""
+    acc = MetricAccumulator(ts_rows)
+    records = []
+    for ep in range(1, episodes + 1):
+        obs = trainer.env.reset()
+        done = False
+        while not done:
+            step = trainer.env.step(trainer.select_actions(obs, 0.0))
+            obs = step.observations
+            done = step.done
+            acc.add(step, ep)
+        records.append(acc.finalize(ep, 0.0, 0.0))
+    return records
+
+
+def make_trainer(algo, env, cfg, seed=7):
+    if algo == "proposed":
+        return FederatedTrainer(env, cfg, seed)
+    if algo == "cdrl":
+        return CentralizedTrainer(env, cfg, seed)
+    return IndependentTrainer(env, cfg, seed, avg_period=1 if algo == "fmarl-avg" else None)
+
+
+def small_cfg(**overrides):
+    defaults = dict(
+        episodes=2, batch_size=8, replay_capacity=64,
+        local_hidden=(12,), mlp_hidden=(12,), target_sync=5,
+    )
+    defaults.update(overrides)
+    return TrainerConfig(**defaults)
+
+
+def trained(algo, make_env, cfg):
+    """A trainer after a short training run, so its nets are not the initial ones."""
+    trainer = make_trainer(algo, make_env(), cfg)
+    trainer.run()
+    return trainer
+
+
+def stream_states(trainer):
+    states = {
+        name: getattr(trainer, name).bit_generator.state
+        for name in ("rng_explore", "rng_sample", "rng_noise")
+    }
+    if isinstance(trainer.env, EdgeAssocEnv):
+        states["env"] = trainer.env.get_state()
+    return states
+
+
+def assert_lockstep_matches_sequential(algo, make_env, cfg, episodes):
+    lockstep, sequential = trained(algo, make_env, cfg), trained(algo, make_env, cfg)
+    assert stream_states(lockstep) == stream_states(sequential)
+    rows, ref_rows = [], []
+    records = lockstep.evaluate(episodes, rows)
+    ref_records = sequential_evaluate(sequential, episodes, ref_rows)
+    assert len(records) == episodes
+    # repr compares every float bit by bit, and the type of every cell.
+    assert repr(records) == repr(ref_records)
+    assert repr(rows) == repr(ref_rows)
+    assert stream_states(lockstep) == stream_states(sequential)
+
+
+def small_env(seed=3):
+    return EdgeAssocEnv(EnvConfig(horizon=4), seed)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("episodes", [1, 3])
+def test_lockstep_matches_sequential(algo, episodes):
+    for mode in ("vector", "scalar") if algo == "proposed" else ("vector",):
+        for sigma in (0.0, 1.0):
+            cfg = small_cfg(share_mode=mode, share_noise_std=sigma)
+            assert_lockstep_matches_sequential(algo, small_env, cfg, episodes)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_lockstep_matches_sequential_across_blocks(algo):
+    # Two full blocks and a part of a third, at the block width in use.
+    episodes = 2 * agents_mod.EVAL_BLOCK + 3
+    for mode in ("vector", "scalar") if algo == "proposed" else ("vector",):
+        for sigma in (0.0, 1.0):
+            cfg = small_cfg(share_mode=mode, share_noise_std=sigma)
+            assert_lockstep_matches_sequential(
+                algo, lambda: EdgeAssocEnv(EnvConfig(horizon=2), 5), cfg, episodes
+            )
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_lockstep_matches_sequential_at_any_block_width(monkeypatch, block):
+    monkeypatch.setattr(agents_mod, "EVAL_BLOCK", block)
+    for mode in ("vector", "scalar"):
+        cfg = small_cfg(share_mode=mode)
+        assert_lockstep_matches_sequential("proposed", small_env, cfg, 5)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_lockstep_matches_sequential_on_toy_env(algo):
+    def make_env():
+        return ToyEnv(separable_table(4, seed=3), obs_dim=3, seed=3)
+
+    for mode in ("vector", "scalar") if algo == "proposed" else ("vector",):
+        for sigma in (0.0, 1.0):
+            cfg = small_cfg(share_mode=mode, share_noise_std=sigma, episodes=12)
+            for episodes in (1, 3, agents_mod.EVAL_BLOCK + 1):
+                assert_lockstep_matches_sequential(algo, make_env, cfg, episodes)
+
+
+class RaggedToyEnv(ToyEnv):
+    """A toy whose episodes last 1, 2, 1, 2, ... TS; its `horizon` is 1.
+
+    The lengths come from one iterator, which copies of the env share as
+    they share an env's random streams.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.lengths = itertools.cycle([1, 2])
+
+    def reset(self):
+        self.length = next(self.lengths)
+        self.t = 0
+        return super().reset()
+
+    def step(self, actions):
+        self.t += 1
+        step = super().step(actions)
+        step.done = self.t == self.length
+        return step
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_episodes_of_another_length_raise(sigma):
+    env = RaggedToyEnv(separable_table(3, seed=1), obs_dim=3)
+    trainer = FederatedTrainer(env, small_cfg(share_noise_std=sigma), seed=1)
+    # Episode 1 lasts the horizon, episode 2 of the same block does not.
+    with pytest.raises(RuntimeError, match="episode 2 goes on at TS 1"):
+        trainer.evaluate(2)
+
+
+def test_stack_selection_is_greedy_only():
+    trainer = FederatedTrainer(small_env(), small_cfg(), seed=1)
+    stacks = [np.array(o) for o in zip(trainer.env.reset(), trainer.env.reset())]
+    with pytest.raises(ValueError, match="greedily"):
+        trainer.select_actions(stacks, 0.1)

@@ -253,17 +253,40 @@ def test_vector_pass_matches_one_row_batch(case):
     x = rng.standard_normal(dims[0])
     d_out = rng.standard_normal(dims[-1])
 
+    # Bit for bit: numpy runs a one-row batch as a matrix-vector product too.
     out, cache = forward(net, x)
     out_batch, cache_batch = forward(net, x[None])
     assert out.shape == (dims[-1],)
-    assert_close(out, out_batch[0])
+    assert out.tobytes() == out_batch[0].tobytes()
 
     g, d_in = backward(net, cache, d_out)
     g_batch, d_in_batch = backward(net, cache_batch, d_out[None])
     for got, want in zip(g.d_weights + g.d_biases, g_batch.d_weights + g_batch.d_biases):
-        assert_close(got, want)
+        assert got.tobytes() == want.tobytes()
     assert d_in.shape == (dims[0],)
-    assert_close(d_in, d_in_batch[0])
+    assert d_in.tobytes() == d_in_batch[0].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 90), min_size=2, max_size=5),
+    st.sampled_from(["relu", "tanh", "linear"]),
+    st.integers(1, 70),
+    st.integers(0, 2**32 - 1),
+)
+def test_each_row_of_a_stacked_pass_is_its_vector_pass(dims, activation, rows, seed):
+    rng = np.random.default_rng(seed)
+    net = init_net(dims, rng, activation=activation)
+    for b in net.biases:
+        b[...] = rng.standard_normal(b.shape)
+    x = rng.standard_normal((rows, dims[0]))
+    out, cache = forward(net, x, stack=True)
+    assert out.shape == (rows, dims[-1])
+    for i in range(rows):
+        vec, vec_cache = forward(net, x[i])
+        assert out[i].tobytes() == vec.tobytes()
+        for layer, vec_layer in zip(cache, vec_cache):
+            assert layer[i].tobytes() == vec_layer.tobytes()
 
 
 @settings(max_examples=150, deadline=None)

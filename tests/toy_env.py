@@ -19,6 +19,7 @@ class ToyEnv:
         self.num_agents = 2
         self.num_actions = self.table.shape[0]
         self.obs_dim = obs_dim
+        self.horizon = 1
         rng = np.random.default_rng(seed)
         self._obs = [rng.random(obs_dim), rng.random(obs_dim)]
 
