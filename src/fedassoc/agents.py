@@ -529,10 +529,10 @@ class FederatedTrainer(Trainer):
         for name in _NET_NAMES:
             net_path = directory / f"{name}.net"
             net, built = load_net(net_path), getattr(trainer.pair, name)
-            if (net.dims, net.activation) != (built.dims, built.activation):
+            if net.dims != built.dims:
                 raise ValueError(
-                    f"{net_path}: a {net.activation} net of dims {net.dims}, but "
-                    f"the checkpoint's config builds a {built.activation} net of dims {built.dims}"
+                    f"{net_path}: a net of dims {net.dims}, but "
+                    f"the checkpoint's config builds a net of dims {built.dims}"
                 )
             setattr(trainer.pair, name, net)
         replay_path = directory / "replay.npz"

@@ -48,15 +48,10 @@ def fedavg(nets: list[DenseNet]) -> DenseNet:
     """Elementwise arithmetic mean of identically shaped networks."""
     if not nets:
         raise ValueError("fedavg needs at least one network")
-    first = nets[0]
-    for other in nets[1:]:
-        if other.dims != first.dims or other.activation != first.activation:
-            raise ValueError("fedavg requires identical architectures")
-    out = clone(first)
-    for li in range(len(out.weights)):
-        out.weights[li] = np.mean([n.weights[li] for n in nets], axis=0)
-        out.biases[li] = np.mean([n.biases[li] for n in nets], axis=0)
-    return out
+    dims = nets[0].dims
+    if any(n.dims != dims for n in nets):
+        raise ValueError("fedavg requires identical architectures")
+    return DenseNet(dims, np.mean([n.params for n in nets], axis=0))
 
 
 class _DdqnHead:

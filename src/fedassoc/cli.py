@@ -15,7 +15,6 @@ from .harness import (
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
-    derive_seeds,
     load_config,
     run_experiment,
     sweep,
@@ -53,6 +52,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags each mode reads, by argparse dest; --config and --out serve every
+# mode. A sweep sets its own axis, and --eval takes the checkpoint's trainer,
+# streams and noise, so a flag that a mode does not read is rejected.
+_RUN_FLAGS = {"algo", "seed", "episodes", "sigma", "num_rsus"}
+_MODE_FLAGS = {
+    "a run without --sweep": _RUN_FLAGS,
+    "--sweep rsus": _RUN_FLAGS - {"num_rsus"} | {"sweep", "values"},
+    "--sweep sigma": _RUN_FLAGS - {"sigma"} | {"sweep", "values"},
+    "--eval": {"eval", "episodes", "num_rsus"},
+}
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Raise ValueError naming the first given flag that the chosen mode ignores."""
+    if args.eval:
+        mode = "--eval"
+    else:
+        mode = f"--sweep {args.sweep}" if args.sweep else "a run without --sweep"
+    for name, value in vars(args).items():
+        if value is not None and name not in _MODE_FLAGS[mode] | {"config", "out"}:
+            note = ""
+            if (mode, name) == ("--eval", "sigma"):
+                note = ": the checkpoint's share_noise_std applies"
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {mode}{note}")
+
+
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     """Apply the given flags as key/value overrides, checked like a config file's."""
     flags = {
@@ -71,8 +96,8 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
 
 
 def _evaluate_checkpoint(cfg: ExperimentConfig, checkpoint: Path, episodes: int) -> Path:
-    env_seed, _ = derive_seeds(cfg.seeds[0])
-    env = EdgeAssocEnv(cfg.env, env_seed)
+    # The seed is immaterial: the checkpoint's env state replaces every stream.
+    env = EdgeAssocEnv(cfg.env, 0)
     trainer = FederatedTrainer.load(checkpoint, env)
     records = trainer.evaluate(episodes)
     out_dir = Path(cfg.out_dir)
@@ -85,10 +110,7 @@ def _evaluate_checkpoint(cfg: ExperimentConfig, checkpoint: Path, episodes: int)
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.eval and args.sigma is not None:
-            raise ValueError(
-                "--sigma does not apply to --eval: the checkpoint's share_noise_std applies"
-            )
+        _check_flags(args)
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         cfg = _apply_overrides(cfg, args)
         if args.eval:

@@ -1,19 +1,25 @@
 """Minimal dense-network engine: exact forward/backward passes in numpy.
 
-Networks are plain stacks of affine layers with one hidden activation and a
+Networks are plain stacks of affine layers with relu hidden layers and a
 linear output. Everything is float64 and pure-value: a network only changes
 through an explicit apply call, so target-network clones stay frozen until
 they are re-copied.
+
+A network holds its parameters in one flat array, `params`, laid out like
+the body of its checkpoint file: for each layer in order, the weights
+row-major (dims[i+1] x dims[i]), then the biases (dims[i+1],). `weights` and
+`biases` are per-layer views into it, and a gradient set has the same
+layout. Copying, averaging, stepping, hashing, saving and loading a net are
+each one operation on that array.
 
 Checkpoint file layout (little endian), version 1:
 
     bytes 0..3   magic b"DNET"
     uint32       format version (1)
-    uint32       activation code (0=relu, 1=tanh, 2=linear)
+    uint32       activation code (0 = relu, the only one)
     uint32       number of dims D
     int64[D]     layer dims, input first
-    then per layer i in order: float64 weights row-major (dims[i+1] x dims[i]),
-    float64 biases (dims[i+1],)
+    then `params`: float64[param_count(dims)]
 """
 
 from __future__ import annotations
@@ -21,38 +27,58 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-_ACTIVATIONS = ("relu", "tanh", "linear")
+
+def param_count(dims: Sequence[int]) -> int:
+    """Parameters of a net of `dims`: per layer, out x in weights and out biases."""
+    return sum(o * (i + 1) for i, o in zip(dims, dims[1:]))
 
 
-@dataclass
+def _layer_views(dims, params: Optional[np.ndarray]):
+    """Check `dims` and the flat `params` (None: zeros); return them with the
+    per-layer weight and bias views into `params`."""
+    dims = tuple(int(d) for d in dims)
+    if len(dims) < 2 or min(dims) < 1:
+        raise ValueError(f"dims must list at least input and output sizes >= 1, got {dims}")
+    size = param_count(dims)
+    if params is None:
+        params = np.zeros(size)
+    elif not (
+        isinstance(params, np.ndarray)
+        and params.dtype == np.float64
+        and params.shape == (size,)
+        and params.flags.c_contiguous
+    ):
+        raise ValueError(f"params must be one C-contiguous float64 array of {size} values")
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        end = start + fan_out * fan_in
+        weights.append(params[start:end].reshape(fan_out, fan_in))
+        biases.append(params[end : end + fan_out])
+        start = end + fan_out
+    return dims, params, weights, biases
+
+
 class DenseNet:
-    """Weights (out x in) and biases per layer, plus the hidden activation."""
+    """Weights (out x in) and biases per layer, as views into one flat `params`."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    activation: str = "relu"
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+    def __init__(self, dims: Sequence[int], params: Optional[np.ndarray] = None):
+        self.dims, self.params, self.weights, self.biases = _layer_views(dims, params)
 
 
-@dataclass
 class GradientSet:
-    """Parameter gradients shaped exactly like their network.
+    """Parameter gradients laid out exactly like a network of `dims`.
 
     `backward` writes into a given set in place, so a trainer keeps one set
     per trained net (`zero_grads`) and reuses it every step; each backward of
     that net overwrites what the previous one returned.
     """
 
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
+    def __init__(self, dims: Sequence[int], params: Optional[np.ndarray] = None):
+        self.dims, self.params, self.d_weights, self.d_biases = _layer_views(dims, params)
 
     def global_norm(self) -> float:
         total = 0.0
@@ -64,52 +90,22 @@ class GradientSet:
 
 def zero_grads(net: DenseNet) -> GradientSet:
     """A zero gradient per parameter of `net`, for `backward` to write into."""
-    return GradientSet(
-        d_weights=[np.zeros(w.shape) for w in net.weights],
-        d_biases=[np.zeros(b.shape) for b in net.biases],
-    )
+    return GradientSet(net.dims)
 
 
-def init_net(dims: Sequence[int], seed_or_rng, activation: str = "relu") -> DenseNet:
+def init_net(dims: Sequence[int], seed_or_rng) -> DenseNet:
     """Glorot-uniform weights, zero biases."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ValueError(f"dims must list at least input and output sizes, got {dims}")
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
+    net = DenseNet(dims)
     rng = (
         seed_or_rng
         if isinstance(seed_or_rng, np.random.Generator)
         else np.random.default_rng(seed_or_rng)
     )
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    for w in net.weights:
+        fan_out, fan_in = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, (fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return DenseNet(weights=weights, biases=biases, activation=activation)
-
-
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    """Apply the hidden activation to `z` in place."""
-    if kind == "relu":
-        np.maximum(z, 0.0, out=z)
-    elif kind == "tanh":
-        np.tanh(z, out=z)
-    return z
-
-
-def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    """Derivative of the activation, from its output `a`.
-
-    relu's a > 0 holds exactly where z > 0, and tanh's 1 - a*a is the form
-    taken from z, so both are bit-equal to the derivative taken from z.
-    """
-    if kind == "relu":
-        return (a > 0.0).astype(a.dtype)
-    if kind == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(a)
+        w[...] = rng.uniform(-bound, bound, w.shape)
+    return net
 
 
 # Narrower last layers evaluate a selected-output pass densely and then gather:
@@ -156,16 +152,14 @@ def forward(
     """
     x = np.asarray(x, dtype=float)
     vectors = stack or x.ndim == 1
-    if x.shape[-1] != net.weights[0].shape[1]:
-        raise ValueError(
-            f"input dim {x.shape[-1]} does not match net input {net.weights[0].shape[1]}"
-        )
+    if x.shape[-1] != net.dims[0]:
+        raise ValueError(f"input dim {x.shape[-1]} does not match net input {net.dims[0]}")
     cache = [x]
     a = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         a = _matvec(w, a) if vectors else a @ w.T
         a += b
-        cache.append(_activate(a, net.activation))
+        cache.append(np.maximum(a, 0.0, out=a))  # relu, in place
     w, b = net.weights[-1], net.biases[-1]
     if cols is not None:
         if vectors:
@@ -182,12 +176,9 @@ def forward(
     return z, cache
 
 
-def _check_depth_and_shapes(net: DenseNet, grads: GradientSet) -> None:
-    if not (len(grads.d_weights) == len(grads.d_biases) == len(net.weights)):
-        raise ValueError("gradient depth does not match the network")
-    for w, b, dw, db in zip(net.weights, net.biases, grads.d_weights, grads.d_biases):
-        if w.shape != dw.shape or b.shape != db.shape:
-            raise ValueError("gradient shape mismatch")
+def _check_dims(net: DenseNet, grads: GradientSet) -> None:
+    if grads.dims != net.dims:
+        raise ValueError(f"gradient dims {grads.dims} do not match the network's {net.dims}")
 
 
 def backward(
@@ -205,13 +196,12 @@ def backward(
     output out[i, cols[i]]. The cache of a single input vector serves as a
     one-row batch.
 
-    The parameter gradients are written into `grads`, which must hold
-    C-contiguous float64 arrays shaped like the net's parameters, and `grads`
-    itself is returned; without it a fresh `zero_grads(net)` is written. A
-    trainer passes the one set it keeps per net, so a step allocates no
-    gradient arrays: a fresh weight gradient of the 256-wide joint head
-    (164 KB) lies above glibc's mmap threshold and would be page-faulted in
-    on every step.
+    The parameter gradients are written into `grads`, a set of the net's
+    dims, and `grads` itself is returned; without it a fresh
+    `zero_grads(net)` is written. A trainer passes the one set it keeps per
+    net, so a step allocates no gradient arrays: a fresh weight gradient of
+    the 256-wide joint head (164 KB) lies above glibc's mmap threshold and
+    would be page-faulted in on every step.
     """
     dout = np.asarray(output_gradient, dtype=float)
     if len(cache) != len(net.weights):
@@ -219,12 +209,7 @@ def backward(
     if grads is None:
         grads = zero_grads(net)
     else:
-        _check_depth_and_shapes(net, grads)
-        if not all(
-            arr.dtype == np.float64 and arr.flags.c_contiguous
-            for arr in grads.d_weights + grads.d_biases
-        ):
-            raise ValueError("gradient arrays must be C-contiguous float64")
+        _check_dims(net, grads)
     d_weights, d_biases = grads.d_weights, grads.d_biases
     if cache[0].ndim == 1:
         cache = [a.reshape(1, -1) for a in cache]
@@ -257,7 +242,8 @@ def backward(
         np.add.at(d_biases[-1], cols, dout)
         da = dout[:, None] * w[cols]
     for i in range(len(net.weights) - 2, -1, -1):
-        dz = da * _act_grad(cache[i + 1], net.activation)
+        # relu's derivative from its output: a > 0 holds exactly where z > 0.
+        dz = da * (cache[i + 1] > 0.0)
         np.matmul(dz.T, cache[i], out=d_weights[i])
         dz.sum(axis=0, out=d_biases[i])
         da = dz @ net.weights[i]
@@ -282,15 +268,17 @@ def sgd_step(
 ) -> float:
     """One plain gradient step of several nets, jointly clipped to `max_norm`.
 
-    Depth, every shape and the finiteness of the joint gradient norm are
+    The dims of every pair and the finiteness of the joint gradient norm are
     checked before the first write, so a rejected step leaves every net
     unchanged. A finite squared norm implies every entry is finite (nan/inf
-    propagate); a norm that overflows is rejected too. The clip scale is
-    folded into the step size. Returns the pre-clip norm.
+    propagate); a norm that overflows is rejected too. The norm sums one dot
+    product per layer array in `params` order (w0, b0, w1, b1, ...); one dot
+    over the whole array would round differently. The clip scale is folded
+    into the step size. Returns the pre-clip norm.
     """
     total = 0.0
     for net, grads in updates:
-        _check_depth_and_shapes(net, grads)
+        _check_dims(net, grads)
         for dw, db in zip(grads.d_weights, grads.d_biases):
             for arr in (dw.ravel(), db):
                 total += float(np.dot(arr, arr))
@@ -299,9 +287,7 @@ def sgd_step(
         raise ValueError("non-finite gradient")
     step = lr * _clip_scale(norm, max_norm)
     for net, grads in updates:
-        for w, b, dw, db in zip(net.weights, net.biases, grads.d_weights, grads.d_biases):
-            w -= step * dw
-            b -= step * db
+        net.params -= step * grads.params
     return norm
 
 
@@ -323,37 +309,25 @@ def clip_global_norm(grad_sets: Sequence[GradientSet], max_norm: float) -> float
     scale = _clip_scale(norm, max_norm)
     if scale != 1.0:
         for g in grad_sets:
-            for arr in g.d_weights + g.d_biases:
-                arr *= scale
+            g.params *= scale
     return norm
 
 
 def clone(net: DenseNet) -> DenseNet:
-    return DenseNet(
-        weights=[w.copy() for w in net.weights],
-        biases=[b.copy() for b in net.biases],
-        activation=net.activation,
-    )
+    return DenseNet(net.dims, net.params.copy())
 
 
 def copy_into_target(main: DenseNet, target: DenseNet) -> DenseNet:
     """Overwrite the target's parameters with bit-equal copies of the main's."""
-    if main.dims != target.dims or main.activation != target.activation:
+    if main.dims != target.dims:
         raise ValueError("architecture mismatch between main and target")
-    for wt, wm in zip(target.weights, main.weights):
-        wt[...] = wm
-    for bt, bm in zip(target.biases, main.biases):
-        bt[...] = bm
+    target.params[...] = main.params
     return target
 
 
 def net_fingerprint(net: DenseNet) -> str:
     """Hash of all parameters; equal iff the parameters are bit-equal."""
-    h = hashlib.sha256()
-    for w, b in zip(net.weights, net.biases):
-        h.update(np.ascontiguousarray(w).tobytes())
-        h.update(np.ascontiguousarray(b).tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(net.params).hexdigest()
 
 
 # --------------------------------------------------------------------------
@@ -382,19 +356,17 @@ def save_net(path, net: DenseNet) -> None:
     dims = net.dims
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<III", _VERSION, _ACTIVATIONS.index(net.activation), len(dims)))
+        fh.write(struct.pack("<III", _VERSION, 0, len(dims)))
         fh.write(np.asarray(dims, dtype="<i8").tobytes())
-        for w, b in zip(net.weights, net.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        fh.write(net.params.astype("<f8", copy=False))
 
 
 def load_net(path) -> DenseNet:
     """Read a `save_net` file; malformed content raises ValueError naming the file.
 
     The activation code, the dims, the exact file length and the finiteness
-    of every parameter are checked before a net is built. Parameters are read
-    straight into their arrays.
+    of every parameter are checked before a net is built. The parameters are
+    read straight into the net's `params`.
     """
     head = len(_MAGIC) + 12
     with open(path, "rb") as fh:
@@ -405,24 +377,19 @@ def load_net(path) -> DenseNet:
         version, act_code, ndims = struct.unpack_from("<III", header, len(_MAGIC))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        if act_code >= len(_ACTIVATIONS):
+        if act_code != 0:
             raise ValueError(f"{path}: unknown activation code {act_code}")
         if not 2 <= ndims <= (size - head) // 8:
             raise ValueError(f"{path}: {ndims} layer dims do not fit a {size}-byte file")
         dims = np.frombuffer(fh.read(8 * ndims), "<i8").tolist()
         if min(dims) < 1:
             raise ValueError(f"{path}: layer dims {dims} must be >= 1")
-        need = head + 8 * ndims + 8 * sum(o * (i + 1) for i, o in zip(dims, dims[1:]))
+        need = head + 8 * ndims + 8 * param_count(dims)
         if size != need:
             raise ValueError(f"{path}: holds {size} bytes, layer dims {dims} need {need}")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            w, b = np.empty((fan_out, fan_in), "<f8"), np.empty(fan_out, "<f8")
-            for arr in (w, b):
-                if fh.readinto(arr) != arr.nbytes:
-                    raise ValueError(f"{path}: file ended early")
-                if not np.isfinite(arr).all():
-                    raise ValueError(f"{path}: non-finite parameters")
-            weights.append(w)
-            biases.append(b)
-    return DenseNet(weights=weights, biases=biases, activation=_ACTIVATIONS[act_code])
+        params = np.empty(param_count(dims), "<f8")
+        if fh.readinto(params) != params.nbytes:
+            raise ValueError(f"{path}: file ended early")
+        if not np.isfinite(params).all():
+            raise ValueError(f"{path}: non-finite parameters")
+    return DenseNet(dims, params)

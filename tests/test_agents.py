@@ -277,9 +277,7 @@ def test_targets_zero_discount():
 def copied_grads(side_grads):
     """`_side_grads`' (loss, own, joint head) with both gradient sets copied."""
     loss, *sets = side_grads
-    return loss, *(
-        GradientSet([w.copy() for w in g.d_weights], [b.copy() for b in g.d_biases]) for g in sets
-    )
+    return loss, *(GradientSet(g.dims, g.params.copy()) for g in sets)
 
 
 def composed_fd_check(share_mode):
@@ -298,19 +296,17 @@ def composed_fd_check(share_mode):
         # Copied, since the perturbed passes below overwrite the trainer's buffers.
         loss0, g_own, g_mlp = copied_grads(trainer._side_grads(batch, targets, lead_side))
         for net, grads in ((own, g_own), (trainer.pair.mlp, g_mlp)):
-            for arrs, garrs in ((net.weights, grads.d_weights), (net.biases, grads.d_biases)):
-                for arr, garr in zip(arrs, garrs):
-                    flat, gflat = arr.ravel(), garr.ravel()
-                    for i in range(flat.size):
-                        orig = flat[i]
-                        flat[i] = orig + h
-                        up = trainer._side_grads(batch, targets, lead_side)[0]
-                        flat[i] = orig - h
-                        down = trainer._side_grads(batch, targets, lead_side)[0]
-                        flat[i] = orig
-                        fd = (up - down) / (2.0 * h)
-                        denom = max(abs(fd) + abs(gflat[i]), 1.0)
-                        assert abs(fd - gflat[i]) / denom < 1e-4
+            flat, gflat = net.params, grads.params
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = trainer._side_grads(batch, targets, lead_side)[0]
+                flat[i] = orig - h
+                down = trainer._side_grads(batch, targets, lead_side)[0]
+                flat[i] = orig
+                fd = (up - down) / (2.0 * h)
+                denom = max(abs(fd) + abs(gflat[i]), 1.0)
+                assert abs(fd - gflat[i]) / denom < 1e-4
 
 
 @pytest.mark.parametrize("share_mode", ["vector", "scalar"])
@@ -357,12 +353,8 @@ def test_side_symmetry_with_identical_inputs():
     # Each side's gradients are copied: the next backward of a net overwrites them.
     _, g_lead, g_mlp_lead = copied_grads(trainer._side_grads(batch, targets, lead_side=True))
     _, g_follow, g_mlp_follow = copied_grads(trainer._side_grads(batch, targets, lead_side=False))
-    for a, b in zip(g_mlp_lead.d_weights + g_mlp_lead.d_biases,
-                    g_mlp_follow.d_weights + g_mlp_follow.d_biases):
-        assert np.array_equal(a, b)
-    for a, b in zip(g_lead.d_weights + g_lead.d_biases,
-                    g_follow.d_weights + g_follow.d_biases):
-        assert np.array_equal(a, b)
+    assert np.array_equal(g_mlp_lead.params, g_mlp_follow.params)
+    assert np.array_equal(g_lead.params, g_follow.params)
 
 
 def test_update_isolation_across_sides():

@@ -332,6 +332,36 @@ def test_cli_eval_from_checkpoint(tmp_path):
     assert len(records) == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eval", "CKPT", "--sweep", "rsus", "--values", "8"], "--sweep does not apply to --eval"),
+        (["--eval", "CKPT", "--algo", "cdrl"], "--algo does not apply to --eval"),
+        (["--eval", "CKPT", "--seed", "7"], "--seed does not apply to --eval"),
+        (["--eval", "CKPT", "--sigma", "1"],
+         "--sigma does not apply to --eval: the checkpoint's share_noise_std applies"),
+        (["--values", "8,12"], "--values does not apply to a run without --sweep"),
+        (["--sweep", "sigma", "--values", "0,1", "--sigma", "2"],
+         "--sigma does not apply to --sweep sigma"),
+        (["--sweep", "rsus", "--values", "8", "--num-rsus", "12"],
+         "--num-rsus does not apply to --sweep rsus"),
+    ],
+    ids=["eval-sweep", "eval-algo", "eval-seed", "eval-sigma", "values-without-sweep",
+         "sigma-sweep-sigma", "rsus-sweep-num-rsus"],
+)
+def test_cli_rejects_a_flag_its_mode_ignores(tmp_path, capsys, flags, message):
+    cfg_path = cli_config(tmp_path)
+    assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+    capsys.readouterr()
+    out = tmp_path / "out"
+    flags = [str(ckpt) if flag == "CKPT" else flag for flag in flags]
+    rc = cli_main(["--config", str(tmp_path / "runs" / "config.json"), *flags, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_reports_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     cases = [
@@ -538,7 +568,7 @@ def _set_nan_weight(path):
         (lambda path: path.write_bytes(path.read_bytes()[:10]), "not a DNET checkpoint"),
         (_set_nan_weight, "non-finite parameters"),
         (lambda path: path.write_bytes((path.parent / "mlp.net").read_bytes()),
-         "the checkpoint's config builds a relu net of dims (14, 8, 16)"),
+         "the checkpoint's config builds a net of dims (14, 8, 16)"),
     ],
     ids=["activation", "truncated", "cut-header", "nan", "mlp-over-lead"],
 )

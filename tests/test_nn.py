@@ -1,5 +1,6 @@
 """Dense-net engine: shapes, exact values, finite-difference gradient checks."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedassoc.agents import TrainerConfig
+from fedassoc.baselines import fedavg
 from fedassoc.nn import (
     GATHER_MIN_OUTPUTS,
     DenseNet,
@@ -28,31 +30,31 @@ from fedassoc.nn import (
 )
 
 
+def packed(cls, weights, biases):
+    """A `DenseNet` or `GradientSet` holding the given per-layer arrays, in `params` order."""
+    dims = (np.shape(weights[0])[1], *(np.shape(w)[0] for w in weights))
+    layers = [np.ravel(a) for w, b in zip(weights, biases) for a in (w, b)]
+    return cls(dims, np.concatenate(layers, dtype=float))
+
+
 def finite_difference_grads(loss_fn, net, h=1e-5):
     """Central differences over every parameter of `net`."""
-    d_weights = [np.zeros_like(w) for w in net.weights]
-    d_biases = [np.zeros_like(b) for b in net.biases]
-    for arrs, outs in ((net.weights, d_weights), (net.biases, d_biases)):
-        for arr, out in zip(arrs, outs):
-            flat = arr.ravel()
-            grad = out.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                up = loss_fn()
-                flat[i] = orig - h
-                down = loss_fn()
-                flat[i] = orig
-                grad[i] = (up - down) / (2.0 * h)
-    return GradientSet(d_weights, d_biases)
+    numeric = GradientSet(net.dims)
+    for i in range(net.params.size):
+        orig = net.params[i]
+        net.params[i] = orig + h
+        up = loss_fn()
+        net.params[i] = orig - h
+        down = loss_fn()
+        net.params[i] = orig
+        numeric.params[i] = (up - down) / (2.0 * h)
+    return numeric
 
 
 def assert_grads_close(analytic, numeric, tol=1e-4):
-    for ga, gn in zip(
-        analytic.d_weights + analytic.d_biases, numeric.d_weights + numeric.d_biases
-    ):
-        denom = np.maximum(np.abs(ga) + np.abs(gn), 1.0)
-        assert np.max(np.abs(ga - gn) / denom) < tol
+    ga, gn = analytic.params, numeric.params
+    denom = np.maximum(np.abs(ga) + np.abs(gn), 1.0)
+    assert np.max(np.abs(ga - gn) / denom) < tol
 
 
 # -- construction -----------------------------------------------------------
@@ -63,7 +65,15 @@ def test_init_shapes_and_param_count():
     assert len(net.weights) == 4
     num_params = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
     assert num_params == 14 * 80 + 80 + 80 * 80 + 80 + 80 * 80 + 80 + 80 * 16 + 16
-    assert num_params == 15456
+    assert num_params == 15456 == net.params.size
+
+
+def test_init_fingerprint_is_pinned():
+    # init draws only `uniform` (no BLAS), so the digest is the same on every host.
+    net = init_net((14, 80, 80, 80, 16), np.random.default_rng(0))
+    assert net_fingerprint(net) == (
+        "57ea3d32f47143ed9c03fe717f8ee33a69c90dc2e9e615fd4f47c0aadce063b1"
+    )
 
 
 def test_init_deterministic_and_zero_bias():
@@ -81,8 +91,6 @@ def test_init_rejects_bad_dims():
         init_net((4,), 0)
     with pytest.raises(ValueError):
         init_net((4, 0, 2), 0)
-    with pytest.raises(ValueError):
-        init_net((4, 2), 0, activation="sigmoid")
 
 
 # -- forward ------------------------------------------------------------------
@@ -96,7 +104,7 @@ def test_forward_zero_net_outputs_zero():
 
 
 def test_forward_identity_single_layer():
-    net = DenseNet(weights=[np.eye(4)], biases=[np.zeros(4)])
+    net = packed(DenseNet, [np.eye(4)], [np.zeros(4)])
     x = np.array([0.5, -1.0, 2.0, 0.0])
     out, _ = forward(net, x)
     assert np.array_equal(out, x)
@@ -104,10 +112,10 @@ def test_forward_identity_single_layer():
 
 def test_forward_hand_computed():
     # 2-2-1 net evaluated with pencil and paper.
-    net = DenseNet(
-        weights=[np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, -1.0]])],
-        biases=[np.array([0.5, -0.5]), np.array([0.25])],
-        activation="relu",
+    net = packed(
+        DenseNet,
+        [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, -1.0]])],
+        [np.array([0.5, -0.5]), np.array([0.25])],
     )
     x = np.array([1.0, 0.5])
     # z1 = (1*1 + 2*0.5 + 0.5, 3*1 + 4*0.5 - 0.5) = (2.5, 4.5); relu keeps both
@@ -145,19 +153,18 @@ def test_backward_zero_gradient_gives_zero():
 
 
 def test_backward_input_gradient_identity_layer():
-    net = DenseNet(weights=[np.eye(3)], biases=[np.zeros(3)])
+    net = packed(DenseNet, [np.eye(3)], [np.zeros(3)])
     _, cache = forward(net, np.array([1.0, 2.0, 3.0]))
     dy = np.array([0.3, -0.1, 0.7])
     _, d_in = backward(net, cache, dy)
     assert np.array_equal(d_in, dy)
 
 
-@pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
-def test_backward_matches_finite_differences(activation):
-    rng = np.random.default_rng({"relu": 101, "tanh": 202, "linear": 303}[activation])
+def test_backward_matches_finite_differences():
+    rng = np.random.default_rng(101)
     for trial in range(7):
         dims = [int(rng.integers(2, 7)) for _ in range(int(rng.integers(2, 5)))]
-        net = init_net(dims, rng, activation=activation)
+        net = init_net(dims, rng)
         x = rng.standard_normal((3, dims[0]))
         target = rng.standard_normal((3, dims[-1]))
 
@@ -174,7 +181,7 @@ def test_backward_matches_finite_differences(activation):
 
 def test_backward_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(99)
-    net = init_net((5, 8, 3), rng, activation="tanh")
+    net = init_net((5, 8, 3), rng)
     x = rng.standard_normal(5)
 
     def loss_of(xv):
@@ -208,20 +215,19 @@ def selected_cases(draw):
     # Output widths on both sides of the gather threshold.
     wide = st.integers(GATHER_MIN_OUTPUTS, GATHER_MIN_OUTPUTS + 16)
     dims.append(draw(st.one_of(st.integers(1, 12), wide)))
-    activation = draw(st.sampled_from(["relu", "tanh", "linear"]))
     batch = draw(st.integers(1, 64))
     # Few distinct columns make repeated columns within a batch likely.
     distinct = draw(st.integers(1, dims[-1]))
     seed = draw(st.integers(0, 2**32 - 1))
-    return dims, activation, batch, distinct, seed
+    return dims, batch, distinct, seed
 
 
 @settings(max_examples=150, deadline=None)
 @given(selected_cases())
 def test_selected_pass_matches_dense_pass(case):
-    dims, activation, batch, distinct, seed = case
+    dims, batch, distinct, seed = case
     rng = np.random.default_rng(seed)
-    net = init_net(dims, rng, activation=activation)
+    net = init_net(dims, rng)
     for b in net.biases:
         b[...] = rng.standard_normal(b.shape)
     x = rng.standard_normal((batch, dims[0]))
@@ -237,17 +243,16 @@ def test_selected_pass_matches_dense_pass(case):
     d_dense[rows, cols] = d_sel
     g_dense, din_dense = backward(net, cache_dense, d_dense)
     g_sel, din_sel = backward(net, cache_sel, d_sel, cols)
-    for got, want in zip(g_sel.d_weights + g_sel.d_biases, g_dense.d_weights + g_dense.d_biases):
-        assert_close(got, want)
+    assert_close(g_sel.params, g_dense.params)
     assert_close(din_sel, din_dense)
 
 
 @settings(max_examples=150, deadline=None)
 @given(selected_cases())
 def test_vector_pass_matches_one_row_batch(case):
-    dims, activation, _, _, seed = case
+    dims, _, _, seed = case
     rng = np.random.default_rng(seed)
-    net = init_net(dims, rng, activation=activation)
+    net = init_net(dims, rng)
     for b in net.biases:
         b[...] = rng.standard_normal(b.shape)
     x = rng.standard_normal(dims[0])
@@ -261,8 +266,7 @@ def test_vector_pass_matches_one_row_batch(case):
 
     g, d_in = backward(net, cache, d_out)
     g_batch, d_in_batch = backward(net, cache_batch, d_out[None])
-    for got, want in zip(g.d_weights + g.d_biases, g_batch.d_weights + g_batch.d_biases):
-        assert got.tobytes() == want.tobytes()
+    assert g.params.tobytes() == g_batch.params.tobytes()
     assert d_in.shape == (dims[0],)
     assert d_in.tobytes() == d_in_batch[0].tobytes()
 
@@ -270,13 +274,12 @@ def test_vector_pass_matches_one_row_batch(case):
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.integers(1, 90), min_size=2, max_size=5),
-    st.sampled_from(["relu", "tanh", "linear"]),
     st.integers(1, 70),
     st.integers(0, 2**32 - 1),
 )
-def test_each_row_of_a_stacked_pass_is_its_vector_pass(dims, activation, rows, seed):
+def test_each_row_of_a_stacked_pass_is_its_vector_pass(dims, rows, seed):
     rng = np.random.default_rng(seed)
-    net = init_net(dims, rng, activation=activation)
+    net = init_net(dims, rng)
     for b in net.biases:
         b[...] = rng.standard_normal(b.shape)
     x = rng.standard_normal((rows, dims[0]))
@@ -292,9 +295,9 @@ def test_each_row_of_a_stacked_pass_is_its_vector_pass(dims, activation, rows, s
 @settings(max_examples=150, deadline=None)
 @given(selected_cases())
 def test_backward_overwrites_given_grads(case):
-    dims, activation, batch, distinct, seed = case
+    dims, batch, distinct, seed = case
     rng = np.random.default_rng(seed)
-    net = init_net(dims, rng, activation=activation)
+    net = init_net(dims, rng)
     for b in net.biases:
         b[...] = rng.standard_normal(b.shape)
     x = rng.standard_normal((batch, dims[0]))
@@ -303,36 +306,34 @@ def test_backward_overwrites_given_grads(case):
         out, cache = forward(net, x, sel)
         d_out = rng.standard_normal(out.shape)
         given_grads = zero_grads(net)
-        arrays = given_grads.d_weights + given_grads.d_biases
-        for arr in arrays:
-            arr.fill(np.nan)
+        params = given_grads.params
+        params.fill(np.nan)
         got, d_in = backward(net, cache, d_out, sel, grads=given_grads)
         fresh, d_in_fresh = backward(net, cache, d_out, sel)
-        assert got is given_grads
-        assert all(a is b for a, b in zip(got.d_weights + got.d_biases, arrays))
-        for a, b in zip(arrays, fresh.d_weights + fresh.d_biases):
-            assert a.tobytes() == b.tobytes()
+        assert got is given_grads and got.params is params
+        assert params.tobytes() == fresh.params.tobytes()
         assert d_in.tobytes() == d_in_fresh.tobytes()
         for other_dims in (dims[:-1] + [dims[-1] + 1], [dims[0] + 1] + dims[1:], dims + [3]):
-            with pytest.raises(ValueError, match="gradient (shape|depth)"):
-                backward(net, cache, d_out, sel, grads=zero_grads(init_net(other_dims, 0)))
+            other = GradientSet(other_dims)
+            other.params.fill(np.nan)
+            with pytest.raises(ValueError, match="gradient dims"):
+                backward(net, cache, d_out, sel, grads=other)
+            assert np.isnan(other.params).all()
 
 
 def test_backward_rejects_grads_of_another_layout():
-    net = init_net((3, 4, 5), 0)
-    _, cache = forward(net, np.ones((2, 3)))
-    for convert in (lambda a: a.astype(np.float32), np.asfortranarray):
-        grads = zero_grads(net)
-        grads.d_weights[-1] = convert(np.zeros((5, 4)))
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            backward(net, cache, np.ones((2, 5)), grads=grads)
+    # A set's layout is fixed when it is built: params of any other layout are refused.
+    params = np.zeros(2 * (3 * 4 + 4))
+    for bad in (params.astype(np.float32), params[::2], params[:-1], list(params)):
+        for cls in (GradientSet, DenseNet):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                cls((3, 4, 4), bad)
 
 
 def test_selected_output_loss_matches_finite_differences():
     rng = np.random.default_rng(404)
-    cases = (("relu", 7), ("tanh", 7), ("linear", 7), ("relu", GATHER_MIN_OUTPUTS))
-    for activation, width in cases:
-        net = init_net((4, 6, 5, width), rng, activation=activation)
+    for width in (7, GATHER_MIN_OUTPUTS):
+        net = init_net((4, 6, 5, width), rng)
         for b in net.biases:  # nonzero, so no sample sits on the relu kink
             b[...] = rng.standard_normal(b.shape)
         x = rng.standard_normal((9, 4))
@@ -366,8 +367,8 @@ def test_selected_pass_rejects_bad_cols():
 # -- updates -----------------------------------------------------------------------
 
 def test_sgd_scalar_case():
-    net = DenseNet(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
-    grads = GradientSet([np.array([[2.0]])], [np.array([0.0])])
+    net = packed(DenseNet, [np.array([[1.0]])], [np.array([0.0])])
+    grads = packed(GradientSet, [np.array([[2.0]])], [np.array([0.0])])
     sgd_apply(net, grads, 0.1)
     assert net.weights[0][0, 0] == pytest.approx(0.8, abs=1e-15)
 
@@ -375,40 +376,38 @@ def test_sgd_scalar_case():
 def test_sgd_zero_lr_keeps_net():
     net = init_net((3, 3), 0)
     before = net_fingerprint(net)
-    grads = GradientSet([np.ones((3, 3))], [np.ones(3)])
+    grads = packed(GradientSet, [np.ones((3, 3))], [np.ones(3)])
     sgd_apply(net, grads, 0.0)
     assert net_fingerprint(net) == before
 
 
 def test_sgd_rejects_non_finite():
     net = init_net((2, 2), 0)
-    grads = GradientSet([np.array([[np.nan, 0.0], [0.0, 0.0]])], [np.zeros(2)])
+    grads = packed(GradientSet, [np.array([[np.nan, 0.0], [0.0, 0.0]])], [np.zeros(2)])
     with pytest.raises(ValueError):
         sgd_apply(net, grads, 0.1)
 
 
 def test_two_steps_equal_one_summed_step_for_linear_net():
     # Pure SGD is additive in the gradients for a fixed parameter vector.
-    g1 = GradientSet([np.array([[2.0]])], [np.array([1.0])])
-    g2 = GradientSet([np.array([[-0.5]])], [np.array([3.0])])
-    net_a = DenseNet(weights=[np.array([[1.0]])], biases=[np.array([0.5])])
+    g1 = packed(GradientSet, [np.array([[2.0]])], [np.array([1.0])])
+    g2 = packed(GradientSet, [np.array([[-0.5]])], [np.array([3.0])])
+    net_a = packed(DenseNet, [np.array([[1.0]])], [np.array([0.5])])
     net_b = clone(net_a)
     sgd_apply(net_a, g1, 0.2)
     sgd_apply(net_a, g2, 0.2)
-    summed = GradientSet(
-        [g1.d_weights[0] + g2.d_weights[0]], [g1.d_biases[0] + g2.d_biases[0]]
-    )
+    summed = GradientSet(g1.dims, g1.params + g2.params)
     sgd_apply(net_b, summed, 0.2)
     assert net_a.weights[0][0, 0] == pytest.approx(net_b.weights[0][0, 0], rel=1e-12)
     assert net_a.biases[0][0] == pytest.approx(net_b.biases[0][0], rel=1e-12)
 
 
 def test_clip_global_norm():
-    g = GradientSet([np.array([[3.0, 4.0]])], [np.zeros(1)])
+    g = packed(GradientSet, [np.array([[3.0, 4.0]])], [np.zeros(1)])
     norm = clip_global_norm([g], 1.0)
     assert norm == pytest.approx(5.0)
     assert g.global_norm() == pytest.approx(1.0)
-    g2 = GradientSet([np.array([[0.3, 0.4]])], [np.zeros(1)])
+    g2 = packed(GradientSet, [np.array([[0.3, 0.4]])], [np.zeros(1)])
     clip_global_norm([g2], np.inf)
     assert g2.global_norm() == pytest.approx(0.5)
 
@@ -416,8 +415,8 @@ def test_clip_global_norm():
 def test_sgd_apply_rejects_shallow_gradient_without_writing():
     net = init_net((3, 4, 2), 0)
     before = net_fingerprint(net)
-    grads = GradientSet([np.ones((4, 3))], [np.ones(4)])
-    with pytest.raises(ValueError):
+    grads = GradientSet((3, 4), np.ones(16))
+    with pytest.raises(ValueError, match=r"gradient dims \(3, 4\) do not match"):
         sgd_apply(net, grads, 0.1)
     assert net_fingerprint(net) == before
 
@@ -425,8 +424,8 @@ def test_sgd_apply_rejects_shallow_gradient_without_writing():
 def test_sgd_apply_rejects_late_shape_mismatch_without_writing():
     net = init_net((3, 4, 2), 0)
     before = net_fingerprint(net)
-    grads = GradientSet([np.ones((4, 3)), np.ones((3, 4))], [np.ones(4), np.ones(2)])
-    with pytest.raises(ValueError):
+    grads = GradientSet((3, 4, 3), np.ones(31))
+    with pytest.raises(ValueError, match=r"gradient dims \(3, 4, 3\) do not match"):
         sgd_apply(net, grads, 0.1)
     assert net_fingerprint(net) == before
 
@@ -437,29 +436,37 @@ def test_sgd_step_matches_clip_then_apply():
     # Python integers above int64 (2**70) and above any float (10**400), as a config may
     # hold them, compare exactly; neither clips these norms, like inf.
     for max_norm in (0.1, 1e6, np.inf, 2**70, 10**400):
-        grads = [
-            GradientSet([rng.standard_normal(w.shape) for w in n.weights],
-                        [rng.standard_normal(b.shape) for b in n.biases])
-            for n in nets
-        ]
+        grads = [GradientSet(n.dims, rng.standard_normal(n.params.size)) for n in nets]
         ref = [clone(n) for n in nets]
-        ref_grads = [GradientSet([w.copy() for w in g.d_weights], [b.copy() for b in g.d_biases])
-                     for g in grads]
+        ref_grads = [GradientSet(g.dims, g.params.copy()) for g in grads]
         ref_norm = clip_global_norm(ref_grads, max_norm)
         for n, g in zip(ref, ref_grads):
             sgd_apply(n, g, 0.05)
         norm = sgd_step(list(zip(nets, grads)), 0.05, max_norm)
         assert norm == pytest.approx(ref_norm, rel=1e-12)
         for n, r in zip(nets, ref):
-            for got, want in zip(n.weights + n.biases, r.weights + r.biases):
-                assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+            assert np.allclose(n.params, r.params, rtol=1e-13, atol=1e-15)
+
+
+def test_sgd_step_norm_sums_each_layer_array_in_file_order():
+    # One dot over the whole flat array rounds differently for most such sets.
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        nets = [init_net((14, 80, 16), rng), init_net((32, 80, 256), rng)]
+        grads = [GradientSet(n.dims, rng.standard_normal(n.params.size)) for n in nets]
+        total = 0.0
+        for g in grads:
+            for dw, db in zip(g.d_weights, g.d_biases):
+                total += float(np.dot(dw.ravel(), dw.ravel()))
+                total += float(np.dot(db, db))
+        assert sgd_step(list(zip(nets, grads)), 0.0) == float(np.sqrt(total))
 
 
 def test_sgd_step_checks_every_net_before_writing():
     first, second = init_net((2, 3), 0), init_net((3, 2), 1)
     before = [net_fingerprint(first), net_fingerprint(second)]
-    ok = GradientSet([np.ones((3, 2))], [np.ones(3)])
-    bad = GradientSet([np.ones((2, 3))], [np.array([0.0, np.inf])])
+    ok = packed(GradientSet, [np.ones((3, 2))], [np.ones(3)])
+    bad = packed(GradientSet, [np.ones((2, 3))], [np.array([0.0, np.inf])])
     with pytest.raises(ValueError):
         sgd_step([(first, ok), (second, bad)], 0.1, 10.0)
     assert [net_fingerprint(first), net_fingerprint(second)] == before
@@ -467,8 +474,8 @@ def test_sgd_step_checks_every_net_before_writing():
 
 @pytest.mark.parametrize("max_norm", [-1.0, 0.0, np.nan])
 def test_clipping_rejects_non_positive_bound(max_norm):
-    net = DenseNet(weights=[np.array([[1.0, 1.0]])], biases=[np.array([0.0])])
-    g = GradientSet([np.array([[3.0, 4.0]])], [np.zeros(1)])
+    net = packed(DenseNet, [np.array([[1.0, 1.0]])], [np.array([0.0])])
+    g = packed(GradientSet, [np.array([[3.0, 4.0]])], [np.zeros(1)])
     with pytest.raises(ValueError):
         sgd_step([(net, g)], 0.1, max_norm)
     with pytest.raises(ValueError):
@@ -492,9 +499,7 @@ def test_copy_into_target_bit_equal_and_frozen():
         assert np.array_equal(om, ot)
     # Later main updates leave the target untouched.
     before = net_fingerprint(target)
-    grads = GradientSet([np.ones_like(w) for w in main.weights],
-                        [np.ones_like(b) for b in main.biases])
-    sgd_apply(main, grads, 0.1)
+    sgd_apply(main, GradientSet(main.dims, np.ones(main.params.size)), 0.1)
     assert net_fingerprint(target) == before
     assert net_fingerprint(main) != before
 
@@ -509,8 +514,11 @@ def test_copy_is_idempotent():
 
 
 def test_copy_rejects_mismatch():
+    target = init_net((3, 4), 0)
+    before = net_fingerprint(target)
     with pytest.raises(ValueError):
-        copy_into_target(init_net((3, 3), 0), init_net((3, 4), 0))
+        copy_into_target(init_net((3, 3), 0), target)
+    assert net_fingerprint(target) == before
 
 
 # -- learning-rate schedule --------------------------------------------------------------
@@ -537,13 +545,59 @@ def test_lr_schedule_validation():
 # -- checkpoint format ---------------------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path):
-    net = init_net((7, 5, 9), 77, activation="tanh")
+    net = init_net((7, 5, 9), 77)
     path = tmp_path / "net.bin"
     save_net(path, net)
     loaded = load_net(path)
     assert loaded.dims == net.dims
-    assert loaded.activation == "tanh"
     assert net_fingerprint(loaded) == net_fingerprint(net)
+
+
+def test_file_body_is_params_and_fingerprint_hashes_it(tmp_path):
+    net = init_net((7, 5, 9), 77)
+    path = tmp_path / "net.bin"
+    save_net(path, net)
+    data = path.read_bytes()
+    assert data[:16] == b"DNET" + struct.pack("<III", 1, 0, 3)
+    body = data[16 + 8 * 3 :]
+    assert body == net.params.tobytes()
+    assert net_fingerprint(net) == hashlib.sha256(body).hexdigest()
+
+
+def _saved_and_loaded(net, tmp_path):
+    save_net(tmp_path / "net.bin", net)
+    return load_net(tmp_path / "net.bin")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda src, tmp_path: src,
+        lambda src, tmp_path: clone(src),
+        lambda src, tmp_path: fedavg([src, clone(src)]),
+        lambda src, tmp_path: _saved_and_loaded(src, tmp_path),
+        lambda src, tmp_path: zero_grads(src),
+    ],
+    ids=["init_net", "clone", "fedavg", "load_net", "zero_grads"],
+)
+def test_layer_views_alias_their_own_params(tmp_path, make):
+    src = init_net((4, 6, 5, 3), 9)
+    source_params = src.params.copy()
+    made = make(src, tmp_path)
+    weights, biases = (
+        (made.d_weights, made.d_biases) if isinstance(made, GradientSet)
+        else (made.weights, made.biases)
+    )
+    # Layer i's weights hold 2i + 1 and its biases 2i + 2, written through the
+    # views; `params` must read them in file order: w0, b0, w1, b1, ...
+    want = []
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        w[...] = 2 * i + 1
+        b[...] = 2 * i + 2
+        want += [np.full(w.size, 2.0 * i + 1), np.full(b.size, 2.0 * i + 2)]
+    assert made.params.tobytes() == np.concatenate(want).tobytes()
+    if made is not src:
+        assert src.params.tobytes() == source_params.tobytes()
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -565,6 +619,7 @@ def _edit_header(offset, fmt, value):
     [
         (_edit_header(4, "<I", 2), "unsupported version 2"),
         (_edit_header(8, "<I", 3), "unknown activation code 3"),
+        (_edit_header(8, "<I", 1), "unknown activation code 1"),
         (_edit_header(12, "<I", 1), "1 layer dims do not fit"),
         (_edit_header(12, "<I", 0xFFFFFFFF), "4294967295 layer dims do not fit"),
         (_edit_header(16, "<q", -7), "layer dims [-7, 5, 9] must be >= 1"),
@@ -574,12 +629,12 @@ def _edit_header(offset, fmt, value):
         (lambda data: data[:15], "not a DNET checkpoint"),
         (_edit_header(424, "<d", np.inf), "non-finite parameters"),
     ],
-    ids=["version", "activation", "one-dim", "dim-count", "negative-dim", "huge-dim",
-         "extra-byte", "cut-byte", "cut-header", "inf"],
+    ids=["version", "activation", "tanh-code", "one-dim", "dim-count", "negative-dim",
+         "huge-dim", "extra-byte", "cut-byte", "cut-header", "inf"],
 )
 def test_load_rejects_malformed_files_naming_them(tmp_path, edit, message):
     path = tmp_path / "net.bin"
-    save_net(path, init_net((7, 5, 9), 77, activation="tanh"))
+    save_net(path, init_net((7, 5, 9), 77))
     path.write_bytes(bytes(edit(bytearray(path.read_bytes()))))
     with pytest.raises(ValueError) as info:
         load_net(path)
