@@ -152,10 +152,13 @@ def joint_q(mlp: DenseNet, own_q: np.ndarray, peer_q: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 # Greedy evaluation advances up to this many episodes together. For the
-# default proposed pair (one core, one BLAS thread) a greedy TS took 44 µs in
-# blocks of 1, 37 (2), 28 (4), 23 (8), 20.5 (16), 19.9 (32) and 19.0 (64). A
-# block holds each episode's drawn world and sharing noise, about 70 KB per
-# episode of the default world: 2.4 MB at 32.
+# default proposed pair (one core of a shared host, one BLAS thread) a greedy
+# TS took, per episode and over three runs, 135-232 µs in blocks of 1,
+# 152-241 (2), 88-144 (4), 58-63 (8), 51-72 (10), 34-46 (16), 30-34 (32) and
+# 22-31 (64). A block holds each episode's drawn world, stacked rows and
+# sharing noise, about 120 KB per episode of the default world: 3.8 MB at 32.
+# 64 would double that for a gain that only evaluations of 64 or more
+# episodes see.
 EVAL_BLOCK = 32
 
 
@@ -175,7 +178,10 @@ class Trainer:
     `evaluate` runs each greedy episode on a shallow copy of `env`. An env
     therefore keeps its random streams in objects that the copies share, and
     `reset` rebinds every attribute that holds the episode, as
-    `EdgeAssocEnv` does; it names its episode length `horizon`.
+    `EdgeAssocEnv` does; it names its episode length `horizon`. It also
+    supplies the block step that advances two or more copies in lockstep:
+    `stack_block(copies)` and `step_block(block, actions)`, whose result is
+    the block StepResult that `EdgeAssocEnv.step_block` describes.
     """
 
     def __init__(self, env, cfg: TrainerConfig, seed: int):
@@ -262,12 +268,14 @@ class Trainer:
 
         The episodes run in blocks of up to `EVAL_BLOCK` that advance in
         lockstep. A block resets one copy of the env per episode, in episode
-        order, then draws the block's sharing noise (`share_noise`). Each TS
-        makes one `select_actions` call on the stacked observations and one
-        `step` per episode. Records, TS rows and every random stream end as
-        when the episodes run one at a time, bit for bit. The noise is drawn
-        for episodes of `env.horizon` TS, so an episode that ends on another
-        TS raises RuntimeError.
+        order, then draws the block's sharing noise (`share_noise`) and
+        stacks the copies (`env.stack_block`). Each TS makes one
+        `select_actions` call on the stacked observations and one
+        `env.step_block`; a lone episode selects on its vectors and calls
+        `step`, which costs less than a block of one. Records, TS rows and
+        every random stream end as when the episodes run one at a time, bit
+        for bit. The noise is drawn for episodes of `env.horizon` TS, so an
+        episode that ends on another TS raises RuntimeError.
         """
         horizon = self.env.horizon
         records = []
@@ -276,32 +284,31 @@ class Trainer:
             envs = [copy.copy(self.env) for _ in numbers]
             obs = [env.reset() for env in envs]
             noise = self.share_noise(len(envs), horizon)
-            rows = [None if ts_rows is None else [] for _ in numbers]
-            accs = [MetricAccumulator(r) for r in rows]
+            if len(envs) == 1:
+                block, label, obs = None, first, obs[0]
+                noise = None if noise is None else noise[0]
+            else:
+                block = self.env.stack_block(envs)
+                label, obs = numbers, [np.array(agent_obs) for agent_obs in zip(*obs)]
+            acc = MetricAccumulator(ts_rows)
             for t in range(horizon):
-                ts_noise = None if noise is None else noise[:, t]
-                if len(envs) == 1:
-                    # A lone episode selects on its vectors: a stack of one costs more.
-                    vec_noise = None if ts_noise is None else ts_noise[0]
-                    actions = [self.select_actions(obs[0], 0.0, vec_noise)]
+                ts_noise = None if noise is None else noise[..., t, :]
+                actions = self.select_actions(obs, 0.0, ts_noise)
+                if block is None:
+                    step = envs[0].step(actions)
                 else:
-                    stacks = [np.array(agent_obs) for agent_obs in zip(*obs)]
-                    lead, follow = self.select_actions(stacks, 0.0, ts_noise)
-                    actions = zip(lead.tolist(), follow.tolist())
-                obs = []
-                for env, acc, ep, acts in zip(envs, accs, numbers, actions):
-                    step = env.step(acts)
-                    if step.done != (t == horizon - 1):
-                        raise RuntimeError(
-                            f"greedy evaluation runs episodes of {horizon} TS (env.horizon), "
-                            f"but episode {ep} {'ended' if step.done else 'goes on'} at TS {t + 1}"
-                        )
-                    acc.add(step, ep)
-                    obs.append(step.observations)
-            for acc, ep, ep_rows in zip(accs, numbers, rows):
-                records.append(acc.finalize(ep, 0.0, 0.0))
-                if ts_rows is not None:
-                    ts_rows.extend(ep_rows)
+                    step = self.env.step_block(block, actions)
+                off = np.flatnonzero(np.atleast_1d(step.done) != (t == horizon - 1))
+                if len(off):
+                    raise RuntimeError(
+                        f"greedy evaluation runs episodes of {horizon} TS (env.horizon), but "
+                        f"episode {numbers[off[0]]} {'ended' if t < horizon - 1 else 'goes on'}"
+                        f" at TS {t + 1}"
+                    )
+                acc.add(step, label)
+                obs = step.observations
+            result = acc.finalize(label, 0.0, 0.0)
+            records.extend([result] if block is None else result)
         return records
 
 

@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .agents import FederatedTrainer
 from .env import EdgeAssocEnv
@@ -35,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--episodes", type=int, help="training episodes per run")
     parser.add_argument(
         "--sigma", type=float,
-        help="sharing-noise standard deviation for training; --eval keeps the checkpoint's",
+        help="sharing-noise standard deviation; with --eval, the one the checkpoint acts at",
     )
     parser.add_argument("--num-rsus", type=int, help="number of roadside units")
     parser.add_argument("--out", type=Path, help="output directory")
@@ -53,14 +54,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The flags each mode reads, by argparse dest; --config and --out serve every
-# mode. A sweep sets its own axis, and --eval takes the checkpoint's trainer,
-# streams and noise, so a flag that a mode does not read is rejected.
+# mode. A sweep sets its own axis, and --eval takes the checkpoint's trainer
+# and streams, so a flag that a mode does not read is rejected.
 _RUN_FLAGS = {"algo", "seed", "episodes", "sigma", "num_rsus"}
 _MODE_FLAGS = {
     "a run without --sweep": _RUN_FLAGS,
     "--sweep rsus": _RUN_FLAGS - {"num_rsus"} | {"sweep", "values"},
     "--sweep sigma": _RUN_FLAGS - {"sigma"} | {"sweep", "values"},
-    "--eval": {"eval", "episodes", "num_rsus"},
+    "--eval": {"eval", "episodes", "num_rsus", "sigma"},
 }
 
 
@@ -72,10 +73,7 @@ def _check_flags(args: argparse.Namespace) -> None:
         mode = f"--sweep {args.sweep}" if args.sweep else "a run without --sweep"
     for name, value in vars(args).items():
         if value is not None and name not in _MODE_FLAGS[mode] | {"config", "out"}:
-            note = ""
-            if (mode, name) == ("--eval", "sigma"):
-                note = ": the checkpoint's share_noise_std applies"
-            raise ValueError(f"--{name.replace('_', '-')} does not apply to {mode}{note}")
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {mode}")
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
@@ -95,16 +93,22 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
     return config_from_dict(data)
 
 
-def _evaluate_checkpoint(cfg: ExperimentConfig, checkpoint: Path, episodes: int) -> Path:
+def _evaluate_checkpoint(
+    cfg: ExperimentConfig, checkpoint: Path, episodes: int, sigma: Optional[float]
+) -> tuple[Path, float]:
+    """Write the greedy records of `checkpoint`, acting at `sigma` or, when it
+    is None, at the checkpoint's own share_noise_std; returns the path and σ."""
     # The seed is immaterial: the checkpoint's env state replaces every stream.
     env = EdgeAssocEnv(cfg.env, 0)
     trainer = FederatedTrainer.load(checkpoint, env)
+    if sigma is not None:
+        trainer.cfg.share_noise_std = sigma
     records = trainer.evaluate(episodes)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "eval_metrics.csv"
     write_metrics_csv(path, records)
-    return path
+    return path, trainer.cfg.share_noise_std
 
 
 def main(argv=None) -> int:
@@ -115,8 +119,9 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(cfg, args)
         if args.eval:
             episodes = cfg.eval_window if args.episodes is None else args.episodes
-            path = _evaluate_checkpoint(cfg, args.eval, episodes)
-            print(f"wrote {path}")
+            # _apply_overrides has checked --sigma as a config value.
+            path, sigma = _evaluate_checkpoint(cfg, args.eval, episodes, args.sigma)
+            print(f"wrote {path} at sigma {sigma!r}")
             return 0
         if args.sweep:
             if not args.values:

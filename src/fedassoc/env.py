@@ -120,13 +120,17 @@ def _max_power_w(power_max_dbm: float) -> float:
     return float(dbm_to_watt(power_max_dbm))
 
 
-def list_mean(values: Sequence[float]) -> float:
+def list_mean(values: Union[Sequence[float], np.ndarray]) -> Union[float, np.ndarray]:
     """`np.mean` of a list of floats, bit for bit, without building an array.
 
     numpy adds fewer than 8 values one by one, left to right from 0.0; longer
-    lists take its pairwise sum.
+    lists take its pairwise sum. A (K, n) array gives its n column means,
+    each with the bits of `list_mean` of that column as a list.
     """
     if len(values) >= 8:
+        if isinstance(values, np.ndarray):
+            # numpy sums each contiguous row pairwise, as it sums one list.
+            return np.mean(np.ascontiguousarray(values.T), axis=1)
         return float(np.mean(values))
     total = 0.0
     for v in values:
@@ -257,7 +261,14 @@ def utility(
 
 @dataclass
 class StepResult:
-    """Outcome of one joint TS; per-vehicle values are lists in vehicle order."""
+    """Outcome of one joint TS; per-vehicle values are lists in vehicle order.
+
+    A block step (`EdgeAssocEnv.step_block`) fills the same fields for n
+    episodes in lockstep: each per-vehicle list becomes a (K, n) array, row k
+    holding vehicle k's values across the episodes; `reward`, `violations`
+    and `done` become (n,) arrays and `penalty` a list of n values;
+    `observations` is a (K, n, obs_dim) array, one stack per vehicle.
+    """
 
     reward: float              # mean utility plus penalty
     utilities: list[float]
@@ -269,6 +280,23 @@ class StepResult:
     penalty: float             # cfg.penalty when violations > 0, else 0.0
     observations: list[np.ndarray]  # next normalized observation vectors
     done: bool
+
+
+@dataclass
+class EnvBlock:
+    """Episodes of one world that `EdgeAssocEnv.step_block` advances in
+    lockstep, their rows stacked with the episode axis after the vehicle axis."""
+
+    t: int                  # the episodes' current TS, 1-based
+    slots: np.ndarray       # (horizon + 1, K, n, visible_rsus) RSU id of each action slot
+    gains: np.ndarray       # (horizon + 1, K, n, R)
+    obs: np.ndarray         # (horizon + 1, K, n, obs_dim)
+    prev_assoc: np.ndarray  # (K, n) previous RSU ids, -1 when none
+
+    def __post_init__(self):
+        k, n = self.prev_assoc.shape
+        # Index arrays that pick one entry per vehicle and episode.
+        self.vehicles, self.episodes = np.arange(k)[:, None], np.arange(n)
 
 
 # --------------------------------------------------------------------------
@@ -498,6 +526,91 @@ class EdgeAssocEnv:
             penalty=penalty,
             observations=list(obs),
             done=done,
+        )
+
+    def stack_block(self, envs: Sequence["EdgeAssocEnv"]) -> EnvBlock:
+        """The block of `envs`, copies of this env at one TS of their episodes
+        (as `reset` leaves them), for `step_block`. The copies are not
+        advanced by it."""
+        if any(env.world is None for env in envs):
+            raise RuntimeError("call reset() on every env of a block before stack_block()")
+        t = envs[0].world.t
+        if any(env.world.t != t for env in envs):
+            raise ValueError("the envs of a block must be at one TS")
+        slots = np.stack([env._slots for env in envs], axis=2)
+        return EnvBlock(
+            t=t,
+            # A padded slot falls back to the nearest RSU, -1 when none is in range.
+            slots=np.where(slots < 0, slots[..., :1], slots),
+            gains=np.stack([env._gains for env in envs], axis=2),
+            obs=np.stack([env._obs for env in envs], axis=2),
+            prev_assoc=np.stack([env.world.prev_assoc for env in envs], axis=1),
+        )
+
+    def step_block(self, block: EnvBlock, actions: Sequence[np.ndarray]) -> StepResult:
+        """`step` for every episode of `block` at once: `actions[k]` holds
+        vehicle k's action index in each episode. Returns a block StepResult
+        whose episode i has the values, bits and Python types of `step` on
+        episode i, and raises as `step` does for the first offending episode.
+        """
+        cfg = self.cfg
+        if block.t > cfg.horizon:
+            raise RuntimeError("the episode is done; call reset() before step()")
+        if len(actions) != cfg.num_vehicles:
+            raise ValueError("one action per vehicle required")
+        acts = np.asarray(actions)
+        k_count, n = block.prev_assoc.shape
+        if acts.shape != (k_count, n) or acts.dtype.kind not in "iu":
+            raise ValueError(f"one action index per vehicle required in each of the {n} episodes")
+        flat = acts.ravel().tolist()
+        if min(flat) < 0 or max(flat) >= cfg.actions_per_agent:
+            # The first offending episode, then vehicle, as n `step` calls find it.
+            idx = next(a for a in acts.T.ravel().tolist() if not 0 <= a < cfg.actions_per_agent)
+            raise ValueError(f"action index {idx} out of range")
+
+        row = block.t - 1
+        vehicles, episodes = block.vehicles, block.episodes
+        slot, level = np.divmod(acts, cfg.power_levels)
+        assoc = block.slots[row][vehicles, episodes, slot]
+        served = assoc >= 0
+        won = served.copy()
+        contested = 0
+        # Lowest vehicle index wins a contested RSU; losers are muted this TS.
+        # An RSU counts as contested once, at its first loser.
+        for k in range(1, k_count):
+            earlier = sum(assoc[j] == assoc[k] for j in range(k))
+            won[k] &= earlier == 0
+            contested = contested + (served[k] & (earlier == 1))
+        prev = block.prev_assoc
+        ho_flags = (served & (prev >= 0) & (prev != assoc)).astype(int)
+        tx_powers = np.where(won, np.asarray(self._power_w)[level], 0.0)
+        gains = block.gains[row][vehicles, episodes, assoc]
+        one_plus_snr = (1.0 + tx_powers * gains / self._noise_w).ravel().tolist()
+        # math.log2, as in achievable_rate: np.log2 differs from it in the last
+        # bit on some arguments.
+        rates = np.array(
+            [math.log2(x) if w else 0.0 for x, w in zip(one_plus_snr, won.ravel().tolist())]
+        ).reshape(k_count, n)
+
+        violations = contested + (rates < cfg.min_rate).sum(axis=0)
+        penalty = [cfg.penalty if v else 0.0 for v in violations.tolist()]
+        utilities = utility(rates, ho_flags, tx_powers, cfg)
+
+        block.prev_assoc = assoc
+        block.t += 1
+        obs = block.obs[row + 1]
+        obs[..., -2:] = self._prev_location[assoc]
+        return StepResult(
+            reward=list_mean(utilities) + np.array(penalty, dtype=float),
+            utilities=utilities,
+            rates=rates,
+            ho_flags=ho_flags,
+            tx_powers_w=tx_powers,
+            assoc_rsus=assoc,
+            violations=violations,
+            penalty=penalty,
+            observations=obs,
+            done=np.full(n, block.t > cfg.horizon),
         )
 
     # -- state capture (checkpoint support) ----------------------------------

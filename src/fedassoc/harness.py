@@ -266,18 +266,22 @@ def sweep(
     """Repeat the experiment along one axis and consolidate window statistics.
 
     axis "rsus" varies the RSU count for every configured algorithm; axis
-    "sigma" varies the sharing-noise level and runs the proposed method only.
-    Each value overrides its config key and is checked like a config file's,
-    and values whose output directories coincide (8 and 8, or 0.1 and
-    0.10000001) are rejected, all before anything is written.
+    "sigma" varies the sharing-noise level, which only the proposed method
+    has, so a config that names another algorithm is rejected. Each value
+    overrides its config key and is checked like a config file's, and values
+    whose output directories coincide (8 and 8, or 0.1 and 0.10000001) are
+    rejected, all before anything is written.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}")
     if not values:
         raise ValueError("sweep needs at least one value")
+    others = [algo for algo in cfg.algos if algo != "proposed"]
+    if axis == "sigma" and others:
+        raise ValueError(
+            f"--sweep sigma varies the sharing noise of proposed only, but algos names {others}"
+        )
     base = config_to_dict(cfg)
-    if axis == "sigma":
-        base["algos"] = ["proposed"]
     base_dir = Path(cfg.out_dir) / f"sweep_{axis}"
     runs: dict[str, tuple[float, ExperimentConfig]] = {}
     for value in values:

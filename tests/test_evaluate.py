@@ -84,17 +84,21 @@ def assert_lockstep_matches_sequential(algo, make_env, cfg, episodes):
     assert stream_states(lockstep) == stream_states(sequential)
 
 
-def small_env(seed=3):
-    return EdgeAssocEnv(EnvConfig(horizon=4), seed)
+def small_env(seed=3, penalty=-1.0):
+    return EdgeAssocEnv(EnvConfig(horizon=4, penalty=penalty), seed)
 
 
 @pytest.mark.parametrize("algo", ALGOS)
 @pytest.mark.parametrize("episodes", [1, 3])
 def test_lockstep_matches_sequential(algo, episodes):
-    for mode in ("vector", "scalar") if algo == "proposed" else ("vector",):
-        for sigma in (0.0, 1.0):
-            cfg = small_cfg(share_mode=mode, share_noise_std=sigma)
-            assert_lockstep_matches_sequential(algo, small_env, cfg, episodes)
+    # An integer penalty goes into TS rows as the int itself.
+    for mode, sigma, penalty in itertools.product(
+        ("vector", "scalar") if algo == "proposed" else ("vector",), (0.0, 1.0), (-1.0, -1)
+    ):
+        cfg = small_cfg(share_mode=mode, share_noise_std=sigma)
+        assert_lockstep_matches_sequential(
+            algo, lambda: small_env(penalty=penalty), cfg, episodes
+        )
 
 
 @pytest.mark.parametrize("algo", ALGOS)

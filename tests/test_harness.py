@@ -20,7 +20,7 @@ from fedassoc.harness import (
     window_stats,
     write_summary,
 )
-from fedassoc.agents import TrainerConfig
+from fedassoc.agents import FederatedTrainer, TrainerConfig
 from fedassoc.env import EnvConfig
 from fedassoc.metrics import EpisodeRecord, read_metrics_csv, record_cells, write_metrics_csv
 
@@ -257,13 +257,24 @@ def test_rsu_sweep_layout_and_rows(tmp_path):
     assert (tmp_path / "runs" / "sweep_rsus" / "rsus_8" / "metrics_imarl_seed2.csv").exists()
 
 
-def test_sigma_sweep_restricted_to_proposed(tmp_path):
+def test_sigma_sweep_rejects_other_algorithms(tmp_path, capsys):
     cfg = tiny_config(tmp_path / "runs", seeds=(1,), algos=("proposed", "cdrl"))
-    stats = sweep(cfg, "sigma", [0.0, 1.0])
-    assert {s.algo for s in stats} == {"proposed"}
-    assert len(stats) == 2
+    with pytest.raises(ValueError, match=r"proposed only, but algos names \['cdrl'\]"):
+        sweep(cfg, "sigma", [0.0, 1.0])
     with pytest.raises(ValueError):
         sweep(cfg, "speed", [1.0])
+    assert not (tmp_path / "runs").exists()
+    rc = cli_main([
+        "--config", str(cli_config(tmp_path)), "--sweep", "sigma", "--values", "0",
+        "--algo", "cdrl",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: --sweep sigma varies the sharing noise of proposed only, " \
+        "but algos names ['cdrl']\n"
+    assert not (tmp_path / "runs").exists()
+    cfg.algos = ("proposed",)
+    assert [(s.algo, s.seed) for s in sweep(cfg, "sigma", [0.0, 1.0])] == [("proposed", 1)] * 2
 
 
 def test_window_stats_iqr():
@@ -332,21 +343,52 @@ def test_cli_eval_from_checkpoint(tmp_path):
     assert len(records) == 2
 
 
+def test_cli_eval_acts_at_the_given_sigma(tmp_path, capsys, monkeypatch):
+    cfg_path = cli_config(tmp_path)
+    assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+    state = json.loads((ckpt / "state.json").read_text())
+    assert state["cfg"]["share_noise_std"] == 1.0
+    loaded, load = [], FederatedTrainer.load
+
+    def recording_load(directory, env):
+        loaded.append(load(directory, env))
+        return loaded[-1]
+
+    monkeypatch.setattr(FederatedTrainer, "load", recording_load)
+    capsys.readouterr()
+
+    def evaluate(name, *flags):
+        out = tmp_path / name
+        argv = ["--config", str(tmp_path / "runs" / "config.json"), "--eval", str(ckpt),
+                "--episodes", "3", "--out", str(out), *flags]
+        assert cli_main(argv) == 0
+        return capsys.readouterr().out, (out / "eval_metrics.csv").read_bytes()
+
+    out, plain = evaluate("plain")
+    assert out == f"wrote {tmp_path / 'plain' / 'eval_metrics.csv'} at sigma 1.0\n"
+    out, own = evaluate("own", "--sigma", "1")
+    assert own == plain and out.endswith(" at sigma 1.0\n")
+    out, _ = evaluate("noiseless", "--sigma", "0")
+    assert out.endswith(" at sigma 0.0\n")
+    # At sigma 0 nothing is drawn; at the checkpoint's sigma the noise was.
+    assert loaded[-1].rng_noise.bit_generator.state == state["rng_noise"]
+    assert loaded[-2].rng_noise.bit_generator.state != state["rng_noise"]
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
         (["--eval", "CKPT", "--sweep", "rsus", "--values", "8"], "--sweep does not apply to --eval"),
         (["--eval", "CKPT", "--algo", "cdrl"], "--algo does not apply to --eval"),
         (["--eval", "CKPT", "--seed", "7"], "--seed does not apply to --eval"),
-        (["--eval", "CKPT", "--sigma", "1"],
-         "--sigma does not apply to --eval: the checkpoint's share_noise_std applies"),
         (["--values", "8,12"], "--values does not apply to a run without --sweep"),
         (["--sweep", "sigma", "--values", "0,1", "--sigma", "2"],
          "--sigma does not apply to --sweep sigma"),
         (["--sweep", "rsus", "--values", "8", "--num-rsus", "12"],
          "--num-rsus does not apply to --sweep rsus"),
     ],
-    ids=["eval-sweep", "eval-algo", "eval-seed", "eval-sigma", "values-without-sweep",
+    ids=["eval-sweep", "eval-algo", "eval-seed", "values-without-sweep",
          "sigma-sweep-sigma", "rsus-sweep-num-rsus"],
 )
 def test_cli_rejects_a_flag_its_mode_ignores(tmp_path, capsys, flags, message):
@@ -389,8 +431,8 @@ def test_cli_reports_errors(tmp_path, capsys):
         ({"mean_speeds": 5}, "mean_speeds must be a list of numbers, got 5"),
         ({"mean_speeds": ["5", 7.0]}, "mean_speeds must be a list of numbers, got ['5', 7.0]"),
         ({"algos": "proposed"}, "algos must be a list of strings, got 'proposed'"),
-        ({}, "the checkpoint's share_noise_std applies",
-         "--eval", str(tmp_path / "ckpt"), "--sigma", "5"),
+        ({}, "share_noise_std must be >= 0", "--eval", str(tmp_path / "ckpt"), "--sigma", "-1"),
+        ({}, "share_noise_std must be finite", "--eval", str(tmp_path / "ckpt"), "--sigma", "nan"),
         # Each field's annotation is its type: bools are not numbers, and
         # strings are not numbers or booleans.
         ({"penalty": True}, "penalty must be a number, got True"),

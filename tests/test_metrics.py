@@ -6,6 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toy_env import stack_steps
+
 from fedassoc.env import StepResult, list_mean
 from fedassoc.metrics import EpisodeRecord, MetricAccumulator
 
@@ -24,6 +26,16 @@ def test_list_mean_is_np_mean_bit_for_bit(n, seed):
     assert repr(list_mean(values.tolist())) == repr(float(np.mean(values)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_list_mean_of_an_array_is_each_column_list_mean(k, n, seed):
+    rng = np.random.default_rng(seed)
+    values = random_values(rng, k * n).reshape(k, n)
+    values[rng.random((k, n)) < 0.2] = -0.0
+    want = [list_mean(column) for column in values.T.tolist()]
+    assert repr(list_mean(values).tolist()) == repr(want)
+
+
 def random_step(rng, k):
     violations = int(rng.integers(0, 4))
     return StepResult(
@@ -34,8 +46,8 @@ def random_step(rng, k):
         tx_powers_w=rng.uniform(0.0, 3.2, k).tolist(),
         assoc_rsus=rng.integers(-1, 12, k).tolist(),
         violations=violations,
-        penalty=-1.0 if violations else 0.0,
-        observations=[],
+        penalty=[-1, -1.0][rng.integers(2)] if violations else 0.0,
+        observations=[np.zeros(1)] * k,
         done=False,
     )
 
@@ -82,4 +94,25 @@ def test_accumulator_matches_np_mean_reference(k, steps, log_ts, seed):
         got = acc.finalize(episode, 0.5, 0.01)
         want = reference_record(stream, episode, want_rows)
         assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
+    assert repr(got_rows) == repr(want_rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_block_accumulator_matches_one_episode_at_a_time(k, steps, n, seed):
+    rng = np.random.default_rng(seed)
+    episodes = [[random_step(rng, k) for _ in range(steps)] for _ in range(n)]
+    want_rows, want = [], []
+    acc = MetricAccumulator(want_rows)
+    for episode, stream in enumerate(episodes, start=1):
+        for step in stream:
+            acc.add(step, episode)
+        want.append(acc.finalize(episode, 0.5, 0.01))
+    got_rows = []
+    acc = MetricAccumulator(got_rows)
+    numbers = range(1, n + 1)
+    for ts_steps in zip(*episodes):
+        acc.add(stack_steps(ts_steps), numbers)
+    got = acc.finalize(numbers, 0.5, 0.01)
+    assert repr(got) == repr(want)
     assert repr(got_rows) == repr(want_rows)

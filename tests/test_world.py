@@ -1,5 +1,6 @@
 """World construction, observations and the joint step contract."""
 
+import copy
 import json
 import math
 import re
@@ -456,6 +457,126 @@ def test_planned_env_matches_per_ts_reference(seed, coverage_radius, horizon, nu
 def test_planned_env_matches_reference_over_many_episodes():
     env, ref = twin_pair(EnvConfig(coverage_radius=150.0), 43)
     run_episodes(env, ref, np.random.default_rng(5), episodes=25)
+
+
+STEP_FIELDS = ("reward", "utilities", "rates", "ho_flags", "tx_powers_w", "assoc_rsus",
+               "violations", "penalty", "done")
+
+
+def step_values(step):
+    """Every field of a `step` result, observations as bits."""
+    values = {name: getattr(step, name) for name in STEP_FIELDS}
+    values["observations"] = [bits(o) for o in step.observations]
+    return values
+
+
+def episode_values(block_step, i):
+    """Episode i's fields of a `step_block` result, as `step_values` gives them."""
+    values = {}
+    for name in STEP_FIELDS:
+        value = getattr(block_step, name)
+        if isinstance(value, list):  # the penalty cells
+            values[name] = value[i]
+        elif value.ndim == 2:  # one row per vehicle
+            values[name] = value[:, i].tolist()
+        else:
+            values[name] = value.tolist()[i]
+    values["observations"] = [bits(o[i]) for o in block_step.observations]
+    return values
+
+
+def with_clashes(actions, envs, rng, cfg):
+    """`actions` with some vehicles moved onto the RSU that vehicle 0 picks."""
+    actions = actions.copy()
+    for i, env in enumerate(envs):
+        slot_maps = env._slots[env.world.t - 1]
+        target = slot_maps[0][actions[0, i] // cfg.power_levels]
+        target = slot_maps[0][0] if target < 0 else target
+        for k in range(1, cfg.num_vehicles):
+            hits = np.flatnonzero(slot_maps[k] == target)
+            if target >= 0 and len(hits) and rng.random() < 0.7:
+                actions[k, i] = hits[0] * cfg.power_levels + actions[k, i] % cfg.power_levels
+    return actions
+
+
+def raised(call, *args):
+    with pytest.raises((ValueError, RuntimeError)) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    coverage_radius=st.floats(5.0, 600.0),
+    horizon=st.sampled_from([1, 2, 7]),
+    num_rsus=st.sampled_from([2, 4, 8, 12, 16]),
+    penalty=st.sampled_from([-1, -1.0, -0.5, 0]),
+    episodes=st.integers(1, 5),
+    data=st.data(),
+)
+def test_block_step_matches_env_step(
+    seed, coverage_radius, horizon, num_rsus, penalty, episodes, data
+):
+    # Each episode of a block, stepped at once, against `step` on its own copy.
+    cfg = EnvConfig(
+        num_vehicles=data.draw(st.integers(1, min(4, num_rsus))),
+        num_rsus=num_rsus,
+        visible_rsus=data.draw(st.integers(1, num_rsus)),
+        coverage_radius=coverage_radius,
+        horizon=horizon,
+        penalty=penalty,
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    env = EdgeAssocEnv(cfg, seed)
+    envs = [copy.copy(env) for _ in range(episodes)]
+    first_obs = [env_i.reset() for env_i in envs]
+    block = env.stack_block(envs)
+    assert [bits(o) for o in block.obs[0].transpose(1, 0, 2)] == [
+        bits(np.array(obs)) for obs in first_obs
+    ]
+    shape = (cfg.num_vehicles, episodes)
+    for _ in range(horizon):
+        actions = with_clashes(rng.integers(0, cfg.actions_per_agent, shape), envs, rng, cfg)
+        bad = actions.copy()
+        # One or two distinct bad indices, so the message names the first one.
+        count = rng.integers(1, min(2, bad.size) + 1)
+        bad.flat[rng.choice(bad.size, count, replace=False)] = rng.choice(
+            [-1, -3, cfg.actions_per_agent, cfg.actions_per_agent + 7], count, replace=False
+        )
+        first_bad = int(np.flatnonzero(((bad < 0) | (bad >= cfg.actions_per_agent)).any(0))[0])
+        assert raised(env.step_block, block, bad) == raised(
+            envs[first_bad].step, bad[:, first_bad].tolist()
+        )
+        assert raised(env.step_block, block, actions[:-1])[0] is ValueError
+        got = env.step_block(block, actions)
+        for i, env_i in enumerate(envs):
+            want = env_i.step(actions[:, i].tolist())
+            assert repr(episode_values(got, i)) == repr(step_values(want))
+    assert raised(env.step_block, block, actions) == raised(
+        envs[0].step, actions[:, 0].tolist()
+    )
+
+
+def test_stack_block_takes_copies_at_one_ts():
+    env = make_env(seed=5)
+    envs = [copy.copy(env) for _ in range(3)]
+    with pytest.raises(RuntimeError, match="call reset"):
+        env.stack_block(envs)
+    for env_i in envs:
+        env_i.reset()
+    envs[0].step([0, 0])
+    with pytest.raises(ValueError, match="at one TS"):
+        env.stack_block(envs)
+    # Mid-episode copies stack too, and step on from their TS.
+    for env_i in envs[1:]:
+        env_i.step([5, 1])
+    block = env.stack_block(envs)
+    actions = np.array([[3, 4, 9], [3, 0, 15]])
+    got = env.step_block(block, actions)
+    for i, env_i in enumerate(envs):
+        want = env_i.step(actions[:, i].tolist())
+        assert repr(episode_values(got, i)) == repr(step_values(want))
 
 
 @pytest.mark.parametrize("steps", [4, 30, 32], ids=["mid-episode", "boundary", "past-horizon"])

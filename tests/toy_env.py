@@ -46,6 +46,36 @@ class ToyEnv:
             done=True,
         )
 
+    def stack_block(self, envs):
+        return list(envs)
+
+    def step_block(self, envs, actions):
+        """`EdgeAssocEnv.step_block`'s result, by one `step` per env."""
+        steps = [env.step(acts) for env, acts in zip(envs, zip(*actions))]
+        return stack_steps(steps)
+
+
+def stack_steps(steps) -> StepResult:
+    """The block StepResult of one StepResult per episode."""
+    def per_vehicle(name):
+        return np.array([getattr(step, name) for step in steps]).T
+
+    def per_episode(name):
+        return np.array([getattr(step, name) for step in steps])
+
+    return StepResult(
+        reward=per_episode("reward"),
+        utilities=per_vehicle("utilities"),
+        rates=per_vehicle("rates"),
+        ho_flags=per_vehicle("ho_flags"),
+        tx_powers_w=per_vehicle("tx_powers_w"),
+        assoc_rsus=per_vehicle("assoc_rsus"),
+        violations=per_episode("violations"),
+        penalty=[step.penalty for step in steps],
+        observations=np.array([step.observations for step in steps]).transpose(1, 0, 2),
+        done=per_episode("done"),
+    )
+
 
 def separable_table(num_actions: int, seed: int) -> np.ndarray:
     """Additive reward table: the joint argmax is also each agent's marginal
