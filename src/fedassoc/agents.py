@@ -19,7 +19,6 @@ follower's action fixed to its own pick.
 
 from __future__ import annotations
 
-import copy
 import json
 import zipfile
 from contextlib import contextmanager
@@ -43,6 +42,7 @@ from .nn import (
     load_net,
     save_net,
     sgd_step,
+    td_loss,
     zero_grads,
 )
 from .replay import Batch, ReplayBuffer
@@ -175,13 +175,9 @@ class Trainer:
     The seed spawns four streams: network init, exploration, replay sampling
     and sharing noise (drawn only by the federated pair).
 
-    `evaluate` runs each greedy episode on a shallow copy of `env`. An env
-    therefore keeps its random streams in objects that the copies share, and
-    `reset` rebinds every attribute that holds the episode, as
-    `EdgeAssocEnv` does; it names its episode length `horizon`. It also
-    supplies the block step that advances two or more copies in lockstep:
-    `stack_block(copies)` and `step_block(block, actions)`, whose result is
-    the block StepResult that `EdgeAssocEnv.step_block` describes.
+    Besides `reset` and `step`, an env names its episode length `horizon`
+    and supplies the block step of `evaluate`: `reset_block(n)` and
+    `step_block(block, actions)`, as `EdgeAssocEnv` describes them.
     """
 
     def __init__(self, env, cfg: TrainerConfig, seed: int):
@@ -260,19 +256,18 @@ class Trainer:
                     if self.train_steps % cfg.target_sync == 0:
                         self.sync_targets()
             self.end_episode()
-            records.append(acc.finalize(self.episode, eps, lr))
+            records.extend(acc.finalize(self.episode, eps, lr))
         return records
 
-    def evaluate(self, episodes: int, ts_rows: Optional[list] = None) -> list[EpisodeRecord]:
+    def evaluate(self, episodes: int) -> list[EpisodeRecord]:
         """Greedy rollouts without learning; the federated pair still adds noise.
 
         The episodes run in blocks of up to `EVAL_BLOCK` that advance in
-        lockstep. A block resets one copy of the env per episode, in episode
-        order, then draws the block's sharing noise (`share_noise`) and
-        stacks the copies (`env.stack_block`). Each TS makes one
+        lockstep. A block starts its episodes in order (`env.reset_block`),
+        then draws its sharing noise (`share_noise`). Each TS makes one
         `select_actions` call on the stacked observations and one
         `env.step_block`; a lone episode selects on its vectors and calls
-        `step`, which costs less than a block of one. Records, TS rows and
+        `reset` and `step`, which cost less than a block of one. Records and
         every random stream end as when the episodes run one at a time, bit
         for bit. The noise is drawn for episodes of `env.horizon` TS, so an
         episode that ends on another TS raises RuntimeError.
@@ -280,35 +275,32 @@ class Trainer:
         horizon = self.env.horizon
         records = []
         for first in range(1, episodes + 1, EVAL_BLOCK):
-            numbers = range(first, min(first + EVAL_BLOCK, episodes + 1))
-            envs = [copy.copy(self.env) for _ in numbers]
-            obs = [env.reset() for env in envs]
-            noise = self.share_noise(len(envs), horizon)
-            if len(envs) == 1:
-                block, label, obs = None, first, obs[0]
-                noise = None if noise is None else noise[0]
+            n = min(EVAL_BLOCK, episodes + 1 - first)
+            if n == 1:
+                block, obs = None, self.env.reset()
             else:
-                block = self.env.stack_block(envs)
-                label, obs = numbers, [np.array(agent_obs) for agent_obs in zip(*obs)]
-            acc = MetricAccumulator(ts_rows)
+                block, obs = self.env.reset_block(n)
+            noise = self.share_noise(n, horizon)
+            if n == 1 and noise is not None:
+                noise = noise[0]
+            acc = MetricAccumulator()
             for t in range(horizon):
                 ts_noise = None if noise is None else noise[..., t, :]
                 actions = self.select_actions(obs, 0.0, ts_noise)
                 if block is None:
-                    step = envs[0].step(actions)
+                    step = self.env.step(actions)
                 else:
                     step = self.env.step_block(block, actions)
                 off = np.flatnonzero(np.atleast_1d(step.done) != (t == horizon - 1))
                 if len(off):
                     raise RuntimeError(
                         f"greedy evaluation runs episodes of {horizon} TS (env.horizon), but "
-                        f"episode {numbers[off[0]]} {'ended' if t < horizon - 1 else 'goes on'}"
+                        f"episode {first + off[0]} {'ended' if t < horizon - 1 else 'goes on'}"
                         f" at TS {t + 1}"
                     )
-                acc.add(step, label)
+                acc.add(step, first)
                 obs = step.observations
-            result = acc.finalize(label, 0.0, 0.0)
-            records.extend([result] if block is None else result)
+            records.extend(acc.finalize(first, 0.0, 0.0))
         return records
 
 
@@ -445,13 +437,8 @@ class FederatedTrainer(Trainer):
             peer_in = self._share(q_peer[np.arange(n), peer_act])[:, None]
             cols = own_act
         pred, cache_mlp = forward(self.pair.mlp, np.hstack([q_own, peer_in]), cols)
-        err = pred - targets
-        loss = float(np.mean(err * err))
-        if not np.isfinite(loss):
-            raise RuntimeError("non-finite training loss")
-        g_mlp, d_in = backward(
-            self.pair.mlp, cache_mlp, 2.0 * err / n, cols, grads=self._grads("mlp")
-        )
+        loss, d_pred = td_loss(pred, targets)
+        g_mlp, d_in = backward(self.pair.mlp, cache_mlp, d_pred, cols, grads=self._grads("mlp"))
         g_own, _ = backward(getattr(self.pair, own), cache_own, d_in[:, :a], grads=self._grads(own))
         return loss, g_own, g_mlp
 

@@ -21,6 +21,7 @@ from .nn import (
     forward,
     init_net,
     sgd_step,
+    td_loss,
     zero_grads,
 )
 from .replay import Batch
@@ -80,15 +81,11 @@ class _DdqnHead:
         lr: float,
     ) -> float:
         targets = ddqn_target(rewards, next_obs, self.net, self.target, self.cfg.discount, done)
-        n = len(actions)
         pred, cache = forward(self.net, obs, actions)
-        err = pred - targets
-        loss = float(np.mean(err * err))
-        if not np.isfinite(loss):
-            raise RuntimeError("non-finite training loss")
+        loss, d_pred = td_loss(pred, targets)
         if self.grads is None:
             self.grads = zero_grads(self.net)
-        grads, _ = backward(self.net, cache, 2.0 * err / n, actions, grads=self.grads)
+        grads, _ = backward(self.net, cache, d_pred, actions, grads=self.grads)
         sgd_step([(self.net, grads)], lr, self.cfg.grad_clip)
         return loss
 

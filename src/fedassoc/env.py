@@ -265,8 +265,8 @@ class StepResult:
 
     A block step (`EdgeAssocEnv.step_block`) fills the same fields for n
     episodes in lockstep: each per-vehicle list becomes a (K, n) array, row k
-    holding vehicle k's values across the episodes; `reward`, `violations`
-    and `done` become (n,) arrays and `penalty` a list of n values;
+    holding vehicle k's values across the episodes; `reward`, `violations`,
+    `penalty` and `done` become (n,) arrays, the penalty a float one;
     `observations` is a (K, n, obs_dim) array, one stack per vehicle.
     """
 
@@ -528,30 +528,30 @@ class EdgeAssocEnv:
             done=done,
         )
 
-    def stack_block(self, envs: Sequence["EdgeAssocEnv"]) -> EnvBlock:
-        """The block of `envs`, copies of this env at one TS of their episodes
-        (as `reset` leaves them), for `step_block`. The copies are not
-        advanced by it."""
-        if any(env.world is None for env in envs):
-            raise RuntimeError("call reset() on every env of a block before stack_block()")
-        t = envs[0].world.t
-        if any(env.world.t != t for env in envs):
-            raise ValueError("the envs of a block must be at one TS")
-        slots = np.stack([env._slots for env in envs], axis=2)
-        return EnvBlock(
-            t=t,
+    def reset_block(self, n: int) -> tuple[EnvBlock, list[np.ndarray]]:
+        """Start n episodes, by `reset` in episode order, as one block for
+        `step_block`. Returns the block and each vehicle's (n, obs_dim) stack
+        of first observations; the env is left at TS 1 of the last episode."""
+        rows = []
+        for _ in range(n):
+            self.reset()
+            rows.append((self._slots, self._gains, self._obs))
+        slots, gains, obs = (np.stack(stack, axis=2) for stack in zip(*rows))
+        block = EnvBlock(
+            t=1,
             # A padded slot falls back to the nearest RSU, -1 when none is in range.
             slots=np.where(slots < 0, slots[..., :1], slots),
-            gains=np.stack([env._gains for env in envs], axis=2),
-            obs=np.stack([env._obs for env in envs], axis=2),
-            prev_assoc=np.stack([env.world.prev_assoc for env in envs], axis=1),
+            gains=gains,
+            obs=obs,
+            prev_assoc=np.full((self.cfg.num_vehicles, n), -1),
         )
+        return block, list(obs[0])
 
     def step_block(self, block: EnvBlock, actions: Sequence[np.ndarray]) -> StepResult:
         """`step` for every episode of `block` at once: `actions[k]` holds
         vehicle k's action index in each episode. Returns a block StepResult
-        whose episode i has the values, bits and Python types of `step` on
-        episode i, and raises as `step` does for the first offending episode.
+        whose episode i has the values and bits of `step` on episode i, and
+        raises as `step` does for the first offending episode.
         """
         cfg = self.cfg
         if block.t > cfg.horizon:
@@ -593,7 +593,7 @@ class EdgeAssocEnv:
         ).reshape(k_count, n)
 
         violations = contested + (rates < cfg.min_rate).sum(axis=0)
-        penalty = [cfg.penalty if v else 0.0 for v in violations.tolist()]
+        penalty = np.where(violations > 0, float(cfg.penalty), 0.0)
         utilities = utility(rates, ho_flags, tx_powers, cfg)
 
         block.prev_assoc = assoc
@@ -601,7 +601,7 @@ class EdgeAssocEnv:
         obs = block.obs[row + 1]
         obs[..., -2:] = self._prev_location[assoc]
         return StepResult(
-            reward=list_mean(utilities) + np.array(penalty, dtype=float),
+            reward=list_mean(utilities) + penalty,
             utilities=utilities,
             rates=rates,
             ho_flags=ho_flags,

@@ -51,9 +51,10 @@ def record_cells(record) -> list:
 class MetricAccumulator:
     """Accumulates StepResult streams into one EpisodeRecord per episode.
 
-    It takes one episode at a time, or the lockstep episodes of a block
+    It takes the TS of one episode, or of the lockstep episodes of a block
     (`EdgeAssocEnv.step_block`), whose every sum is then an (n,) array with
-    the bits of each episode's own sum.
+    the bits of each episode's own sum. TS rows are logged for one episode
+    at a time only.
     """
 
     def __init__(self, ts_rows: list | None = None):
@@ -68,12 +69,10 @@ class MetricAccumulator:
         self._ho_sum = 0.0
         self._power_sum = 0.0
         self._violations = 0
-        self._block_rows = []
 
-    def add(self, step, episode) -> None:
-        """Take one TS of episode number `episode`, or of a block whose
-        episode numbers `episode` lists; the means are `np.mean`'s, summed
-        on Python floats or elementwise."""
+    def add(self, step, episode: int) -> None:
+        """Take one TS; `episode` numbers its TS row. The means are
+        `np.mean`'s, summed on Python floats or elementwise."""
         self._t += 1
         mean_u = list_mean(step.utilities)
         self._utility_sum += mean_u
@@ -82,17 +81,12 @@ class MetricAccumulator:
         self._ho_sum += sum(step.ho_flags) / len(step.ho_flags)
         self._power_sum += list_mean(step.tx_powers_w)
         self._violations += step.violations
-        if self._ts_rows is None:
-            return
-        if isinstance(episode, int):
+        if self._ts_rows is not None:
             self._ts_rows.append((episode, self._t, mean_u, step.penalty, step.reward))
-        else:
-            self._block_rows.append((mean_u, step.penalty, step.reward))
 
-    def finalize(self, episode, epsilon: float, lr: float):
-        """The EpisodeRecord of episode number `episode`, or the list of a
-        block's records when `episode` lists its numbers; a block's TS rows
-        are logged here, one episode after the other."""
+    def finalize(self, first: int, epsilon: float, lr: float) -> list[EpisodeRecord]:
+        """The records of the episodes taken, numbered from `first`: one for
+        one episode, n for a block of n."""
         t = max(self._t, 1)
         sums = (
             self._utility_sum / t,
@@ -102,23 +96,12 @@ class MetricAccumulator:
             self._power_sum / t,
             self._violations,
         )
-        if isinstance(episode, int):
-            self.reset()
-            return EpisodeRecord(episode, *sums, epsilon, lr)
-        n = len(episode)
-        columns = [np.broadcast_to(s, n).tolist() for s in sums]
-        records = [
-            EpisodeRecord(ep, *values, epsilon, lr) for ep, *values in zip(episode, *columns)
-        ]
-        if self._block_rows:
-            mean_u, penalty, reward = zip(*self._block_rows)
-            mean_u, reward = np.array(mean_u).T.tolist(), np.array(reward).T.tolist()
-            penalty = list(zip(*penalty))  # keeps each cell's type, as `step` gave it
-            for i, ep in enumerate(episode):
-                cells = zip(mean_u[i], penalty[i], reward[i])
-                self._ts_rows.extend((ep, t, *row) for t, row in enumerate(cells, 1))
+        columns = [column.tolist() for column in np.broadcast_arrays(*map(np.atleast_1d, sums))]
         self.reset()
-        return records
+        return [
+            EpisodeRecord(episode, *values, epsilon, lr)
+            for episode, values in enumerate(zip(*columns), first)
+        ]
 
 
 def write_metrics_csv(path, records: Sequence[EpisodeRecord]) -> None:

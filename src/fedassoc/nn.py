@@ -250,6 +250,16 @@ def backward(
     return grads, (da[0] if single else da)
 
 
+def td_loss(pred: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """The mean squared TD error of `pred` against `targets`, and its gradient
+    with respect to `pred` for `backward`; a non-finite loss raises RuntimeError."""
+    err = pred - targets
+    loss = float(np.mean(err * err))
+    if not np.isfinite(loss):
+        raise RuntimeError("non-finite training loss")
+    return loss, 2.0 * err / len(err)
+
+
 def _clip_scale(norm: float, max_norm: float) -> float:
     """Factor that brings `norm` down to `max_norm`; an infinite bound never clips.
 

@@ -90,13 +90,19 @@ class ReplayBuffer:
     def load_state_arrays(self, arrays: dict) -> None:
         """Restore `state_arrays` into this buffer, which keeps its own columns.
 
-        Each column may hold `size` or `capacity` rows. `meta` must name this
-        buffer's capacity, a size in [0, capacity] and a cursor in
-        [0, capacity) that equals the size until the buffer fills. Every array
-        is checked before the first write. Rows past `size` are never read, so
-        they are left as they are.
+        Each column may hold `size` or `capacity` rows. `meta` must be a (3,)
+        integer array that names this buffer's capacity, a size in
+        [0, capacity] and a cursor in [0, capacity) that equals the size until
+        the buffer fills. Every array is checked before the first write. Rows
+        past `size` are never read, so they are left as they are.
         """
-        size, cursor, capacity = (int(v) for v in arrays["meta"])
+        meta = arrays["meta"]
+        if meta.shape != (3,) or meta.dtype.kind not in "iu":
+            raise ValueError(
+                "replay meta must be 3 integers (size, cursor, capacity), got an array "
+                f"of shape {meta.shape} and dtype {meta.dtype}"
+            )
+        size, cursor, capacity = meta.tolist()
         if capacity != self.capacity:
             raise ValueError(
                 f"replay capacity {capacity} does not match this buffer's {self.capacity}"

@@ -575,6 +575,29 @@ def test_failed_load_leaves_env_unchanged(tmp_path, name, other_world):
     assert env.get_state() == before and env.world is world
 
 
+# A `meta` of another shape or of non-integers, each with its shape and dtype.
+BAD_REPLAY_META = {
+    "2-d": (lambda meta: meta[None], "shape (1, 3) and dtype int64"),
+    "float": (lambda meta: meta + 0.7, "shape (3,) and dtype float64"),
+    "complex": (lambda meta: meta + 0j, "shape (3,) and dtype complex128"),
+}
+
+
+@pytest.mark.parametrize("edit, message", BAD_REPLAY_META.values(), ids=BAD_REPLAY_META)
+def test_load_rejects_malformed_replay_meta(tmp_path, edit, message):
+    trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
+    trainer.run()
+    trainer.save(tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / "replay.npz"
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["meta"] = edit(arrays["meta"])
+    np.savez(path, **arrays)
+    want = f"{path}: replay meta must be 3 integers (size, cursor, capacity), got an array of "
+    with pytest.raises(ValueError, match=re.escape(want + message)):
+        FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=1))
+
+
 def test_greedy_evaluation_runs_without_learning(tmp_path):
     trainer = FederatedTrainer(small_env(seed=9), small_cfg(), seed=6)
     trainer.run()

@@ -3,7 +3,7 @@
 `Trainer.evaluate` advances blocks of episodes together. `sequential_evaluate`
 below is the one-episode-at-a-time loop it replaced: each TS selects on one
 observation vector per agent and draws its sharing noise as it goes. Both
-must give the same records, TS rows and random-stream end states, bit for bit.
+must give the same records and random-stream end states, bit for bit.
 """
 
 import itertools
@@ -21,9 +21,9 @@ from toy_env import ToyEnv, separable_table
 ALGOS = ("proposed", "cdrl", "imarl", "fmarl-avg")
 
 
-def sequential_evaluate(trainer, episodes, ts_rows=None):
+def sequential_evaluate(trainer, episodes):
     """Greedy rollouts one episode at a time, drawing noise TS by TS."""
-    acc = MetricAccumulator(ts_rows)
+    acc = MetricAccumulator()
     records = []
     for ep in range(1, episodes + 1):
         obs = trainer.env.reset()
@@ -33,7 +33,7 @@ def sequential_evaluate(trainer, episodes, ts_rows=None):
             obs = step.observations
             done = step.done
             acc.add(step, ep)
-        records.append(acc.finalize(ep, 0.0, 0.0))
+        records.extend(acc.finalize(ep, 0.0, 0.0))
     return records
 
 
@@ -74,13 +74,11 @@ def stream_states(trainer):
 def assert_lockstep_matches_sequential(algo, make_env, cfg, episodes):
     lockstep, sequential = trained(algo, make_env, cfg), trained(algo, make_env, cfg)
     assert stream_states(lockstep) == stream_states(sequential)
-    rows, ref_rows = [], []
-    records = lockstep.evaluate(episodes, rows)
-    ref_records = sequential_evaluate(sequential, episodes, ref_rows)
+    records = lockstep.evaluate(episodes)
+    ref_records = sequential_evaluate(sequential, episodes)
     assert len(records) == episodes
     # repr compares every float bit by bit, and the type of every cell.
     assert repr(records) == repr(ref_records)
-    assert repr(rows) == repr(ref_rows)
     assert stream_states(lockstep) == stream_states(sequential)
 
 
@@ -91,7 +89,7 @@ def small_env(seed=3, penalty=-1.0):
 @pytest.mark.parametrize("algo", ALGOS)
 @pytest.mark.parametrize("episodes", [1, 3])
 def test_lockstep_matches_sequential(algo, episodes):
-    # An integer penalty goes into TS rows as the int itself.
+    # An integer penalty adds to the reward as its float does.
     for mode, sigma, penalty in itertools.product(
         ("vector", "scalar") if algo == "proposed" else ("vector",), (0.0, 1.0), (-1.0, -1)
     ):
@@ -111,6 +109,24 @@ def test_lockstep_matches_sequential_across_blocks(algo):
             assert_lockstep_matches_sequential(
                 algo, lambda: EdgeAssocEnv(EnvConfig(horizon=2), 5), cfg, episodes
             )
+
+
+@pytest.mark.parametrize(
+    "algo, mode", [("proposed", "vector"), ("proposed", "scalar"), ("cdrl", "vector")]
+)
+def test_fewer_episodes_give_the_first_records(algo, mode):
+    # A lone episode, a block of two, a full block and a full block plus a
+    # lone episode each give the first records of a longer evaluation.
+    episodes = 2 * agents_mod.EVAL_BLOCK + 3
+    for sigma in (0.0, 1.0):
+        cfg = small_cfg(share_mode=mode, share_noise_std=sigma)
+
+        def make_env():
+            return EdgeAssocEnv(EnvConfig(horizon=2), 5)
+
+        want = trained(algo, make_env, cfg).evaluate(episodes)
+        for k in (1, 2, agents_mod.EVAL_BLOCK, agents_mod.EVAL_BLOCK + 1):
+            assert repr(trained(algo, make_env, cfg).evaluate(k)) == repr(want[:k])
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
@@ -136,8 +152,8 @@ def test_lockstep_matches_sequential_on_toy_env(algo):
 class RaggedToyEnv(ToyEnv):
     """A toy whose episodes last 1, 2, 1, 2, ... TS; its `horizon` is 1.
 
-    The lengths come from one iterator, which copies of the env share as
-    they share an env's random streams.
+    The lengths come from one iterator, which the copies that
+    `ToyEnv.reset_block` makes share.
     """
 
     def __init__(self, *args, **kwargs):

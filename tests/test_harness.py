@@ -559,11 +559,15 @@ def _set_meta(size, cursor):
         (_set_meta(12, 999), "replay size 12 and cursor 999 do not fit capacity 32"),
         (_set_meta(12, -1), "replay size 12 and cursor -1 do not fit capacity 32"),
         (_set_meta(10, 3), "replay size 10 and cursor 3 do not fit capacity 32"),
+        (lambda arrays: arrays.update(meta=arrays["meta"][None]),
+         "replay meta must be 3 integers (size, cursor, capacity), got an array of shape (1, 3)"),
+        (lambda arrays: arrays.update(meta=arrays["meta"] + 0.7), "dtype float64"),
+        (lambda arrays: arrays.update(meta=arrays["meta"] + 0j), "dtype complex128"),
     ],
     ids=[
         "truncated", "missing", "capacity", "cut-file",
         "size-past-capacity", "negative-size", "cursor-past-capacity", "negative-cursor",
-        "cursor-not-size",
+        "cursor-not-size", "2-d-meta", "float-meta", "complex-meta",
     ],
 )
 def test_cli_eval_rejects_bad_replay_arrays(tmp_path, capsys, edit, message):

@@ -91,7 +91,7 @@ def test_accumulator_matches_np_mean_reference(k, steps, log_ts, seed):
     for episode, stream in enumerate(episodes, start=1):
         for step in stream:
             acc.add(step, episode)
-        got = acc.finalize(episode, 0.5, 0.01)
+        [got] = acc.finalize(episode, 0.5, 0.01)
         want = reference_record(stream, episode, want_rows)
         assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
     assert repr(got_rows) == repr(want_rows)
@@ -102,17 +102,14 @@ def test_accumulator_matches_np_mean_reference(k, steps, log_ts, seed):
 def test_block_accumulator_matches_one_episode_at_a_time(k, steps, n, seed):
     rng = np.random.default_rng(seed)
     episodes = [[random_step(rng, k) for _ in range(steps)] for _ in range(n)]
-    want_rows, want = [], []
-    acc = MetricAccumulator(want_rows)
+    want = []
+    acc = MetricAccumulator()
     for episode, stream in enumerate(episodes, start=1):
         for step in stream:
             acc.add(step, episode)
-        want.append(acc.finalize(episode, 0.5, 0.01))
-    got_rows = []
-    acc = MetricAccumulator(got_rows)
-    numbers = range(1, n + 1)
+        want.extend(acc.finalize(episode, 0.5, 0.01))
+    acc = MetricAccumulator()
     for ts_steps in zip(*episodes):
-        acc.add(stack_steps(ts_steps), numbers)
-    got = acc.finalize(numbers, 0.5, 0.01)
+        acc.add(stack_steps(ts_steps), 1)
+    got = acc.finalize(1, 0.5, 0.01)
     assert repr(got) == repr(want)
-    assert repr(got_rows) == repr(want_rows)

@@ -26,6 +26,7 @@ from fedassoc.nn import (
     save_net,
     sgd_apply,
     sgd_step,
+    td_loss,
     zero_grads,
 )
 
@@ -342,11 +343,19 @@ def test_selected_output_loss_matches_finite_differences():
 
         def loss_fn():
             pred, _ = forward(net, x, cols)
-            return float(np.mean((pred - target) ** 2))
+            return td_loss(pred, target)[0]
 
         pred, cache = forward(net, x, cols)
-        analytic, _ = backward(net, cache, 2.0 * (pred - target) / len(cols), cols)
+        loss, d_pred = td_loss(pred, target)
+        assert loss == float(np.mean((pred - target) ** 2))
+        analytic, _ = backward(net, cache, d_pred, cols)
         assert_grads_close(analytic, finite_difference_grads(loss_fn, net))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_td_loss_rejects_non_finite(bad):
+    with pytest.raises(RuntimeError, match="non-finite training loss"):
+        td_loss(np.array([0.5, bad]), np.zeros(2))
 
 
 def test_selected_pass_rejects_bad_cols():

@@ -464,8 +464,9 @@ STEP_FIELDS = ("reward", "utilities", "rates", "ho_flags", "tx_powers_w", "assoc
 
 
 def step_values(step):
-    """Every field of a `step` result, observations as bits."""
+    """Every field of a `step` result, the penalty as a float, observations as bits."""
     values = {name: getattr(step, name) for name in STEP_FIELDS}
+    values["penalty"] = float(step.penalty)
     values["observations"] = [bits(o) for o in step.observations]
     return values
 
@@ -475,9 +476,7 @@ def episode_values(block_step, i):
     values = {}
     for name in STEP_FIELDS:
         value = getattr(block_step, name)
-        if isinstance(value, list):  # the penalty cells
-            values[name] = value[i]
-        elif value.ndim == 2:  # one row per vehicle
+        if value.ndim == 2:  # one row per vehicle
             values[name] = value[:, i].tolist()
         else:
             values[name] = value.tolist()[i]
@@ -518,7 +517,8 @@ def raised(call, *args):
 def test_block_step_matches_env_step(
     seed, coverage_radius, horizon, num_rsus, penalty, episodes, data
 ):
-    # Each episode of a block, stepped at once, against `step` on its own copy.
+    # Each episode of a block, stepped at once, against `step` on its own copy
+    # of a twin env of the same seed.
     cfg = EnvConfig(
         num_vehicles=data.draw(st.integers(1, min(4, num_rsus))),
         num_rsus=num_rsus,
@@ -528,13 +528,11 @@ def test_block_step_matches_env_step(
         penalty=penalty,
     )
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    env = EdgeAssocEnv(cfg, seed)
-    envs = [copy.copy(env) for _ in range(episodes)]
+    env, twin = EdgeAssocEnv(cfg, seed), EdgeAssocEnv(cfg, seed)
+    envs = [copy.copy(twin) for _ in range(episodes)]
     first_obs = [env_i.reset() for env_i in envs]
-    block = env.stack_block(envs)
-    assert [bits(o) for o in block.obs[0].transpose(1, 0, 2)] == [
-        bits(np.array(obs)) for obs in first_obs
-    ]
+    block, block_obs = env.reset_block(episodes)
+    assert [bits(o) for o in block_obs] == [bits(np.array(obs)) for obs in zip(*first_obs)]
     shape = (cfg.num_vehicles, episodes)
     for _ in range(horizon):
         actions = with_clashes(rng.integers(0, cfg.actions_per_agent, shape), envs, rng, cfg)
@@ -556,27 +554,7 @@ def test_block_step_matches_env_step(
     assert raised(env.step_block, block, actions) == raised(
         envs[0].step, actions[:, 0].tolist()
     )
-
-
-def test_stack_block_takes_copies_at_one_ts():
-    env = make_env(seed=5)
-    envs = [copy.copy(env) for _ in range(3)]
-    with pytest.raises(RuntimeError, match="call reset"):
-        env.stack_block(envs)
-    for env_i in envs:
-        env_i.reset()
-    envs[0].step([0, 0])
-    with pytest.raises(ValueError, match="at one TS"):
-        env.stack_block(envs)
-    # Mid-episode copies stack too, and step on from their TS.
-    for env_i in envs[1:]:
-        env_i.step([5, 1])
-    block = env.stack_block(envs)
-    actions = np.array([[3, 4, 9], [3, 0, 15]])
-    got = env.step_block(block, actions)
-    for i, env_i in enumerate(envs):
-        want = env_i.step(actions[:, i].tolist())
-        assert repr(episode_values(got, i)) == repr(step_values(want))
+    assert env.get_state() == twin.get_state()
 
 
 @pytest.mark.parametrize("steps", [4, 30, 32], ids=["mid-episode", "boundary", "past-horizon"])

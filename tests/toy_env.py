@@ -5,6 +5,8 @@ is read from a table indexed by the joint action, so the best joint action is
 known by enumeration.
 """
 
+import copy
+
 import numpy as np
 
 from fedassoc.agents import TrainerConfig
@@ -46,8 +48,11 @@ class ToyEnv:
             done=True,
         )
 
-    def stack_block(self, envs):
-        return list(envs)
+    def reset_block(self, n):
+        """`EdgeAssocEnv.reset_block` on n copies of this env, which are the block."""
+        envs = [copy.copy(self) for _ in range(n)]
+        first_obs = [env.reset() for env in envs]
+        return envs, [np.array(obs) for obs in zip(*first_obs)]
 
     def step_block(self, envs, actions):
         """`EdgeAssocEnv.step_block`'s result, by one `step` per env."""
@@ -71,7 +76,7 @@ def stack_steps(steps) -> StepResult:
         tx_powers_w=per_vehicle("tx_powers_w"),
         assoc_rsus=per_vehicle("assoc_rsus"),
         violations=per_episode("violations"),
-        penalty=[step.penalty for step in steps],
+        penalty=np.array([step.penalty for step in steps], dtype=float),
         observations=np.array([step.observations for step in steps]).transpose(1, 0, 2),
         done=per_episode("done"),
     )
