@@ -175,9 +175,10 @@ class Trainer:
     The seed spawns four streams: network init, exploration, replay sampling
     and sharing noise (drawn only by the federated pair).
 
-    Besides `reset` and `step`, an env names its episode length `horizon`
-    and supplies the block step of `evaluate`: `reset_block(n)` and
-    `step_block(block, actions)`, as `EdgeAssocEnv` describes them.
+    Training steps an env by `reset` and `step`, and `evaluate` by its block
+    pair alone, `reset_block(n)` and `step_block(block, actions)`, as
+    `EdgeAssocEnv` describes them. An env also names its episode length
+    `horizon`.
     """
 
     def __init__(self, env, cfg: TrainerConfig, seed: int):
@@ -231,67 +232,61 @@ class Trainer:
         episodes = cfg.episodes if episodes is None else episodes
         acc = MetricAccumulator(ts_rows)
         records = []
-        for _ in range(episodes):
-            self.episode += 1
-            eps = cfg.epsilon if cfg.epsilon_end is None else linear_schedule(
-                cfg.epsilon, cfg.epsilon_end, cfg.epsilon_decay_episodes, self.episode
-            )
-            lr = linear_schedule(cfg.lr_start, cfg.lr_end, cfg.lr_decay_episodes, self.episode)
-            obs = self.env.reset()
-            done = False
-            while not done:
-                act_lead, act_follow = self.select_actions(obs, eps)
-                step = self.env.step([act_lead, act_follow])
-                self.buffer.add(
-                    obs_lead=obs[0], act_lead=act_lead, reward=step.reward,
-                    next_obs_lead=step.observations[0], obs_follow=obs[1],
-                    act_follow=act_follow, next_obs_follow=step.observations[1], done=step.done,
+        # Overflow and invalid values warn nothing here: a diverging run ends in
+        # one error, the RuntimeError of `td_loss` or the ValueError of `sgd_step`.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(episodes):
+                self.episode += 1
+                eps = cfg.epsilon if cfg.epsilon_end is None else linear_schedule(
+                    cfg.epsilon, cfg.epsilon_end, cfg.epsilon_decay_episodes, self.episode
                 )
-                obs = step.observations
-                done = step.done
-                acc.add(step, self.episode)
-                if len(self.buffer) >= cfg.batch_size:
-                    self.update(self.buffer.sample(cfg.batch_size, self.rng_sample), lr)
-                    self.train_steps += 1
-                    if self.train_steps % cfg.target_sync == 0:
-                        self.sync_targets()
-            self.end_episode()
-            records.extend(acc.finalize(self.episode, eps, lr))
+                lr = linear_schedule(cfg.lr_start, cfg.lr_end, cfg.lr_decay_episodes, self.episode)
+                obs = self.env.reset()
+                done = False
+                while not done:
+                    act_lead, act_follow = self.select_actions(obs, eps)
+                    step = self.env.step([act_lead, act_follow])
+                    self.buffer.add(
+                        obs_lead=obs[0], act_lead=act_lead, reward=step.reward,
+                        next_obs_lead=step.observations[0], obs_follow=obs[1],
+                        act_follow=act_follow, next_obs_follow=step.observations[1],
+                        done=step.done,
+                    )
+                    obs = step.observations
+                    done = step.done
+                    acc.add(step, self.episode)
+                    if len(self.buffer) >= cfg.batch_size:
+                        self.update(self.buffer.sample(cfg.batch_size, self.rng_sample), lr)
+                        self.train_steps += 1
+                        if self.train_steps % cfg.target_sync == 0:
+                            self.sync_targets()
+                self.end_episode()
+                records.extend(acc.finalize(self.episode, eps, lr))
         return records
 
     def evaluate(self, episodes: int) -> list[EpisodeRecord]:
         """Greedy rollouts without learning; the federated pair still adds noise.
 
         The episodes run in blocks of up to `EVAL_BLOCK` that advance in
-        lockstep. A block starts its episodes in order (`env.reset_block`),
-        then draws its sharing noise (`share_noise`). Each TS makes one
-        `select_actions` call on the stacked observations and one
-        `env.step_block`; a lone episode selects on its vectors and calls
-        `reset` and `step`, which cost less than a block of one. Records and
-        every random stream end as when the episodes run one at a time, bit
-        for bit. The noise is drawn for episodes of `env.horizon` TS, so an
+        lockstep; a lone episode is a block of one. A block starts its
+        episodes in order (`env.reset_block`), then draws its sharing noise
+        (`share_noise`). Each TS makes one `select_actions` call on the
+        stacked observations and one `env.step_block`. Records and every
+        random stream end as when the episodes run one at a time, bit for
+        bit. The noise is drawn for episodes of `env.horizon` TS, so an
         episode that ends on another TS raises RuntimeError.
         """
         horizon = self.env.horizon
         records = []
         for first in range(1, episodes + 1, EVAL_BLOCK):
             n = min(EVAL_BLOCK, episodes + 1 - first)
-            if n == 1:
-                block, obs = None, self.env.reset()
-            else:
-                block, obs = self.env.reset_block(n)
+            block, obs = self.env.reset_block(n)
             noise = self.share_noise(n, horizon)
-            if n == 1 and noise is not None:
-                noise = noise[0]
             acc = MetricAccumulator()
             for t in range(horizon):
-                ts_noise = None if noise is None else noise[..., t, :]
-                actions = self.select_actions(obs, 0.0, ts_noise)
-                if block is None:
-                    step = self.env.step(actions)
-                else:
-                    step = self.env.step_block(block, actions)
-                off = np.flatnonzero(np.atleast_1d(step.done) != (t == horizon - 1))
+                ts_noise = None if noise is None else noise[:, t, :]
+                step = self.env.step_block(block, self.select_actions(obs, 0.0, ts_noise))
+                off = np.flatnonzero(step.done != (t == horizon - 1))
                 if len(off):
                     raise RuntimeError(
                         f"greedy evaluation runs episodes of {horizon} TS (env.horizon), but "
@@ -511,6 +506,8 @@ class FederatedTrainer(Trainer):
         path = directory / "state.json"
         with _errors_name(path):
             state = json.loads(path.read_text())
+            if not isinstance(state, dict):
+                raise ValueError(f"must hold a JSON object, got {type(state).__name__}")
             env_state = state["env_state"]
             env.check_state(env_state)
             trainer = cls(env, config_from_json(TrainerConfig, state["cfg"]), seed=0)
@@ -533,6 +530,7 @@ class FederatedTrainer(Trainer):
         try:
             with np.load(replay_path) as data:
                 trainer.buffer.load_state_arrays(dict(data))
+            _check_replay_rows(trainer.buffer, trainer.num_actions)
         except KeyError as exc:
             raise ValueError(f"{replay_path}: missing array {exc}") from exc
         except (ValueError, zipfile.BadZipFile) as exc:
@@ -540,6 +538,25 @@ class FederatedTrainer(Trainer):
         with _errors_name(path):
             env.set_state(env_state)
         return trainer
+
+
+def _check_replay_rows(buffer: ReplayBuffer, num_actions: int) -> None:
+    """Raise ValueError naming the first column of `buffer`'s filled rows that
+    holds what no run writes: an action outside [0, num_actions), a done flag
+    other than 0 or 1, or a non-finite reward or observation."""
+    for name, column in buffer.columns.items():
+        rows = column[: buffer.size]
+        if name.startswith("act_"):
+            bad, rule = (rows < 0) | (rows >= num_actions), f"an action in [0, {num_actions})"
+        elif name == "done":
+            bad, rule = (rows != 0.0) & (rows != 1.0), "0 or 1"
+        else:
+            bad, rule = ~np.isfinite(rows), "a finite number"
+        if bad.any():
+            where = tuple(np.argwhere(bad)[0])
+            raise ValueError(
+                f"replay array {name!r} row {where[0]} holds {rows[where].item()!r}, not {rule}"
+            )
 
 
 @contextmanager

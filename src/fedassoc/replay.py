@@ -93,8 +93,10 @@ class ReplayBuffer:
         Each column may hold `size` or `capacity` rows. `meta` must be a (3,)
         integer array that names this buffer's capacity, a size in
         [0, capacity] and a cursor in [0, capacity) that equals the size until
-        the buffer fills. Every array is checked before the first write. Rows
-        past `size` are never read, so they are left as they are.
+        the buffer fills, and each column's dtype must cast to the buffer's
+        within its kind (no float actions, no complex values). Every array is
+        checked before the first write. Rows past `size` are never read, so
+        they are left as they are.
         """
         meta = arrays["meta"]
         if meta.shape != (3,) or meta.dtype.kind not in "iu":
@@ -119,6 +121,11 @@ class ReplayBuffer:
                 raise ValueError(
                     f"replay array {name!r} has shape {array.shape}, expected "
                     f"{size} (filled) or {capacity} (all) rows of shape {column.shape[1:]}"
+                )
+            if not np.can_cast(array.dtype, column.dtype, "same_kind"):
+                raise ValueError(
+                    f"replay array {name!r} has dtype {array.dtype}, which does not cast "
+                    f"to the buffer's {column.dtype}"
                 )
         for name, column in self.columns.items():
             column[: len(arrays[name])] = arrays[name]

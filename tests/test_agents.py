@@ -1,6 +1,7 @@
 """Sharing primitives, joint-action math and the federated trainer."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -596,6 +597,86 @@ def test_load_rejects_malformed_replay_meta(tmp_path, edit, message):
     want = f"{path}: replay meta must be 3 integers (size, cursor, capacity), got an array of "
     with pytest.raises(ValueError, match=re.escape(want + message)):
         FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=1))
+
+
+def _set_row(name, index, value):
+    def edit(arrays):
+        arrays[name][index] = value
+    return edit
+
+
+# Filled replay rows that no run writes, each named with its array, row and
+# value. The small world has 16 actions per agent.
+BAD_REPLAY_ROWS = {
+    "action-past-range": (_set_row("act_lead", 3, 16),
+                          "replay array 'act_lead' row 3 holds 16, not an action in [0, 16)"),
+    "negative-action": (_set_row("act_follow", 0, -1),
+                        "replay array 'act_follow' row 0 holds -1, not an action in [0, 16)"),
+    "float-action": (lambda arrays: arrays.update(act_follow=arrays["act_follow"] + 0.7),
+                     "replay array 'act_follow' has dtype float64, which does not cast to "
+                     "the buffer's int64"),
+    "complex-reward": (lambda arrays: arrays.update(reward=arrays["reward"] + 0j),
+                       "replay array 'reward' has dtype complex128"),
+    "nan-reward": (_set_row("reward", 2, np.nan),
+                   "replay array 'reward' row 2 holds nan, not a finite number"),
+    "infinite-observation": (_set_row("next_obs_lead", (1, 4), -np.inf),
+                             "replay array 'next_obs_lead' row 1 holds -inf, not a finite number"),
+    "done-flag": (_set_row("done", 4, 0.5), "replay array 'done' row 4 holds 0.5, not 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("edit, message", BAD_REPLAY_ROWS.values(), ids=BAD_REPLAY_ROWS)
+def test_load_rejects_bad_replay_rows(tmp_path, edit, message):
+    trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
+    trainer.run()
+    trainer.save(tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / "replay.npz"
+    with np.load(path) as data:
+        arrays = dict(data)
+    edit(arrays)
+    np.savez(path, **arrays)
+    env = small_env(seed=1)
+    before = env.get_state()
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        FederatedTrainer.load(tmp_path / "ckpt", env)
+    assert env.get_state() == before
+
+
+def test_load_checks_only_the_filled_replay_rows(tmp_path):
+    """Rows past the filled ones are never read, so what they hold is not checked."""
+    trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
+    trainer.run()
+    trainer.save(tmp_path / "ckpt")
+    arrays = {name: column.copy() for name, column in trainer.buffer.columns.items()}
+    arrays["meta"] = np.array([len(trainer.buffer), trainer.buffer.cursor,
+                               trainer.buffer.capacity], dtype=np.int64)
+    for name, value in (("act_lead", -5), ("reward", np.nan), ("done", 0.5)):
+        arrays[name][-1] = value
+    np.savez(tmp_path / "ckpt" / "replay.npz", **arrays)
+    loaded = FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=1))
+    assert len(loaded.buffer) == len(trainer.buffer) < trainer.buffer.capacity
+
+
+@pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("null", "NoneType"), ("3", "int")])
+def test_load_rejects_a_state_that_is_not_an_object(tmp_path, text, kind):
+    trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=1), seed=5)
+    trainer.save(tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / "state.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: must hold a JSON object, got {kind}")):
+        FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=1))
+
+
+@pytest.mark.parametrize("lr", [1e3, 1e6])
+def test_diverging_run_raises_one_error_and_warns_nothing(lr):
+    # The first overflow comes in a forward pass (1e3) or in the TD error
+    # (1e6); neither warns, and the run ends in the loss check's error.
+    cfg = small_cfg(episodes=3, lr_start=lr, lr_end=lr, grad_clip=1e308)
+    trainer = FederatedTrainer(small_env(seed=1), cfg, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="non-finite training loss"):
+            trainer.run()
 
 
 def test_greedy_evaluation_runs_without_learning(tmp_path):

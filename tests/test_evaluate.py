@@ -3,7 +3,9 @@
 `Trainer.evaluate` advances blocks of episodes together. `sequential_evaluate`
 below is the one-episode-at-a-time loop it replaced: each TS selects on one
 observation vector per agent and draws its sharing noise as it goes. Both
-must give the same records and random-stream end states, bit for bit.
+must give the same records and random-stream end states, bit for bit, and
+`evaluate` must step every episode, a lone one included, in a block: it may
+call neither `env.reset` nor `env.step`.
 """
 
 import itertools
@@ -71,11 +73,30 @@ def stream_states(trainer):
     return states
 
 
+class BlocksOnly:
+    """The wrapped env, but its `reset` and `step` raise."""
+
+    def __init__(self, env):
+        self.env = env
+
+    def __getattr__(self, name):
+        return getattr(self.env, name)
+
+    def reset(self):
+        raise AssertionError("greedy evaluation called env.reset")
+
+    def step(self, actions):
+        raise AssertionError("greedy evaluation called env.step")
+
+
 def assert_lockstep_matches_sequential(algo, make_env, cfg, episodes):
     lockstep, sequential = trained(algo, make_env, cfg), trained(algo, make_env, cfg)
     assert stream_states(lockstep) == stream_states(sequential)
-    records = lockstep.evaluate(episodes)
     ref_records = sequential_evaluate(sequential, episodes)
+    # Every episode, a lone one included, runs in a block.
+    env, lockstep.env = lockstep.env, BlocksOnly(lockstep.env)
+    records = lockstep.evaluate(episodes)
+    lockstep.env = env
     assert len(records) == episodes
     # repr compares every float bit by bit, and the type of every cell.
     assert repr(records) == repr(ref_records)
@@ -87,7 +108,7 @@ def small_env(seed=3, penalty=-1.0):
 
 
 @pytest.mark.parametrize("algo", ALGOS)
-@pytest.mark.parametrize("episodes", [1, 3])
+@pytest.mark.parametrize("episodes", [1, 3, agents_mod.EVAL_BLOCK + 1])
 def test_lockstep_matches_sequential(algo, episodes):
     # An integer penalty adds to the reward as its float does.
     for mode, sigma, penalty in itertools.product(

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -533,6 +534,23 @@ def test_cli_eval_rejects_bad_checkpoint_state(tmp_path, capsys, edit, message):
     assert str(ckpt / "state.json") in err and message in err
 
 
+def test_cli_eval_rejects_a_state_that_is_not_an_object(tmp_path, capsys):
+    cfg_path = cli_config(tmp_path)
+    assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+    (ckpt / "state.json").write_text("[1, 2]")
+    capsys.readouterr()
+    rc = cli_main([
+        "--config", str(tmp_path / "runs" / "config.json"),
+        "--eval", str(ckpt), "--episodes", "2", "--out", str(tmp_path / "eval"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {ckpt / 'state.json'}: must hold a JSON object, got list\n"
+    )
+    assert not (tmp_path / "eval").exists()
+
+
 def _set_meta(size, cursor):
     """An edit that writes all 32 rows of every column, as earlier versions
     did, and sets the meta size and cursor."""
@@ -563,11 +581,23 @@ def _set_meta(size, cursor):
          "replay meta must be 3 integers (size, cursor, capacity), got an array of shape (1, 3)"),
         (lambda arrays: arrays.update(meta=arrays["meta"] + 0.7), "dtype float64"),
         (lambda arrays: arrays.update(meta=arrays["meta"] + 0j), "dtype complex128"),
+        # Filled rows that no run writes.
+        (lambda arrays: arrays.update(act_lead=arrays["act_lead"] + 1000),
+         "replay array 'act_lead' row 0 holds 10"),
+        (lambda arrays: arrays.update(act_follow=arrays["act_follow"] + 0.7),
+         "replay array 'act_follow' has dtype float64, which does not cast to the buffer's int64"),
+        (lambda arrays: arrays["reward"].__setitem__(5, np.nan),
+         "replay array 'reward' row 5 holds nan, not a finite number"),
+        (lambda arrays: arrays["obs_follow"].__setitem__((1, 0), np.inf),
+         "replay array 'obs_follow' row 1 holds inf, not a finite number"),
+        (lambda arrays: arrays["done"].__setitem__(0, 2.0),
+         "replay array 'done' row 0 holds 2.0, not 0 or 1"),
     ],
     ids=[
         "truncated", "missing", "capacity", "cut-file",
         "size-past-capacity", "negative-size", "cursor-past-capacity", "negative-cursor",
         "cursor-not-size", "2-d-meta", "float-meta", "complex-meta",
+        "shifted-action", "float-action", "nan-reward", "infinite-observation", "done-flag",
     ],
 )
 def test_cli_eval_rejects_bad_replay_arrays(tmp_path, capsys, edit, message):
@@ -664,6 +694,20 @@ def test_cli_eval_rejects_checkpoint_of_another_world(tmp_path, capsys, flags, e
     assert str(ckpt / "state.json") in err
     assert f"env state is of another world: {message}" in err
     assert not (tmp_path / "eval" / "eval_metrics.csv").exists()
+
+
+@pytest.mark.parametrize("lr", [1e3, 1e6])
+def test_cli_diverging_run_prints_one_line(tmp_path, capsys, lr):
+    # Numpy's overflow warnings would each add lines; under "error" they raise.
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps({
+        "lr_start": lr, "lr_end": lr, "grad_clip": 1e308, "out_dir": str(tmp_path / "runs"),
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli_main(["--config", str(path), "--seed", "1", "--episodes", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: non-finite training loss\n"
 
 
 def test_cli_rejects_negative_grad_clip(tmp_path, capsys):
