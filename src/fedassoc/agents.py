@@ -68,6 +68,7 @@ class TrainerConfig:
     lr_decay_episodes: int = 250
     grad_clip: float = 10.0
     share_mode: str = "vector"               # "vector" or "scalar"
+    fedavg_period: int = 5                   # fmarl-avg's episodes between weight averages
 
     def validate(self) -> None:
         check_fields(self, infinite=("grad_clip",))
@@ -80,7 +81,7 @@ class TrainerConfig:
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         for name in ("batch_size", "target_sync", "episodes", "epsilon_decay_episodes",
-                     "lr_decay_episodes"):
+                     "lr_decay_episodes", "fedavg_period"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.share_noise_std < 0.0:

@@ -123,18 +123,7 @@ class CentralizedTrainer(Trainer):
 
 
 class IndependentTrainer(Trainer):
-    """Two independent DDQNs on the shared reward, optionally weight-averaged.
-
-    With avg_period None this is plain independent learning (imarl);
-    otherwise both agents' main and target networks are replaced by their
-    elementwise means every avg_period episodes (fmarl-avg).
-    """
-
-    def __init__(self, env, cfg: TrainerConfig, seed: int, avg_period: Optional[int] = None):
-        if avg_period is not None and avg_period < 1:
-            raise ValueError("avg_period must be >= 1")
-        self.avg_period = avg_period
-        super().__init__(env, cfg, seed)
+    """Two independent DDQNs on the shared reward (imarl)."""
 
     def init_nets(self, rng_init: np.random.Generator) -> None:
         dims = (self.env.obs_dim, *self.cfg.local_hidden, self.num_actions)
@@ -159,8 +148,13 @@ class IndependentTrainer(Trainer):
         for head in self.heads:
             head.sync()
 
+
+class FedAvgTrainer(IndependentTrainer):
+    """Independent DDQNs whose main and target networks are replaced by their
+    elementwise means every `cfg.fedavg_period` episodes (fmarl-avg)."""
+
     def end_episode(self) -> None:
-        if self.avg_period is None or self.episode % self.avg_period:
+        if self.episode % self.cfg.fedavg_period:
             return
         avg_main = fedavg([h.net for h in self.heads])
         avg_target = fedavg([h.target for h in self.heads])

@@ -624,9 +624,11 @@ class EdgeAssocEnv:
         return state
 
     def check_state(self, state: dict) -> None:
-        """Raise ValueError, naming the first differing `EnvConfig` field, if
-        `state` lacks a key or is of another world, or naming `mean_speeds` if
-        they break the config rule for `mean_speeds`."""
+        """Raise ValueError if `state` is not a JSON object or lacks a key, naming
+        the first differing `EnvConfig` field if it is of another world, or
+        naming `mean_speeds` if they break the config rule for `mean_speeds`."""
+        if not isinstance(state, dict):
+            raise ValueError(f"env state must be a JSON object, got {type(state).__name__}")
         missing = [key for key in ("cfg", "mean_speeds", *_STREAMS) if key not in state]
         if missing:
             raise ValueError(f"env state has no {missing[0]!r}")

@@ -12,20 +12,26 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .agents import FederatedTrainer, TrainerConfig
-from .baselines import CentralizedTrainer, IndependentTrainer
+from .agents import FederatedTrainer, Trainer, TrainerConfig
+from .baselines import CentralizedTrainer, FedAvgTrainer, IndependentTrainer
 from .checks import check_fields, config_from_json
 from .env import EdgeAssocEnv, EnvConfig
 from .metrics import EpisodeRecord, record_cells, write_metrics_csv, write_ts_log_csv
 
-ALGORITHMS = ("proposed", "cdrl", "imarl", "fmarl-avg")
+# Each algorithm's name and the trainer that runs it.
+TRAINERS: dict[str, type[Trainer]] = {
+    "proposed": FederatedTrainer,
+    "cdrl": CentralizedTrainer,
+    "imarl": IndependentTrainer,
+    "fmarl-avg": FedAvgTrainer,
+}
+ALGORITHMS = tuple(TRAINERS)
 # The config key each sweep axis varies.
 SWEEP_AXES = {"rsus": "num_rsus", "sigma": "share_noise_std"}
 
@@ -38,7 +44,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1,)
     out_dir: str = "runs"
     eval_window: int = 100
-    fedavg_period: int = 5
     per_ts_log: bool = False
 
     def validate(self) -> None:
@@ -62,8 +67,6 @@ class ExperimentConfig:
             raise ValueError(f"algos must be distinct, got {list(self.algos)}")
         if not 1 <= self.eval_window <= self.trainer.episodes:
             raise ValueError("eval_window must be in [1, episodes]")
-        if self.fedavg_period < 1:
-            raise ValueError("fedavg_period must be >= 1")
 
 
 # The nested sections of ExperimentConfig; their keys sit at the top level of
@@ -130,29 +133,19 @@ def run_single(
     trainer_cfg: TrainerConfig,
     algo: str,
     seed: int,
-    fedavg_period: int = 5,
     per_ts_log: bool = False,
     checkpoint_dir=None,
 ) -> tuple[list[EpisodeRecord], Optional[list]]:
     """Train one (algorithm, seed) pair; returns records and optional TS rows.
 
-    Only the proposed method writes a checkpoint, to `checkpoint_dir` if given.
+    Only the proposed method has a checkpoint format; it writes one to
+    `checkpoint_dir` if given.
     """
     env_seed, algo_seed = derive_seeds(seed)
-    env = EdgeAssocEnv(env_cfg, env_seed)
-    if algo == "proposed":
-        trainer = FederatedTrainer(env, trainer_cfg, algo_seed)
-    elif algo == "cdrl":
-        trainer = CentralizedTrainer(env, trainer_cfg, algo_seed)
-    elif algo == "imarl":
-        trainer = IndependentTrainer(env, trainer_cfg, algo_seed)
-    elif algo == "fmarl-avg":
-        trainer = IndependentTrainer(env, trainer_cfg, algo_seed, avg_period=fedavg_period)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+    trainer = TRAINERS[algo](EdgeAssocEnv(env_cfg, env_seed), trainer_cfg, algo_seed)
     ts_rows: Optional[list] = [] if per_ts_log else None
     records = trainer.run(ts_rows=ts_rows)
-    if algo == "proposed" and checkpoint_dir is not None:
+    if isinstance(trainer, FederatedTrainer) and checkpoint_dir is not None:
         trainer.save(checkpoint_dir)
     return records, ts_rows
 
@@ -237,12 +230,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, out_dir)
     tasks = [
-        (cfg.env, cfg.trainer, algo, seed, cfg.fedavg_period, cfg.per_ts_log,
+        (cfg.env, cfg.trainer, algo, seed, cfg.per_ts_log,
          out_dir / "checkpoints" / f"{algo}_seed{seed}")
         for algo in cfg.algos
         for seed in cfg.seeds
     ]
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_single, *zip(*tasks)))
     else:

@@ -5,6 +5,7 @@ import pytest
 
 from fedassoc.baselines import (
     CentralizedTrainer,
+    FedAvgTrainer,
     IndependentTrainer,
     _DdqnHead,
     ddqn_target,
@@ -258,14 +259,17 @@ def test_head_update_matches_dense_reference(grad_clip, width):
 
 def test_fedavg_trainer_with_infinite_period_is_independent():
     # A period longer than the run never averages.
-    cfg = small_cfg()
-    a = IndependentTrainer(small_env(seed=7), cfg, seed=4).run()
-    b = IndependentTrainer(small_env(seed=7), cfg, seed=4, avg_period=cfg.episodes + 1).run()
-    assert a == b
+    cfg = small_cfg(fedavg_period=4)
+    imarl = IndependentTrainer(small_env(seed=7), cfg, seed=4)
+    fmarl = FedAvgTrainer(small_env(seed=7), cfg, seed=4)
+    assert imarl.run() == fmarl.run()
+    assert [net_fingerprint(h.net) for h in imarl.heads] == [
+        net_fingerprint(h.net) for h in fmarl.heads
+    ]
 
 
 def test_agents_equal_right_after_averaging():
-    trainer = IndependentTrainer(small_env(seed=9), small_cfg(episodes=2), seed=5, avg_period=1)
+    trainer = FedAvgTrainer(small_env(seed=9), small_cfg(episodes=2, fedavg_period=1), seed=5)
     trainer.run()
     heads = trainer.heads
     assert net_fingerprint(heads[0].net) == net_fingerprint(heads[1].net)
@@ -273,12 +277,12 @@ def test_agents_equal_right_after_averaging():
 
 
 def test_fedavg_trainer_deterministic_and_validates_period():
-    a = IndependentTrainer(small_env(seed=11), small_cfg(), seed=6, avg_period=2).run()
-    b = IndependentTrainer(small_env(seed=11), small_cfg(), seed=6, avg_period=2).run()
+    a = FedAvgTrainer(small_env(seed=11), small_cfg(fedavg_period=2), seed=6).run()
+    b = FedAvgTrainer(small_env(seed=11), small_cfg(fedavg_period=2), seed=6).run()
     assert a == b
     for bad in (0, -1):
-        with pytest.raises(ValueError, match="avg_period"):
-            IndependentTrainer(small_env(), small_cfg(), seed=6, avg_period=bad)
+        with pytest.raises(ValueError, match="fedavg_period must be >= 1"):
+            FedAvgTrainer(small_env(), small_cfg(fedavg_period=bad), seed=6)
 
 
 # -- toy convergence --------------------------------------------------------------------------

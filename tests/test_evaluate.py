@@ -15,12 +15,10 @@ import pytest
 
 import fedassoc.agents as agents_mod
 from fedassoc.agents import FederatedTrainer, TrainerConfig
-from fedassoc.baselines import CentralizedTrainer, IndependentTrainer
 from fedassoc.env import EdgeAssocEnv, EnvConfig
+from fedassoc.harness import ALGORITHMS, TRAINERS
 from fedassoc.metrics import MetricAccumulator
 from toy_env import ToyEnv, separable_table
-
-ALGOS = ("proposed", "cdrl", "imarl", "fmarl-avg")
 
 
 def sequential_evaluate(trainer, episodes):
@@ -40,17 +38,14 @@ def sequential_evaluate(trainer, episodes):
 
 
 def make_trainer(algo, env, cfg, seed=7):
-    if algo == "proposed":
-        return FederatedTrainer(env, cfg, seed)
-    if algo == "cdrl":
-        return CentralizedTrainer(env, cfg, seed)
-    return IndependentTrainer(env, cfg, seed, avg_period=1 if algo == "fmarl-avg" else None)
+    return TRAINERS[algo](env, cfg, seed)
 
 
 def small_cfg(**overrides):
+    # fmarl-avg averages after every episode, so its evaluated nets are averages.
     defaults = dict(
         episodes=2, batch_size=8, replay_capacity=64,
-        local_hidden=(12,), mlp_hidden=(12,), target_sync=5,
+        local_hidden=(12,), mlp_hidden=(12,), target_sync=5, fedavg_period=1,
     )
     defaults.update(overrides)
     return TrainerConfig(**defaults)
@@ -107,7 +102,7 @@ def small_env(seed=3, penalty=-1.0):
     return EdgeAssocEnv(EnvConfig(horizon=4, penalty=penalty), seed)
 
 
-@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("algo", ALGORITHMS)
 @pytest.mark.parametrize("episodes", [1, 3, agents_mod.EVAL_BLOCK + 1])
 def test_lockstep_matches_sequential(algo, episodes):
     # An integer penalty adds to the reward as its float does.
@@ -120,7 +115,7 @@ def test_lockstep_matches_sequential(algo, episodes):
         )
 
 
-@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("algo", ALGORITHMS)
 def test_lockstep_matches_sequential_across_blocks(algo):
     # Two full blocks and a part of a third, at the block width in use.
     episodes = 2 * agents_mod.EVAL_BLOCK + 3
@@ -158,7 +153,7 @@ def test_lockstep_matches_sequential_at_any_block_width(monkeypatch, block):
         assert_lockstep_matches_sequential("proposed", small_env, cfg, 5)
 
 
-@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("algo", ALGORITHMS)
 def test_lockstep_matches_sequential_on_toy_env(algo):
     def make_env():
         return ToyEnv(separable_table(4, seed=3), obs_dim=3, seed=3)

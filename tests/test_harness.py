@@ -8,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from fedassoc.cli import main as cli_main
+from fedassoc.cli import build_parser, main as cli_main
 from fedassoc.harness import (
+    ALGORITHMS,
+    TRAINERS,
     ExperimentConfig,
     WindowStats,
     config_from_dict,
@@ -22,24 +24,24 @@ from fedassoc.harness import (
     write_summary,
 )
 from fedassoc.agents import FederatedTrainer, TrainerConfig
-from fedassoc.env import EnvConfig
+from fedassoc.env import EdgeAssocEnv, EnvConfig
 from fedassoc.metrics import EpisodeRecord, read_metrics_csv, record_cells, write_metrics_csv
 
 
-def tiny_config(out_dir, **run_overrides):
+def tiny_config(out_dir, fedavg_period=5, **run_overrides):
+    """Three seeds of three 4-TS episodes; `run_overrides` replace run-level
+    fields, and a name that is not one raises TypeError."""
     cfg = ExperimentConfig(
         env=EnvConfig(horizon=4),
         trainer=TrainerConfig(
             episodes=3, batch_size=4, replay_capacity=32,
-            local_hidden=(8,), mlp_hidden=(8,), target_sync=5,
+            local_hidden=(8,), mlp_hidden=(8,), target_sync=5, fedavg_period=fedavg_period,
         ),
         seeds=(1, 2, 3),
         out_dir=str(out_dir),
         eval_window=2,
     )
-    for key, value in run_overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return dataclasses.replace(cfg, **run_overrides)
 
 
 # -- config files ----------------------------------------------------------
@@ -97,6 +99,21 @@ def test_config_round_trip(tmp_path):
     loaded = load_config(echoed)
     assert loaded == cfg
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def test_every_algorithm_comes_from_the_trainer_table():
+    assert ALGORITHMS == tuple(TRAINERS) == ("proposed", "cdrl", "imarl", "fmarl-avg")
+    (algo,) = [a for a in build_parser()._actions if a.dest == "algo"]
+    assert tuple(algo.choices) == ALGORITHMS
+
+
+def test_fedavg_period_is_a_trainer_key(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"fedavg_period": 2}))
+    cfg = load_config(path)
+    assert cfg.trainer.fedavg_period == 2
+    assert config_to_dict(cfg)["fedavg_period"] == 2
+    assert not hasattr(cfg, "fedavg_period")
 
 
 # -- metric csv ---------------------------------------------------------------
@@ -172,9 +189,16 @@ def test_run_experiment_is_byte_identical(tmp_path):
     algos = ("proposed", "cdrl", "imarl", "fmarl-avg")
     for name, workers in (("a", 1), ("b", 1), ("pool", 2)):
         run_experiment(
-            tiny_config(tmp_path / name, algos=algos, per_ts_log=True, fedavg_period=2),
+            tiny_config(tmp_path / name, fedavg_period=2, algos=algos, per_ts_log=True),
             workers=workers,
         )
+    # fmarl-avg is imarl until its first average, after episode 2.
+    for seed in (1, 2, 3):
+        imarl, fmarl = (
+            (tmp_path / "a" / f"metrics_{algo}_seed{seed}.csv").read_text().splitlines()
+            for algo in ("imarl", "fmarl-avg")
+        )
+        assert imarl[:3] == fmarl[:3] and imarl[3] != fmarl[3]
     for algo in algos:
         for seed in (1, 2, 3):
             for prefix in ("metrics", "ts_log"):
@@ -432,6 +456,7 @@ def test_cli_reports_errors(tmp_path, capsys):
         ({"mean_speeds": 5}, "mean_speeds must be a list of numbers, got 5"),
         ({"mean_speeds": ["5", 7.0]}, "mean_speeds must be a list of numbers, got ['5', 7.0]"),
         ({"algos": "proposed"}, "algos must be a list of strings, got 'proposed'"),
+        ({"fedavg_period": 0}, "fedavg_period must be >= 1"),
         ({}, "share_noise_std must be >= 0", "--eval", str(tmp_path / "ckpt"), "--sigma", "-1"),
         ({}, "share_noise_std must be finite", "--eval", str(tmp_path / "ckpt"), "--sigma", "nan"),
         # Each field's annotation is its type: bools are not numbers, and
@@ -509,11 +534,13 @@ def test_cli_names_removed_options(tmp_path, capsys, key):
          "mean_speeds must be a list of numbers, got [True, 7.0]"),
         (lambda state: state["env_state"].update(mean_speeds="fast"),
          "mean_speeds must be a list of numbers, got 'fast'"),
+        (lambda state: state.update(env_state=list(state["env_state"])),
+         "env state must be a JSON object, got list"),
     ],
     ids=[
         "missing-key", "removed-option", "bad-value", "fractional-episode", "bool-steps",
         "nan-speed", "infinite-speed", "negative-speed", "huge-integer-speed", "bool-speed",
-        "string-speeds",
+        "string-speeds", "env-state-list",
     ],
 )
 def test_cli_eval_rejects_bad_checkpoint_state(tmp_path, capsys, edit, message):
@@ -532,6 +559,30 @@ def test_cli_eval_rejects_bad_checkpoint_state(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert str(ckpt / "state.json") in err and message in err
+
+
+def test_cli_eval_loads_a_checkpoint_without_fedavg_period(tmp_path):
+    """Checkpoints written before `fedavg_period` was a trainer key lack it in
+    `cfg`; they load with the default and evaluate to the same bytes."""
+    cfg_path = cli_config(tmp_path)
+    assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+
+    def evaluate(name):
+        out = tmp_path / name
+        assert cli_main([
+            "--config", str(tmp_path / "runs" / "config.json"),
+            "--eval", str(ckpt), "--episodes", "3", "--out", str(out),
+        ]) == 0
+        return (out / "eval_metrics.csv").read_bytes()
+
+    current = evaluate("current")
+    state = json.loads((ckpt / "state.json").read_text())
+    assert state["cfg"].pop("fedavg_period") == 5
+    (ckpt / "state.json").write_text(json.dumps(state, indent=1))
+    env = EdgeAssocEnv(EnvConfig(horizon=4), 0)
+    assert FederatedTrainer.load(ckpt, env).cfg.fedavg_period == 5
+    assert evaluate("older") == current
 
 
 def test_cli_eval_rejects_a_state_that_is_not_an_object(tmp_path, capsys):
