@@ -156,8 +156,8 @@ def joint_q(mlp: DenseNet, own_q: np.ndarray, peer_q: np.ndarray) -> np.ndarray:
 # default proposed pair (one core of a shared host, one BLAS thread) a greedy
 # TS took, per episode and over three runs, 135-232 µs in blocks of 1,
 # 152-241 (2), 88-144 (4), 58-63 (8), 51-72 (10), 34-46 (16), 30-34 (32) and
-# 22-31 (64). A block holds each episode's drawn world, stacked rows and
-# sharing noise, about 120 KB per episode of the default world: 3.8 MB at 32.
+# 22-31 (64). A block holds each episode's drawn rows and sharing noise,
+# about 66 KB per episode of the default world: 2.0 MB at 32 (`tracemalloc`).
 # 64 would double that for a gain that only evaluations of 64 or more
 # episodes see.
 EVAL_BLOCK = 32
@@ -176,10 +176,11 @@ class Trainer:
     The seed spawns four streams: network init, exploration, replay sampling
     and sharing noise (drawn only by the federated pair).
 
-    Training steps an env by `reset` and `step`, and `evaluate` by its block
-    pair alone, `reset_block(n)` and `step_block(block, actions)`, as
-    `EdgeAssocEnv` describes them. An env also names its episode length
-    `horizon`.
+    Training steps an env by `reset` and `step`, one episode on Python
+    floats, and `evaluate` by its block pair alone, `reset_block(n)` and
+    `step_block(block, actions)`, on arrays, as `EdgeAssocEnv` describes
+    them: there every episode is drawn by `reset_block`, and `reset` starts a
+    block of one. An env also names its episode length `horizon`.
     """
 
     def __init__(self, env, cfg: TrainerConfig, seed: int):
@@ -529,7 +530,8 @@ class FederatedTrainer(Trainer):
             setattr(trainer.pair, name, net)
         replay_path = directory / "replay.npz"
         try:
-            with np.load(replay_path) as data:
+            # np.load leaves a handle it opened unclosed when a cut file fails to parse.
+            with open(replay_path, "rb") as fh, np.load(fh) as data:
                 trainer.buffer.load_state_arrays(dict(data))
             _check_replay_rows(trainer.buffer, trainer.num_actions)
         except KeyError as exc:

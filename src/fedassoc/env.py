@@ -186,7 +186,7 @@ def gauss_markov_speed(
 
 
 # --------------------------------------------------------------------------
-# Static layout and dynamic state
+# Static layout
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -214,20 +214,6 @@ def build_rsu_layout(cfg: EnvConfig) -> RsuLayout:
         [np.full(per_side, RSU_ROW_Y[0]), np.full(per_side, RSU_ROW_Y[1])]
     )
     return RsuLayout(xs=xs, ys=ys)
-
-
-@dataclass
-class WorldState:
-    """Ground-truth vehicle state hidden from the agents."""
-
-    x: np.ndarray          # (K,) positions along the road, in [0, road_length)
-    speed: np.ndarray      # (K,) m/s
-    lane: np.ndarray       # (K,) lane index into LANE_Y
-    prev_assoc: np.ndarray  # (K,) previous RSU id, -1 when none
-    t: int                 # current TS, 1-based
-
-    def lane_y(self) -> np.ndarray:
-        return np.asarray(LANE_Y)[self.lane]
 
 
 # --------------------------------------------------------------------------
@@ -284,11 +270,14 @@ class StepResult:
 
 @dataclass
 class EnvBlock:
-    """Episodes of one world that `EdgeAssocEnv.step_block` advances in
-    lockstep, their rows stacked with the episode axis after the vehicle axis."""
+    """Episodes of one world that `EdgeAssocEnv.reset_block` draws and
+    `step_block` advances in lockstep (`step` advances a block of one), their
+    rows held with the episode axis after the vehicle axis."""
 
     t: int                  # the episodes' current TS, 1-based
-    slots: np.ndarray       # (horizon + 1, K, n, visible_rsus) RSU id of each action slot
+    # (horizon + 1, K, n, visible_rsus) RSU id of each action slot; a padded
+    # slot holds its fallback, the nearest RSU, or -1 when none is in range.
+    slots: np.ndarray
     gains: np.ndarray       # (horizon + 1, K, n, R)
     obs: np.ndarray         # (horizon + 1, K, n, obs_dim)
     prev_assoc: np.ndarray  # (K, n) previous RSU ids, -1 when none
@@ -310,17 +299,19 @@ class EdgeAssocEnv:
     """Discrete-time joint association / power environment.
 
     Deterministic given its seed: mobility, fading and initial placement each
-    use a dedicated random stream spawned from it. `reset()` starts a new
-    episode while consuming those streams in order, so repeated episodes under
-    one seed are reproducible as a whole sequence.
+    use a dedicated random stream spawned from it. Episodes consume those
+    streams in order, so repeated episodes under one seed are reproducible as
+    a whole sequence.
 
-    Mobility and fading do not depend on the actions, so `reset()` draws the
-    episode's world at once: one mobility row per TS transition and one fading
-    table per TS through TS `horizon + 1`, the same numbers in the same amount
-    as drawing them TS by TS. From them it derives each TS's positions,
-    speeds, gain table, slot map and learner input vector, all but the
-    previous-association columns. `step` does the action-dependent rest, up
-    to the horizon; stepping a done episode raises.
+    Mobility and fading do not depend on the actions, so an episode's world is
+    drawn when it starts. `reset_block(n)` draws n episodes in turn into one
+    `EnvBlock`: one mobility row per TS transition and one fading table per TS
+    through TS `horizon + 1`, the same numbers in the same amount as drawing
+    them TS by TS, and from them each TS's slot map, gain table and learner
+    input vector, all but the previous-association columns. `reset()` starts
+    a block of one, which `step` advances; `step_block` advances a block of
+    any size. Each does the action-dependent rest, up to the horizon;
+    stepping a done episode raises.
     """
 
     def __init__(self, cfg: EnvConfig, seed: int):
@@ -342,17 +333,11 @@ class EdgeAssocEnv:
         self._noise_w = float(dbm_to_watt(cfg.noise_dbm))
         no_x, no_y = NO_RSU_LOCATION
         # Normalized location per RSU id; row -1 is NO_RSU_LOCATION.
-        self._prev_location = np.stack([
+        self._prev_location = np.column_stack([
             np.append(self.layout.xs, no_x) / cfg.road_length,
             np.append(self.layout.ys, no_y) / cfg.y_scale,
-        ], axis=1)
-        self.world: Optional[WorldState] = None
-        self.gain_table: Optional[np.ndarray] = None  # (K, R) gains of this TS
-        # The episode's rows, one per TS from 1 to horizon + 1; row t - 1 is TS t.
-        self._xs = self._speeds = None  # (n, K)
-        self._gains = None              # (n, K, R)
-        self._slots = None              # (n, K, visible_rsus) RSU ids, -1 padded
-        self._obs = None                # (n, K, obs_dim) learner input vectors
+        ])
+        self._episode: Optional[EnvBlock] = None  # the block of one `reset()` starts
 
     # -- episode control ----------------------------------------------------
 
@@ -373,83 +358,79 @@ class EdgeAssocEnv:
         return self.cfg.horizon
 
     def reset(self) -> list[np.ndarray]:
-        cfg = self.cfg
-        k = cfg.num_vehicles
-        self.world = WorldState(
-            x=self._rng_init.uniform(0.0, cfg.road_length, k),
-            speed=self.mean_speeds.copy(),
-            lane=np.arange(k) % len(LANE_Y),
-            prev_assoc=np.full(k, -1, dtype=int),
-            t=1,
-        )
-        self._draw_episode()
-        return list(self._obs[0])
+        self._episode, stacks = self.reset_block(1)
+        return [stack[0] for stack in stacks]
 
-    def _trajectory(self, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positions and speeds (n + 1, K) of the current TS and one TS per noise row.
+    def reset_block(self, n: int) -> tuple[EnvBlock, list[np.ndarray]]:
+        """Start n episodes, drawn in episode order, as one block for
+        `step_block`. Returns the block and each vehicle's (n, obs_dim) stack
+        of first observations."""
+        if n < 1:
+            raise ValueError(f"a block holds at least one episode, got n={n}")
+        cfg, layout = self.cfg, self.layout
+        k, v = cfg.num_vehicles, cfg.visible_rsus
+        rows = (cfg.horizon + 1, k, n)  # one row per TS from 1 to horizon + 1
+        slots = np.empty((*rows, v), dtype=int)
+        gains = np.empty((*rows, layout.count))
+        obs = np.empty((*rows, cfg.obs_dim))
+        lane_y = np.asarray(LANE_Y)[np.arange(k) % len(LANE_Y)]
+        lo, hi = cfg.gain_db_low, cfg.gain_db_high
+        no_x, no_y = NO_RSU_LOCATION
+        for i in range(n):
+            x = self._rng_init.uniform(0.0, cfg.road_length, k)
+            noise = self._rng_mobility.standard_normal((cfg.horizon, k))
+            fading = self._rng_fading.exponential(size=(cfg.horizon + 1, k, layout.count))
+            dx = np.abs(self._trajectory(x, noise)[:, :, None] - layout.xs) % cfg.road_length
+            dx = np.minimum(dx, cfg.road_length - dx)
+            dist = np.hypot(dx, lane_y[:, None] - layout.ys)  # (TS, K, R) ring metric
+            episode_gains = mean_channel_gain(dist / 1000.0) * fading
+            gains[:, :, i] = episode_gains
+
+            # Slots: RSUs in coverage, nearest first; the stable sort keeps ties
+            # in id order. In-range RSUs are a prefix of the sorted row.
+            order = np.argsort(dist, axis=-1, kind="stable")[..., :v]
+            padded = np.take_along_axis(dist, order, -1) > cfg.coverage_radius
+            # A padded slot falls back to the nearest RSU.
+            nearest = np.where(padded[..., :1], -1, order[..., :1])
+            slots[:, :, i] = np.where(padded, nearest, order)
+            slot_gains = np.take_along_axis(episode_gains, order, -1)
+            slot_gains[padded] = 0.0
+
+            # Learner input: gains in dB mapped to ~[0, 1], x and y scaled.
+            gains_db = np.full(slot_gains.shape, lo)
+            positive = slot_gains > 0.0
+            gains_db[positive] = 10.0 * np.log10(slot_gains[positive])
+            episode_obs = obs[:, :, i]
+            episode_obs[..., :v] = (np.clip(gains_db, lo, hi) - lo) / (hi - lo)
+            episode_obs[..., v:3 * v:2] = np.where(padded, no_x, layout.xs[order]) / cfg.road_length
+            episode_obs[..., v + 1:3 * v:2] = np.where(padded, no_y, layout.ys[order]) / cfg.y_scale
+        obs[0, ..., -2:] = self._prev_location[-1]  # no previous association yet
+        block = EnvBlock(t=1, slots=slots, gains=gains, obs=obs, prev_assoc=np.full((k, n), -1))
+        return block, list(obs[0])
+
+    def _trajectory(self, start: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Positions (n + 1, K) from the start positions at the mean speeds,
+        then one TS per noise row.
 
         The recursion runs per vehicle on Python floats, which round like
         numpy's float64 and are several times faster on K=2 rows.
         """
         cfg = self.cfg
         std, memory, dt, road = cfg.speed_std, cfg.speed_memory, cfg.ts_duration, cfg.road_length
-        xs, speeds = [], []
-        for x, speed, mean, draws in zip(
-            self.world.x.tolist(), self.world.speed.tolist(), self.mean_speeds.tolist(),
-            noise.T.tolist(),
-        ):
-            xk, vk = [x], [speed]
+        xs = []
+        for x, mean, draws in zip(start.tolist(), self.mean_speeds.tolist(), noise.T.tolist()):
+            speed, xk = mean, [x]
             for w in draws:
                 speed = gauss_markov_speed(speed, mean, std, memory, w)
                 x = (x + speed * dt) % road
                 xk.append(x)
-                vk.append(speed)
             xs.append(xk)
-            speeds.append(vk)
-        return np.array(xs).T.copy(), np.array(speeds).T.copy()
-
-    def _draw_episode(self) -> None:
-        """Draw mobility and fading for the whole episode from the current
-        world at TS 1, and derive the rows of every TS through horizon + 1."""
-        cfg, layout = self.cfg, self.layout
-        k, r = cfg.num_vehicles, layout.count
-        noise = self._rng_mobility.standard_normal((cfg.horizon, k))
-        fading = self._rng_fading.exponential(size=(cfg.horizon + 1, k, r))
-        xs, speeds = self._trajectory(noise)
-        dx = np.abs(xs[:, :, None] - layout.xs) % cfg.road_length
-        dx = np.minimum(dx, cfg.road_length - dx)
-        dist = np.hypot(dx, self.world.lane_y()[:, None] - layout.ys)  # (n, K, R) ring metric
-        gains = mean_channel_gain(dist / 1000.0) * fading
-
-        # Slots: RSUs in coverage, nearest first; the stable sort keeps ties
-        # in id order. In-range RSUs are a prefix of the sorted row.
-        order = np.argsort(dist, axis=-1, kind="stable")[..., : cfg.visible_rsus]
-        padded = np.take_along_axis(dist, order, -1) > cfg.coverage_radius
-        slots = np.where(padded, -1, order)
-        slot_gains = np.take_along_axis(gains, order, -1)
-        slot_gains[padded] = 0.0
-
-        # Learner input: gains in dB mapped to ~[0, 1], x and y scaled.
-        lo, hi = cfg.gain_db_low, cfg.gain_db_high
-        gains_db = np.full(slot_gains.shape, lo)
-        positive = slot_gains > 0.0
-        gains_db[positive] = 10.0 * np.log10(slot_gains[positive])
-        v = cfg.visible_rsus
-        obs = np.empty((len(xs), k, cfg.obs_dim))
-        obs[..., :v] = (np.clip(gains_db, lo, hi) - lo) / (hi - lo)
-        no_x, no_y = NO_RSU_LOCATION
-        obs[..., v:3 * v:2] = np.where(padded, no_x, layout.xs[order]) / cfg.road_length
-        obs[..., v + 1:3 * v:2] = np.where(padded, no_y, layout.ys[order]) / cfg.y_scale
-        obs[0, :, -2:] = self._prev_location[self.world.prev_assoc]
-
-        self._xs, self._speeds, self._gains = xs, speeds, gains
-        self._slots, self._obs = slots, obs
-        self.gain_table = gains[0]
+        return np.array(xs).T
 
     # -- stepping -------------------------------------------------------------
 
     def step(self, actions: Sequence[int]) -> StepResult:
-        """Apply one joint action, advance the world one TS.
+        """Apply one joint action to the episode `reset()` started, advance it one TS.
 
         Conflicting picks of the same RSU are resolved in favor of the lowest
         vehicle index; losers transmit nothing that TS. The reward is the
@@ -460,16 +441,17 @@ class EdgeAssocEnv:
         the episode is done raises RuntimeError.
         """
         cfg = self.cfg
-        world = self.world
-        if world is None:
+        episode = self._episode
+        if episode is None:
             raise RuntimeError("call reset() before step()")
-        if world.t > cfg.horizon:
+        if episode.t > cfg.horizon:
             raise RuntimeError("the episode is done; call reset() before step()")
         if len(actions) != cfg.num_vehicles:
             raise ValueError("one action per vehicle required")
 
-        row = world.t - 1
-        slot_maps = self._slots[row].tolist()
+        row = episode.t - 1
+        slot_maps = episode.slots[row, :, 0].tolist()
+        gains = episode.gains[row, :, 0]
         assoc = []
         levels = []
         for k, a in enumerate(actions):
@@ -477,17 +459,14 @@ class EdgeAssocEnv:
             if not 0 <= idx < cfg.actions_per_agent:
                 raise ValueError(f"action index {idx} out of range")
             slot, level = divmod(idx, cfg.power_levels)
-            rid = slot_maps[k][slot]
-            if rid < 0:
-                rid = slot_maps[k][0]  # padded slot: fall back to the nearest RSU
-            assoc.append(rid)
+            assoc.append(slot_maps[k][slot])
             levels.append(level)
 
         rates = [0.0] * cfg.num_vehicles
         tx_powers = [0.0] * cfg.num_vehicles
         ho_flags = [0] * cfg.num_vehicles
         won, contested = set(), set()
-        prev_assoc = world.prev_assoc.tolist()
+        prev_assoc = episode.prev_assoc[:, 0].tolist()
         # Lowest vehicle index wins a contested RSU; losers are muted this TS.
         for k, rid in enumerate(assoc):
             if rid < 0:
@@ -498,22 +477,20 @@ class EdgeAssocEnv:
             else:
                 won.add(rid)
                 tx_powers[k] = self._power_w[levels[k]]
-                rates[k] = achievable_rate(tx_powers[k], self.gain_table[k, rid], self._noise_w)
+                rates[k] = achievable_rate(tx_powers[k], gains[k, rid], self._noise_w)
 
         # One violation per contested RSU and per vehicle under the minimum rate.
         violations = len(contested) + sum(r < cfg.min_rate for r in rates)
         penalty = cfg.penalty if violations else 0.0
         utilities = [utility(*v, cfg) for v in zip(rates, ho_flags, tx_powers)]
-        done = world.t >= cfg.horizon
+        done = episode.t >= cfg.horizon
 
-        # Advance world: new associations become history, mobility moves on.
-        row += 1
-        world.prev_assoc = np.array(assoc)
-        world.x, world.speed = self._xs[row], self._speeds[row]
-        world.t += 1
-        self.gain_table = self._gains[row]
-        obs = self._obs[row]
-        obs[:, -2:] = self._prev_location[world.prev_assoc]
+        # The new associations become history.
+        assoc_ids = np.array(assoc)
+        episode.prev_assoc = assoc_ids[:, None]
+        episode.t += 1
+        obs = episode.obs[row + 1, :, 0]
+        obs[:, -2:] = self._prev_location[assoc_ids]
 
         return StepResult(
             reward=list_mean(utilities) + penalty,
@@ -527,25 +504,6 @@ class EdgeAssocEnv:
             observations=list(obs),
             done=done,
         )
-
-    def reset_block(self, n: int) -> tuple[EnvBlock, list[np.ndarray]]:
-        """Start n episodes, by `reset` in episode order, as one block for
-        `step_block`. Returns the block and each vehicle's (n, obs_dim) stack
-        of first observations; the env is left at TS 1 of the last episode."""
-        rows = []
-        for _ in range(n):
-            self.reset()
-            rows.append((self._slots, self._gains, self._obs))
-        slots, gains, obs = (np.stack(stack, axis=2) for stack in zip(*rows))
-        block = EnvBlock(
-            t=1,
-            # A padded slot falls back to the nearest RSU, -1 when none is in range.
-            slots=np.where(slots < 0, slots[..., :1], slots),
-            gains=gains,
-            obs=obs,
-            prev_assoc=np.full((self.cfg.num_vehicles, n), -1),
-        )
-        return block, list(obs[0])
 
     def step_block(self, block: EnvBlock, actions: Sequence[np.ndarray]) -> StepResult:
         """`step` for every episode of `block` at once: `actions[k]` holds
@@ -656,5 +614,4 @@ class EdgeAssocEnv:
         self.mean_speeds = np.asarray(state["mean_speeds"], dtype=float)
         for name, rng in streams.items():
             setattr(self, f"_{name}", rng)
-        self.world = None
-        self.gain_table = None
+        self._episode = None

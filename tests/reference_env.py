@@ -2,7 +2,8 @@
 constraint check and the per-vehicle observation view.
 
 `PerTsEnv` is the environment's earlier per-TS implementation, kept as the
-reference the planned `fedassoc.env.EdgeAssocEnv` is checked against.
+reference `fedassoc.env.EdgeAssocEnv` is checked against. `WorldState` is its
+ground-truth vehicle state, which `EdgeAssocEnv` does not keep.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from fedassoc.env import (
     EnvConfig,
     RsuLayout,
     StepResult,
-    WorldState,
     achievable_rate,
     build_rsu_layout,
     dbm_to_watt,
@@ -28,6 +28,20 @@ from fedassoc.env import (
     mean_channel_gain,
     utility,
 )
+
+
+@dataclass
+class WorldState:
+    """Ground-truth vehicle state hidden from the agents."""
+
+    x: np.ndarray          # (K,) positions along the road, in [0, road_length)
+    speed: np.ndarray      # (K,) m/s
+    lane: np.ndarray       # (K,) lane index into LANE_Y
+    prev_assoc: np.ndarray  # (K,) previous RSU id, -1 when none
+    t: int                 # current TS, 1-based
+
+    def lane_y(self) -> np.ndarray:
+        return np.asarray(LANE_Y)[self.lane]
 
 
 @dataclass
@@ -48,15 +62,26 @@ def rsu_position(layout: RsuLayout, rsu_id: int) -> tuple[float, float]:
     return float(layout.xs[rsu_id]), float(layout.ys[rsu_id])
 
 
+def episode_row(env, name: str) -> np.ndarray:
+    """The current TS's (K, ...) row of array `name` (`slots`, `gains` or
+    `obs`) of the episode an `EdgeAssocEnv`'s `reset()` started."""
+    episode = env._episode
+    return getattr(episode, name)[episode.t - 1][:, 0]
+
+
 def observations(env) -> list[Observation]:
-    """Per-vehicle views of an `EdgeAssocEnv`'s current TS, from its drawn rows."""
+    """Per-vehicle views of an `EdgeAssocEnv`'s current TS, from its episode's rows."""
     layout = env.layout
+    gains = episode_row(env, "gains")
     views = []
-    for k, slot_map in enumerate(env._slots[env.world.t - 1]):
-        padded = slot_map < 0
-        prev = int(env.world.prev_assoc[k])
+    for k, slots in enumerate(episode_row(env, "slots")):
+        # In-range slots hold distinct RSUs; a padded one holds slot 0's
+        # fallback, -1 when no RSU is in range.
+        padded = (slots < 0) | ((np.arange(len(slots)) > 0) & (slots == slots[0]))
+        slot_map = np.where(padded, -1, slots)
+        prev = int(env._episode.prev_assoc[k, 0])
         views.append(Observation(
-            gains=np.where(padded, 0.0, env.gain_table[k, slot_map]),
+            gains=np.where(padded, 0.0, gains[k, slot_map]),
             locations=np.where(
                 padded[:, None], NO_RSU_LOCATION,
                 np.stack([layout.xs[slot_map], layout.ys[slot_map]], axis=1),
@@ -64,7 +89,7 @@ def observations(env) -> list[Observation]:
             prev_location=np.asarray(
                 rsu_position(layout, prev) if prev >= 0 else NO_RSU_LOCATION
             ),
-            slot_map=slot_map.copy(),
+            slot_map=slot_map,
         ))
     return views
 
@@ -121,7 +146,7 @@ class PerTsEnv:
     """The environment as it was before episodes were drawn at reset().
 
     It draws mobility and fading one TS at a time and rebuilds every
-    observation each TS. The planned `EdgeAssocEnv` must match it bit for bit.
+    observation each TS. `EdgeAssocEnv` must match it bit for bit.
     """
 
     def __init__(self, cfg: EnvConfig, seed: int):

@@ -570,10 +570,10 @@ def test_failed_load_leaves_env_unchanged(tmp_path, name, other_world):
     env = small_env(seed=1, **other_world)
     env.reset()
     env.step([0, 0])
-    before, world = env.get_state(), env.world
+    before, episode = env.get_state(), env._episode
     with pytest.raises(ValueError, match=re.escape(str(path))):
         FederatedTrainer.load(tmp_path / "ckpt", env)
-    assert env.get_state() == before and env.world is world
+    assert env.get_state() == before and env._episode is episode and episode.t == 2
 
 
 # A `meta` of another shape or of non-integers, each with its shape and dtype.

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from reference_env import check_constraints
+from reference_env import PerTsEnv, check_constraints, episode_row
 
 from fedassoc.env import (
     EdgeAssocEnv,
@@ -43,15 +43,18 @@ def test_gain_with_fading_disabled():
 def test_gain_monte_carlo_mean():
     # The env's gain is path loss times a fading power factor: the squared
     # magnitude of unit-variance complex fading, exponential with mean 1.
-    env = EdgeAssocEnv(EnvConfig(horizon=1), seed=42)
-    cfg, layout = env.cfg, env.layout
+    # The reference twin draws the same start positions from its init stream.
+    cfg = EnvConfig(horizon=1)
+    env, ref = EdgeAssocEnv(cfg, seed=42), PerTsEnv(cfg, seed=42)
+    layout = env.layout
     factors = []
     while len(factors) < 100_000:
         env.reset()
-        dx = np.abs(env.world.x[:, None] - layout.xs) % cfg.road_length
+        ref.reset()
+        dx = np.abs(ref.world.x[:, None] - layout.xs) % cfg.road_length
         dx = np.minimum(dx, cfg.road_length - dx)
-        dist_km = np.hypot(dx, env.world.lane_y()[:, None] - layout.ys) / 1000.0
-        factors.extend((env.gain_table / mean_channel_gain(dist_km)).ravel())
+        dist_km = np.hypot(dx, ref.world.lane_y()[:, None] - layout.ys) / 1000.0
+        factors.extend((episode_row(env, "gains") / mean_channel_gain(dist_km)).ravel())
     factors = np.array(factors)
     assert abs(factors.mean() - 1.0) < 0.02
     assert (factors >= 0.0).all()

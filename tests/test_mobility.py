@@ -29,16 +29,17 @@ def test_stationary_mean_and_std(memory):
 
 
 def test_env_positions_follow_speeds():
-    # Position update is speed' * ts_duration modulo the road length.
+    # Each TS the speed takes one autoregressive step from the mean speed and
+    # the position moves by speed' * ts_duration, modulo the road length.
     cfg = EnvConfig(ts_duration=2.5)
     env = EdgeAssocEnv(cfg, seed=5)
-    env.reset()
-    for _ in range(200):
-        x_before = env.world.x.copy()
-        step = env.step([0, 0])
-        expected = np.mod(x_before + env.world.speed * cfg.ts_duration, cfg.road_length)
-        assert np.array_equal(env.world.x, expected)
-        assert (env.world.x >= 0).all() and (env.world.x < cfg.road_length).all()
-        assert np.array_equal(env.world.lane, np.array([0, 1]))
-        if step.done:
-            env.reset()
+    rng = np.random.default_rng(6)
+    start = rng.uniform(0.0, cfg.road_length, 2)
+    noise = rng.standard_normal((200, 2))
+    xs = env._trajectory(start, noise)
+    assert xs.shape == (201, 2) and np.array_equal(xs[0], start)
+    speed = env.mean_speeds
+    for t, w in enumerate(noise):
+        speed = gauss_markov_speed(speed, env.mean_speeds, cfg.speed_std, cfg.speed_memory, w)
+        assert np.array_equal(xs[t + 1], np.mod(xs[t] + speed * cfg.ts_duration, cfg.road_length))
+    assert (xs >= 0).all() and (xs < cfg.road_length).all()

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_env import PerTsEnv, observable_rsus, observations
+from reference_env import (
+    PerTsEnv,
+    WorldState,
+    episode_row,
+    observable_rsus,
+    observation_vector,
+    observations,
+)
 
 from fedassoc.env import (
     LANE_Y,
@@ -18,7 +25,6 @@ from fedassoc.env import (
     EdgeAssocEnv,
     EnvConfig,
     RsuLayout,
-    WorldState,
     build_rsu_layout,
     gauss_markov_speed,
     utility,
@@ -27,6 +33,23 @@ from fedassoc.env import (
 
 def make_env(seed=3, **overrides):
     return EdgeAssocEnv(EnvConfig(**overrides), seed=seed)
+
+
+class FixedStart:
+    """An init stream whose every draw of start positions gives `x`."""
+
+    def __init__(self, x):
+        self.x = np.asarray(x, dtype=float)
+
+    def uniform(self, low, high, size):
+        return self.x.copy()
+
+
+def reset_at(x, *envs):
+    """Reset each env with its vehicles starting at positions `x`."""
+    for env in envs:
+        env._rng_init = FixedStart(x)
+        env.reset()
 
 
 # -- layout ----------------------------------------------------------------
@@ -84,12 +107,14 @@ def test_reset_is_deterministic():
     assert len(obs_a) == 2
     for va, vb in zip(obs_a, obs_b):
         assert np.array_equal(va, vb)
-    assert np.array_equal(a.world.x, b.world.x)
-    assert np.array_equal(a.world.speed, b.world.speed)
+    ea, eb = a._episode, b._episode
+    assert np.array_equal(ea.slots, eb.slots) and np.array_equal(ea.gains, eb.gains)
+    # A TS's previous-association columns are written when the TS before it is stepped.
+    assert np.array_equal(ea.obs[..., :-2], eb.obs[..., :-2])
+    assert np.array_equal(ea.obs[0], eb.obs[0])
     assert np.array_equal(a.mean_speeds, b.mean_speeds)
-    assert a.world.t == 1
-    assert np.all(a.world.prev_assoc == -1)
-    assert np.all(a.world.speed == a.mean_speeds)
+    assert ea.t == 1
+    assert ea.prev_assoc.tolist() == [[-1], [-1]]
 
 
 def test_mean_speeds_respect_config():
@@ -101,15 +126,15 @@ def test_mean_speeds_respect_config():
 
 # -- observations --------------------------------------------------------------
 
-def brute_force_slots(env, vehicle):
-    cfg = env.cfg
-    vx = env.world.x[vehicle]
-    vy = LANE_Y[env.world.lane[vehicle]]
+def brute_force_slots(ref, vehicle):
+    cfg = ref.cfg
+    vx = ref.world.x[vehicle]
+    vy = LANE_Y[ref.world.lane[vehicle]]
     found = []
     for rid in range(cfg.num_rsus):
-        dx = abs(vx - env.layout.xs[rid]) % cfg.road_length
+        dx = abs(vx - ref.layout.xs[rid]) % cfg.road_length
         dx = min(dx, cfg.road_length - dx)
-        d = math.hypot(dx, vy - env.layout.ys[rid])
+        d = math.hypot(dx, vy - ref.layout.ys[rid])
         if d <= cfg.coverage_radius:
             found.append((d, rid))
     found.sort()
@@ -117,21 +142,21 @@ def brute_force_slots(env, vehicle):
 
 
 def test_observable_rsus_matches_brute_force():
-    env = make_env(seed=21)
+    # The reference twin draws the same start positions from its init stream.
+    env, ref = twin_pair(EnvConfig(), 21)
     for _ in range(50):
         env.reset()
+        ref.reset()
         for k in range(2):
-            got = [rid for rid, _ in observable_rsus(env.world, env.layout, env.cfg, k)]
-            assert got == brute_force_slots(env, k)
+            got = [rid for rid, _ in observable_rsus(ref.world, ref.layout, ref.cfg, k)]
+            assert got == brute_force_slots(ref, k)
             assert np.array_equal(observations(env)[k].slot_map[: len(got)], got)
 
 
 def test_mid_road_vehicle_sees_full_slots():
-    env = make_env()
-    env.reset()
-    env.world.x[:] = 500.0
-    env._draw_episode()
-    slots = observable_rsus(env.world, env.layout, env.cfg, 0)
+    env, ref = twin_pair(EnvConfig(), 3)
+    reset_at([500.0, 500.0], env, ref)
+    slots = observable_rsus(ref.world, ref.layout, ref.cfg, 0)
     assert len(slots) == 4
     dists = [d for _, d in slots]
     assert dists == sorted(dists)
@@ -139,11 +164,9 @@ def test_mid_road_vehicle_sees_full_slots():
 
 
 def test_no_rsus_in_range_gives_empty_list():
-    env = make_env(coverage_radius=5.0)
-    env.reset()
-    env.world.x[:] = 0.0  # far from every RSU x position
-    env._draw_episode()
-    assert observable_rsus(env.world, env.layout, env.cfg, 0) == []
+    env, ref = twin_pair(EnvConfig(coverage_radius=5.0), 3)
+    reset_at([0.0, 0.0], env, ref)  # far from every RSU x position
+    assert observable_rsus(ref.world, ref.layout, ref.cfg, 0) == []
     obs = observations(env)[0]
     assert np.all(obs.slot_map == -1)
     assert np.all(obs.gains == 0.0)
@@ -163,8 +186,8 @@ def test_equidistant_tie_breaks_to_lower_id():
     assert [rid for rid, _ in slots] == [0, 1]
     assert slots[0][1] == slots[1][1]
     env = EdgeAssocEnv(cfg, seed=0)
-    env.layout, env.world = layout, world
-    env._draw_episode()
+    env.layout = layout
+    reset_at(world.x, env)
     assert list(observations(env)[0].slot_map) == [0, 1]
 
 
@@ -183,9 +206,7 @@ def test_observation_vector_layout():
 
 def test_padded_slots_after_shrinking_coverage():
     env = make_env(coverage_radius=100.0)
-    env.reset()
-    env.world.x[:] = 83.0  # right next to the first RSU column
-    env._draw_episode()
+    reset_at([83.0, 83.0], env)  # right next to the first RSU column
     obs = observations(env)[0]
     n = int((obs.slot_map >= 0).sum())
     assert 1 <= n < 4
@@ -237,10 +258,8 @@ def test_first_ts_has_no_handover():
 
 def test_conflict_resolution_lowest_index_wins():
     env = make_env(seed=29)
-    env.reset()
-    # Drive both vehicles to the same spot so their nearest RSU coincides.
-    env.world.x[:] = 500.0
-    env._draw_episode()
+    # Start both vehicles at the same spot so their nearest RSU coincides.
+    reset_at([500.0, 500.0], env)
     views = observations(env)
     rid0 = int(views[0].slot_map[0])
     slot1 = int(np.where(views[1].slot_map == rid0)[0][0])
@@ -273,7 +292,7 @@ def test_episode_terminates_at_horizon():
         assert step.done == (t == 7)
     with pytest.raises(RuntimeError, match="episode is done"):
         env.step([0, 0])
-    assert env.world.t == 8
+    assert env._episode.t == 8
     env.reset()
     assert not env.step([0, 0]).done
 
@@ -304,7 +323,7 @@ def test_state_round_trip():
     twin = make_env(seed=999, horizon=30)
     twin.reset()
     twin.set_state(state)
-    assert twin.world is None and twin.gain_table is None
+    assert twin._episode is None
     with pytest.raises(RuntimeError, match="reset"):
         twin.step([0, 0])
     rng = np.random.default_rng(4)
@@ -336,7 +355,7 @@ def test_scripted_episode_matches_oracle():
     total_oracle = 0.0
     for t in range(10):
         slot_maps = [observations(env)[k].slot_map.copy() for k in range(2)]
-        gains = env.gain_table.copy()
+        gains = episode_row(env, "gains").copy()
         actions = [(t % 4, 3), ((t + 1) % 4, t % 4)]  # (slot, power level)
         step = env.step([slot * 4 + level for slot, level in actions])
         total_env += step.reward
@@ -369,7 +388,7 @@ def test_scripted_episode_matches_oracle():
     assert abs(total_env - total_oracle) < 1e-9
 
 
-# -- the planned env against the per-TS reference ----------------------------------
+# -- the env against the per-TS reference ------------------------------------------
 
 STREAMS = ("_rng_init", "_rng_mobility", "_rng_fading")
 
@@ -390,10 +409,19 @@ def assert_same_step(a, b):
 
 
 def assert_same_world(env, ref):
-    for name in ("x", "speed", "lane", "prev_assoc"):
-        assert bits(getattr(env.world, name)) == bits(getattr(ref.world, name)), name
-    assert env.world.t == ref.world.t
-    assert bits(env.gain_table) == bits(ref.gain_table)
+    """The env's episode at the reference's TS: the current rows of gains,
+    slots (the padded-slot fallback applied) and observations, and the
+    previous associations."""
+    assert env._episode.t == ref.world.t
+    assert bits(env._episode.prev_assoc[:, 0]) == bits(ref.world.prev_assoc)
+    assert bits(episode_row(env, "gains")) == bits(ref.gain_table)
+    slot_maps = np.array([o.slot_map for o in ref.observations])
+    assert bits(episode_row(env, "slots")) == bits(
+        np.where(slot_maps < 0, slot_maps[:, :1], slot_maps)
+    )
+    assert bits(episode_row(env, "obs")) == bits(
+        [observation_vector(o, ref.cfg) for o in ref.observations]
+    )
     for got, want in zip(observations(env), ref.observations, strict=True):
         for name in ("gains", "locations", "prev_location", "slot_map"):
             assert bits(getattr(got, name)) == bits(getattr(want, name)), name
@@ -488,9 +516,8 @@ def with_clashes(actions, envs, rng, cfg):
     """`actions` with some vehicles moved onto the RSU that vehicle 0 picks."""
     actions = actions.copy()
     for i, env in enumerate(envs):
-        slot_maps = env._slots[env.world.t - 1]
+        slot_maps = episode_row(env, "slots")  # padded slots hold their fallback
         target = slot_maps[0][actions[0, i] // cfg.power_levels]
-        target = slot_maps[0][0] if target < 0 else target
         for k in range(1, cfg.num_vehicles):
             hits = np.flatnonzero(slot_maps[k] == target)
             if target >= 0 and len(hits) and rng.random() < 0.7:
@@ -557,10 +584,34 @@ def test_block_step_matches_env_step(
     assert env.get_state() == twin.get_state()
 
 
+def test_reset_block_leaves_the_reset_episode_as_it_was():
+    # A block's episodes are drawn into the block alone: the episode reset()
+    # started goes on as in a twin env that drew no block.
+    cfg = EnvConfig(horizon=6, coverage_radius=150.0)
+    env, twin = EdgeAssocEnv(cfg, 71), EdgeAssocEnv(cfg, 71)
+    rng = np.random.default_rng(9)
+    assert [bits(v) for v in env.reset()] == [bits(v) for v in twin.reset()]
+    actions = random_actions(rng, cfg)
+    assert_same_step(env.step(actions), twin.step(actions))
+    env.reset_block(3)
+    for _ in range(cfg.horizon - 1):
+        actions = random_actions(rng, cfg)
+        assert_same_step(env.step(actions), twin.step(actions))
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_reset_block_rejects_an_empty_block(n):
+    env = make_env(seed=73)
+    before = env.get_state()
+    with pytest.raises(ValueError, match=re.escape(f"at least one episode, got n={n}")):
+        env.reset_block(n)
+    assert env.get_state() == before
+
+
 @pytest.mark.parametrize("steps", [4, 30, 32], ids=["mid-episode", "boundary", "past-horizon"])
 def test_state_without_drawn_rows_resumes(steps):
     # A state the per-TS reference writes after any number of TS, within its
-    # episode or past the horizon, restores into the planned env, whose
+    # episode or past the horizon, restores into the env, whose
     # episodes from the next reset() match the reference's.
     cfg = EnvConfig(horizon=30)
     env, ref = twin_pair(cfg, 53)
@@ -610,10 +661,10 @@ def test_set_state_rejects_another_world(edit, message):
     edit(state)
     twin = make_env(seed=5, horizon=10)
     twin.reset()
-    before, world = twin.get_state(), twin.world
+    before, episode = twin.get_state(), twin._episode
     with pytest.raises(ValueError, match=re.escape(message)):
         twin.set_state(state)
-    assert twin.get_state() == before and twin.world is world and world.t == 1
+    assert twin.get_state() == before and twin._episode is episode and episode.t == 1
 
 
 def test_array_helpers_match_scalar_calls():
