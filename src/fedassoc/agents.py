@@ -326,8 +326,24 @@ class FederatedTrainer(Trainer):
     The per-TS update order is fixed: targets are computed on the lead side
     with the target networks, the lead's local net and the joint head update
     first, then the follower updates against the same targets with the lead's
-    freshly shared noisy Q-values. Gradients never cross the sharing boundary:
-    the peer's noisy Q-input is a constant in each side's loss.
+    freshly shared noisy Q-values. No gradient flows into the peer's local
+    net: the peer's noisy Q-input is a constant in each side's loss.
+
+    What crosses between the lead's side and the follower's, with w = |A|
+    values per row in vector mode and 1 in scalar mode:
+
+    - per TS (`select_actions`), with noise: the follower's Q-vector (vector)
+      or the Q-value of its own epsilon-greedy pick (scalar). Without noise,
+      in vector mode: the follower's action, which the lead picks;
+    - per training step, with fresh noise: the follower's next-state values
+      for the targets (`compute_targets`; the row max in scalar mode), the
+      follower's values for the lead's update and the lead's values for the
+      follower's (`_side_grads`), batch x w values each;
+    - per training step, without noise: the batch's targets, lead to
+      follower; in vector mode the lead's actions of the batch, which index
+      the joint output of the follower's update; and the joint head
+      `pair.mlp`, which both sides step in turn, so its weights or its
+      update cross twice. The follower's update carries its raw Q-rows.
     """
 
     def init_nets(self, rng_init: np.random.Generator) -> None:

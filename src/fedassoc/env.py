@@ -308,10 +308,11 @@ class EdgeAssocEnv:
     `EnvBlock`: one mobility row per TS transition and one fading table per TS
     through TS `horizon + 1`, the same numbers in the same amount as drawing
     them TS by TS, and from them each TS's slot map, gain table and learner
-    input vector, all but the previous-association columns. `reset()` starts
-    a block of one, which `step` advances; `step_block` advances a block of
-    any size. Each does the action-dependent rest, up to the horizon;
-    stepping a done episode raises.
+    input vector. The input's previous-association columns hold "no RSU" in
+    every row until the step into that row writes them. `reset()` starts a
+    block of one, which `step` advances; `step_block` advances a block of any
+    size. Each does the action-dependent rest, up to the horizon; stepping a
+    done episode raises.
     """
 
     def __init__(self, cfg: EnvConfig, seed: int):
@@ -404,7 +405,8 @@ class EdgeAssocEnv:
             episode_obs[..., :v] = (np.clip(gains_db, lo, hi) - lo) / (hi - lo)
             episode_obs[..., v:3 * v:2] = np.where(padded, no_x, layout.xs[order]) / cfg.road_length
             episode_obs[..., v + 1:3 * v:2] = np.where(padded, no_y, layout.ys[order]) / cfg.y_scale
-        obs[0, ..., -2:] = self._prev_location[-1]  # no previous association yet
+        # No previous association yet; each step rewrites the next TS's columns.
+        obs[..., -2:] = self._prev_location[-1]
         block = EnvBlock(t=1, slots=slots, gains=gains, obs=obs, prev_assoc=np.full((k, n), -1))
         return block, list(obs[0])
 

@@ -16,6 +16,7 @@ from fedassoc.harness import (
     WindowStats,
     config_from_dict,
     config_to_dict,
+    derive_seeds,
     echo_config,
     load_config,
     run_experiment,
@@ -114,6 +115,59 @@ def test_fedavg_period_is_a_trainer_key(tmp_path):
     assert cfg.trainer.fedavg_period == 2
     assert config_to_dict(cfg)["fedavg_period"] == 2
     assert not hasattr(cfg, "fedavg_period")
+
+
+# -- what the algorithms of one seed share -------------------------------------
+
+def test_the_algorithms_of_a_seed_see_the_same_worlds():
+    """Mobility, fading and placement ignore the actions, and every algorithm
+    gets the seed's env seed, so training leaves their envs equal."""
+    env_seed, algo_seed = derive_seeds(3)
+    states, blocks = [], []
+    for algo in ALGORITHMS:
+        env = EdgeAssocEnv(EnvConfig(horizon=20), env_seed)
+        TRAINERS[algo](env, TrainerConfig(episodes=3), algo_seed).run()
+        states.append(env.get_state())
+        block, stacks = env.reset_block(2)
+        blocks.append(([s.tobytes() for s in stacks], block.obs.tobytes(), block.gains.tobytes()))
+    assert all(state == states[0] for state in states[1:])
+    assert all(block == blocks[0] for block in blocks[1:])
+
+
+class CountingRng:
+    """A random stream that counts its `random` calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.random_calls = 0
+
+    def random(self, *args, **kwargs):
+        self.random_calls += 1
+        return self.rng.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("algo, share_mode, draws", [
+    ("proposed", "vector", 1),
+    ("cdrl", "vector", 1),
+    ("proposed", "scalar", 2),
+    ("imarl", "vector", 2),
+    ("fmarl-avg", "vector", 2),
+])
+def test_exploration_draws_per_time_slot(algo, share_mode, draws):
+    """Joint-action learners draw once per TS whether to explore, per-vehicle
+    learners once per vehicle, so at ε = 0.1 some vehicle explores on 10 % and
+    on 19 % of TS."""
+    env = EdgeAssocEnv(EnvConfig(horizon=5), 0)
+    trainer = TRAINERS[algo](env, TrainerConfig(share_mode=share_mode), 1)
+    trainer.rng_explore = CountingRng(trainer.rng_explore)
+    obs = env.reset()
+    for t in range(1, 6):
+        actions = trainer.select_actions(obs, 0.5)
+        assert trainer.rng_explore.random_calls == draws * t
+        obs = env.step(actions).observations
 
 
 # -- metric csv ---------------------------------------------------------------

@@ -109,9 +109,7 @@ def test_reset_is_deterministic():
         assert np.array_equal(va, vb)
     ea, eb = a._episode, b._episode
     assert np.array_equal(ea.slots, eb.slots) and np.array_equal(ea.gains, eb.gains)
-    # A TS's previous-association columns are written when the TS before it is stepped.
-    assert np.array_equal(ea.obs[..., :-2], eb.obs[..., :-2])
-    assert np.array_equal(ea.obs[0], eb.obs[0])
+    assert np.array_equal(ea.obs, eb.obs)
     assert np.array_equal(a.mean_speeds, b.mean_speeds)
     assert ea.t == 1
     assert ea.prev_assoc.tolist() == [[-1], [-1]]
