@@ -154,12 +154,12 @@ def joint_q(mlp: DenseNet, own_q: np.ndarray, peer_q: np.ndarray) -> np.ndarray:
 
 # Greedy evaluation advances up to this many episodes together. For the
 # default proposed pair (one core of a shared host, one BLAS thread) a greedy
-# TS took, per episode and over three runs, 135-232 µs in blocks of 1,
-# 152-241 (2), 88-144 (4), 58-63 (8), 51-72 (10), 34-46 (16), 30-34 (32) and
-# 22-31 (64). A block holds each episode's drawn rows and sharing noise,
-# about 66 KB per episode of the default world: 2.0 MB at 32 (`tracemalloc`).
-# 64 would double that for a gain that only evaluations of 64 or more
-# episodes see.
+# TS took, per episode and over three runs of the median of 15 calls,
+# 111-135 µs of CPU in blocks of 1, 59-80 (2), 38-52 (4), 26-38 (8),
+# 27-35 (10), 28-37 (16), 27-32 (32) and 26-32 (64). A block holds each
+# episode's drawn rows, actions and sharing noise, and is scored at its end:
+# about 89 KB per episode of the default world, 2.8 MB at 32 (`tracemalloc`).
+# 64 would double that for no gain the runs above could tell apart.
 EVAL_BLOCK = 32
 
 
@@ -177,10 +177,11 @@ class Trainer:
     and sharing noise (drawn only by the federated pair).
 
     Training steps an env by `reset` and `step`, one episode on Python
-    floats, and `evaluate` by its block pair alone, `reset_block(n)` and
-    `step_block(block, actions)`, on arrays, as `EdgeAssocEnv` describes
-    them: there every episode is drawn by `reset_block`, and `reset` starts a
-    block of one. An env also names its episode length `horizon`.
+    floats, and `evaluate` by its block calls alone, `reset_block(n)`,
+    `step_block(block, actions)` once per TS and `score_block(block)` once,
+    on arrays, as `EdgeAssocEnv` describes them: there every episode is
+    drawn by `reset_block`, and `reset` starts a block of one. An env also
+    names its episode length `horizon`.
     """
 
     def __init__(self, env, cfg: TrainerConfig, seed: int):
@@ -273,30 +274,35 @@ class Trainer:
         lockstep; a lone episode is a block of one. A block starts its
         episodes in order (`env.reset_block`), then draws its sharing noise
         (`share_noise`). Each TS makes one `select_actions` call on the
-        stacked observations and one `env.step_block`. Records and every
-        random stream end as when the episodes run one at a time, bit for
-        bit. The noise is drawn for episodes of `env.horizon` TS, so an
-        episode that ends on another TS raises RuntimeError.
+        stacked observations and one `env.step_block`, which only takes the
+        actions and gives the next observations. After the last TS one
+        `env.score_block` scores the whole block, and one
+        `MetricAccumulator.add` sums it. Records and every random stream end
+        as when the episodes run one at a time, bit for bit. The noise is
+        drawn for episodes of `env.horizon` TS, so an episode that ends on
+        another TS raises RuntimeError, naming its first TS, then its first
+        episode.
         """
         horizon = self.env.horizon
         records = []
+        acc = MetricAccumulator()
         for first in range(1, episodes + 1, EVAL_BLOCK):
             n = min(EVAL_BLOCK, episodes + 1 - first)
             block, obs = self.env.reset_block(n)
             noise = self.share_noise(n, horizon)
-            acc = MetricAccumulator()
             for t in range(horizon):
                 ts_noise = None if noise is None else noise[:, t, :]
-                step = self.env.step_block(block, self.select_actions(obs, 0.0, ts_noise))
-                off = np.flatnonzero(step.done != (t == horizon - 1))
-                if len(off):
-                    raise RuntimeError(
-                        f"greedy evaluation runs episodes of {horizon} TS (env.horizon), but "
-                        f"episode {first + off[0]} {'ended' if t < horizon - 1 else 'goes on'}"
-                        f" at TS {t + 1}"
-                    )
-                acc.add(step, first)
-                obs = step.observations
+                obs = self.env.step_block(block, self.select_actions(obs, 0.0, ts_noise))
+            scored = self.env.score_block(block)
+            off = np.argwhere(scored.done != (np.arange(horizon) == horizon - 1)[:, None])
+            if len(off):
+                t, i = off[0]
+                raise RuntimeError(
+                    f"greedy evaluation runs episodes of {horizon} TS (env.horizon), but "
+                    f"episode {first + i} {'ended' if t < horizon - 1 else 'goes on'}"
+                    f" at TS {t + 1}"
+                )
+            acc.add(scored, first)
             records.extend(acc.finalize(first, 0.0, 0.0))
         return records
 

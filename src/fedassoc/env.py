@@ -124,13 +124,14 @@ def list_mean(values: Union[Sequence[float], np.ndarray]) -> Union[float, np.nda
     """`np.mean` of a list of floats, bit for bit, without building an array.
 
     numpy adds fewer than 8 values one by one, left to right from 0.0; longer
-    lists take its pairwise sum. A (K, n) array gives its n column means,
-    each with the bits of `list_mean` of that column as a list.
+    lists take its pairwise sum. A (K, ...) array, such as (K, n) or
+    (K, T, n), gives the means across its K rows, each with the bits of
+    `list_mean` of its K values as a list.
     """
     if len(values) >= 8:
         if isinstance(values, np.ndarray):
             # numpy sums each contiguous row pairwise, as it sums one list.
-            return np.mean(np.ascontiguousarray(values.T), axis=1)
+            return np.mean(np.ascontiguousarray(np.moveaxis(values, 0, -1)), axis=-1)
         return float(np.mean(values))
     total = 0.0
     for v in values:
@@ -249,11 +250,12 @@ def utility(
 class StepResult:
     """Outcome of one joint TS; per-vehicle values are lists in vehicle order.
 
-    A block step (`EdgeAssocEnv.step_block`) fills the same fields for n
-    episodes in lockstep: each per-vehicle list becomes a (K, n) array, row k
-    holding vehicle k's values across the episodes; `reward`, `violations`,
-    `penalty` and `done` become (n,) arrays, the penalty a float one;
-    `observations` is a (K, n, obs_dim) array, one stack per vehicle.
+    A block's score (`EdgeAssocEnv.score_block`) fills the same fields for
+    the T TS of n episodes stepped in lockstep: each per-vehicle list becomes
+    a (K, T, n) array, row k holding vehicle k's values by TS and episode;
+    `reward`, `violations`, `penalty` and `done` become (T, n) arrays, the
+    penalty a float one; `observations` is a (K, T, n, obs_dim) array, the
+    observations each TS led to.
     """
 
     reward: float              # mean utility plus penalty
@@ -270,9 +272,10 @@ class StepResult:
 
 @dataclass
 class EnvBlock:
-    """Episodes of one world that `EdgeAssocEnv.reset_block` draws and
-    `step_block` advances in lockstep (`step` advances a block of one), their
-    rows held with the episode axis after the vehicle axis."""
+    """Episodes of one world that `EdgeAssocEnv.reset_block` draws,
+    `step_block` advances in lockstep and `score_block` scores (`step`
+    advances and scores a block of one), their rows held with the episode
+    axis after the vehicle axis."""
 
     t: int                  # the episodes' current TS, 1-based
     # (horizon + 1, K, n, visible_rsus) RSU id of each action slot; a padded
@@ -281,6 +284,9 @@ class EnvBlock:
     gains: np.ndarray       # (horizon + 1, K, n, R)
     obs: np.ndarray         # (horizon + 1, K, n, obs_dim)
     prev_assoc: np.ndarray  # (K, n) previous RSU ids, -1 when none
+    # (horizon, K, n) the action index of each TS that `step_block` took;
+    # rows from TS t on are unset.
+    actions: np.ndarray
 
     def __post_init__(self):
         k, n = self.prev_assoc.shape
@@ -310,9 +316,11 @@ class EdgeAssocEnv:
     them TS by TS, and from them each TS's slot map, gain table and learner
     input vector. The input's previous-association columns hold "no RSU" in
     every row until the step into that row writes them. `reset()` starts a
-    block of one, which `step` advances; `step_block` advances a block of any
-    size. Each does the action-dependent rest, up to the horizon; stepping a
-    done episode raises.
+    block of one, which `step` advances and scores TS by TS. A block of any
+    size is advanced by `step_block`, which only records each TS's actions
+    and writes the next row's previous association, and then scored at once
+    by `score_block`: only the handover term links one TS to the next, and it
+    reads the previous association alone. Stepping past the horizon raises.
     """
 
     def __init__(self, cfg: EnvConfig, seed: int):
@@ -364,8 +372,8 @@ class EdgeAssocEnv:
 
     def reset_block(self, n: int) -> tuple[EnvBlock, list[np.ndarray]]:
         """Start n episodes, drawn in episode order, as one block for
-        `step_block`. Returns the block and each vehicle's (n, obs_dim) stack
-        of first observations."""
+        `step_block` and `score_block`. Returns the block and each vehicle's
+        (n, obs_dim) stack of first observations."""
         if n < 1:
             raise ValueError(f"a block holds at least one episode, got n={n}")
         cfg, layout = self.cfg, self.layout
@@ -407,7 +415,10 @@ class EdgeAssocEnv:
             episode_obs[..., v + 1:3 * v:2] = np.where(padded, no_y, layout.ys[order]) / cfg.y_scale
         # No previous association yet; each step rewrites the next TS's columns.
         obs[..., -2:] = self._prev_location[-1]
-        block = EnvBlock(t=1, slots=slots, gains=gains, obs=obs, prev_assoc=np.full((k, n), -1))
+        block = EnvBlock(
+            t=1, slots=slots, gains=gains, obs=obs, prev_assoc=np.full((k, n), -1),
+            actions=np.empty((cfg.horizon, k, n), dtype=int),
+        )
         return block, list(obs[0])
 
     def _trajectory(self, start: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -507,11 +518,12 @@ class EdgeAssocEnv:
             done=done,
         )
 
-    def step_block(self, block: EnvBlock, actions: Sequence[np.ndarray]) -> StepResult:
-        """`step` for every episode of `block` at once: `actions[k]` holds
-        vehicle k's action index in each episode. Returns a block StepResult
-        whose episode i has the values and bits of `step` on episode i, and
-        raises as `step` does for the first offending episode.
+    def step_block(self, block: EnvBlock, actions: Sequence[np.ndarray]) -> np.ndarray:
+        """Take one TS's actions for every episode of `block`: `actions[k]`
+        holds vehicle k's action index in each episode. Records them for
+        `score_block`, writes the next row's previous-association columns and
+        returns the next observations, (K, n, obs_dim), a view of the block.
+        Raises as `step` does for the first offending episode.
         """
         cfg = self.cfg
         if block.t > cfg.horizon:
@@ -529,37 +541,50 @@ class EdgeAssocEnv:
             raise ValueError(f"action index {idx} out of range")
 
         row = block.t - 1
-        vehicles, episodes = block.vehicles, block.episodes
-        slot, level = np.divmod(acts, cfg.power_levels)
-        assoc = block.slots[row][vehicles, episodes, slot]
+        block.actions[row] = acts
+        block.prev_assoc = block.slots[row][block.vehicles, block.episodes, acts // cfg.power_levels]
+        block.t += 1
+        obs = block.obs[row + 1]
+        obs[..., -2:] = self._prev_location[block.prev_assoc]
+        return obs
+
+    def score_block(self, block: EnvBlock) -> StepResult:
+        """The TS rule of `step` on every TS that `step_block` took in `block`,
+        all at once: a StepResult whose TS t of episode i has the values and
+        bits of `step` on that episode at TS t + 1. Leaves the block as it is.
+        """
+        cfg = self.cfg
+        ts = block.t - 1
+        k_count, n = block.prev_assoc.shape
+        # (K, T, n) views: the TS axis sits after the vehicle axis.
+        slot, level = np.divmod(block.actions[:ts].transpose(1, 0, 2), cfg.power_levels)
+        slots = block.slots[:ts].transpose(1, 0, 2, 3)
+        assoc = np.take_along_axis(slots, slot[..., None], -1)[..., 0]
         served = assoc >= 0
         won = served.copy()
         contested = 0
-        # Lowest vehicle index wins a contested RSU; losers are muted this TS.
+        # Lowest vehicle index wins a contested RSU; losers are muted that TS.
         # An RSU counts as contested once, at its first loser.
         for k in range(1, k_count):
             earlier = sum(assoc[j] == assoc[k] for j in range(k))
             won[k] &= earlier == 0
             contested = contested + (served[k] & (earlier == 1))
-        prev = block.prev_assoc
+        # A block starts with no previous association.
+        prev = np.concatenate([np.full((k_count, 1, n), -1), assoc], axis=1)[:, :ts]
         ho_flags = (served & (prev >= 0) & (prev != assoc)).astype(int)
         tx_powers = np.where(won, np.asarray(self._power_w)[level], 0.0)
-        gains = block.gains[row][vehicles, episodes, assoc]
-        one_plus_snr = (1.0 + tx_powers * gains / self._noise_w).ravel().tolist()
+        gains = np.take_along_axis(block.gains[:ts].transpose(1, 0, 2, 3), assoc[..., None], -1)
+        one_plus_snr = (1.0 + tx_powers * gains[..., 0] / self._noise_w).ravel().tolist()
         # math.log2, as in achievable_rate: np.log2 differs from it in the last
         # bit on some arguments.
         rates = np.array(
             [math.log2(x) if w else 0.0 for x, w in zip(one_plus_snr, won.ravel().tolist())]
-        ).reshape(k_count, n)
+        ).reshape(k_count, ts, n)
 
         violations = contested + (rates < cfg.min_rate).sum(axis=0)
         penalty = np.where(violations > 0, float(cfg.penalty), 0.0)
         utilities = utility(rates, ho_flags, tx_powers, cfg)
-
-        block.prev_assoc = assoc
-        block.t += 1
-        obs = block.obs[row + 1]
-        obs[..., -2:] = self._prev_location[assoc]
+        done = np.arange(1, ts + 1) >= cfg.horizon
         return StepResult(
             reward=list_mean(utilities) + penalty,
             utilities=utilities,
@@ -569,8 +594,8 @@ class EdgeAssocEnv:
             assoc_rsus=assoc,
             violations=violations,
             penalty=penalty,
-            observations=obs,
-            done=np.full(n, block.t > cfg.horizon),
+            observations=block.obs[1:ts + 1].transpose(1, 0, 2, 3),
+            done=done[:, None].repeat(n, axis=1),
         )
 
     # -- state capture (checkpoint support) ----------------------------------

@@ -48,13 +48,19 @@ def record_cells(record) -> list:
     ]
 
 
+def _ts_sum(start, rows: np.ndarray) -> np.ndarray:
+    """`start` plus the (T, n) rows, added TS after TS as one `add` per TS
+    adds them; np.sum would add the T rows of a block of one pairwise."""
+    return np.add.accumulate(np.vstack([np.broadcast_to(start, rows.shape[1:]), rows]))[-1]
+
+
 class MetricAccumulator:
     """Accumulates StepResult streams into one EpisodeRecord per episode.
 
-    It takes the TS of one episode, or of the lockstep episodes of a block
-    (`EdgeAssocEnv.step_block`), whose every sum is then an (n,) array with
-    the bits of each episode's own sum. TS rows are logged for one episode
-    at a time only.
+    It takes the TS of one episode one at a time, or the scored TS of the
+    lockstep episodes of a block (`EdgeAssocEnv.score_block`) in one call,
+    whose every sum is then an (n,) array with the bits of each episode's own
+    sum. TS rows are logged for one episode at a time only.
     """
 
     def __init__(self, ts_rows: list | None = None):
@@ -71,8 +77,12 @@ class MetricAccumulator:
         self._violations = 0
 
     def add(self, step, episode: int) -> None:
-        """Take one TS; `episode` numbers its TS row. The means are
-        `np.mean`'s, summed on Python floats or elementwise."""
+        """Take one TS, or a block's T TS, whose reward is (T, n); `episode`
+        numbers a lone TS's row. The means are `np.mean`'s, summed on Python
+        floats or elementwise, TS after TS."""
+        if getattr(step.reward, "ndim", 0) == 2:
+            self._add_block(step)
+            return
         self._t += 1
         mean_u = list_mean(step.utilities)
         self._utility_sum += mean_u
@@ -83,6 +93,15 @@ class MetricAccumulator:
         self._violations += step.violations
         if self._ts_rows is not None:
             self._ts_rows.append((episode, self._t, mean_u, step.penalty, step.reward))
+
+    def _add_block(self, block) -> None:
+        self._t += len(block.reward)
+        self._utility_sum = _ts_sum(self._utility_sum, list_mean(block.utilities))
+        self._reward_sum = _ts_sum(self._reward_sum, block.reward)
+        self._rate_sum = _ts_sum(self._rate_sum, list_mean(block.rates))
+        self._ho_sum = _ts_sum(self._ho_sum, sum(block.ho_flags) / len(block.ho_flags))
+        self._power_sum = _ts_sum(self._power_sum, list_mean(block.tx_powers_w))
+        self._violations += block.violations.sum(axis=0)
 
     def finalize(self, first: int, epsilon: float, lr: float) -> list[EpisodeRecord]:
         """The records of the episodes taken, numbered from `first`: one for

@@ -5,9 +5,11 @@ below is the one-episode-at-a-time loop it replaced: each TS selects on one
 observation vector per agent and draws its sharing noise as it goes. Both
 must give the same records and random-stream end states, bit for bit, and
 `evaluate` must step every episode, a lone one included, in a block: it may
-call neither `env.reset` nor `env.step`.
+call neither `env.reset` nor `env.step`. Each block is stepped once per TS,
+then scored and summed once.
 """
 
+import collections
 import itertools
 
 import numpy as np
@@ -165,16 +167,40 @@ def test_lockstep_matches_sequential_on_toy_env(algo):
                 assert_lockstep_matches_sequential(algo, make_env, cfg, episodes)
 
 
+@pytest.mark.parametrize("episodes", [1, 2 * agents_mod.EVAL_BLOCK + 3])
+def test_each_block_steps_each_ts_then_scores_once(monkeypatch, episodes):
+    calls = collections.Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in (
+        (EdgeAssocEnv, "step_block"), (EdgeAssocEnv, "score_block"), (MetricAccumulator, "add")
+    ):
+        count(owner, name)
+    env = small_env()
+    FederatedTrainer(env, small_cfg(), seed=1).evaluate(episodes)
+    blocks = -(-episodes // agents_mod.EVAL_BLOCK)
+    assert calls == {"step_block": blocks * env.horizon, "score_block": blocks, "add": blocks}
+
+
 class RaggedToyEnv(ToyEnv):
-    """A toy whose episodes last 1, 2, 1, 2, ... TS; its `horizon` is 1.
+    """A toy of a given `horizon` whose episodes last as `lengths` cycles.
 
     The lengths come from one iterator, which the copies that
     `ToyEnv.reset_block` makes share.
     """
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, lengths, horizon, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.lengths = itertools.cycle([1, 2])
+        self.lengths = itertools.cycle(lengths)
+        self.horizon = horizon
 
     def reset(self):
         self.length = next(self.lengths)
@@ -190,11 +216,16 @@ class RaggedToyEnv(ToyEnv):
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0])
 def test_episodes_of_another_length_raise(sigma):
-    env = RaggedToyEnv(separable_table(3, seed=1), obs_dim=3)
-    trainer = FederatedTrainer(env, small_cfg(share_noise_std=sigma), seed=1)
-    # Episode 1 lasts the horizon, episode 2 of the same block does not.
-    with pytest.raises(RuntimeError, match="episode 2 goes on at TS 1"):
-        trainer.evaluate(2)
+    # Episode 1 lasts the horizon, episode 2 of the same block does not; or
+    # both do not, and the first TS that shows it names its episode.
+    for lengths, horizon, message in (
+        ([1, 2], 1, "episode 2 goes on at TS 1"),
+        ([3, 1], 2, "episode 2 ended at TS 1"),
+    ):
+        env = RaggedToyEnv(lengths, horizon, separable_table(3, seed=1), obs_dim=3)
+        trainer = FederatedTrainer(env, small_cfg(share_noise_std=sigma), seed=1)
+        with pytest.raises(RuntimeError, match=message):
+            trainer.evaluate(2)
 
 
 def test_stack_selection_is_greedy_only():

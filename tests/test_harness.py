@@ -387,6 +387,21 @@ def test_cli_single_run(tmp_path, capsys):
     assert (tmp_path / "runs" / "metrics_imarl_seed4.csv").exists()
 
 
+def test_cli_parser_is_built_once_and_parses_as_a_fresh_one():
+    from fedassoc import cli
+
+    assert cli._parser() is cli._parser()
+    # Repeated flags, a rejected value and another mode leave nothing behind.
+    for argv in (["--seed", "1", "--seed", "2"], ["--seed", "x"], ["--eval", "ck"], ["--seed", "3"]):
+        try:
+            want = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            with pytest.raises(SystemExit):
+                cli._parser().parse_args(argv)
+            continue
+        assert vars(cli._parser().parse_args(argv)) == want
+
+
 def test_cli_override_flags(tmp_path):
     rc = cli_main([
         "--config", str(cli_config(tmp_path)), "--algo", "proposed",

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toy_env import stack_steps
+from toy_env import stack_steps, stack_ts
 
 from fedassoc.env import StepResult, list_mean
 from fedassoc.metrics import EpisodeRecord, MetricAccumulator
@@ -27,13 +27,16 @@ def test_list_mean_is_np_mean_bit_for_bit(n, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 20), st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_list_mean_of_an_array_is_each_column_list_mean(k, n, seed):
+@given(st.integers(1, 20), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_list_mean_of_an_array_is_each_column_list_mean(k, n, with_ts, seed):
+    # (K, n) as one block TS has it, or (K, T, n) as a scored block has it.
     rng = np.random.default_rng(seed)
-    values = random_values(rng, k * n).reshape(k, n)
-    values[rng.random((k, n)) < 0.2] = -0.0
-    want = [list_mean(column) for column in values.T.tolist()]
-    assert repr(list_mean(values).tolist()) == repr(want)
+    shape = (k, 3, n) if with_ts else (k, n)
+    values = random_values(rng, int(np.prod(shape))).reshape(shape)
+    values[rng.random(shape) < 0.2] = -0.0
+    columns = np.moveaxis(values, 0, -1)
+    want = [list_mean(column) for column in columns.reshape(-1, k).tolist()]
+    assert repr(list_mean(values).ravel().tolist()) == repr(want)
 
 
 def random_step(rng, k):
@@ -98,8 +101,10 @@ def test_accumulator_matches_np_mean_reference(k, steps, log_ts, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 10), st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 10), st.integers(1, 30), st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_block_accumulator_matches_one_episode_at_a_time(k, steps, n, seed):
+    # A whole scored block in one `add`: its TS are summed in order, which a
+    # pairwise sum over 9 or more TS of a block of one would break.
     rng = np.random.default_rng(seed)
     episodes = [[random_step(rng, k) for _ in range(steps)] for _ in range(n)]
     want = []
@@ -109,7 +114,6 @@ def test_block_accumulator_matches_one_episode_at_a_time(k, steps, n, seed):
             acc.add(step, episode)
         want.extend(acc.finalize(episode, 0.5, 0.01))
     acc = MetricAccumulator()
-    for ts_steps in zip(*episodes):
-        acc.add(stack_steps(ts_steps), 1)
+    acc.add(stack_ts([stack_steps(ts_steps) for ts_steps in zip(*episodes)]), 1)
     got = acc.finalize(1, 0.5, 0.01)
     assert repr(got) == repr(want)

@@ -6,6 +6,7 @@ known by enumeration.
 """
 
 import copy
+from dataclasses import fields
 
 import numpy as np
 
@@ -49,15 +50,23 @@ class ToyEnv:
         )
 
     def reset_block(self, n):
-        """`EdgeAssocEnv.reset_block` on n copies of this env, which are the block."""
+        """`EdgeAssocEnv.reset_block` on n copies of this env, which are the
+        block; each copy keeps the results of its steps."""
         envs = [copy.copy(self) for _ in range(n)]
         first_obs = [env.reset() for env in envs]
+        for env in envs:
+            env.steps = []
         return envs, [np.array(obs) for obs in zip(*first_obs)]
 
     def step_block(self, envs, actions):
-        """`EdgeAssocEnv.step_block`'s result, by one `step` per env."""
-        steps = [env.step(acts) for env, acts in zip(envs, zip(*actions))]
-        return stack_steps(steps)
+        """`EdgeAssocEnv.step_block`'s next observations, by one `step` per env."""
+        for env, acts in zip(envs, zip(*actions)):
+            env.steps.append(env.step(acts))
+        return stack_steps([env.steps[-1] for env in envs]).observations
+
+    def score_block(self, envs):
+        """`EdgeAssocEnv.score_block`'s result, from the steps the envs kept."""
+        return stack_ts([stack_steps(ts_steps) for ts_steps in zip(*(env.steps for env in envs))])
 
 
 def stack_steps(steps) -> StepResult:
@@ -80,6 +89,18 @@ def stack_steps(steps) -> StepResult:
         observations=np.array([step.observations for step in steps]).transpose(1, 0, 2),
         done=per_episode("done"),
     )
+
+
+def stack_ts(blocks) -> StepResult:
+    """The `score_block` result of one block StepResult per TS: the TS axis
+    follows the vehicle axis of per-vehicle fields and leads the others."""
+    per_episode = ("reward", "violations", "penalty", "done")
+    return StepResult(**{
+        f.name: np.stack(
+            [getattr(block, f.name) for block in blocks], axis=0 if f.name in per_episode else 1
+        )
+        for f in fields(StepResult)
+    })
 
 
 def separable_table(num_actions: int, seed: int) -> np.ndarray:
