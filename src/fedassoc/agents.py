@@ -9,12 +9,8 @@ Both agents run a local Q-network over their own observation. A shared joint
 head maps [own Q-vector || peer noisy Q-vector] to values of joint actions;
 action selection is epsilon-greedy over that joint output on the lead side,
 and the chosen joint action is split between the two agents for execution.
-
-Two sharing modes exist. In the default "vector" mode the full noisy
-Q-vector is exchanged and the joint head scores all |A|^2 joint actions. In
-the "scalar" mode only the noisy Q-value of the follower's own epsilon-greedy
-pick is shared; the joint head then scores the lead's |A| actions with the
-follower's action fixed to its own pick.
+The follower's full noisy Q-vector is exchanged, and the joint head scores
+all |A|^2 joint actions.
 """
 
 from __future__ import annotations
@@ -67,7 +63,6 @@ class TrainerConfig:
     lr_end: float = 0.001
     lr_decay_episodes: int = 250
     grad_clip: float = 10.0
-    share_mode: str = "vector"               # "vector" or "scalar"
     fedavg_period: int = 5                   # fmarl-avg's episodes between weight averages
 
     def validate(self) -> None:
@@ -90,8 +85,6 @@ class TrainerConfig:
             raise ValueError("replay_capacity must be >= batch_size")
         if not self.grad_clip > 0.0:
             raise ValueError("grad_clip must be > 0 (inf disables clipping)")
-        if self.share_mode not in ("vector", "scalar"):
-            raise ValueError("share_mode must be 'vector' or 'scalar'")
         if not self.lr_start >= self.lr_end > 0:
             raise ValueError("need lr_start >= lr_end > 0")
 
@@ -158,7 +151,7 @@ def joint_q(mlp: DenseNet, own_q: np.ndarray, peer_q: np.ndarray) -> np.ndarray:
 # 111-135 µs of CPU in blocks of 1, 59-80 (2), 38-52 (4), 26-38 (8),
 # 27-35 (10), 28-37 (16), 27-32 (32) and 26-32 (64). A block holds each
 # episode's drawn rows, actions and sharing noise, and is scored at its end:
-# about 89 KB per episode of the default world, 2.8 MB at 32 (`tracemalloc`).
+# about 84 KB per episode of the default world, 2.6 MB at 32 (`tracemalloc`).
 # 64 would double that for no gain the runs above could tell apart.
 EVAL_BLOCK = 32
 
@@ -336,27 +329,25 @@ class FederatedTrainer(Trainer):
     net: the peer's noisy Q-input is a constant in each side's loss.
 
     What crosses between the lead's side and the follower's, with w = |A|
-    values per row in vector mode and 1 in scalar mode:
+    values per row:
 
-    - per TS (`select_actions`), with noise: the follower's Q-vector (vector)
-      or the Q-value of its own epsilon-greedy pick (scalar). Without noise,
-      in vector mode: the follower's action, which the lead picks;
+    - per TS (`select_actions`), with noise: the follower's Q-vector. Without
+      noise: the follower's action, which the lead picks;
     - per training step, with fresh noise: the follower's next-state values
-      for the targets (`compute_targets`; the row max in scalar mode), the
-      follower's values for the lead's update and the lead's values for the
-      follower's (`_side_grads`), batch x w values each;
+      for the targets (`compute_targets`), the follower's values for the
+      lead's update and the lead's values for the follower's (`_side_grads`),
+      batch x w values each;
     - per training step, without noise: the batch's targets, lead to
-      follower; in vector mode the lead's actions of the batch, which index
-      the joint output of the follower's update; and the joint head
-      `pair.mlp`, which both sides step in turn, so its weights or its
-      update cross twice. The follower's update carries its raw Q-rows.
+      follower; the lead's actions of the batch, which index the joint
+      output of the follower's update; and the joint head `pair.mlp`, which
+      both sides step in turn, so its weights or its update cross twice. The
+      follower's update carries its raw Q-rows.
     """
 
     def init_nets(self, rng_init: np.random.Generator) -> None:
         a = self.num_actions
-        vector = self.cfg.share_mode == "vector"
         local_dims = (self.env.obs_dim, *self.cfg.local_hidden, a)
-        mlp_dims = (a + (a if vector else 1), *self.cfg.mlp_hidden, a * a if vector else a)
+        mlp_dims = (2 * a, *self.cfg.mlp_hidden, a * a)
         lead = init_net(local_dims, rng_init)
         follow = init_net(local_dims, rng_init)
         mlp = init_net(mlp_dims, rng_init)
@@ -387,29 +378,18 @@ class FederatedTrainer(Trainer):
         sigma = self.cfg.share_noise_std
         if sigma == 0.0:
             return None
-        width = self.num_actions if self.cfg.share_mode == "vector" else 1
         # encrypt_q's draws, one TS after the other: numpy fills an array in
         # C order from the stream, as it fills one TS's row.
-        return self.rng_noise.normal(0.0, sigma, (episodes, horizon, width))
+        return self.rng_noise.normal(0.0, sigma, (episodes, horizon, self.num_actions))
 
     # -- action selection -------------------------------------------------------
 
     def select_actions(self, obs_vecs, eps: float, noise=None):
         q_lead, _ = forward(self.pair.lead, obs_vecs[0], stack=True)
         q_follow, _ = forward(self.pair.follow, obs_vecs[1], stack=True)
-        if self.cfg.share_mode == "vector":
-            shared = self._share(q_follow, noise)
-            values = joint_q(self.pair.mlp, q_lead, shared)
-            joint = epsilon_greedy(values, eps, self.rng_explore)
-            return decompose_joint(joint, self.num_actions)
-        # Scalar mode: the follower picks its own action and shares only its
-        # noisy value; the joint head scores the lead's actions.
-        act_follow = epsilon_greedy(q_follow, eps, self.rng_explore)
-        picked = np.take_along_axis(q_follow, np.expand_dims(act_follow, -1), -1)
-        shared = self._share(picked, noise)
-        values = joint_q(self.pair.mlp, q_lead, shared)
-        act_lead = epsilon_greedy(values, eps, self.rng_explore)
-        return act_lead, act_follow
+        values = joint_q(self.pair.mlp, q_lead, self._share(q_follow, noise))
+        joint = epsilon_greedy(values, eps, self.rng_explore)
+        return decompose_joint(joint, self.num_actions)
 
     # -- training mathematics ----------------------------------------------------
 
@@ -421,10 +401,7 @@ class FederatedTrainer(Trainer):
         """
         q_lead_next, _ = forward(self.pair.lead_target, batch.next_obs_lead)
         q_follow_next, _ = forward(self.pair.follow, batch.next_obs_follow)
-        if self.cfg.share_mode == "vector":
-            peer = self._share(q_follow_next)
-        else:
-            peer = self._share(q_follow_next.max(axis=1))[:, None]
+        peer = self._share(q_follow_next)
         joint, _ = forward(self.pair.mlp_target, np.hstack([q_lead_next, peer]))
         best = joint.max(axis=1)
         return batch.reward + self.cfg.discount * best * (1.0 - batch.done)
@@ -438,7 +415,6 @@ class FederatedTrainer(Trainer):
         when not given.
         """
         a = self.num_actions
-        n = len(targets)
         if follow_fwd is None:
             follow_fwd = forward(self.pair.follow, batch.obs_follow)
         if lead_side:
@@ -449,13 +425,8 @@ class FederatedTrainer(Trainer):
             own, own_act, peer_act = "follow", batch.act_follow, batch.act_lead
             q_own, cache_own = follow_fwd
             q_peer, _ = forward(self.pair.lead, batch.obs_lead)
-        if self.cfg.share_mode == "vector":
-            peer_in = self._share(q_peer)
-            cols = compose_joint(own_act, peer_act, a)
-        else:
-            peer_in = self._share(q_peer[np.arange(n), peer_act])[:, None]
-            cols = own_act
-        pred, cache_mlp = forward(self.pair.mlp, np.hstack([q_own, peer_in]), cols)
+        cols = compose_joint(own_act, peer_act, a)
+        pred, cache_mlp = forward(self.pair.mlp, np.hstack([q_own, self._share(q_peer)]), cols)
         loss, d_pred = td_loss(pred, targets)
         g_mlp, d_in = backward(self.pair.mlp, cache_mlp, d_pred, cols, grads=self._grads("mlp"))
         g_own, _ = backward(getattr(self.pair, own), cache_own, d_in[:, :a], grads=self._grads(own))

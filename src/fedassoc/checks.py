@@ -12,12 +12,16 @@ REMOVED_OPTIONS = {
     "encrypt": "was removed; share_noise_std: 0 is the noiseless setting",
     "clear_replay_per_episode": "was removed; the replay buffer persists across episodes",
 }
+# Options earlier versions wrote, with the one value they may still hold: it
+# is now the only behaviour, so the key is dropped on read.
+DROPPED_OPTIONS = {"share_mode": "vector"}
 
 
 def config_from_json(cls, data: dict, **built):
     """Build config dataclass `cls` from the JSON object `data`.
 
-    Removed and unknown keys are rejected, and JSON lists become tuples.
+    Removed and unknown keys are rejected, a dropped key is skipped when it
+    holds its one value and rejected otherwise, and JSON lists become tuples.
     `built` passes fields that are already objects (the sections of a nested
     config); `data` may not name them.
     """
@@ -26,6 +30,13 @@ def config_from_json(cls, data: dict, **built):
     hints = _type_hints(cls)
     kwargs = dict(built)
     for key, value in data.items():
+        if key in DROPPED_OPTIONS:
+            kept = DROPPED_OPTIONS[key]
+            if value != kept:
+                raise ValueError(
+                    f"option {key!r} was removed; only {kept!r} remains, got {value!r}"
+                )
+            continue
         if key in REMOVED_OPTIONS:
             raise ValueError(f"option {key!r} {REMOVED_OPTIONS[key]}")
         if key not in hints or key in built:
@@ -47,8 +58,8 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-# What a field annotated with each scalar type takes, and how errors name one
-# value and a list of them.
+# What a field annotated with each single-value type takes, and how errors
+# name one value and a list of them.
 _SCALARS = {
     int: (is_integer, "an integer", "integers"),
     float: (

@@ -4,7 +4,7 @@ Two lanes run along the x axis of a ring road of configurable length. RSUs sit
 in two rows, one on each side of the road, evenly spaced. Each time slot (TS)
 every vehicle picks one of the RSUs it can currently observe plus a discrete
 transmit power level; the environment resolves conflicts, computes per-vehicle
-rates and trade-off utilities, and returns a shared scalar reward.
+rates and trade-off utilities, and returns one shared reward.
 """
 
 from __future__ import annotations
@@ -574,12 +574,11 @@ class EdgeAssocEnv:
         ho_flags = (served & (prev >= 0) & (prev != assoc)).astype(int)
         tx_powers = np.where(won, np.asarray(self._power_w)[level], 0.0)
         gains = np.take_along_axis(block.gains[:ts].transpose(1, 0, 2, 3), assoc[..., None], -1)
-        one_plus_snr = (1.0 + tx_powers * gains[..., 0] / self._noise_w).ravel().tolist()
+        one_plus_snr = 1.0 + tx_powers[won] * gains[..., 0][won] / self._noise_w
         # math.log2, as in achievable_rate: np.log2 differs from it in the last
         # bit on some arguments.
-        rates = np.array(
-            [math.log2(x) if w else 0.0 for x, w in zip(one_plus_snr, won.ravel().tolist())]
-        ).reshape(k_count, ts, n)
+        rates = np.zeros((k_count, ts, n))
+        rates[won] = np.fromiter(map(math.log2, one_plus_snr), float, len(one_plus_snr))
 
         violations = contested + (rates < cfg.min_rate).sum(axis=0)
         penalty = np.where(violations > 0, float(cfg.penalty), 0.0)

@@ -171,16 +171,9 @@ def test_network_dimensions_vector_mode():
     assert q.shape == (16,)
 
 
-def test_network_dimensions_scalar_mode():
-    trainer = FederatedTrainer(small_env(), small_cfg(share_mode="scalar"), seed=0)
-    assert trainer.pair.mlp.dims == (17, 12, 16)
-
-
 def test_trainer_rejects_bad_config():
     with pytest.raises(ValueError):
         FederatedTrainer(small_env(), small_cfg(discount=1.5), seed=0)
-    with pytest.raises(ValueError):
-        FederatedTrainer(small_env(), small_cfg(share_mode="tabular"), seed=0)
     with pytest.raises(ValueError):
         FederatedTrainer(small_env(), small_cfg(batch_size=0), seed=0)
     with pytest.raises(ValueError, match="epsilon_decay_episodes must be >= 1"):
@@ -281,11 +274,11 @@ def copied_grads(side_grads):
     return loss, *(GradientSet(g.dims, g.params.copy()) for g in sets)
 
 
-def composed_fd_check(share_mode):
+def test_composed_loss_matches_finite_differences():
     env = ToyEnv(separable_table(2, seed=4), obs_dim=3)
     cfg = TrainerConfig(
         episodes=1, batch_size=3, replay_capacity=8, local_hidden=(4,),
-        mlp_hidden=(5,), share_noise_std=0.0, share_mode=share_mode,
+        mlp_hidden=(5,), share_noise_std=0.0,
     )
     trainer = FederatedTrainer(env, cfg, seed=11)
     rng = np.random.default_rng(12)
@@ -308,11 +301,6 @@ def composed_fd_check(share_mode):
                 fd = (up - down) / (2.0 * h)
                 denom = max(abs(fd) + abs(gflat[i]), 1.0)
                 assert abs(fd - gflat[i]) / denom < 1e-4
-
-
-@pytest.mark.parametrize("share_mode", ["vector", "scalar"])
-def test_composed_loss_matches_finite_differences(share_mode):
-    composed_fd_check(share_mode)
 
 
 def test_perfect_prediction_keeps_parameters():
@@ -377,10 +365,9 @@ def five_fingerprints(trainer):
     return [net_fingerprint(n) for n in (p.lead, p.lead_target, p.follow, p.mlp, p.mlp_target)]
 
 
-@pytest.mark.parametrize("share_mode", ["vector", "scalar"])
-def test_train_step_equals_lead_then_follow(share_mode):
-    fused = FederatedTrainer(small_env(), small_cfg(share_mode=share_mode), seed=15)
-    split = FederatedTrainer(small_env(), small_cfg(share_mode=share_mode), seed=15)
+def test_train_step_equals_lead_then_follow():
+    fused = FederatedTrainer(small_env(), small_cfg(), seed=15)
+    split = FederatedTrainer(small_env(), small_cfg(), seed=15)
     rng = np.random.default_rng(16)
     for _ in range(3):
         batch = make_batch(rng, 8, 14, 16)
@@ -413,8 +400,7 @@ def test_non_finite_gradient_leaves_every_net_unchanged(monkeypatch):
         assert five_fingerprints(trainer) == before
 
 
-@pytest.mark.parametrize("share_mode", ["vector", "scalar"])
-def test_shared_q_values_per_step(share_mode, monkeypatch):
+def test_shared_q_values_per_step(monkeypatch):
     shared = []
     real_encrypt = agents_mod.encrypt_q
 
@@ -424,13 +410,13 @@ def test_shared_q_values_per_step(share_mode, monkeypatch):
 
     monkeypatch.setattr(agents_mod, "encrypt_q", counting)
     env = small_env(seed=19)
-    cfg = small_cfg(share_mode=share_mode, episodes=2)
+    cfg = small_cfg(episodes=2)
     trainer = FederatedTrainer(env, cfg, seed=20)
     trainer.run()
     ts = cfg.episodes * env.cfg.horizon
     steps = ts - (cfg.batch_size - 1)
     assert trainer.train_steps == steps
-    width = env.num_actions if share_mode == "vector" else 1
+    width = env.num_actions
     # One share per action selection; targets, lead and follower side per step.
     assert sum(shared) == ts * width + steps * 3 * cfg.batch_size * width
     assert len(shared) == ts + 3 * steps

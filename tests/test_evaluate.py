@@ -108,10 +108,8 @@ def small_env(seed=3, penalty=-1.0):
 @pytest.mark.parametrize("episodes", [1, 3, agents_mod.EVAL_BLOCK + 1])
 def test_lockstep_matches_sequential(algo, episodes):
     # An integer penalty adds to the reward as its float does.
-    for mode, sigma, penalty in itertools.product(
-        ("vector", "scalar") if algo == "proposed" else ("vector",), (0.0, 1.0), (-1.0, -1)
-    ):
-        cfg = small_cfg(share_mode=mode, share_noise_std=sigma)
+    for sigma, penalty in itertools.product((0.0, 1.0), (-1.0, -1)):
+        cfg = small_cfg(share_noise_std=sigma)
         assert_lockstep_matches_sequential(
             algo, lambda: small_env(penalty=penalty), cfg, episodes
         )
@@ -121,23 +119,20 @@ def test_lockstep_matches_sequential(algo, episodes):
 def test_lockstep_matches_sequential_across_blocks(algo):
     # Two full blocks and a part of a third, at the block width in use.
     episodes = 2 * agents_mod.EVAL_BLOCK + 3
-    for mode in ("vector", "scalar") if algo == "proposed" else ("vector",):
-        for sigma in (0.0, 1.0):
-            cfg = small_cfg(share_mode=mode, share_noise_std=sigma)
-            assert_lockstep_matches_sequential(
-                algo, lambda: EdgeAssocEnv(EnvConfig(horizon=2), 5), cfg, episodes
-            )
+    for sigma in (0.0, 1.0):
+        cfg = small_cfg(share_noise_std=sigma)
+        assert_lockstep_matches_sequential(
+            algo, lambda: EdgeAssocEnv(EnvConfig(horizon=2), 5), cfg, episodes
+        )
 
 
-@pytest.mark.parametrize(
-    "algo, mode", [("proposed", "vector"), ("proposed", "scalar"), ("cdrl", "vector")]
-)
-def test_fewer_episodes_give_the_first_records(algo, mode):
+@pytest.mark.parametrize("algo", ["proposed", "cdrl"])
+def test_fewer_episodes_give_the_first_records(algo):
     # A lone episode, a block of two, a full block and a full block plus a
     # lone episode each give the first records of a longer evaluation.
     episodes = 2 * agents_mod.EVAL_BLOCK + 3
     for sigma in (0.0, 1.0):
-        cfg = small_cfg(share_mode=mode, share_noise_std=sigma)
+        cfg = small_cfg(share_noise_std=sigma)
 
         def make_env():
             return EdgeAssocEnv(EnvConfig(horizon=2), 5)
@@ -150,9 +145,7 @@ def test_fewer_episodes_give_the_first_records(algo, mode):
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_lockstep_matches_sequential_at_any_block_width(monkeypatch, block):
     monkeypatch.setattr(agents_mod, "EVAL_BLOCK", block)
-    for mode in ("vector", "scalar"):
-        cfg = small_cfg(share_mode=mode)
-        assert_lockstep_matches_sequential("proposed", small_env, cfg, 5)
+    assert_lockstep_matches_sequential("proposed", small_env, small_cfg(), 5)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -160,11 +153,10 @@ def test_lockstep_matches_sequential_on_toy_env(algo):
     def make_env():
         return ToyEnv(separable_table(4, seed=3), obs_dim=3, seed=3)
 
-    for mode in ("vector", "scalar") if algo == "proposed" else ("vector",):
-        for sigma in (0.0, 1.0):
-            cfg = small_cfg(share_mode=mode, share_noise_std=sigma, episodes=12)
-            for episodes in (1, 3, agents_mod.EVAL_BLOCK + 1):
-                assert_lockstep_matches_sequential(algo, make_env, cfg, episodes)
+    for sigma in (0.0, 1.0):
+        cfg = small_cfg(share_noise_std=sigma, episodes=12)
+        for episodes in (1, 3, agents_mod.EVAL_BLOCK + 1):
+            assert_lockstep_matches_sequential(algo, make_env, cfg, episodes)
 
 
 @pytest.mark.parametrize("episodes", [1, 2 * agents_mod.EVAL_BLOCK + 3])

@@ -1,12 +1,12 @@
 """Byte identity of every output: one matrix of CLI runs against recorded digests.
 
-The matrix trains all four algorithms on seeds 1-2 in both share modes (with
-a per-TS log and an integer penalty), evaluates each mode's seed-1 checkpoint
-greedily over 1, 33 and 70 episodes at its own σ and at σ 0, and runs an RSU
-sweep and a proposed-only σ sweep, all through `cli.main` with relative paths
-in an empty directory. Every file it writes is hashed (sha256). Nothing
-writes a baseline's nets, so every net of each algorithm, trained in-process
-on the same configs at seed 1, is fingerprinted too.
+The matrix trains all four algorithms on seeds 1-2 (with a per-TS log and an
+integer penalty), evaluates the seed-1 checkpoint greedily over 1, 33 and 70
+episodes at its own σ and at σ 0, and runs an RSU sweep and a proposed-only σ
+sweep, all through `cli.main` with relative paths in an empty directory.
+Every file it writes is hashed (sha256). Nothing writes a baseline's nets, so
+every net of each algorithm, trained in-process on the same config at seed 1,
+is fingerprinted too.
 
 On the platform `golden/digests.json` records (numpy, BLAS, OpenBLAS kernel,
 machine), the digests and fingerprints must equal the recorded ones. Other
@@ -44,8 +44,10 @@ from fedassoc.harness import ALGORITHMS, TRAINERS, config_from_dict, derive_seed
 from fedassoc.nn import net_fingerprint
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
-MODES = ("vector", "scalar")
-# The config of every training run, as a config file's keys; each mode adds its share_mode.
+# The directory of the training runs and the prefix of the net fingerprints;
+# the recorded digests name their entries after it.
+RUNS = "vector"
+# The config of every training run, as a config file's keys.
 TRAINING = {
     "horizon": 30, "episodes": 3, "eval_window": 3, "fedavg_period": 1, "target_sync": 20,
     "per_ts_log": True, "penalty": -1, "algos": list(ALGORITHMS), "seeds": [1, 2],
@@ -61,18 +63,17 @@ def _cli(*argv: str) -> None:
 
 def run_matrix() -> None:
     """Write the matrix's files under the working directory."""
-    Path("configs").mkdir()
-    for mode in MODES:
-        config = Path("configs") / f"{mode}.json"
-        config.write_text(json.dumps({**TRAINING, "share_mode": mode}))
-        _cli("--config", str(config), "--out", mode)
-        for episodes in EVAL_EPISODES:
-            for sigma, suffix in ((None, ""), ("0", "-sigma0")):
-                _cli("--config", f"{mode}/config.json", "--eval", f"{mode}/checkpoints/proposed_seed1",
-                     "--episodes", str(episodes), *(("--sigma", sigma) if sigma else ()),
-                     "--out", f"{mode}/eval-{episodes}{suffix}")
-    _cli("--config", "configs/vector.json", "--sweep", "rsus", "--values", "8,12", "--out", "sweeps")
-    _cli("--config", "configs/vector.json", "--algo", "proposed", "--sweep", "sigma",
+    config = Path("configs") / f"{RUNS}.json"
+    config.parent.mkdir()
+    config.write_text(json.dumps(TRAINING))
+    _cli("--config", str(config), "--out", RUNS)
+    for episodes in EVAL_EPISODES:
+        for sigma, suffix in ((None, ""), ("0", "-sigma0")):
+            _cli("--config", f"{RUNS}/config.json", "--eval", f"{RUNS}/checkpoints/proposed_seed1",
+                 "--episodes", str(episodes), *(("--sigma", sigma) if sigma else ()),
+                 "--out", f"{RUNS}/eval-{episodes}{suffix}")
+    _cli("--config", str(config), "--sweep", "rsus", "--values", "8,12", "--out", "sweeps")
+    _cli("--config", str(config), "--algo", "proposed", "--sweep", "sigma",
          "--values", "0,1.5", "--out", "sweeps")
 
 
@@ -98,17 +99,16 @@ def trainer_nets(trainer) -> dict:
 
 
 def net_fingerprints() -> dict[str, str]:
-    """The fingerprint of every net of each algorithm and mode, trained as
+    """The fingerprint of every net of each algorithm, trained as
     `harness.run_single` trains seed 1."""
     env_seed, algo_seed = derive_seeds(1)
+    cfg = config_from_dict(TRAINING)
     prints = {}
-    for mode in MODES:
-        cfg = config_from_dict({**TRAINING, "share_mode": mode})
-        for algo in ALGORITHMS:
-            trainer = TRAINERS[algo](EdgeAssocEnv(cfg.env, env_seed), cfg.trainer, algo_seed)
-            trainer.run()
-            for name, net in trainer_nets(trainer).items():
-                prints[f"{mode}/{algo}/{name}"] = net_fingerprint(net)
+    for algo in ALGORITHMS:
+        trainer = TRAINERS[algo](EdgeAssocEnv(cfg.env, env_seed), cfg.trainer, algo_seed)
+        trainer.run()
+        for name, net in trainer_nets(trainer).items():
+            prints[f"{RUNS}/{algo}/{name}"] = net_fingerprint(net)
     return prints
 
 
@@ -217,15 +217,14 @@ def test_outputs_are_byte_identical(golden, reference, section, capsys):
 def test_lone_evaluation_is_the_first_record_of_blocks(golden):
     root, _ = golden
     assert max(EVAL_EPISODES) > 2 * EVAL_BLOCK
-    for mode in MODES:
-        for suffix in ("", "-sigma0"):
-            one = (root / mode / f"eval-1{suffix}" / "eval_metrics.csv").read_text().splitlines()
-            assert len(one) == 2
-            for episodes in EVAL_EPISODES[1:]:
-                path = root / mode / f"eval-{episodes}{suffix}" / "eval_metrics.csv"
-                lines = path.read_text().splitlines()
-                assert len(lines) == episodes + 1
-                assert lines[:2] == one
+    for suffix in ("", "-sigma0"):
+        one = (root / RUNS / f"eval-1{suffix}" / "eval_metrics.csv").read_text().splitlines()
+        assert len(one) == 2
+        for episodes in EVAL_EPISODES[1:]:
+            path = root / RUNS / f"eval-{episodes}{suffix}" / "eval_metrics.csv"
+            lines = path.read_text().splitlines()
+            assert len(lines) == episodes + 1
+            assert lines[:2] == one
 
 
 if __name__ == "__main__":

@@ -149,19 +149,18 @@ class CountingRng:
         return getattr(self.rng, name)
 
 
-@pytest.mark.parametrize("algo, share_mode, draws", [
-    ("proposed", "vector", 1),
-    ("cdrl", "vector", 1),
-    ("proposed", "scalar", 2),
-    ("imarl", "vector", 2),
-    ("fmarl-avg", "vector", 2),
+@pytest.mark.parametrize("algo, draws", [
+    ("proposed", 1),
+    ("cdrl", 1),
+    ("imarl", 2),
+    ("fmarl-avg", 2),
 ])
-def test_exploration_draws_per_time_slot(algo, share_mode, draws):
+def test_exploration_draws_per_time_slot(algo, draws):
     """Joint-action learners draw once per TS whether to explore, per-vehicle
     learners once per vehicle, so at ε = 0.1 some vehicle explores on 10 % and
     on 19 % of TS."""
     env = EdgeAssocEnv(EnvConfig(horizon=5), 0)
-    trainer = TRAINERS[algo](env, TrainerConfig(share_mode=share_mode), 1)
+    trainer = TRAINERS[algo](env, TrainerConfig(), 1)
     trainer.rng_explore = CountingRng(trainer.rng_explore)
     obs = env.reset()
     for t in range(1, 6):
@@ -652,6 +651,63 @@ def test_cli_eval_loads_a_checkpoint_without_fedavg_period(tmp_path):
     env = EdgeAssocEnv(EnvConfig(horizon=4), 0)
     assert FederatedTrainer.load(ckpt, env).cfg.fedavg_period == 5
     assert evaluate("older") == current
+
+
+def test_cli_drops_the_vector_share_mode(tmp_path):
+    """Config files and checkpoints written while `share_mode` was a key say
+    "share_mode": "vector"; they run and evaluate as before, and no output
+    names the key."""
+    cfg_path = cli_config(tmp_path)
+    cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), "share_mode": "vector"}))
+    assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+    state = json.loads((ckpt / "state.json").read_text())
+    assert "share_mode" not in state["cfg"]
+    assert "share_mode" not in (tmp_path / "runs" / "config.json").read_text()
+
+    def evaluate(name):
+        out = tmp_path / name
+        assert cli_main([
+            "--config", str(tmp_path / "runs" / "config.json"),
+            "--eval", str(ckpt), "--episodes", "3", "--out", str(out),
+        ]) == 0
+        return (out / "eval_metrics.csv").read_bytes()
+
+    current = evaluate("current")
+    state["cfg"]["share_mode"] = "vector"
+    (ckpt / "state.json").write_text(json.dumps(state, indent=1))
+    assert evaluate("older") == current
+
+
+@pytest.mark.parametrize("value", ["scalar", "tabular"])
+def test_cli_rejects_another_share_mode(tmp_path, capsys, value):
+    """Any share mode but "vector", the only one, ends in exit 2 and one
+    stderr line naming the file, from a config file or a checkpoint."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"share_mode": value}))
+    assert cli_main(["--config", str(bad), "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(bad) in err
+    assert f"'share_mode' was removed; only 'vector' remains, got {value!r}" in err
+    assert not (tmp_path / "runs").exists()
+
+    cfg_path = cli_config(tmp_path)
+    assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+    state = json.loads((ckpt / "state.json").read_text())
+    state["cfg"]["share_mode"] = value
+    (ckpt / "state.json").write_text(json.dumps(state))
+    capsys.readouterr()
+    rc = cli_main([
+        "--config", str(tmp_path / "runs" / "config.json"),
+        "--eval", str(ckpt), "--episodes", "2", "--out", str(tmp_path / "eval"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(ckpt / "state.json") in err and f"got {value!r}" in err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_cli_eval_rejects_a_state_that_is_not_an_object(tmp_path, capsys):
