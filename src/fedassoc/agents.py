@@ -151,7 +151,7 @@ def joint_q(mlp: DenseNet, own_q: np.ndarray, peer_q: np.ndarray) -> np.ndarray:
 # 111-135 µs of CPU in blocks of 1, 59-80 (2), 38-52 (4), 26-38 (8),
 # 27-35 (10), 28-37 (16), 27-32 (32) and 26-32 (64). A block holds each
 # episode's drawn rows, actions and sharing noise, and is scored at its end:
-# about 84 KB per episode of the default world, 2.6 MB at 32 (`tracemalloc`).
+# about 72 KB per episode of the default world, 2.2 MB at 32 (`tracemalloc`).
 # 64 would double that for no gain the runs above could tell apart.
 EVAL_BLOCK = 32
 
@@ -169,12 +169,14 @@ class Trainer:
     The seed spawns four streams: network init, exploration, replay sampling
     and sharing noise (drawn only by the federated pair).
 
-    Training steps an env by `reset` and `step`, one episode on Python
-    floats, and `evaluate` by its block calls alone, `reset_block(n)`,
-    `step_block(block, actions)` once per TS and `score_block(block)` once,
-    on arrays, as `EdgeAssocEnv` describes them: there every episode is
-    drawn by `reset_block`, and `reset` starts a block of one. An env also
-    names its episode length `horizon`.
+    Training steps an env by `reset` and `step`, which gives the next
+    observations, the reward and done, one episode at a time; `evaluate` by
+    its block calls alone, `reset_block(n)`, `step_block(block, actions)`
+    once per TS. Either way an episode is scored once, after its last TS, by
+    `score_block` on its block (`env.episode` for a training episode), and
+    summed by one `MetricAccumulator.add`. `EdgeAssocEnv` describes these
+    calls: there every episode is drawn by `reset_block`, and `reset` starts
+    a block of one. An env also names its episode length `horizon`.
     """
 
     def __init__(self, env, cfg: TrainerConfig, seed: int):
@@ -241,21 +243,19 @@ class Trainer:
                 done = False
                 while not done:
                     act_lead, act_follow = self.select_actions(obs, eps)
-                    step = self.env.step([act_lead, act_follow])
+                    next_obs, reward, done = self.env.step([act_lead, act_follow])
                     self.buffer.add(
-                        obs_lead=obs[0], act_lead=act_lead, reward=step.reward,
-                        next_obs_lead=step.observations[0], obs_follow=obs[1],
-                        act_follow=act_follow, next_obs_follow=step.observations[1],
-                        done=step.done,
+                        obs_lead=obs[0], act_lead=act_lead, reward=reward,
+                        next_obs_lead=next_obs[0], obs_follow=obs[1],
+                        act_follow=act_follow, next_obs_follow=next_obs[1], done=done,
                     )
-                    obs = step.observations
-                    done = step.done
-                    acc.add(step, self.episode)
+                    obs = next_obs
                     if len(self.buffer) >= cfg.batch_size:
                         self.update(self.buffer.sample(cfg.batch_size, self.rng_sample), lr)
                         self.train_steps += 1
                         if self.train_steps % cfg.target_sync == 0:
                             self.sync_targets()
+                acc.add(self.env.score_block(self.env.episode), self.episode)
                 self.end_episode()
                 records.extend(acc.finalize(self.episode, eps, lr))
         return records

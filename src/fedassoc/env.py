@@ -248,40 +248,37 @@ def utility(
 
 @dataclass
 class StepResult:
-    """Outcome of one joint TS; per-vehicle values are lists in vehicle order.
+    """The score of a block (`EdgeAssocEnv.score_block`): its T TS of n
+    episodes stepped in lockstep, a training episode being a block of one.
+    Per-vehicle fields are (K, T, n) arrays, row k holding vehicle k's values
+    by TS and episode; per-episode fields are (T, n) arrays."""
 
-    A block's score (`EdgeAssocEnv.score_block`) fills the same fields for
-    the T TS of n episodes stepped in lockstep: each per-vehicle list becomes
-    a (K, T, n) array, row k holding vehicle k's values by TS and episode;
-    `reward`, `violations`, `penalty` and `done` become (T, n) arrays, the
-    penalty a float one; `observations` is a (K, T, n, obs_dim) array, the
-    observations each TS led to.
-    """
-
-    reward: float              # mean utility plus penalty
-    utilities: list[float]
-    rates: list[float]         # bit/s/Hz
-    ho_flags: list[int]        # {0,1}
-    tx_powers_w: list[float]   # actual transmit power, 0 for unserved
-    assoc_rsus: list[int]      # chosen RSU id, -1 when none available
-    violations: int            # contested RSUs plus vehicles under min_rate
-    penalty: float             # cfg.penalty when violations > 0, else 0.0
-    observations: list[np.ndarray]  # next normalized observation vectors
-    done: bool
+    reward: np.ndarray        # (T, n) mean utility plus penalty
+    utilities: np.ndarray     # (K, T, n)
+    rates: np.ndarray         # (K, T, n) bit/s/Hz
+    ho_flags: np.ndarray      # (K, T, n) {0,1}
+    tx_powers_w: np.ndarray   # (K, T, n) actual transmit power, 0 for unserved
+    assoc_rsus: np.ndarray    # (K, T, n) chosen RSU id, -1 when none available
+    violations: np.ndarray    # (T, n) contested RSUs plus vehicles under min_rate
+    penalty: np.ndarray       # (T, n) float cfg.penalty when violations > 0, else 0.0
+    observations: np.ndarray  # (K, T, n, obs_dim) the observations each TS led to
+    done: np.ndarray          # (T, n)
 
 
 @dataclass
 class EnvBlock:
     """Episodes of one world that `EdgeAssocEnv.reset_block` draws,
     `step_block` advances in lockstep and `score_block` scores (`step`
-    advances and scores a block of one), their rows held with the episode
-    axis after the vehicle axis."""
+    advances a block of one, `EdgeAssocEnv.episode`, and gives each TS's
+    reward), their rows held with the episode axis after the vehicle axis."""
 
     t: int                  # the episodes' current TS, 1-based
     # (horizon + 1, K, n, visible_rsus) RSU id of each action slot; a padded
     # slot holds its fallback, the nearest RSU, or -1 when none is in range.
     slots: np.ndarray
-    gains: np.ndarray       # (horizon + 1, K, n, R)
+    # (horizon + 1, K, n, visible_rsus) gain of the RSU each slot resolves to;
+    # a padded slot holds slot 0's gain.
+    gains: np.ndarray
     obs: np.ndarray         # (horizon + 1, K, n, obs_dim)
     prev_assoc: np.ndarray  # (K, n) previous RSU ids, -1 when none
     # (horizon, K, n) the action index of each TS that `step_block` took;
@@ -315,12 +312,14 @@ class EdgeAssocEnv:
     through TS `horizon + 1`, the same numbers in the same amount as drawing
     them TS by TS, and from them each TS's slot map, gain table and learner
     input vector. The input's previous-association columns hold "no RSU" in
-    every row until the step into that row writes them. `reset()` starts a
-    block of one, which `step` advances and scores TS by TS. A block of any
-    size is advanced by `step_block`, which only records each TS's actions
-    and writes the next row's previous association, and then scored at once
-    by `score_block`: only the handover term links one TS to the next, and it
-    reads the previous association alone. Stepping past the horizon raises.
+    every row until the step into that row writes them. A block of any size
+    is advanced by `step_block`, which only records each TS's actions and
+    writes the next row's previous association, and then scored at once by
+    `score_block`: only the handover term links one TS to the next, and it
+    reads the previous association alone. `reset()` starts a block of one,
+    `episode`, which `step` advances by `step_block` and which is then
+    scored like any other block; `step` computes only the reward that
+    training needs each TS. Stepping past the horizon raises.
     """
 
     def __init__(self, cfg: EnvConfig, seed: int):
@@ -346,7 +345,7 @@ class EdgeAssocEnv:
             np.append(self.layout.xs, no_x) / cfg.road_length,
             np.append(self.layout.ys, no_y) / cfg.y_scale,
         ])
-        self._episode: Optional[EnvBlock] = None  # the block of one `reset()` starts
+        self.episode: Optional[EnvBlock] = None  # the block of one `reset()` starts
 
     # -- episode control ----------------------------------------------------
 
@@ -367,7 +366,7 @@ class EdgeAssocEnv:
         return self.cfg.horizon
 
     def reset(self) -> list[np.ndarray]:
-        self._episode, stacks = self.reset_block(1)
+        self.episode, stacks = self.reset_block(1)
         return [stack[0] for stack in stacks]
 
     def reset_block(self, n: int) -> tuple[EnvBlock, list[np.ndarray]]:
@@ -380,7 +379,7 @@ class EdgeAssocEnv:
         k, v = cfg.num_vehicles, cfg.visible_rsus
         rows = (cfg.horizon + 1, k, n)  # one row per TS from 1 to horizon + 1
         slots = np.empty((*rows, v), dtype=int)
-        gains = np.empty((*rows, layout.count))
+        gains = np.empty((*rows, v))
         obs = np.empty((*rows, cfg.obs_dim))
         lane_y = np.asarray(LANE_Y)[np.arange(k) % len(LANE_Y)]
         lo, hi = cfg.gain_db_low, cfg.gain_db_high
@@ -392,17 +391,18 @@ class EdgeAssocEnv:
             dx = np.abs(self._trajectory(x, noise)[:, :, None] - layout.xs) % cfg.road_length
             dx = np.minimum(dx, cfg.road_length - dx)
             dist = np.hypot(dx, lane_y[:, None] - layout.ys)  # (TS, K, R) ring metric
-            episode_gains = mean_channel_gain(dist / 1000.0) * fading
-            gains[:, :, i] = episode_gains
 
             # Slots: RSUs in coverage, nearest first; the stable sort keeps ties
             # in id order. In-range RSUs are a prefix of the sorted row.
             order = np.argsort(dist, axis=-1, kind="stable")[..., :v]
-            padded = np.take_along_axis(dist, order, -1) > cfg.coverage_radius
-            # A padded slot falls back to the nearest RSU.
+            slot_dist = np.take_along_axis(dist, order, -1)
+            padded = slot_dist > cfg.coverage_radius
+            # A padded slot falls back to the nearest RSU, slot 0's.
             nearest = np.where(padded[..., :1], -1, order[..., :1])
             slots[:, :, i] = np.where(padded, nearest, order)
-            slot_gains = np.take_along_axis(episode_gains, order, -1)
+            slot_fading = np.take_along_axis(fading, order, -1)
+            slot_gains = mean_channel_gain(slot_dist / 1000.0) * slot_fading
+            gains[:, :, i] = np.where(padded, slot_gains[..., :1], slot_gains)
             slot_gains[padded] = 0.0
 
             # Learner input: gains in dB mapped to ~[0, 1], x and y scaled.
@@ -442,8 +442,10 @@ class EdgeAssocEnv:
 
     # -- stepping -------------------------------------------------------------
 
-    def step(self, actions: Sequence[int]) -> StepResult:
-        """Apply one joint action to the episode `reset()` started, advance it one TS.
+    def step(self, actions: Sequence[int]) -> tuple[list[np.ndarray], float, bool]:
+        """Apply one joint action to `episode`, the block of one that `reset()`
+        started, by `step_block`, and give the next observations, this TS's
+        reward and whether the episode is done.
 
         Conflicting picks of the same RSU are resolved in favor of the lowest
         vehicle index; losers transmit nothing that TS. The reward is the
@@ -451,79 +453,47 @@ class EdgeAssocEnv:
         is under `min_rate`. Selecting a padded slot falls back to the
         nearest available RSU without a penalty. A structurally invalid
         action index raises ValueError; stepping before `reset()` or after
-        the episode is done raises RuntimeError.
+        the episode is done raises RuntimeError. `score_block(episode)` gives
+        every value of the TS stepped so far, this reward's bits included.
         """
         cfg = self.cfg
-        episode = self._episode
+        episode = self.episode
         if episode is None:
             raise RuntimeError("call reset() before step()")
-        if episode.t > cfg.horizon:
-            raise RuntimeError("the episode is done; call reset() before step()")
-        if len(actions) != cfg.num_vehicles:
-            raise ValueError("one action per vehicle required")
-
-        row = episode.t - 1
-        slot_maps = episode.slots[row, :, 0].tolist()
-        gains = episode.gains[row, :, 0]
-        assoc = []
-        levels = []
-        for k, a in enumerate(actions):
-            idx = int(a)
-            if not 0 <= idx < cfg.actions_per_agent:
-                raise ValueError(f"action index {idx} out of range")
-            slot, level = divmod(idx, cfg.power_levels)
-            assoc.append(slot_maps[k][slot])
-            levels.append(level)
+        prev_assoc = episode.prev_assoc[:, 0].tolist()
+        obs = self.step_block(episode, np.asarray(actions)[:, None])
+        row = episode.t - 2
+        assoc = episode.prev_assoc[:, 0].tolist()
+        gains = episode.gains[row, :, 0].tolist()
 
         rates = [0.0] * cfg.num_vehicles
         tx_powers = [0.0] * cfg.num_vehicles
         ho_flags = [0] * cfg.num_vehicles
-        won, contested = set(), set()
-        prev_assoc = episode.prev_assoc[:, 0].tolist()
+        won = set()
         # Lowest vehicle index wins a contested RSU; losers are muted this TS.
-        for k, rid in enumerate(assoc):
+        for k, (rid, a) in enumerate(zip(assoc, episode.actions[row, :, 0].tolist())):
             if rid < 0:
                 continue
             ho_flags[k] = handover_indicator(prev_assoc[k], rid)
-            if rid in won:
-                contested.add(rid)
-            else:
+            if rid not in won:
                 won.add(rid)
-                tx_powers[k] = self._power_w[levels[k]]
-                rates[k] = achievable_rate(tx_powers[k], gains[k, rid], self._noise_w)
+                slot, level = divmod(a, cfg.power_levels)
+                tx_powers[k] = self._power_w[level]
+                rates[k] = achievable_rate(tx_powers[k], gains[k][slot], self._noise_w)
 
-        # One violation per contested RSU and per vehicle under the minimum rate.
-        violations = len(contested) + sum(r < cfg.min_rate for r in rates)
-        penalty = cfg.penalty if violations else 0.0
+        # A muted loser's rate, 0, is under min_rate (> 0): a contested RSU
+        # always comes with a rate under the minimum.
+        penalty = cfg.penalty if any(r < cfg.min_rate for r in rates) else 0.0
         utilities = [utility(*v, cfg) for v in zip(rates, ho_flags, tx_powers)]
-        done = episode.t >= cfg.horizon
-
-        # The new associations become history.
-        assoc_ids = np.array(assoc)
-        episode.prev_assoc = assoc_ids[:, None]
-        episode.t += 1
-        obs = episode.obs[row + 1, :, 0]
-        obs[:, -2:] = self._prev_location[assoc_ids]
-
-        return StepResult(
-            reward=list_mean(utilities) + penalty,
-            utilities=utilities,
-            rates=rates,
-            ho_flags=ho_flags,
-            tx_powers_w=tx_powers,
-            assoc_rsus=assoc,
-            violations=violations,
-            penalty=penalty,
-            observations=list(obs),
-            done=done,
-        )
+        return list(obs[:, 0]), list_mean(utilities) + penalty, episode.t > cfg.horizon
 
     def step_block(self, block: EnvBlock, actions: Sequence[np.ndarray]) -> np.ndarray:
         """Take one TS's actions for every episode of `block`: `actions[k]`
         holds vehicle k's action index in each episode. Records them for
         `score_block`, writes the next row's previous-association columns and
         returns the next observations, (K, n, obs_dim), a view of the block.
-        Raises as `step` does for the first offending episode.
+        An invalid action index raises ValueError, naming the first offending
+        one by episode, then vehicle; a done block raises RuntimeError.
         """
         cfg = self.cfg
         if block.t > cfg.horizon:
@@ -549,9 +519,10 @@ class EdgeAssocEnv:
         return obs
 
     def score_block(self, block: EnvBlock) -> StepResult:
-        """The TS rule of `step` on every TS that `step_block` took in `block`,
-        all at once: a StepResult whose TS t of episode i has the values and
-        bits of `step` on that episode at TS t + 1. Leaves the block as it is.
+        """Every TS that `step_block` took in `block`, scored at once by the TS
+        rule that `step` states: a StepResult whose reward at TS t of episode
+        i has the bits of the reward `step` gives on that episode at TS t + 1.
+        Leaves the block as it is.
         """
         cfg = self.cfg
         ts = block.t - 1
@@ -573,7 +544,7 @@ class EdgeAssocEnv:
         prev = np.concatenate([np.full((k_count, 1, n), -1), assoc], axis=1)[:, :ts]
         ho_flags = (served & (prev >= 0) & (prev != assoc)).astype(int)
         tx_powers = np.where(won, np.asarray(self._power_w)[level], 0.0)
-        gains = np.take_along_axis(block.gains[:ts].transpose(1, 0, 2, 3), assoc[..., None], -1)
+        gains = np.take_along_axis(block.gains[:ts].transpose(1, 0, 2, 3), slot[..., None], -1)
         one_plus_snr = 1.0 + tx_powers[won] * gains[..., 0][won] / self._noise_w
         # math.log2, as in achievable_rate: np.log2 differs from it in the last
         # bit on some arguments.
@@ -640,4 +611,4 @@ class EdgeAssocEnv:
         self.mean_speeds = np.asarray(state["mean_speeds"], dtype=float)
         for name, rng in streams.items():
             setattr(self, f"_{name}", rng)
-        self._episode = None
+        self.episode = None

@@ -49,18 +49,19 @@ def record_cells(record) -> list:
 
 
 def _ts_sum(start, rows: np.ndarray) -> np.ndarray:
-    """`start` plus the (T, n) rows, added TS after TS as one `add` per TS
-    adds them; np.sum would add the T rows of a block of one pairwise."""
+    """`start` plus the (T, n) rows, added TS after TS; np.sum would add the
+    T rows of a block of one pairwise."""
     return np.add.accumulate(np.vstack([np.broadcast_to(start, rows.shape[1:]), rows]))[-1]
 
 
 class MetricAccumulator:
-    """Accumulates StepResult streams into one EpisodeRecord per episode.
+    """Sums scored blocks into one EpisodeRecord per episode.
 
-    It takes the TS of one episode one at a time, or the scored TS of the
-    lockstep episodes of a block (`EdgeAssocEnv.score_block`) in one call,
-    whose every sum is then an (n,) array with the bits of each episode's own
-    sum. TS rows are logged for one episode at a time only.
+    Every episode, a training episode as a block of one or the lockstep
+    episodes of a greedy block, is scored once by `EdgeAssocEnv.score_block`
+    and taken by one `add`. Each sum is then an (n,) array whose entries
+    have the bits of `np.mean`'s per-TS means added TS after TS. The TS log,
+    when kept, gets one row per TS of each episode.
     """
 
     def __init__(self, ts_rows: list | None = None):
@@ -76,27 +77,16 @@ class MetricAccumulator:
         self._power_sum = 0.0
         self._violations = 0
 
-    def add(self, step, episode: int) -> None:
-        """Take one TS, or a block's T TS, whose reward is (T, n); `episode`
-        numbers a lone TS's row. The means are `np.mean`'s, summed on Python
-        floats or elementwise, TS after TS."""
-        if getattr(step.reward, "ndim", 0) == 2:
-            self._add_block(step)
-            return
-        self._t += 1
-        mean_u = list_mean(step.utilities)
-        self._utility_sum += mean_u
-        self._reward_sum += step.reward
-        self._rate_sum += list_mean(step.rates)
-        self._ho_sum += sum(step.ho_flags) / len(step.ho_flags)
-        self._power_sum += list_mean(step.tx_powers_w)
-        self._violations += step.violations
+    def add(self, block, first: int) -> None:
+        """Take a scored block of n episodes, whose reward is (T, n); `first`
+        numbers its first episode in the TS log."""
+        mean_u = list_mean(block.utilities)
         if self._ts_rows is not None:
-            self._ts_rows.append((episode, self._t, mean_u, step.penalty, step.reward))
-
-    def _add_block(self, block) -> None:
+            columns = np.stack([mean_u, block.penalty, block.reward], axis=-1).transpose(1, 0, 2)
+            for episode, rows in enumerate(columns.tolist(), first):
+                self._ts_rows.extend((episode, t, *row) for t, row in enumerate(rows, self._t + 1))
         self._t += len(block.reward)
-        self._utility_sum = _ts_sum(self._utility_sum, list_mean(block.utilities))
+        self._utility_sum = _ts_sum(self._utility_sum, mean_u)
         self._reward_sum = _ts_sum(self._reward_sum, block.reward)
         self._rate_sum = _ts_sum(self._rate_sum, list_mean(block.rates))
         self._ho_sum = _ts_sum(self._ho_sum, sum(block.ho_flags) / len(block.ho_flags))

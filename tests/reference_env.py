@@ -2,8 +2,10 @@
 constraint check and the per-vehicle observation view.
 
 `PerTsEnv` is the environment's earlier per-TS implementation, kept as the
-reference `fedassoc.env.EdgeAssocEnv` is checked against. `WorldState` is its
-ground-truth vehicle state, which `EdgeAssocEnv` does not keep.
+reference `fedassoc.env.EdgeAssocEnv` is checked against: its `step` gives
+every value of a TS (`TsResult`), which `EdgeAssocEnv.step` and
+`score_block` must match. `WorldState` is its ground-truth vehicle state,
+which `EdgeAssocEnv` does not keep.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from fedassoc.env import (
     NO_RSU_LOCATION,
     EnvConfig,
     RsuLayout,
-    StepResult,
     achievable_rate,
     build_rsu_layout,
     dbm_to_watt,
@@ -45,6 +46,22 @@ class WorldState:
 
 
 @dataclass
+class TsResult:
+    """Outcome of one joint TS; per-vehicle values are lists in vehicle order."""
+
+    reward: float              # mean utility plus penalty
+    utilities: list[float]
+    rates: list[float]         # bit/s/Hz
+    ho_flags: list[int]        # {0,1}
+    tx_powers_w: list[float]   # actual transmit power, 0 for unserved
+    assoc_rsus: list[int]      # chosen RSU id, -1 when none available
+    violations: int            # contested RSUs plus vehicles under min_rate
+    penalty: float             # cfg.penalty when violations > 0, else 0.0
+    observations: list[np.ndarray]  # next normalized observation vectors
+    done: bool
+
+
+@dataclass
 class Observation:
     """Per-vehicle local view: slot gains, slot locations, last RSU location.
 
@@ -65,7 +82,7 @@ def rsu_position(layout: RsuLayout, rsu_id: int) -> tuple[float, float]:
 def episode_row(env, name: str) -> np.ndarray:
     """The current TS's (K, ...) row of array `name` (`slots`, `gains` or
     `obs`) of the episode an `EdgeAssocEnv`'s `reset()` started."""
-    episode = env._episode
+    episode = env.episode
     return getattr(episode, name)[episode.t - 1][:, 0]
 
 
@@ -79,9 +96,9 @@ def observations(env) -> list[Observation]:
         # fallback, -1 when no RSU is in range.
         padded = (slots < 0) | ((np.arange(len(slots)) > 0) & (slots == slots[0]))
         slot_map = np.where(padded, -1, slots)
-        prev = int(env._episode.prev_assoc[k, 0])
+        prev = int(env.episode.prev_assoc[k, 0])
         views.append(Observation(
-            gains=np.where(padded, 0.0, gains[k, slot_map]),
+            gains=np.where(padded, 0.0, gains[k]),
             locations=np.where(
                 padded[:, None], NO_RSU_LOCATION,
                 np.stack([layout.xs[slot_map], layout.ys[slot_map]], axis=1),
@@ -237,7 +254,15 @@ class PerTsEnv:
 
     # -- stepping -------------------------------------------------------------
 
-    def step(self, actions: Sequence[int]) -> StepResult:
+    def slot_gains(self) -> np.ndarray:
+        """(K, visible_rsus) gain of the RSU each slot resolves to: a padded
+        slot's is slot 0's, the nearest RSU's, in range or not."""
+        order = np.argsort(self._dist, axis=1, kind="stable")[:, : self.cfg.visible_rsus]
+        gains = np.take_along_axis(self.gain_table, order, 1)
+        in_range = np.array([o.slot_map >= 0 for o in self.observations])
+        return np.where(in_range, gains, gains[:, :1])
+
+    def step(self, actions: Sequence[int]) -> TsResult:
         """Apply one joint action, advance the world one TS.
 
         Conflicting picks of the same RSU are resolved in favor of the lowest
@@ -320,7 +345,7 @@ class PerTsEnv:
         self._sample_gains()
         self._refresh_observations()
 
-        return StepResult(
+        return TsResult(
             reward=reward,
             utilities=utilities.tolist(),
             rates=rates.tolist(),

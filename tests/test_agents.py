@@ -556,10 +556,10 @@ def test_failed_load_leaves_env_unchanged(tmp_path, name, other_world):
     env = small_env(seed=1, **other_world)
     env.reset()
     env.step([0, 0])
-    before, episode = env.get_state(), env._episode
+    before, episode = env.get_state(), env.episode
     with pytest.raises(ValueError, match=re.escape(str(path))):
         FederatedTrainer.load(tmp_path / "ckpt", env)
-    assert env.get_state() == before and env._episode is episode and episode.t == 2
+    assert env.get_state() == before and env.episode is episode and episode.t == 2
 
 
 # A `meta` of another shape or of non-integers, each with its shape and dtype.

@@ -44,7 +44,8 @@ def test_gain_monte_carlo_mean():
     # The env's gain is path loss times a fading power factor: the squared
     # magnitude of unit-variance complex fading, exponential with mean 1.
     # The reference twin draws the same start positions from its init stream.
-    cfg = EnvConfig(horizon=1)
+    # Every RSU is in range and has a slot, so each TS gives K * R factors.
+    cfg = EnvConfig(horizon=1, visible_rsus=12, coverage_radius=1000.0)
     env, ref = EdgeAssocEnv(cfg, seed=42), PerTsEnv(cfg, seed=42)
     layout = env.layout
     factors = []
@@ -54,7 +55,8 @@ def test_gain_monte_carlo_mean():
         dx = np.abs(ref.world.x[:, None] - layout.xs) % cfg.road_length
         dx = np.minimum(dx, cfg.road_length - dx)
         dist_km = np.hypot(dx, ref.world.lane_y()[:, None] - layout.ys) / 1000.0
-        factors.extend((episode_row(env, "gains") / mean_channel_gain(dist_km)).ravel())
+        slot_dist_km = np.take_along_axis(dist_km, episode_row(env, "slots"), 1)
+        factors.extend((episode_row(env, "gains") / mean_channel_gain(slot_dist_km)).ravel())
     factors = np.array(factors)
     assert abs(factors.mean() - 1.0) < 0.02
     assert (factors >= 0.0).all()

@@ -24,17 +24,16 @@ from toy_env import ToyEnv, separable_table
 
 
 def sequential_evaluate(trainer, episodes):
-    """Greedy rollouts one episode at a time, drawing noise TS by TS."""
+    """Greedy rollouts one episode at a time, drawing noise TS by TS, each
+    episode scored as training scores it."""
     acc = MetricAccumulator()
     records = []
     for ep in range(1, episodes + 1):
         obs = trainer.env.reset()
         done = False
         while not done:
-            step = trainer.env.step(trainer.select_actions(obs, 0.0))
-            obs = step.observations
-            done = step.done
-            acc.add(step, ep)
+            obs, _, done = trainer.env.step(trainer.select_actions(obs, 0.0))
+        acc.add(trainer.env.score_block(trainer.env.episode), ep)
         records.extend(acc.finalize(ep, 0.0, 0.0))
     return records
 
@@ -159,27 +158,44 @@ def test_lockstep_matches_sequential_on_toy_env(algo):
             assert_lockstep_matches_sequential(algo, make_env, cfg, episodes)
 
 
+def counted(calls, name, original):
+    """`original`, counting its calls in `calls[name]`."""
+
+    def call(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    return call
+
+
 @pytest.mark.parametrize("episodes", [1, 2 * agents_mod.EVAL_BLOCK + 3])
 def test_each_block_steps_each_ts_then_scores_once(monkeypatch, episodes):
     calls = collections.Counter()
-
-    def count(owner, name):
-        original = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
     for owner, name in (
         (EdgeAssocEnv, "step_block"), (EdgeAssocEnv, "score_block"), (MetricAccumulator, "add")
     ):
-        count(owner, name)
+        monkeypatch.setattr(owner, name, counted(calls, name, getattr(owner, name)))
     env = small_env()
     FederatedTrainer(env, small_cfg(), seed=1).evaluate(episodes)
     blocks = -(-episodes // agents_mod.EVAL_BLOCK)
     assert calls == {"step_block": blocks * env.horizon, "score_block": blocks, "add": blocks}
+
+
+def test_training_scores_each_episode_once(monkeypatch):
+    # Training steps each TS through `step`, which takes its actions by
+    # `step_block` on the episode's block of one, then scores and sums the
+    # episode once.
+    calls = collections.Counter()
+    for owner, name in (
+        (EdgeAssocEnv, "step"), (EdgeAssocEnv, "step_block"), (EdgeAssocEnv, "score_block"),
+        (MetricAccumulator, "add"),
+    ):
+        monkeypatch.setattr(owner, name, counted(calls, name, getattr(owner, name)))
+    env = small_env()
+    cfg = small_cfg(episodes=3)
+    FederatedTrainer(env, cfg, seed=1).run()
+    ts = cfg.episodes * env.horizon
+    assert calls == {"step": ts, "step_block": ts, "score_block": cfg.episodes, "add": cfg.episodes}
 
 
 class RaggedToyEnv(ToyEnv):
@@ -196,14 +212,12 @@ class RaggedToyEnv(ToyEnv):
 
     def reset(self):
         self.length = next(self.lengths)
-        self.t = 0
         return super().reset()
 
     def step(self, actions):
-        self.t += 1
-        step = super().step(actions)
-        step.done = self.t == self.length
-        return step
+        obs, reward, _ = super().step(actions)
+        self.steps[-1] = (reward, len(self.steps) == self.length)
+        return obs, *self.steps[-1]
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0])

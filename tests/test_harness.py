@@ -166,7 +166,7 @@ def test_exploration_draws_per_time_slot(algo, draws):
     for t in range(1, 6):
         actions = trainer.select_actions(obs, 0.5)
         assert trainer.rng_explore.random_calls == draws * t
-        obs = env.step(actions).observations
+        obs = env.step(actions)[0]
 
 
 # -- metric csv ---------------------------------------------------------------

@@ -1,12 +1,9 @@
-"""Episode metrics: the float-list means and the accumulator against np.mean."""
-
-import dataclasses
+"""Episode metrics: the float-list means against np.mean, and the accumulator
+against the per-TS sum that training once ran on each `step`."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from toy_env import stack_steps, stack_ts
 
 from fedassoc.env import StepResult, list_mean
 from fedassoc.metrics import EpisodeRecord, MetricAccumulator
@@ -39,37 +36,48 @@ def test_list_mean_of_an_array_is_each_column_list_mean(k, n, with_ts, seed):
     assert repr(list_mean(values).ravel().tolist()) == repr(want)
 
 
-def random_step(rng, k):
-    violations = int(rng.integers(0, 4))
+def random_block(rng, k, ts, n, penalty):
+    """A scored block of random values: (K, T, n) per vehicle, (T, n) per
+    episode, its reward the mean utility plus the penalty."""
+    violations = rng.integers(0, 4, (ts, n)) * (rng.random((ts, n)) < 0.5)
+    utilities = random_values(rng, k * ts * n).reshape(k, ts, n)
+    penalties = np.where(violations > 0, float(penalty), 0.0)
     return StepResult(
-        reward=float(rng.standard_normal()),
-        utilities=random_values(rng, k).tolist(),
-        rates=np.abs(random_values(rng, k)).tolist(),
-        ho_flags=rng.integers(0, 2, k).tolist(),
-        tx_powers_w=rng.uniform(0.0, 3.2, k).tolist(),
-        assoc_rsus=rng.integers(-1, 12, k).tolist(),
+        reward=list_mean(utilities) + penalties,
+        utilities=utilities,
+        rates=np.abs(random_values(rng, k * ts * n)).reshape(k, ts, n),
+        ho_flags=rng.integers(0, 2, (k, ts, n)),
+        tx_powers_w=rng.uniform(0.0, 3.2, (k, ts, n)),
+        assoc_rsus=rng.integers(-1, 12, (k, ts, n)),
         violations=violations,
-        penalty=[-1, -1.0][rng.integers(2)] if violations else 0.0,
-        observations=[np.zeros(1)] * k,
-        done=False,
+        penalty=penalties,
+        observations=np.zeros((k, ts, n, 1)),
+        done=np.arange(1, ts + 1)[:, None].repeat(n, axis=1) == ts,
     )
 
 
-def reference_record(steps, episode, ts_rows):
-    """The record and TS rows by np.mean and np.sum on each step's arrays."""
+def per_ts_record(block, i, episode, penalty, ts_rows):
+    """Episode i's record and TS rows by the per-TS sum that training once
+    ran on each `step`: the TS's values as Python lists, its penalty as the
+    config gives it, and the sums on Python floats, added TS after TS."""
     sums = [0.0] * 5
     violations = 0
-    for t, step in enumerate(steps, start=1):
-        mean_u = float(np.mean(step.utilities))
+    for t in range(len(block.reward)):
+        utilities = block.utilities[:, t, i].tolist()
+        ho_flags = block.ho_flags[:, t, i].tolist()
+        ts_violations = int(block.violations[t, i])
+        ts_penalty = penalty if ts_violations else 0.0
+        mean_u = list_mean(utilities)
+        reward = mean_u + ts_penalty
         sums[0] += mean_u
-        sums[1] += step.reward
-        sums[2] += float(np.mean(step.rates))
-        sums[3] += float(np.sum(step.ho_flags)) / len(step.ho_flags)
-        sums[4] += float(np.mean(step.tx_powers_w))
-        violations += step.violations
+        sums[1] += reward
+        sums[2] += list_mean(block.rates[:, t, i].tolist())
+        sums[3] += sum(ho_flags) / len(ho_flags)
+        sums[4] += list_mean(block.tx_powers_w[:, t, i].tolist())
+        violations += ts_violations
         if ts_rows is not None:
-            ts_rows.append((episode, t, mean_u, step.penalty, step.reward))
-    t = len(steps)
+            ts_rows.append((episode, t + 1, mean_u, ts_penalty, reward))
+    t = len(block.reward)
     return EpisodeRecord(
         episode=episode,
         mean_utility=sums[0] / t,
@@ -83,37 +91,26 @@ def reference_record(steps, episode, ts_rows):
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 10), st.integers(1, 30), st.booleans(), st.integers(0, 2**32 - 1))
-def test_accumulator_matches_np_mean_reference(k, steps, log_ts, seed):
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10), st.integers(1, 30), st.integers(1, 5), st.sampled_from([-1, -1.0, -0.5]),
+    st.booleans(), st.integers(0, 2**32 - 1),
+)
+def test_block_accumulator_matches_one_episode_at_a_time(k, ts, n, penalty, log_ts, seed):
+    # A whole scored block in one `add`: its TS are summed in order, which a
+    # pairwise sum over 9 or more TS would break, and its means over K
+    # vehicles are np.mean's, pairwise from K = 8 on. Two blocks in turn
+    # number their episodes on.
     rng = np.random.default_rng(seed)
-    episodes = [[random_step(rng, k) for _ in range(steps)] for _ in range(2)]
+    blocks = [random_block(rng, k, ts, n, penalty) for _ in range(2)]
     got_rows = [] if log_ts else None
     want_rows = [] if log_ts else None
     acc = MetricAccumulator(got_rows)
-    for episode, stream in enumerate(episodes, start=1):
-        for step in stream:
-            acc.add(step, episode)
-        [got] = acc.finalize(episode, 0.5, 0.01)
-        want = reference_record(stream, episode, want_rows)
-        assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
-    assert repr(got_rows) == repr(want_rows)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 10), st.integers(1, 30), st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_block_accumulator_matches_one_episode_at_a_time(k, steps, n, seed):
-    # A whole scored block in one `add`: its TS are summed in order, which a
-    # pairwise sum over 9 or more TS of a block of one would break.
-    rng = np.random.default_rng(seed)
-    episodes = [[random_step(rng, k) for _ in range(steps)] for _ in range(n)]
-    want = []
-    acc = MetricAccumulator()
-    for episode, stream in enumerate(episodes, start=1):
-        for step in stream:
-            acc.add(step, episode)
-        want.extend(acc.finalize(episode, 0.5, 0.01))
-    acc = MetricAccumulator()
-    acc.add(stack_ts([stack_steps(ts_steps) for ts_steps in zip(*episodes)]), 1)
-    got = acc.finalize(1, 0.5, 0.01)
-    assert repr(got) == repr(want)
+    for first, block in zip((1, n + 1), blocks):
+        acc.add(block, first)
+        got = acc.finalize(first, 0.5, 0.01)
+        want = [per_ts_record(block, i, first + i, penalty, want_rows) for i in range(n)]
+        assert repr(got) == repr(want)
+    if log_ts:
+        # The log writes every value as a float.
+        assert repr(got_rows) == repr([(e, t, u, float(p), r) for e, t, u, p, r in want_rows])

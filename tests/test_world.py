@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def test_reset_is_deterministic():
     assert len(obs_a) == 2
     for va, vb in zip(obs_a, obs_b):
         assert np.array_equal(va, vb)
-    ea, eb = a._episode, b._episode
+    ea, eb = a.episode, b.episode
     assert np.array_equal(ea.slots, eb.slots) and np.array_equal(ea.gains, eb.gains)
     assert np.array_equal(ea.obs, eb.obs)
     assert np.array_equal(a.mean_speeds, b.mean_speeds)
@@ -169,9 +170,10 @@ def test_no_rsus_in_range_gives_empty_list():
     obs = observations(env)[0]
     assert np.all(obs.slot_map == -1)
     assert np.all(obs.gains == 0.0)
-    step = env.step([0, 0])
-    assert step.rates[0] == 0.0 and step.tx_powers_w[0] == 0.0
-    assert step.assoc_rsus[0] == -1
+    env.step([0, 0])
+    ts = last_ts(env)
+    assert ts.rates[0] == 0.0 and ts.tx_powers_w[0] == 0.0
+    assert ts.assoc_rsus[0] == -1
 
 
 def test_equidistant_tie_breaks_to_lower_id():
@@ -216,43 +218,49 @@ def test_padded_slots_after_shrinking_coverage():
 
 # -- stepping ------------------------------------------------------------------
 
+def last_ts(env):
+    """The values of the TS that the last `env.step` took, from `score_block`
+    on its episode, as lists in vehicle order."""
+    return SimpleNamespace(**ts_values(env.score_block(env.episode), env.episode.t - 2, 0))
+
+
 def test_reward_identity_over_random_actions():
     env = make_env(seed=13)
     rng = np.random.default_rng(0)
     env.reset()
     for _ in range(1000):
-        step = env.step(list(rng.integers(0, 16, size=2)))
-        assert step.penalty == (env.cfg.penalty if step.violations else 0.0)
-        assert step.reward == float(np.mean(step.utilities)) + step.penalty
-        if step.done:
+        _, reward, done = env.step(list(rng.integers(0, 16, size=2)))
+        ts = last_ts(env)
+        assert ts.penalty == (env.cfg.penalty if ts.violations else 0.0)
+        assert reward == float(np.mean(ts.utilities)) + ts.penalty == ts.reward
+        if done:
             env.reset()
 
 
 def test_handover_flags_match_association_history():
     env = make_env(seed=17)
     rng = np.random.default_rng(1)
-    env.reset()
-    prev = {0: None, 1: None}
-    for _ in range(300):
-        step = env.step(list(rng.integers(0, 16, size=2)))
+    for _ in range(3):
+        env.reset()
+        for _ in range(env.horizon):
+            env.step(list(rng.integers(0, 16, size=2)))
+        scored = env.score_block(env.episode)
         for k in range(2):
-            cur = int(step.assoc_rsus[k])
-            if prev[k] is None or cur < 0:
-                assert step.ho_flags[k] == 0
-            else:
-                assert step.ho_flags[k] == int(prev[k] != cur)
-            prev[k] = cur if cur >= 0 else None
-        if step.done:
-            env.reset()
-            prev = {0: None, 1: None}
+            prev = None
+            for cur, ho in zip(scored.assoc_rsus[k, :, 0].tolist(), scored.ho_flags[k, :, 0]):
+                if prev is None or cur < 0:
+                    assert ho == 0
+                else:
+                    assert ho == int(prev != cur)
+                prev = cur if cur >= 0 else None
 
 
 def test_first_ts_has_no_handover():
     env = make_env(seed=23)
     for _ in range(20):
         env.reset()
-        step = env.step([5, 9])
-        assert step.ho_flags == [0, 0]
+        env.step([5, 9])
+        assert last_ts(env).ho_flags == [0, 0]
 
 
 def test_conflict_resolution_lowest_index_wins():
@@ -262,14 +270,15 @@ def test_conflict_resolution_lowest_index_wins():
     views = observations(env)
     rid0 = int(views[0].slot_map[0])
     slot1 = int(np.where(views[1].slot_map == rid0)[0][0])
-    step = env.step([0 * 4 + 3, slot1 * 4 + 3])  # slot * power_levels + level
-    assert step.assoc_rsus == [rid0, rid0]
-    assert step.rates[0] >= env.cfg.min_rate and step.rates[1] == 0.0
-    assert step.tx_powers_w[1] == 0.0
+    _, reward, _ = env.step([0 * 4 + 3, slot1 * 4 + 3])  # slot * power_levels + level
+    ts = last_ts(env)
+    assert ts.assoc_rsus == [rid0, rid0]
+    assert ts.rates[0] >= env.cfg.min_rate and ts.rates[1] == 0.0
+    assert ts.tx_powers_w[1] == 0.0
     # One contested RSU plus the muted vehicle's rate under the minimum.
-    assert step.violations == 2
-    assert step.penalty == env.cfg.penalty
-    assert step.reward == pytest.approx(float(np.mean(step.utilities)) + env.cfg.penalty)
+    assert ts.violations == 2
+    assert ts.penalty == env.cfg.penalty
+    assert reward == pytest.approx(float(np.mean(ts.utilities)) + env.cfg.penalty)
 
 
 def test_malformed_action_rejected():
@@ -287,13 +296,13 @@ def test_episode_terminates_at_horizon():
     env = make_env(horizon=7)
     env.reset()
     for t in range(1, 8):
-        step = env.step([0, 0])
-        assert step.done == (t == 7)
+        _, _, done = env.step([0, 0])
+        assert done == (t == 7)
     with pytest.raises(RuntimeError, match="episode is done"):
         env.step([0, 0])
-    assert env._episode.t == 8
+    assert env.episode.t == 8
     env.reset()
-    assert not env.step([0, 0]).done
+    assert not env.step([0, 0])[2]
 
 
 def test_identical_seeds_identical_trajectories():
@@ -303,11 +312,11 @@ def test_identical_seeds_identical_trajectories():
     rng = np.random.default_rng(3)
     for _ in range(120):
         idx = list(rng.integers(0, 16, size=2))
-        sa, sb = a.step(idx), b.step(idx)
-        assert sa.reward == sb.reward
-        assert np.array_equal(sa.utilities, sb.utilities)
-        assert np.array_equal(sa.observations[0], sb.observations[0])
-        if sa.done:
+        (obs_a, reward_a, done), (obs_b, reward_b, _) = a.step(idx), b.step(idx)
+        assert reward_a == reward_b
+        assert last_ts(a).utilities == last_ts(b).utilities
+        assert np.array_equal(obs_a[0], obs_b[0])
+        if done:
             a.reset()
             b.reset()
 
@@ -322,7 +331,7 @@ def test_state_round_trip():
     twin = make_env(seed=999, horizon=30)
     twin.reset()
     twin.set_state(state)
-    assert twin._episode is None
+    assert twin.episode is None
     with pytest.raises(RuntimeError, match="reset"):
         twin.step([0, 0])
     rng = np.random.default_rng(4)
@@ -333,7 +342,8 @@ def test_state_round_trip():
             idx = random_actions(rng, env.cfg)
             sa, sb = env.step(idx), twin.step(idx)
             assert_same_step(sa, sb)
-            done = sa.done
+            done = sa[2]
+        assert repr(env.score_block(env.episode)) == repr(twin.score_block(twin.episode))
     assert twin.get_state() == env.get_state()
 
 
@@ -354,26 +364,28 @@ def test_scripted_episode_matches_oracle():
     total_oracle = 0.0
     for t in range(10):
         slot_maps = [observations(env)[k].slot_map.copy() for k in range(2)]
-        gains = episode_row(env, "gains").copy()
+        gains = episode_row(env, "gains").copy()  # by slot
         actions = [(t % 4, 3), ((t + 1) % 4, t % 4)]  # (slot, power level)
-        step = env.step([slot * 4 + level for slot, level in actions])
-        total_env += step.reward
+        _, reward, _ = env.step([slot * 4 + level for slot, level in actions])
+        total_env += reward
 
         # Straight-line recomputation from primitive quantities.
         chosen = []
         powers = []
+        slots = []
         for k, (slot, level) in enumerate(actions):
             if slot_maps[k][slot] < 0:
                 slot = 0
             rid = int(slot_maps[k][slot])
             chosen.append(rid if rid >= 0 else None)
+            slots.append(slot)
             powers.append(watt(power_dbm[level]))
         rates, utils = [], []
         for k in range(2):
             rid = chosen[k]
             win = rid is not None and chosen.index(rid) == k
             p = powers[k] if win else 0.0
-            rate = math.log2(1.0 + p * gains[k, rid] / noise_w) if win else 0.0
+            rate = math.log2(1.0 + p * gains[k, slots[k]] / noise_w) if win else 0.0
             ho = 0 if prev[k] is None or rid is None else int(prev[k] != rid)
             utils.append(0.5 * rate / 8.0 - 0.25 * ho - 0.25 * p / watt(35.0))
             rates.append(rate)
@@ -398,22 +410,24 @@ def bits(value):
     return a.dtype.str, a.shape, a.tobytes()
 
 
+def step_bits(step):
+    """A `step` result with its observations as bits."""
+    obs, reward, done = step
+    return [bits(o) for o in obs], reward, done
+
+
 def assert_same_step(a, b):
-    assert a.reward.hex() == b.reward.hex()
-    # repr tells types apart and prints every float exactly.
-    for name in ("utilities", "rates", "ho_flags", "tx_powers_w", "assoc_rsus", "penalty"):
-        assert repr(getattr(a, name)) == repr(getattr(b, name)), name
-    assert a.violations == b.violations and a.done == b.done
-    assert [bits(v) for v in a.observations] == [bits(v) for v in b.observations]
+    """Two `step` results, bit for bit: repr prints every float exactly."""
+    assert repr(step_bits(a)) == repr(step_bits(b))
 
 
 def assert_same_world(env, ref):
     """The env's episode at the reference's TS: the current rows of gains,
     slots (the padded-slot fallback applied) and observations, and the
     previous associations."""
-    assert env._episode.t == ref.world.t
-    assert bits(env._episode.prev_assoc[:, 0]) == bits(ref.world.prev_assoc)
-    assert bits(episode_row(env, "gains")) == bits(ref.gain_table)
+    assert env.episode.t == ref.world.t
+    assert bits(env.episode.prev_assoc[:, 0]) == bits(ref.world.prev_assoc)
+    assert bits(episode_row(env, "gains")) == bits(ref.slot_gains())
     slot_maps = np.array([o.slot_map for o in ref.observations])
     assert bits(episode_row(env, "slots")) == bits(
         np.where(slot_maps < 0, slot_maps[:, :1], slot_maps)
@@ -435,24 +449,23 @@ def random_actions(rng, cfg):
     return [int(i) for i in rng.integers(0, cfg.actions_per_agent, size=cfg.num_vehicles)]
 
 
-def step_both(env, ref, rng, steps):
-    for _ in range(steps):
-        actions = random_actions(rng, env.cfg)
-        assert_same_step(env.step(actions), ref.step(actions))
-        assert_same_world(env, ref)
-
-
 def run_episodes(env, ref, rng, episodes):
-    """Reset both, step both to the horizon, compare all."""
+    """Reset both, step both to the horizon, compare all: each `step` and
+    world, then every TS of the env's episode as `score_block` gives it."""
     for _ in range(episodes):
         assert [bits(v) for v in env.reset()] == [bits(v) for v in ref.reset()]
         assert_same_world(env, ref)
-        step_both(env, ref, rng, env.cfg.horizon - 1)
-        actions = random_actions(rng, env.cfg)
-        last = env.step(actions)
-        assert last.done
-        assert_same_step(last, ref.step(actions))
-        assert_same_world(env, ref)
+        wants = []
+        for _ in range(env.cfg.horizon):
+            actions = random_actions(rng, env.cfg)
+            got, want = env.step(actions), ref.step(actions)
+            assert_same_step(got, (want.observations, want.reward, want.done))
+            assert_same_world(env, ref)
+            wants.append(want)
+        assert want.done
+        scored = env.score_block(env.episode)
+        for t, want in enumerate(wants):
+            assert repr(ts_values(scored, t, 0)) == repr(step_values(want))
         assert_same_streams(env, ref)
 
 
@@ -491,7 +504,7 @@ STEP_FIELDS = ("reward", "utilities", "rates", "ho_flags", "tx_powers_w", "assoc
 
 
 def step_values(step):
-    """Every field of a `step` result, the penalty as a float, observations as bits."""
+    """Every field of a reference TS, the penalty as a float, observations as bits."""
     values = {name: getattr(step, name) for name in STEP_FIELDS}
     values["penalty"] = float(step.penalty)
     values["observations"] = [bits(o) for o in step.observations]
@@ -510,6 +523,13 @@ def ts_values(scored, t, i):
             values[name] = value[t, i].tolist()
     values["observations"] = [bits(o[t, i]) for o in scored.observations]
     return values
+
+
+def ts_step(scored, t, i):
+    """Episode i's TS t of a `score_block` result as `step_bits` gives a
+    `step` result."""
+    obs = [bits(o[t, i]) for o in scored.observations]
+    return obs, scored.reward[t, i].tolist(), scored.done[t, i].tolist()
 
 
 def with_clashes(actions, envs, rng, cfg):
@@ -577,13 +597,13 @@ def test_block_step_matches_env_step(
         assert raised(env.step_block, block, actions[:-1])[0] is ValueError
         got = env.step_block(block, actions)
         wants.append([env_i.step(actions[:, i].tolist()) for i, env_i in enumerate(envs)])
-        want_obs = zip(*(want.observations for want in wants[-1]))
+        want_obs = zip(*(obs for obs, _, _ in wants[-1]))
         assert [bits(o) for o in got] == [bits(np.array(obs)) for obs in want_obs]
         # A block scores the TS stepped so far and stays as it is.
         partial = env.score_block(block)
         assert partial.reward.shape == (t + 1, episodes)
         for i, want in enumerate(wants[-1]):
-            assert repr(ts_values(partial, t, i)) == repr(step_values(want))
+            assert repr(ts_step(partial, t, i)) == repr(step_bits(want))
     assert raised(env.step_block, block, actions) == raised(
         envs[0].step, actions[:, 0].tolist()
     )
@@ -591,7 +611,12 @@ def test_block_step_matches_env_step(
     assert scored.utilities.shape == (cfg.num_vehicles, horizon, episodes)
     for t, ts_wants in enumerate(wants):
         for i, want in enumerate(ts_wants):
-            assert repr(ts_values(scored, t, i)) == repr(step_values(want))
+            assert repr(ts_step(scored, t, i)) == repr(step_bits(want))
+    # Each episode's own block of one scores as its TS in the block do.
+    for i, env_i in enumerate(envs):
+        own = env_i.score_block(env_i.episode)
+        for t in range(horizon):
+            assert repr(ts_values(own, t, 0)) == repr(ts_values(scored, t, i))
     assert env.get_state() == twin.get_state()
 
 
@@ -599,22 +624,22 @@ def test_block_rates_take_math_log2_where_np_log2_differs():
     # np.log2 differs from math.log2 in the last bit on about one served
     # vehicle-TS in 10 000; this block of the default world holds some.
     cfg, episodes = EnvConfig(), 32
-    env, twin = EdgeAssocEnv(cfg, 3), EdgeAssocEnv(cfg, 3)
-    envs = [copy.copy(twin) for _ in range(episodes)]
-    for env_i in envs:
-        env_i.reset()
+    env, ref = twin_pair(cfg, 3)
     block, _ = env.reset_block(episodes)
-    rng = np.random.default_rng(3)
+    shape = (cfg.horizon, cfg.num_vehicles, episodes)
+    actions = np.random.default_rng(3).integers(0, cfg.actions_per_agent, shape)
+    for ts_actions in actions:
+        env.step_block(block, ts_actions)
     want = []
-    for _ in range(cfg.horizon):
-        actions = rng.integers(0, cfg.actions_per_agent, (cfg.num_vehicles, episodes))
-        env.step_block(block, actions)
-        want.append([env_i.step(actions[:, i].tolist()).rates for i, env_i in enumerate(envs)])
+    for i in range(episodes):  # the reference draws the block's episodes in turn
+        ref.reset()
+        want.append([ref.step(ts_actions[:, i].tolist()).rates for ts_actions in actions])
     scored = env.score_block(block)
-    assert bits(scored.rates.transpose(1, 2, 0)) == bits(want)
+    assert bits(scored.rates.transpose(2, 1, 0)) == bits(want)
     served = scored.tx_powers_w > 0
+    slots = actions.transpose(1, 0, 2) // cfg.power_levels
     gains = np.take_along_axis(
-        block.gains[:cfg.horizon].transpose(1, 0, 2, 3), scored.assoc_rsus[..., None], -1
+        block.gains[:cfg.horizon].transpose(1, 0, 2, 3), slots[..., None], -1
     )[..., 0]
     one_plus_snr = 1.0 + scored.tx_powers_w * gains / dbm_to_watt(cfg.noise_dbm)
     if not (np.log2(one_plus_snr[served]) != scored.rates[served]).any():
@@ -698,10 +723,10 @@ def test_set_state_rejects_another_world(edit, message):
     edit(state)
     twin = make_env(seed=5, horizon=10)
     twin.reset()
-    before, episode = twin.get_state(), twin._episode
+    before, episode = twin.get_state(), twin.episode
     with pytest.raises(ValueError, match=re.escape(message)):
         twin.set_state(state)
-    assert twin.get_state() == before and twin._episode is episode and episode.t == 1
+    assert twin.get_state() == before and twin.episode is episode and episode.t == 1
 
 
 def test_array_helpers_match_scalar_calls():

@@ -6,7 +6,6 @@ known by enumeration.
 """
 
 import copy
-from dataclasses import fields
 
 import numpy as np
 
@@ -31,76 +30,46 @@ class ToyEnv:
         return flat // self.num_actions, flat % self.num_actions
 
     def reset(self):
+        """Start an episode; `episode`, a block of one, keeps its steps."""
+        self.steps = []
+        self.episode = [self]
         return [o.copy() for o in self._obs]
 
     def step(self, actions):
         a0, a1 = (int(a) for a in actions)
-        r = float(self.table[a0, a1])
-        return StepResult(
-            reward=r,
-            utilities=[r, r],
-            rates=[0.0, 0.0],
-            ho_flags=[0, 0],
-            tx_powers_w=[0.0, 0.0],
-            assoc_rsus=[-1, -1],
-            violations=0,
-            penalty=0.0,
-            observations=[o.copy() for o in self._obs],
-            done=True,
-        )
+        self.steps.append((float(self.table[a0, a1]), True))
+        return [o.copy() for o in self._obs], *self.steps[-1]
 
     def reset_block(self, n):
         """`EdgeAssocEnv.reset_block` on n copies of this env, which are the
         block; each copy keeps the results of its steps."""
         envs = [copy.copy(self) for _ in range(n)]
         first_obs = [env.reset() for env in envs]
-        for env in envs:
-            env.steps = []
         return envs, [np.array(obs) for obs in zip(*first_obs)]
 
     def step_block(self, envs, actions):
         """`EdgeAssocEnv.step_block`'s next observations, by one `step` per env."""
-        for env, acts in zip(envs, zip(*actions)):
-            env.steps.append(env.step(acts))
-        return stack_steps([env.steps[-1] for env in envs]).observations
+        next_obs = [env.step(acts)[0] for env, acts in zip(envs, zip(*actions))]
+        return [np.array(obs) for obs in zip(*next_obs)]
 
     def score_block(self, envs):
-        """`EdgeAssocEnv.score_block`'s result, from the steps the envs kept."""
-        return stack_ts([stack_steps(ts_steps) for ts_steps in zip(*(env.steps for env in envs))])
-
-
-def stack_steps(steps) -> StepResult:
-    """The block StepResult of one StepResult per episode."""
-    def per_vehicle(name):
-        return np.array([getattr(step, name) for step in steps]).T
-
-    def per_episode(name):
-        return np.array([getattr(step, name) for step in steps])
-
-    return StepResult(
-        reward=per_episode("reward"),
-        utilities=per_vehicle("utilities"),
-        rates=per_vehicle("rates"),
-        ho_flags=per_vehicle("ho_flags"),
-        tx_powers_w=per_vehicle("tx_powers_w"),
-        assoc_rsus=per_vehicle("assoc_rsus"),
-        violations=per_episode("violations"),
-        penalty=np.array([step.penalty for step in steps], dtype=float),
-        observations=np.array([step.observations for step in steps]).transpose(1, 0, 2),
-        done=per_episode("done"),
-    )
-
-
-def stack_ts(blocks) -> StepResult:
-    """The `score_block` result of one block StepResult per TS: the TS axis
-    follows the vehicle axis of per-vehicle fields and leads the others."""
-    per_episode = ("reward", "violations", "penalty", "done")
-    return StepResult(**{
-        f.name: np.stack(
-            [getattr(block, f.name) for block in blocks], axis=0 if f.name in per_episode else 1
+        """`EdgeAssocEnv.score_block`'s result from the steps the envs kept:
+        both vehicles' utility is the reward, and nothing is violated."""
+        reward, done = (np.array(column).T for column in zip(*(zip(*env.steps) for env in envs)))
+        zeros = np.zeros((self.num_agents, *reward.shape))
+        obs = np.array(self._obs)[:, None, None]
+        return StepResult(
+            reward=reward,
+            utilities=np.stack([reward] * self.num_agents),
+            rates=zeros,
+            ho_flags=zeros.astype(int),
+            tx_powers_w=zeros,
+            assoc_rsus=np.full(zeros.shape, -1),
+            violations=np.zeros(reward.shape, dtype=int),
+            penalty=np.zeros(reward.shape),
+            observations=np.broadcast_to(obs, (*zeros.shape, self.obs_dim)),
+            done=done,
         )
-        for f in fields(StepResult)
-    })
 
 
 def separable_table(num_actions: int, seed: int) -> np.ndarray:
