@@ -28,7 +28,6 @@ from .checks import check_fields, config_from_json, is_integer
 from .metrics import EpisodeRecord, MetricAccumulator
 from .nn import (
     DenseNet,
-    GradientSet,
     backward,
     clone,
     copy_into_target,
@@ -80,7 +79,7 @@ class TrainerConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.share_noise_std < 0.0:
-            raise ValueError("share_noise_std must be >= 0")
+            raise ValueError(f"share_noise_std must be >= 0, got {self.share_noise_std}")
         if self.replay_capacity < self.batch_size:
             raise ValueError("replay_capacity must be >= batch_size")
         if not self.grad_clip > 0.0:
@@ -174,9 +173,9 @@ class Trainer:
     its block calls alone, `reset_block(n)`, `step_block(block, actions)`
     once per TS. Either way an episode is scored once, after its last TS, by
     `score_block` on its block (`env.episode` for a training episode), and
-    summed by one `MetricAccumulator.add`. `EdgeAssocEnv` describes these
-    calls: there every episode is drawn by `reset_block`, and `reset` starts
-    a block of one. An env also names its episode length `horizon`.
+    one `MetricAccumulator.add` gives its records. `EdgeAssocEnv` describes
+    these calls: there every episode is drawn by `reset_block`, and `reset`
+    starts a block of one. An env also names its episode length `horizon`.
     """
 
     def __init__(self, env, cfg: TrainerConfig, seed: int):
@@ -255,9 +254,9 @@ class Trainer:
                         self.train_steps += 1
                         if self.train_steps % cfg.target_sync == 0:
                             self.sync_targets()
-                acc.add(self.env.score_block(self.env.episode), self.episode)
+                scored = self.env.score_block(self.env.episode)
+                records.extend(acc.add(scored, self.episode, eps, lr))
                 self.end_episode()
-                records.extend(acc.finalize(self.episode, eps, lr))
         return records
 
     def evaluate(self, episodes: int) -> list[EpisodeRecord]:
@@ -270,11 +269,11 @@ class Trainer:
         stacked observations and one `env.step_block`, which only takes the
         actions and gives the next observations. After the last TS one
         `env.score_block` scores the whole block, and one
-        `MetricAccumulator.add` sums it. Records and every random stream end
-        as when the episodes run one at a time, bit for bit. The noise is
-        drawn for episodes of `env.horizon` TS, so an episode that ends on
-        another TS raises RuntimeError, naming its first TS, then its first
-        episode.
+        `MetricAccumulator.add` gives its records. Records and every random
+        stream end as when the episodes run one at a time, bit for bit. The
+        noise is drawn for episodes of `env.horizon` TS, so an episode that
+        ends on another TS raises RuntimeError, naming its first TS, then its
+        first episode.
         """
         horizon = self.env.horizon
         records = []
@@ -295,8 +294,7 @@ class Trainer:
                     f"episode {first + i} {'ended' if t < horizon - 1 else 'goes on'}"
                     f" at TS {t + 1}"
                 )
-            acc.add(scored, first)
-            records.extend(acc.finalize(first, 0.0, 0.0))
+            records.extend(acc.add(scored, first, 0.0, 0.0))
         return records
 
 
@@ -360,9 +358,9 @@ class FederatedTrainer(Trainer):
         )
         # One gradient buffer per trained net, made at its first backward and
         # rewritten by each later one; `load` puts in nets of the same dims.
-        self.grads: dict[str, GradientSet] = {}
+        self.grads: dict[str, DenseNet] = {}
 
-    def _grads(self, name: str) -> GradientSet:
+    def _grads(self, name: str) -> DenseNet:
         grads = self.grads.get(name)
         if grads is None:
             grads = self.grads[name] = zero_grads(getattr(self.pair, name))

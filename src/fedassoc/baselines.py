@@ -14,7 +14,6 @@ import numpy as np
 from .agents import Trainer, TrainerConfig, compose_joint, decompose_joint, epsilon_greedy
 from .nn import (
     DenseNet,
-    GradientSet,
     backward,
     clone,
     copy_into_target,
@@ -64,7 +63,7 @@ class _DdqnHead:
         self.target = clone(self.net)
         # Made at the first update and rewritten by every later one; fedavg
         # puts in nets of the same dims.
-        self.grads: Optional[GradientSet] = None
+        self.grads: Optional[DenseNet] = None
 
     def values(self, obs: np.ndarray) -> np.ndarray:
         """Q-values of one observation vector or of a stack of them, one per row."""

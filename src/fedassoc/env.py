@@ -65,12 +65,13 @@ class EnvConfig:
         for name in ("num_vehicles", "horizon"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.num_rsus < self.num_vehicles:
-            raise ValueError("num_rsus must be >= num_vehicles")
-        if self.num_rsus % 2 != 0:
-            raise ValueError("num_rsus must be even (equal counts per roadside)")
-        if not 1 <= self.visible_rsus <= self.num_rsus:
-            raise ValueError("visible_rsus must be in [1, num_rsus]")
+        rsus, visible = self.num_rsus, self.visible_rsus
+        if rsus < self.num_vehicles:
+            raise ValueError(f"num_rsus must be >= num_vehicles ({self.num_vehicles}), got {rsus}")
+        if rsus % 2 != 0:
+            raise ValueError(f"num_rsus must be even (equal counts per roadside), got {rsus}")
+        if not 1 <= visible <= rsus:
+            raise ValueError(f"visible_rsus must be in [1, num_rsus] = [1, {rsus}], got {visible}")
         if self.power_levels < 2:
             raise ValueError("power_levels must be >= 2")
         if self.power_min_dbm >= self.power_max_dbm:

@@ -280,7 +280,10 @@ def sweep(
     base_dir = Path(cfg.out_dir) / f"sweep_{axis}"
     runs: dict[str, tuple[float, ExperimentConfig]] = {}
     for value in values:
-        sub = config_from_dict({**base, SWEEP_AXES[axis]: value})
+        try:
+            sub = config_from_dict({**base, SWEEP_AXES[axis]: value})
+        except ValueError as exc:
+            raise ValueError(f"--sweep {axis} value {value}: {exc}") from exc
         label = f"{axis}_{value:g}"
         if label in runs:
             raise ValueError(f"sweep values {runs[label][0]!r} and {value!r} both write {label}")

@@ -48,68 +48,45 @@ def record_cells(record) -> list:
     ]
 
 
-def _ts_sum(start, rows: np.ndarray) -> np.ndarray:
-    """`start` plus the (T, n) rows, added TS after TS; np.sum would add the
-    T rows of a block of one pairwise."""
-    return np.add.accumulate(np.vstack([np.broadcast_to(start, rows.shape[1:]), rows]))[-1]
+def _ts_sum(rows: np.ndarray) -> np.ndarray:
+    """The (T, n) rows added TS after TS, from 0.0; np.sum would add the T
+    rows of a block of one pairwise."""
+    return np.add.accumulate(np.vstack([np.zeros(rows.shape[1:]), rows]))[-1]
 
 
 class MetricAccumulator:
-    """Sums scored blocks into one EpisodeRecord per episode.
+    """Turns each scored block into one EpisodeRecord per episode.
 
     Every episode, a training episode as a block of one or the lockstep
     episodes of a greedy block, is scored once by `EdgeAssocEnv.score_block`
-    and taken by one `add`. Each sum is then an (n,) array whose entries
-    have the bits of `np.mean`'s per-TS means added TS after TS. The TS log,
-    when kept, gets one row per TS of each episode.
+    and taken by one `add`. Each mean is an (n,) array whose entries have
+    the bits of `np.mean`'s per-TS means added TS after TS. The TS log, when
+    kept, gets one row per TS of each episode, numbered from t = 1.
     """
 
     def __init__(self, ts_rows: list | None = None):
         self._ts_rows = ts_rows
-        self.reset()
 
-    def reset(self) -> None:
-        self._t = 0
-        self._utility_sum = 0.0
-        self._reward_sum = 0.0
-        self._rate_sum = 0.0
-        self._ho_sum = 0.0
-        self._power_sum = 0.0
-        self._violations = 0
-
-    def add(self, block, first: int) -> None:
-        """Take a scored block of n episodes, whose reward is (T, n); `first`
-        numbers its first episode in the TS log."""
+    def add(self, block, first: int, epsilon: float, lr: float) -> list[EpisodeRecord]:
+        """The records of a scored block of n episodes, whose reward is (T, n),
+        numbered from `first`."""
         mean_u = list_mean(block.utilities)
         if self._ts_rows is not None:
             columns = np.stack([mean_u, block.penalty, block.reward], axis=-1).transpose(1, 0, 2)
             for episode, rows in enumerate(columns.tolist(), first):
-                self._ts_rows.extend((episode, t, *row) for t, row in enumerate(rows, self._t + 1))
-        self._t += len(block.reward)
-        self._utility_sum = _ts_sum(self._utility_sum, mean_u)
-        self._reward_sum = _ts_sum(self._reward_sum, block.reward)
-        self._rate_sum = _ts_sum(self._rate_sum, list_mean(block.rates))
-        self._ho_sum = _ts_sum(self._ho_sum, sum(block.ho_flags) / len(block.ho_flags))
-        self._power_sum = _ts_sum(self._power_sum, list_mean(block.tx_powers_w))
-        self._violations += block.violations.sum(axis=0)
-
-    def finalize(self, first: int, epsilon: float, lr: float) -> list[EpisodeRecord]:
-        """The records of the episodes taken, numbered from `first`: one for
-        one episode, n for a block of n."""
-        t = max(self._t, 1)
+                self._ts_rows.extend((episode, t, *row) for t, row in enumerate(rows, 1))
+        t = len(block.reward)
         sums = (
-            self._utility_sum / t,
-            self._reward_sum / t,
-            self._rate_sum / t,
-            self._ho_sum,
-            self._power_sum / t,
-            self._violations,
+            _ts_sum(mean_u) / t,
+            _ts_sum(block.reward) / t,
+            _ts_sum(list_mean(block.rates)) / t,
+            _ts_sum(sum(block.ho_flags) / len(block.ho_flags)),
+            _ts_sum(list_mean(block.tx_powers_w)) / t,
+            block.violations.sum(axis=0),
         )
-        columns = [column.tolist() for column in np.broadcast_arrays(*map(np.atleast_1d, sums))]
-        self.reset()
         return [
             EpisodeRecord(episode, *values, epsilon, lr)
-            for episode, values in enumerate(zip(*columns), first)
+            for episode, values in enumerate(zip(*(column.tolist() for column in sums)), first)
         ]
 
 

@@ -8,9 +8,9 @@ they are re-copied.
 A network holds its parameters in one flat array, `params`, laid out like
 the body of its checkpoint file: for each layer in order, the weights
 row-major (dims[i+1] x dims[i]), then the biases (dims[i+1],). `weights` and
-`biases` are per-layer views into it, and a gradient set has the same
-layout. Copying, averaging, stepping, hashing, saving and loading a net are
-each one operation on that array.
+`biases` are per-layer views into it. A gradient is a `DenseNet` too, laid
+out like its net. Copying, averaging, stepping, hashing, saving and loading
+a net are each one operation on that array.
 
 Checkpoint file layout (little endian), version 1:
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -37,60 +37,41 @@ def param_count(dims: Sequence[int]) -> int:
     return sum(o * (i + 1) for i, o in zip(dims, dims[1:]))
 
 
-def _layer_views(dims, params: Optional[np.ndarray]):
-    """Check `dims` and the flat `params` (None: zeros); return them with the
-    per-layer weight and bias views into `params`."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or min(dims) < 1:
-        raise ValueError(f"dims must list at least input and output sizes >= 1, got {dims}")
-    size = param_count(dims)
-    if params is None:
-        params = np.zeros(size)
-    elif not (
-        isinstance(params, np.ndarray)
-        and params.dtype == np.float64
-        and params.shape == (size,)
-        and params.flags.c_contiguous
-    ):
-        raise ValueError(f"params must be one C-contiguous float64 array of {size} values")
-    weights, biases, start = [], [], 0
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        end = start + fan_out * fan_in
-        weights.append(params[start:end].reshape(fan_out, fan_in))
-        biases.append(params[end : end + fan_out])
-        start = end + fan_out
-    return dims, params, weights, biases
-
-
 class DenseNet:
-    """Weights (out x in) and biases per layer, as views into one flat `params`."""
+    """Weights (out x in) and biases per layer, as views into one flat `params`.
 
-    def __init__(self, dims: Sequence[int], params: Optional[np.ndarray] = None):
-        self.dims, self.params, self.weights, self.biases = _layer_views(dims, params)
-
-
-class GradientSet:
-    """Parameter gradients laid out exactly like a network of `dims`.
-
-    `backward` writes into a given set in place, so a trainer keeps one set
-    per trained net (`zero_grads`) and reuses it every step; each backward of
-    that net overwrites what the previous one returned.
+    A gradient is a `DenseNet` of its net's dims: `backward` writes into one
+    in place, so a trainer keeps one per trained net (`zero_grads`) and
+    reuses it every step; each backward of that net overwrites what the
+    previous one returned.
     """
 
     def __init__(self, dims: Sequence[int], params: Optional[np.ndarray] = None):
-        self.dims, self.params, self.d_weights, self.d_biases = _layer_views(dims, params)
+        dims = tuple(int(d) for d in dims)
+        if len(dims) < 2 or min(dims) < 1:
+            raise ValueError(f"dims must list at least input and output sizes >= 1, got {dims}")
+        size = param_count(dims)
+        if params is None:
+            params = np.zeros(size)
+        elif not (
+            isinstance(params, np.ndarray)
+            and params.dtype == np.float64
+            and params.shape == (size,)
+            and params.flags.c_contiguous
+        ):
+            raise ValueError(f"params must be one C-contiguous float64 array of {size} values")
+        self.dims, self.params, self.weights, self.biases = dims, params, [], []
+        start = 0
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            end = start + fan_out * fan_in
+            self.weights.append(params[start:end].reshape(fan_out, fan_in))
+            self.biases.append(params[end : end + fan_out])
+            start = end + fan_out
 
-    def global_norm(self) -> float:
-        total = 0.0
-        for arr in self.d_weights + self.d_biases:
-            flat = arr.ravel()
-            total += float(np.dot(flat, flat))
-        return float(np.sqrt(total))
 
-
-def zero_grads(net: DenseNet) -> GradientSet:
+def zero_grads(net: DenseNet) -> DenseNet:
     """A zero gradient per parameter of `net`, for `backward` to write into."""
-    return GradientSet(net.dims)
+    return DenseNet(net.dims)
 
 
 def init_net(dims: Sequence[int], seed_or_rng) -> DenseNet:
@@ -176,7 +157,7 @@ def forward(
     return z, cache
 
 
-def _check_dims(net: DenseNet, grads: GradientSet) -> None:
+def _check_dims(net: DenseNet, grads: DenseNet) -> None:
     if grads.dims != net.dims:
         raise ValueError(f"gradient dims {grads.dims} do not match the network's {net.dims}")
 
@@ -186,8 +167,8 @@ def backward(
     cache: list,
     output_gradient: np.ndarray,
     cols=None,
-    grads: Optional[GradientSet] = None,
-) -> tuple[GradientSet, np.ndarray]:
+    grads: Optional[DenseNet] = None,
+) -> tuple[DenseNet, np.ndarray]:
     """Exact reverse-mode gradients plus the gradient w.r.t. the input.
 
     `output_gradient` carries dL/dy per sample; parameter gradients come back
@@ -196,10 +177,10 @@ def backward(
     output out[i, cols[i]]. The cache of a single input vector serves as a
     one-row batch.
 
-    The parameter gradients are written into `grads`, a set of the net's
-    dims, and `grads` itself is returned; without it a fresh
-    `zero_grads(net)` is written. A trainer passes the one set it keeps per
-    net, so a step allocates no gradient arrays: a fresh weight gradient of
+    The parameter gradients are written into `grads`, a `DenseNet` of the
+    net's dims, and `grads` itself is returned; without it a fresh
+    `zero_grads(net)` is written. A trainer passes the one it keeps per net,
+    so a step allocates no gradient arrays: a fresh weight gradient of
     the 256-wide joint head (164 KB) lies above glibc's mmap threshold and
     would be page-faulted in on every step.
     """
@@ -210,7 +191,7 @@ def backward(
         grads = zero_grads(net)
     else:
         _check_dims(net, grads)
-    d_weights, d_biases = grads.d_weights, grads.d_biases
+    d_weights, d_biases = grads.weights, grads.biases
     if cache[0].ndim == 1:
         cache = [a.reshape(1, -1) for a in cache]
     a_in = cache[-1]
@@ -273,26 +254,33 @@ def _clip_scale(norm: float, max_norm: float) -> float:
     return 1.0
 
 
+def _joint_norm(grad_sets: Iterable[DenseNet]) -> float:
+    """The L2 norm of all `grad_sets` together: one dot product per layer
+    array, summed in `params` order (w0, b0, w1, b1, ...) and set after set;
+    one dot over the whole array would round differently."""
+    total = 0.0
+    for g in grad_sets:
+        for w, b in zip(g.weights, g.biases):
+            for arr in (w.ravel(), b):
+                total += float(np.dot(arr, arr))
+    return float(np.sqrt(total))
+
+
 def sgd_step(
-    updates: Sequence[tuple[DenseNet, GradientSet]], lr: float, max_norm: float = np.inf
+    updates: Sequence[tuple[DenseNet, DenseNet]], lr: float, max_norm: float = np.inf
 ) -> float:
-    """One plain gradient step of several nets, jointly clipped to `max_norm`.
+    """One plain gradient step of several (net, gradient) pairs, jointly
+    clipped to `max_norm`.
 
     The dims of every pair and the finiteness of the joint gradient norm are
     checked before the first write, so a rejected step leaves every net
     unchanged. A finite squared norm implies every entry is finite (nan/inf
-    propagate); a norm that overflows is rejected too. The norm sums one dot
-    product per layer array in `params` order (w0, b0, w1, b1, ...); one dot
-    over the whole array would round differently. The clip scale is folded
-    into the step size. Returns the pre-clip norm.
+    propagate); a norm that overflows is rejected too. The clip scale is
+    folded into the step size. Returns the pre-clip norm.
     """
-    total = 0.0
     for net, grads in updates:
         _check_dims(net, grads)
-        for dw, db in zip(grads.d_weights, grads.d_biases):
-            for arr in (dw.ravel(), db):
-                total += float(np.dot(arr, arr))
-    norm = float(np.sqrt(total))
+    norm = _joint_norm(grads for _, grads in updates)
     if not np.isfinite(norm):
         raise ValueError("non-finite gradient")
     step = lr * _clip_scale(norm, max_norm)
@@ -301,21 +289,18 @@ def sgd_step(
     return norm
 
 
-def sgd_apply(net: DenseNet, grads: GradientSet, lr: float) -> None:
+def sgd_apply(net: DenseNet, grads: DenseNet, lr: float) -> None:
     """In-place plain gradient step of one net; rejects non-finite gradients."""
     sgd_step([(net, grads)], lr)
 
 
-def clip_global_norm(grad_sets: Sequence[GradientSet], max_norm: float) -> float:
-    """Jointly rescale gradient sets in place so the combined norm is <= max_norm.
+def clip_global_norm(grad_sets: Sequence[DenseNet], max_norm: float) -> float:
+    """Jointly rescale gradients in place so their joint norm is <= max_norm.
 
-    Returns the pre-clip norm. An infinite max_norm disables clipping.
+    Returns the pre-clip norm, the one `sgd_step` returns for the same
+    gradients. An infinite max_norm disables clipping.
     """
-    total = 0.0
-    for g in grad_sets:
-        n = g.global_norm()
-        total += n * n
-    norm = float(np.sqrt(total))
+    norm = _joint_norm(grad_sets)
     scale = _clip_scale(norm, max_norm)
     if scale != 1.0:
         for g in grad_sets:

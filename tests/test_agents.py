@@ -19,7 +19,7 @@ from fedassoc.agents import (
     joint_q,
 )
 from fedassoc.env import EdgeAssocEnv, EnvConfig
-from fedassoc.nn import GradientSet, forward, init_net, linear_schedule, net_fingerprint
+from fedassoc.nn import clone, forward, init_net, linear_schedule, net_fingerprint
 from fedassoc.replay import Batch
 from toy_env import ToyEnv, separable_table, toy_trainer_cfg
 
@@ -269,9 +269,9 @@ def test_targets_zero_discount():
 # -- composed-loss gradients -----------------------------------------------------------------
 
 def copied_grads(side_grads):
-    """`_side_grads`' (loss, own, joint head) with both gradient sets copied."""
+    """`_side_grads`' (loss, own, joint head) with both gradients copied."""
     loss, *sets = side_grads
-    return loss, *(GradientSet(g.dims, g.params.copy()) for g in sets)
+    return loss, *map(clone, sets)
 
 
 def test_composed_loss_matches_finite_differences():
@@ -330,8 +330,6 @@ def test_side_symmetry_with_identical_inputs():
     # Same nets, same observations, symmetric joint action: both sides see
     # the identical composed problem, so their gradients must coincide.
     trainer = FederatedTrainer(small_env(), small_cfg(share_noise_std=0.0), seed=9)
-    from fedassoc.nn import clone
-
     trainer.pair.follow = clone(trainer.pair.lead)
     rng = np.random.default_rng(10)
     batch = make_batch(rng, 4, 14, 16)
@@ -389,7 +387,7 @@ def test_non_finite_gradient_leaves_every_net_unchanged(monkeypatch):
     def poisoned(net, cache, output_gradient, cols=None, grads=None):
         grads, d_in = real_backward(net, cache, output_gradient, cols, grads)
         if net is trainer.pair.mlp:
-            grads.d_biases[-1][0] = np.nan
+            grads.biases[-1][0] = np.nan
         return grads, d_in
 
     monkeypatch.setattr(agents_mod, "backward", poisoned)
@@ -691,7 +689,7 @@ def test_gradient_buffers_are_made_at_the_first_update(tmp_path):
     assert sorted(buffers) == ["follow", "lead", "mlp"]
     for name, grads in buffers.items():
         net = getattr(loaded.pair, name)
-        assert [g.shape for g in grads.d_weights] == [w.shape for w in net.weights]
+        assert [g.shape for g in grads.weights] == [w.shape for w in net.weights]
     loaded.run(episodes=1)
     assert all(loaded.grads[name] is grads for name, grads in buffers.items())
 

@@ -33,8 +33,7 @@ def sequential_evaluate(trainer, episodes):
         done = False
         while not done:
             obs, _, done = trainer.env.step(trainer.select_actions(obs, 0.0))
-        acc.add(trainer.env.score_block(trainer.env.episode), ep)
-        records.extend(acc.finalize(ep, 0.0, 0.0))
+        records.extend(acc.add(trainer.env.score_block(trainer.env.episode), ep, 0.0, 0.0))
     return records
 
 

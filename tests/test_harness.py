@@ -893,6 +893,26 @@ def test_cli_rejects_negative_grad_clip(tmp_path, capsys):
     assert "grad_clip" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sweep", "rsus", "--values", "12,2"],
+         "--sweep rsus value 2: visible_rsus must be in [1, num_rsus] = [1, 2], got 4"),
+        (["--sweep", "rsus", "--values", "8,1"],
+         "--sweep rsus value 1: num_rsus must be >= num_vehicles (2), got 1"),
+        (["--sweep", "rsus", "--values", "8,7"],
+         "--sweep rsus value 7: num_rsus must be even (equal counts per roadside), got 7"),
+        (["--algo", "proposed", "--sweep", "sigma", "--values", "0,-0.5"],
+         "--sweep sigma value -0.5: share_noise_std must be >= 0, got -0.5"),
+    ],
+)
+def test_cli_sweep_names_the_value_that_breaks_a_rule(tmp_path, capsys, flags, message):
+    # A later value breaks a cross-field rule: no run starts, not even the first value's.
+    assert cli_main(["--config", str(cli_config(tmp_path)), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_sweep_requires_values(tmp_path):
     rc = cli_main(["--config", str(cli_config(tmp_path)), "--sweep", "rsus"])
     assert rc == 2

@@ -107,8 +107,7 @@ def test_block_accumulator_matches_one_episode_at_a_time(k, ts, n, penalty, log_
     want_rows = [] if log_ts else None
     acc = MetricAccumulator(got_rows)
     for first, block in zip((1, n + 1), blocks):
-        acc.add(block, first)
-        got = acc.finalize(first, 0.5, 0.01)
+        got = acc.add(block, first, 0.5, 0.01)
         want = [per_ts_record(block, i, first + i, penalty, want_rows) for i in range(n)]
         assert repr(got) == repr(want)
     if log_ts:

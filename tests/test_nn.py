@@ -13,7 +13,6 @@ from fedassoc.baselines import fedavg
 from fedassoc.nn import (
     GATHER_MIN_OUTPUTS,
     DenseNet,
-    GradientSet,
     backward,
     clip_global_norm,
     clone,
@@ -31,16 +30,16 @@ from fedassoc.nn import (
 )
 
 
-def packed(cls, weights, biases):
-    """A `DenseNet` or `GradientSet` holding the given per-layer arrays, in `params` order."""
+def packed(weights, biases):
+    """A `DenseNet` holding the given per-layer arrays, in `params` order."""
     dims = (np.shape(weights[0])[1], *(np.shape(w)[0] for w in weights))
     layers = [np.ravel(a) for w, b in zip(weights, biases) for a in (w, b)]
-    return cls(dims, np.concatenate(layers, dtype=float))
+    return DenseNet(dims, np.concatenate(layers, dtype=float))
 
 
 def finite_difference_grads(loss_fn, net, h=1e-5):
     """Central differences over every parameter of `net`."""
-    numeric = GradientSet(net.dims)
+    numeric = DenseNet(net.dims)
     for i in range(net.params.size):
         orig = net.params[i]
         net.params[i] = orig + h
@@ -105,7 +104,7 @@ def test_forward_zero_net_outputs_zero():
 
 
 def test_forward_identity_single_layer():
-    net = packed(DenseNet, [np.eye(4)], [np.zeros(4)])
+    net = packed([np.eye(4)], [np.zeros(4)])
     x = np.array([0.5, -1.0, 2.0, 0.0])
     out, _ = forward(net, x)
     assert np.array_equal(out, x)
@@ -114,7 +113,6 @@ def test_forward_identity_single_layer():
 def test_forward_hand_computed():
     # 2-2-1 net evaluated with pencil and paper.
     net = packed(
-        DenseNet,
         [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, -1.0]])],
         [np.array([0.5, -0.5]), np.array([0.25])],
     )
@@ -149,12 +147,12 @@ def test_backward_zero_gradient_gives_zero():
     net = init_net((4, 5, 3), 2)
     out, cache = forward(net, np.ones(4))
     grads, d_in = backward(net, cache, np.zeros(3))
-    assert all(np.all(g == 0.0) for g in grads.d_weights + grads.d_biases)
+    assert all(np.all(g == 0.0) for g in grads.weights + grads.biases)
     assert np.all(d_in == 0.0)
 
 
 def test_backward_input_gradient_identity_layer():
-    net = packed(DenseNet, [np.eye(3)], [np.zeros(3)])
+    net = packed([np.eye(3)], [np.zeros(3)])
     _, cache = forward(net, np.array([1.0, 2.0, 3.0]))
     dy = np.array([0.3, -0.1, 0.7])
     _, d_in = backward(net, cache, dy)
@@ -315,7 +313,7 @@ def test_backward_overwrites_given_grads(case):
         assert params.tobytes() == fresh.params.tobytes()
         assert d_in.tobytes() == d_in_fresh.tobytes()
         for other_dims in (dims[:-1] + [dims[-1] + 1], [dims[0] + 1] + dims[1:], dims + [3]):
-            other = GradientSet(other_dims)
+            other = DenseNet(other_dims)
             other.params.fill(np.nan)
             with pytest.raises(ValueError, match="gradient dims"):
                 backward(net, cache, d_out, sel, grads=other)
@@ -323,12 +321,11 @@ def test_backward_overwrites_given_grads(case):
 
 
 def test_backward_rejects_grads_of_another_layout():
-    # A set's layout is fixed when it is built: params of any other layout are refused.
+    # A net's layout is fixed when it is built: params of any other layout are refused.
     params = np.zeros(2 * (3 * 4 + 4))
     for bad in (params.astype(np.float32), params[::2], params[:-1], list(params)):
-        for cls in (GradientSet, DenseNet):
-            with pytest.raises(ValueError, match="C-contiguous float64"):
-                cls((3, 4, 4), bad)
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            DenseNet((3, 4, 4), bad)
 
 
 def test_selected_output_loss_matches_finite_differences():
@@ -376,8 +373,8 @@ def test_selected_pass_rejects_bad_cols():
 # -- updates -----------------------------------------------------------------------
 
 def test_sgd_scalar_case():
-    net = packed(DenseNet, [np.array([[1.0]])], [np.array([0.0])])
-    grads = packed(GradientSet, [np.array([[2.0]])], [np.array([0.0])])
+    net = packed([np.array([[1.0]])], [np.array([0.0])])
+    grads = packed([np.array([[2.0]])], [np.array([0.0])])
     sgd_apply(net, grads, 0.1)
     assert net.weights[0][0, 0] == pytest.approx(0.8, abs=1e-15)
 
@@ -385,46 +382,45 @@ def test_sgd_scalar_case():
 def test_sgd_zero_lr_keeps_net():
     net = init_net((3, 3), 0)
     before = net_fingerprint(net)
-    grads = packed(GradientSet, [np.ones((3, 3))], [np.ones(3)])
+    grads = packed([np.ones((3, 3))], [np.ones(3)])
     sgd_apply(net, grads, 0.0)
     assert net_fingerprint(net) == before
 
 
 def test_sgd_rejects_non_finite():
     net = init_net((2, 2), 0)
-    grads = packed(GradientSet, [np.array([[np.nan, 0.0], [0.0, 0.0]])], [np.zeros(2)])
+    grads = packed([np.array([[np.nan, 0.0], [0.0, 0.0]])], [np.zeros(2)])
     with pytest.raises(ValueError):
         sgd_apply(net, grads, 0.1)
 
 
 def test_two_steps_equal_one_summed_step_for_linear_net():
     # Pure SGD is additive in the gradients for a fixed parameter vector.
-    g1 = packed(GradientSet, [np.array([[2.0]])], [np.array([1.0])])
-    g2 = packed(GradientSet, [np.array([[-0.5]])], [np.array([3.0])])
-    net_a = packed(DenseNet, [np.array([[1.0]])], [np.array([0.5])])
+    g1 = packed([np.array([[2.0]])], [np.array([1.0])])
+    g2 = packed([np.array([[-0.5]])], [np.array([3.0])])
+    net_a = packed([np.array([[1.0]])], [np.array([0.5])])
     net_b = clone(net_a)
     sgd_apply(net_a, g1, 0.2)
     sgd_apply(net_a, g2, 0.2)
-    summed = GradientSet(g1.dims, g1.params + g2.params)
+    summed = DenseNet(g1.dims, g1.params + g2.params)
     sgd_apply(net_b, summed, 0.2)
     assert net_a.weights[0][0, 0] == pytest.approx(net_b.weights[0][0, 0], rel=1e-12)
     assert net_a.biases[0][0] == pytest.approx(net_b.biases[0][0], rel=1e-12)
 
 
 def test_clip_global_norm():
-    g = packed(GradientSet, [np.array([[3.0, 4.0]])], [np.zeros(1)])
-    norm = clip_global_norm([g], 1.0)
-    assert norm == pytest.approx(5.0)
-    assert g.global_norm() == pytest.approx(1.0)
-    g2 = packed(GradientSet, [np.array([[0.3, 0.4]])], [np.zeros(1)])
-    clip_global_norm([g2], np.inf)
-    assert g2.global_norm() == pytest.approx(0.5)
+    g = packed([np.array([[3.0, 4.0]])], [np.zeros(1)])
+    assert clip_global_norm([g], 1.0) == 5.0
+    assert clip_global_norm([g], np.inf) == pytest.approx(1.0)
+    g2 = packed([np.array([[0.3, 0.4]])], [np.zeros(1)])
+    assert clip_global_norm([g2], np.inf) == pytest.approx(0.5)
+    assert g2.params.tolist() == [0.3, 0.4, 0.0]
 
 
 def test_sgd_apply_rejects_shallow_gradient_without_writing():
     net = init_net((3, 4, 2), 0)
     before = net_fingerprint(net)
-    grads = GradientSet((3, 4), np.ones(16))
+    grads = DenseNet((3, 4), np.ones(16))
     with pytest.raises(ValueError, match=r"gradient dims \(3, 4\) do not match"):
         sgd_apply(net, grads, 0.1)
     assert net_fingerprint(net) == before
@@ -433,28 +429,31 @@ def test_sgd_apply_rejects_shallow_gradient_without_writing():
 def test_sgd_apply_rejects_late_shape_mismatch_without_writing():
     net = init_net((3, 4, 2), 0)
     before = net_fingerprint(net)
-    grads = GradientSet((3, 4, 3), np.ones(31))
+    grads = DenseNet((3, 4, 3), np.ones(31))
     with pytest.raises(ValueError, match=r"gradient dims \(3, 4, 3\) do not match"):
         sgd_apply(net, grads, 0.1)
     assert net_fingerprint(net) == before
 
 
 def test_sgd_step_matches_clip_then_apply():
+    # One norm formula: both return the same float for the same gradients, on
+    # small nets and on a local net and the joint head at the default dims.
     rng = np.random.default_rng(7)
-    nets = [init_net((3, 5, 2), 1), init_net((4, 6), 2)]
-    # Python integers above int64 (2**70) and above any float (10**400), as a config may
-    # hold them, compare exactly; neither clips these norms, like inf.
-    for max_norm in (0.1, 1e6, np.inf, 2**70, 10**400):
-        grads = [GradientSet(n.dims, rng.standard_normal(n.params.size)) for n in nets]
-        ref = [clone(n) for n in nets]
-        ref_grads = [GradientSet(g.dims, g.params.copy()) for g in grads]
-        ref_norm = clip_global_norm(ref_grads, max_norm)
-        for n, g in zip(ref, ref_grads):
-            sgd_apply(n, g, 0.05)
-        norm = sgd_step(list(zip(nets, grads)), 0.05, max_norm)
-        assert norm == pytest.approx(ref_norm, rel=1e-12)
-        for n, r in zip(nets, ref):
-            assert np.allclose(n.params, r.params, rtol=1e-13, atol=1e-15)
+    for dims, rounds in [((3, 5, 2), (4, 6)), 1], [((14, 80, 80, 80, 16), (32, 80, 80, 256)), 10]:
+        nets = [init_net(d, i + 1) for i, d in enumerate(dims)]
+        # Python integers above int64 (2**70) and above any float (10**400), as a config
+        # may hold them, compare exactly; neither clips these norms, like inf.
+        for max_norm in (0.1, 1e6, np.inf, 2**70, 10**400) * rounds:
+            grads = [DenseNet(n.dims, rng.standard_normal(n.params.size)) for n in nets]
+            ref = [clone(n) for n in nets]
+            ref_grads = [clone(g) for g in grads]
+            ref_norm = clip_global_norm(ref_grads, max_norm)
+            for n, g in zip(ref, ref_grads):
+                sgd_apply(n, g, 0.05)
+            norm = sgd_step(list(zip(nets, grads)), 0.05, max_norm)
+            assert norm == ref_norm
+            for n, r in zip(nets, ref):
+                assert np.allclose(n.params, r.params, rtol=1e-13, atol=1e-15)
 
 
 def test_sgd_step_norm_sums_each_layer_array_in_file_order():
@@ -462,10 +461,10 @@ def test_sgd_step_norm_sums_each_layer_array_in_file_order():
     rng = np.random.default_rng(21)
     for _ in range(20):
         nets = [init_net((14, 80, 16), rng), init_net((32, 80, 256), rng)]
-        grads = [GradientSet(n.dims, rng.standard_normal(n.params.size)) for n in nets]
+        grads = [DenseNet(n.dims, rng.standard_normal(n.params.size)) for n in nets]
         total = 0.0
         for g in grads:
-            for dw, db in zip(g.d_weights, g.d_biases):
+            for dw, db in zip(g.weights, g.biases):
                 total += float(np.dot(dw.ravel(), dw.ravel()))
                 total += float(np.dot(db, db))
         assert sgd_step(list(zip(nets, grads)), 0.0) == float(np.sqrt(total))
@@ -474,8 +473,8 @@ def test_sgd_step_norm_sums_each_layer_array_in_file_order():
 def test_sgd_step_checks_every_net_before_writing():
     first, second = init_net((2, 3), 0), init_net((3, 2), 1)
     before = [net_fingerprint(first), net_fingerprint(second)]
-    ok = packed(GradientSet, [np.ones((3, 2))], [np.ones(3)])
-    bad = packed(GradientSet, [np.ones((2, 3))], [np.array([0.0, np.inf])])
+    ok = packed([np.ones((3, 2))], [np.ones(3)])
+    bad = packed([np.ones((2, 3))], [np.array([0.0, np.inf])])
     with pytest.raises(ValueError):
         sgd_step([(first, ok), (second, bad)], 0.1, 10.0)
     assert [net_fingerprint(first), net_fingerprint(second)] == before
@@ -483,13 +482,13 @@ def test_sgd_step_checks_every_net_before_writing():
 
 @pytest.mark.parametrize("max_norm", [-1.0, 0.0, np.nan])
 def test_clipping_rejects_non_positive_bound(max_norm):
-    net = packed(DenseNet, [np.array([[1.0, 1.0]])], [np.array([0.0])])
-    g = packed(GradientSet, [np.array([[3.0, 4.0]])], [np.zeros(1)])
+    net = packed([np.array([[1.0, 1.0]])], [np.array([0.0])])
+    g = packed([np.array([[3.0, 4.0]])], [np.zeros(1)])
     with pytest.raises(ValueError):
         sgd_step([(net, g)], 0.1, max_norm)
     with pytest.raises(ValueError):
         clip_global_norm([g], max_norm)
-    assert np.array_equal(g.d_weights[0], [[3.0, 4.0]])
+    assert np.array_equal(g.weights[0], [[3.0, 4.0]])
     assert np.array_equal(net.weights[0], [[1.0, 1.0]])
 
 
@@ -508,7 +507,7 @@ def test_copy_into_target_bit_equal_and_frozen():
         assert np.array_equal(om, ot)
     # Later main updates leave the target untouched.
     before = net_fingerprint(target)
-    sgd_apply(main, GradientSet(main.dims, np.ones(main.params.size)), 0.1)
+    sgd_apply(main, DenseNet(main.dims, np.ones(main.params.size)), 0.1)
     assert net_fingerprint(target) == before
     assert net_fingerprint(main) != before
 
@@ -593,14 +592,10 @@ def test_layer_views_alias_their_own_params(tmp_path, make):
     src = init_net((4, 6, 5, 3), 9)
     source_params = src.params.copy()
     made = make(src, tmp_path)
-    weights, biases = (
-        (made.d_weights, made.d_biases) if isinstance(made, GradientSet)
-        else (made.weights, made.biases)
-    )
     # Layer i's weights hold 2i + 1 and its biases 2i + 2, written through the
     # views; `params` must read them in file order: w0, b0, w1, b1, ...
     want = []
-    for i, (w, b) in enumerate(zip(weights, biases)):
+    for i, (w, b) in enumerate(zip(made.weights, made.biases)):
         w[...] = 2 * i + 1
         b[...] = 2 * i + 2
         want += [np.full(w.size, 2.0 * i + 1), np.full(b.size, 2.0 * i + 2)]
