@@ -73,19 +73,28 @@ class TrainerConfig:
         for name in ("discount", "epsilon", "epsilon_end"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
         for name in ("batch_size", "target_sync", "episodes", "epsilon_decay_episodes",
                      "lr_decay_episodes", "fedavg_period"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.share_noise_std < 0.0:
             raise ValueError(f"share_noise_std must be >= 0, got {self.share_noise_std}")
         if self.replay_capacity < self.batch_size:
-            raise ValueError("replay_capacity must be >= batch_size")
+            raise ValueError(
+                f"replay_capacity must be >= batch_size ({self.batch_size}), "
+                f"got {self.replay_capacity}"
+            )
         if not self.grad_clip > 0.0:
-            raise ValueError("grad_clip must be > 0 (inf disables clipping)")
+            raise ValueError(
+                f"grad_clip must be > 0 (inf disables clipping), got {self.grad_clip}"
+            )
         if not self.lr_start >= self.lr_end > 0:
-            raise ValueError("need lr_start >= lr_end > 0")
+            raise ValueError(
+                f"need lr_start >= lr_end > 0, got lr_start {self.lr_start} "
+                f"and lr_end {self.lr_end}"
+            )
 
 
 # --------------------------------------------------------------------------
@@ -317,6 +326,14 @@ class FederatedAgentPair:
 _NET_NAMES = tuple(f.name for f in fields(FederatedAgentPair))
 
 
+def _pair_dims(env, cfg: TrainerConfig) -> dict[str, tuple[int, ...]]:
+    """The dims of each net of the pair on `env` under `cfg`, by field name."""
+    a = env.num_actions
+    local = (env.obs_dim, *cfg.local_hidden, a)
+    mlp = (2 * a, *cfg.mlp_hidden, a * a)
+    return {"lead": local, "lead_target": local, "follow": local, "mlp": mlp, "mlp_target": mlp}
+
+
 class FederatedTrainer(Trainer):
     """The federated agent pair on the shared episode loop.
 
@@ -342,22 +359,29 @@ class FederatedTrainer(Trainer):
       follower's update carries its raw Q-rows.
     """
 
+    def __init__(
+        self, env, cfg: TrainerConfig, seed: int, pair: Optional[FederatedAgentPair] = None
+    ):
+        """`pair` gives the five nets, as `load` reads them; without it
+        `init_nets` draws them from the seed's init stream."""
+        self.pair = pair
+        super().__init__(env, cfg, seed)
+
     def init_nets(self, rng_init: np.random.Generator) -> None:
-        a = self.num_actions
-        local_dims = (self.env.obs_dim, *self.cfg.local_hidden, a)
-        mlp_dims = (2 * a, *self.cfg.mlp_hidden, a * a)
-        lead = init_net(local_dims, rng_init)
-        follow = init_net(local_dims, rng_init)
-        mlp = init_net(mlp_dims, rng_init)
-        self.pair = FederatedAgentPair(
-            lead=lead,
-            lead_target=clone(lead),
-            follow=follow,
-            mlp=mlp,
-            mlp_target=clone(mlp),
-        )
+        if self.pair is None:
+            dims = _pair_dims(self.env, self.cfg)
+            lead = init_net(dims["lead"], rng_init)
+            follow = init_net(dims["follow"], rng_init)
+            mlp = init_net(dims["mlp"], rng_init)
+            self.pair = FederatedAgentPair(
+                lead=lead,
+                lead_target=clone(lead),
+                follow=follow,
+                mlp=mlp,
+                mlp_target=clone(mlp),
+            )
         # One gradient buffer per trained net, made at its first backward and
-        # rewritten by each later one; `load` puts in nets of the same dims.
+        # rewritten by each later one; `load` gives nets of the same dims.
         self.grads: dict[str, DenseNet] = {}
 
     def _grads(self, name: str) -> DenseNet:
@@ -491,9 +515,22 @@ class FederatedTrainer(Trainer):
     def load(cls, directory, env) -> "FederatedTrainer":
         """Restore a saved trainer; a malformed file raises ValueError naming it.
 
-        The checkpoint's world is compared with `env`'s before any net is
-        built or read. `env` takes the checkpoint's env state last, once every
-        file has been read and checked, so a failed load leaves it unchanged.
+        The files are read and checked in this order:
+
+        1. `state.json`: its world is compared with `env`'s first, then its
+           config and counters are checked;
+        2. each `<field>.net`, checked against the dims the config gives that
+           net (`_pair_dims`);
+        3. the trainer is built on the nets read, so no net is drawn, and
+           takes the counters and random streams of `state.json`;
+        4. `replay.npz`: `meta` and each array's shape and dtype, from the
+           array headers, are checked before the first write. Then the arrays
+           are read one at a time into the trainer's own buffer, and its
+           filled rows are checked.
+
+        A load thus holds the buffer, the nets and at most one replay array.
+        `env` takes the checkpoint's env state last, once every file has been
+        read and checked, so a failed load leaves it unchanged.
         """
         directory = Path(directory)
         path = directory / "state.json"
@@ -503,27 +540,33 @@ class FederatedTrainer(Trainer):
                 raise ValueError(f"must hold a JSON object, got {type(state).__name__}")
             env_state = state["env_state"]
             env.check_state(env_state)
-            trainer = cls(env, config_from_json(TrainerConfig, state["cfg"]), seed=0)
+            cfg = config_from_json(TrainerConfig, state["cfg"])
+            cfg.validate()
             for name in ("episode", "train_steps"):
                 if not is_integer(state[name]) or state[name] < 0:
                     raise ValueError(f"{name} must be an integer >= 0, got {state[name]!r}")
-                setattr(trainer, name, state[name])
-            for name in ("rng_explore", "rng_sample", "rng_noise"):
-                getattr(trainer, name).bit_generator.state = state[name]
-        for name in _NET_NAMES:
+        nets = {}
+        for name, dims in _pair_dims(env, cfg).items():
             net_path = directory / f"{name}.net"
-            net, built = load_net(net_path), getattr(trainer.pair, name)
-            if net.dims != built.dims:
+            net = nets[name] = load_net(net_path)
+            if net.dims != dims:
                 raise ValueError(
                     f"{net_path}: a net of dims {net.dims}, but "
-                    f"the checkpoint's config builds a net of dims {built.dims}"
+                    f"the checkpoint's config builds a net of dims {dims}"
                 )
-            setattr(trainer.pair, name, net)
+        with _errors_name(path):
+            trainer = cls(env, cfg, seed=0, pair=FederatedAgentPair(**nets))
+            trainer.episode, trainer.train_steps = state["episode"], state["train_steps"]
+            for name in ("rng_explore", "rng_sample", "rng_noise"):
+                getattr(trainer, name).bit_generator.state = state[name]
         replay_path = directory / "replay.npz"
         try:
-            # np.load leaves a handle it opened unclosed when a cut file fails to parse.
-            with open(replay_path, "rb") as fh, np.load(fh) as data:
-                trainer.buffer.load_state_arrays(dict(data))
+            with zipfile.ZipFile(replay_path) as archive:
+                trainer.buffer.load_state_arrays({
+                    member.removesuffix(".npy"): _NpyMember(archive, member)
+                    for member in archive.namelist()
+                    if member.endswith(".npy")
+                })
             _check_replay_rows(trainer.buffer, trainer.num_actions)
         except KeyError as exc:
             raise ValueError(f"{replay_path}: missing array {exc}") from exc
@@ -532,6 +575,29 @@ class FederatedTrainer(Trainer):
         with _errors_name(path):
             env.set_state(env_state)
         return trainer
+
+
+class _NpyMember:
+    """One array of an open `np.savez` archive, read only when asked.
+
+    `shape` and `dtype` come from the member's `.npy` header; `np.asarray`
+    reads the array itself, each time anew.
+    """
+
+    def __init__(self, archive: zipfile.ZipFile, member: str):
+        self.archive, self.member = archive, member
+        with archive.open(member) as fh:
+            version = np.lib.format.read_magic(fh)
+            read_header = (
+                np.lib.format.read_array_header_1_0
+                if version == (1, 0)
+                else np.lib.format.read_array_header_2_0
+            )
+            self.shape, _, self.dtype = read_header(fh)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        with self.archive.open(self.member) as fh:
+            return np.asarray(np.lib.format.read_array(fh), dtype)
 
 
 def _check_replay_rows(buffer: ReplayBuffer, num_actions: int) -> None:

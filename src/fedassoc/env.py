@@ -63,8 +63,9 @@ class EnvConfig:
     def validate(self) -> None:
         check_fields(self)
         for name in ("num_vehicles", "horizon"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         rsus, visible = self.num_rsus, self.visible_rsus
         if rsus < self.num_vehicles:
             raise ValueError(f"num_rsus must be >= num_vehicles ({self.num_vehicles}), got {rsus}")
@@ -73,28 +74,38 @@ class EnvConfig:
         if not 1 <= visible <= rsus:
             raise ValueError(f"visible_rsus must be in [1, num_rsus] = [1, {rsus}], got {visible}")
         if self.power_levels < 2:
-            raise ValueError("power_levels must be >= 2")
-        if self.power_min_dbm >= self.power_max_dbm:
-            raise ValueError("power_min_dbm must be < power_max_dbm")
+            raise ValueError(f"power_levels must be >= 2, got {self.power_levels}")
+        low, high = self.power_min_dbm, self.power_max_dbm
+        if low >= high:
+            raise ValueError(f"power_min_dbm must be < power_max_dbm, got {low} and {high}")
         for name in ("road_length", "coverage_radius", "min_rate", "ts_duration", "y_scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         for name in ("weight_rate", "weight_handover", "weight_power", "speed_memory"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.mean_speed_low <= 0 or self.mean_speed_high < self.mean_speed_low:
-            raise ValueError("mean speed range must satisfy 0 < low <= high")
+        low, high = self.mean_speed_low, self.mean_speed_high
+        if low <= 0 or high < low:
+            raise ValueError(
+                "mean speed range must satisfy 0 < low <= high, got "
+                f"mean_speed_low {low} and mean_speed_high {high}"
+            )
         if self.mean_speeds is not None:
-            if not all(v > 0 for v in self.mean_speeds):
-                shown = list(self.mean_speeds)
+            shown = list(self.mean_speeds)
+            if not all(v > 0 for v in shown):
                 raise ValueError(f"mean_speeds must be finite and > 0, got {shown!r}")
-            if len(self.mean_speeds) != self.num_vehicles:
-                raise ValueError("mean_speeds must have one entry per vehicle")
+            if len(shown) != self.num_vehicles:
+                raise ValueError(
+                    f"mean_speeds must have one entry per vehicle ({self.num_vehicles}), "
+                    f"got {shown!r}"
+                )
         if self.speed_std < 0:
-            raise ValueError("speed_std must be >= 0")
-        if self.gain_db_low >= self.gain_db_high:
-            raise ValueError("gain_db_low must be < gain_db_high")
+            raise ValueError(f"speed_std must be >= 0, got {self.speed_std}")
+        low, high = self.gain_db_low, self.gain_db_high
+        if low >= high:
+            raise ValueError(f"gain_db_low must be < gain_db_high, got {low} and {high}")
 
     @property
     def actions_per_agent(self) -> int:

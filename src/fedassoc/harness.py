@@ -65,8 +65,11 @@ class ExperimentConfig:
             raise ValueError("at least one algorithm is required")
         if len(set(self.algos)) != len(self.algos):
             raise ValueError(f"algos must be distinct, got {list(self.algos)}")
-        if not 1 <= self.eval_window <= self.trainer.episodes:
-            raise ValueError("eval_window must be in [1, episodes]")
+        window, episodes = self.eval_window, self.trainer.episodes
+        if not 1 <= window <= episodes:
+            raise ValueError(
+                f"eval_window must be in [1, episodes] = [1, {episodes}], got {window}"
+            )
 
 
 # The nested sections of ExperimentConfig; their keys sit at the top level of

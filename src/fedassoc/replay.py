@@ -90,15 +90,19 @@ class ReplayBuffer:
     def load_state_arrays(self, arrays: dict) -> None:
         """Restore `state_arrays` into this buffer, which keeps its own columns.
 
-        Each column may hold `size` or `capacity` rows. `meta` must be a (3,)
+        `arrays` maps each name to an array, or to a stand-in that gives the
+        array's `shape` and `dtype` and is read by `np.asarray`, as
+        `FederatedTrainer.load` reads a checkpoint's `replay.npz`. Each
+        column may hold `size` or `capacity` rows. `meta` must be a (3,)
         integer array that names this buffer's capacity, a size in
         [0, capacity] and a cursor in [0, capacity) that equals the size until
         the buffer fills, and each column's dtype must cast to the buffer's
         within its kind (no float actions, no complex values). Every array is
-        checked before the first write. Rows past `size` are never read, so
-        they are left as they are.
+        checked, by its shape and dtype, before the first write; then the
+        arrays are read and written one at a time. Rows past `size` are never
+        read, so they are left as they are.
         """
-        meta = arrays["meta"]
+        meta = np.asarray(arrays["meta"])
         if meta.shape != (3,) or meta.dtype.kind not in "iu":
             raise ValueError(
                 "replay meta must be 3 integers (size, cursor, capacity), got an array "
@@ -116,7 +120,7 @@ class ReplayBuffer:
             )
         for name, column in self.columns.items():
             array = arrays[name]
-            rows = array.shape[0] if array.ndim else -1
+            rows = array.shape[0] if array.shape else -1
             if rows not in (size, capacity) or array.shape[1:] != column.shape[1:]:
                 raise ValueError(
                     f"replay array {name!r} has shape {array.shape}, expected "
@@ -128,6 +132,8 @@ class ReplayBuffer:
                     f"to the buffer's {column.dtype}"
                 )
         for name, column in self.columns.items():
-            column[: len(arrays[name])] = arrays[name]
+            array = np.asarray(arrays[name])
+            column[: len(array)] = array
+            del array  # freed before the next column is read
         self.size = size
         self.cursor = cursor

@@ -1,6 +1,7 @@
 """Sharing primitives, joint-action math and the federated trainer."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -535,6 +536,37 @@ def test_checkpoint_with_all_replay_rows_resumes_identically(tmp_path):
         for t in (trainer, *resumed)
     ]
     assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+
+
+def test_load_holds_one_replay_array_at_a_time(tmp_path):
+    """A load reads the replay arrays one at a time into the buffer it keeps."""
+    env = small_env(seed=8)
+    trainer = FederatedTrainer(env, small_cfg(replay_capacity=20000), seed=5)
+    buffer = trainer.buffer
+    rng = np.random.default_rng(6)
+    rows = buffer.capacity + 300
+    obs = rng.normal(size=(rows + 1, 2, env.obs_dim))
+    acts = rng.integers(0, env.num_actions, size=(rows, 2))
+    for t in range(rows):
+        buffer.add(
+            obs_lead=obs[t, 0], act_lead=acts[t, 0], reward=obs[t, 0, 0],
+            next_obs_lead=obs[t + 1, 0], obs_follow=obs[t, 1], act_follow=acts[t, 1],
+            next_obs_follow=obs[t + 1, 1], done=float(t % 5 == 4),
+        )
+    assert len(buffer) == buffer.capacity and buffer.cursor == 300
+    trainer.save(tmp_path / "ckpt")
+    tracemalloc.start()
+    try:
+        loaded = FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    net_bytes = sum(getattr(loaded.pair, name).params.nbytes for name in agents_mod._NET_NAMES)
+    replay_bytes = sum(column.nbytes for column in buffer.columns.values())
+    assert peak - net_bytes < replay_bytes / 2
+    assert (loaded.buffer.size, loaded.buffer.cursor) == (buffer.size, buffer.cursor)
+    for name, column in buffer.columns.items():
+        assert loaded.buffer.columns[name].tobytes() == column.tobytes()
 
 
 @pytest.mark.parametrize(

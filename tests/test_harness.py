@@ -24,9 +24,11 @@ from fedassoc.harness import (
     window_stats,
     write_summary,
 )
+import fedassoc.agents as agents_mod
 from fedassoc.agents import FederatedTrainer, TrainerConfig
 from fedassoc.env import EdgeAssocEnv, EnvConfig
 from fedassoc.metrics import EpisodeRecord, read_metrics_csv, record_cells, write_metrics_csv
+from fedassoc.nn import load_net, net_fingerprint
 
 
 def tiny_config(out_dir, fedavg_period=5, **run_overrides):
@@ -839,6 +841,38 @@ def test_cli_eval_rejects_bad_net_files(tmp_path, capsys, edit, message):
     assert err.count("\n") == 1
     assert str(ckpt / "lead.net") in err and message in err
     assert not (tmp_path / "eval").exists()
+
+
+def test_load_builds_no_net_it_discards(tmp_path, monkeypatch):
+    """Load and `--eval` read each net of the pair and draw none."""
+    cfg_path = cli_config(tmp_path)
+    assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+    config = tmp_path / "runs" / "config.json"
+    saved = {
+        name: net_fingerprint(load_net(ckpt / f"{name}.net")) for name in agents_mod._NET_NAMES
+    }
+    evaluate = ["--config", str(config), "--eval", str(ckpt), "--episodes", "2", "--out"]
+    assert cli_main([*evaluate, str(tmp_path / "drawn")]) == 0
+
+    def no_draws(dims, rng):
+        raise AssertionError(f"a net of dims {dims} was drawn")
+
+    monkeypatch.setattr(agents_mod, "init_net", no_draws)
+    world = load_config(config).env
+    loaded = FederatedTrainer.load(ckpt, EdgeAssocEnv(world, 0))
+    assert {name: net_fingerprint(getattr(loaded.pair, name)) for name in saved} == saved
+    assert cli_main([*evaluate, str(tmp_path / "read")]) == 0
+    csvs = [(tmp_path / d / "eval_metrics.csv").read_bytes() for d in ("drawn", "read")]
+    assert csvs[0] == csvs[1]
+    # A net of other dims fails with the file and both dims named.
+    (ckpt / "lead.net").write_bytes((ckpt / "mlp.net").read_bytes())
+    with pytest.raises(ValueError) as info:
+        FederatedTrainer.load(ckpt, EdgeAssocEnv(world, 0))
+    assert str(info.value) == (
+        f"{ckpt / 'lead.net'}: a net of dims (32, 8, 256), "
+        "but the checkpoint's config builds a net of dims (14, 8, 16)"
+    )
 
 
 @pytest.mark.parametrize(
