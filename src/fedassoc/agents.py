@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -40,7 +40,7 @@ from .nn import (
     td_loss,
     zero_grads,
 )
-from .replay import Batch, ReplayBuffer
+from .replay import BLOCK_BYTES, Batch, ReplayBuffer
 
 
 @dataclass
@@ -525,10 +525,11 @@ class FederatedTrainer(Trainer):
            takes the counters and random streams of `state.json`;
         4. `replay.npz`: `meta` and each array's shape and dtype, from the
            array headers, are checked before the first write. Then the arrays
-           are read one at a time into the trainer's own buffer, and its
-           filled rows are checked.
+           are read in blocks into the trainer's own buffer
+           (`ReplayBuffer.load_state_arrays`), and its filled rows are
+           checked, a block at a time.
 
-        A load thus holds the buffer, the nets and at most one replay array.
+        A load thus holds the buffer, the nets and a few blocks of replay rows.
         `env` takes the checkpoint's env state last, once every file has been
         read and checked, so a failed load leaves it unchanged.
         """
@@ -561,9 +562,11 @@ class FederatedTrainer(Trainer):
                 getattr(trainer, name).bit_generator.state = state[name]
         replay_path = directory / "replay.npz"
         try:
-            with zipfile.ZipFile(replay_path) as archive:
+            with zipfile.ZipFile(replay_path) as archive, ExitStack() as members:
                 trainer.buffer.load_state_arrays({
-                    member.removesuffix(".npy"): _NpyMember(archive, member)
+                    member.removesuffix(".npy"): _NpyMember(
+                        members.enter_context(archive.open(member))
+                    )
                     for member in archive.namelist()
                     if member.endswith(".npy")
                 })
@@ -578,34 +581,50 @@ class FederatedTrainer(Trainer):
 
 
 class _NpyMember:
-    """One array of an open `np.savez` archive, read only when asked.
+    """One array of an open `np.savez` archive, read by row slices.
 
-    `shape` and `dtype` come from the member's `.npy` header; `np.asarray`
-    reads the array itself, each time anew.
+    `shape` and `dtype` come from the member's `.npy` header, parsed once.
+    `member[a:b]` reads rows [a, b) from the open member: onward from the
+    last read, skipping rows a block at a time, or from the member's start
+    again.
     """
 
-    def __init__(self, archive: zipfile.ZipFile, member: str):
-        self.archive, self.member = archive, member
-        with archive.open(member) as fh:
-            version = np.lib.format.read_magic(fh)
-            read_header = (
-                np.lib.format.read_array_header_1_0
-                if version == (1, 0)
-                else np.lib.format.read_array_header_2_0
-            )
-            self.shape, _, self.dtype = read_header(fh)
+    def __init__(self, fh):
+        self._fh = fh
+        self.name = fh.name.removesuffix(".npy")
+        version = np.lib.format.read_magic(fh)
+        read_header = (
+            np.lib.format.read_array_header_1_0
+            if version == (1, 0)
+            else np.lib.format.read_array_header_2_0
+        )
+        self.shape, fortran_order, self.dtype = read_header(fh)
+        if fortran_order:
+            raise ValueError(f"replay array {self.name!r} is stored in Fortran order, not C order")
+        self._start = fh.tell()
+        self._row_bytes = self.dtype.itemsize * int(np.prod(self.shape[1:]))
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        with self.archive.open(self.member) as fh:
-            return np.asarray(np.lib.format.read_array(fh), dtype)
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        a, b, _ = rows.indices(self.shape[0])
+        position = self._start + a * self._row_bytes
+        if self._fh.tell() > position:
+            self._fh.seek(0)
+        while (skip := position - self._fh.tell()) > 0:
+            self._fh.read(min(skip, BLOCK_BYTES))
+        data = self._fh.read((b - a) * self._row_bytes)
+        if len(data) != (b - a) * self._row_bytes:
+            raise ValueError(
+                f"replay array {self.name!r} ends inside row {a + len(data) // self._row_bytes} "
+                f"of its {self.shape[0]}"
+            )
+        return np.frombuffer(data, self.dtype).reshape((b - a, *self.shape[1:]))
 
 
 def _check_replay_rows(buffer: ReplayBuffer, num_actions: int) -> None:
-    """Raise ValueError naming the first column of `buffer`'s filled rows that
+    """Raise ValueError naming the first field of `buffer`'s filled rows that
     holds what no run writes: an action outside [0, num_actions), a done flag
     other than 0 or 1, or a non-finite reward or observation."""
-    for name, column in buffer.columns.items():
-        rows = column[: buffer.size]
+    for name, start, rows in buffer.row_blocks():
         if name.startswith("act_"):
             bad, rule = (rows < 0) | (rows >= num_actions), f"an action in [0, {num_actions})"
         elif name == "done":
@@ -615,7 +634,8 @@ def _check_replay_rows(buffer: ReplayBuffer, num_actions: int) -> None:
         if bad.any():
             where = tuple(np.argwhere(bad)[0])
             raise ValueError(
-                f"replay array {name!r} row {where[0]} holds {rows[where].item()!r}, not {rule}"
+                f"replay array {name!r} row {start + where[0]} holds {rows[where].item()!r}, "
+                f"not {rule}"
             )
 
 

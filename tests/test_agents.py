@@ -1,8 +1,10 @@
 """Sharing primitives, joint-action math and the federated trainer."""
 
 import re
+import struct
 import tracemalloc
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from fedassoc.agents import (
 from fedassoc.env import EdgeAssocEnv, EnvConfig
 from fedassoc.nn import clone, forward, init_net, linear_schedule, net_fingerprint
 from fedassoc.replay import Batch
+from reference_replay import all_rows, same_arrays
 from toy_env import ToyEnv, separable_table, toy_trainer_cfg
 
 
@@ -483,6 +486,24 @@ def test_replay_ring_semantics_in_training():
     assert trainer.buffer.cursor == 40 % 16
 
 
+def test_replay_keeps_one_side_slot_per_episode_end():
+    """After k default episodes the side ring holds k - 1 next observations
+    (each episode's last but the newest) and the pending slot one: every
+    other row's next observations are the next row's."""
+    k = 3
+    trainer = FederatedTrainer(EdgeAssocEnv(EnvConfig(), seed=3), TrainerConfig(), seed=4)
+    trainer.run(episodes=k)
+    buffer = trainer.buffer
+    capacity, horizon = buffer.capacity, EnvConfig().horizon
+    nxt = buffer._next[: len(buffer)]
+    assert len(buffer) == k * horizon and buffer._side == k - 1
+    ends = np.arange(horizon - 1, k * horizon, horizon)
+    assert np.array_equal(np.flatnonzero(nxt >= capacity), ends)
+    assert nxt[ends].tolist() == [capacity + e for e in range(k - 1)] + [2 * capacity]
+    rest = np.setdiff1d(np.arange(len(buffer)), ends)
+    assert np.array_equal(nxt[rest], rest + 1)
+
+
 def test_checkpoint_round_trip(tmp_path):
     env = small_env(seed=8)
     cfg = small_cfg(episodes=2)
@@ -510,7 +531,9 @@ def test_checkpoint_keeps_only_filled_replay_rows(tmp_path):
         rows = {name: len(data[name]) for name in data.files if name != "meta"}
         assert list(data["meta"]) == [horizon, horizon, trainer.cfg.replay_capacity]
     assert set(rows.values()) == {horizon}
-    row_bytes = sum(column[:1].nbytes for column in trainer.buffer.columns.values())
+    row_bytes = sum(
+        array[:1].nbytes for name, array in trainer.buffer.state_arrays().items() if name != "meta"
+    )
     assert path.stat().st_size < 2 * horizon * row_bytes
 
 
@@ -520,15 +543,12 @@ def test_checkpoint_with_all_replay_rows_resumes_identically(tmp_path):
     trainer.run()
     trainer.save(tmp_path / "filled")
     trainer.save(tmp_path / "all")
-    arrays = {name: column.copy() for name, column in trainer.buffer.columns.items()}
-    arrays["meta"] = np.array([len(trainer.buffer), trainer.buffer.cursor,
-                               trainer.buffer.capacity], dtype=np.int64)
+    state = trainer.buffer.state_arrays()
     assert len(trainer.buffer) < trainer.buffer.capacity
-    np.savez(tmp_path / "all" / "replay.npz", **arrays)
+    np.savez(tmp_path / "all" / "replay.npz", **all_rows(state))
     resumed = [FederatedTrainer.load(tmp_path / d, small_env(seed=1)) for d in ("filled", "all")]
-    for name, column in trainer.buffer.columns.items():
-        for other in resumed:
-            assert other.buffer.columns[name].tobytes() == column.tobytes()
+    for other in resumed:
+        assert same_arrays(other.buffer.state_arrays(), state)
     runs = [t.run(episodes=2) for t in (trainer, *resumed)]
     assert runs[0] == runs[1] == runs[2]
     fingerprints = [
@@ -539,19 +559,22 @@ def test_checkpoint_with_all_replay_rows_resumes_identically(tmp_path):
 
 
 def test_load_holds_one_replay_array_at_a_time(tmp_path):
-    """A load reads the replay arrays one at a time into the buffer it keeps."""
+    """A load reads the replay arrays a block at a time into the buffer it keeps."""
     env = small_env(seed=8)
     trainer = FederatedTrainer(env, small_cfg(replay_capacity=20000), seed=5)
     buffer = trainer.buffer
     rng = np.random.default_rng(6)
     rows = buffer.capacity + 300
     obs = rng.normal(size=(rows + 1, 2, env.obs_dim))
+    # Every 100th row's next observations are not the next row's: the chain breaks there.
+    next_obs = obs[1:].copy()
+    next_obs[99::100] += 1.0
     acts = rng.integers(0, env.num_actions, size=(rows, 2))
     for t in range(rows):
         buffer.add(
             obs_lead=obs[t, 0], act_lead=acts[t, 0], reward=obs[t, 0, 0],
-            next_obs_lead=obs[t + 1, 0], obs_follow=obs[t, 1], act_follow=acts[t, 1],
-            next_obs_follow=obs[t + 1, 1], done=float(t % 5 == 4),
+            next_obs_lead=next_obs[t, 0], obs_follow=obs[t, 1], act_follow=acts[t, 1],
+            next_obs_follow=next_obs[t, 1], done=float(t % 100 == 99),
         )
     assert len(buffer) == buffer.capacity and buffer.cursor == 300
     trainer.save(tmp_path / "ckpt")
@@ -562,11 +585,13 @@ def test_load_holds_one_replay_array_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     net_bytes = sum(getattr(loaded.pair, name).params.nbytes for name in agents_mod._NET_NAMES)
-    replay_bytes = sum(column.nbytes for column in buffer.columns.values())
-    assert peak - net_bytes < replay_bytes / 2
-    assert (loaded.buffer.size, loaded.buffer.cursor) == (buffer.size, buffer.cursor)
-    for name, column in buffer.columns.items():
-        assert loaded.buffer.columns[name].tobytes() == column.tobytes()
+    state = buffer.state_arrays()
+    replay_bytes = sum(array.nbytes for name, array in state.items() if name != "meta")
+    assert replay_bytes == buffer.capacity * 480
+    # No whole column is read at once: 0.45 MB of the 9.6 MB here, 2.86 MB when
+    # each array was read whole and its observations kept in their own columns.
+    assert peak - net_bytes < replay_bytes / 8
+    assert same_arrays(loaded.buffer.state_arrays(), state)
 
 
 @pytest.mark.parametrize(
@@ -658,14 +683,63 @@ def test_load_rejects_bad_replay_rows(tmp_path, edit, message):
     assert env.get_state() == before
 
 
+def test_load_rejects_a_short_or_fortran_ordered_replay_array(tmp_path):
+    """Arrays are read by rows from the archive: one whose data ends before its
+    header's rows, or that is stored column by column, fails naming it."""
+    trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
+    trainer.run()
+    trainer.save(tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / "replay.npz"
+    with np.load(path) as data:
+        arrays = dict(data)
+    size, _, capacity = arrays["meta"].tolist()
+    assert size < capacity
+    np.savez(path, **{**arrays, "obs_lead": np.asfortranarray(arrays["obs_lead"])})
+    with pytest.raises(ValueError, match=re.escape(
+        f"{path}: replay array 'obs_lead' is stored in Fortran order, not C order"
+    )):
+        FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=1))
+    # The header of `reward` promises all `capacity` rows; its data holds `size`.
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in arrays.items():
+            header = np.lib.format.header_data_from_array_1_0(array)
+            if name == "reward":
+                header["shape"] = (capacity,)
+            with archive.open(f"{name}.npy", "w") as fh:
+                np.lib.format.write_array_header_1_0(fh, header)
+                fh.write(array.tobytes())
+    with pytest.raises(ValueError, match=re.escape(
+        f"{path}: replay array 'reward' ends inside row {size} of its {capacity}"
+    )):
+        FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=1))
+
+
+def test_load_reads_every_replay_row_so_the_archive_checks_it(tmp_path):
+    """Rows past the filled ones are read and dropped, so damage there still
+    fails the archive's CRC check, naming `replay.npz`."""
+    trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
+    trainer.run()
+    trainer.save(tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / "replay.npz"
+    np.savez(path, **all_rows(trainer.buffer.state_arrays()))
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("next_obs_lead.npy")
+    data = bytearray(path.read_bytes())
+    # The member's data follows its 30-byte local header, name and extra field.
+    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    end = info.header_offset + 30 + name_len + extra_len + info.file_size
+    data[end - 3] ^= 1  # a byte of the last, unfilled row
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: Bad CRC-32 for file 'next_obs_lead.npy'")):
+        FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=1))
+
+
 def test_load_checks_only_the_filled_replay_rows(tmp_path):
     """Rows past the filled ones are never read, so what they hold is not checked."""
     trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
     trainer.run()
     trainer.save(tmp_path / "ckpt")
-    arrays = {name: column.copy() for name, column in trainer.buffer.columns.items()}
-    arrays["meta"] = np.array([len(trainer.buffer), trainer.buffer.cursor,
-                               trainer.buffer.capacity], dtype=np.int64)
+    arrays = all_rows(trainer.buffer.state_arrays())
     for name, value in (("act_lead", -5), ("reward", np.nan), ("done", 0.5)):
         arrays[name][-1] = value
     np.savez(tmp_path / "ckpt" / "replay.npz", **arrays)

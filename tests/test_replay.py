@@ -4,8 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedassoc.replay import Batch, ReplayBuffer
+from reference_replay import ColumnReplay, all_rows, same_arrays
 
 
 def row(i, obs_dim=3):
@@ -77,7 +80,7 @@ def test_invalid_capacity():
 def test_row_fields_are_declared_once_by_batch():
     names = [f.name for f in dataclasses.fields(Batch)]
     buf = filled_buffer(capacity=8, inserts=3)
-    assert list(buf.columns) == names
+    assert list(dict.fromkeys(name for name, _, _ in buf.row_blocks())) == names
     assert list(buf.state_arrays()) == names + ["meta"]
     assert list(vars(buf.sample(2, np.random.default_rng(0)))) == names
     bad = row(0)
@@ -92,16 +95,18 @@ def test_row_fields_are_declared_once_by_batch():
 def test_state_keeps_filled_rows_and_loads_full_columns():
     buf = filled_buffer(capacity=8, inserts=5)
     arrays = buf.state_arrays()
-    assert all(len(arrays[name]) == 5 for name in buf.columns)
+    assert all(len(arrays[name]) == 5 for name in arrays if name != "meta")
     # Columns of `capacity` rows, as earlier versions wrote them, load too.
-    full = {name: column.copy() for name, column in buf.columns.items()}
+    reference = ColumnReplay(8, 3)
+    for i in range(5):
+        reference.add(**row(i))
+    full = {name: column.copy() for name, column in reference.columns.items()}
     full["meta"] = arrays["meta"]
+    assert same_arrays(full, all_rows(arrays))
     for state in (arrays, full):
         clone = ReplayBuffer(8, 3)
         clone.load_state_arrays(state)
-        for name, column in buf.columns.items():
-            assert column.dtype == clone.columns[name].dtype
-            assert np.array_equal(column, clone.columns[name])
+        assert same_arrays(clone.state_arrays(), arrays)
     # A wrapped buffer is full: every row is kept.
     wrapped = filled_buffer(capacity=8, inserts=11)
     assert len(wrapped.state_arrays()["reward"]) == 8
@@ -110,12 +115,80 @@ def test_state_keeps_filled_rows_and_loads_full_columns():
 def test_state_rejects_other_row_counts():
     arrays = filled_buffer(capacity=8, inserts=5).state_arrays()
     arrays["reward"] = arrays["reward"][:3]
-    clone = filled_buffer(capacity=8, inserts=2)
-    before = {name: column.copy() for name, column in clone.columns.items()}
+    # A full buffer, so that every row slot is in its state.
+    clone = filled_buffer(capacity=8, inserts=11)
+    before = {name: array.copy() for name, array in clone.state_arrays().items()}
     with pytest.raises(ValueError, match="'reward' has shape"):
         clone.load_state_arrays(arrays)
     # Every array is checked before the first write: the buffer keeps its own rows.
-    assert len(clone) == 2
-    assert all(np.array_equal(before[name], column) for name, column in clone.columns.items())
+    assert len(clone) == 8
+    assert same_arrays(clone.state_arrays(), before)
     with pytest.raises(ValueError, match="replay capacity 8 does not match this buffer's 16"):
         ReplayBuffer(16, 3).load_state_arrays(filled_buffer(capacity=8, inserts=5).state_arrays())
+
+
+# Observation entries, so that continuity is told by bytes: +0.0 and -0.0
+# differ, and a NaN continues a NaN.
+OBS_ENTRIES = st.sampled_from([0.0, -0.0, np.nan, 1.0, -2.5])
+
+
+@st.composite
+def replay_cases(draw):
+    """A capacity, an obs_dim, a row sequence, the add before which both
+    buffers are saved and loaded, and a sampling seed.
+
+    A row continues the last one, taking its next observations as its own, or
+    starts from new observations: never, after an episode's end, on every row
+    (as `row(i)` does), or on either side at any row.
+    """
+    capacity = draw(st.integers(1, 9))
+    obs_dim = draw(st.integers(1, 3))
+    starts = draw(st.sampled_from(["never", "after done", "always", "anywhere"]))
+    vector = st.lists(OBS_ENTRIES, min_size=obs_dim, max_size=obs_dim).map(np.array)
+    rows = []
+    for _ in range(draw(st.integers(1, 40))):
+        if not rows or starts == "always" or (starts == "after done" and rows[-1]["done"]):
+            obs = [draw(vector), draw(vector)]
+        else:
+            last = rows[-1]
+            obs = [last["next_obs_lead"], last["next_obs_follow"]]
+            if starts == "anywhere":
+                obs = [draw(vector) if draw(st.booleans()) else o for o in obs]
+        rows.append(dict(
+            obs_lead=obs[0], act_lead=draw(st.integers(0, 3)), reward=draw(OBS_ENTRIES),
+            next_obs_lead=draw(vector), obs_follow=obs[1], act_follow=draw(st.integers(0, 3)),
+            next_obs_follow=draw(vector), done=draw(st.booleans()),
+        ))
+    return capacity, obs_dim, rows, draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=replay_cases())
+def test_matches_the_column_per_field_buffer(case):
+    """Samples and checkpoint arrays equal the column-per-field buffer's, byte
+    for byte, also after either side's arrays (filled or all rows) are loaded."""
+    capacity, obs_dim, rows, saved_before, seed = case
+    pairs = [(ReplayBuffer(capacity, obs_dim), ColumnReplay(capacity, obs_dim))]
+
+    def twin_rngs():
+        return np.random.default_rng(seed), np.random.default_rng(seed)
+
+    rngs = [twin_rngs()]
+    for t, r in enumerate(rows):
+        if t == saved_before:
+            buffer, reference = pairs[0]
+            full = {name: column.copy() for name, column in reference.columns.items()}
+            full["meta"] = reference.state_arrays()["meta"]
+            for arrays in (buffer.state_arrays(), reference.state_arrays(),
+                           all_rows(buffer.state_arrays()), full):
+                loaded = ReplayBuffer(capacity, obs_dim), ColumnReplay(capacity, obs_dim)
+                for side in loaded:
+                    side.load_state_arrays(arrays)
+                assert same_arrays(loaded[0].state_arrays(), reference.state_arrays())
+                pairs.append(loaded)
+                rngs.append(twin_rngs())
+        for (buffer, reference), (rng_a, rng_b) in zip(pairs, rngs):
+            buffer.add(**r)
+            reference.add(**r)
+            assert same_arrays(vars(buffer.sample(5, rng_a)), reference.sample(5, rng_b))
+            assert same_arrays(buffer.state_arrays(), reference.state_arrays())
