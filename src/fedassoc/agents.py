@@ -40,7 +40,7 @@ from .nn import (
     td_loss,
     zero_grads,
 )
-from .replay import BLOCK_BYTES, Batch, ReplayBuffer
+from .replay import BLOCK_BYTES, FIELDS, Batch, ReplayBuffer, row_blocks
 
 
 @dataclass
@@ -498,7 +498,7 @@ class FederatedTrainer(Trainer):
         directory.mkdir(parents=True, exist_ok=True)
         for name in _NET_NAMES:
             save_net(directory / f"{name}.net", getattr(self.pair, name))
-        np.savez(directory / "replay.npz", **self.buffer.state_arrays())
+        _write_npz(directory / "replay.npz", self.buffer.state_rows())
         state = {
             "cfg": asdict(self.cfg),
             "episode": self.episode,
@@ -620,23 +620,44 @@ class _NpyMember:
         return np.frombuffer(data, self.dtype).reshape((b - a, *self.shape[1:]))
 
 
+def _write_npz(path: Path, arrays: dict) -> None:
+    """Write `arrays` as `np.savez` does, byte for byte, a block of rows at a time.
+
+    Each value is an array, or a stand-in that gives its `shape` and `dtype`
+    and its rows by slicing (`ReplayBuffer.state_rows`), so no whole array
+    is gathered.
+    """
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, array in arrays.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array_header_1_0(fh, {
+                    "descr": np.lib.format.dtype_to_descr(array.dtype),
+                    "fortran_order": False,
+                    "shape": array.shape,
+                })
+                for _, rows in row_blocks(array):
+                    fh.write(rows.tobytes())
+
+
 def _check_replay_rows(buffer: ReplayBuffer, num_actions: int) -> None:
     """Raise ValueError naming the first field of `buffer`'s filled rows that
     holds what no run writes: an action outside [0, num_actions), a done flag
     other than 0 or 1, or a non-finite reward or observation."""
-    for name, start, rows in buffer.row_blocks():
-        if name.startswith("act_"):
-            bad, rule = (rows < 0) | (rows >= num_actions), f"an action in [0, {num_actions})"
-        elif name == "done":
-            bad, rule = (rows != 0.0) & (rows != 1.0), "0 or 1"
-        else:
-            bad, rule = ~np.isfinite(rows), "a finite number"
-        if bad.any():
-            where = tuple(np.argwhere(bad)[0])
-            raise ValueError(
-                f"replay array {name!r} row {start + where[0]} holds {rows[where].item()!r}, "
-                f"not {rule}"
-            )
+    arrays = buffer.state_rows()
+    for name in FIELDS:
+        for start, rows in row_blocks(arrays[name]):
+            if name.startswith("act_"):
+                bad, rule = (rows < 0) | (rows >= num_actions), f"an action in [0, {num_actions})"
+            elif name == "done":
+                bad, rule = (rows != 0.0) & (rows != 1.0), "0 or 1"
+            else:
+                bad, rule = ~np.isfinite(rows), "a finite number"
+            if bad.any():
+                where = tuple(np.argwhere(bad)[0])
+                raise ValueError(
+                    f"replay array {name!r} row {start + where[0]} holds {rows[where].item()!r}, "
+                    f"not {rule}"
+                )
 
 
 @contextmanager

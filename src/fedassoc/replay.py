@@ -14,9 +14,11 @@ observations live:
 - in one pending slot while the row is the newest, until the next `add`
   either confirms them or moves them to the side ring.
 Each `add` writes at most one side slot, so a row's side slot is overwritten
-only after the row itself is evicted. In the default world (obs_dim 14) a
-row takes 264 B plus its share of the side ring, 2.24 B at one break per
-100-TS episode, against 480 B when each next observation had its own column.
+only after the row itself is evicted. A row's two observations sit side by
+side, so one compare and one copy cover both. In the default world (obs_dim
+14) a row takes 264 B plus its share of the side ring, 2.24 B at one break
+per 100-TS episode, against 480 B when each next observation had its own
+column.
 Filling a 20 000-row buffer with 100-TS episodes raised the resident size by
 5.49 MB, against 9.75 MB (Linux, numpy 2.4.6).
 """
@@ -35,9 +37,9 @@ import numpy as np
 BLOCK_BYTES = 1 << 16
 
 
-def _column(dtype, obs: bool = False):
-    """A replay column of `dtype`; `obs` columns hold one observation per row."""
-    return field(metadata={"dtype": dtype, "obs": obs})
+def _column(dtype):
+    """A replay column of `dtype`."""
+    return field(metadata={"dtype": dtype})
 
 
 def _next_of(obs_field: str):
@@ -49,11 +51,11 @@ def _next_of(obs_field: str):
 class Batch:
     """One sampled minibatch, arrays indexed the same way on both sides."""
 
-    obs_lead: np.ndarray = _column(np.float64, obs=True)         # (N, obs_dim)
+    obs_lead: np.ndarray = _column(np.float64)                   # (N, obs_dim)
     act_lead: np.ndarray = _column(np.int64)                     # (N,)
     reward: np.ndarray = _column(np.float64)                     # (N,)
     next_obs_lead: np.ndarray = _next_of("obs_lead")             # (N, obs_dim)
-    obs_follow: np.ndarray = _column(np.float64, obs=True)
+    obs_follow: np.ndarray = _column(np.float64)
     act_follow: np.ndarray = _column(np.int64)
     next_obs_follow: np.ndarray = _next_of("obs_follow")
     done: np.ndarray = _column(np.float64)                       # (N,) 0/1
@@ -62,6 +64,10 @@ class Batch:
 FIELDS = tuple(f.name for f in fields(Batch))
 # Each next-observation field and the observation field whose column holds it.
 NEXT_OF = {f.name: f.metadata["next_of"] for f in fields(Batch) if "next_of" in f.metadata}
+# The stored fields and their dtypes; the observation fields share one.
+_DTYPES = {f.name: np.dtype(f.metadata["dtype"]) for f in fields(Batch) if f.name not in NEXT_OF}
+(_OBS_DTYPE,) = {_DTYPES[name] for name in NEXT_OF.values()}
+_ROW_KEYS = frozenset(FIELDS)
 
 
 def _zeroed(shape, dtype) -> np.ndarray:
@@ -82,32 +88,53 @@ def _blocks(start: int, stop: int, row_bytes: int) -> Iterator[tuple[int, int]]:
         yield a, min(a + step, stop)
 
 
+def row_blocks(array, start: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+    """(a, rows a and on) for consecutive blocks of about `BLOCK_BYTES` that
+    cover `array`'s rows from `start`. `array` may be a stand-in that gives
+    its `shape` and `dtype` and its rows by slicing."""
+    row_bytes = array.dtype.itemsize * math.prod(array.shape[1:])
+    for a, b in _blocks(start, array.shape[0], row_bytes):
+        yield a, array[a:b]
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row, whether two (n, d) arrays of one dtype hold the same bytes."""
-    return (a.view(np.uint8) == b.view(np.uint8)).all(axis=1)
+    """Per row, whether two arrays of one dtype and shape hold the same bytes."""
+    return (a.view(np.uint8) == b.view(np.uint8)).reshape(len(a), -1).all(axis=1)
+
+
+class _Gather:
+    """`column[index]`, gathered only for the rows it is sliced for: a
+    stand-in for that array, with its `shape` and `dtype`."""
+
+    def __init__(self, column: np.ndarray, index: np.ndarray):
+        self._column, self._index = column, index
+        self.shape, self.dtype = (len(index), *column.shape[1:]), column.dtype
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self._column[self._index[rows]]
 
 
 class ReplayBuffer:
     """Fixed-capacity ring buffer with uniform with-replacement sampling.
 
-    An observation column has 2 * capacity + 1 rows: one per row slot, then
-    the side ring, then the pending slot. `_next[i]` is the row of the
-    observation columns that holds row i's next observations.
+    Both observation fields live in one (2 * capacity + 1, 2, obs_dim)
+    array, `_obs`: one row per row slot, then the side ring, then the
+    pending slot. Each observation field's column is a view of it, and
+    `_next[i]` is the row of `_obs` that holds row i's next observations.
     """
 
     def __init__(self, capacity: int, obs_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
+        obs_fields = list(NEXT_OF.values())
+        self._obs = _zeroed((2 * capacity + 1, len(obs_fields), obs_dim), _OBS_DTYPE)
         self._columns = {
-            f.name: _zeroed(
-                (2 * capacity + 1, obs_dim) if f.metadata["obs"] else capacity,
-                f.metadata["dtype"],
-            )
-            for f in fields(Batch)
-            if f.name not in NEXT_OF
+            name: self._obs[:, obs_fields.index(name)]
+            if name in obs_fields
+            else _zeroed(capacity, dtype)
+            for name, dtype in _DTYPES.items()
         }
-        self._obs = [self._columns[obs] for obs in NEXT_OF.values()]
         self._next = _zeroed(capacity, np.intp)
         self._side = 0          # the side ring's next slot
         self.size = 0
@@ -118,9 +145,9 @@ class ReplayBuffer:
 
     def add(self, **row) -> None:
         """Store one row, given as one keyword per `Batch` field."""
-        if row.keys() != set(FIELDS):
+        if row.keys() != _ROW_KEYS:
             raise ValueError(f"a replay row has the fields {list(FIELDS)}, got {list(row)}")
-        i, capacity = self.cursor, self.capacity
+        i, capacity, obs = self.cursor, self.capacity, self._obs
         pending = 2 * capacity
         for name, column in self._columns.items():
             column[i] = row[name]
@@ -128,16 +155,15 @@ class ReplayBuffer:
         if self.size and last != i:
             # The last row's next observations wait in the pending slot: this
             # row continues them, or they move to the side ring.
-            if all(obs[i].tobytes() == obs[pending].tobytes() for obs in self._obs):
+            if obs[i].tobytes() == obs[pending].tobytes():
                 self._next[last] = i
             else:
                 side = capacity + self._side
-                for obs in self._obs:
-                    obs[side] = obs[pending]
+                obs[side] = obs[pending]
                 self._next[last] = side
                 self._side = (self._side + 1) % capacity
-        for name, obs in zip(NEXT_OF, self._obs):
-            obs[pending] = row[name]
+        for name, obs_field in NEXT_OF.items():
+            self._columns[obs_field][pending] = row[name]
         self._next[i] = pending
         self.cursor = (i + 1) % capacity
         self.size = min(self.size + 1, capacity)
@@ -149,30 +175,27 @@ class ReplayBuffer:
         nxt = self._next[idx]
         return Batch(
             **{name: column[idx] for name, column in self._columns.items()},
-            **{name: obs[nxt] for name, obs in zip(NEXT_OF, self._obs)},
+            **{name: self._columns[obs_field][nxt] for name, obs_field in NEXT_OF.items()},
         )
-
-    def _rows(self, name: str, start: int, stop: int) -> np.ndarray:
-        """Rows [start, stop) of field `name`; next observations are gathered."""
-        if name in NEXT_OF:
-            return self._columns[NEXT_OF[name]][self._next[start:stop]]
-        return self._columns[name][start:stop]
-
-    def row_blocks(self) -> Iterator[tuple[str, int, np.ndarray]]:
-        """(name, start, rows) for the filled rows of every field, in `Batch`'s
-        order, about `BLOCK_BYTES` at a time."""
-        for name in FIELDS:
-            column = self._columns[NEXT_OF.get(name, name)]
-            for a, b in _blocks(0, self.size, column[:1].nbytes):
-                yield name, a, self._rows(name, a, b)
 
     # -- checkpoint support --------------------------------------------------
 
+    def state_rows(self) -> dict:
+        """What `state_arrays` gives, without gathering: each stored field's
+        filled rows as a view, and each next observation field's as a
+        stand-in that gathers only the rows it is sliced for."""
+        rows = {
+            name: _Gather(self._columns[NEXT_OF[name]], self._next[: self.size])
+            if name in NEXT_OF
+            else self._columns[name][: self.size]
+            for name in FIELDS
+        }
+        rows["meta"] = np.array([self.size, self.cursor, self.capacity], dtype=np.int64)
+        return rows
+
     def state_arrays(self) -> dict:
         """The filled rows of every field, and (size, cursor, capacity) as `meta`."""
-        arrays = {name: self._rows(name, 0, self.size) for name in FIELDS}
-        arrays["meta"] = np.array([self.size, self.cursor, self.capacity], dtype=np.int64)
-        return arrays
+        return {name: rows[:] for name, rows in self.state_rows().items()}
 
     def load_state_arrays(self, arrays: dict) -> None:
         """Restore `state_arrays` into this buffer, which keeps its own columns.
@@ -225,36 +248,31 @@ class ReplayBuffer:
                     f"to the buffer's {column.dtype}"
                 )
         for name, column in self._columns.items():
-            array = arrays[name]
-            for a, b in _blocks(0, array.shape[0], column[:1].nbytes):
-                column[a:b] = array[a:b]
-        nexts = [arrays[name] for name in NEXT_OF]
+            for a, rows in row_blocks(arrays[name]):
+                column[a : a + len(rows)] = rows
+        nexts, obs = [arrays[name] for name in NEXT_OF], self._obs
         pending, oldest, newest = 2 * capacity, (cursor - size) % capacity, (cursor - 1) % capacity
         self._side = 0
         for start, stop in ((oldest, min(oldest + size, capacity)), (0, oldest + size - capacity)):
-            for a, b in _blocks(start, stop, self._obs[0][:1].nbytes):
+            for a, b in _blocks(start, stop, obs[:1].nbytes):
                 rows = np.arange(a, b)
                 follow = (rows + 1) % capacity
-                blocks = [
-                    np.ascontiguousarray(array[a:b], obs.dtype) for array, obs in zip(nexts, self._obs)
-                ]
-                same = np.logical_and.reduce(
-                    [_same_bits(block, obs[follow]) for block, obs in zip(blocks, self._obs)]
-                )
+                block = np.empty((b - a, *obs.shape[1:]), obs.dtype)
+                for k, array in enumerate(nexts):
+                    block[:, k] = array[a:b]
+                same = _same_bits(block, obs[follow])
                 same[rows == newest] = True
                 self._next[a:b] = follow
                 moved = rows[~same]
                 slots = capacity + self._side + np.arange(len(moved))
-                for block, obs in zip(blocks, self._obs):
-                    obs[slots] = block[moved - a]
+                obs[slots] = block[moved - a]
                 self._next[moved] = slots
                 self._side += len(moved)
                 if a <= newest < b:
-                    for block, obs in zip(blocks, self._obs):
-                        obs[pending] = block[newest - a]
+                    obs[pending] = block[newest - a]
                     self._next[newest] = pending
         for array in nexts:
-            for a, b in _blocks(size, array.shape[0], self._obs[0][:1].nbytes):
-                array[a:b]  # read and dropped, so that the whole array is read
+            for _ in row_blocks(array, size):
+                pass  # read and dropped, so that the whole array is read
         self.size = size
         self.cursor = cursor

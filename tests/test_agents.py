@@ -558,15 +558,15 @@ def test_checkpoint_with_all_replay_rows_resumes_identically(tmp_path):
     assert fingerprints[0] == fingerprints[1] == fingerprints[2]
 
 
-def test_load_holds_one_replay_array_at_a_time(tmp_path):
-    """A load reads the replay arrays a block at a time into the buffer it keeps."""
+def full_trainer_with_breaks(extra_rows=300):
+    """A trainer whose 20 000-row replay has wrapped by `extra_rows`, its chain
+    of observations broken every 100 rows so that the side ring is used."""
     env = small_env(seed=8)
     trainer = FederatedTrainer(env, small_cfg(replay_capacity=20000), seed=5)
     buffer = trainer.buffer
     rng = np.random.default_rng(6)
-    rows = buffer.capacity + 300
+    rows = buffer.capacity + extra_rows
     obs = rng.normal(size=(rows + 1, 2, env.obs_dim))
-    # Every 100th row's next observations are not the next row's: the chain breaks there.
     next_obs = obs[1:].copy()
     next_obs[99::100] += 1.0
     acts = rng.integers(0, env.num_actions, size=(rows, 2))
@@ -576,7 +576,14 @@ def test_load_holds_one_replay_array_at_a_time(tmp_path):
             next_obs_lead=next_obs[t, 0], obs_follow=obs[t, 1], act_follow=acts[t, 1],
             next_obs_follow=next_obs[t, 1], done=float(t % 100 == 99),
         )
-    assert len(buffer) == buffer.capacity and buffer.cursor == 300
+    assert len(buffer) == buffer.capacity and buffer.cursor == extra_rows
+    return trainer
+
+
+def test_load_holds_one_replay_array_at_a_time(tmp_path):
+    """A load reads the replay arrays a block at a time into the buffer it keeps."""
+    trainer = full_trainer_with_breaks()
+    buffer = trainer.buffer
     trainer.save(tmp_path / "ckpt")
     tracemalloc.start()
     try:
@@ -592,6 +599,38 @@ def test_load_holds_one_replay_array_at_a_time(tmp_path):
     # each array was read whole and its observations kept in their own columns.
     assert peak - net_bytes < replay_bytes / 8
     assert same_arrays(loaded.buffer.state_arrays(), state)
+
+
+def test_save_writes_the_replay_a_block_at_a_time(tmp_path):
+    """A save gathers no whole next-observation array: it writes each array
+    a block of rows at a time."""
+    trainer = full_trainer_with_breaks()
+    tracemalloc.start()
+    try:
+        trainer.save(tmp_path / "ckpt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state = trainer.buffer.state_arrays()
+    replay_bytes = sum(array.nbytes for name, array in state.items() if name != "meta")
+    # 0.15 MB here: 6.73 MB when both next-observation arrays were gathered
+    # whole for np.savez, 2.25 MB when each field had its own column.
+    assert peak < replay_bytes / 8
+    with np.load(tmp_path / "ckpt" / "replay.npz") as data:
+        assert same_arrays(dict(data), state)
+
+
+@pytest.mark.parametrize("episodes, capacity", [(0, 64), (3, 64), (3, 8)])
+def test_save_writes_replay_npz_byte_for_byte_as_np_savez(tmp_path, episodes, capacity):
+    """Empty, partly filled and wrapped: `replay.npz` is what `np.savez` writes
+    of `state_arrays`."""
+    trainer = FederatedTrainer(small_env(seed=8), small_cfg(replay_capacity=capacity), seed=5)
+    trainer.run(episodes=episodes)
+    assert len(trainer.buffer) == min(5 * episodes, capacity)
+    trainer.save(tmp_path / "ckpt")
+    np.savez(tmp_path / "savez.npz", **trainer.buffer.state_arrays())
+    saved = (tmp_path / "ckpt" / "replay.npz").read_bytes()
+    assert saved == (tmp_path / "savez.npz").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -735,7 +774,7 @@ def test_load_reads_every_replay_row_so_the_archive_checks_it(tmp_path):
 
 
 def test_load_checks_only_the_filled_replay_rows(tmp_path):
-    """Rows past the filled ones are never read, so what they hold is not checked."""
+    """Rows past the filled ones are read but not checked, so what they hold is not rejected."""
     trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
     trainer.run()
     trainer.save(tmp_path / "ckpt")

@@ -80,7 +80,7 @@ def test_invalid_capacity():
 def test_row_fields_are_declared_once_by_batch():
     names = [f.name for f in dataclasses.fields(Batch)]
     buf = filled_buffer(capacity=8, inserts=3)
-    assert list(dict.fromkeys(name for name, _, _ in buf.row_blocks())) == names
+    assert list(buf.state_rows()) == names + ["meta"]
     assert list(buf.state_arrays()) == names + ["meta"]
     assert list(vars(buf.sample(2, np.random.default_rng(0)))) == names
     bad = row(0)

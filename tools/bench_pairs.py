@@ -7,9 +7,9 @@
 For each workload and seed, `python3 perfbench/run.py --workload W --seed S
 --seconds N --trace 0` runs once in each tree, on that tree's own files and
 with the tree as working directory. Odd seeds run the parent first, even
-seeds the change. N is the `run_seconds` of BENCHMARK.json unless --seconds
-is given. Each run prints a `record {...}` line, one `name value unit` line
-per metric and a JSON result line last.
+seeds the change. N is the `run_seconds` of BENCHMARK.json, the run length
+the benchmark fixes. Each run prints a `record {...}` line, one
+`name value unit` line per metric and a JSON result line last.
 
 The table gives, per workload and metric, each side's median [q1, q3], the
 change in the median, the pairs the change won (ties count for neither) and
@@ -177,21 +177,22 @@ def main(argv=None, runner=run_once, record_dir: Path = ROOT) -> int:
     parser.add_argument("--workload", nargs="+", default=[w["name"] for w in bench["workloads"]],
                         choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
-    parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
     parser.add_argument("--record", metavar="LABEL")
     args = parser.parse_args(argv)
     for side in SIDES:
         if not (getattr(args, side) / "perfbench" / "run.py").is_file():
             parser.error(f"--{side} {getattr(args, side)} holds no perfbench/run.py")
     trees = {side: getattr(args, side).resolve() for side in SIDES}
-    runs = run_pairs(trees, args.workload, args.seeds, args.seconds, runner)
+    runs = run_pairs(trees, args.workload, args.seeds, bench["run_seconds"], runner)
     rows = summarize(runs, bench)
     print(format_table(rows))
     bad = failures(runs)
     for line in bad:
         print(f"failed: {line}")
     if args.record:
-        settings = {"workloads": args.workload, "seeds": args.seeds, "seconds": args.seconds}
+        settings = {
+            "workloads": args.workload, "seeds": args.seeds, "seconds": bench["run_seconds"]
+        }
         print(f"recorded {write_record(record_dir, args.record, settings, runs, rows)}")
     return 1 if bad or any("WORSE" in r["flags"] for r in rows) else 0
 
