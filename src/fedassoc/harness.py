@@ -10,8 +10,10 @@ statistics into one long-format table.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -226,26 +228,81 @@ class ExperimentResult:
     out_dir: Path
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run every (algorithm, seed) pair and write all output files."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (`taskset` narrows them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def openblas_function(*symbols: str):
+    """The first of `symbols` that the OpenBLAS bundled with numpy's wheel
+    exports, or None (numpy built against another BLAS, or no such symbol)."""
+    numpy_dir = Path(np.__file__).parent
+    for path in (*numpy_dir.parent.glob("numpy.libs/*openblas*"),
+                 *numpy_dir.glob(".dylibs/*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in symbols:
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)
+    return None
+
+
+def set_blas_threads(count: int) -> bool:
+    """Run numpy's bundled OpenBLAS on `count` threads in this process;
+    False when there is none to set."""
+    set_threads = openblas_function(
+        "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+        "openblas_set_num_threads",
+    )
+    if set_threads is None:
+        return False
+    set_threads(count)
+    return True
+
+
+def _run_grid(tasks: list[tuple]) -> list:
+    """`run_single(*task)` for every task, in task order.
+
+    The tasks run on min(tasks, usable CPUs) worker processes, or in this
+    process when that is one. A failing task cancels the tasks not yet
+    started, and its error is raised here once the running ones are done.
+
+    Each worker runs one BLAS thread: the workers already fill the CPUs, and
+    OpenBLAS threads spin while they wait, so two workers of two threads on
+    two CPUs ran a 2-seed grid several times slower than one process did.
+    """
+    workers = min(len(tasks), _usable_cpus())
+    if workers <= 1:
+        return [run_single(*task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, initializer=set_blas_threads, initargs=(1,)) as pool:
+        futures = [pool.submit(run_single, *task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _grid_tasks(cfg: ExperimentConfig) -> list[tuple]:
+    """Check `cfg`, write its `config.json`, and give its `run_single` tasks."""
     cfg.validate()
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, out_dir)
-    tasks = [
+    return [
         (cfg.env, cfg.trainer, algo, seed, cfg.per_ts_log,
          out_dir / "checkpoints" / f"{algo}_seed{seed}")
         for algo in cfg.algos
         for seed in cfg.seeds
     ]
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_single, *zip(*tasks)))
-    else:
-        outcomes = [run_single(*task) for task in tasks]
 
+def _write_results(cfg: ExperimentConfig, tasks: list[tuple], outcomes: list) -> ExperimentResult:
+    """Write the CSVs and the summary of `tasks`' outcomes."""
+    out_dir = Path(cfg.out_dir)
     records: dict[tuple[str, int], list[EpisodeRecord]] = {}
     stats: list[WindowStats] = []
     for (_, _, algo, seed, *_), (recs, ts_rows) in zip(tasks, outcomes):
@@ -258,9 +315,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     return ExperimentResult(records=records, stats=stats, out_dir=out_dir)
 
 
-def sweep(
-    cfg: ExperimentConfig, axis: str, values: Sequence[float], workers: int = 1
-) -> list[WindowStats]:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run every (algorithm, seed) pair as one grid and write all output files."""
+    tasks = _grid_tasks(cfg)
+    return _write_results(cfg, tasks, _run_grid(tasks))
+
+
+def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> list[WindowStats]:
     """Repeat the experiment along one axis and consolidate window statistics.
 
     axis "rsus" varies the RSU count for every configured algorithm; axis
@@ -268,7 +329,9 @@ def sweep(
     has, so a config that names another algorithm is rejected. Each value
     overrides its config key and is checked like a config file's, and values
     whose output directories coincide (8 and 8, or 0.1 and 0.10000001) are
-    rejected, all before anything is written.
+    rejected, all before anything is written. Every value's (algorithm,
+    seed) pairs then run as one grid, and each value's directory holds what
+    `run_experiment` writes for it.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}")
@@ -292,10 +355,13 @@ def sweep(
             raise ValueError(f"sweep values {runs[label][0]!r} and {value!r} both write {label}")
         sub.out_dir = str(base_dir / label)
         runs[label] = (value, sub)
+    grid = [(value, sub, _grid_tasks(sub)) for value, sub in runs.values()]
+    outcomes = iter(_run_grid([task for *_, tasks in grid for task in tasks]))
     all_stats: list[WindowStats] = []
     lines = [",".join(SWEEP_COLUMNS)]
-    for value, sub in runs.values():
-        for s in run_experiment(sub, workers=workers).stats:
+    for value, sub, tasks in grid:
+        result = _write_results(sub, tasks, [next(outcomes) for _ in tasks])
+        for s in result.stats:
             all_stats.append(s)
             lines.append(",".join(map(str, [axis, f"{value:g}", *record_cells(s)])))
     (base_dir / f"sweep_{axis}.csv").write_text("\n".join(lines) + "\n")

@@ -3,10 +3,12 @@
 The matrix trains all four algorithms on seeds 1-2 (with a per-TS log and an
 integer penalty), evaluates the seed-1 checkpoint greedily over 1, 33 and 70
 episodes at its own σ and at σ 0, and runs an RSU sweep and a proposed-only σ
-sweep, all through `cli.main` with relative paths in an empty directory.
-Every file it writes is hashed (sha256). Nothing writes a baseline's nets, so
-every net of each algorithm, trained in-process on the same config at seed 1,
-is fingerprinted too.
+sweep, all through `cli.main` with relative paths in an empty directory,
+each grid on two worker processes. Every file it writes is hashed (sha256),
+and on one CPU, where each grid runs in process, the matrix must write the
+same files. Nothing writes a baseline's nets, so every net of each
+algorithm, trained in-process on the same config at seed 1, is fingerprinted
+too.
 
 On the platform `golden/digests.json` records (numpy, BLAS, OpenBLAS kernel,
 machine), the digests and fingerprints must equal the recorded ones. Other
@@ -24,7 +26,6 @@ directory and writes its digests and fingerprints to RESULT as JSON.
 from __future__ import annotations
 
 import ctypes
-import glob
 import hashlib
 import json
 import os
@@ -40,8 +41,11 @@ import fedassoc
 from fedassoc.agents import EVAL_BLOCK, FederatedTrainer
 from fedassoc.cli import main as cli_main
 from fedassoc.env import EdgeAssocEnv
-from fedassoc.harness import ALGORITHMS, TRAINERS, config_from_dict, derive_seeds
+from fedassoc.harness import (
+    ALGORITHMS, TRAINERS, config_from_dict, derive_seeds, openblas_function,
+)
 from fedassoc.nn import net_fingerprint
+from processes import usable_cpus
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 # The directory of the training runs and the prefix of the net fingerprints;
@@ -122,17 +126,14 @@ def collect() -> dict[str, dict[str, str]]:
 def _openblas_core():
     """The OpenBLAS kernel numpy's bundled library runs (e.g. "SkylakeX"), or
     None when there is none to ask."""
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
-    for path in glob.glob(pattern):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
-                       "openblas_get_corename"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
-    return None
+    corename = openblas_function(
+        "scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"
+    )
+    if corename is None:
+        return None
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def platform_key() -> dict:
@@ -182,10 +183,12 @@ def _child_run(directory: Path) -> dict:
 
 @pytest.fixture(scope="module")
 def golden(tmp_path_factory):
-    """The matrix's directory and what `collect` returned for it."""
+    """The matrix's directory and what `collect` returned for it, with every
+    grid on two workers."""
     root = tmp_path_factory.mktemp("golden")
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
+        usable_cpus(mp, 2)
         return root, collect()
 
 
@@ -212,6 +215,14 @@ def test_outputs_are_byte_identical(golden, reference, section, capsys):
     found = [f"{entry}: {status}" for part, entry, status in differences(expected, actual)
              if part == section]
     assert not found, f"{len(found)} {what} differ:\n" + "\n".join(found[:30])
+
+
+def test_one_cpu_writes_the_bytes_of_two_workers(golden, tmp_path, monkeypatch):
+    _, actual = golden
+    monkeypatch.chdir(tmp_path)
+    usable_cpus(monkeypatch, 1)
+    run_matrix()
+    assert file_digests(tmp_path) == actual["files"]
 
 
 def test_lone_evaluation_is_the_first_record_of_blocks(golden):

@@ -1,13 +1,18 @@
 """Config ingestion, experiment outputs, summaries and sweeps."""
 
+import concurrent.futures
 import dataclasses
 import json
+import os
 import re
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fedassoc import harness
 from fedassoc.cli import build_parser, main as cli_main
 from fedassoc.harness import (
     ALGORITHMS,
@@ -29,6 +34,7 @@ from fedassoc.agents import FederatedTrainer, TrainerConfig
 from fedassoc.env import EdgeAssocEnv, EnvConfig
 from fedassoc.metrics import EpisodeRecord, read_metrics_csv, record_cells, write_metrics_csv
 from fedassoc.nn import load_net, net_fingerprint
+from processes import blas_threads, usable_cpus
 
 
 def tiny_config(out_dir, fedavg_period=5, **run_overrides):
@@ -238,15 +244,13 @@ def test_run_experiment_bookkeeping(tmp_path):
     assert (tmp_path / "runs" / "checkpoints" / "proposed_seed1").is_dir()
 
 
-def test_run_experiment_is_byte_identical(tmp_path):
-    """Runs in process ("a", "b") and in a pool of two workers ("pool") write
-    the same bytes."""
+def test_run_experiment_is_byte_identical(tmp_path, monkeypatch):
+    """Runs on one CPU, in process ("a", "b"), and on two, in a pool of two
+    workers ("pool"), write the same bytes."""
     algos = ("proposed", "cdrl", "imarl", "fmarl-avg")
-    for name, workers in (("a", 1), ("b", 1), ("pool", 2)):
-        run_experiment(
-            tiny_config(tmp_path / name, fedavg_period=2, algos=algos, per_ts_log=True),
-            workers=workers,
-        )
+    for name, cpus in (("a", 1), ("b", 1), ("pool", 2)):
+        usable_cpus(monkeypatch, cpus)
+        run_experiment(tiny_config(tmp_path / name, fedavg_period=2, algos=algos, per_ts_log=True))
     # fmarl-avg is imarl until its first average, after episode 2.
     for seed in (1, 2, 3):
         imarl, fmarl = (
@@ -423,6 +427,91 @@ def test_cli_sweep(tmp_path):
     ])
     assert rc == 0
     assert (tmp_path / "runs" / "sweep_sigma" / "sweep_sigma.csv").exists()
+
+
+def file_bytes(root):
+    """The bytes of every file under `root`, by relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_a_sweep_runs_as_one_grid(tmp_path, monkeypatch):
+    """A one-seed σ sweep of two values sends both tasks to one pool of two
+    workers, and writes what it writes in process on one CPU, byte for byte."""
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            pools.append((max_workers, []))
+
+        def submit(self, fn, /, *args, **kwargs):
+            trainer_cfg, algo, seed = args[1:4]
+            pools[-1][1].append((algo, seed, trainer_cfg.share_noise_std))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    config = str(cli_config(tmp_path))
+    for cpus in (2, 1):
+        usable_cpus(monkeypatch, cpus)
+        (tmp_path / f"cpus{cpus}").mkdir()
+        monkeypatch.chdir(tmp_path / f"cpus{cpus}")
+        argv = ["--config", config, "--algo", "proposed", "--seed", "1", "--sweep", "sigma",
+                "--values", "0,1", "--out", "runs"]
+        assert cli_main(argv) == 0
+    assert pools == [(2, [("proposed", 1, 0.0), ("proposed", 1, 1.0)])]
+    pooled, in_process = (file_bytes(tmp_path / f"cpus{cpus}") for cpus in (2, 1))
+    assert "runs/sweep_sigma/sigma_1/checkpoints/proposed_seed1/replay.npz" in pooled
+    assert pooled == in_process
+
+
+def failing_on_seed_1(env_cfg, trainer_cfg, algo, seed, per_ts_log, checkpoint_dir):
+    """Stands in for `run_single` in a pool: notes the task's seed and
+    process, then fails on seed 1 and takes 0.3 s on any other."""
+    started = Path(checkpoint_dir).parents[1] / "started"
+    started.mkdir(exist_ok=True)
+    (started / str(seed)).write_text(str(os.getpid()))
+    if seed == 1:
+        raise RuntimeError("seed 1 failed")
+    time.sleep(0.3)
+    return [], None
+
+
+def test_a_failing_task_cancels_the_rest_of_its_grid(tmp_path, monkeypatch, capsys):
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "run_single", failing_on_seed_1)
+    seeds = range(1, 13)
+    argv = ["--config", str(cli_config(tmp_path)), "--algo", "imarl"]
+    assert cli_main(argv + [arg for seed in seeds for arg in ("--seed", str(seed))]) == 2
+    assert capsys.readouterr().err == "error: seed 1 failed\n"
+    started = {
+        int(p.name): int(p.read_text()) for p in (tmp_path / "runs" / "started").iterdir()
+    }
+    # The pool holds a few tasks beyond its two running ones; the last never start.
+    assert 1 in started and len(started) < len(seeds)
+    for pid in set(started.values()):
+        assert pid != os.getpid()
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def blas_threads_of_task(*task):
+    """Stands in for `run_single`: the BLAS threads of the process that ran `task`."""
+    return blas_threads()
+
+
+def test_grid_workers_run_one_blas_thread(monkeypatch):
+    threads = blas_threads()
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS whose threads can be read")
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "run_single", blas_threads_of_task)
+    harness.set_blas_threads(2)
+    try:
+        tasks = [(None, None, "proposed", seed, False, None) for seed in (1, 2)]
+        assert harness._run_grid(tasks) == [1, 1]
+        assert blas_threads() == 2
+    finally:
+        harness.set_blas_threads(threads)
 
 
 def test_cli_eval_from_checkpoint(tmp_path):
