@@ -228,7 +228,7 @@ class ExperimentResult:
     out_dir: Path
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """The CPUs this process may run on (`taskset` narrows them)."""
     try:
         return len(os.sched_getaffinity(0))
@@ -273,7 +273,7 @@ def _run_grid(tasks: list[tuple]) -> list:
     OpenBLAS threads spin while they wait, so two workers of two threads on
     two CPUs ran a 2-seed grid several times slower than one process did.
     """
-    workers = min(len(tasks), _usable_cpus())
+    workers = min(len(tasks), usable_cpus())
     if workers <= 1:
         return [run_single(*task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor

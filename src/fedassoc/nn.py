@@ -255,15 +255,14 @@ def _clip_scale(norm: float, max_norm: float) -> float:
 
 
 def _joint_norm(grad_sets: Iterable[DenseNet]) -> float:
-    """The L2 norm of all `grad_sets` together: one dot product per layer
-    array, summed in `params` order (w0, b0, w1, b1, ...) and set after set;
-    one dot over the whole array would round differently."""
-    total = 0.0
-    for g in grad_sets:
-        for w, b in zip(g.weights, g.biases):
-            for arr in (w.ravel(), b):
-                total += float(np.dot(arr, arr))
-    return float(np.sqrt(total))
+    """The L2 norm of all `grad_sets` together: each set's squared norm is a
+    numpy sum over its flat `params`, summed set after set.
+
+    Not a BLAS dot (`np.dot`, `@`, `np.linalg.norm`): OpenBLAS splits a dot
+    of more than 10 000 values across its threads, so its rounding, and every
+    net a clipped step writes, would depend on the BLAS thread count.
+    """
+    return float(np.sqrt(sum(float(np.square(g.params).sum()) for g in grad_sets)))
 
 
 def sgd_step(

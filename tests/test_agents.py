@@ -1,10 +1,14 @@
 """Sharing primitives, joint-action math and the federated trainer."""
 
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +26,11 @@ from fedassoc.agents import (
     joint_q,
 )
 from fedassoc.env import EdgeAssocEnv, EnvConfig
+from fedassoc.harness import usable_cpus
 from fedassoc.nn import clone, forward, init_net, linear_schedule, net_fingerprint
 from fedassoc.replay import Batch
 from reference_replay import all_rows, same_arrays
+from processes import blas_threads
 from toy_env import ToyEnv, separable_table, toy_trainer_cfg
 
 
@@ -806,6 +812,44 @@ def test_diverging_run_raises_one_error_and_warns_nothing(lr):
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="non-finite training loss"):
             trainer.run()
+
+
+# A short default-dims proposed run, in a child process: its BLAS thread
+# count, then the fingerprint of each net of the pair.
+_THREADS_CHILD = """
+from fedassoc.agents import FederatedTrainer, TrainerConfig
+from fedassoc.env import EdgeAssocEnv, EnvConfig
+from fedassoc.nn import net_fingerprint
+from processes import blas_threads
+trainer = FederatedTrainer(EdgeAssocEnv(EnvConfig(), 1), TrainerConfig(episodes=5), 2)
+trainer.run()
+print(blas_threads(), *(net_fingerprint(net) for net in vars(trainer.pair).values()))
+"""
+
+
+def test_training_writes_the_same_nets_at_one_and_two_blas_threads():
+    """OpenBLAS splits a dot of more than 10 000 values across its threads.
+    The joint head's weight gradient holds 20 480, and most steps clip, so a
+    norm taken by BLAS would change the nets with the thread count."""
+    if usable_cpus() < 2:
+        pytest.skip("OpenBLAS runs one thread on fewer than 2 CPUs")
+    if blas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS whose threads can be read")
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    children = {
+        threads: subprocess.Popen(
+            [sys.executable, "-c", _THREADS_CHILD], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path},
+        )
+        for threads in (1, 2)
+    }
+    lines = {}
+    for threads, child in children.items():
+        lines[threads] = child.communicate(timeout=120)[0].split()
+        assert child.returncode == 0
+    assert [lines[threads][0] for threads in (1, 2)] == ["1", "2"]
+    assert lines[1][1:] == lines[2][1:]
 
 
 def test_greedy_evaluation_runs_without_learning(tmp_path):

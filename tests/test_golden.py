@@ -45,7 +45,7 @@ from fedassoc.harness import (
     ALGORITHMS, TRAINERS, config_from_dict, derive_seeds, openblas_function,
 )
 from fedassoc.nn import net_fingerprint
-from processes import usable_cpus
+from processes import force_cpus
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 # The directory of the training runs and the prefix of the net fingerprints;
@@ -188,7 +188,7 @@ def golden(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
-        usable_cpus(mp, 2)
+        force_cpus(mp, 2)
         return root, collect()
 
 
@@ -220,7 +220,7 @@ def test_outputs_are_byte_identical(golden, reference, section, capsys):
 def test_one_cpu_writes_the_bytes_of_two_workers(golden, tmp_path, monkeypatch):
     _, actual = golden
     monkeypatch.chdir(tmp_path)
-    usable_cpus(monkeypatch, 1)
+    force_cpus(monkeypatch, 1)
     run_matrix()
     assert file_digests(tmp_path) == actual["files"]
 

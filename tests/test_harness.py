@@ -34,7 +34,7 @@ from fedassoc.agents import FederatedTrainer, TrainerConfig
 from fedassoc.env import EdgeAssocEnv, EnvConfig
 from fedassoc.metrics import EpisodeRecord, read_metrics_csv, record_cells, write_metrics_csv
 from fedassoc.nn import load_net, net_fingerprint
-from processes import blas_threads, usable_cpus
+from processes import blas_threads, force_cpus
 
 
 def tiny_config(out_dir, fedavg_period=5, **run_overrides):
@@ -249,7 +249,7 @@ def test_run_experiment_is_byte_identical(tmp_path, monkeypatch):
     workers ("pool"), write the same bytes."""
     algos = ("proposed", "cdrl", "imarl", "fmarl-avg")
     for name, cpus in (("a", 1), ("b", 1), ("pool", 2)):
-        usable_cpus(monkeypatch, cpus)
+        force_cpus(monkeypatch, cpus)
         run_experiment(tiny_config(tmp_path / name, fedavg_period=2, algos=algos, per_ts_log=True))
     # fmarl-avg is imarl until its first average, after episode 2.
     for seed in (1, 2, 3):
@@ -452,7 +452,7 @@ def test_a_sweep_runs_as_one_grid(tmp_path, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     config = str(cli_config(tmp_path))
     for cpus in (2, 1):
-        usable_cpus(monkeypatch, cpus)
+        force_cpus(monkeypatch, cpus)
         (tmp_path / f"cpus{cpus}").mkdir()
         monkeypatch.chdir(tmp_path / f"cpus{cpus}")
         argv = ["--config", config, "--algo", "proposed", "--seed", "1", "--sweep", "sigma",
@@ -477,7 +477,7 @@ def failing_on_seed_1(env_cfg, trainer_cfg, algo, seed, per_ts_log, checkpoint_d
 
 
 def test_a_failing_task_cancels_the_rest_of_its_grid(tmp_path, monkeypatch, capsys):
-    usable_cpus(monkeypatch, 2)
+    force_cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "run_single", failing_on_seed_1)
     seeds = range(1, 13)
     argv = ["--config", str(cli_config(tmp_path)), "--algo", "imarl"]
@@ -503,7 +503,7 @@ def test_grid_workers_run_one_blas_thread(monkeypatch):
     threads = blas_threads()
     if threads is None:
         pytest.skip("numpy bundles no OpenBLAS whose threads can be read")
-    usable_cpus(monkeypatch, 2)
+    force_cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "run_single", blas_threads_of_task)
     harness.set_blas_threads(2)
     try:

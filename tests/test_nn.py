@@ -456,17 +456,14 @@ def test_sgd_step_matches_clip_then_apply():
                 assert np.allclose(n.params, r.params, rtol=1e-13, atol=1e-15)
 
 
-def test_sgd_step_norm_sums_each_layer_array_in_file_order():
-    # One dot over the whole flat array rounds differently for most such sets.
+def test_sgd_step_norm_is_a_numpy_sum_over_each_set():
+    # A numpy reduction over each set's flat params, set after set: a BLAS dot
+    # rounds differently, and by the BLAS thread count.
     rng = np.random.default_rng(21)
     for _ in range(20):
         nets = [init_net((14, 80, 16), rng), init_net((32, 80, 256), rng)]
         grads = [DenseNet(n.dims, rng.standard_normal(n.params.size)) for n in nets]
-        total = 0.0
-        for g in grads:
-            for dw, db in zip(g.weights, g.biases):
-                total += float(np.dot(dw.ravel(), dw.ravel()))
-                total += float(np.dot(db, db))
+        total = sum(float(np.square(g.params).sum()) for g in grads)
         assert sgd_step(list(zip(nets, grads)), 0.0) == float(np.sqrt(total))
 
 
