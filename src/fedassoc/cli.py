@@ -148,7 +148,7 @@ def main(argv=None) -> int:
         result = run_experiment(cfg)
         print(f"wrote {result.out_dir}")
         return 0
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .checks import check_fields
+from .checks import _as_float, check_fields
 
 # Geometry of the two-lane freeway (m). Lanes carry the vehicles, the RSU rows
 # sit beyond the outer shoulders.
@@ -82,6 +82,11 @@ class EnvConfig:
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
+        if not math.isfinite(self.road_length * _as_float(rsus - 1)):
+            raise ValueError(
+                "road_length times num_rsus - 1 must be finite (the RSU layout multiplies "
+                f"them), got road_length {self.road_length} and num_rsus {rsus}"
+            )
         for name in ("weight_rate", "weight_handover", "weight_power", "speed_memory"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -631,6 +631,10 @@ def test_cli_reports_errors(tmp_path, capsys):
         ({"grad_clip": float("nan")}, "grad_clip must be a number, not NaN, got nan"),
         # Integers too large for a float are not finite.
         ({"road_length": 10**400}, "road_length must be finite"),
+        # The RSU layout multiplies road_length by num_rsus - 1.
+        ({"road_length": 1e308}, "road_length times num_rsus - 1 must be finite (the RSU "
+         "layout multiplies them), got road_length 1e+308 and num_rsus 12"),
+        ({"road_length": 2e307, "num_rsus": 10}, "got road_length 2e+307 and num_rsus 10"),
         ({"epsilon": 10**400}, "epsilon must be finite"),
         # Flags and sweep values are overrides, checked like the file's keys.
         ({}, "episodes must be >= 1", "--episodes", "0"),
@@ -650,6 +654,17 @@ def test_cli_reports_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
     assert not (tmp_path / "runs").exists()
+
+
+def test_cli_reports_an_array_too_large_to_allocate(tmp_path, capsys):
+    """Local nets of 2**29 by 2**30 hidden units need 4 EiB: more than any
+    64-bit CPU's address space (at most 2**57 bytes) can map, so the
+    allocation fails at once and allocates nothing."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"local_hidden": [2**29, 2**30], "out_dir": str(tmp_path / "runs")}))
+    assert cli_main(["--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 4.00 EiB") and err.count("\n") == 1
 
 
 def test_cli_rejects_non_string_out_dir(tmp_path, capsys, monkeypatch):

@@ -93,6 +93,8 @@ def test_invalid_configs_rejected():
         dict(mean_speeds=(float("inf"), 7.0)),
         dict(coverage_radius=float("nan")),
         dict(road_length=float("inf")),
+        dict(road_length=1e308),
+        dict(road_length=2e307, num_rsus=10),
         dict(noise_dbm=float("-inf")),
         dict(y_scale=0.0),
         dict(gain_db_low=-40.0),
