@@ -104,3 +104,35 @@ def test_a_wide_parent_spread_is_unresolved_and_a_failed_run_fails(tmp_path, cap
 
     assert bench_pairs.main(argv, runner=failing, record_dir=tmp_path) == 1
     assert "operations failed" in capsys.readouterr().out
+
+
+# A perfbench/run.py that spends 0.1 s of CPU, touches 8 MB and prints
+# canned output for its workload and seed.
+FAKE_RUN = """
+import sys, time
+workload, seed = sys.argv[sys.argv.index("--workload") + 1], int(sys.argv[sys.argv.index("--seed") + 1])
+while time.process_time() < 0.1:
+    pass
+bytearray(8 << 20)
+print({text!r}.replace("WORKLOAD", workload).replace("SEED", str(seed)))
+"""
+
+
+def test_each_run_reports_its_cpu_seconds_and_minor_faults(tmp_path, capsys):
+    argv = trees(tmp_path) + ["--workload", "train-proposed", "--seeds", "1-2", "--record", "cpu"]
+    text = canned("WORKLOAD", 0, 600.0, 47.0).replace('"seed": 0', '"seed": SEED')
+    for side in bench_pairs.SIDES:
+        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN.format(text=text))
+    assert bench_pairs.main(argv, record_dir=tmp_path) == 0
+    (path,) = tmp_path.glob("BENCH_*_cpu.json")
+    saved = json.loads(path.read_text())
+    assert [run["record"]["seed"] for run in saved["runs"]] == [1, 1, 2, 2]
+    for run in saved["runs"]:
+        assert run["metrics"]["ts_per_s"] == 600.0
+        cpu = run["metrics"]["cpu_user_s"] + run["metrics"]["cpu_sys_s"]
+        assert 0.1 <= cpu < 5.0 and run["metrics"]["cpu_sys_s"] >= 0.0
+        assert run["metrics"]["minor_faults"] > 0
+    rows = {r["metric"]: r for r in saved["summary"]}
+    for name in ("cpu_user_s", "minor_faults"):
+        assert rows[name]["bound"] is None and rows[name]["won"] is not None
+    assert "| `cpu_user_s` |" in capsys.readouterr().out

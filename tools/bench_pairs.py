@@ -11,6 +11,11 @@ seeds the change. N is the `run_seconds` of BENCHMARK.json, the run length
 the benchmark fixes. Each run prints a `record {...}` line, one
 `name value unit` line per metric and a JSON result line last.
 
+Each run's metrics gain three that move less with host load than wall time:
+the user and system CPU seconds and the minor page faults of the run and of
+the set-up probes it starts (`cpu_user_s`, `cpu_sys_s`, `minor_faults`).
+BENCHMARK.json bounds none of them.
+
 The table gives, per workload and metric, each side's median [q1, q3], the
 change in the median, the pairs the change won (ties count for neither) and
 the parent's interquartile range over its median. An end-to-end metric of
@@ -26,6 +31,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -33,6 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# The getrusage field of each metric that run_once adds; lower is better.
+RUSAGE_METRICS = {"cpu_user_s": "ru_utime", "cpu_sys_s": "ru_stime", "minor_faults": "ru_minflt"}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -64,10 +72,16 @@ def parse_run(stdout: str) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One perfbench run, with the rusage of the run and its set-up probes."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    return {**parse_run(proc.stdout), "exit": proc.returncode}
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    run = parse_run(proc.stdout)
+    for name, field in RUSAGE_METRICS.items():
+        run["metrics"][name] = float(getattr(after, field) - getattr(before, field))
+    return {**run, "exit": proc.returncode}
 
 
 def run_pairs(trees: dict, workloads, seeds, seconds: int, runner=run_once) -> list[dict]:
@@ -91,7 +105,8 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(runs: list[dict], bench: dict) -> list[dict]:
     """One row per workload and metric that some run reported as non-zero."""
-    better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    better = {name: "lower" for name in RUSAGE_METRICS}
+    better.update((m["name"], m["better"]) for m in bench["end_to_end"] + bench["per_layer"])
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     rows = []
     for workload in dict.fromkeys(run["workload"] for run in runs):
