@@ -276,9 +276,15 @@ def _run_grid(tasks: list[tuple]) -> list:
     workers = min(len(tasks), usable_cpus())
     if workers <= 1:
         return [run_single(*task) for task in tasks]
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, initializer=set_blas_threads, initargs=(1,)) as pool:
+    # Spawned workers start from a fresh import: a forked one would inherit
+    # this process's threads, BLAS threads among them, mid-flight.
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(
+        workers, mp_context=context, initializer=set_blas_threads, initargs=(1,)
+    ) as pool:
         futures = [pool.submit(run_single, *task) for task in tasks]
         try:
             return [future.result() for future in futures]
