@@ -1,5 +1,6 @@
 """Test helpers for the CPUs a grid sees and the BLAS threads a process runs."""
 
+import ctypes
 import os
 
 from fedassoc.harness import openblas_function
@@ -18,4 +19,7 @@ def blas_threads():
         "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
         "openblas_get_num_threads",
     )
-    return None if get is None else get()
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
