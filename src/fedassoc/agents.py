@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import zipfile
 from contextlib import ExitStack, contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -163,6 +163,10 @@ def joint_q(mlp: DenseNet, own_q: np.ndarray, peer_q: np.ndarray) -> np.ndarray:
 # 64 would double that for no gain the runs above could tell apart.
 EVAL_BLOCK = 32
 
+# The newest checkpoint layout `Trainer.save` writes, and `Trainer.load` reads:
+# every net as `<name>.net`, the replay as `replay.npz`, the rest `state.json`.
+CHECKPOINT_FORMAT = 1
+
 
 class Trainer:
     """The episode loop every algorithm runs, so their results compare fairly.
@@ -171,8 +175,8 @@ class Trainer:
     holding both vehicles' views and, once the buffer holds a batch, one
     sampled `update` and a target sync every `target_sync` updates. Epsilon
     and the learning rate follow their episode schedules. Subclasses define
-    `init_nets`, `select_actions`, `update` and `sync_targets`, and may hook
-    `end_episode` and `share_noise`.
+    `algo`, `net_dims`, `init_nets`, `named_nets`, `select_actions`, `update`
+    and `sync_targets`, and may hook `end_episode` and `share_noise`.
 
     The seed spawns four streams: network init, exploration, replay sampling
     and sharing noise (drawn only by the federated pair).
@@ -187,7 +191,21 @@ class Trainer:
     starts a block of one. An env also names its episode length `horizon`.
     """
 
-    def __init__(self, env, cfg: TrainerConfig, seed: int):
+    # The algorithm's name, as a checkpoint's `state.json` records it. Each
+    # class that sets one is listed under it in `Trainer.classes`, and
+    # `Trainer.load` builds the class a checkpoint names from there.
+    algo = ""
+    classes: dict[str, type["Trainer"]] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "algo" in vars(cls):
+            Trainer.classes[cls.algo] = cls
+
+    def __init__(self, env, cfg: TrainerConfig, seed: int, nets: Optional[dict] = None):
+        """`nets` gives each net `net_dims` names, as `load` reads them.
+        Without it the seed's init stream draws each main net in `net_dims`
+        order, and each `<name>_target` starts as a copy of `<name>`."""
         cfg.validate()
         if env.num_agents != 2:
             raise ValueError(f"{type(self).__name__} drives exactly two agents")
@@ -198,12 +216,28 @@ class Trainer:
         self.rng_explore = np.random.default_rng(explore_ss)
         self.rng_sample = np.random.default_rng(sample_ss)
         self.rng_noise = np.random.default_rng(noise_ss)
-        self.init_nets(np.random.default_rng(init_ss))
+        if nets is None:
+            rng_init, nets = np.random.default_rng(init_ss), {}
+            for name, dims in self.net_dims(env, cfg).items():
+                main = name.removesuffix("_target")
+                nets[name] = clone(nets[main]) if main != name else init_net(dims, rng_init)
+        self.init_nets(nets)
         self.buffer = ReplayBuffer(cfg.replay_capacity, env.obs_dim)
         self.train_steps = 0
         self.episode = 0
 
-    def init_nets(self, rng_init: np.random.Generator) -> None:
+    @classmethod
+    def net_dims(cls, env, cfg: TrainerConfig) -> dict[str, tuple[int, ...]]:
+        """The dims of each net on `env` under `cfg`, by name; a checkpoint
+        holds each as `<name>.net`."""
+        raise NotImplementedError
+
+    def init_nets(self, nets: dict[str, DenseNet]) -> None:
+        """Take the nets that `net_dims` names."""
+        raise NotImplementedError
+
+    def named_nets(self) -> dict[str, DenseNet]:
+        """The trainer's current nets, by the names of `net_dims`."""
         raise NotImplementedError
 
     def select_actions(self, obs_vecs, eps: float, noise=None):
@@ -306,6 +340,119 @@ class Trainer:
             records.extend(acc.add(scored, first, 0.0, 0.0))
         return records
 
+    # -- checkpointing -----------------------------------------------------------
+
+    def save(self, directory) -> None:
+        """Write each net of `named_nets` as `<name>.net`, the replay's filled
+        rows as `replay.npz`, and `state.json`: the checkpoint's `format` and
+        `algo`, the config, the counters, the random streams and the env state."""
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, net in self.named_nets().items():
+            save_net(directory / f"{name}.net", net)
+        _write_npz(directory / "replay.npz", self.buffer.state_rows())
+        state = {
+            "format": CHECKPOINT_FORMAT,
+            "algo": self.algo,
+            "cfg": asdict(self.cfg),
+            "episode": self.episode,
+            "train_steps": self.train_steps,
+            "rng_explore": self.rng_explore.bit_generator.state,
+            "rng_sample": self.rng_sample.bit_generator.state,
+            "rng_noise": self.rng_noise.bit_generator.state,
+            "env_state": self.env.get_state(),
+        }
+        with open(directory / "state.json", "w") as fh:
+            json.dump(state, fh, indent=1)
+
+    @classmethod
+    def load(cls, directory, env) -> "Trainer":
+        """Restore a saved trainer; a malformed file raises ValueError naming it.
+
+        `Trainer.load` builds the class of the checkpoint's `algo`
+        (`Trainer.classes`), and a subclass's `load` only a checkpoint of its
+        own `algo`. A `state.json` without `format` is of format 1, and one
+        without `algo` is a proposed checkpoint, as they were before either
+        key was written. The files are read and checked in this order:
+
+        1. `state.json`, parsed once: its `format` (none newer than
+           `CHECKPOINT_FORMAT`) and `algo` first, then its world is compared
+           with `env`'s, then its config and counters are checked;
+        2. each `<name>.net`, checked against the dims the config gives that
+           net (`net_dims`);
+        3. the trainer is built on the nets read, so no net is drawn, and
+           takes the counters and random streams of `state.json`;
+        4. `replay.npz`: `meta` and each array's shape and dtype, from the
+           array headers, are checked before the first write. Then the arrays
+           are read in blocks into the trainer's own buffer
+           (`ReplayBuffer.load_state_arrays`), and its filled rows are
+           checked, a block at a time.
+
+        A load thus holds the buffer, the nets and a few blocks of replay rows.
+        `env` takes the checkpoint's env state last, once every file has been
+        read and checked, so a failed load leaves it unchanged.
+        """
+        directory = Path(directory)
+        path = directory / "state.json"
+        with _errors_name(path):
+            state = json.loads(path.read_text())
+            if not isinstance(state, dict):
+                raise ValueError(f"must hold a JSON object, got {type(state).__name__}")
+            version = state.get("format", 1)
+            if not is_integer(version) or version < 1:
+                raise ValueError(f"format must be an integer >= 1, got {version!r}")
+            if version > CHECKPOINT_FORMAT:
+                raise ValueError(
+                    f"format {version} is newer than format {CHECKPOINT_FORMAT}, "
+                    "the newest this version reads"
+                )
+            algo = state.get("algo", "proposed")
+            if not isinstance(algo, str) or algo not in Trainer.classes:
+                raise ValueError(f"unknown algo {algo!r}; choose from {tuple(Trainer.classes)}")
+            if cls is Trainer:
+                cls = Trainer.classes[algo]
+            elif algo != cls.algo:
+                raise ValueError(f"a {algo} checkpoint, but {cls.__name__} loads {cls.algo} ones")
+            env_state = state["env_state"]
+            env.check_state(env_state)
+            cfg = config_from_json(TrainerConfig, state["cfg"])
+            cfg.validate()
+            for name in ("episode", "train_steps"):
+                if not is_integer(state[name]) or state[name] < 0:
+                    raise ValueError(f"{name} must be an integer >= 0, got {state[name]!r}")
+        nets = {}
+        for name, dims in cls.net_dims(env, cfg).items():
+            net_path = directory / f"{name}.net"
+            net = nets[name] = load_net(net_path)
+            if net.dims != dims:
+                raise ValueError(
+                    f"{net_path}: a net of dims {net.dims}, but "
+                    f"the checkpoint's config builds a net of dims {dims}"
+                )
+        with _errors_name(path):
+            trainer = cls(env, cfg, seed=0, nets=nets)
+            trainer.episode, trainer.train_steps = state["episode"], state["train_steps"]
+            for name in ("rng_explore", "rng_sample", "rng_noise"):
+                getattr(trainer, name).bit_generator.state = state[name]
+        replay_path = directory / "replay.npz"
+        try:
+            with zipfile.ZipFile(replay_path) as archive, ExitStack() as members:
+                trainer.buffer.load_state_arrays({
+                    member.removesuffix(".npy"): _NpyMember(
+                        members.enter_context(archive.open(member))
+                    )
+                    for member in archive.namelist()
+                    if member.endswith(".npy")
+                })
+            _check_replay_rows(trainer.buffer, trainer.num_actions)
+        except KeyError as exc:
+            raise ValueError(f"{replay_path}: missing array {exc}") from exc
+        except (ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{replay_path}: {exc}") from exc
+        with _errors_name(path):
+            env.set_state(env_state)
+        return trainer
+
 
 # --------------------------------------------------------------------------
 # The federated agent pair
@@ -320,18 +467,6 @@ class FederatedAgentPair:
     follow: DenseNet
     mlp: DenseNet
     mlp_target: DenseNet
-
-
-# A checkpoint holds each network of the pair as `<field>.net`.
-_NET_NAMES = tuple(f.name for f in fields(FederatedAgentPair))
-
-
-def _pair_dims(env, cfg: TrainerConfig) -> dict[str, tuple[int, ...]]:
-    """The dims of each net of the pair on `env` under `cfg`, by field name."""
-    a = env.num_actions
-    local = (env.obs_dim, *cfg.local_hidden, a)
-    mlp = (2 * a, *cfg.mlp_hidden, a * a)
-    return {"lead": local, "lead_target": local, "follow": local, "mlp": mlp, "mlp_target": mlp}
 
 
 class FederatedTrainer(Trainer):
@@ -359,30 +494,23 @@ class FederatedTrainer(Trainer):
       follower's update carries its raw Q-rows.
     """
 
-    def __init__(
-        self, env, cfg: TrainerConfig, seed: int, pair: Optional[FederatedAgentPair] = None
-    ):
-        """`pair` gives the five nets, as `load` reads them; without it
-        `init_nets` draws them from the seed's init stream."""
-        self.pair = pair
-        super().__init__(env, cfg, seed)
+    algo = "proposed"
 
-    def init_nets(self, rng_init: np.random.Generator) -> None:
-        if self.pair is None:
-            dims = _pair_dims(self.env, self.cfg)
-            lead = init_net(dims["lead"], rng_init)
-            follow = init_net(dims["follow"], rng_init)
-            mlp = init_net(dims["mlp"], rng_init)
-            self.pair = FederatedAgentPair(
-                lead=lead,
-                lead_target=clone(lead),
-                follow=follow,
-                mlp=mlp,
-                mlp_target=clone(mlp),
-            )
+    @classmethod
+    def net_dims(cls, env, cfg: TrainerConfig) -> dict[str, tuple[int, ...]]:
+        a = env.num_actions
+        local = (env.obs_dim, *cfg.local_hidden, a)
+        mlp = (2 * a, *cfg.mlp_hidden, a * a)
+        return {"lead": local, "lead_target": local, "follow": local, "mlp": mlp, "mlp_target": mlp}
+
+    def init_nets(self, nets: dict[str, DenseNet]) -> None:
+        self.pair = FederatedAgentPair(**nets)
         # One gradient buffer per trained net, made at its first backward and
         # rewritten by each later one; `load` gives nets of the same dims.
         self.grads: dict[str, DenseNet] = {}
+
+    def named_nets(self) -> dict[str, DenseNet]:
+        return dict(vars(self.pair))
 
     def _grads(self, name: str) -> DenseNet:
         grads = self.grads.get(name)
@@ -493,91 +621,14 @@ class FederatedTrainer(Trainer):
 
     # -- checkpointing ---------------------------------------------------------------
 
+    # `Trainer.save` and `Trainer.load`, named here too so that a profiler that
+    # patches this class's own methods (perfbench's tracer) times the pair's.
     def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name in _NET_NAMES:
-            save_net(directory / f"{name}.net", getattr(self.pair, name))
-        _write_npz(directory / "replay.npz", self.buffer.state_rows())
-        state = {
-            "cfg": asdict(self.cfg),
-            "episode": self.episode,
-            "train_steps": self.train_steps,
-            "rng_explore": self.rng_explore.bit_generator.state,
-            "rng_sample": self.rng_sample.bit_generator.state,
-            "rng_noise": self.rng_noise.bit_generator.state,
-            "env_state": self.env.get_state(),
-        }
-        with open(directory / "state.json", "w") as fh:
-            json.dump(state, fh, indent=1)
+        super().save(directory)
 
     @classmethod
     def load(cls, directory, env) -> "FederatedTrainer":
-        """Restore a saved trainer; a malformed file raises ValueError naming it.
-
-        The files are read and checked in this order:
-
-        1. `state.json`: its world is compared with `env`'s first, then its
-           config and counters are checked;
-        2. each `<field>.net`, checked against the dims the config gives that
-           net (`_pair_dims`);
-        3. the trainer is built on the nets read, so no net is drawn, and
-           takes the counters and random streams of `state.json`;
-        4. `replay.npz`: `meta` and each array's shape and dtype, from the
-           array headers, are checked before the first write. Then the arrays
-           are read in blocks into the trainer's own buffer
-           (`ReplayBuffer.load_state_arrays`), and its filled rows are
-           checked, a block at a time.
-
-        A load thus holds the buffer, the nets and a few blocks of replay rows.
-        `env` takes the checkpoint's env state last, once every file has been
-        read and checked, so a failed load leaves it unchanged.
-        """
-        directory = Path(directory)
-        path = directory / "state.json"
-        with _errors_name(path):
-            state = json.loads(path.read_text())
-            if not isinstance(state, dict):
-                raise ValueError(f"must hold a JSON object, got {type(state).__name__}")
-            env_state = state["env_state"]
-            env.check_state(env_state)
-            cfg = config_from_json(TrainerConfig, state["cfg"])
-            cfg.validate()
-            for name in ("episode", "train_steps"):
-                if not is_integer(state[name]) or state[name] < 0:
-                    raise ValueError(f"{name} must be an integer >= 0, got {state[name]!r}")
-        nets = {}
-        for name, dims in _pair_dims(env, cfg).items():
-            net_path = directory / f"{name}.net"
-            net = nets[name] = load_net(net_path)
-            if net.dims != dims:
-                raise ValueError(
-                    f"{net_path}: a net of dims {net.dims}, but "
-                    f"the checkpoint's config builds a net of dims {dims}"
-                )
-        with _errors_name(path):
-            trainer = cls(env, cfg, seed=0, pair=FederatedAgentPair(**nets))
-            trainer.episode, trainer.train_steps = state["episode"], state["train_steps"]
-            for name in ("rng_explore", "rng_sample", "rng_noise"):
-                getattr(trainer, name).bit_generator.state = state[name]
-        replay_path = directory / "replay.npz"
-        try:
-            with zipfile.ZipFile(replay_path) as archive, ExitStack() as members:
-                trainer.buffer.load_state_arrays({
-                    member.removesuffix(".npy"): _NpyMember(
-                        members.enter_context(archive.open(member))
-                    )
-                    for member in archive.namelist()
-                    if member.endswith(".npy")
-                })
-            _check_replay_rows(trainer.buffer, trainer.num_actions)
-        except KeyError as exc:
-            raise ValueError(f"{replay_path}: missing array {exc}") from exc
-        except (ValueError, zipfile.BadZipFile) as exc:
-            raise ValueError(f"{replay_path}: {exc}") from exc
-        with _errors_name(path):
-            env.set_state(env_state)
-        return trainer
+        return super().load(directory, env)
 
 
 class _NpyMember:

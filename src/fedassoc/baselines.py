@@ -18,7 +18,6 @@ from .nn import (
     clone,
     copy_into_target,
     forward,
-    init_net,
     sgd_step,
     td_loss,
     zero_grads,
@@ -57,10 +56,10 @@ def fedavg(nets: list[DenseNet]) -> DenseNet:
 class _DdqnHead:
     """One DDQN learner: main net, frozen target, MSE update at taken actions."""
 
-    def __init__(self, dims, rng_init: np.random.Generator, cfg: TrainerConfig):
+    def __init__(self, net: DenseNet, target: DenseNet, cfg: TrainerConfig):
         self.cfg = cfg
-        self.net = init_net(dims, rng_init)
-        self.target = clone(self.net)
+        self.net = net
+        self.target = target
         # Made at the first update and rewritten by every later one; fedavg
         # puts in nets of the same dims.
         self.grads: Optional[DenseNet] = None
@@ -98,10 +97,19 @@ class CentralizedTrainer(Trainer):
     The replay keeps each vehicle's own action; updates compose the joint one.
     """
 
-    def init_nets(self, rng_init: np.random.Generator) -> None:
-        a = self.num_actions
-        dims = (2 * self.env.obs_dim, *self.cfg.local_hidden, a * a)
-        self.head = _DdqnHead(dims, rng_init, self.cfg)
+    algo = "cdrl"
+
+    @classmethod
+    def net_dims(cls, env, cfg: TrainerConfig) -> dict[str, tuple[int, ...]]:
+        a = env.num_actions
+        dims = (2 * env.obs_dim, *cfg.local_hidden, a * a)
+        return {"head": dims, "head_target": dims}
+
+    def init_nets(self, nets: dict[str, DenseNet]) -> None:
+        self.head = _DdqnHead(nets["head"], nets["head_target"], self.cfg)
+
+    def named_nets(self) -> dict[str, DenseNet]:
+        return {"head": self.head.net, "head_target": self.head.target}
 
     def select_actions(self, obs_vecs, eps: float, noise=None):
         values = self.head.values(np.concatenate(obs_vecs, axis=-1))
@@ -124,9 +132,26 @@ class CentralizedTrainer(Trainer):
 class IndependentTrainer(Trainer):
     """Two independent DDQNs on the shared reward (imarl)."""
 
-    def init_nets(self, rng_init: np.random.Generator) -> None:
-        dims = (self.env.obs_dim, *self.cfg.local_hidden, self.num_actions)
-        self.heads = [_DdqnHead(dims, rng_init, self.cfg) for _ in range(2)]
+    algo = "imarl"
+    # The vehicle of each head, in `heads` order.
+    _SIDES = ("lead", "follow")
+
+    @classmethod
+    def net_dims(cls, env, cfg: TrainerConfig) -> dict[str, tuple[int, ...]]:
+        dims = (env.obs_dim, *cfg.local_hidden, env.num_actions)
+        return {name: dims for side in cls._SIDES for name in (side, f"{side}_target")}
+
+    def init_nets(self, nets: dict[str, DenseNet]) -> None:
+        self.heads = [
+            _DdqnHead(nets[side], nets[f"{side}_target"], self.cfg) for side in self._SIDES
+        ]
+
+    def named_nets(self) -> dict[str, DenseNet]:
+        return {
+            name: net
+            for side, head in zip(self._SIDES, self.heads)
+            for name, net in ((side, head.net), (f"{side}_target", head.target))
+        }
 
     def select_actions(self, obs_vecs, eps: float, noise=None):
         return tuple(
@@ -151,6 +176,8 @@ class IndependentTrainer(Trainer):
 class FedAvgTrainer(IndependentTrainer):
     """Independent DDQNs whose main and target networks are replaced by their
     elementwise means every `cfg.fedavg_period` episodes (fmarl-avg)."""
+
+    algo = "fmarl-avg"
 
     def end_episode(self) -> None:
         if self.episode % self.cfg.fedavg_period:

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .agents import FederatedTrainer
+from .agents import Trainer
 from .env import EdgeAssocEnv
 from .harness import (
     ALGORITHMS,
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--eval",
         type=Path,
         metavar="CHECKPOINT",
-        help="greedy evaluation from a saved proposed-method checkpoint",
+        help="greedy evaluation from a saved checkpoint of any algorithm",
     )
     return parser
 
@@ -96,20 +96,28 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
 
 def _evaluate_checkpoint(
     cfg: ExperimentConfig, checkpoint: Path, episodes: int, sigma: Optional[float]
-) -> tuple[Path, float]:
-    """Write the greedy records of `checkpoint`, acting at `sigma` or, when it
-    is None, at the checkpoint's own share_noise_std; returns the path and σ."""
+) -> tuple[Path, Optional[float]]:
+    """Write the greedy records of `checkpoint`, of whichever algorithm it
+    names. A proposed one acts at `sigma` or, when it is None, at the
+    checkpoint's own share_noise_std; returns the path and that σ, or None
+    for the other algorithms, which share nothing."""
     # The seed is immaterial: the checkpoint's env state replaces every stream.
     env = EdgeAssocEnv(cfg.env, 0)
-    trainer = FederatedTrainer.load(checkpoint, env)
+    trainer = Trainer.load(checkpoint, env)
+    shares = trainer.algo == "proposed"
     if sigma is not None:
+        if not shares:
+            raise ValueError(
+                f"{checkpoint}: --sigma sets the sharing noise of proposed, "
+                f"but this is a {trainer.algo} checkpoint"
+            )
         trainer.cfg.share_noise_std = sigma
     records = trainer.evaluate(episodes)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "eval_metrics.csv"
     write_metrics_csv(path, records)
-    return path, trainer.cfg.share_noise_std
+    return path, trainer.cfg.share_noise_std if shares else None
 
 
 # `main` parses with one parser per process: building it costs about half a
@@ -127,7 +135,7 @@ def main(argv=None) -> int:
             episodes = cfg.eval_window if args.episodes is None else args.episodes
             # _apply_overrides has checked --sigma as a config value.
             path, sigma = _evaluate_checkpoint(cfg, args.eval, episodes, args.sigma)
-            print(f"wrote {path} at sigma {sigma!r}")
+            print(f"wrote {path}" if sigma is None else f"wrote {path} at sigma {sigma!r}")
             return 0
         if args.sweep:
             if not args.values:

@@ -18,12 +18,16 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .checks import _as_float, check_fields
+from .checks import check_fields
 
 # Geometry of the two-lane freeway (m). Lanes carry the vehicles, the RSU rows
 # sit beyond the outer shoulders.
 LANE_Y = (0.0, 4.0)
 RSU_ROW_Y = (-10.0, 14.0)
+
+# The most RSUs whose layout numpy can hold: one float64 coordinate per RSU,
+# in one array whose size in bytes fits an intp.
+MAX_RSUS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 # Sentinel location for "no RSU in this slot" / "no previous association",
 # in raw (pre-normalization) coordinates.
@@ -71,6 +75,11 @@ class EnvConfig:
             raise ValueError(f"num_rsus must be >= num_vehicles ({self.num_vehicles}), got {rsus}")
         if rsus % 2 != 0:
             raise ValueError(f"num_rsus must be even (equal counts per roadside), got {rsus}")
+        if rsus > MAX_RSUS:
+            raise ValueError(
+                f"num_rsus must be at most {MAX_RSUS} (the RSU layout holds a float64 per "
+                f"RSU in one array, and numpy counts an array's bytes in an intp), got {rsus}"
+            )
         if not 1 <= visible <= rsus:
             raise ValueError(f"visible_rsus must be in [1, num_rsus] = [1, {rsus}], got {visible}")
         if self.power_levels < 2:
@@ -82,7 +91,7 @@ class EnvConfig:
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
-        if not math.isfinite(self.road_length * _as_float(rsus - 1)):
+        if not math.isfinite(self.road_length * (rsus - 1)):
             raise ValueError(
                 "road_length times num_rsus - 1 must be finite (the RSU layout multiplies "
                 f"them), got road_length {self.road_length} and num_rsus {rsus}"

@@ -20,19 +20,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .agents import FederatedTrainer, Trainer, TrainerConfig
-from .baselines import CentralizedTrainer, FedAvgTrainer, IndependentTrainer
+from . import baselines  # noqa: F401  (defines the baseline trainers, listing each in TRAINERS)
+from .agents import Trainer, TrainerConfig
 from .checks import check_fields, config_from_json
 from .env import EdgeAssocEnv, EnvConfig
 from .metrics import EpisodeRecord, record_cells, write_metrics_csv, write_ts_log_csv
 
-# Each algorithm's name and the trainer that runs it.
-TRAINERS: dict[str, type[Trainer]] = {
-    "proposed": FederatedTrainer,
-    "cdrl": CentralizedTrainer,
-    "imarl": IndependentTrainer,
-    "fmarl-avg": FedAvgTrainer,
-}
+# Each algorithm's name and the trainer that runs it: every trainer class
+# that names an `algo`, as agents and then baselines define them.
+TRAINERS: dict[str, type[Trainer]] = Trainer.classes
 ALGORITHMS = tuple(TRAINERS)
 # The config key each sweep axis varies.
 SWEEP_AXES = {"rsus": "num_rsus", "sigma": "share_noise_std"}
@@ -143,14 +139,14 @@ def run_single(
 ) -> tuple[list[EpisodeRecord], Optional[list]]:
     """Train one (algorithm, seed) pair; returns records and optional TS rows.
 
-    Only the proposed method has a checkpoint format; it writes one to
-    `checkpoint_dir` if given.
+    Every algorithm writes its checkpoint (`Trainer.save`) to `checkpoint_dir`
+    if given.
     """
     env_seed, algo_seed = derive_seeds(seed)
     trainer = TRAINERS[algo](EdgeAssocEnv(env_cfg, env_seed), trainer_cfg, algo_seed)
     ts_rows: Optional[list] = [] if per_ts_log else None
     records = trainer.run(ts_rows=ts_rows)
-    if isinstance(trainer, FederatedTrainer) and checkpoint_dir is not None:
+    if checkpoint_dir is not None:
         trainer.save(checkpoint_dir)
     return records, ts_rows
 
@@ -249,6 +245,19 @@ def openblas_function(*symbols: str):
     return None
 
 
+def blas_threads() -> Optional[int]:
+    """The threads numpy's bundled OpenBLAS runs in this process, or None
+    when numpy bundles no OpenBLAS."""
+    get_threads = openblas_function(
+        "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+        "openblas_get_num_threads",
+    )
+    if get_threads is None:
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads()
+
+
 def set_blas_threads(count: int) -> None:
     """Run numpy's bundled OpenBLAS, if it has one, on `count` threads in
     this process."""
@@ -271,11 +280,25 @@ def _run_grid(tasks: list[tuple]) -> list:
     Each worker runs one BLAS thread: the workers already fill the CPUs, and
     OpenBLAS threads spin while they wait. On two CPUs, two workers of two
     threads each took 5-28 s for a 10-episode 2-seed grid that one process
-    ran in 2-3.5 s.
+    ran in 2-3.5 s. Tasks run in this process on one BLAS thread too, and
+    the caller's thread count comes back after them: on two CPUs a
+    20-episode proposed CLI run took 2.2-2.3 s and 2.4 s of CPU so, against
+    3.5-4.1 s and 6.8-7.6 s of CPU on two threads. The nets' bits do not
+    depend on the count.
     """
     workers = min(len(tasks), usable_cpus())
     if workers <= 1:
-        return [run_single(*task) for task in tasks]
+        threads = blas_threads()
+        # A process already on one thread is left as it is: after a set call,
+        # even to one thread, the greedy evaluations this process ran next
+        # took about 3 % longer (OpenBLAS 0.3.31, 14 alternating pairs).
+        if threads in (None, 1):
+            return [run_single(*task) for task in tasks]
+        set_blas_threads(1)
+        try:
+            return [run_single(*task) for task in tasks]
+        finally:
+            set_blas_threads(threads)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 

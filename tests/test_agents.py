@@ -26,11 +26,10 @@ from fedassoc.agents import (
     joint_q,
 )
 from fedassoc.env import EdgeAssocEnv, EnvConfig
-from fedassoc.harness import usable_cpus
+from fedassoc.harness import ALGORITHMS, TRAINERS, blas_threads, usable_cpus
 from fedassoc.nn import clone, forward, init_net, linear_schedule, net_fingerprint
 from fedassoc.replay import Batch
 from reference_replay import all_rows, same_arrays
-from processes import blas_threads
 from toy_env import ToyEnv, separable_table, toy_trainer_cfg
 
 
@@ -510,20 +509,27 @@ def test_replay_keeps_one_side_slot_per_episode_end():
     assert np.array_equal(nxt[rest], rest + 1)
 
 
-def test_checkpoint_round_trip(tmp_path):
-    env = small_env(seed=8)
-    cfg = small_cfg(episodes=2)
-    trainer = FederatedTrainer(env, cfg, seed=5)
-    trainer.run(episodes=2)
+def fingerprints(trainer) -> dict[str, str]:
+    return {name: net_fingerprint(net) for name, net in trainer.named_nets().items()}
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_checkpoint_round_trip(tmp_path, algo):
+    """2 episodes, a save and a load, then 2 more: the records and nets of
+    4 uninterrupted episodes. fmarl-avg averages at episode 3, after the load."""
+    cfg = small_cfg(fedavg_period=3)
+    whole = TRAINERS[algo](small_env(seed=8), cfg, seed=5)
+    records = whole.run(episodes=4)
+    trainer = TRAINERS[algo](small_env(seed=8), cfg, seed=5)
+    assert trainer.run(episodes=2) == records[:2]
     trainer.save(tmp_path / "ckpt")
 
     env2 = small_env(seed=999)  # state is restored from the checkpoint
-    loaded = FederatedTrainer.load(tmp_path / "ckpt", env2)
-    assert loaded.episode == trainer.episode
-    assert net_fingerprint(loaded.pair.mlp) == net_fingerprint(trainer.pair.mlp)
-    more_a = trainer.run(episodes=2)
-    more_b = loaded.run(episodes=2)
-    assert more_a == more_b
+    loaded = TRAINERS[algo].load(tmp_path / "ckpt", env2)
+    assert type(loaded) is TRAINERS[algo] and loaded.episode == 2
+    assert fingerprints(loaded) == fingerprints(trainer)
+    assert loaded.run(episodes=2) == records[2:]
+    assert fingerprints(loaded) == fingerprints(whole)
 
 
 def test_checkpoint_keeps_only_filled_replay_rows(tmp_path):
@@ -597,7 +603,7 @@ def test_load_holds_one_replay_array_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    net_bytes = sum(getattr(loaded.pair, name).params.nbytes for name in agents_mod._NET_NAMES)
+    net_bytes = sum(net.params.nbytes for net in loaded.named_nets().values())
     state = buffer.state_arrays()
     replay_bytes = sum(array.nbytes for name, array in state.items() if name != "meta")
     assert replay_bytes == buffer.capacity * 480
@@ -819,8 +825,8 @@ def test_diverging_run_raises_one_error_and_warns_nothing(lr):
 _THREADS_CHILD = """
 from fedassoc.agents import FederatedTrainer, TrainerConfig
 from fedassoc.env import EdgeAssocEnv, EnvConfig
+from fedassoc.harness import blas_threads
 from fedassoc.nn import net_fingerprint
-from processes import blas_threads
 trainer = FederatedTrainer(EdgeAssocEnv(EnvConfig(), 1), TrainerConfig(episodes=5), 2)
 trainer.run()
 print(blas_threads(), *(net_fingerprint(net) for net in vars(trainer.pair).values()))

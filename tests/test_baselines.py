@@ -218,11 +218,17 @@ def test_baseline_evaluation_is_greedy_and_does_not_learn(algo):
     assert trainer.train_steps == steps
 
 
+def drawn_head(dims, rng, cfg) -> _DdqnHead:
+    """A head on a net drawn from `rng`, its target a copy, as a trainer starts one."""
+    net = init_net(dims, rng)
+    return _DdqnHead(net, clone(net), cfg)
+
+
 def test_head_update_touches_only_its_own_net():
     rng = np.random.default_rng(5)
     cfg = small_cfg()
-    h0 = _DdqnHead((6, 8, 4), rng, cfg)
-    h1 = _DdqnHead((6, 8, 4), rng, cfg)
+    h0 = drawn_head((6, 8, 4), rng, cfg)
+    h1 = drawn_head((6, 8, 4), rng, cfg)
     fp1_net, fp1_target = net_fingerprint(h1.net), net_fingerprint(h1.target)
     fp0_target = net_fingerprint(h0.target)
     h0.update(rng.random((8, 6)), rng.integers(0, 4, 8), rng.random(8),
@@ -236,7 +242,7 @@ def test_head_update_touches_only_its_own_net():
 @pytest.mark.parametrize("width", [9, GATHER_MIN_OUTPUTS])
 def test_head_update_matches_dense_reference(grad_clip, width):
     rng = np.random.default_rng(6)
-    head = _DdqnHead((6, 8, width), rng, small_cfg(grad_clip=grad_clip))
+    head = drawn_head((6, 8, width), rng, small_cfg(grad_clip=grad_clip))
     head.sync()
     obs, next_obs = rng.random((8, 6)), rng.random((8, 6))
     actions = np.array([0, 4, 4, 8, 1, 4, 0, 2])  # repeated actions share rows

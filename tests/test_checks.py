@@ -98,6 +98,9 @@ RULE_BREAKS = {
     "power-range": ({"power_min_dbm": 35.0, "power_max_dbm": 23.0},
                     "power_min_dbm must be < power_max_dbm"),
     "road-length": ({"road_length": -5.0}, "road_length must be > 0"),
+    # Layouts numpy cannot size: their allocation fails at once.
+    "num-rsus-10**45": ({"num_rsus": 10**45}, "num_rsus must be at most"),
+    "num-rsus-2**62": ({"num_rsus": 2**62}, "num_rsus must be at most"),
     "mean-speed-low": ({"mean_speed_low": 0.0, "mean_speed_high": 10.0},
                        "mean speed range must satisfy 0 < low <= high"),
     "mean-speed-order": ({"mean_speed_low": 9.0, "mean_speed_high": 6.0},

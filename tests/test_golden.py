@@ -6,9 +6,10 @@ episodes at its own σ and at σ 0, and runs an RSU sweep and a proposed-only σ
 sweep, all through `cli.main` with relative paths in an empty directory,
 each grid on two worker processes. Every file it writes is hashed (sha256),
 and on one CPU, where each grid runs in process, the matrix must write the
-same files. Nothing writes a baseline's nets, so every net of each
-algorithm, trained in-process on the same config at seed 1, is fingerprinted
-too.
+same files. Every run's checkpoint holds its algorithm's nets, and every net
+of each algorithm, trained in-process on the same config at seed 1, is
+fingerprinted too, so a change to a net's bits is told apart from a change
+to the file that holds it.
 
 On the platform `golden/digests.json` records (numpy, BLAS, OpenBLAS kernel,
 machine), the digests and fingerprints must equal the recorded ones. Other

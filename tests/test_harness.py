@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fedassoc
 from fedassoc import harness
 from fedassoc.cli import build_parser, main as cli_main
 from fedassoc.harness import (
@@ -19,6 +20,7 @@ from fedassoc.harness import (
     TRAINERS,
     ExperimentConfig,
     WindowStats,
+    blas_threads,
     config_from_dict,
     config_to_dict,
     derive_seeds,
@@ -34,7 +36,7 @@ from fedassoc.agents import FederatedTrainer, TrainerConfig
 from fedassoc.env import EdgeAssocEnv, EnvConfig
 from fedassoc.metrics import EpisodeRecord, read_metrics_csv, record_cells, write_metrics_csv
 from fedassoc.nn import load_net, net_fingerprint
-from processes import blas_threads, force_cpus
+from processes import force_cpus
 
 
 def tiny_config(out_dir, fedavg_period=5, **run_overrides):
@@ -268,9 +270,16 @@ def test_run_experiment_is_byte_identical(tmp_path, monkeypatch):
         tmp_path / "b" / "summary.txt"
     ).read_bytes()
     files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*.*"))
-    # Only the proposed method checkpoints.
+    # Every run writes its checkpoint: the nets its algorithm names, the replay and the state.
     checkpoints = {rel.parts[1] for rel in files if rel.parts[0] == "checkpoints"}
-    assert checkpoints == {"proposed_seed1", "proposed_seed2", "proposed_seed3"}
+    assert checkpoints == {f"{algo}_seed{seed}" for algo in algos for seed in (1, 2, 3)}
+    cfg = tiny_config(tmp_path)
+    for algo in algos:
+        nets = TRAINERS[algo].net_dims(EdgeAssocEnv(cfg.env, 0), cfg.trainer)
+        saved = (tmp_path / "a" / "checkpoints" / f"{algo}_seed1").iterdir()
+        assert sorted(p.name for p in saved) == sorted(
+            [*(f"{name}.net" for name in nets), "replay.npz", "state.json"]
+        )
     pool = tmp_path / "pool"
     assert files == sorted(p.relative_to(pool) for p in pool.rglob("*.*"))
     for rel in files:
@@ -514,17 +523,128 @@ def test_grid_workers_run_one_blas_thread(monkeypatch):
         harness.set_blas_threads(threads)
 
 
-def test_cli_eval_from_checkpoint(tmp_path):
+def test_an_in_process_grid_runs_one_blas_thread_then_restores_the_count(monkeypatch):
+    """A grid of one task, or on one CPU, runs in this process on one BLAS
+    thread; the caller's count is back once the tasks end, or one fails."""
+    threads = blas_threads()
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS whose threads can be read")
+    force_cpus(monkeypatch, 1)
+    monkeypatch.setattr(harness, "run_single", blas_threads_of_task)
+    harness.set_blas_threads(2)
+    try:
+        tasks = [(None, None, "proposed", seed, False, None) for seed in (1, 2)]
+        assert harness._run_grid(tasks) == [1, 1]
+        assert blas_threads() == 2
+
+        def failing(*task):
+            raise RuntimeError("task failed")
+
+        monkeypatch.setattr(harness, "run_single", failing)
+        with pytest.raises(RuntimeError, match="task failed"):
+            harness._run_grid(tasks[:1])
+        assert blas_threads() == 2
+    finally:
+        harness.set_blas_threads(threads)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_cli_eval_from_checkpoint(tmp_path, capsys, algo):
+    """Each algorithm's checkpoint evaluates greedily, twice to the same bytes;
+    only the proposed pair's names the σ it acted at."""
+    cfg_path = cli_config(tmp_path)
+    assert cli_main(["--config", str(cfg_path), "--algo", algo, "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / f"{algo}_seed1"
+    state = json.loads((ckpt / "state.json").read_text())
+    assert (state["format"], state["algo"]) == (agents_mod.CHECKPOINT_FORMAT, algo)
+    capsys.readouterr()
+    csvs = []
+    for k in (1, 2):
+        out = tmp_path / f"eval{k}"
+        rc = cli_main([
+            "--config", str(tmp_path / "runs" / "config.json"),
+            "--eval", str(ckpt), "--episodes", "2", "--out", str(out),
+        ])
+        assert rc == 0
+        sigma = " at sigma 1.0" if algo == "proposed" else ""
+        assert capsys.readouterr().out == f"wrote {out / 'eval_metrics.csv'}{sigma}\n"
+        assert len(read_metrics_csv(out / "eval_metrics.csv")) == 2
+        csvs.append((out / "eval_metrics.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def test_a_checkpoint_without_format_and_algo_loads_as_proposed(tmp_path):
+    """Checkpoints written before `format` and `algo` existed are proposed ones."""
     cfg_path = cli_config(tmp_path)
     assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
     ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+    evaluate = ["--config", str(tmp_path / "runs" / "config.json"), "--eval", str(ckpt),
+                "--episodes", "2", "--out"]
+    assert cli_main([*evaluate, str(tmp_path / "new")]) == 0
+    path = ckpt / "state.json"
+    state = json.loads(path.read_text())
+    del state["format"], state["algo"]
+    path.write_text(json.dumps(state, indent=1))
+    assert cli_main([*evaluate, str(tmp_path / "old")]) == 0
+    csvs = [(tmp_path / d / "eval_metrics.csv").read_bytes() for d in ("new", "old")]
+    assert csvs[0] == csvs[1]
+
+
+# Checkpoints that `--eval` refuses: the algorithm, the keys that overwrite
+# its state.json, the flags, and the message after the file it names, its
+# state.json or, without an edit, the checkpoint.
+BAD_CHECKPOINTS = {
+    "unknown-algo": (
+        "cdrl", {"algo": "dqn"}, [],
+        "unknown algo 'dqn'; choose from ('proposed', 'cdrl', 'imarl', 'fmarl-avg')",
+    ),
+    "newer-format": (
+        "proposed", {"format": 2}, [],
+        "format 2 is newer than format 1, the newest this version reads",
+    ),
+    "format-zero": ("imarl", {"format": 0}, [], "format must be an integer >= 1, got 0"),
+    "sigma-on-cdrl": (
+        "cdrl", {}, ["--sigma", "0"],
+        "--sigma sets the sharing noise of proposed, but this is a cdrl checkpoint",
+    ),
+}
+
+
+@pytest.mark.parametrize("algo, edit, flags, message", BAD_CHECKPOINTS.values(),
+                         ids=BAD_CHECKPOINTS)
+def test_cli_eval_rejects_a_checkpoint_it_cannot_act_on(tmp_path, capsys, algo, edit, flags,
+                                                         message):
+    cfg_path = cli_config(tmp_path)
+    assert cli_main(["--config", str(cfg_path), "--algo", algo, "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / f"{algo}_seed1"
+    path = ckpt / "state.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}, indent=1))
+    capsys.readouterr()
+    out = tmp_path / "eval"
     rc = cli_main([
-        "--config", str(tmp_path / "runs" / "config.json"),
-        "--eval", str(ckpt), "--episodes", "2", "--out", str(tmp_path / "eval"),
+        "--config", str(tmp_path / "runs" / "config.json"), *flags,
+        "--eval", str(ckpt), "--episodes", "2", "--out", str(out),
     ])
-    assert rc == 0
-    records = read_metrics_csv(tmp_path / "eval" / "eval_metrics.csv")
-    assert len(records) == 2
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path if edit else ckpt}: {message}\n"
+    assert not out.exists()
+
+
+def test_a_trainer_class_loads_only_its_own_algorithm(tmp_path):
+    """`FederatedTrainer.load` refuses a cdrl checkpoint, naming its state.json,
+    and leaves the env as it was; `Trainer.load` builds the class a checkpoint names."""
+    cfg_path = cli_config(tmp_path)
+    assert cli_main(["--config", str(cfg_path), "--algo", "cdrl", "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / "cdrl_seed1"
+    env = EdgeAssocEnv(load_config(tmp_path / "runs" / "config.json").env, 0)
+    before = env.get_state()
+    with pytest.raises(ValueError) as info:
+        FederatedTrainer.load(ckpt, env)
+    assert str(info.value) == (
+        f"{ckpt / 'state.json'}: a cdrl checkpoint, but FederatedTrainer loads proposed ones"
+    )
+    assert env.get_state() == before
+    assert type(agents_mod.Trainer.load(ckpt, env)) is TRAINERS["cdrl"]
 
 
 def test_cli_eval_acts_at_the_given_sigma(tmp_path, capsys, monkeypatch):
@@ -533,13 +653,13 @@ def test_cli_eval_acts_at_the_given_sigma(tmp_path, capsys, monkeypatch):
     ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
     state = json.loads((ckpt / "state.json").read_text())
     assert state["cfg"]["share_noise_std"] == 1.0
-    loaded, load = [], FederatedTrainer.load
+    loaded, load = [], agents_mod.Trainer.load
 
     def recording_load(directory, env):
         loaded.append(load(directory, env))
         return loaded[-1]
 
-    monkeypatch.setattr(FederatedTrainer, "load", recording_load)
+    monkeypatch.setattr(agents_mod.Trainer, "load", recording_load)
     capsys.readouterr()
 
     def evaluate(name, *flags):
@@ -947,28 +1067,34 @@ def test_cli_eval_rejects_bad_net_files(tmp_path, capsys, edit, message):
     assert not (tmp_path / "eval").exists()
 
 
-def test_load_builds_no_net_it_discards(tmp_path, monkeypatch):
-    """Load and `--eval` read each net of the pair and draw none."""
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_load_builds_no_net_it_discards(tmp_path, monkeypatch, algo):
+    """Load and `--eval` read each net of the checkpoint and draw none."""
     cfg_path = cli_config(tmp_path)
-    assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
-    ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+    assert cli_main(["--config", str(cfg_path), "--algo", algo, "--seed", "1"]) == 0
+    ckpt = tmp_path / "runs" / "checkpoints" / f"{algo}_seed1"
     config = tmp_path / "runs" / "config.json"
-    saved = {
-        name: net_fingerprint(load_net(ckpt / f"{name}.net")) for name in agents_mod._NET_NAMES
-    }
+    world = load_config(config).env
+    names = TRAINERS[algo].net_dims(EdgeAssocEnv(world, 0), load_config(config).trainer)
+    saved = {name: net_fingerprint(load_net(ckpt / f"{name}.net")) for name in names}
     evaluate = ["--config", str(config), "--eval", str(ckpt), "--episodes", "2", "--out"]
     assert cli_main([*evaluate, str(tmp_path / "drawn")]) == 0
 
     def no_draws(dims, rng):
         raise AssertionError(f"a net of dims {dims} was drawn")
 
-    monkeypatch.setattr(agents_mod, "init_net", no_draws)
-    world = load_config(config).env
-    loaded = FederatedTrainer.load(ckpt, EdgeAssocEnv(world, 0))
-    assert {name: net_fingerprint(getattr(loaded.pair, name)) for name in saved} == saved
+    # Every module that binds `init_net`: agents draws a trainer's nets.
+    for module in vars(fedassoc).values():
+        if hasattr(module, "init_net"):
+            monkeypatch.setattr(module, "init_net", no_draws)
+    assert agents_mod.init_net is no_draws
+    loaded = TRAINERS[algo].load(ckpt, EdgeAssocEnv(world, 0))
+    assert {name: net_fingerprint(net) for name, net in loaded.named_nets().items()} == saved
     assert cli_main([*evaluate, str(tmp_path / "read")]) == 0
     csvs = [(tmp_path / d / "eval_metrics.csv").read_bytes() for d in ("drawn", "read")]
     assert csvs[0] == csvs[1]
+    if algo != "proposed":
+        return
     # A net of other dims fails with the file and both dims named.
     (ckpt / "lead.net").write_bytes((ckpt / "mlp.net").read_bytes())
     with pytest.raises(ValueError) as info:
