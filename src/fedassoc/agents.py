@@ -168,6 +168,22 @@ EVAL_BLOCK = 32
 CHECKPOINT_FORMAT = 1
 
 
+class GradBuffers(dict):
+    """The gradient buffer of each trained net, by the net's name in `nets`.
+
+    A buffer is made at its first lookup, so at the net's first backward,
+    and each later backward rewrites it.
+    """
+
+    def __init__(self, nets: dict[str, DenseNet]):
+        super().__init__()
+        self.nets = nets
+
+    def __missing__(self, name: str) -> DenseNet:
+        grads = self[name] = zero_grads(self.nets[name])
+        return grads
+
+
 class Trainer:
     """The episode loop every algorithm runs, so their results compare fairly.
 
@@ -175,8 +191,16 @@ class Trainer:
     holding both vehicles' views and, once the buffer holds a batch, one
     sampled `update` and a target sync every `target_sync` updates. Epsilon
     and the learning rate follow their episode schedules. Subclasses define
-    `algo`, `net_dims`, `init_nets`, `named_nets`, `select_actions`, `update`
-    and `sync_targets`, and may hook `end_episode` and `share_noise`.
+    `algo`, `net_dims`, `select_actions` and `update`, and may hook
+    `init_nets`, `end_episode` and `share_noise`.
+
+    `nets` holds every net by its `net_dims` name, in that order, and each
+    `<name>_target` is the target of `<name>`. `save` writes it,
+    `sync_targets` copies within it, `grads` keys each trained net's
+    gradient buffer by the same name, and the views a subclass builds
+    (`pair`, `head`, `heads`) hold its nets. No net is ever rebound: every
+    change to one writes its parameters in place, so `nets` and the views
+    never part.
 
     The seed spawns four streams: network init, exploration, replay sampling
     and sharing noise (drawn only by the federated pair).
@@ -221,7 +245,9 @@ class Trainer:
             for name, dims in self.net_dims(env, cfg).items():
                 main = name.removesuffix("_target")
                 nets[name] = clone(nets[main]) if main != name else init_net(dims, rng_init)
-        self.init_nets(nets)
+        self.nets: dict[str, DenseNet] = nets
+        self.grads = GradBuffers(nets)
+        self.init_nets()
         self.buffer = ReplayBuffer(cfg.replay_capacity, env.obs_dim)
         self.train_steps = 0
         self.episode = 0
@@ -232,13 +258,8 @@ class Trainer:
         holds each as `<name>.net`."""
         raise NotImplementedError
 
-    def init_nets(self, nets: dict[str, DenseNet]) -> None:
-        """Take the nets that `net_dims` names."""
-        raise NotImplementedError
-
-    def named_nets(self) -> dict[str, DenseNet]:
-        """The trainer's current nets, by the names of `net_dims`."""
-        raise NotImplementedError
+    def init_nets(self) -> None:
+        """Build the subclass's views over `nets`."""
 
     def select_actions(self, obs_vecs, eps: float, noise=None):
         """The (lead, follower) actions for the lead's and the follower's observations.
@@ -254,7 +275,11 @@ class Trainer:
         raise NotImplementedError
 
     def sync_targets(self) -> None:
-        raise NotImplementedError
+        """Copy each net `<name>` of `nets` into `<name>_target`."""
+        for name, target in self.nets.items():
+            main = name.removesuffix("_target")
+            if main != name:
+                copy_into_target(self.nets[main], target)
 
     def end_episode(self) -> None:
         """Runs after every training episode."""
@@ -343,12 +368,12 @@ class Trainer:
     # -- checkpointing -----------------------------------------------------------
 
     def save(self, directory) -> None:
-        """Write each net of `named_nets` as `<name>.net`, the replay's filled
+        """Write each net of `nets` as `<name>.net`, the replay's filled
         rows as `replay.npz`, and `state.json`: the checkpoint's `format` and
         `algo`, the config, the counters, the random streams and the env state."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        for name, net in self.named_nets().items():
+        for name, net in self.nets.items():
             save_net(directory / f"{name}.net", net)
         _write_npz(directory / "replay.npz", self.buffer.state_rows())
         state = {
@@ -503,20 +528,8 @@ class FederatedTrainer(Trainer):
         mlp = (2 * a, *cfg.mlp_hidden, a * a)
         return {"lead": local, "lead_target": local, "follow": local, "mlp": mlp, "mlp_target": mlp}
 
-    def init_nets(self, nets: dict[str, DenseNet]) -> None:
-        self.pair = FederatedAgentPair(**nets)
-        # One gradient buffer per trained net, made at its first backward and
-        # rewritten by each later one; `load` gives nets of the same dims.
-        self.grads: dict[str, DenseNet] = {}
-
-    def named_nets(self) -> dict[str, DenseNet]:
-        return dict(vars(self.pair))
-
-    def _grads(self, name: str) -> DenseNet:
-        grads = self.grads.get(name)
-        if grads is None:
-            grads = self.grads[name] = zero_grads(getattr(self.pair, name))
-        return grads
+    def init_nets(self) -> None:
+        self.pair = FederatedAgentPair(**self.nets)
 
     def _share(self, q: np.ndarray, noise: Optional[np.ndarray] = None) -> np.ndarray:
         """Q-values as they cross to the peer: `q` plus `noise`, or plus fresh noise."""
@@ -578,8 +591,8 @@ class FederatedTrainer(Trainer):
         cols = compose_joint(own_act, peer_act, a)
         pred, cache_mlp = forward(self.pair.mlp, np.hstack([q_own, self._share(q_peer)]), cols)
         loss, d_pred = td_loss(pred, targets)
-        g_mlp, d_in = backward(self.pair.mlp, cache_mlp, d_pred, cols, grads=self._grads("mlp"))
-        g_own, _ = backward(getattr(self.pair, own), cache_own, d_in[:, :a], grads=self._grads(own))
+        g_mlp, d_in = backward(self.pair.mlp, cache_mlp, d_pred, cols, grads=self.grads["mlp"])
+        g_own, _ = backward(getattr(self.pair, own), cache_own, d_in[:, :a], grads=self.grads[own])
         return loss, g_own, g_mlp
 
     def train_step_lead(
@@ -615,14 +628,14 @@ class FederatedTrainer(Trainer):
     def update(self, batch: Batch, lr: float) -> None:
         self.train_step(batch, self.compute_targets(batch), lr)
 
+    # -- target syncs and checkpointing ------------------------------------------------
+
+    # `Trainer.sync_targets`, `Trainer.save` and `Trainer.load`, named here too
+    # so that a profiler that patches this class's own methods (perfbench's
+    # tracer) times the pair's.
     def sync_targets(self) -> None:
-        copy_into_target(self.pair.lead, self.pair.lead_target)
-        copy_into_target(self.pair.mlp, self.pair.mlp_target)
+        super().sync_targets()
 
-    # -- checkpointing ---------------------------------------------------------------
-
-    # `Trainer.save` and `Trainer.load`, named here too so that a profiler that
-    # patches this class's own methods (perfbench's tracer) times the pair's.
     def save(self, directory) -> None:
         super().save(directory)
 

@@ -7,21 +7,10 @@ its hyperparameters, so result files differ only by algorithm.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .agents import Trainer, TrainerConfig, compose_joint, decompose_joint, epsilon_greedy
-from .nn import (
-    DenseNet,
-    backward,
-    clone,
-    copy_into_target,
-    forward,
-    sgd_step,
-    td_loss,
-    zero_grads,
-)
+from .nn import DenseNet, backward, forward, sgd_step, td_loss
 from .replay import Batch
 
 
@@ -54,15 +43,18 @@ def fedavg(nets: list[DenseNet]) -> DenseNet:
 
 
 class _DdqnHead:
-    """One DDQN learner: main net, frozen target, MSE update at taken actions."""
+    """One DDQN learner on a trainer's nets `<name>` and `<name>_target`: MSE
+    update at taken actions, into the trainer's gradient buffer of `<name>`.
 
-    def __init__(self, net: DenseNet, target: DenseNet, cfg: TrainerConfig):
-        self.cfg = cfg
-        self.net = net
-        self.target = target
-        # Made at the first update and rewritten by every later one; fedavg
-        # puts in nets of the same dims.
-        self.grads: Optional[DenseNet] = None
+    The head keeps the trainer's config, nets and buffers, not the trainer,
+    so that a trainer dropped is freed at once, with its replay."""
+
+    def __init__(self, trainer: Trainer, name: str):
+        self.cfg = trainer.cfg
+        self.name = name
+        self.net = trainer.nets[name]
+        self.target = trainer.nets[f"{name}_target"]
+        self.grads = trainer.grads
 
     def values(self, obs: np.ndarray) -> np.ndarray:
         """Q-values of one observation vector or of a stack of them, one per row."""
@@ -81,14 +73,9 @@ class _DdqnHead:
         targets = ddqn_target(rewards, next_obs, self.net, self.target, self.cfg.discount, done)
         pred, cache = forward(self.net, obs, actions)
         loss, d_pred = td_loss(pred, targets)
-        if self.grads is None:
-            self.grads = zero_grads(self.net)
-        grads, _ = backward(self.net, cache, d_pred, actions, grads=self.grads)
+        grads, _ = backward(self.net, cache, d_pred, actions, grads=self.grads[self.name])
         sgd_step([(self.net, grads)], lr, self.cfg.grad_clip)
         return loss
-
-    def sync(self) -> None:
-        copy_into_target(self.net, self.target)
 
 
 class CentralizedTrainer(Trainer):
@@ -105,11 +92,8 @@ class CentralizedTrainer(Trainer):
         dims = (2 * env.obs_dim, *cfg.local_hidden, a * a)
         return {"head": dims, "head_target": dims}
 
-    def init_nets(self, nets: dict[str, DenseNet]) -> None:
-        self.head = _DdqnHead(nets["head"], nets["head_target"], self.cfg)
-
-    def named_nets(self) -> dict[str, DenseNet]:
-        return {"head": self.head.net, "head_target": self.head.target}
+    def init_nets(self) -> None:
+        self.head = _DdqnHead(self, "head")
 
     def select_actions(self, obs_vecs, eps: float, noise=None):
         values = self.head.values(np.concatenate(obs_vecs, axis=-1))
@@ -125,9 +109,6 @@ class CentralizedTrainer(Trainer):
             lr,
         )
 
-    def sync_targets(self) -> None:
-        self.head.sync()
-
 
 class IndependentTrainer(Trainer):
     """Two independent DDQNs on the shared reward (imarl)."""
@@ -141,17 +122,8 @@ class IndependentTrainer(Trainer):
         dims = (env.obs_dim, *cfg.local_hidden, env.num_actions)
         return {name: dims for side in cls._SIDES for name in (side, f"{side}_target")}
 
-    def init_nets(self, nets: dict[str, DenseNet]) -> None:
-        self.heads = [
-            _DdqnHead(nets[side], nets[f"{side}_target"], self.cfg) for side in self._SIDES
-        ]
-
-    def named_nets(self) -> dict[str, DenseNet]:
-        return {
-            name: net
-            for side, head in zip(self._SIDES, self.heads)
-            for name, net in ((side, head.net), (f"{side}_target", head.target))
-        }
+    def init_nets(self) -> None:
+        self.heads = [_DdqnHead(self, side) for side in self._SIDES]
 
     def select_actions(self, obs_vecs, eps: float, noise=None):
         return tuple(
@@ -168,22 +140,18 @@ class IndependentTrainer(Trainer):
             batch.obs_follow, batch.act_follow, batch.reward, batch.next_obs_follow, batch.done, lr
         )
 
-    def sync_targets(self) -> None:
-        for head in self.heads:
-            head.sync()
-
 
 class FedAvgTrainer(IndependentTrainer):
-    """Independent DDQNs whose main and target networks are replaced by their
-    elementwise means every `cfg.fedavg_period` episodes (fmarl-avg)."""
+    """Independent DDQNs whose main and target networks are overwritten by
+    their elementwise means every `cfg.fedavg_period` episodes (fmarl-avg)."""
 
     algo = "fmarl-avg"
 
     def end_episode(self) -> None:
         if self.episode % self.cfg.fedavg_period:
             return
-        avg_main = fedavg([h.net for h in self.heads])
-        avg_target = fedavg([h.target for h in self.heads])
-        for h in self.heads:
-            h.net = clone(avg_main)
-            h.target = clone(avg_target)
+        for suffix in ("", "_target"):
+            nets = [self.nets[side + suffix] for side in self._SIDES]
+            average = fedavg(nets)
+            for net in nets:
+                net.params[...] = average.params

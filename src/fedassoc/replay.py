@@ -202,7 +202,7 @@ class ReplayBuffer:
 
         `arrays` maps each name to an array, or to a stand-in that gives the
         array's `shape` and `dtype` and its rows by slicing, as
-        `FederatedTrainer.load` reads a checkpoint's `replay.npz`. Each
+        `Trainer.load` reads a checkpoint's `replay.npz`. Each
         field may hold `size` or `capacity` rows. `meta` must be a (3,)
         integer array that names this buffer's capacity, a size in
         [0, capacity] and a cursor in [0, capacity) that equals the size until

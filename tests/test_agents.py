@@ -1,5 +1,6 @@
 """Sharing primitives, joint-action math and the federated trainer."""
 
+import gc
 import os
 import re
 import struct
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 import zipfile
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from fedassoc.agents import (
 )
 from fedassoc.env import EdgeAssocEnv, EnvConfig
 from fedassoc.harness import ALGORITHMS, TRAINERS, blas_threads, usable_cpus
-from fedassoc.nn import clone, forward, init_net, linear_schedule, net_fingerprint
+from fedassoc.nn import clone, copy_into_target, forward, init_net, linear_schedule, net_fingerprint
 from fedassoc.replay import Batch
 from reference_replay import all_rows, same_arrays
 from toy_env import ToyEnv, separable_table, toy_trainer_cfg
@@ -339,7 +341,7 @@ def test_side_symmetry_with_identical_inputs():
     # Same nets, same observations, symmetric joint action: both sides see
     # the identical composed problem, so their gradients must coincide.
     trainer = FederatedTrainer(small_env(), small_cfg(share_noise_std=0.0), seed=9)
-    trainer.pair.follow = clone(trainer.pair.lead)
+    copy_into_target(trainer.pair.lead, trainer.pair.follow)
     rng = np.random.default_rng(10)
     batch = make_batch(rng, 4, 14, 16)
     batch.obs_follow = batch.obs_lead.copy()
@@ -510,7 +512,39 @@ def test_replay_keeps_one_side_slot_per_episode_end():
 
 
 def fingerprints(trainer) -> dict[str, str]:
-    return {name: net_fingerprint(net) for name, net in trainer.named_nets().items()}
+    return {name: net_fingerprint(net) for name, net in trainer.nets.items()}
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_sync_targets_copies_each_net_of_the_store_into_its_target(algo):
+    """`nets` holds exactly the nets `net_dims` names; a sync overwrites each
+    `<name>_target` with `<name>` and leaves every other net as it was."""
+    env, cfg = small_env(seed=8), small_cfg(target_sync=10**6)
+    trainer = TRAINERS[algo](env, cfg, seed=5)
+    dims = TRAINERS[algo].net_dims(env, cfg)
+    assert [(name, net.dims) for name, net in trainer.nets.items()] == list(dims.items())
+    trainer.run(episodes=3)  # trains, but never syncs
+    before = fingerprints(trainer)
+    mains = [name for name in dims if not name.endswith("_target")]
+    assert all(f"{m}_target" not in dims or before[m] != before[f"{m}_target"] for m in mains)
+    trainer.sync_targets()
+    assert fingerprints(trainer) == {name: before[name.removesuffix("_target")] for name in dims}
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_a_dropped_trainer_is_freed_at_once(algo):
+    """No view holds its trainer, so the last reference frees it and its
+    replay without waiting for the cycle collector (a grid trains one
+    trainer after another in one process)."""
+    trainer = TRAINERS[algo](small_env(seed=8), small_cfg(), seed=5)
+    trainer.run(episodes=2)
+    ref = weakref.ref(trainer)
+    gc.disable()
+    try:
+        del trainer
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -603,7 +637,7 @@ def test_load_holds_one_replay_array_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    net_bytes = sum(net.params.nbytes for net in loaded.named_nets().values())
+    net_bytes = sum(net.params.nbytes for net in loaded.nets.values())
     state = buffer.state_arrays()
     replay_bytes = sum(array.nbytes for name, array in state.items() if name != "meta")
     assert replay_bytes == buffer.capacity * 480

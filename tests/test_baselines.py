@@ -7,7 +7,6 @@ from fedassoc.baselines import (
     CentralizedTrainer,
     FedAvgTrainer,
     IndependentTrainer,
-    _DdqnHead,
     ddqn_target,
     fedavg,
 )
@@ -190,16 +189,18 @@ def test_independent_architecture_and_determinism():
 def test_baseline_gradient_buffers_are_made_at_the_first_update(algo):
     cls = CentralizedTrainer if algo == "cdrl" else IndependentTrainer
     trainer = cls(small_env(seed=4), small_cfg(), seed=5)
-    heads = [trainer.head] if algo == "cdrl" else trainer.heads
     trainer.evaluate(episodes=2)
     # Horizon 5 and batch 8: the first update comes in the second episode.
     trainer.run(episodes=1)
-    assert [h.grads for h in heads] == [None] * len(heads)
+    assert trainer.grads == {}
     trainer.run(episodes=1)
-    buffers = [h.grads for h in heads]
-    assert all(g is not None for g in buffers)
+    buffers = dict(trainer.grads)
+    assert sorted(buffers) == (["head"] if algo == "cdrl" else ["follow", "lead"])
+    for name, grads in buffers.items():
+        assert grads.dims == trainer.nets[name].dims
     trainer.run(episodes=1)
-    assert all(h.grads is g for h, g in zip(heads, buffers))
+    assert trainer.grads.keys() == buffers.keys()
+    assert all(trainer.grads[name] is grads for name, grads in buffers.items())
 
 
 @pytest.mark.parametrize("algo", ["cdrl", "imarl"])
@@ -218,32 +219,33 @@ def test_baseline_evaluation_is_greedy_and_does_not_learn(algo):
     assert trainer.train_steps == steps
 
 
-def drawn_head(dims, rng, cfg) -> _DdqnHead:
-    """A head on a net drawn from `rng`, its target a copy, as a trainer starts one."""
-    net = init_net(dims, rng)
-    return _DdqnHead(net, clone(net), cfg)
+def toy_imarl(width, **overrides) -> IndependentTrainer:
+    """An imarl trainer whose two heads are (6, 8, width) nets drawn from its
+    seed, each target a copy."""
+    env = ToyEnv(np.zeros((width, width)), obs_dim=6)
+    return IndependentTrainer(env, small_cfg(local_hidden=(8,), **overrides), seed=5)
 
 
 def test_head_update_touches_only_its_own_net():
     rng = np.random.default_rng(5)
-    cfg = small_cfg()
-    h0 = drawn_head((6, 8, 4), rng, cfg)
-    h1 = drawn_head((6, 8, 4), rng, cfg)
+    trainer = toy_imarl(4)
+    h0, h1 = trainer.heads
     fp1_net, fp1_target = net_fingerprint(h1.net), net_fingerprint(h1.target)
     fp0_target = net_fingerprint(h0.target)
     h0.update(rng.random((8, 6)), rng.integers(0, 4, 8), rng.random(8),
               rng.random((8, 6)), np.zeros(8), lr=0.01)
     assert net_fingerprint(h1.net) == fp1_net
     assert net_fingerprint(h1.target) == fp1_target
-    assert net_fingerprint(h0.target) == fp0_target  # targets move only on sync()
+    assert net_fingerprint(h0.target) == fp0_target  # targets move only on sync_targets()
+    assert list(trainer.grads) == ["lead"]
 
 
 @pytest.mark.parametrize("grad_clip", [0.05, np.inf])
 @pytest.mark.parametrize("width", [9, GATHER_MIN_OUTPUTS])
 def test_head_update_matches_dense_reference(grad_clip, width):
     rng = np.random.default_rng(6)
-    head = drawn_head((6, 8, width), rng, small_cfg(grad_clip=grad_clip))
-    head.sync()
+    trainer = toy_imarl(width, grad_clip=grad_clip)
+    head = trainer.heads[0]
     obs, next_obs = rng.random((8, 6)), rng.random((8, 6))
     actions = np.array([0, 4, 4, 8, 1, 4, 0, 2])  # repeated actions share rows
     rewards, done = rng.random(8), np.zeros(8)
@@ -280,6 +282,11 @@ def test_agents_equal_right_after_averaging():
     heads = trainer.heads
     assert net_fingerprint(heads[0].net) == net_fingerprint(heads[1].net)
     assert net_fingerprint(heads[0].target) == net_fingerprint(heads[1].target)
+    # The averages are written into the nets in place: each head still holds
+    # the store's own nets.
+    for head in heads:
+        assert head.net is trainer.nets[head.name]
+        assert head.target is trainer.nets[f"{head.name}_target"]
 
 
 def test_fedavg_trainer_deterministic_and_validates_period():

@@ -106,6 +106,43 @@ def test_a_wide_parent_spread_is_unresolved_and_a_failed_run_fails(tmp_path, cap
     assert "operations failed" in capsys.readouterr().out
 
 
+def test_a_wide_parent_spread_is_resolved_when_every_change_run_wins(tmp_path, capsys):
+    values = {
+        "parent": lambda seed: (600.0 * (1 + seed % 2), 47.0 + seed % 2),
+        # Every run beats every parent run: higher ts_per_s, lower peak RSS.
+        "change": lambda seed: (1201.0 + seed, 46.9),
+    }
+    argv = trees(tmp_path) + ["--workload", "eval-checkpoint", "--seeds", "1-4"]
+    assert bench_pairs.main(argv, runner=fake_runner(values, []), record_dir=tmp_path) == 0
+    rows = {line.split("|")[2].strip(): line for line in capsys.readouterr().out.splitlines()
+            if "eval-checkpoint" in line}
+    assert "UNRESOLVED" not in rows["`ts_per_s`"] and "4/4" in rows["`ts_per_s`"]
+    # One change run that does not beat the best parent run leaves it unresolved.
+    values["change"] = lambda seed: (1201.0 + seed if seed > 1 else 1200.0, 46.9)
+    assert bench_pairs.main(argv, runner=fake_runner(values, []), record_dir=tmp_path) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines() if "`ts_per_s`" in line)
+    assert "UNRESOLVED" in row
+
+
+def test_a_metric_one_side_never_reported_is_left_out(tmp_path, capsys):
+    """A change run that exits before printing its metrics: the table, the
+    failed line and the record are still written."""
+    def one_sided(tree, workload, seed, seconds):
+        if tree.name == "change":
+            return {**bench_pairs.parse_run("Traceback (most recent call last):"), "exit": 1}
+        return {**bench_pairs.parse_run(canned(workload, seed, 600.0, 47.0)), "exit": 0}
+
+    argv = trees(tmp_path) + ["--workload", "train-proposed", "--seeds", "1", "--record", "one"]
+    assert bench_pairs.main(argv, runner=one_sided, record_dir=tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "failed: train-proposed seed 1 change: exit 1" in out
+    assert "`ts_per_s`" not in out
+    (path,) = tmp_path.glob("BENCH_*_one.json")
+    saved = json.loads(path.read_text())
+    assert [(r["side"], r["exit"]) for r in saved["runs"]] == [("parent", 0), ("change", 1)]
+    assert saved["summary"] == []
+
+
 # A perfbench/run.py that spends 0.1 s of CPU, touches 8 MB and prints
 # canned output for its workload and seed.
 FAKE_RUN = """

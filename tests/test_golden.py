@@ -39,7 +39,7 @@ import numpy as np
 import pytest
 
 import fedassoc
-from fedassoc.agents import EVAL_BLOCK, FederatedTrainer
+from fedassoc.agents import EVAL_BLOCK
 from fedassoc.cli import main as cli_main
 from fedassoc.env import EdgeAssocEnv
 from fedassoc.harness import (
@@ -91,18 +91,6 @@ def file_digests(root: Path) -> dict[str, str]:
     }
 
 
-def trainer_nets(trainer) -> dict:
-    """Every net of a trainer, by name."""
-    if isinstance(trainer, FederatedTrainer):
-        return vars(trainer.pair)
-    heads = trainer.heads if hasattr(trainer, "heads") else [trainer.head]
-    return {
-        f"head{i}.{part}": getattr(head, part)
-        for i, head in enumerate(heads)
-        for part in ("net", "target")
-    }
-
-
 def net_fingerprints() -> dict[str, str]:
     """The fingerprint of every net of each algorithm, trained as
     `harness.run_single` trains seed 1."""
@@ -112,7 +100,7 @@ def net_fingerprints() -> dict[str, str]:
     for algo in ALGORITHMS:
         trainer = TRAINERS[algo](EdgeAssocEnv(cfg.env, env_seed), cfg.trainer, algo_seed)
         trainer.run()
-        for name, net in trainer_nets(trainer).items():
+        for name, net in trainer.nets.items():
             prints[f"{RUNS}/{algo}/{name}"] = net_fingerprint(net)
     return prints
 

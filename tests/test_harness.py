@@ -1089,7 +1089,7 @@ def test_load_builds_no_net_it_discards(tmp_path, monkeypatch, algo):
             monkeypatch.setattr(module, "init_net", no_draws)
     assert agents_mod.init_net is no_draws
     loaded = TRAINERS[algo].load(ckpt, EdgeAssocEnv(world, 0))
-    assert {name: net_fingerprint(net) for name, net in loaded.named_nets().items()} == saved
+    assert {name: net_fingerprint(net) for name, net in loaded.nets.items()} == saved
     assert cli_main([*evaluate, str(tmp_path / "read")]) == 0
     csvs = [(tmp_path / d / "eval_metrics.csv").read_bytes() for d in ("drawn", "read")]
     assert csvs[0] == csvs[1]

@@ -18,10 +18,12 @@ BENCHMARK.json bounds none of them.
 
 The table gives, per workload and metric, each side's median [q1, q3], the
 change in the median, the pairs the change won (ties count for neither) and
-the parent's interquartile range over its median. An end-to-end metric of
-BENCHMARK.json is flagged WORSE when its median moved the wrong way by more
-than its bound, and UNRESOLVED when the parent's IQR over its median is
-wider than the bound. --record writes every run's record, metrics and result
+the parent's interquartile range over its median. A metric that no run of
+one side reported (a run that failed before printing it) is left out. An
+end-to-end metric of BENCHMARK.json is flagged WORSE when its median moved
+the wrong way by more than its bound, and UNRESOLVED when the parent's IQR
+over its median is wider than the bound, unless every change run beat every
+parent run. --record writes every run's record, metrics and result
 and the table to BENCH_<date>_<label>.json at the root of this repository.
 The exit code is 1 when a run failed or a metric is flagged WORSE, else 0.
 """
@@ -118,6 +120,8 @@ def summarize(runs: list[dict], bench: dict) -> list[dict]:
         names = dict.fromkeys(name for p in pairs for side in SIDES for name in p[side])
         for name in names:
             values = {side: [p[side][name] for p in pairs if name in p[side]] for side in SIDES}
+            if not all(values[side] for side in SIDES):
+                continue
             if not any(v for side in SIDES for v in values[side]):
                 continue
             (p1, pm, p3), (c1, cm, c3) = (_quartiles(values[side]) for side in SIDES)
@@ -137,7 +141,10 @@ def summarize(runs: list[dict], bench: dict) -> list[dict]:
                 if row["bound"] is not None and row["delta"] is not None:
                     if -sign * row["delta"] > row["bound"]:
                         row["flags"].append("WORSE")
-                    if row["parent_iqr"] > row["bound"]:
+                    beats_all = min(sign * v for v in values["change"]) > max(
+                        sign * v for v in values["parent"]
+                    )
+                    if row["parent_iqr"] > row["bound"] and not beats_all:
                         row["flags"].append("UNRESOLVED")
             rows.append(row)
     return rows
