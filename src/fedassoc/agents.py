@@ -19,7 +19,7 @@ import json
 import os
 import shutil
 import zipfile
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -42,7 +42,7 @@ from .nn import (
     td_loss,
     zero_grads,
 )
-from .replay import BLOCK_BYTES, FIELDS, Batch, ReplayBuffer, row_blocks
+from .replay import BLOCK_BYTES, Batch, ReplayBuffer
 
 
 @dataclass
@@ -190,9 +190,17 @@ def joint_q(mlp: DenseNet, own_q: np.ndarray, peer_q: np.ndarray) -> np.ndarray:
 # 64 would double that for no gain the runs above could tell apart.
 EVAL_BLOCK = 32
 
-# The newest checkpoint layout `Trainer.save` writes, and `Trainer.load` reads:
-# every net as `<name>.net`, the replay as `replay.npz`, the rest `state.json`.
-CHECKPOINT_FORMAT = 1
+# The checkpoint layout `Trainer.save` writes and `Trainer.load` reads: every
+# net as `<name>.net`, the replay's own arrays as `replay.npz`, the rest
+# `state.json`. tools/upgrade_checkpoint.py converts format 1 to it.
+CHECKPOINT_FORMAT = 2
+
+
+def check_checkpoint_dir(directory: Path) -> None:
+    """Raise ValueError unless a save may replace `directory`: it is absent,
+    empty or a checkpoint (it holds `state.json`)."""
+    if directory.exists() and not (directory / "state.json").is_file() and os.listdir(directory):
+        raise ValueError(f"{directory}: not a checkpoint (no state.json); not replacing it")
 
 
 class GradBuffers(dict):
@@ -399,23 +407,23 @@ class Trainer:
     # -- checkpointing -----------------------------------------------------------
 
     def save(self, directory) -> None:
-        """Write each net of `nets` as `<name>.net`, the replay's filled
-        rows as `replay.npz`, and `state.json`: the checkpoint's `format` and
-        `algo`, the config, the counters, the random streams and the env state.
+        """Write each net of `nets` as `<name>.net`, the replay's arrays as
+        `replay.npz`, and `state.json`: the checkpoint's `format` and `algo`,
+        the config, the counters, the random streams and the env state.
 
         The files go into `<directory>.tmp-<pid>`, which then replaces
         `directory` whole (`os.replace`): a failed save leaves the last one as
-        it was. A non-empty directory without `state.json` raises ValueError."""
+        it was. `check_checkpoint_dir` refuses a non-empty directory without
+        `state.json` first."""
         directory = Path(directory)
-        if directory.exists() and not (directory / "state.json").is_file() and os.listdir(directory):
-            raise ValueError(f"{directory}: not a checkpoint (no state.json); not replacing it")
+        check_checkpoint_dir(directory)
         staged = directory.with_name(f"{directory.name}.tmp-{os.getpid()}")
         retired = directory.with_name(f"{directory.name}.old-{os.getpid()}")
         staged.mkdir(parents=True)
         try:
             for name, net in self.nets.items():
                 save_net(staged / f"{name}.net", net)
-            _write_npz(staged / "replay.npz", self.buffer.state_rows())
+            self.buffer.save(staged / "replay.npz")
             state = {
                 "format": CHECKPOINT_FORMAT,
                 "algo": self.algo,
@@ -447,18 +455,16 @@ class Trainer:
         without `algo` is a proposed checkpoint, as they were before either
         key was written. The files are read and checked in this order:
 
-        1. `state.json`, parsed once: its `format` (none newer than
-           `CHECKPOINT_FORMAT`) and `algo` first, then its world is compared
-           with `env`'s, then its config and counters are checked;
+        1. `state.json`, parsed once: its `format` (`CHECKPOINT_FORMAT`) and
+           `algo` first, then its world is compared with `env`'s, then its
+           config and counters are checked;
         2. each `<name>.net`, checked against the dims the config gives that
            net (`net_dims`);
         3. the trainer is built on the nets read, so no net is drawn, and
            takes the counters and random streams of `state.json`;
-        4. `replay.npz`: `meta` and each array's shape and dtype, from the
-           array headers, are checked before the first write. Then the arrays
-           are read in blocks into the trainer's own buffer
-           (`ReplayBuffer.load_state_arrays`), and its filled rows are
-           checked, a block at a time.
+        4. `replay.npz`, read into the trainer's own buffer
+           (`ReplayBuffer.load`), then the values it holds are checked, a
+           block at a time.
 
         A load thus holds the buffer, the nets and a few blocks of replay rows.
         `env` takes the checkpoint's env state last, once every file has been
@@ -473,10 +479,12 @@ class Trainer:
             version = state.get("format", 1)
             if not is_integer(version) or version < 1:
                 raise ValueError(f"format must be an integer >= 1, got {version!r}")
-            if version > CHECKPOINT_FORMAT:
+            if version != CHECKPOINT_FORMAT:
                 raise ValueError(
                     f"format {version} is newer than format {CHECKPOINT_FORMAT}, "
                     "the newest this version reads"
+                    if version > CHECKPOINT_FORMAT
+                    else f"format {version}: upgrade it with tools/upgrade_checkpoint.py"
                 )
             algo = state.get("algo", "proposed")
             if not isinstance(algo, str) or algo not in Trainer.classes:
@@ -508,17 +516,8 @@ class Trainer:
                 getattr(trainer, name).bit_generator.state = state[name]
         replay_path = directory / "replay.npz"
         try:
-            with zipfile.ZipFile(replay_path) as archive, ExitStack() as members:
-                trainer.buffer.load_state_arrays({
-                    member.removesuffix(".npy"): _NpyMember(
-                        members.enter_context(archive.open(member))
-                    )
-                    for member in archive.namelist()
-                    if member.endswith(".npy")
-                })
+            trainer.buffer.load(replay_path)
             _check_replay_rows(trainer.buffer, trainer.num_actions)
-        except KeyError as exc:
-            raise ValueError(f"{replay_path}: missing array {exc}") from exc
         except (ValueError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{replay_path}: {exc}") from exc
         with _errors_name(path):
@@ -665,72 +664,14 @@ class FederatedTrainer(Trainer):
         return super().load(directory, env)
 
 
-class _NpyMember:
-    """One array of an open `np.savez` archive, read by row slices.
-
-    `shape` and `dtype` come from the member's `.npy` header, parsed once.
-    `member[a:b]` reads rows [a, b) from the open member: onward from the
-    last read, skipping rows a block at a time, or from the member's start
-    again.
-    """
-
-    def __init__(self, fh):
-        self._fh = fh
-        self.name = fh.name.removesuffix(".npy")
-        version = np.lib.format.read_magic(fh)
-        read_header = (
-            np.lib.format.read_array_header_1_0
-            if version == (1, 0)
-            else np.lib.format.read_array_header_2_0
-        )
-        self.shape, fortran_order, self.dtype = read_header(fh)
-        if fortran_order:
-            raise ValueError(f"replay array {self.name!r} is stored in Fortran order, not C order")
-        self._start = fh.tell()
-        self._row_bytes = self.dtype.itemsize * int(np.prod(self.shape[1:]))
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        a, b, _ = rows.indices(self.shape[0])
-        position = self._start + a * self._row_bytes
-        if self._fh.tell() > position:
-            self._fh.seek(0)
-        while (skip := position - self._fh.tell()) > 0:
-            self._fh.read(min(skip, BLOCK_BYTES))
-        data = self._fh.read((b - a) * self._row_bytes)
-        if len(data) != (b - a) * self._row_bytes:
-            raise ValueError(
-                f"replay array {self.name!r} ends inside row {a + len(data) // self._row_bytes} "
-                f"of its {self.shape[0]}"
-            )
-        return np.frombuffer(data, self.dtype).reshape((b - a, *self.shape[1:]))
-
-
-def _write_npz(path: Path, arrays: dict) -> None:
-    """Write `arrays` as `np.savez` does, byte for byte, a block of rows at a time.
-
-    Each value is an array, or a stand-in that gives its `shape` and `dtype`
-    and its rows by slicing (`ReplayBuffer.state_rows`), so no whole array
-    is gathered.
-    """
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
-        for name, array in arrays.items():
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array_header_1_0(fh, {
-                    "descr": np.lib.format.dtype_to_descr(array.dtype),
-                    "fortran_order": False,
-                    "shape": array.shape,
-                })
-                for _, rows in row_blocks(array):
-                    fh.write(rows.tobytes())
-
-
 def _check_replay_rows(buffer: ReplayBuffer, num_actions: int) -> None:
-    """Raise ValueError naming the first field of `buffer`'s filled rows that
+    """Raise ValueError naming the first of `buffer`'s checkpoint arrays that
     holds what no run writes: an action outside [0, num_actions), a done flag
     other than 0 or 1, or a non-finite reward or observation."""
-    arrays = buffer.state_rows()
-    for name in FIELDS:
-        for start, rows in row_blocks(arrays[name]):
+    for name, array in buffer.state_arrays().items():
+        step = max(1, BLOCK_BYTES // max(1, array[:1].nbytes))
+        for start in range(0, len(array), step):
+            rows = array[start : start + step]
             if name.startswith("act_"):
                 bad, rule = (rows < 0) | (rows >= num_actions), f"an action in [0, {num_actions})"
             elif name == "done":

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import baselines  # noqa: F401  (defines the baseline trainers, listing each in TRAINERS)
-from .agents import Trainer, TrainerConfig
+from .agents import Trainer, TrainerConfig, check_checkpoint_dir
 from .checks import check_fields, config_from_json
 from .env import EdgeAssocEnv, EnvConfig
 from .metrics import EpisodeRecord, record_cells, write_metrics_csv, write_ts_log_csv
@@ -317,16 +317,19 @@ def _run_grid(tasks: list[tuple]) -> list:
 
 
 def _grid_tasks(cfg: ExperimentConfig) -> list[tuple]:
-    """Check `cfg`, write its `config.json`, and give its `run_single` tasks."""
+    """Check `cfg` and its checkpoint directories, write its `config.json`, and give its tasks."""
     cfg.validate()
     out_dir = Path(cfg.out_dir)
-    echo_config(cfg, out_dir)
-    return [
+    tasks = [
         (cfg.env, cfg.trainer, algo, seed, cfg.per_ts_log,
          out_dir / "checkpoints" / f"{algo}_seed{seed}")
         for algo in cfg.algos
         for seed in cfg.seeds
     ]
+    for *_, checkpoint_dir in tasks:
+        check_checkpoint_dir(checkpoint_dir)
+    echo_config(cfg, out_dir)
+    return tasks
 
 
 def _write_results(cfg: ExperimentConfig, tasks: list[tuple], outcomes: list) -> ExperimentResult:

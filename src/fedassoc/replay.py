@@ -25,15 +25,15 @@ Filling a 20 000-row buffer with 100-TS episodes raised the resident size by
 
 from __future__ import annotations
 
-import math
 import mmap
+import zipfile
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from typing import Iterator
 
 import numpy as np
 
-# About this many bytes of one field are read or scanned at a time by a load
-# and a row check, so neither holds a whole column.
+# About this many bytes of one array are read or scanned at a time by a load
+# and a row check, so neither holds a whole array.
 BLOCK_BYTES = 1 << 16
 
 
@@ -67,6 +67,8 @@ NEXT_OF = {f.name: f.metadata["next_of"] for f in fields(Batch) if "next_of" in 
 # The stored fields and their dtypes; the observation fields share one.
 _DTYPES = {f.name: np.dtype(f.metadata["dtype"]) for f in fields(Batch) if f.name not in NEXT_OF}
 (_OBS_DTYPE,) = {_DTYPES[name] for name in NEXT_OF.values()}
+# The stored fields that are not observations.
+_SCALARS = tuple(name for name in _DTYPES if name not in NEXT_OF.values())
 _ROW_KEYS = frozenset(FIELDS)
 
 
@@ -79,39 +81,6 @@ def _zeroed(shape, dtype) -> np.ndarray:
     """
     nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
     return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
-
-
-def _blocks(start: int, stop: int, row_bytes: int) -> Iterator[tuple[int, int]]:
-    """The consecutive [a, b) row ranges, of about `BLOCK_BYTES`, that cover [start, stop)."""
-    step = max(1, BLOCK_BYTES // row_bytes)
-    for a in range(start, stop, step):
-        yield a, min(a + step, stop)
-
-
-def row_blocks(array, start: int = 0) -> Iterator[tuple[int, np.ndarray]]:
-    """(a, rows a and on) for consecutive blocks of about `BLOCK_BYTES` that
-    cover `array`'s rows from `start`. `array` may be a stand-in that gives
-    its `shape` and `dtype` and its rows by slicing."""
-    row_bytes = array.dtype.itemsize * math.prod(array.shape[1:])
-    for a, b in _blocks(start, array.shape[0], row_bytes):
-        yield a, array[a:b]
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row, whether two arrays of one dtype and shape hold the same bytes."""
-    return (a.view(np.uint8) == b.view(np.uint8)).reshape(len(a), -1).all(axis=1)
-
-
-class _Gather:
-    """`column[index]`, gathered only for the rows it is sliced for: a
-    stand-in for that array, with its `shape` and `dtype`."""
-
-    def __init__(self, column: np.ndarray, index: np.ndarray):
-        self._column, self._index = column, index
-        self.shape, self.dtype = (len(index), *column.shape[1:]), column.dtype
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return self._column[self._index[rows]]
 
 
 class ReplayBuffer:
@@ -135,7 +104,7 @@ class ReplayBuffer:
             else _zeroed(capacity, dtype)
             for name, dtype in _DTYPES.items()
         }
-        self._next = _zeroed(capacity, np.intp)
+        self._next = _zeroed(capacity, np.int64)
         self._side = 0          # the side ring's next slot
         self.size = 0
         self.cursor = 0
@@ -178,101 +147,113 @@ class ReplayBuffer:
             **{name: self._columns[obs_field][nxt] for name, obs_field in NEXT_OF.items()},
         )
 
-    # -- checkpoint support --------------------------------------------------
+    # -- checkpoint support (format 2) --------------------------------------
 
-    def state_rows(self) -> dict:
-        """What `state_arrays` gives, without gathering: each stored field's
-        filled rows as a view, and each next observation field's as a
-        stand-in that gathers only the rows it is sliced for."""
-        rows = {
-            name: _Gather(self._columns[NEXT_OF[name]], self._next[: self.size])
-            if name in NEXT_OF
-            else self._columns[name][: self.size]
-            for name in FIELDS
+    def _parts(self, size: int, side: int, used: int) -> dict[str, list[np.ndarray]]:
+        """Each checkpoint array but `meta`, as the runs of this buffer's memory
+        that hold it: `size` filled rows, and the `used` side slots just behind
+        side cursor `side`, oldest first."""
+        c, obs = self.capacity, self._obs
+        start = c + (side - used) % c
+        end = start + used
+        return {
+            "obs": [obs[:size]],
+            "side": [obs[start:end]] if end <= 2 * c else [obs[start : 2 * c], obs[c : end - c]],
+            "pending": [obs[2 * c]],
+            **{name: [self._columns[name][:size]] for name in _SCALARS},
+            "next": [self._next[:size]],
         }
-        rows["meta"] = np.array([self.size, self.cursor, self.capacity], dtype=np.int64)
-        return rows
+
+    def _own_parts(self) -> dict[str, list[np.ndarray]]:
+        """This buffer's `_parts`, and `meta` = (size, cursor, capacity, side cursor)."""
+        used = int(np.count_nonzero(self._next[: self.size] >= self.capacity)) - (self.size > 0)
+        meta = np.array([self.size, self.cursor, self.capacity, self._side], dtype=np.int64)
+        return {**self._parts(self.size, self._side, used), "meta": [meta]}
 
     def state_arrays(self) -> dict:
-        """The filled rows of every field, and (size, cursor, capacity) as `meta`."""
-        return {name: rows[:] for name, rows in self.state_rows().items()}
+        """The arrays `save` writes, as views of the buffer but `meta` and a
+        `side` that wraps the side ring."""
+        parts = self._own_parts().items()
+        return {name: runs[0] if len(runs) == 1 else np.concatenate(runs) for name, runs in parts}
 
-    def load_state_arrays(self, arrays: dict) -> None:
-        """Restore `state_arrays` into this buffer, which keeps its own columns.
+    def save(self, file) -> None:
+        """Write `state_arrays` to `file`, a path or a binary file, as
+        `np.savez` does, byte for byte, straight from the buffer's memory."""
+        with zipfile.ZipFile(file, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+            for name, runs in self._own_parts().items():
+                with archive.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                    header = np.lib.format.header_data_from_array_1_0(runs[0])
+                    header["shape"] = (sum(map(len, runs)), *runs[0].shape[1:])
+                    np.lib.format.write_array_header_1_0(fh, header)
+                    for run in runs:
+                        fh.write(run)
 
-        `arrays` maps each name to an array, or to a stand-in that gives the
-        array's `shape` and `dtype` and its rows by slicing, as
-        `Trainer.load` reads a checkpoint's `replay.npz`. Each
-        field may hold `size` or `capacity` rows. `meta` must be a (3,)
-        integer array that names this buffer's capacity, a size in
-        [0, capacity] and a cursor in [0, capacity) that equals the size until
-        the buffer fills, and each field's dtype must cast to the buffer's
-        within its kind (no float actions, no complex values). Every array is
-        checked, by its shape and dtype, before the first write.
+    def load(self, file) -> None:
+        """Restore what `save` wrote to `file` into this fresh buffer.
 
-        Then each array is read in blocks of about `BLOCK_BYTES`: first the
-        stored fields into their columns, then both next observations
-        together, oldest row first. Each row's are compared by their bytes
-        with the following row's observations; where they differ they go to
-        the side ring, and the newest row's to the pending slot. Next
-        observations past `size` rows are read and dropped: every array is
-        read to its end, where a zip member checks its CRC.
-        """
-        meta = arrays["meta"]
-        if meta.shape != (3,) or meta.dtype.kind not in "iu":
-            raise ValueError(
-                "replay meta must be 3 integers (size, cursor, capacity), got an array "
-                f"of shape {meta.shape} and dtype {meta.dtype}"
-            )
-        size, cursor, capacity = meta[:3].tolist()
-        if capacity != self.capacity:
-            raise ValueError(
-                f"replay capacity {capacity} does not match this buffer's {self.capacity}"
-            )
-        if not 0 <= cursor < capacity or size not in (cursor, capacity):
-            raise ValueError(
-                f"replay size {size} and cursor {cursor} do not fit capacity {capacity}: the "
-                f"cursor must be in [0, {capacity}) and equal the size until the buffer is full"
-            )
-        for name in FIELDS:
-            array, column = arrays[name], self._columns[NEXT_OF.get(name, name)]
-            rows = array.shape[0] if array.shape else -1
-            if rows not in (size, capacity) or array.shape[1:] != column.shape[1:]:
+        `meta` and each array's header (the shape and dtype of the memory that
+        will hold it) are checked before the first write. Then each array is
+        read into that memory in blocks, to its end, where the archive checks
+        its CRC, and last the chain is checked."""
+        with zipfile.ZipFile(file) as archive, ExitStack() as stack:
+
+            def member(name):
+                if f"{name}.npy" not in archive.namelist():
+                    raise ValueError(f"missing array {name!r}")
+                fh = stack.enter_context(archive.open(f"{name}.npy"))
+                np.lib.format.read_magic(fh)  # `save` writes version 1.0 headers
+                shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+                if fortran_order:
+                    raise ValueError(f"replay array {name!r} is in Fortran order, not C order")
+                return fh, shape, dtype
+
+            fh, shape, dtype = member("meta")
+            if shape != (4,) or dtype.kind not in "iu":
+                raise ValueError(f"replay meta has shape {shape} and dtype {dtype}, not 4 integers")
+            _read_into(fh, "meta", meta := np.empty(4, dtype))
+            size, cursor, capacity, side = meta.tolist()
+            c = self.capacity
+            if capacity != c or size not in (cursor, c) or not 0 <= cursor < c or not 0 <= side < c:
                 raise ValueError(
-                    f"replay array {name!r} has shape {array.shape}, expected "
-                    f"{size} (filled) or {capacity} (all) rows of shape {column.shape[1:]}"
+                    f"replay meta {meta.tolist()} does not fit this buffer: capacity {c}, a size "
+                    f"in [0, {c}], both cursors in [0, {c}), the cursor equal to the size until full"
                 )
-            if not np.can_cast(array.dtype, column.dtype, "same_kind"):
-                raise ValueError(
-                    f"replay array {name!r} has dtype {array.dtype}, which does not cast "
-                    f"to the buffer's {column.dtype}"
-                )
-        for name, column in self._columns.items():
-            for a, rows in row_blocks(arrays[name]):
-                column[a : a + len(rows)] = rows
-        nexts, obs = [arrays[name] for name in NEXT_OF], self._obs
-        pending, oldest, newest = 2 * capacity, (cursor - size) % capacity, (cursor - 1) % capacity
-        self._side = 0
-        for start, stop in ((oldest, min(oldest + size, capacity)), (0, oldest + size - capacity)):
-            for a, b in _blocks(start, stop, obs[:1].nbytes):
-                rows = np.arange(a, b)
-                follow = (rows + 1) % capacity
-                block = np.empty((b - a, *obs.shape[1:]), obs.dtype)
-                for k, array in enumerate(nexts):
-                    block[:, k] = array[a:b]
-                same = _same_bits(block, obs[follow])
-                same[rows == newest] = True
-                self._next[a:b] = follow
-                moved = rows[~same]
-                slots = capacity + self._side + np.arange(len(moved))
-                obs[slots] = block[moved - a]
-                self._next[moved] = slots
-                self._side += len(moved)
-                if a <= newest < b:
-                    obs[pending] = block[newest - a]
-                    self._next[newest] = pending
-        for array in nexts:
-            for _ in row_blocks(array, size):
-                pass  # read and dropped, so that the whole array is read
-        self.size = size
-        self.cursor = cursor
+            members = {"side": member("side")}
+            used = (members["side"][1] or (0,))[0]
+            parts = self._parts(size, side, used)
+            for name, runs in parts.items():
+                members[name] = members.get(name) or member(name)
+                want = (sum(map(len, runs)), *runs[0].shape[1:]), runs[0].dtype
+                if members[name][1:] != want:
+                    raise ValueError(
+                        f"replay array {name!r} has shape {members[name][1]} and dtype "
+                        f"{members[name][2]}, not {want[0]} and {want[1]}"
+                    )
+            self.size, self.cursor, self._side = size, cursor, side
+            for name, runs in parts.items():
+                _read_into(members[name][0], name, *runs)
+        # Each row, oldest first, reads the following row or, where the chain
+        # breaks, the next of the `used` side slots just behind the side cursor
+        # (so no later `add` overwrites one in use); the newest, the pending slot.
+        rows = np.arange(self.cursor - self.size, self.cursor) % c
+        nxt, want = self._next[rows], np.roll(rows, -1)
+        want[-1:] = 2 * c
+        moved = nxt != want
+        moved[-1:] = False
+        want[moved] = c + (self._side - used + np.arange(moved.sum())) % c
+        for i in np.flatnonzero(nxt != want)[:1]:
+            reads = f"the pending slot {2 * c}" if i == len(rows) - 1 else (
+                f"the following row {(rows[i] + 1) % c} or side slot {want[i]}, the next "
+                f"before side cursor {self._side}")
+            raise ValueError(f"replay array 'next' row {rows[i]} holds {nxt[i]}, not {reads}")
+        if moved.sum() != used:
+            raise ValueError(f"replay array 'side' holds {used} slots; the rows read {moved.sum()}")
+
+
+def _read_into(fh, name: str, *runs: np.ndarray) -> None:
+    """Fill `runs` in turn from `fh`, a block at a time."""
+    for run in runs:
+        flat = run.reshape(-1).view(np.uint8)
+        for a in range(0, len(flat), BLOCK_BYTES):
+            if fh.readinto(flat[a : a + BLOCK_BYTES]) < len(flat[a : a + BLOCK_BYTES]):
+                raise ValueError(f"replay array {name!r} ends before its {sum(map(len, runs))} rows")

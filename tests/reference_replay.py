@@ -2,12 +2,23 @@
 
 `fedassoc.replay.ReplayBuffer` stores each observation once and finds a row's
 next observations by index; this is the plain store it is tested against. It
-keeps the same ring, sampling and checkpoint arrays.
+keeps the same ring and sampling, and its `state_arrays` are the arrays of a
+format-1 checkpoint's `replay.npz`, which `columns` rebuilds from format 2's
+and tools/upgrade_checkpoint.py (loaded here as `upgrade_checkpoint`) reads.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
 from fedassoc.replay import FIELDS, NEXT_OF
+
+_spec = importlib.util.spec_from_file_location(
+    "upgrade_checkpoint", Path(__file__).resolve().parent.parent / "tools" / "upgrade_checkpoint.py"
+)
+upgrade_checkpoint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(upgrade_checkpoint)
 
 OBS_FIELDS = (*NEXT_OF, *NEXT_OF.values())
 ACTION_FIELDS = ("act_lead", "act_follow")
@@ -51,9 +62,33 @@ class ColumnReplay:
         self.size, self.cursor, _ = np.asarray(arrays["meta"]).tolist()
 
 
+def columns(arrays: dict) -> dict:
+    """The column-per-field arrays (format 1) of format-2 `arrays`, as
+    `ReplayBuffer.state_arrays` gives them: each row's next observations are
+    gathered by `next` from the row slots, the used side slots (just behind
+    the side cursor, oldest first) or the pending slot."""
+    size, cursor, capacity, side = arrays["meta"].tolist()
+    slots = np.zeros((2 * capacity + 1, *arrays["pending"].shape), arrays["pending"].dtype)
+    slots[:size] = arrays["obs"]
+    used = len(arrays["side"])
+    slots[capacity + (side - used + np.arange(used)) % capacity] = arrays["side"]
+    slots[2 * capacity] = arrays["pending"]
+    obs_fields = list(NEXT_OF.values())
+    out = {}
+    for name in FIELDS:
+        if name in NEXT_OF:
+            out[name] = slots[arrays["next"], obs_fields.index(NEXT_OF[name])]
+        elif name in obs_fields:
+            out[name] = arrays["obs"][:, obs_fields.index(name)]
+        else:
+            out[name] = arrays[name]
+    out["meta"] = np.array([size, cursor, capacity], dtype=np.int64)
+    return out
+
+
 def all_rows(arrays: dict) -> dict:
-    """`state_arrays` with every field padded by zero rows to the capacity in
-    `meta`, as checkpoints of earlier versions held them."""
+    """Format-1 `arrays` with every field padded by zero rows to the capacity
+    in `meta`, as the earliest checkpoints held them."""
     capacity = int(arrays["meta"][2])
     return {
         name: array if name == "meta" else np.concatenate(

@@ -1,6 +1,7 @@
 """Sharing primitives, joint-action math and the federated trainer."""
 
 import gc
+import json
 import os
 import re
 import struct
@@ -34,7 +35,7 @@ from fedassoc.env import EdgeAssocEnv, EnvConfig
 from fedassoc.harness import ALGORITHMS, TRAINERS, blas_threads, usable_cpus
 from fedassoc.nn import clone, copy_into_target, forward, init_net, linear_schedule, net_fingerprint
 from fedassoc.replay import Batch
-from reference_replay import all_rows, same_arrays
+from reference_replay import ColumnReplay, all_rows, columns, same_arrays, upgrade_checkpoint
 from reference_targets import double_dqn_targets, plain_max_targets
 from toy_env import ToyEnv, separable_table, toy_trainer_cfg
 
@@ -730,6 +731,8 @@ def test_save_refuses_a_non_empty_directory_without_state_json(tmp_path):
 
 
 def test_checkpoint_keeps_only_filled_replay_rows(tmp_path):
+    """One episode fills 100 of 20 000 rows: the replay holds those rows, no
+    side slot (the newest row reads the pending slot) and the pending slot."""
     cfg = small_cfg(episodes=1, replay_capacity=TrainerConfig().replay_capacity)
     trainer = FederatedTrainer(EdgeAssocEnv(EnvConfig(), seed=3), cfg, seed=4)
     trainer.run()
@@ -737,24 +740,45 @@ def test_checkpoint_keeps_only_filled_replay_rows(tmp_path):
     horizon = EnvConfig().horizon
     path = tmp_path / "ckpt" / "replay.npz"
     with np.load(path) as data:
-        rows = {name: len(data[name]) for name in data.files if name != "meta"}
-        assert list(data["meta"]) == [horizon, horizon, trainer.cfg.replay_capacity]
-    assert set(rows.values()) == {horizon}
+        rows = {name: len(data[name]) for name in data.files if name not in ("pending", "meta")}
+        assert list(data["meta"]) == [horizon, horizon, trainer.cfg.replay_capacity, 0]
+        assert data["pending"].shape == (2, trainer.env.obs_dim)
+    assert rows.pop("side") == 0 and set(rows.values()) == {horizon}
     row_bytes = sum(
-        array[:1].nbytes for name, array in trainer.buffer.state_arrays().items() if name != "meta"
+        array[:1].nbytes for name, array in trainer.buffer.state_arrays().items()
+        if name not in ("side", "pending", "meta")
     )
+    assert row_bytes == 264
     assert path.stat().st_size < 2 * horizon * row_bytes
 
 
+def as_format_1(directory, arrays) -> None:
+    """Make the checkpoint in `directory` one of format 1: its replay the
+    column-per-field `arrays`, and a `state.json` without `format`."""
+    np.savez(directory / "replay.npz", **arrays)
+    state = json.loads((directory / "state.json").read_text())
+    del state["format"]
+    (directory / "state.json").write_text(json.dumps(state))
+
+
 def test_checkpoint_with_all_replay_rows_resumes_identically(tmp_path):
-    """Checkpoints of earlier versions hold all `capacity` rows of each column."""
+    """Format-1 checkpoints hold a column per field, of the filled rows or, the
+    earliest, of all `capacity` rows. `load` refuses either, naming the
+    upgrade tool; upgraded, each resumes as the trainer that wrote it."""
     trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
     trainer.run()
     trainer.save(tmp_path / "filled")
     trainer.save(tmp_path / "all")
     state = trainer.buffer.state_arrays()
     assert len(trainer.buffer) < trainer.buffer.capacity
-    np.savez(tmp_path / "all" / "replay.npz", **all_rows(state))
+    as_format_1(tmp_path / "filled", columns(state))
+    as_format_1(tmp_path / "all", all_rows(columns(state)))
+    for d in ("filled", "all"):
+        with pytest.raises(ValueError, match=re.escape(
+            f"{tmp_path / d / 'state.json'}: format 1: upgrade it with tools/upgrade_checkpoint.py"
+        )):
+            FederatedTrainer.load(tmp_path / d, small_env(seed=1))
+        assert upgrade_checkpoint.main([str(tmp_path / d)]) == 0
     resumed = [FederatedTrainer.load(tmp_path / d, small_env(seed=1)) for d in ("filled", "all")]
     for other in resumed:
         assert same_arrays(other.buffer.state_arrays(), state)
@@ -765,6 +789,110 @@ def test_checkpoint_with_all_replay_rows_resumes_identically(tmp_path):
         for t in (trainer, *resumed)
     ]
     assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_an_upgraded_format_1_checkpoint_resumes_as_the_uninterrupted_trainer(tmp_path, algo):
+    """A format-1 checkpoint whose replay holds the column-per-field buffer's
+    arrays (`ColumnReplay`, fed the same rows), here wrapped, resumes after
+    tools/upgrade_checkpoint.py to the records and nets of 4 uninterrupted
+    episodes."""
+    cfg = small_cfg(replay_capacity=8, fedavg_period=3)
+    whole = TRAINERS[algo](small_env(seed=8), cfg, seed=5)
+    records = whole.run(episodes=4)
+    trainer = TRAINERS[algo](small_env(seed=8), cfg, seed=5)
+    reference, add = ColumnReplay(8, trainer.env.obs_dim), trainer.buffer.add
+
+    def add_to_both(**row):
+        add(**row)
+        reference.add(**row)
+
+    trainer.buffer.add = add_to_both
+    assert trainer.run(episodes=2) == records[:2]
+    assert len(reference) == reference.capacity < 2 * 5
+    trainer.save(tmp_path / "ckpt")
+    as_format_1(tmp_path / "ckpt", reference.state_arrays())
+    assert upgrade_checkpoint.main([str(tmp_path / "ckpt"), "--out", str(tmp_path / "new")]) == 0
+    loaded = TRAINERS[algo].load(tmp_path / "new", small_env(seed=999))
+    assert same_arrays(columns(loaded.buffer.state_arrays()), reference.state_arrays())
+    assert loaded.run(episodes=2) == records[2:]
+    assert fingerprints(loaded) == fingerprints(whole)
+
+
+def test_the_upgrade_tool_runs_as_a_script(tmp_path):
+    trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
+    trainer.run()
+    trainer.save(tmp_path / "ckpt")
+    as_format_1(tmp_path / "ckpt", columns(trainer.buffer.state_arrays()))
+    before = read_files(tmp_path / "ckpt")
+    tool = Path(__file__).resolve().parent.parent / "tools" / "upgrade_checkpoint.py"
+    out = tmp_path / "upgraded"
+    proc = subprocess.run([sys.executable, str(tool), str(tmp_path / "ckpt"), "--out", str(out)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {out}\n", "")
+    assert read_files(tmp_path / "ckpt") == before
+    trainer.save(tmp_path / "fresh")
+    assert read_files(out) == read_files(tmp_path / "fresh")
+
+
+def _edit_columns(edit):
+    def apply(ckpt):
+        with np.load(ckpt / "replay.npz") as data:
+            arrays = dict(data)
+        edit(arrays)
+        np.savez(ckpt / "replay.npz", **arrays)
+    return apply
+
+
+def _edit_state(edit):
+    def apply(ckpt):
+        state = json.loads((ckpt / "state.json").read_text())
+        edit(state)
+        (ckpt / "state.json").write_text(json.dumps(state))
+    return apply
+
+
+# Format-1 checkpoints the upgrade refuses, each with the message after
+# `error: `, in which DIR stands for the checkpoint.
+BAD_FORMAT_1 = {
+    "no-state": (lambda ckpt: (ckpt / "state.json").unlink(), "No such file or directory"),
+    "format-2": (_edit_state(lambda state: state.update(format=2)),
+                 "DIR/state.json: not a format-1 checkpoint"),
+    "no-env-state": (_edit_state(lambda state: state.pop("env_state")),
+                     "DIR/state.json: 'env_state'"),
+    "cut-file": (lambda ckpt: (ckpt / "replay.npz").write_bytes(b"PK\x03\x04" + b"0" * 40),
+                 "DIR/replay.npz: "),
+    "missing-array": (_edit_columns(lambda arrays: arrays.pop("done")),
+                      "DIR/replay.npz: 'done is not a file in the archive'"),
+    "bad-meta": (_edit_columns(lambda arrays: arrays.update(meta=np.array([9, 3, 8]))),
+                 "DIR/replay.npz: meta [9, 3, 8] is not a replay's (size, cursor, capacity)"),
+    "float-action": (_edit_columns(lambda arrays: arrays.update(act_lead=arrays["act_lead"] + 0.5)),
+                     "DIR/replay.npz: array 'act_lead' has dtype float64, not a replay column's"),
+    "short-column": (_edit_columns(lambda arrays: arrays.update(reward=arrays["reward"][:3])),
+                     "DIR/replay.npz: index 3 is out of bounds"),
+    "bad-action": (_edit_columns(lambda arrays: arrays["act_follow"].__setitem__(2, 99)),
+                   "DIR/replay.npz: replay array 'act_follow' row 2 holds 99, not an action"),
+}
+
+
+@pytest.mark.parametrize("edit, message", BAD_FORMAT_1.values(), ids=BAD_FORMAT_1)
+def test_the_upgrade_tool_rejects_a_malformed_format_1_checkpoint(tmp_path, capsys, edit, message):
+    """One stderr line and exit code 2; the checkpoint is left as it was, and
+    nothing else is written."""
+    trainer = FederatedTrainer(small_env(seed=8), small_cfg(replay_capacity=8), seed=5)
+    trainer.run(episodes=2)
+    ckpt = tmp_path / "ckpt"
+    trainer.save(ckpt)
+    as_format_1(ckpt, columns(trainer.buffer.state_arrays()))
+    edit(ckpt)
+    before = read_files(ckpt)
+    capsys.readouterr()
+    assert upgrade_checkpoint.main([str(ckpt)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert message.replace("DIR", str(ckpt)) in err
+    assert read_files(ckpt) == before
+    assert [path.name for path in tmp_path.iterdir()] == ["ckpt"]
 
 
 def full_trainer_with_breaks(extra_rows=300):
@@ -803,10 +931,13 @@ def test_load_holds_one_replay_array_at_a_time(tmp_path):
     net_bytes = sum(net.params.nbytes for net in loaded.nets.values())
     state = buffer.state_arrays()
     replay_bytes = sum(array.nbytes for name, array in state.items() if name != "meta")
-    assert replay_bytes == buffer.capacity * 480
-    # No whole column is read at once: 0.45 MB of the 9.6 MB here, 2.86 MB when
-    # each array was read whole and its observations kept in their own columns.
-    assert peak - net_bytes < replay_bytes / 8
+    # 264 B per row, and 224 B for each side slot in use (every 100th row but
+    # the newest breaks the chain) and the pending slot.
+    assert len(state["side"]) == 199
+    assert replay_bytes == buffer.capacity * 264 + 200 * 224
+    # No whole array is read at once. The bound is an eighth of the 9.6 MB
+    # this replay took when each field had its own column (480 B per row).
+    assert peak - net_bytes < buffer.capacity * 480 / 8
     assert same_arrays(loaded.buffer.state_arrays(), state)
 
 
@@ -867,9 +998,9 @@ def test_failed_load_leaves_env_unchanged(tmp_path, name, other_world):
 
 # A `meta` of another shape or of non-integers, each with its shape and dtype.
 BAD_REPLAY_META = {
-    "2-d": (lambda meta: meta[None], "shape (1, 3) and dtype int64"),
-    "float": (lambda meta: meta + 0.7, "shape (3,) and dtype float64"),
-    "complex": (lambda meta: meta + 0j, "shape (3,) and dtype complex128"),
+    "2-d": (lambda meta: meta[None], "shape (1, 4) and dtype int64"),
+    "float": (lambda meta: meta + 0.7, "shape (4,) and dtype float64"),
+    "complex": (lambda meta: meta + 0j, "shape (4,) and dtype complex128"),
 }
 
 
@@ -883,8 +1014,8 @@ def test_load_rejects_malformed_replay_meta(tmp_path, edit, message):
         arrays = dict(data)
     arrays["meta"] = edit(arrays["meta"])
     np.savez(path, **arrays)
-    want = f"{path}: replay meta must be 3 integers (size, cursor, capacity), got an array of "
-    with pytest.raises(ValueError, match=re.escape(want + message)):
+    want = f"{path}: replay meta has {message}, not 4 integers"
+    with pytest.raises(ValueError, match=re.escape(want)):
         FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=1))
 
 
@@ -902,14 +1033,18 @@ BAD_REPLAY_ROWS = {
     "negative-action": (_set_row("act_follow", 0, -1),
                         "replay array 'act_follow' row 0 holds -1, not an action in [0, 16)"),
     "float-action": (lambda arrays: arrays.update(act_follow=arrays["act_follow"] + 0.7),
-                     "replay array 'act_follow' has dtype float64, which does not cast to "
-                     "the buffer's int64"),
+                     "replay array 'act_follow' has shape (10,) and dtype float64, not (10,) "
+                     "and int64"),
     "complex-reward": (lambda arrays: arrays.update(reward=arrays["reward"] + 0j),
-                       "replay array 'reward' has dtype complex128"),
+                       "replay array 'reward' has shape (10,) and dtype complex128"),
     "nan-reward": (_set_row("reward", 2, np.nan),
                    "replay array 'reward' row 2 holds nan, not a finite number"),
-    "infinite-observation": (_set_row("next_obs_lead", (1, 4), -np.inf),
-                             "replay array 'next_obs_lead' row 1 holds -inf, not a finite number"),
+    "infinite-observation": (_set_row("obs", (1, 0, 4), -np.inf),
+                             "replay array 'obs' row 1 holds -inf, not a finite number"),
+    "infinite-side-slot": (_set_row("side", (0, 1, 2), np.inf),
+                           "replay array 'side' row 0 holds inf, not a finite number"),
+    "nan-pending": (_set_row("pending", (1, 0), np.nan),
+                    "replay array 'pending' row 1 holds nan, not a finite number"),
     "done-flag": (_set_row("done", 4, 0.5), "replay array 'done' row 4 holds 0.5, not 0 or 1"),
 }
 
@@ -932,67 +1067,68 @@ def test_load_rejects_bad_replay_rows(tmp_path, edit, message):
 
 
 def test_load_rejects_a_short_or_fortran_ordered_replay_array(tmp_path):
-    """Arrays are read by rows from the archive: one whose data ends before its
-    header's rows, or that is stored column by column, fails naming it."""
+    """Arrays are read in blocks from the archive: one whose data ends before
+    its header's rows, or that is stored column by column, fails naming it."""
     trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
     trainer.run()
     trainer.save(tmp_path / "ckpt")
     path = tmp_path / "ckpt" / "replay.npz"
     with np.load(path) as data:
         arrays = dict(data)
-    size, _, capacity = arrays["meta"].tolist()
-    assert size < capacity
-    np.savez(path, **{**arrays, "obs_lead": np.asfortranarray(arrays["obs_lead"])})
+    size = arrays["meta"][0]
+    np.savez(path, **{**arrays, "obs": np.asfortranarray(arrays["obs"])})
     with pytest.raises(ValueError, match=re.escape(
-        f"{path}: replay array 'obs_lead' is stored in Fortran order, not C order"
+        f"{path}: replay array 'obs' is in Fortran order, not C order"
     )):
         FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=1))
-    # The header of `reward` promises all `capacity` rows; its data holds `size`.
+    # The header of `reward` promises its `size` rows; its data holds one fewer.
     with zipfile.ZipFile(path, "w") as archive:
         for name, array in arrays.items():
-            header = np.lib.format.header_data_from_array_1_0(array)
-            if name == "reward":
-                header["shape"] = (capacity,)
             with archive.open(f"{name}.npy", "w") as fh:
-                np.lib.format.write_array_header_1_0(fh, header)
-                fh.write(array.tobytes())
+                np.lib.format.write_array_header_1_0(
+                    fh, np.lib.format.header_data_from_array_1_0(array)
+                )
+                fh.write(array[:-1].tobytes() if name == "reward" else array.tobytes())
     with pytest.raises(ValueError, match=re.escape(
-        f"{path}: replay array 'reward' ends inside row {size} of its {capacity}"
+        f"{path}: replay array 'reward' ends before its {size} rows"
     )):
         FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=1))
 
 
 def test_load_reads_every_replay_row_so_the_archive_checks_it(tmp_path):
-    """Rows past the filled ones are read and dropped, so damage there still
-    fails the archive's CRC check, naming `replay.npz`."""
+    """Every array is read to its end, so damage to its last byte fails the
+    archive's CRC check, naming `replay.npz`."""
     trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
     trainer.run()
-    trainer.save(tmp_path / "ckpt")
     path = tmp_path / "ckpt" / "replay.npz"
-    np.savez(path, **all_rows(trainer.buffer.state_arrays()))
-    with zipfile.ZipFile(path) as archive:
-        info = archive.getinfo("next_obs_lead.npy")
-    data = bytearray(path.read_bytes())
-    # The member's data follows its 30-byte local header, name and extra field.
-    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
-    end = info.header_offset + 30 + name_len + extra_len + info.file_size
-    data[end - 3] ^= 1  # a byte of the last, unfilled row
-    path.write_bytes(data)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: Bad CRC-32 for file 'next_obs_lead.npy'")):
-        FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=1))
+    for member in ("obs.npy", "side.npy", "pending.npy", "done.npy", "next.npy", "meta.npy"):
+        trainer.save(tmp_path / "ckpt")
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo(member)
+        data = bytearray(path.read_bytes())
+        # The member's data follows its 30-byte local header, name and extra field.
+        name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+        end = info.header_offset + 30 + name_len + extra_len + info.file_size
+        data[end - 1] ^= 1  # a byte of the array's last row
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: Bad CRC-32 for file '{member}'")):
+            FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=1))
 
 
 def test_load_checks_only_the_filled_replay_rows(tmp_path):
-    """Rows past the filled ones are read but not checked, so what they hold is not rejected."""
+    """What a format-1 column holds past the filled rows is dropped by the
+    upgrade, so it is not rejected."""
     trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
     trainer.run()
     trainer.save(tmp_path / "ckpt")
-    arrays = all_rows(trainer.buffer.state_arrays())
+    arrays = all_rows(columns(trainer.buffer.state_arrays()))
     for name, value in (("act_lead", -5), ("reward", np.nan), ("done", 0.5)):
         arrays[name][-1] = value
-    np.savez(tmp_path / "ckpt" / "replay.npz", **arrays)
+    as_format_1(tmp_path / "ckpt", arrays)
+    assert upgrade_checkpoint.main([str(tmp_path / "ckpt")]) == 0
     loaded = FederatedTrainer.load(tmp_path / "ckpt", small_env(seed=1))
     assert len(loaded.buffer) == len(trainer.buffer) < trainer.buffer.capacity
+    assert same_arrays(loaded.buffer.state_arrays(), trainer.buffer.state_arrays())
 
 
 @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("null", "NoneType"), ("3", "int")])

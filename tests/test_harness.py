@@ -37,6 +37,7 @@ from fedassoc.env import EdgeAssocEnv, EnvConfig
 from fedassoc.metrics import EpisodeRecord, read_metrics_csv, record_cells, write_metrics_csv
 from fedassoc.nn import load_net, net_fingerprint
 from processes import force_cpus
+from reference_replay import columns, upgrade_checkpoint
 
 
 def tiny_config(out_dir, fedavg_period=5, **run_overrides):
@@ -393,6 +394,28 @@ def cli_config(tmp_path):
     return path
 
 
+def test_a_run_refuses_a_checkpoint_directory_it_could_not_replace(tmp_path, capsys, monkeypatch):
+    """A run whose checkpoint directory is not empty and holds no state.json
+    is refused before it trains: one stderr line, exit 2, and no output but
+    the stray file."""
+    monkeypatch.chdir(tmp_path)
+    ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
+    ckpt.mkdir(parents=True)
+    (ckpt / "notes.txt").write_text("keep")
+    trained = []
+    monkeypatch.setattr(harness, "run_single", lambda *task: trained.append(task))
+    rc = cli_main(["--algo", "proposed", "--seed", "1", "--episodes", "1"])
+    assert rc == 2 and trained == []
+    assert capsys.readouterr().err == (
+        f"error: {Path('runs') / 'checkpoints' / 'proposed_seed1'}: not a checkpoint "
+        "(no state.json); not replacing it\n"
+    )
+    assert [p.relative_to(tmp_path).as_posix() for p in sorted(tmp_path.rglob("*"))] == [
+        "runs", "runs/checkpoints", "runs/checkpoints/proposed_seed1",
+        "runs/checkpoints/proposed_seed1/notes.txt",
+    ]
+
+
 def test_cli_single_run(tmp_path, capsys):
     rc = cli_main([
         "--config", str(cli_config(tmp_path)), "--algo", "imarl", "--seed", "4",
@@ -573,8 +596,10 @@ def test_cli_eval_from_checkpoint(tmp_path, capsys, algo):
     assert csvs[0] == csvs[1]
 
 
-def test_a_checkpoint_without_format_and_algo_loads_as_proposed(tmp_path):
-    """Checkpoints written before `format` and `algo` existed are proposed ones."""
+def test_a_checkpoint_without_format_and_algo_loads_as_proposed(tmp_path, capsys):
+    """Checkpoints written before `format` and `algo` existed are proposed ones
+    of format 1: `--eval` refuses one in one line naming the upgrade tool, and
+    once upgraded (format 1's column-per-field replay) it evaluates as before."""
     cfg_path = cli_config(tmp_path)
     assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
     ckpt = tmp_path / "runs" / "checkpoints" / "proposed_seed1"
@@ -585,6 +610,16 @@ def test_a_checkpoint_without_format_and_algo_loads_as_proposed(tmp_path):
     state = json.loads(path.read_text())
     del state["format"], state["algo"]
     path.write_text(json.dumps(state, indent=1))
+    with np.load(ckpt / "replay.npz") as data:
+        np.savez(ckpt / "replay.npz", **columns(dict(data)))
+    capsys.readouterr()
+    assert cli_main([*evaluate, str(tmp_path / "old")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: format 1: upgrade it with tools/upgrade_checkpoint.py\n"
+    )
+    assert not (tmp_path / "old").exists()
+    assert upgrade_checkpoint.main([str(ckpt)]) == 0
+    assert json.loads(path.read_text())["algo"] == "proposed"
     assert cli_main([*evaluate, str(tmp_path / "old")]) == 0
     csvs = [(tmp_path / d / "eval_metrics.csv").read_bytes() for d in ("new", "old")]
     assert csvs[0] == csvs[1]
@@ -599,8 +634,11 @@ BAD_CHECKPOINTS = {
         "unknown algo 'dqn'; choose from ('proposed', 'cdrl', 'imarl', 'fmarl-avg')",
     ),
     "newer-format": (
-        "proposed", {"format": 2}, [],
-        "format 2 is newer than format 1, the newest this version reads",
+        "proposed", {"format": 3}, [],
+        "format 3 is newer than format 2, the newest this version reads",
+    ),
+    "format-one": (
+        "fmarl-avg", {"format": 1}, [], "format 1: upgrade it with tools/upgrade_checkpoint.py",
     ),
     "format-zero": ("imarl", {"format": 0}, [], "format must be an integer >= 1, got 0"),
     "sigma-on-cdrl": (
@@ -953,53 +991,65 @@ def test_cli_eval_rejects_a_state_that_is_not_an_object(tmp_path, capsys):
     assert not (tmp_path / "eval").exists()
 
 
-def _set_meta(size, cursor):
-    """An edit that writes all 32 rows of every column, as earlier versions
-    did, and sets the meta size and cursor."""
+def _set_meta(size, cursor, side=None):
+    """An edit that sets the meta size, cursor and, if given, side cursor."""
     def edit(arrays):
-        for name, array in arrays.items():
-            if name != "meta":
-                pad = np.zeros((32 - len(array), *array.shape[1:]), array.dtype)
-                arrays[name] = np.concatenate([array, pad])
         arrays["meta"][:2] = size, cursor
+        if side is not None:
+            arrays["meta"][3] = side
+    return edit
+
+
+def _set_next(row, value):
+    def edit(arrays):
+        arrays["next"][row] = value
     return edit
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda arrays: arrays.update(obs_lead=arrays["obs_lead"][:5]),
-         "'obs_lead' has shape (5, 14)"),
+        (lambda arrays: arrays.update(obs=arrays["obs"][:5]),
+         "'obs' has shape (5, 2, 14) and dtype float64, not (12, 2, 14) and float64"),
         (lambda arrays: arrays.pop("done"), "missing array 'done'"),
         (lambda arrays: arrays["meta"].__setitem__(2, 999),
-         "replay capacity 999 does not match this buffer's 32"),
+         "replay meta [12, 12, 999, 2] does not fit this buffer: capacity 32"),
         (None, "File is not a zip file"),
-        (_set_meta(60, 12), "replay size 60 and cursor 12 do not fit capacity 32"),
-        (_set_meta(-3, 12), "replay size -3 and cursor 12 do not fit capacity 32"),
-        (_set_meta(12, 999), "replay size 12 and cursor 999 do not fit capacity 32"),
-        (_set_meta(12, -1), "replay size 12 and cursor -1 do not fit capacity 32"),
-        (_set_meta(10, 3), "replay size 10 and cursor 3 do not fit capacity 32"),
+        (_set_meta(60, 12), "replay meta [60, 12, 32, 2] does not fit this buffer: capacity 32"),
+        (_set_meta(-3, 12), "replay meta [-3, 12, 32, 2] does not fit"),
+        (_set_meta(12, 999), "replay meta [12, 999, 32, 2] does not fit"),
+        (_set_meta(12, -1), "replay meta [12, -1, 32, 2] does not fit"),
+        (_set_meta(10, 3), "replay meta [10, 3, 32, 2] does not fit"),
+        (_set_meta(12, 12, side=32), "replay meta [12, 12, 32, 32] does not fit"),
         (lambda arrays: arrays.update(meta=arrays["meta"][None]),
-         "replay meta must be 3 integers (size, cursor, capacity), got an array of shape (1, 3)"),
+         "replay meta has shape (1, 4) and dtype int64, not 4 integers"),
         (lambda arrays: arrays.update(meta=arrays["meta"] + 0.7), "dtype float64"),
         (lambda arrays: arrays.update(meta=arrays["meta"] + 0j), "dtype complex128"),
+        # A chain that no buffer writes: a `next` entry out of range, and a
+        # side cursor under which a later add would overwrite a side slot in use.
+        (_set_next(5, 10**6), "replay array 'next' row 5 holds 1000000, not the following row 6 "
+         "or side slot 33, the next before side cursor 2"),
+        (_set_next(11, 12), "replay array 'next' row 11 holds 12, not the pending slot 64"),
+        (_set_meta(12, 12, side=3), "replay array 'next' row 3 holds 32, not the following row 4 "
+         "or side slot 33, the next before side cursor 3"),
         # Filled rows that no run writes.
         (lambda arrays: arrays.update(act_lead=arrays["act_lead"] + 1000),
          "replay array 'act_lead' row 0 holds 10"),
         (lambda arrays: arrays.update(act_follow=arrays["act_follow"] + 0.7),
-         "replay array 'act_follow' has dtype float64, which does not cast to the buffer's int64"),
+         "replay array 'act_follow' has shape (12,) and dtype float64, not (12,) and int64"),
         (lambda arrays: arrays["reward"].__setitem__(5, np.nan),
          "replay array 'reward' row 5 holds nan, not a finite number"),
-        (lambda arrays: arrays["obs_follow"].__setitem__((1, 0), np.inf),
-         "replay array 'obs_follow' row 1 holds inf, not a finite number"),
+        (lambda arrays: arrays["obs"].__setitem__((1, 1, 0), np.inf),
+         "replay array 'obs' row 1 holds inf, not a finite number"),
         (lambda arrays: arrays["done"].__setitem__(0, 2.0),
          "replay array 'done' row 0 holds 2.0, not 0 or 1"),
     ],
     ids=[
         "truncated", "missing", "capacity", "cut-file",
         "size-past-capacity", "negative-size", "cursor-past-capacity", "negative-cursor",
-        "cursor-not-size", "2-d-meta", "float-meta", "complex-meta",
-        "shifted-action", "float-action", "nan-reward", "infinite-observation", "done-flag",
+        "cursor-not-size", "side-cursor-past-capacity", "2-d-meta", "float-meta", "complex-meta",
+        "next-out-of-range", "newest-not-pending", "side-cursor", "shifted-action", "float-action", "nan-reward",
+        "infinite-observation", "done-flag",
     ],
 )
 def test_cli_eval_rejects_bad_replay_arrays(tmp_path, capsys, edit, message):
