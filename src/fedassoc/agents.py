@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import tempfile
 import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -256,6 +257,9 @@ class Trainer:
     # `Trainer.load` builds the class a checkpoint names from there.
     algo = ""
     classes: dict[str, type["Trainer"]] = {}
+    # Whether the algorithm shares Q-values under noise of σ
+    # `cfg.share_noise_std`, which `--sweep sigma` and `--eval --sigma` set.
+    shares_q = False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -411,16 +415,18 @@ class Trainer:
         `replay.npz`, and `state.json`: the checkpoint's `format` and `algo`,
         the config, the counters, the random streams and the env state.
 
-        The files go into `<directory>.tmp-<pid>`, which then replaces
-        `directory` whole (`os.replace`): a failed save leaves the last one as
-        it was. `check_checkpoint_dir` refuses a non-empty directory without
+        The files go into `new` in a directory that `tempfile.mkdtemp` makes
+        for this call alone, and `new` then replaces `directory` whole
+        (`os.replace`): a failed save leaves the last one as it was.
+        `check_checkpoint_dir` refuses a non-empty directory without
         `state.json` first."""
         directory = Path(directory)
         check_checkpoint_dir(directory)
-        staged = directory.with_name(f"{directory.name}.tmp-{os.getpid()}")
-        retired = directory.with_name(f"{directory.name}.old-{os.getpid()}")
-        staged.mkdir(parents=True)
+        directory.parent.mkdir(parents=True, exist_ok=True)
+        work = Path(tempfile.mkdtemp(prefix=f"{directory.name}.tmp-", dir=directory.parent))
+        staged, retired = work / "new", work / "old"
         try:
+            staged.mkdir()
             for name, net in self.nets.items():
                 save_net(staged / f"{name}.net", net)
             self.buffer.save(staged / "replay.npz")
@@ -437,13 +443,15 @@ class Trainer:
             }
             with open(staged / "state.json", "w") as fh:
                 json.dump(state, fh, indent=1)
+            if directory.exists():  # a crash before the next rename leaves it at `retired`
+                os.replace(directory, retired)
+            os.replace(staged, directory)
         except BaseException:
-            shutil.rmtree(staged, ignore_errors=True)
+            if retired.exists() and not directory.exists():
+                os.replace(retired, directory)
             raise
-        if directory.exists():  # a crash before the next rename leaves it at `retired`
-            os.replace(directory, retired)
-        os.replace(staged, directory)
-        shutil.rmtree(retired, ignore_errors=True)
+        finally:
+            shutil.rmtree(work, ignore_errors=True)
 
     @classmethod
     def load(cls, directory, env) -> "Trainer":
@@ -566,6 +574,7 @@ class FederatedTrainer(Trainer):
     """
 
     algo = "proposed"
+    shares_q = True
 
     @classmethod
     def net_dims(cls, env, cfg: TrainerConfig) -> dict[str, tuple[int, ...]]:

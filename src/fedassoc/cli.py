@@ -98,15 +98,14 @@ def _evaluate_checkpoint(
     cfg: ExperimentConfig, checkpoint: Path, episodes: int, sigma: Optional[float]
 ) -> tuple[Path, Optional[float]]:
     """Write the greedy records of `checkpoint`, of whichever algorithm it
-    names. A proposed one acts at `sigma` or, when it is None, at the
-    checkpoint's own share_noise_std; returns the path and that σ, or None
-    for the other algorithms, which share nothing."""
+    names. One that `shares_q` (proposed) acts at `sigma` or, when it is
+    None, at the checkpoint's own share_noise_std; returns the path and that
+    σ, or None for the other algorithms, which share nothing."""
     # The seed is immaterial: the checkpoint's env state replaces every stream.
     env = EdgeAssocEnv(cfg.env, 0)
     trainer = Trainer.load(checkpoint, env)
-    shares = trainer.algo == "proposed"
     if sigma is not None:
-        if not shares:
+        if not trainer.shares_q:
             raise ValueError(
                 f"{checkpoint}: --sigma sets the sharing noise of proposed, "
                 f"but this is a {trainer.algo} checkpoint"
@@ -117,7 +116,7 @@ def _evaluate_checkpoint(
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "eval_metrics.csv"
     write_metrics_csv(path, records)
-    return path, trainer.cfg.share_noise_std if shares else None
+    return path, trainer.cfg.share_noise_std if trainer.shares_q else None
 
 
 # `main` parses with one parser per process: building it costs about half a

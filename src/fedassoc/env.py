@@ -147,18 +147,14 @@ def _max_power_w(power_max_dbm: float) -> float:
 
 
 def list_mean(values: Union[Sequence[float], np.ndarray]) -> Union[float, np.ndarray]:
-    """`np.mean` of a list of floats, bit for bit, without building an array.
+    """The mean of a list of floats, added left to right from 0.0, without
+    building an array.
 
-    numpy adds fewer than 8 values one by one, left to right from 0.0; longer
-    lists take its pairwise sum. A (K, ...) array, such as (K, n) or
-    (K, T, n), gives the means across its K rows, each with the bits of
+    numpy adds fewer than 8 values in that order, so the mean of the K = 2
+    vehicles of a run has `np.mean`'s bits. A (K, ...) array, such as (K, n)
+    or (K, T, n), gives the means across its K rows, each with the bits of
     `list_mean` of its K values as a list.
     """
-    if len(values) >= 8:
-        if isinstance(values, np.ndarray):
-            # numpy sums each contiguous row pairwise, as it sums one list.
-            return np.mean(np.ascontiguousarray(np.moveaxis(values, 0, -1)), axis=-1)
-        return float(np.mean(values))
     total = 0.0
     for v in values:
         total += v
@@ -247,11 +243,10 @@ def build_rsu_layout(cfg: EnvConfig) -> RsuLayout:
 # Reward
 # --------------------------------------------------------------------------
 
-def handover_indicator(prev_assoc: Optional[int], cur_assoc: int) -> int:
-    """1 iff a previous association exists and differs from the current one."""
-    if prev_assoc is None or prev_assoc < 0:
-        return 0
-    return int(prev_assoc != cur_assoc)
+def handover_indicator(prev_assoc: int, cur_assoc: int) -> int:
+    """1 iff a previous association exists (-1 is none) and differs from the
+    current one."""
+    return int(prev_assoc >= 0 and prev_assoc != cur_assoc)
 
 
 def utility(
@@ -287,7 +282,6 @@ class StepResult:
     assoc_rsus: np.ndarray    # (K, T, n) chosen RSU id, -1 when none available
     violations: np.ndarray    # (T, n) contested RSUs plus vehicles under min_rate
     penalty: np.ndarray       # (T, n) float cfg.penalty when violations > 0, else 0.0
-    observations: np.ndarray  # (K, T, n, obs_dim) the observations each TS led to
     done: np.ndarray          # (T, n)
 
 
@@ -590,7 +584,6 @@ class EdgeAssocEnv:
             assoc_rsus=assoc,
             violations=violations,
             penalty=penalty,
-            observations=block.obs[1:ts + 1].transpose(1, 0, 2, 3),
             done=done[:, None].repeat(n, axis=1),
         )
 

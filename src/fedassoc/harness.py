@@ -357,19 +357,19 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> list[Win
     """Repeat the experiment along one axis and consolidate window statistics.
 
     axis "rsus" varies the RSU count for every configured algorithm; axis
-    "sigma" varies the sharing-noise level, which only the proposed method
-    has, so a config that names another algorithm is rejected. Each value
-    overrides its config key and is checked like a config file's, and values
-    whose output directories coincide (8 and 8, or 0.1 and 0.10000001) are
-    rejected, all before anything is written. Every value's (algorithm,
-    seed) pairs then run as one grid, and each value's directory holds what
-    `run_experiment` writes for it.
+    "sigma" varies the sharing-noise level, which only algorithms with
+    `shares_q` (proposed) have, so a config that names another algorithm is
+    rejected. Each value overrides its config key and is checked like a
+    config file's, and values whose output directories coincide (8 and 8, or
+    0.1 and 0.10000001) are rejected, all before anything is written. Every
+    value's (algorithm, seed) pairs then run as one grid, and each value's
+    directory holds what `run_experiment` writes for it.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    others = [algo for algo in cfg.algos if algo != "proposed"]
+    others = [algo for algo in cfg.algos if not TRAINERS.get(algo, Trainer).shares_q]
     if axis == "sigma" and others:
         raise ValueError(
             f"--sweep sigma varies the sharing noise of proposed only, but algos names {others}"

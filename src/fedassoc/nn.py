@@ -74,14 +74,9 @@ def zero_grads(net: DenseNet) -> DenseNet:
     return DenseNet(net.dims)
 
 
-def init_net(dims: Sequence[int], seed_or_rng) -> DenseNet:
-    """Glorot-uniform weights, zero biases."""
+def init_net(dims: Sequence[int], rng: np.random.Generator) -> DenseNet:
+    """Glorot-uniform weights drawn from `rng`, layer after layer; zero biases."""
     net = DenseNet(dims)
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
     for w in net.weights:
         fan_out, fan_in = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -117,7 +112,7 @@ def _matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:
 def forward(
     net: DenseNet, x: np.ndarray, cols=None, stack: bool = False
 ) -> tuple[np.ndarray, list]:
-    """Run the network; returns (output, cache) with cache feeding backward.
+    """Run the network; returns (output, cache), a batch's cache feeding backward.
 
     Accepts a single input vector or a (batch, in) matrix; the output matches
     the input's leading shape. A vector runs as matrix-vector products, which
@@ -167,33 +162,29 @@ def backward(
     cache: list,
     output_gradient: np.ndarray,
     cols=None,
-    grads: Optional[DenseNet] = None,
+    *,
+    grads: DenseNet,
 ) -> tuple[DenseNet, np.ndarray]:
     """Exact reverse-mode gradients plus the gradient w.r.t. the input.
 
-    `output_gradient` carries dL/dy per sample; parameter gradients come back
-    summed over the batch, the input gradient per sample. With `cols`, as
-    given to `forward`, it holds one value per row: dL/dy[i] of the selected
-    output out[i, cols[i]]. The cache of a single input vector serves as a
-    one-row batch.
+    `cache` is the cache of a batch `forward`. `output_gradient` carries
+    dL/dy per sample; parameter gradients come back summed over the batch,
+    the input gradient per sample. With `cols`, as given to `forward`, it
+    holds one value per row: dL/dy[i] of the selected output out[i, cols[i]].
 
     The parameter gradients are written into `grads`, a `DenseNet` of the
-    net's dims, and `grads` itself is returned; without it a fresh
-    `zero_grads(net)` is written. A trainer passes the one it keeps per net,
-    so a step allocates no gradient arrays: a fresh weight gradient of
-    the 256-wide joint head (164 KB) lies above glibc's mmap threshold and
-    would be page-faulted in on every step.
+    net's dims, and `grads` itself is returned. A trainer passes the one it
+    keeps per net, so a step allocates no gradient arrays: a fresh weight
+    gradient of the 256-wide joint head (164 KB) lies above glibc's mmap
+    threshold and would be page-faulted in on every step.
     """
     dout = np.asarray(output_gradient, dtype=float)
     if len(cache) != len(net.weights):
         raise ValueError("cache does not match network depth")
-    if grads is None:
-        grads = zero_grads(net)
-    else:
-        _check_dims(net, grads)
+    if cache[0].ndim != 2:
+        raise ValueError("backward takes the cache of a batch forward")
+    _check_dims(net, grads)
     d_weights, d_biases = grads.weights, grads.biases
-    if cache[0].ndim == 1:
-        cache = [a.reshape(1, -1) for a in cache]
     a_in = cache[-1]
     w = net.weights[-1]
     fan_out, fan_in = w.shape
@@ -206,15 +197,12 @@ def backward(
             dense[np.arange(len(cols)), cols] = dout
             dout, cols = dense, None
     if cols is None:
-        single = dout.ndim == 1
-        dz = dout.reshape(1, -1) if single else dout
-        if dz.shape != (a_in.shape[0], fan_out):
+        if dout.shape != (a_in.shape[0], fan_out):
             raise ValueError("output gradient shape mismatch")
-        np.matmul(dz.T, a_in, out=d_weights[-1])
-        dz.sum(axis=0, out=d_biases[-1])
-        da = dz @ w
+        np.matmul(dout.T, a_in, out=d_weights[-1])
+        dout.sum(axis=0, out=d_biases[-1])
+        da = dout @ w
     else:
-        single = False
         # add.at sums the rows of repeated columns, in row order.
         flat = (cols[:, None] * fan_in + np.arange(fan_in)).ravel()
         d_weights[-1].fill(0.0)
@@ -228,7 +216,7 @@ def backward(
         np.matmul(dz.T, cache[i], out=d_weights[i])
         dz.sum(axis=0, out=d_biases[i])
         da = dz @ net.weights[i]
-    return grads, (da[0] if single else da)
+    return grads, da
 
 
 def td_loss(pred: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:

@@ -308,7 +308,7 @@ class PerTsEnv:
             prev = int(self.world.prev_assoc[k])
             if rid is None:
                 continue
-            ho_flags[k] = handover_indicator(prev if prev >= 0 else None, rid)
+            ho_flags[k] = handover_indicator(prev, rid)
             if winners.get(rid) == k:
                 tx_powers[k] = chosen_power_w[k]
                 rates[k] = achievable_rate(tx_powers[k], self.gain_table[k, rid], noise_w)

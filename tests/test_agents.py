@@ -149,7 +149,7 @@ def test_compose_decompose_round_trip_random(n, data):
 
 
 def test_joint_q_dimensions_and_zero_net():
-    mlp = init_net((32, 8, 256), 4)
+    mlp = init_net((32, 8, 256), np.random.default_rng(4))
     out = joint_q(mlp, np.ones(16), np.ones(16))
     assert out.shape == (256,)
     for w in mlp.weights:
@@ -499,8 +499,8 @@ def test_non_finite_gradient_leaves_every_net_unchanged(monkeypatch):
     targets = rng.random(8)
     real_backward = agents_mod.backward
 
-    def poisoned(net, cache, output_gradient, cols=None, grads=None):
-        grads, d_in = real_backward(net, cache, output_gradient, cols, grads)
+    def poisoned(net, cache, output_gradient, cols=None, *, grads):
+        grads, d_in = real_backward(net, cache, output_gradient, cols, grads=grads)
         if net is trainer.pair.mlp:
             grads.biases[-1][0] = np.nan
         return grads, d_in
@@ -711,6 +711,46 @@ def test_a_failed_save_leaves_the_previous_checkpoint_intact(tmp_path, monkeypat
     assert read_files(ckpt).keys() == saved.keys()
     assert read_files(ckpt)["lead.net"] != saved["lead.net"]
     assert sorted(path.name for path in tmp_path.iterdir()) == ["ckpt", "fresh"]
+
+
+def test_a_save_leaves_stale_staging_of_its_pid_alone(tmp_path, monkeypatch):
+    # PIDs repeat, in containers and CI: a save of this PID that was killed
+    # mid-write may have left its directories beside the checkpoint.
+    trainer = FederatedTrainer(small_env(seed=8), small_cfg(), seed=5)
+    trainer.run(episodes=1)
+    ckpt = tmp_path / "ckpt"
+    trainer.save(ckpt)
+    stale = {}
+    for kind in ("tmp", "old"):
+        path = tmp_path / f"ckpt.{kind}-{os.getpid()}"
+        path.mkdir()
+        (path / "lead.net").write_bytes(b"left by a killed save")
+        stale[path.name] = read_files(path)
+
+    def others():
+        return {path.name: read_files(path) for path in tmp_path.iterdir() if path != ckpt}
+
+    trainer.run(episodes=1)
+    trainer.save(ckpt)
+    loaded = FederatedTrainer.load(ckpt, small_env(seed=8))
+    assert five_fingerprints(loaded) == five_fingerprints(trainer)
+    assert others() == stale
+    # A swap that fails puts the last checkpoint back and deletes the staged copy.
+    saved = read_files(ckpt)
+    real_replace = os.replace
+
+    def failing(src, dst):
+        if Path(src).name == "new":
+            raise OSError("rename failed")
+        real_replace(src, dst)
+
+    trainer.run(episodes=1)
+    monkeypatch.setattr(agents_mod.os, "replace", failing)
+    with pytest.raises(OSError, match="rename failed"):
+        trainer.save(ckpt)
+    monkeypatch.undo()
+    assert read_files(ckpt) == saved
+    assert others() == stale
 
 
 def test_save_refuses_a_non_empty_directory_without_state_json(tmp_path):

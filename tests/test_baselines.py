@@ -22,6 +22,7 @@ from fedassoc.nn import (
     init_net,
     net_fingerprint,
     sgd_apply,
+    zero_grads,
 )
 from toy_env import ToyEnv, separable_table, toy_trainer_cfg
 
@@ -29,7 +30,7 @@ from toy_env import ToyEnv, separable_table, toy_trainer_cfg
 def constant_net(outputs):
     """Zero-weight net whose output equals its final bias vector."""
     n = len(outputs)
-    net = init_net((3, n), 0)
+    net = init_net((3, n), np.random.default_rng(0))
     net.weights[0][...] = 0.0
     net.biases[0][...] = np.asarray(outputs, dtype=float)
     return net
@@ -69,13 +70,13 @@ def test_ddqn_terminal_cutoff_and_mismatch():
     y = ddqn_target(np.array([3.0]), np.zeros((1, 3)), main, clone(main), 0.9, np.ones(1))
     assert y[0] == 3.0
     with pytest.raises(ValueError):
-        ddqn_target(np.zeros(1), np.zeros((1, 3)), main, init_net((3, 4), 0), 0.9, np.zeros(1))
+        ddqn_target(np.zeros(1), np.zeros((1, 3)), main, init_net((3, 4), np.random.default_rng(0)), 0.9, np.zeros(1))
 
 
 # -- federated averaging ---------------------------------------------------------
 
 def test_fedavg_identity_on_identical_inputs():
-    net = init_net((4, 5, 2), 7)
+    net = init_net((4, 5, 2), np.random.default_rng(7))
     # Two-net mean is exact (sums and halving round nowhere).
     avg = fedavg([net, clone(net)])
     assert net_fingerprint(avg) == net_fingerprint(net)
@@ -124,7 +125,7 @@ def test_fedavg_commutes_with_scaling():
 
 def test_fedavg_rejects_mismatch():
     with pytest.raises(ValueError):
-        fedavg([init_net((3, 4), 0), init_net((3, 5), 0)])
+        fedavg([init_net((3, 4), np.random.default_rng(0)), init_net((3, 5), np.random.default_rng(0))])
     with pytest.raises(ValueError):
         fedavg([])
 
@@ -255,7 +256,7 @@ def test_head_update_matches_dense_reference(grad_clip, width):
     rows = np.arange(8)
     d_q = np.zeros_like(q)
     d_q[rows, actions] = 2.0 * (q[rows, actions] - targets) / 8
-    grads, _ = backward(ref, cache, d_q)
+    grads, _ = backward(ref, cache, d_q, grads=zero_grads(ref))
     clip_global_norm([grads], grad_clip)
     sgd_apply(ref, grads, 0.1)
 

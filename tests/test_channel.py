@@ -79,7 +79,7 @@ def test_rate_db_domain_example():
 def test_handover_indicator():
     assert handover_indicator(5, 5) == 0
     assert handover_indicator(5, 6) == 1
-    assert handover_indicator(None, 6) == 0
+    assert handover_indicator(-1, 6) == 0  # -1: no previous association
 
 
 @pytest.fixture

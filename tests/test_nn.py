@@ -60,7 +60,7 @@ def assert_grads_close(analytic, numeric, tol=1e-4):
 # -- construction -----------------------------------------------------------
 
 def test_init_shapes_and_param_count():
-    net = init_net((14, 80, 80, 80, 16), seed_or_rng=0)
+    net = init_net((14, 80, 80, 80, 16), np.random.default_rng(0))
     assert net.dims == (14, 80, 80, 80, 16)
     assert len(net.weights) == 4
     num_params = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
@@ -77,8 +77,8 @@ def test_init_fingerprint_is_pinned():
 
 
 def test_init_deterministic_and_zero_bias():
-    a = init_net((5, 7, 3), 123)
-    b = init_net((5, 7, 3), 123)
+    a = init_net((5, 7, 3), np.random.default_rng(123))
+    b = init_net((5, 7, 3), np.random.default_rng(123))
     assert net_fingerprint(a) == net_fingerprint(b)
     for bias in a.biases:
         assert np.all(bias == 0.0)
@@ -88,15 +88,15 @@ def test_init_deterministic_and_zero_bias():
 
 def test_init_rejects_bad_dims():
     with pytest.raises(ValueError):
-        init_net((4,), 0)
+        init_net((4,), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        init_net((4, 0, 2), 0)
+        init_net((4, 0, 2), np.random.default_rng(0))
 
 
 # -- forward ------------------------------------------------------------------
 
 def test_forward_zero_net_outputs_zero():
-    net = init_net((3, 4, 2), 0)
+    net = init_net((3, 4, 2), np.random.default_rng(0))
     for w in net.weights:
         w[...] = 0.0
     out, _ = forward(net, np.ones(3))
@@ -124,7 +124,7 @@ def test_forward_hand_computed():
 
 
 def test_forward_is_pure_and_batched():
-    net = init_net((6, 9, 4), 5)
+    net = init_net((6, 9, 4), np.random.default_rng(5))
     x = np.random.default_rng(1).random(6)
     o1, _ = forward(net, x)
     o2, _ = forward(net, x)
@@ -136,7 +136,7 @@ def test_forward_is_pure_and_batched():
 
 
 def test_forward_rejects_dim_mismatch():
-    net = init_net((6, 4), 0)
+    net = init_net((6, 4), np.random.default_rng(0))
     with pytest.raises(ValueError):
         forward(net, np.zeros(5))
 
@@ -144,18 +144,18 @@ def test_forward_rejects_dim_mismatch():
 # -- backward -------------------------------------------------------------------
 
 def test_backward_zero_gradient_gives_zero():
-    net = init_net((4, 5, 3), 2)
-    out, cache = forward(net, np.ones(4))
-    grads, d_in = backward(net, cache, np.zeros(3))
+    net = init_net((4, 5, 3), np.random.default_rng(2))
+    out, cache = forward(net, np.ones((1, 4)))
+    grads, d_in = backward(net, cache, np.zeros((1, 3)), grads=zero_grads(net))
     assert all(np.all(g == 0.0) for g in grads.weights + grads.biases)
     assert np.all(d_in == 0.0)
 
 
 def test_backward_input_gradient_identity_layer():
     net = packed([np.eye(3)], [np.zeros(3)])
-    _, cache = forward(net, np.array([1.0, 2.0, 3.0]))
-    dy = np.array([0.3, -0.1, 0.7])
-    _, d_in = backward(net, cache, dy)
+    _, cache = forward(net, np.array([[1.0, 2.0, 3.0]]))
+    dy = np.array([[0.3, -0.1, 0.7]])
+    _, d_in = backward(net, cache, dy, grads=zero_grads(net))
     assert np.array_equal(d_in, dy)
 
 
@@ -173,7 +173,7 @@ def test_backward_matches_finite_differences():
 
         out, cache = forward(net, x)
         d_out = 2.0 * (out - target) / out.size
-        analytic, _ = backward(net, cache, d_out)
+        analytic, _ = backward(net, cache, d_out, grads=zero_grads(net))
         numeric = finite_difference_grads(loss_fn, net)
         assert_grads_close(analytic, numeric)
 
@@ -187,15 +187,15 @@ def test_backward_input_gradient_matches_finite_differences():
         out, _ = forward(net, xv)
         return float(np.sum(out**2))
 
-    out, cache = forward(net, x)
-    _, d_in = backward(net, cache, 2.0 * out)
+    out, cache = forward(net, x[None])
+    _, d_in = backward(net, cache, 2.0 * out, grads=zero_grads(net))
     h = 1e-6
     for i in range(5):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
         fd = (loss_of(xp) - loss_of(xm)) / (2 * h)
-        assert d_in[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        assert d_in[0, i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 # -- selected-output pass ---------------------------------------------------------
@@ -240,8 +240,8 @@ def test_selected_pass_matches_dense_pass(case):
 
     d_dense = np.zeros_like(dense)
     d_dense[rows, cols] = d_sel
-    g_dense, din_dense = backward(net, cache_dense, d_dense)
-    g_sel, din_sel = backward(net, cache_sel, d_sel, cols)
+    g_dense, din_dense = backward(net, cache_dense, d_dense, grads=zero_grads(net))
+    g_sel, din_sel = backward(net, cache_sel, d_sel, cols, grads=zero_grads(net))
     assert_close(g_sel.params, g_dense.params)
     assert_close(din_sel, din_dense)
 
@@ -255,19 +255,15 @@ def test_vector_pass_matches_one_row_batch(case):
     for b in net.biases:
         b[...] = rng.standard_normal(b.shape)
     x = rng.standard_normal(dims[0])
-    d_out = rng.standard_normal(dims[-1])
 
     # Bit for bit: numpy runs a one-row batch as a matrix-vector product too.
     out, cache = forward(net, x)
-    out_batch, cache_batch = forward(net, x[None])
+    out_batch, _ = forward(net, x[None])
     assert out.shape == (dims[-1],)
     assert out.tobytes() == out_batch[0].tobytes()
-
-    g, d_in = backward(net, cache, d_out)
-    g_batch, d_in_batch = backward(net, cache_batch, d_out[None])
-    assert g.params.tobytes() == g_batch.params.tobytes()
-    assert d_in.shape == (dims[0],)
-    assert d_in.tobytes() == d_in_batch[0].tobytes()
+    # A vector's cache feeds no backward pass.
+    with pytest.raises(ValueError, match="cache of a batch"):
+        backward(net, cache, rng.standard_normal(dims[-1]), grads=zero_grads(net))
 
 
 @settings(max_examples=100, deadline=None)
@@ -308,7 +304,7 @@ def test_backward_overwrites_given_grads(case):
         params = given_grads.params
         params.fill(np.nan)
         got, d_in = backward(net, cache, d_out, sel, grads=given_grads)
-        fresh, d_in_fresh = backward(net, cache, d_out, sel)
+        fresh, d_in_fresh = backward(net, cache, d_out, sel, grads=zero_grads(net))
         assert got is given_grads and got.params is params
         assert params.tobytes() == fresh.params.tobytes()
         assert d_in.tobytes() == d_in_fresh.tobytes()
@@ -345,7 +341,7 @@ def test_selected_output_loss_matches_finite_differences():
         pred, cache = forward(net, x, cols)
         loss, d_pred = td_loss(pred, target)
         assert loss == float(np.mean((pred - target) ** 2))
-        analytic, _ = backward(net, cache, d_pred, cols)
+        analytic, _ = backward(net, cache, d_pred, cols, grads=zero_grads(net))
         assert_grads_close(analytic, finite_difference_grads(loss_fn, net))
 
 
@@ -356,7 +352,7 @@ def test_td_loss_rejects_non_finite(bad):
 
 
 def test_selected_pass_rejects_bad_cols():
-    net = init_net((3, 4, 5), 0)
+    net = init_net((3, 4, 5), np.random.default_rng(0))
     x = np.ones((2, 3))
     for cols in ([0, 5], [-1, 0], [0], [0.0, 1.0]):
         with pytest.raises(ValueError):
@@ -365,9 +361,9 @@ def test_selected_pass_rejects_bad_cols():
         forward(net, np.ones(3), np.array([0]))
     _, cache = forward(net, x, np.array([0, 4]))
     with pytest.raises(ValueError):
-        backward(net, cache, np.ones(3), np.array([0, 4]))
+        backward(net, cache, np.ones(3), np.array([0, 4]), grads=zero_grads(net))
     with pytest.raises(ValueError):
-        backward(net, cache, np.ones(2), np.array([0, 5]))
+        backward(net, cache, np.ones(2), np.array([0, 5]), grads=zero_grads(net))
 
 
 # -- updates -----------------------------------------------------------------------
@@ -380,7 +376,7 @@ def test_sgd_scalar_case():
 
 
 def test_sgd_zero_lr_keeps_net():
-    net = init_net((3, 3), 0)
+    net = init_net((3, 3), np.random.default_rng(0))
     before = net_fingerprint(net)
     grads = packed([np.ones((3, 3))], [np.ones(3)])
     sgd_apply(net, grads, 0.0)
@@ -388,7 +384,7 @@ def test_sgd_zero_lr_keeps_net():
 
 
 def test_sgd_rejects_non_finite():
-    net = init_net((2, 2), 0)
+    net = init_net((2, 2), np.random.default_rng(0))
     grads = packed([np.array([[np.nan, 0.0], [0.0, 0.0]])], [np.zeros(2)])
     with pytest.raises(ValueError):
         sgd_apply(net, grads, 0.1)
@@ -418,7 +414,7 @@ def test_clip_global_norm():
 
 
 def test_sgd_apply_rejects_shallow_gradient_without_writing():
-    net = init_net((3, 4, 2), 0)
+    net = init_net((3, 4, 2), np.random.default_rng(0))
     before = net_fingerprint(net)
     grads = DenseNet((3, 4), np.ones(16))
     with pytest.raises(ValueError, match=r"gradient dims \(3, 4\) do not match"):
@@ -427,7 +423,7 @@ def test_sgd_apply_rejects_shallow_gradient_without_writing():
 
 
 def test_sgd_apply_rejects_late_shape_mismatch_without_writing():
-    net = init_net((3, 4, 2), 0)
+    net = init_net((3, 4, 2), np.random.default_rng(0))
     before = net_fingerprint(net)
     grads = DenseNet((3, 4, 3), np.ones(31))
     with pytest.raises(ValueError, match=r"gradient dims \(3, 4, 3\) do not match"):
@@ -440,7 +436,7 @@ def test_sgd_step_matches_clip_then_apply():
     # small nets and on a local net and the joint head at the default dims.
     rng = np.random.default_rng(7)
     for dims, rounds in [((3, 5, 2), (4, 6)), 1], [((14, 80, 80, 80, 16), (32, 80, 80, 256)), 10]:
-        nets = [init_net(d, i + 1) for i, d in enumerate(dims)]
+        nets = [init_net(d, np.random.default_rng(i + 1)) for i, d in enumerate(dims)]
         # Python integers above int64 (2**70) and above any float (10**400), as a config
         # may hold them, compare exactly; neither clips these norms, like inf.
         for max_norm in (0.1, 1e6, np.inf, 2**70, 10**400) * rounds:
@@ -468,7 +464,7 @@ def test_sgd_step_norm_is_a_numpy_sum_over_each_set():
 
 
 def test_sgd_step_checks_every_net_before_writing():
-    first, second = init_net((2, 3), 0), init_net((3, 2), 1)
+    first, second = init_net((2, 3), np.random.default_rng(0)), init_net((3, 2), np.random.default_rng(1))
     before = [net_fingerprint(first), net_fingerprint(second)]
     ok = packed([np.ones((3, 2))], [np.ones(3)])
     bad = packed([np.ones((2, 3))], [np.array([0.0, np.inf])])
@@ -492,8 +488,8 @@ def test_clipping_rejects_non_positive_bound(max_norm):
 # -- target copies --------------------------------------------------------------------
 
 def test_copy_into_target_bit_equal_and_frozen():
-    main = init_net((4, 6, 2), 11)
-    target = init_net((4, 6, 2), 12)
+    main = init_net((4, 6, 2), np.random.default_rng(11))
+    target = init_net((4, 6, 2), np.random.default_rng(12))
     copy_into_target(main, target)
     assert net_fingerprint(main) == net_fingerprint(target)
     rng = np.random.default_rng(3)
@@ -510,7 +506,7 @@ def test_copy_into_target_bit_equal_and_frozen():
 
 
 def test_copy_is_idempotent():
-    main = init_net((3, 3), 1)
+    main = init_net((3, 3), np.random.default_rng(1))
     t1 = clone(main)
     copy_into_target(main, t1)
     t2 = clone(t1)
@@ -519,10 +515,10 @@ def test_copy_is_idempotent():
 
 
 def test_copy_rejects_mismatch():
-    target = init_net((3, 4), 0)
+    target = init_net((3, 4), np.random.default_rng(0))
     before = net_fingerprint(target)
     with pytest.raises(ValueError):
-        copy_into_target(init_net((3, 3), 0), target)
+        copy_into_target(init_net((3, 3), np.random.default_rng(0)), target)
     assert net_fingerprint(target) == before
 
 
@@ -550,7 +546,7 @@ def test_lr_schedule_validation():
 # -- checkpoint format ---------------------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path):
-    net = init_net((7, 5, 9), 77)
+    net = init_net((7, 5, 9), np.random.default_rng(77))
     path = tmp_path / "net.bin"
     save_net(path, net)
     loaded = load_net(path)
@@ -559,7 +555,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_file_body_is_params_and_fingerprint_hashes_it(tmp_path):
-    net = init_net((7, 5, 9), 77)
+    net = init_net((7, 5, 9), np.random.default_rng(77))
     path = tmp_path / "net.bin"
     save_net(path, net)
     data = path.read_bytes()
@@ -586,7 +582,7 @@ def _saved_and_loaded(net, tmp_path):
     ids=["init_net", "clone", "fedavg", "load_net", "zero_grads"],
 )
 def test_layer_views_alias_their_own_params(tmp_path, make):
-    src = init_net((4, 6, 5, 3), 9)
+    src = init_net((4, 6, 5, 3), np.random.default_rng(9))
     source_params = src.params.copy()
     made = make(src, tmp_path)
     # Layer i's weights hold 2i + 1 and its biases 2i + 2, written through the
@@ -635,7 +631,7 @@ def _edit_header(offset, fmt, value):
 )
 def test_load_rejects_malformed_files_naming_them(tmp_path, edit, message):
     path = tmp_path / "net.bin"
-    save_net(path, init_net((7, 5, 9), 77))
+    save_net(path, init_net((7, 5, 9), np.random.default_rng(77)))
     path.write_bytes(bytes(edit(bytearray(path.read_bytes()))))
     with pytest.raises(ValueError) as info:
         load_net(path)

@@ -223,7 +223,8 @@ def test_padded_slots_after_shrinking_coverage():
 def last_ts(env):
     """The values of the TS that the last `env.step` took, from `score_block`
     on its episode, as lists in vehicle order."""
-    return SimpleNamespace(**ts_values(env.score_block(env.episode), env.episode.t - 2, 0))
+    block = env.episode
+    return SimpleNamespace(**ts_values(env.score_block(block), block, block.t - 2, 0))
 
 
 def test_reward_identity_over_random_actions():
@@ -346,6 +347,7 @@ def test_state_round_trip():
             assert_same_step(sa, sb)
             done = sa[2]
         assert repr(env.score_block(env.episode)) == repr(twin.score_block(twin.episode))
+        assert bits(env.episode.obs) == bits(twin.episode.obs)
     assert twin.get_state() == env.get_state()
 
 
@@ -467,7 +469,7 @@ def run_episodes(env, ref, rng, episodes):
         assert want.done
         scored = env.score_block(env.episode)
         for t, want in enumerate(wants):
-            assert repr(ts_values(scored, t, 0)) == repr(step_values(want))
+            assert repr(ts_values(scored, env.episode, t, 0)) == repr(step_values(want))
         assert_same_streams(env, ref)
 
 
@@ -513,9 +515,9 @@ def step_values(step):
     return values
 
 
-def ts_values(scored, t, i):
-    """Episode i's fields at TS t of a `score_block` result, as `step_values`
-    gives them."""
+def ts_values(scored, block, t, i):
+    """Episode i's fields at TS t of `block`'s `score_block` result, and the
+    observations the TS led to, as `step_values` gives them."""
     values = {}
     for name in STEP_FIELDS:
         value = getattr(scored, name)
@@ -523,14 +525,14 @@ def ts_values(scored, t, i):
             values[name] = value[:, t, i].tolist()
         else:
             values[name] = value[t, i].tolist()
-    values["observations"] = [bits(o[t, i]) for o in scored.observations]
+    values["observations"] = [bits(o) for o in block.obs[t + 1, :, i]]
     return values
 
 
-def ts_step(scored, t, i):
-    """Episode i's TS t of a `score_block` result as `step_bits` gives a
-    `step` result."""
-    obs = [bits(o[t, i]) for o in scored.observations]
+def ts_step(scored, block, t, i):
+    """Episode i's TS t of `block`, by its `score_block` result, as
+    `step_bits` gives a `step` result."""
+    obs = [bits(o) for o in block.obs[t + 1, :, i]]
     return obs, scored.reward[t, i].tolist(), scored.done[t, i].tolist()
 
 
@@ -605,7 +607,7 @@ def test_block_step_matches_env_step(
         partial = env.score_block(block)
         assert partial.reward.shape == (t + 1, episodes)
         for i, want in enumerate(wants[-1]):
-            assert repr(ts_step(partial, t, i)) == repr(step_bits(want))
+            assert repr(ts_step(partial, block, t, i)) == repr(step_bits(want))
     assert raised(env.step_block, block, actions) == raised(
         envs[0].step, actions[:, 0].tolist()
     )
@@ -613,12 +615,12 @@ def test_block_step_matches_env_step(
     assert scored.utilities.shape == (cfg.num_vehicles, horizon, episodes)
     for t, ts_wants in enumerate(wants):
         for i, want in enumerate(ts_wants):
-            assert repr(ts_step(scored, t, i)) == repr(step_bits(want))
+            assert repr(ts_step(scored, block, t, i)) == repr(step_bits(want))
     # Each episode's own block of one scores as its TS in the block do.
     for i, env_i in enumerate(envs):
         own = env_i.score_block(env_i.episode)
         for t in range(horizon):
-            assert repr(ts_values(own, t, 0)) == repr(ts_values(scored, t, i))
+            assert repr(ts_values(own, env_i.episode, t, 0)) == repr(ts_values(scored, block, t, i))
     assert env.get_state() == twin.get_state()
 
 

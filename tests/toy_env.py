@@ -57,7 +57,6 @@ class ToyEnv:
         both vehicles' utility is the reward, and nothing is violated."""
         reward, done = (np.array(column).T for column in zip(*(zip(*env.steps) for env in envs)))
         zeros = np.zeros((self.num_agents, *reward.shape))
-        obs = np.array(self._obs)[:, None, None]
         return StepResult(
             reward=reward,
             utilities=np.stack([reward] * self.num_agents),
@@ -67,7 +66,6 @@ class ToyEnv:
             assoc_rsus=np.full(zeros.shape, -1),
             violations=np.zeros(reward.shape, dtype=int),
             penalty=np.zeros(reward.shape),
-            observations=np.broadcast_to(obs, (*zeros.shape, self.obs_dim)),
             done=done,
         )
 
