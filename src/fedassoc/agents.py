@@ -23,11 +23,11 @@ import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Annotated, Optional
 
 import numpy as np
 
-from .checks import check_fields, config_from_json, is_integer
+from .checks import UNIT, Range, check_fields, config_from_json, is_integer
 from .metrics import EpisodeRecord, MetricAccumulator
 from .nn import (
     DenseNet,
@@ -50,48 +50,31 @@ from .replay import BLOCK_BYTES, Batch, ReplayBuffer
 class TrainerConfig:
     """Learning hyperparameters shared by the federated trainer and baselines."""
 
-    discount: float = 0.9
-    epsilon: float = 0.1
-    epsilon_end: Optional[float] = None      # None keeps epsilon constant
-    epsilon_decay_episodes: int = 1
-    batch_size: int = 32
-    share_noise_std: float = 1.0             # sigma of the sharing noise; 0 is noiseless
+    discount: Annotated[float, UNIT] = 0.9
+    epsilon: Annotated[float, UNIT] = 0.1
+    epsilon_end: Optional[Annotated[float, UNIT]] = None  # None keeps epsilon constant
+    epsilon_decay_episodes: Annotated[int, Range(1)] = 1
+    batch_size: Annotated[int, Range(1)] = 32
+    share_noise_std: Annotated[float, Range(0)] = 1.0  # sigma of the sharing noise; 0 is noiseless
     replay_capacity: int = 20000
-    target_sync: int = 200                   # training steps between target copies
-    episodes: int = 500
-    local_hidden: tuple[int, ...] = (80, 80, 80)
-    mlp_hidden: tuple[int, ...] = (80, 80)
+    target_sync: Annotated[int, Range(1)] = 200      # training steps between target copies
+    episodes: Annotated[int, Range(1)] = 500
+    local_hidden: Annotated[tuple[int, ...], Range(1)] = (80, 80, 80)
+    mlp_hidden: Annotated[tuple[int, ...], Range(1)] = (80, 80)
     lr_start: float = 0.01
     lr_end: float = 0.001
-    lr_decay_episodes: int = 250
-    grad_clip: float = 10.0
-    fedavg_period: int = 5                   # fmarl-avg's episodes between weight averages
+    lr_decay_episodes: Annotated[int, Range(1)] = 250
+    grad_clip: Annotated[
+        float, Range(0, open=True, note=" (inf disables clipping)", infinite=True)
+    ] = 10.0
+    fedavg_period: Annotated[int, Range(1)] = 5      # fmarl-avg's episodes between weight averages
 
     def validate(self) -> None:
-        check_fields(self, infinite=("grad_clip",))
-        for name in ("local_hidden", "mlp_hidden"):
-            widths = list(getattr(self, name))
-            if min(widths, default=1) < 1:
-                raise ValueError(f"{name} must be a list of integers >= 1, got {widths}")
-        for name in ("discount", "epsilon", "epsilon_end"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        for name in ("batch_size", "target_sync", "episodes", "epsilon_decay_episodes",
-                     "lr_decay_episodes", "fedavg_period"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.share_noise_std < 0.0:
-            raise ValueError(f"share_noise_std must be >= 0, got {self.share_noise_std}")
+        check_fields(self)
         if self.replay_capacity < self.batch_size:
             raise ValueError(
                 f"replay_capacity must be >= batch_size ({self.batch_size}), "
                 f"got {self.replay_capacity}"
-            )
-        if not self.grad_clip > 0.0:
-            raise ValueError(
-                f"grad_clip must be > 0 (inf disables clipping), got {self.grad_clip}"
             )
         if not self.lr_start >= self.lr_end > 0:
             raise ValueError(
@@ -166,15 +149,6 @@ def td_step(head, grads, x, cols, targets, lr: float, max_norm: float, below=Non
         updates.insert(0, (net, net_grads))
     sgd_step(updates, lr, max_norm)
     return loss
-
-
-def joint_q(mlp: DenseNet, own_q: np.ndarray, peer_q: np.ndarray) -> np.ndarray:
-    """Score joint actions from the concatenated [own || peer] Q vectors.
-
-    Takes one vector per side or a (n, .) stack per side, one row per episode.
-    """
-    out, _ = forward(mlp, np.concatenate((own_q, peer_q), axis=-1), stack=True)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -605,7 +579,8 @@ class FederatedTrainer(Trainer):
     def select_actions(self, obs_vecs, eps: float, noise=None):
         q_lead, _ = forward(self.pair.lead, obs_vecs[0], stack=True)
         q_follow, _ = forward(self.pair.follow, obs_vecs[1], stack=True)
-        values = joint_q(self.pair.mlp, q_lead, self._share(q_follow, noise))
+        shared = np.concatenate((q_lead, self._share(q_follow, noise)), axis=-1)
+        values, _ = forward(self.pair.mlp, shared, stack=True)
         joint = epsilon_greedy(values, eps, self.rng_explore)
         return decompose_joint(joint, self.num_actions)
 
@@ -702,5 +677,5 @@ def _errors_name(path: Path):
         yield
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -6,6 +6,7 @@ import functools
 import math
 import numbers
 import typing
+from dataclasses import dataclass
 
 # Options earlier versions accepted, with what takes their place.
 REMOVED_OPTIONS = {
@@ -27,7 +28,7 @@ def config_from_json(cls, data: dict, **built):
     """
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
-    hints = _type_hints(cls)
+    hints = _field_rules(cls)
     kwargs = dict(built)
     for key, value in data.items():
         if key in DROPPED_OPTIONS:
@@ -48,9 +49,40 @@ def config_from_json(cls, data: dict, **built):
 
 
 @functools.cache
-def _type_hints(cls) -> dict:
-    """`typing.get_type_hints`, evaluated once per config class."""
-    return typing.get_type_hints(cls)
+def _field_rules(cls) -> dict:
+    """Each field of `cls`, read from its annotation: (type, Range or None, takes None)."""
+    rules = {}
+    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+        optional = type(None) in typing.get_args(hint)
+        hint = typing.get_args(hint)[0] if optional else hint
+        annotated = typing.get_origin(hint) is typing.Annotated
+        rules[name] = (*typing.get_args(hint), optional) if annotated else (hint, None, optional)
+    return rules
+
+
+@dataclass(frozen=True)
+class Range:
+    """A numeric field's bounds, or each item's in a list field: `low <= value <=
+    high`, or `low < value` if `open`. Errors state the rule, then `note`. A
+    float field is finite unless `infinite` lets it hold inf (`high` is then inf)."""
+
+    low: float
+    high: float = math.inf
+    open: bool = False
+    note: str = ""
+    infinite: bool = False
+
+    def __str__(self) -> str:
+        if self.high < math.inf:
+            return f"in {'(' if self.open else '['}{self.low}, {self.high}]{self.note}"
+        return f"{'>' if self.open else '>='} {self.low}{self.note}"
+
+    def holds(self, value) -> bool:
+        return (self.low < value if self.open else self.low <= value) and value <= self.high
+
+
+POSITIVE = Range(0, open=True)
+UNIT = Range(0, 1)
 
 
 def is_integer(value) -> bool:
@@ -78,38 +110,44 @@ def _as_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def check_fields(obj, infinite: tuple[str, ...] = ()) -> None:
-    """Check every field of config dataclass `obj` against its annotation.
+def check_fields(obj) -> None:
+    """Check every field of config dataclass `obj` against its annotation, which
+    declares its type and, as `Annotated[T, Range(...)]`, its range.
 
     int takes integers but not bools or 2.0; float takes real numbers but not
-    bools, finite unless the field is named in `infinite` (an integer too
-    large for a float counts as infinite); str and bool take exactly that
-    type; tuple[T, ...] takes a list of T; Optional[T] takes None or T; a
-    nested config takes an instance of its class. A mismatch raises
-    ValueError naming the field and the value.
+    bools, finite unless its Range is `infinite` (an integer too large for a
+    float counts as infinite); str and bool take exactly that type;
+    tuple[T, ...] takes a list of T; Optional[T] takes None or T; a nested
+    config takes an instance of its class; a Range bounds the value or each
+    item. The first field, in declaration order, to break its rule raises
+    ValueError naming it, the rule and the value; rules between fields are
+    left to each config's `validate`.
     """
-    for name, hint in _type_hints(type(obj)).items():
+    for name, (hint, bounds, optional) in _field_rules(type(obj)).items():
         value = getattr(obj, name)
-        if type(None) in typing.get_args(hint):
-            if value is None:
-                continue
-            hint = typing.get_args(hint)[0]
-        shown = list(value) if isinstance(value, tuple) else value
+        if optional and value is None:
+            continue
+        infinite = getattr(bounds, "infinite", False)
         if typing.get_origin(hint) is tuple:
             hint = typing.get_args(hint)[0]
             accepts, _, kinds = _SCALARS[hint]
             values, kind = value, f"a list of {kinds}"
             ok = isinstance(value, (tuple, list)) and all(map(accepts, value))
+            prefix = f"{kind} "
         elif hint in _SCALARS:
             accepts, kind, _ = _SCALARS[hint]
-            values, ok = (value,), accepts(value)
+            values, ok, prefix = (value,), accepts(value), ""
         else:
             values, kind, ok = (), f"a {hint.__name__}", isinstance(value, hint)
         if not ok:
-            raise ValueError(f"{name} must be {kind}, got {shown!r}")
-        if hint is float and not all(
-            math.isfinite(f) or (name in infinite and not math.isnan(f))
-            for f in map(_as_float, values)
+            rule = kind
+        elif hint is float and not all(
+            math.isfinite(f) or (infinite and not math.isnan(f)) for f in map(_as_float, values)
         ):
-            bound = "a number, not NaN" if name in infinite else "finite"
-            raise ValueError(f"{name} must be {bound}, got {shown!r}")
+            rule = "a number, not NaN" if infinite else "finite"
+        elif bounds is not None and not all(map(bounds.holds, values)):
+            rule = f"{prefix}{bounds}"
+        else:
+            continue
+        shown = list(value) if isinstance(value, tuple) else value
+        raise ValueError(f"{name} must be {rule}, got {shown!r}")

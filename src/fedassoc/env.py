@@ -14,11 +14,11 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Annotated, Optional, Sequence, Union
 
 import numpy as np
 
-from .checks import check_fields
+from .checks import POSITIVE, UNIT, Range, check_fields
 
 # Geometry of the two-lane freeway (m). Lanes carry the vehicles, the RSU rows
 # sit beyond the outer shoulders.
@@ -38,38 +38,34 @@ NO_RSU_LOCATION = (-1.0, -1.0)
 class EnvConfig:
     """Static parameters of the freeway world and the reward trade-off."""
 
-    num_vehicles: int = 2
+    num_vehicles: Annotated[int, Range(1)] = 2
     num_rsus: int = 12
-    road_length: float = 1000.0          # m
-    coverage_radius: float = 200.0       # m
-    visible_rsus: int = 4                # max RSU slots per observation
-    power_levels: int = 4
+    road_length: Annotated[float, POSITIVE] = 1000.0     # m
+    coverage_radius: Annotated[float, POSITIVE] = 200.0  # m
+    visible_rsus: int = 4                                # max RSU slots per observation
+    power_levels: Annotated[int, Range(2)] = 4
     power_min_dbm: float = 23.0
     power_max_dbm: float = 35.0
-    min_rate: float = 8.0                # bit/s/Hz
+    min_rate: Annotated[float, POSITIVE] = 8.0           # bit/s/Hz
     noise_dbm: float = -114.0
-    weight_rate: float = 0.5
-    weight_handover: float = 0.25
-    weight_power: float = 0.25
-    penalty: float = -1.0                # added to the reward on any violation
-    horizon: int = 100                   # TS per episode
-    ts_duration: float = 1.0             # s
-    mean_speed_low: float = 5.0          # m/s, per-vehicle mean speed draw range
+    weight_rate: Annotated[float, UNIT] = 0.5
+    weight_handover: Annotated[float, UNIT] = 0.25
+    weight_power: Annotated[float, UNIT] = 0.25
+    penalty: float = -1.0                                # added to the reward on any violation
+    horizon: Annotated[int, Range(1)] = 100              # TS per episode
+    ts_duration: Annotated[float, POSITIVE] = 1.0        # s
+    mean_speed_low: float = 5.0                          # m/s, per-vehicle mean speed draw range
     mean_speed_high: float = 10.0
-    mean_speeds: Optional[tuple[float, ...]] = None  # explicit per-vehicle means
-    speed_std: float = 0.1               # m/s
-    speed_memory: float = 0.1            # autoregressive memory depth in [0, 1]
+    mean_speeds: Optional[Annotated[tuple[float, ...], POSITIVE]] = None  # per-vehicle means
+    speed_std: Annotated[float, Range(0)] = 0.1          # m/s
+    speed_memory: Annotated[float, UNIT] = 0.1           # autoregressive memory depth
     # Normalization constants for learner inputs; fixed here so runs reproduce.
     gain_db_low: float = -130.0
     gain_db_high: float = -40.0
-    y_scale: float = 20.0
+    y_scale: Annotated[float, POSITIVE] = 20.0
 
     def validate(self) -> None:
         check_fields(self)
-        for name in ("num_vehicles", "horizon"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
         rsus, visible = self.num_rsus, self.visible_rsus
         if rsus < self.num_vehicles:
             raise ValueError(f"num_rsus must be >= num_vehicles ({self.num_vehicles}), got {rsus}")
@@ -82,41 +78,25 @@ class EnvConfig:
             )
         if not 1 <= visible <= rsus:
             raise ValueError(f"visible_rsus must be in [1, num_rsus] = [1, {rsus}], got {visible}")
-        if self.power_levels < 2:
-            raise ValueError(f"power_levels must be >= 2, got {self.power_levels}")
         low, high = self.power_min_dbm, self.power_max_dbm
         if low >= high:
             raise ValueError(f"power_min_dbm must be < power_max_dbm, got {low} and {high}")
-        for name in ("road_length", "coverage_radius", "min_rate", "ts_duration", "y_scale"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
         if not math.isfinite(self.road_length * (rsus - 1)):
             raise ValueError(
                 "road_length times num_rsus - 1 must be finite (the RSU layout multiplies "
                 f"them), got road_length {self.road_length} and num_rsus {rsus}"
             )
-        for name in ("weight_rate", "weight_handover", "weight_power", "speed_memory"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
         low, high = self.mean_speed_low, self.mean_speed_high
         if low <= 0 or high < low:
             raise ValueError(
                 "mean speed range must satisfy 0 < low <= high, got "
                 f"mean_speed_low {low} and mean_speed_high {high}"
             )
-        if self.mean_speeds is not None:
-            shown = list(self.mean_speeds)
-            if not all(v > 0 for v in shown):
-                raise ValueError(f"mean_speeds must be finite and > 0, got {shown!r}")
-            if len(shown) != self.num_vehicles:
-                raise ValueError(
-                    f"mean_speeds must have one entry per vehicle ({self.num_vehicles}), "
-                    f"got {shown!r}"
-                )
-        if self.speed_std < 0:
-            raise ValueError(f"speed_std must be >= 0, got {self.speed_std}")
+        if self.mean_speeds is not None and len(self.mean_speeds) != self.num_vehicles:
+            raise ValueError(
+                f"mean_speeds must have one entry per vehicle ({self.num_vehicles}), "
+                f"got {list(self.mean_speeds)!r}"
+            )
         low, high = self.gain_db_low, self.gain_db_high
         if low >= high:
             raise ValueError(f"gain_db_low must be < gain_db_high, got {low} and {high}")

@@ -80,7 +80,7 @@ class MetricAccumulator:
             _ts_sum(mean_u) / t,
             _ts_sum(block.reward) / t,
             _ts_sum(list_mean(block.rates)) / t,
-            _ts_sum(sum(block.ho_flags) / len(block.ho_flags)),
+            _ts_sum(list_mean(block.ho_flags)),
             _ts_sum(list_mean(block.tx_powers_w)) / t,
             block.violations.sum(axis=0),
         )

@@ -25,6 +25,7 @@ Filling a 20 000-row buffer with 100-TS episodes raised the resident size by
 
 from __future__ import annotations
 
+import math
 import mmap
 import zipfile
 from contextlib import ExitStack
@@ -77,10 +78,14 @@ def _zeroed(shape, dtype) -> np.ndarray:
 
     The OS supplies the zero pages as rows are first written, so unfilled
     rows take no memory. `np.zeros` may instead take freed heap memory and
-    clear it in full, making every row resident at once.
+    clear it in full, making every row resident at once. A size the mapping
+    cannot take raises MemoryError, as numpy's own allocations do.
     """
-    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
+    nbytes = math.prod(np.atleast_1d(shape).tolist()) * np.dtype(dtype).itemsize
+    try:
+        return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
+    except OverflowError:
+        raise MemoryError(f"Unable to allocate {nbytes} bytes for shape {shape}") from None
 
 
 class ReplayBuffer:

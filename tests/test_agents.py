@@ -28,7 +28,6 @@ from fedassoc.agents import (
     decompose_joint,
     encrypt_q,
     epsilon_greedy,
-    joint_q,
 )
 from fedassoc.baselines import ddqn_target
 from fedassoc.env import EdgeAssocEnv, EnvConfig
@@ -149,14 +148,20 @@ def test_compose_decompose_round_trip_random(n, data):
 
 
 def test_joint_q_dimensions_and_zero_net():
+    """The joint head scores [own || peer] Q vectors, as `select_actions` joins them."""
     mlp = init_net((32, 8, 256), np.random.default_rng(4))
-    out = joint_q(mlp, np.ones(16), np.ones(16))
-    assert out.shape == (256,)
+
+    def joint_q(own, peer):
+        out, _ = forward(mlp, np.concatenate((own, peer), axis=-1), stack=True)
+        return out
+
+    assert joint_q(np.ones(16), np.ones(16)).shape == (256,)
+    assert joint_q(np.ones((3, 16)), np.ones((3, 16))).shape == (3, 256)
     for w in mlp.weights:
         w[...] = 0.0
-    assert np.all(joint_q(mlp, np.ones(16), np.ones(16)) == 0.0)
+    assert np.all(joint_q(np.ones(16), np.ones(16)) == 0.0)
     with pytest.raises(ValueError):
-        joint_q(mlp, np.ones(16), np.ones(15))
+        joint_q(np.ones(16), np.ones(15))
 
 
 # -- trainer construction -----------------------------------------------------------------

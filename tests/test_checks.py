@@ -8,13 +8,31 @@ import numpy as np
 import pytest
 
 from fedassoc.agents import TrainerConfig
+from fedassoc.checks import POSITIVE, UNIT, Range
 from fedassoc.env import EnvConfig
 from fedassoc.harness import ExperimentConfig, config_from_dict
 
 CONFIGS = (EnvConfig, TrainerConfig, ExperimentConfig)
 
+
+def declared(cls, name):
+    """A field's type and the Range its annotation declares, or None."""
+    hint = typing.get_type_hints(cls, include_extras=True)[name]
+    args = typing.get_args(hint)
+    if type(None) in args:
+        hint = args[0]
+    if typing.get_origin(hint) is typing.Annotated:
+        return typing.get_args(hint)
+    return hint, None
+
+
 # Fields that may hold an infinite value; every other float field must be finite.
-MAY_BE_INFINITE = {"grad_clip"}
+MAY_BE_INFINITE = {
+    f.name
+    for cls in CONFIGS
+    for f in dataclasses.fields(cls)
+    if getattr(declared(cls, f.name)[1], "infinite", False)
+}
 
 
 def bad_values(cls, name):
@@ -59,6 +77,54 @@ def test_defaults_and_wider_numeric_types_pass():
         cls().validate()
     EnvConfig(road_length=1000, mean_speeds=[5, np.float64(7.0)]).validate()
     TrainerConfig(batch_size=np.int64(8), grad_clip=math.inf, epsilon_end=None).validate()
+
+
+def test_range_rules_read_as_errors_state_them():
+    assert str(Range(1)) == ">= 1"
+    assert str(POSITIVE) == "> 0"
+    assert str(UNIT) == "in [0, 1]"
+    assert str(Range(0, 1, open=True, note=" (x)")) == "in (0, 1] (x)"
+    assert MAY_BE_INFINITE == {"grad_clip"}
+
+
+def step(value, item, direction):
+    """The nearest value of type `item` beyond `value` in `direction` (+1 or -1)."""
+    return value + direction if item is int else math.nextafter(value, direction * math.inf)
+
+
+def range_edges():
+    """Each end of each declared range: the edge value a field accepts, and
+    the nearest value beyond it, which it rejects."""
+    for cls in CONFIGS:
+        for f in dataclasses.fields(cls):
+            hint, bounds = declared(cls, f.name)
+            if bounds is None:
+                continue
+            is_list = typing.get_origin(hint) is tuple
+            item = typing.get_args(hint)[0] if is_list else hint
+            low = item(bounds.low)
+            edges = [(step(low, item, 1), low) if bounds.open else (low, step(low, item, -1))]
+            if bounds.high < math.inf:
+                high = item(bounds.high)
+                edges.append((high, step(high, item, 1)))
+            rule = str(bounds)
+            if is_list:
+                rule = f"a list of {'integers' if item is int else 'numbers'} {rule}"
+            for inside, outside in edges:
+                # Two items: mean_speeds takes one per vehicle of the default world.
+                inside, outside = ([v] * 2 if is_list else v for v in (inside, outside))
+                yield pytest.param(cls, f.name, inside, outside, rule,
+                                   id=f"{cls.__name__}.{f.name}={outside!r}")
+
+
+@pytest.mark.parametrize("cls, name, inside, outside, rule", range_edges())
+def test_each_declared_range_takes_its_edge_and_rejects_the_value_beyond(
+    cls, name, inside, outside, rule
+):
+    dataclasses.replace(cls(), **{name: inside}).validate()
+    with pytest.raises(ValueError) as info:
+        dataclasses.replace(cls(), **{name: outside}).validate()
+    assert str(info.value) == f"{name} must be {rule}, got {outside!r}"
 
 
 # An integer too large for a float: math.isfinite raises OverflowError on it.

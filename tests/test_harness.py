@@ -759,7 +759,7 @@ def test_cli_reports_errors(tmp_path, capsys):
         ({"discount": float("inf")}, "discount must be finite"),
         ({"coverage_radius": float("nan")}, "coverage_radius must be finite"),
         ({"noise_dbm": float("-inf")}, "noise_dbm must be finite"),
-        ({"mean_speeds": [-5.0, 7.0]}, "mean_speeds must be finite and > 0"),
+        ({"mean_speeds": [-5.0, 7.0]}, "mean_speeds must be a list of numbers > 0"),
         ({"mean_speeds": [float("nan"), 7.0]}, "mean_speeds must be finite, got [nan, 7.0]"),
         ({"seeds": [1.5]}, "seeds must be a list of integers, got [1.5]"),
         ({"seeds": [True]}, "seeds must be a list of integers, got [True]"),
@@ -825,6 +825,30 @@ def test_cli_reports_an_array_too_large_to_allocate(tmp_path, capsys):
     assert err.startswith("error: Unable to allocate 4.00 EiB") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("route", ["config", "checkpoint"])
+def test_cli_reports_a_replay_buffer_too_large_to_map(tmp_path, capsys, route):
+    """A replay capacity of 10**20 rows needs more bytes than a mapping's size
+    can count, from a config file or from a checkpoint's config alike."""
+    huge = 10**20
+    cfg_path = cli_config(tmp_path)
+    if route == "config":
+        data = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps({**data, "replay_capacity": huge}))
+        flags = ["--config", str(cfg_path)]
+    else:
+        assert cli_main(["--config", str(cfg_path), "--algo", "proposed", "--seed", "1"]) == 0
+        state_path = tmp_path / "runs" / "checkpoints" / "proposed_seed1" / "state.json"
+        state = json.loads(state_path.read_text())
+        state["cfg"]["replay_capacity"] = huge
+        state_path.write_text(json.dumps(state))
+        flags = ["--config", str(tmp_path / "runs" / "config.json"), "--eval",
+                 str(state_path.parent), "--episodes", "2", "--out", str(tmp_path / "eval")]
+    capsys.readouterr()
+    assert cli_main(flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+
 def test_cli_rejects_non_string_out_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text(json.dumps({"out_dir": 5}))
@@ -859,7 +883,7 @@ def test_cli_names_removed_options(tmp_path, capsys, key):
         (lambda state: state["env_state"].update(mean_speeds=[float("inf"), 7.0]),
          "mean_speeds must be finite, got [inf, 7.0]"),
         (lambda state: state["env_state"].update(mean_speeds=[-6.0, 7.0]),
-         "mean_speeds must be finite and > 0, got [-6.0, 7.0]"),
+         "mean_speeds must be a list of numbers > 0, got [-6.0, 7.0]"),
         (lambda state: state["env_state"].update(mean_speeds=[10**400, 7.0]),
          f"mean_speeds must be finite, got [{10**400}, 7.0]"),
         (lambda state: state["env_state"].update(mean_speeds=[True, 7.0]),
@@ -868,11 +892,18 @@ def test_cli_names_removed_options(tmp_path, capsys, key):
          "mean_speeds must be a list of numbers, got 'fast'"),
         (lambda state: state.update(env_state=list(state["env_state"])),
          "env state must be a JSON object, got list"),
+        # Random-stream states numpy cannot hold in its integers.
+        (lambda state: state["rng_explore"]["state"].update(state=10**50), "too large to convert"),
+        (lambda state: state["rng_explore"]["state"].update(state=-1), "out of bounds"),
+        (lambda state: state["rng_explore"].update(has_uint32=10**30), "too large to convert"),
+        (lambda state: state["env_state"]["rng_init"]["state"].update(state=10**60),
+         "too large to convert"),
     ],
     ids=[
         "missing-key", "removed-option", "bad-value", "fractional-episode", "bool-steps",
         "nan-speed", "infinite-speed", "negative-speed", "huge-integer-speed", "bool-speed",
-        "string-speeds", "env-state-list",
+        "string-speeds", "env-state-list", "huge-stream-state", "negative-stream-state",
+        "huge-has-uint32", "huge-env-stream-state",
     ],
 )
 def test_cli_eval_rejects_bad_checkpoint_state(tmp_path, capsys, edit, message):

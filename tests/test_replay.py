@@ -47,6 +47,15 @@ def savez(arrays) -> io.BytesIO:
     return file
 
 
+@pytest.mark.parametrize("capacity", [2**61 + 5, 10**20], ids=["2**61+5", "10**20"])
+def test_a_capacity_too_large_to_map_raises_memory_error(capacity):
+    """The mapping's size is counted exactly: 2**61 + 5 rows' bytes wrap in an
+    int64 product, and 10**20 rows' overflow a C size."""
+    obs_bytes = (2 * capacity + 1) * 2 * 3 * 8  # the float64 observation rows, both sides
+    with pytest.raises(MemoryError, match=f"^Unable to allocate {obs_bytes} bytes "):
+        ReplayBuffer(capacity, 3)
+
+
 def test_size_never_exceeds_capacity():
     buf = filled_buffer(capacity=8, inserts=30)
     assert len(buf) == 8
