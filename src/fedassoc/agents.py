@@ -46,7 +46,7 @@ from .nn import (
 from .replay import BLOCK_BYTES, Batch, ReplayBuffer
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainerConfig:
     """Learning hyperparameters shared by the federated trainer and baselines."""
 
@@ -69,7 +69,7 @@ class TrainerConfig:
     ] = 10.0
     fedavg_period: Annotated[int, Range(1)] = 5      # fmarl-avg's episodes between weight averages
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self)
         if self.replay_capacity < self.batch_size:
             raise ValueError(
@@ -244,7 +244,6 @@ class Trainer:
         """`nets` gives each net `net_dims` names, as `load` reads them.
         Without it the seed's init stream draws each main net in `net_dims`
         order, and each `<name>_target` starts as a copy of `<name>`."""
-        cfg.validate()
         if env.num_agents != 2:
             raise ValueError(f"{type(self).__name__} drives exactly two agents")
         self.env = env
@@ -478,7 +477,6 @@ class Trainer:
             env_state = state["env_state"]
             env.check_state(env_state)
             cfg = config_from_json(TrainerConfig, state["cfg"])
-            cfg.validate()
             for name in ("episode", "train_steps"):
                 if not is_integer(state[name]) or state[name] < 0:
                     raise ValueError(f"{name} must be an integer >= 0, got {state[name]!r}")

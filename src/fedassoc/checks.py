@@ -120,8 +120,8 @@ def check_fields(obj) -> None:
     tuple[T, ...] takes a list of T; Optional[T] takes None or T; a nested
     config takes an instance of its class; a Range bounds the value or each
     item. The first field, in declaration order, to break its rule raises
-    ValueError naming it, the rule and the value; rules between fields are
-    left to each config's `validate`.
+    ValueError naming it, the rule and the value. Each config's `__post_init__`
+    calls it, then checks the rules between fields.
     """
     for name, (hint, bounds, optional) in _field_rules(type(obj)).items():
         value = getattr(obj, name)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -110,7 +111,7 @@ def _evaluate_checkpoint(
                 f"{checkpoint}: --sigma sets the sharing noise of proposed, "
                 f"but this is a {trainer.algo} checkpoint"
             )
-        trainer.cfg.share_noise_std = sigma
+        trainer.cfg = dataclasses.replace(trainer.cfg, share_noise_std=sigma)
     records = trainer.evaluate(episodes)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -34,7 +34,7 @@ MAX_RSUS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 NO_RSU_LOCATION = (-1.0, -1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvConfig:
     """Static parameters of the freeway world and the reward trade-off."""
 
@@ -64,7 +64,7 @@ class EnvConfig:
     gain_db_high: float = -40.0
     y_scale: Annotated[float, POSITIVE] = 20.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self)
         rsus, visible = self.num_rsus, self.visible_rsus
         if rsus < self.num_vehicles:
@@ -323,7 +323,6 @@ class EdgeAssocEnv:
     """
 
     def __init__(self, cfg: EnvConfig, seed: int):
-        cfg.validate()
         self.cfg = cfg
         self.layout = build_rsu_layout(cfg)
         ss = np.random.SeedSequence(seed)
@@ -595,7 +594,7 @@ class EdgeAssocEnv:
                     f"env state is of another world: its {name} is {theirs.get(name)!r}, "
                     f"this world's is {ours.get(name)!r}"
                 )
-        replace(self.cfg, mean_speeds=state["mean_speeds"]).validate()
+        replace(self.cfg, mean_speeds=state["mean_speeds"])  # building it checks the rule
 
     def set_state(self, state: dict) -> None:
         """Restore a `get_state()`; the next episode starts at `reset()`.

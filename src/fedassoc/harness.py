@@ -34,7 +34,7 @@ ALGORITHMS = tuple(TRAINERS)
 SWEEP_AXES = {"rsus": "num_rsus", "sigma": "share_noise_std"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     env: EnvConfig = field(default_factory=EnvConfig)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
@@ -44,12 +44,10 @@ class ExperimentConfig:
     eval_window: int = 100
     per_ts_log: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self)
-        self.env.validate()
         if self.env.num_vehicles != 2:
             raise ValueError("num_vehicles must be 2: every algorithm drives one vehicle pair")
-        self.trainer.validate()
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
@@ -89,13 +87,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for section, cls in _SECTIONS.items():
         keys = {f.name for f in dataclasses.fields(cls)}
         sections[section] = config_from_json(cls, {k: run.pop(k) for k in data if k in keys})
-    cfg = config_from_json(ExperimentConfig, run, **sections)
-    cfg.validate()
-    return cfg
+    return config_from_json(ExperimentConfig, run, **sections)
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a config file; missing keys fall back to defaults."""
+    """Parse and check a config file; missing keys fall back to defaults."""
     text = Path(path).read_text().strip()
     try:
         data = json.loads(text) if text else {}
@@ -317,8 +313,7 @@ def _run_grid(tasks: list[tuple]) -> list:
 
 
 def _grid_tasks(cfg: ExperimentConfig) -> list[tuple]:
-    """Check `cfg` and its checkpoint directories, write its `config.json`, and give its tasks."""
-    cfg.validate()
+    """Check `cfg`'s checkpoint directories and give its tasks."""
     out_dir = Path(cfg.out_dir)
     tasks = [
         (cfg.env, cfg.trainer, algo, seed, cfg.per_ts_log,
@@ -328,13 +323,13 @@ def _grid_tasks(cfg: ExperimentConfig) -> list[tuple]:
     ]
     for *_, checkpoint_dir in tasks:
         check_checkpoint_dir(checkpoint_dir)
-    echo_config(cfg, out_dir)
     return tasks
 
 
 def _write_results(cfg: ExperimentConfig, tasks: list[tuple], outcomes: list) -> ExperimentResult:
-    """Write the CSVs and the summary of `tasks`' outcomes."""
+    """Write `cfg`'s `config.json`, and the CSVs and the summary of `tasks`' outcomes."""
     out_dir = Path(cfg.out_dir)
+    echo_config(cfg, out_dir)
     records: dict[tuple[str, int], list[EpisodeRecord]] = {}
     stats: list[WindowStats] = []
     for (_, _, algo, seed, *_), (recs, ts_rows) in zip(tasks, outcomes):
@@ -385,8 +380,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> list[Win
         label = f"{axis}_{value:g}"
         if label in runs:
             raise ValueError(f"sweep values {runs[label][0]!r} and {value!r} both write {label}")
-        sub.out_dir = str(base_dir / label)
-        runs[label] = (value, sub)
+        runs[label] = (value, dataclasses.replace(sub, out_dir=str(base_dir / label)))
     grid = [(value, sub, _grid_tasks(sub)) for value, sub in runs.values()]
     outcomes = iter(_run_grid([task for *_, tasks in grid for task in tasks]))
     all_stats: list[WindowStats] = []

@@ -167,7 +167,6 @@ class PerTsEnv:
     """
 
     def __init__(self, cfg: EnvConfig, seed: int):
-        cfg.validate()
         self.cfg = cfg
         self.layout = build_rsu_layout(cfg)
         ss = np.random.SeedSequence(seed)

@@ -198,29 +198,29 @@ def test_trainer_rejects_bad_config():
     with pytest.raises(ValueError):
         FederatedTrainer(small_env(), small_cfg(batch_size=0), seed=0)
     with pytest.raises(ValueError, match="epsilon_decay_episodes must be >= 1"):
-        small_cfg(epsilon_decay_episodes=0).validate()
+        small_cfg(epsilon_decay_episodes=0)
     for name in ("epsilon_decay_episodes", "batch_size", "replay_capacity", "target_sync",
                  "episodes", "lr_decay_episodes"):
         for value in (8.0, True):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
-                small_cfg(**{name: value}).validate()
-    small_cfg(batch_size=np.int64(8)).validate()
+                small_cfg(**{name: value})
+    small_cfg(batch_size=np.int64(8))
     for name in ("discount", "epsilon", "epsilon_end", "share_noise_std", "lr_start", "lr_end"):
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
-                small_cfg(**{name: value}).validate()
+                small_cfg(**{name: value})
 
 
 @pytest.mark.parametrize("grad_clip", [-1.0, 0.0, float("nan")])
 def test_trainer_rejects_bad_grad_clip(grad_clip):
     with pytest.raises(ValueError, match="grad_clip"):
-        small_cfg(grad_clip=grad_clip).validate()
+        small_cfg(grad_clip=grad_clip)
 
 
 def test_infinite_grad_clip_is_accepted():
     # Integers above int64 pass, and one too large for a float counts as infinite.
     for grad_clip in (float("inf"), 2**70, 10**400):
-        small_cfg(grad_clip=grad_clip).validate()
+        small_cfg(grad_clip=grad_clip)
 
 
 def test_epsilon_schedule():
@@ -917,6 +917,9 @@ BAD_FORMAT_1 = {
                      "DIR/replay.npz: index 3 is out of bounds"),
     "bad-action": (_edit_columns(lambda arrays: arrays["act_follow"].__setitem__(2, 99)),
                    "DIR/replay.npz: replay array 'act_follow' row 2 holds 99, not an action"),
+    # Rows no mapping's size can count: the buffer fails as it is built.
+    "huge-capacity": (_edit_columns(lambda arrays: arrays.update(meta=np.array([8, 8, 10**18]))),
+                      "Unable to allocate"),
 }
 
 

@@ -66,17 +66,24 @@ CASES = [
 
 @pytest.mark.parametrize("cls, name, value", CASES)
 def test_every_field_rejects_values_of_another_type(cls, name, value):
-    cfg = dataclasses.replace(cls(), **{name: value})
     with pytest.raises(ValueError) as info:
-        cfg.validate()
+        dataclasses.replace(cls(), **{name: value})
     assert str(info.value).startswith(f"{name} must be")
 
 
 def test_defaults_and_wider_numeric_types_pass():
     for cls in CONFIGS:
-        cls().validate()
-    EnvConfig(road_length=1000, mean_speeds=[5, np.float64(7.0)]).validate()
-    TrainerConfig(batch_size=np.int64(8), grad_clip=math.inf, epsilon_end=None).validate()
+        cls()
+    EnvConfig(road_length=1000, mean_speeds=[5, np.float64(7.0)])
+    TrainerConfig(batch_size=np.int64(8), grad_clip=math.inf, epsilon_end=None)
+
+
+@pytest.mark.parametrize("cls", CONFIGS)
+def test_configs_are_frozen(cls):
+    cfg = cls()
+    for f in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
 
 
 def test_range_rules_read_as_errors_state_them():
@@ -121,9 +128,9 @@ def range_edges():
 def test_each_declared_range_takes_its_edge_and_rejects_the_value_beyond(
     cls, name, inside, outside, rule
 ):
-    dataclasses.replace(cls(), **{name: inside}).validate()
+    dataclasses.replace(cls(), **{name: inside})
     with pytest.raises(ValueError) as info:
-        dataclasses.replace(cls(), **{name: outside}).validate()
+        dataclasses.replace(cls(), **{name: outside})
     assert str(info.value) == f"{name} must be {rule}, got {outside!r}"
 
 
@@ -145,17 +152,17 @@ def float_fields():
 def test_integer_too_large_for_a_float_is_not_finite(cls, name, may_be_infinite):
     is_list = typing.get_origin(typing.get_type_hints(cls)[name]) is tuple
     for value in (HUGE, -HUGE):
-        cfg = dataclasses.replace(cls(), **{name: [value] if is_list else value})
+        changes = {name: [value] if is_list else value}
         if may_be_infinite and value > 0:
-            cfg.validate()
+            dataclasses.replace(cls(), **changes)
             continue
         with pytest.raises(ValueError) as info:
-            cfg.validate()
+            dataclasses.replace(cls(), **changes)
         message = f"{name} must be > 0" if may_be_infinite else f"{name} must be finite"
         assert str(info.value).startswith(message)
 
 
-# Config values that break a rule of `validate`, each with the rule its
+# Config values that break a rule of a config's check, each with the rule its
 # message states; the message also names every value given.
 RULE_BREAKS = {
     "num-vehicles": ({"num_vehicles": 0}, "num_vehicles must be >= 1"),
@@ -188,6 +195,25 @@ RULE_BREAKS = {
     "lr-end": ({"lr_start": 0.01, "lr_end": 0.0}, "need lr_start >= lr_end > 0"),
     "eval-window": ({"episodes": 10, "eval_window": 11}, "eval_window must be in [1, episodes]"),
 }
+
+
+def replaced(data):
+    """The ExperimentConfig of `data`, each key given by `dataclasses.replace`
+    on the default of its section: EnvConfig, TrainerConfig or the run's."""
+    sections, run = {}, dict(data)
+    for name, cls in (("env", EnvConfig), ("trainer", TrainerConfig)):
+        keys = {f.name for f in dataclasses.fields(cls)} & data.keys()
+        sections[name] = dataclasses.replace(cls(), **{key: run.pop(key) for key in keys})
+    return dataclasses.replace(ExperimentConfig(), **sections, **run)
+
+
+@pytest.mark.parametrize("data", [data for data, _ in RULE_BREAKS.values()], ids=RULE_BREAKS)
+def test_replace_breaks_a_rule_with_the_message_of_a_config_file(data):
+    with pytest.raises(ValueError) as from_file:
+        config_from_dict(data)
+    with pytest.raises(ValueError) as from_replace:
+        replaced(data)
+    assert str(from_replace.value) == str(from_file.value)
 
 
 @pytest.mark.parametrize("data, rule", RULE_BREAKS.values(), ids=RULE_BREAKS)

@@ -324,12 +324,10 @@ def test_everything_stays_inside_out_dir(tmp_path):
 
 
 def test_validation_rejects_empty_seed_list(tmp_path):
-    cfg = tiny_config(tmp_path / "runs", seeds=())
     with pytest.raises(ValueError):
-        run_experiment(cfg)
-    cfg = tiny_config(tmp_path / "runs", algos=("sarsa",))
+        tiny_config(tmp_path / "runs", seeds=())
     with pytest.raises(ValueError):
-        run_experiment(cfg)
+        tiny_config(tmp_path / "runs", algos=("sarsa",))
 
 
 # -- sweeps ------------------------------------------------------------------------
@@ -367,7 +365,7 @@ def test_sigma_sweep_rejects_other_algorithms(tmp_path, capsys):
     assert err == "error: --sweep sigma varies the sharing noise of proposed only, " \
         "but algos names ['cdrl']\n"
     assert not (tmp_path / "runs").exists()
-    cfg.algos = ("proposed",)
+    cfg = dataclasses.replace(cfg, algos=("proposed",))
     assert [(s.algo, s.seed) for s in sweep(cfg, "sigma", [0.0, 1.0])] == [("proposed", 1)] * 2
 
 
@@ -414,6 +412,46 @@ def test_a_run_refuses_a_checkpoint_directory_it_could_not_replace(tmp_path, cap
         "runs", "runs/checkpoints", "runs/checkpoints/proposed_seed1",
         "runs/checkpoints/proposed_seed1/notes.txt",
     ]
+
+
+def test_a_refused_sweep_writes_no_config(tmp_path, capsys):
+    """A sweep refused at its second value's checkpoint directory is refused
+    before the first value's config.json is written: only the blocking
+    directory is left."""
+    sweep_dir = tmp_path / "runs" / "sweep_rsus"
+    ckpt = sweep_dir / "rsus_12" / "checkpoints" / "proposed_seed1"
+    ckpt.mkdir(parents=True)
+    (ckpt / "notes.txt").write_text("keep")
+    argv = ["--config", str(cli_config(tmp_path)), "--algo", "proposed", "--seed", "1",
+            "--sweep", "rsus", "--values", "8,12"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: not a checkpoint (no state.json); not replacing it\n"
+    )
+    assert [p.relative_to(sweep_dir).as_posix() for p in sorted(sweep_dir.rglob("*"))] == [
+        "rsus_12", "rsus_12/checkpoints", "rsus_12/checkpoints/proposed_seed1",
+        "rsus_12/checkpoints/proposed_seed1/notes.txt",
+    ]
+
+
+def test_a_replay_buffer_too_large_to_map_writes_nothing(tmp_path, capsys):
+    cfg_path = cli_config(tmp_path)
+    cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), "replay_capacity": 10**20}))
+    assert cli_main(["--config", str(cfg_path), "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_a_diverging_run_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps({
+        "lr_start": 1e6, "lr_end": 1e6, "grad_clip": 1e308, "out_dir": str(tmp_path / "runs"),
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["--config", str(path), "--seed", "1", "--episodes", "3"]) == 2
+    assert capsys.readouterr().err == "error: non-finite training loss\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["diverge.json"]
 
 
 def test_cli_single_run(tmp_path, capsys):
@@ -500,7 +538,7 @@ def failing_on_seed_1(env_cfg, trainer_cfg, algo, seed, per_ts_log, checkpoint_d
     """Stands in for `run_single` in a pool: notes the task's seed and
     process, then fails on seed 1 and takes 0.3 s on any other."""
     started = Path(checkpoint_dir).parents[1] / "started"
-    started.mkdir(exist_ok=True)
+    started.mkdir(parents=True, exist_ok=True)
     (started / str(seed)).write_text(str(os.getpid()))
     if seed == 1:
         raise RuntimeError("seed 1 failed")
@@ -798,6 +836,9 @@ def test_cli_reports_errors(tmp_path, capsys):
         ({}, "episodes must be >= 1", "--episodes", "0"),
         ({}, "num_rsus must be >= num_vehicles", "--num-rsus", "0"),
         ({}, "num_rsus must be an integer, got 8.5", "--sweep", "rsus", "--values", "8.5,8"),
+        # A value is checked before its directory's label formats it.
+        ({}, "--sweep rsus value a: num_rsus must be an integer, got 'a'",
+         "--sweep", "rsus", "--values", '"a"'),
         ({}, "--values must be comma-separated numbers, got 'abc'",
          "--sweep", "rsus", "--values", "abc"),
         ({}, "sweep values 8 and 8 both write rsus_8", "--sweep", "rsus", "--values", "8,8"),

@@ -536,9 +536,9 @@ def test_lr_schedule_endpoints_and_midpoint():
 
 def test_lr_schedule_validation():
     with pytest.raises(ValueError, match="lr_start >= lr_end > 0"):
-        TrainerConfig(lr_start=0.001, lr_end=0.01, lr_decay_episodes=10).validate()
+        TrainerConfig(lr_start=0.001, lr_end=0.01, lr_decay_episodes=10)
     with pytest.raises(ValueError, match="decay_episodes must be >= 1"):
-        TrainerConfig(lr_decay_episodes=0).validate()
+        TrainerConfig(lr_decay_episodes=0)
     with pytest.raises(ValueError, match="1-based"):
         linear_schedule(0.01, 0.001, 250, 0)
 

@@ -62,7 +62,7 @@ def main(argv=None) -> int:
             buffer.save(staged / "replay.npz")
             (staged / "state.json").write_text(json.dumps({**state, "format": 2}))
             agents.Trainer.load(staged, env.EdgeAssocEnv(world, 0)).save(args.out or args.dir)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             print(f"error: {str(exc).replace(str(staged), str(args.dir))}", file=sys.stderr)
             return 2
     print(f"wrote {args.out or args.dir}")
