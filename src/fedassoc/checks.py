@@ -22,9 +22,9 @@ def config_from_json(cls, data: dict, **built):
     """Build config dataclass `cls` from the JSON object `data`.
 
     Removed and unknown keys are rejected, a dropped key is skipped when it
-    holds its one value and rejected otherwise, and JSON lists become tuples.
-    `built` passes fields that are already objects (the sections of a nested
-    config); `data` may not name them.
+    holds its one value and rejected otherwise, and a missing key takes its
+    default. `built` passes fields that are already objects (the sections of
+    a nested config); `data` may not name them.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
@@ -42,8 +42,6 @@ def config_from_json(cls, data: dict, **built):
             raise ValueError(f"option {key!r} {REMOVED_OPTIONS[key]}")
         if key not in hints or key in built:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(value, list):
-            value = tuple(value)
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -120,8 +118,9 @@ def check_fields(obj) -> None:
     tuple[T, ...] takes a list of T; Optional[T] takes None or T; a nested
     config takes an instance of its class; a Range bounds the value or each
     item. The first field, in declaration order, to break its rule raises
-    ValueError naming it, the rule and the value. Each config's `__post_init__`
-    calls it, then checks the rules between fields.
+    ValueError naming it, the rule and the value; a field that passes is
+    stored plain (a list as a tuple, a numpy number as a Python one). Each
+    config's `__post_init__` calls it, then checks the rules between fields.
     """
     for name, (hint, bounds, optional) in _field_rules(type(obj)).items():
         value = getattr(obj, name)
@@ -148,6 +147,11 @@ def check_fields(obj) -> None:
         elif bounds is not None and not all(map(bounds.holds, values)):
             rule = f"{prefix}{bounds}"
         else:
+            # Stored plain: a list field's items (`hint` is their type) as a tuple,
+            # and a numpy number as the Python int or float it equals.
+            if hint in _SCALARS and (values is value or type(value) not in _SCALARS):
+                plain = tuple((int if is_integer(v) else hint)(v) for v in values)
+                object.__setattr__(obj, name, plain if values is value else plain[0])
             continue
         shown = list(value) if isinstance(value, tuple) else value
         raise ValueError(f"{name} must be {rule}, got {shown!r}")

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import copy
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Annotated, Optional, Sequence, Union
 
 import numpy as np
 
-from .checks import POSITIVE, UNIT, Range, check_fields
+from .checks import POSITIVE, UNIT, Range, check_fields, config_from_json
 
 # Geometry of the two-lane freeway (m). Lanes carry the vehicles, the RSU rows
 # sit beyond the outer shoulders.
@@ -577,22 +576,21 @@ class EdgeAssocEnv:
         return state
 
     def check_state(self, state: dict) -> None:
-        """Raise ValueError if `state` is not a JSON object or lacks a key, naming
-        the first differing `EnvConfig` field if it is of another world, or
-        naming `mean_speeds` if they break the config rule for `mean_speeds`."""
+        """Raise ValueError if `state` is not a JSON object or lacks a key, if its
+        `cfg` fails `config_from_json` or is of another world (naming the first
+        differing `EnvConfig` field), or if its `mean_speeds` break their rule."""
         if not isinstance(state, dict):
             raise ValueError(f"env state must be a JSON object, got {type(state).__name__}")
         missing = [key for key in ("cfg", "mean_speeds", *_STREAMS) if key not in state]
         if missing:
             raise ValueError(f"env state has no {missing[0]!r}")
-        ours, theirs = json.loads(json.dumps(asdict(self.cfg))), state["cfg"]
-        if not isinstance(theirs, dict):
-            raise ValueError("env state cfg is not a JSON object")
-        for name in [*ours, *theirs]:
-            if theirs.get(name) != ours.get(name):
+        theirs = vars(config_from_json(EnvConfig, state["cfg"]))
+        for name, ours in vars(self.cfg).items():
+            if theirs[name] != ours:
+                their, ours = (list(v) if isinstance(v, tuple) else v for v in (theirs[name], ours))
                 raise ValueError(
-                    f"env state is of another world: its {name} is {theirs.get(name)!r}, "
-                    f"this world's is {ours.get(name)!r}"
+                    f"env state is of another world: its {name} is {their!r}, "
+                    f"this world's is {ours!r}"
                 )
         replace(self.cfg, mean_speeds=state["mean_speeds"])  # building it checks the rule
 

@@ -78,7 +78,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     flat = dataclasses.asdict(cfg)
     for section in _SECTIONS:
         flat.update(flat.pop(section))
-    return {key: list(v) if isinstance(v, tuple) else v for key, v in flat.items()}
+    return flat
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -105,9 +105,7 @@ def load_config(path) -> ExperimentConfig:
 def echo_config(cfg: ExperimentConfig, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "config.json"
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json.dumps(config_to_dict(cfg), indent=1, sort_keys=True) + "\n")
     return path
 
 

@@ -71,11 +71,57 @@ def test_every_field_rejects_values_of_another_type(cls, name, value):
     assert str(info.value).startswith(f"{name} must be")
 
 
+# Fields of each config given as lists and numpy scalars, then as the tuples
+# and Python numbers they equal; a Python int in a float field stays an int.
+WIDER = {
+    EnvConfig: (
+        dict(road_length=np.int64(1000), coverage_radius=np.float32(150.0),
+             horizon=np.int32(7), mean_speeds=[5, np.float64(7.0)]),
+        dict(road_length=1000, coverage_radius=150.0, horizon=7, mean_speeds=(5, 7.0)),
+    ),
+    TrainerConfig: (
+        dict(batch_size=np.int64(8), share_noise_std=np.float64(0.5), grad_clip=math.inf,
+             epsilon_end=None, local_hidden=[np.int64(40), 40], mlp_hidden=[20]),
+        dict(batch_size=8, share_noise_std=0.5, grad_clip=math.inf,
+             epsilon_end=None, local_hidden=(40, 40), mlp_hidden=(20,)),
+    ),
+    ExperimentConfig: (
+        dict(algos=["proposed", "cdrl"], seeds=[np.int64(3), 1], eval_window=np.int64(50)),
+        dict(algos=("proposed", "cdrl"), seeds=(3, 1), eval_window=50),
+    ),
+}
+
+
+def build(cls, side):
+    """`cls` from side 0 (lists and numpy scalars) or side 1 (tuples and
+    Python numbers) of WIDER, its sections too."""
+    fields = WIDER[cls][side]
+    if cls is ExperimentConfig:
+        fields = {**fields, "env": build(EnvConfig, side), "trainer": build(TrainerConfig, side)}
+    return cls(**fields)
+
+
+def forms(cfg, prefix=""):
+    """The type of each field of `cfg`, after `tuple` the types of a tuple's
+    items, by path: a nested config's fields are named under it."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        value, path = getattr(cfg, f.name), prefix + f.name
+        if dataclasses.is_dataclass(value):
+            out.update(forms(value, f"{path}."))
+        else:
+            out[path] = (type(value), *(map(type, value) if isinstance(value, tuple) else ()))
+    return out
+
+
 def test_defaults_and_wider_numeric_types_pass():
     for cls in CONFIGS:
         cls()
-    EnvConfig(road_length=1000, mean_speeds=[5, np.float64(7.0)])
-    TrainerConfig(batch_size=np.int64(8), grad_clip=math.inf, epsilon_end=None)
+        built, twin = build(cls, 0), build(cls, 1)
+        # Stored plain, a config equals and hashes as its twin, type for type.
+        assert built == twin and hash(built) == hash(twin)
+        assert forms(built) == forms(twin)
+        assert set().union(*forms(built).values()) <= {tuple, int, float, str, bool, type(None)}
 
 
 @pytest.mark.parametrize("cls", CONFIGS)

@@ -33,6 +33,7 @@ from fedassoc.harness import (
 )
 import fedassoc.agents as agents_mod
 from fedassoc.agents import FederatedTrainer, TrainerConfig
+from fedassoc.checks import config_from_json
 from fedassoc.env import EdgeAssocEnv, EnvConfig
 from fedassoc.metrics import EpisodeRecord, read_metrics_csv, record_cells, write_metrics_csv
 from fedassoc.nn import load_net, net_fingerprint
@@ -105,12 +106,55 @@ def test_out_of_range_value_rejected(tmp_path):
         load_config(path)
 
 
+def numpy_twin(cfg):
+    """`cfg` rebuilt with a list for each tuple and a numpy scalar for each
+    number, its sections too."""
+    def wider(value):
+        if dataclasses.is_dataclass(value):
+            return numpy_twin(value)
+        if isinstance(value, tuple):
+            return [wider(v) for v in value]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return np.int64(value) if isinstance(value, int) else np.float64(value)
+        return value
+    return type(cfg)(**{f.name: wider(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)})
+
+
 def test_config_round_trip(tmp_path):
     cfg = tiny_config(tmp_path / "runs", algos=("proposed", "imarl"))
     echoed = echo_config(cfg, tmp_path / "runs")
     loaded = load_config(echoed)
     assert loaded == cfg
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    # Built from lists and numpy scalars, a config is the same plain value.
+    plain = dataclasses.replace(cfg, env=EnvConfig(horizon=4, mean_speeds=(6, 7.5)))
+    twin = numpy_twin(plain)
+    assert twin == plain and hash(twin) == hash(plain)
+    for built in (cfg, twin):
+        assert config_from_dict(config_to_dict(built)) == built
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(built)))) == built
+        for section in (built.env, built.trainer):
+            assert config_from_json(type(section), json.loads(json.dumps(
+                dataclasses.asdict(section)))) == section
+        with pytest.raises(AttributeError):
+            built.seeds.append(1)
+        with pytest.raises(AttributeError):
+            built.trainer.local_hidden.append(0)
+    echoed = echo_config(twin, tmp_path / "twin").read_bytes()
+    assert echoed == echo_config(plain, tmp_path / "plain").read_bytes()
+
+
+def test_a_config_of_numpy_scalars_runs_and_saves_as_its_python_twin(tmp_path, monkeypatch):
+    """A config built from numpy scalars holds the Python numbers they equal,
+    so its run, whose checkpoint is a saved, trained FederatedTrainer, writes
+    every byte its twin's run writes: `config.json` and `state.json` too."""
+    cfg = tiny_config("runs", seeds=(1,), eval_window=3)
+    for name, built in (("python", cfg), ("numpy", numpy_twin(cfg))):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        run_experiment(built)
+    python, numpy = (file_bytes(tmp_path / name) for name in ("python", "numpy"))
+    assert {"runs/config.json", "runs/checkpoints/proposed_seed1/state.json"} <= python.keys()
+    assert numpy == python
 
 
 def test_every_algorithm_comes_from_the_trainer_table():

@@ -715,9 +715,16 @@ def _malformed_stream(state):
          "mean_speeds must have one entry per vehicle"),
         (lambda s: s.pop("cfg"), "env state has no 'cfg'"),
         (_malformed_stream, "PCG64"),
+        # The state's cfg is built as a config file's is, by the same check.
+        (_set_cfg(colour="red"), "unknown config key 'colour'"),
+        (lambda s: s.update(cfg="12 RSUs"), "EnvConfig must be a JSON object, got '12 RSUs'"),
+        (_set_cfg(num_rsus=12.0), "num_rsus must be an integer, got 12.0"),
+        (_set_cfg(coverage_radius=-5), "coverage_radius must be > 0, got -5"),
+        (_set_cfg(num_rsus=13), "num_rsus must be even (equal counts per roadside), got 13"),
     ],
     ids=["num-rsus", "num-vehicles", "coverage-radius", "cfg-mean-speeds", "mean-speeds",
-         "missing-cfg", "stream"],
+         "missing-cfg", "stream", "unknown-cfg-key", "cfg-not-an-object", "float-num-rsus",
+         "negative-coverage-radius", "odd-num-rsus"],
 )
 def test_set_state_rejects_another_world(edit, message):
     env = make_env(seed=67, horizon=10)
@@ -731,6 +738,21 @@ def test_set_state_rejects_another_world(edit, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         twin.set_state(state)
     assert twin.get_state() == before and twin.episode is episode and episode.t == 1
+
+
+def test_set_state_takes_a_missing_cfg_key_at_its_default():
+    # As a config file's missing key does: a state written without a field
+    # is of the world whose field holds the default.
+    env = make_env(seed=67, horizon=10)
+    env.reset()
+    state = json.loads(json.dumps(env.get_state()))
+    del state["cfg"]["penalty"]
+    twin = make_env(seed=5, horizon=10)
+    twin.set_state(state)
+    assert twin.get_state() == env.get_state()
+    del state["cfg"]["horizon"]
+    with pytest.raises(ValueError, match=re.escape("its horizon is 100, this world's is 10")):
+        twin.set_state(state)
 
 
 def test_array_helpers_match_scalar_calls():
