@@ -203,13 +203,13 @@ class Trainer:
     and the learning rate follow their episode schedules. Subclasses define
     `algo`, `net_dims`, `select_actions` and `update`, and may hook
     `init_nets`, `end_episode` and `share_noise`. An `update` takes one `td_step`
-    per head or side, on `bootstrap` targets, and returns their losses.
+    per side, on `bootstrap` targets, and returns their losses as a tuple.
 
     `nets` holds every net by its `net_dims` name, in that order, and each
     `<name>_target` is the target of `<name>`. `save` writes it,
     `sync_targets` copies within it, `grads` keys each trained net's
     gradient buffer by the same name, and the views a subclass builds
-    (`pair`, `head`, `heads`) hold its nets. No net is ever rebound: every
+    (`pair`, `heads`) hold its nets. No net is ever rebound: every
     change to one writes its parameters in place, so `nets` and the views
     never part.
 
@@ -284,10 +284,10 @@ class Trainer:
         """
         raise NotImplementedError
 
-    def update(self, batch: Batch, lr: float) -> float | tuple[float, float]:
+    def update(self, batch: Batch, lr: float) -> tuple[float, ...]:
         """One training step on `batch` at learning rate `lr`. Returns the
-        loss of each TD step it took: a float for one head (cdrl), else a
-        (lead, follower) tuple."""
+        loss of each TD step it took, one per side: (lead, follower) for the
+        federated pair, one per `sides` entry for a baseline."""
         raise NotImplementedError
 
     def sync_targets(self) -> None:
@@ -474,8 +474,7 @@ class Trainer:
                 cls = Trainer.classes[algo]
             elif algo != cls.algo:
                 raise ValueError(f"a {algo} checkpoint, but {cls.__name__} loads {cls.algo} ones")
-            env_state = state["env_state"]
-            env.check_state(env_state)
+            apply_env_state = env.check_state(state["env_state"])
             cfg = config_from_json(TrainerConfig, state["cfg"])
             for name in ("episode", "train_steps"):
                 if not is_integer(state[name]) or state[name] < 0:
@@ -500,8 +499,7 @@ class Trainer:
             _check_replay_rows(trainer.buffer, trainer.num_actions)
         except (ValueError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{replay_path}: {exc}") from exc
-        with _errors_name(path):
-            env.set_state(env_state)
+        apply_env_state()
         return trainer
 
 

@@ -1,11 +1,14 @@
-"""Comparison algorithms: centralized DDQN, independent DDQN pairs, and
-independent learners with periodic federated weight averaging.
+"""Comparison algorithms: centralized DDQN (cdrl), independent DDQN pairs
+(imarl) and independent learners with periodic federated weight averaging
+(fmarl-avg), each a `DdqnTrainer` that declares only its table of sides.
 
 All three run the federated trainer's episode loop (`agents.Trainer`) with
 its hyperparameters, so result files differ only by algorithm.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -14,6 +17,9 @@ from .agents import (Trainer, TrainerConfig, bootstrap, compose_joint, decompose
 # Unused here: perfbench's tracer test reads `baselines.backward`.
 from .nn import DenseNet, backward, forward  # noqa: F401
 from .replay import Batch
+
+# The vehicles in the order of `select_actions`' observations and actions.
+VEHICLES = ("lead", "follow")
 
 
 def ddqn_target(reward: np.ndarray, next_obs: np.ndarray, main: DenseNet, target: DenseNet,
@@ -50,11 +56,6 @@ class _DdqnHead:
         self.target = trainer.nets[f"{name}_target"]
         self.grads = trainer.grads
 
-    def values(self, obs: np.ndarray) -> np.ndarray:
-        """Q-values of one observation vector or of a stack of them, one per row."""
-        out, _ = forward(self.net, obs, stack=True)
-        return out
-
     def update(self, obs: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
                next_obs: np.ndarray, done: np.ndarray, lr: float) -> float:
         targets = ddqn_target(rewards, next_obs, self.net, self.target, self.cfg.discount, done)
@@ -62,61 +63,59 @@ class _DdqnHead:
                        self.cfg.grad_clip)
 
 
-class CentralizedTrainer(Trainer):
-    """One DDQN over the concatenated observations and the joint action space.
-
-    The replay keeps each vehicle's own action; updates compose the joint one.
-    """
-
-    algo = "cdrl"
+class DdqnTrainer(Trainer):
+    """One DDQN head on the shared reward per side. A subclass sets `algo` and
+    `sides`, a dict that maps each head's net name to the tuple of vehicles it
+    acts for. A head reads their observations side by side and scores their
+    joint actions (`compose_joint`, the first vehicle most significant); the
+    replay keeps each vehicle's own action."""
 
     @classmethod
     def net_dims(cls, env, cfg: TrainerConfig) -> dict[str, tuple[int, ...]]:
-        a = env.num_actions
-        dims = (2 * env.obs_dim, *cfg.local_hidden, a * a)
-        return {"head": dims, "head_target": dims}
+        a, dims = env.num_actions, {}
+        for name, vehicles in cls.sides.items():
+            k = len(vehicles)
+            dims[name] = dims[f"{name}_target"] = (k * env.obs_dim, *cfg.local_hidden, a**k)
+        return dims
 
     def init_nets(self) -> None:
-        self.head = _DdqnHead(self, "head")
+        self.heads = [_DdqnHead(self, name) for name in self.sides]
 
     def select_actions(self, obs_vecs, eps: float, noise=None):
-        values = self.head.values(np.concatenate(obs_vecs, axis=-1))
-        return decompose_joint(epsilon_greedy(values, eps, self.rng_explore), self.num_actions)
+        """One epsilon-greedy draw per side, in `sides` order."""
+        obs, actions = dict(zip(VEHICLES, obs_vecs)), {}
+        for head, vehicles in zip(self.heads, self.sides.values()):
+            x = np.concatenate([obs[v] for v in vehicles], axis=-1)
+            values, _ = forward(head.net, x, stack=True)
+            joint = epsilon_greedy(values, eps, self.rng_explore)
+            # A side has one or two vehicles: a lone one's index is the split's low digit.
+            actions.update(zip(vehicles, decompose_joint(joint, self.num_actions)[-len(vehicles):]))
+        return tuple(actions[v] for v in VEHICLES)
 
-    def update(self, batch: Batch, lr: float) -> float:
-        obs = np.hstack([batch.obs_lead, batch.obs_follow])
-        joint = compose_joint(batch.act_lead, batch.act_follow, self.num_actions)
-        next_obs = np.hstack([batch.next_obs_lead, batch.next_obs_follow])
-        return self.head.update(obs, joint, batch.reward, next_obs, batch.done, lr)
+    def update(self, batch: Batch, lr: float) -> tuple[float, ...]:
+        """One `_DdqnHead.update` per side, in `sides` order; returns their losses."""
+        losses = []
+        for head, vehicles in zip(self.heads, self.sides.values()):
+            obs, acts, next_obs = ([getattr(batch, f"{key}_{v}") for v in vehicles]
+                                   for key in ("obs", "act", "next_obs"))
+            joint = reduce(lambda own, peer: compose_joint(own, peer, self.num_actions), acts)
+            losses.append(head.update(np.concatenate(obs, axis=1), joint, batch.reward,
+                                      np.concatenate(next_obs, axis=1), batch.done, lr))
+        return tuple(losses)
 
 
-class IndependentTrainer(Trainer):
+class CentralizedTrainer(DdqnTrainer):
+    """One DDQN over the concatenated observations and the joint action space (cdrl)."""
+
+    algo = "cdrl"
+    sides = {"head": ("lead", "follow")}
+
+
+class IndependentTrainer(DdqnTrainer):
     """Two independent DDQNs on the shared reward (imarl)."""
 
     algo = "imarl"
-    # The vehicle of each head, in `heads` order.
-    _SIDES = ("lead", "follow")
-
-    @classmethod
-    def net_dims(cls, env, cfg: TrainerConfig) -> dict[str, tuple[int, ...]]:
-        dims = (env.obs_dim, *cfg.local_hidden, env.num_actions)
-        return {name: dims for side in cls._SIDES for name in (side, f"{side}_target")}
-
-    def init_nets(self) -> None:
-        self.heads = [_DdqnHead(self, side) for side in self._SIDES]
-
-    def select_actions(self, obs_vecs, eps: float, noise=None):
-        return tuple(
-            epsilon_greedy(head.values(obs), eps, self.rng_explore)
-            for head, obs in zip(self.heads, obs_vecs)
-        )
-
-    def update(self, batch: Batch, lr: float) -> tuple[float, float]:
-        return tuple(
-            head.update(getattr(batch, f"obs_{side}"), getattr(batch, f"act_{side}"), batch.reward,
-                        getattr(batch, f"next_obs_{side}"), batch.done, lr)
-            for head, side in zip(self.heads, self._SIDES)
-        )
+    sides = {"lead": ("lead",), "follow": ("follow",)}
 
 
 class FedAvgTrainer(IndependentTrainer):
@@ -129,7 +128,7 @@ class FedAvgTrainer(IndependentTrainer):
         if self.episode % self.cfg.fedavg_period:
             return
         for suffix in ("", "_target"):
-            nets = [self.nets[side + suffix] for side in self._SIDES]
+            nets = [self.nets[name + suffix] for name in self.sides]
             average = fedavg(nets)
             for net in nets:
                 net.params[...] = average.params

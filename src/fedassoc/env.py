@@ -13,7 +13,7 @@ import copy
 import functools
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Annotated, Optional, Sequence, Union
+from typing import Annotated, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -575,10 +575,11 @@ class EdgeAssocEnv:
             state[name] = getattr(self, f"_{name}").bit_generator.state
         return state
 
-    def check_state(self, state: dict) -> None:
+    def check_state(self, state: dict) -> Callable[[], None]:
         """Raise ValueError if `state` is not a JSON object or lacks a key, if its
         `cfg` fails `config_from_json` or is of another world (naming the first
-        differing `EnvConfig` field), or if its `mean_speeds` break their rule."""
+        differing `EnvConfig` field), or if its `mean_speeds` or streams break
+        their rule; else return the call that applies `state`, leaving the env as is."""
         if not isinstance(state, dict):
             raise ValueError(f"env state must be a JSON object, got {type(state).__name__}")
         missing = [key for key in ("cfg", "mean_speeds", *_STREAMS) if key not in state]
@@ -593,18 +594,19 @@ class EdgeAssocEnv:
                     f"this world's is {ours!r}"
                 )
         replace(self.cfg, mean_speeds=state["mean_speeds"])  # building it checks the rule
-
-    def set_state(self, state: dict) -> None:
-        """Restore a `get_state()`; the next episode starts at `reset()`.
-
-        A state of another world, or a malformed one, raises ValueError and
-        leaves the env unchanged.
-        """
-        self.check_state(state)
         streams = {name: copy.deepcopy(getattr(self, f"_{name}")) for name in _STREAMS}
         for name, rng in streams.items():
             rng.bit_generator.state = state[name]
-        self.mean_speeds = np.asarray(state["mean_speeds"], dtype=float)
-        for name, rng in streams.items():
-            setattr(self, f"_{name}", rng)
-        self.episode = None
+        mean_speeds = np.asarray(state["mean_speeds"], dtype=float)
+
+        def apply() -> None:
+            self.mean_speeds = mean_speeds
+            for name, rng in streams.items():
+                setattr(self, f"_{name}", rng)
+            self.episode = None
+        return apply
+
+    def set_state(self, state: dict) -> None:
+        """Restore a `get_state()` that `check_state` passes; the next episode
+        starts at `reset()`."""
+        self.check_state(state)()

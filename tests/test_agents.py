@@ -465,34 +465,27 @@ def test_train_step_equals_lead_then_follow():
 
 @pytest.mark.parametrize("algo", ["cdrl", "imarl", "fmarl-avg"])
 def test_every_baseline_update_returns_its_losses(algo):
-    """cdrl: one float; imarl and fmarl-avg: one per head, in `_SIDES` order.
-    Each is the MSE recomputed on the batch before the step. (Proposed's
-    `update` is checked against its split steps above.)"""
+    """A tuple of one float per side, in `sides` order: one for cdrl, two for
+    imarl and fmarl-avg. Each is the MSE recomputed on the batch before the
+    step, on the side's vehicles' columns side by side and their joint action.
+    (Proposed's `update` is checked against its split steps above.)"""
     trainer = TRAINERS[algo](small_env(), small_cfg(), seed=21)
     batch = make_batch(np.random.default_rng(22), 8, 14, 16)
-    if algo == "cdrl":
-        joint = compose_joint(batch.act_lead, batch.act_follow, trainer.num_actions)
-        learners = [(trainer.head, np.hstack([batch.obs_lead, batch.obs_follow]), joint,
-                     np.hstack([batch.next_obs_lead, batch.next_obs_follow]))]
-    else:
-        learners = [
-            (head, getattr(batch, f"obs_{side}"), getattr(batch, f"act_{side}"),
-             getattr(batch, f"next_obs_{side}"))
-            for head, side in zip(trainer.heads, trainer._SIDES)
-        ]
     expected = []
-    for head, obs, actions, next_obs in learners:
+    for head, vehicles in zip(trainer.heads, trainer.sides.values()):
+        obs, next_obs = (np.hstack([getattr(batch, f"{key}_{v}") for v in vehicles])
+                         for key in ("obs", "next_obs"))
+        actions = [getattr(batch, f"act_{v}") for v in vehicles]
+        joint = actions[0] if len(actions) == 1 else compose_joint(*actions, trainer.num_actions)
         targets = ddqn_target(
             batch.reward, next_obs, head.net, head.target, trainer.cfg.discount, batch.done
         )
         q, _ = forward(head.net, obs)
-        expected.append(np.mean((q[np.arange(len(q)), actions] - targets) ** 2))
+        expected.append(np.mean((q[np.arange(len(q)), joint] - targets) ** 2))
     losses = trainer.update(batch, lr=0.05)
-    if algo == "cdrl":
-        assert type(losses) is float
-        losses = (losses,)
-    else:
-        assert type(losses) is tuple and [type(loss) for loss in losses] == [float, float]
+    assert type(losses) is tuple and [type(loss) for loss in losses] == [float] * len(expected)
+    assert len(losses) == (1 if algo == "cdrl" else 2)
+    if len(expected) == 2:
         assert expected[0] != pytest.approx(expected[1])  # so the order shows
     assert losses == pytest.approx(tuple(expected), rel=1e-12)
 
@@ -1042,6 +1035,23 @@ def test_failed_load_leaves_env_unchanged(tmp_path, name, other_world):
     with pytest.raises(ValueError, match=re.escape(str(path))):
         FederatedTrainer.load(tmp_path / "ckpt", env)
     assert env.get_state() == before and env.episode is episode and episode.t == 2
+
+
+def test_load_checks_the_env_state_once(tmp_path, monkeypatch):
+    """`Trainer.load` checks the env state before it reads a net, and applies
+    that check's result last without checking the state again."""
+    trainer = FederatedTrainer(small_env(seed=8), small_cfg(episodes=2), seed=5)
+    trainer.run()
+    trainer.save(tmp_path / "ckpt")
+    calls = []
+    check_state = EdgeAssocEnv.check_state
+    monkeypatch.setattr(EdgeAssocEnv, "check_state",
+                        lambda env, state: calls.append(state) or check_state(env, state))
+    env = small_env(seed=1)
+    loaded = FederatedTrainer.load(tmp_path / "ckpt", env)
+    assert len(calls) == 1
+    assert env.get_state() == trainer.env.get_state() and env.episode is None
+    assert loaded.run(episodes=1) == trainer.run(episodes=1)
 
 
 # A `meta` of another shape or of non-integers, each with its shape and dtype.

@@ -148,7 +148,7 @@ def small_env(seed=3):
 def test_centralized_architecture():
     trainer = CentralizedTrainer(small_env(), small_cfg(), seed=1)
     records = trainer.run()
-    assert trainer.head.net.dims == (28, 12, 256)
+    assert trainer.heads[0].net.dims == (28, 12, 256)
     assert len(records) == 3
 
 
@@ -162,11 +162,11 @@ def test_centralized_splits_and_composes_joint_actions():
     trainer = CentralizedTrainer(small_env(), small_cfg(), seed=1)
     a = trainer.num_actions
     obs = trainer.env.reset()
-    joint = int(np.argmax(trainer.head.values(np.concatenate(obs))))
+    joint = int(np.argmax(forward(trainer.heads[0].net, np.concatenate(obs), stack=True)[0]))
     assert trainer.select_actions(obs, 0.0) == (joint // a, joint % a)
     # The replay holds each vehicle's own action; the update sees the joint one.
     seen = []
-    trainer.head.update = lambda obs, actions, *rest: seen.append(actions)
+    trainer.heads[0].update = lambda obs, actions, *rest: seen.append(actions)
     zeros = np.zeros((3, trainer.env.obs_dim))
     batch = Batch(
         obs_lead=zeros, act_lead=np.array([0, 3, a - 1]), reward=np.zeros(3),
@@ -175,6 +175,19 @@ def test_centralized_splits_and_composes_joint_actions():
     )
     trainer.update(batch, lr=0.01)
     assert list(seen[0]) == [1, 3 * a, a * a - 1]
+
+
+@pytest.mark.parametrize("cls, names", [
+    (CentralizedTrainer, ["head", "head_target"]),
+    (IndependentTrainer, ["lead", "lead_target", "follow", "follow_target"]),
+    (FedAvgTrainer, ["lead", "lead_target", "follow", "follow_target"]),
+], ids=["cdrl", "imarl", "fmarl-avg"])
+def test_net_dims_name_the_checkpoint_nets_in_order(cls, names):
+    """The `.net` files of the README's checkpoint table, in order: cdrl's one
+    head reads both observations and scores the joint actions, each imarl or
+    fmarl-avg head one vehicle's."""
+    dims = (28, 12, 256) if cls is CentralizedTrainer else (14, 12, 16)
+    assert list(cls.net_dims(small_env(), small_cfg()).items()) == [(n, dims) for n in names]
 
 
 def test_independent_architecture_and_determinism():
@@ -209,13 +222,12 @@ def test_baseline_evaluation_is_greedy_and_does_not_learn(algo):
     cls = CentralizedTrainer if algo == "cdrl" else IndependentTrainer
     trainer = cls(small_env(seed=4), small_cfg(), seed=5)
     trainer.run()
-    heads = [trainer.head] if algo == "cdrl" else trainer.heads
-    before = [net_fingerprint(n) for h in heads for n in (h.net, h.target)]
+    before = [net_fingerprint(n) for h in trainer.heads for n in (h.net, h.target)]
     explore, steps = trainer.rng_explore.bit_generator.state, trainer.train_steps
     records = trainer.evaluate(episodes=2)
     assert [r.episode for r in records] == [1, 2]
     assert all(r.epsilon == 0.0 and r.lr == 0.0 for r in records)
-    assert [net_fingerprint(n) for h in heads for n in (h.net, h.target)] == before
+    assert [net_fingerprint(n) for h in trainer.heads for n in (h.net, h.target)] == before
     assert trainer.rng_explore.bit_generator.state == explore
     assert trainer.train_steps == steps
 
